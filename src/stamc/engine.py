@@ -9,6 +9,23 @@ rates.
 Determinism contract: a run is a pure function of (model, master seed, run
 index).  Each run owns its RngStream and its mutable state; nothing is
 shared, so runs can execute on any number of workers.
+
+Hot path.  Every guard, invariant, rate and update is compiled once to a
+``lambda V, L`` closure (:func:`stamc.expr.compile_expr`).  Guards,
+invariants and their clock atoms also get a probe closure
+``lambda V, L, R, dt`` (:func:`stamc.expr.compile_probe`) that reads each
+clock as ``V[k] + R[k] * dt``: window search evaluates them ``dt`` ahead
+under the current rates without copying ``V``.  Each location's rates are
+split at compile time into clock-free rates, which advance their clock
+exactly by ``rate * dt``, and clock-reading rates, which are integrated
+jointly by fixed-step RK4 on float lists; a stage whose inputs repeat an
+earlier stage's is not evaluated again.
+
+Bit-identity contract: the hot path performs the same float operations, in
+the same order, as copying ``V`` per probe and integrating with numpy
+arrays (``y + k * (h / 2)``, then ``((k1 + 2 * k2) + 2 * k3) + k4`` times
+``h / 6``).  Runs are bit-identical to that straightforward form, which
+``tests/test_engine.py`` keeps as its reference.
 """
 
 from __future__ import annotations
@@ -36,26 +53,22 @@ class RngStream:
 
     master_seed: int
     run_index: int
-    counter: int = 0
 
     def __post_init__(self):
         ss = np.random.SeedSequence((self.master_seed, self.run_index))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def uniform(self, lo: float, hi: float) -> float:
-        self.counter += 1
         if hi <= lo:
             return lo
         return lo + (hi - lo) * self._gen.random()
 
     def exponential(self, rate: float) -> float:
-        self.counter += 1
         return self._gen.exponential(1.0 / rate)
 
     def weighted_choice(self, weights) -> int:
         if len(weights) == 1:
             return 0
-        self.counter += 1
         total = sum(weights)
         u = self._gen.random() * total
         acc = 0.0
@@ -97,6 +110,7 @@ class Trace:
 class RunConfig:
     h_max: float = 0.05  # RK4 step ceiling (time units)
     max_steps: int = 10 ** 6  # zeno / committed-loop ceiling
+    # re-check every invariant after each delay and each firing
     check_invariants: bool = False
 
     _INT_MAX = 2 ** 63 - 1
@@ -106,32 +120,69 @@ class RunConfig:
 
 
 class _CompiledEdge:
-    __slots__ = ("label", "source", "target", "guard", "guard_atoms", "sync",
-                 "weight", "updates")
+    __slots__ = ("label", "source", "target", "guard", "guard_probe",
+                 "guard_atoms", "sync", "weight", "updates")
 
-    def __init__(self, label, source, target, guard, guard_atoms, sync,
-                 weight, updates):
+    def __init__(self, label, source, target, guard, guard_probe, guard_atoms,
+                 sync, weight, updates):
         self.label = label
         self.source = source
         self.target = target
         self.guard = guard  # compiled or None
-        self.guard_atoms = guard_atoms  # compiled (lhs - rhs) difference fns
+        self.guard_probe = guard_probe  # probe form of guard, or None
+        self.guard_atoms = guard_atoms  # [(lhs - rhs fn, its probe form)]
         self.sync = sync
         self.weight = weight
         self.updates = updates  # list[(key, fn, vtype)]
 
 
 class _CompiledLocation:
-    __slots__ = ("id", "committed", "invariant", "inv_atoms", "rates",
-                 "exit_rate")
+    __slots__ = ("id", "committed", "invariant", "inv_probe", "inv_atoms",
+                 "rates", "exit_rate")
 
-    def __init__(self, id, committed, invariant, inv_atoms, rates, exit_rate):
+    def __init__(self, id, committed, invariant, inv_probe, inv_atoms, rates,
+                 exit_rate):
         self.id = id
         self.committed = committed
         self.invariant = invariant
+        self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
-        self.rates = rates  # dict clock key -> (fn, references_clocks)
+        self.rates = rates  # [(clock key, fn, clock keys the rate reads)]
         self.exit_rate = exit_rate
+
+
+class _RatePlan:
+    """How clocks advance while the network sits in one location
+    configuration: the clock-free rates, the clocks left at rate 1, and the
+    clock-reading rates that RK4 integrates."""
+
+    __slots__ = ("rates", "const", "unit", "coupled", "stage_const",
+                 "stage_y")
+
+    def __init__(self, clock_keys, locations):
+        self.rates = []  # every rate fn, in component order
+        self.const = []  # clock-free rate fns
+        coupled = {}  # clock key -> (fn, clock keys it reads)
+        for loc in locations:
+            for key, fn, reads in loc.rates:
+                self.rates.append((key, fn))
+                if reads:
+                    coupled[key] = (fn, reads)
+                else:
+                    self.const.append((key, fn))
+        const_keys = dict(self.const)
+        self.unit = [key for key in clock_keys
+                     if key not in coupled and key not in const_keys]
+        self.coupled = [(key, fn) for key, (fn, _) in coupled.items()]
+        read = set()
+        for _, reads in coupled.values():
+            read |= reads
+        # what the coupled rates read inside an RK4 stage: clocks that
+        # advance at a constant rate, and positions of integrated clocks
+        self.stage_const = [key for key in list(const_keys) + self.unit
+                            if key in read and key not in coupled]
+        self.stage_y = [(i, key) for i, key in enumerate(coupled)
+                        if key in read]
 
 
 class _CompiledComponent:
@@ -159,6 +210,7 @@ class CompiledNetwork:
         self.clock_keys = []
         self.components = []
         self._global_init = []
+        self._rate_plans = {}  # tuple of location ids -> _RatePlan
 
         for d in model.decls:
             self.var_types[d.name] = d.type
@@ -220,36 +272,32 @@ class CompiledNetwork:
             for d in comp.template.decls:
                 cc.init_values.append((f"{comp.name}.{d.name}", d.init, d.type))
 
-            def resolved_clock_refs(e) -> bool:
+            def resolved_clock_refs(e) -> frozenset:
+                refs = set()
                 for n in E.names(e):
                     kind, *rest = resolver(n)
                     if kind == "var" and self.var_types.get(rest[0]) == "clock":
-                        return True
-                return False
+                        refs.add(rest[0])
+                return frozenset(refs)
 
             for loc in comp.template.locations:
-                inv = (E.compile_expr(loc.invariant, resolver)
-                       if loc.invariant is not None else None)
-                inv_atoms = (self._compile_atoms(loc.invariant, resolver,
-                                                 resolved_clock_refs)
-                             if loc.invariant is not None else [])
+                inv, inv_probe, inv_atoms = self._compile_window(
+                    loc.invariant, resolver, resolved_clock_refs)
                 rates = {}
                 for clk, rate_expr in loc.rates:
                     key = resolver(clk)[1]
                     rates[key] = (E.compile_expr(rate_expr, resolver),
                                   resolved_clock_refs(rate_expr))
                 cc.locations[loc.id] = _CompiledLocation(
-                    loc.id, loc.kind == "committed", inv, inv_atoms, rates,
+                    loc.id, loc.kind == "committed", inv, inv_probe, inv_atoms,
+                    [(key, fn, reads) for key, (fn, reads) in rates.items()],
                     loc.exit_rate)
                 cc.out_active[loc.id] = []
                 cc.out_receive[loc.id] = {}
 
             for i, edge in enumerate(comp.template.edges):
-                guard = (E.compile_expr(edge.guard, resolver)
-                         if edge.guard is not None else None)
-                atoms = (self._compile_atoms(edge.guard, resolver,
-                                             resolved_clock_refs)
-                         if edge.guard is not None else [])
+                guard, guard_probe, atoms = self._compile_window(
+                    edge.guard, resolver, resolved_clock_refs)
                 updates = []
                 for name, rhs in edge.updates:
                     key = resolver(name)[1]
@@ -257,7 +305,8 @@ class CompiledNetwork:
                                     self.var_types[key]))
                 ce = _CompiledEdge(
                     f"{edge.source}->{edge.target}#{i}", edge.source,
-                    edge.target, guard, atoms, edge.sync, edge.weight, updates)
+                    edge.target, guard, guard_probe, atoms, edge.sync,
+                    edge.weight, updates)
                 if edge.sync is not None and edge.sync.direction == "receive":
                     cc.out_receive[edge.source].setdefault(
                         edge.sync.channel, []).append(ce)
@@ -265,14 +314,32 @@ class CompiledNetwork:
                     cc.out_active[edge.source].append(ce)
             self.components.append(cc)
 
-    def _compile_atoms(self, boolean_expr, resolver, refs_clocks):
-        """Compiled difference fns (lhs - rhs) for clock-bearing atoms."""
+    def _compile_window(self, boolean_expr, resolver, refs_clocks):
+        """(predicate, its probe, [(lhs - rhs, its probe)] for each
+        clock-bearing atom) of a guard or invariant; (None, None, []) for
+        an absent one."""
+        if boolean_expr is None:
+            return None, None, []
+        clocks = frozenset(self.clock_keys)
         atoms = []
         for atom in E.comparison_atoms(boolean_expr):
             if refs_clocks(atom.left) or refs_clocks(atom.right):
                 diff = E.Binary("-", atom.left, atom.right)
-                atoms.append(E.compile_expr(diff, resolver))
-        return atoms
+                atoms.append((E.compile_expr(diff, resolver),
+                              E.compile_probe(diff, resolver, clocks)))
+        return (E.compile_expr(boolean_expr, resolver),
+                E.compile_probe(boolean_expr, resolver, clocks), atoms)
+
+    def rate_plan(self, L) -> _RatePlan:
+        """The rate plan of location configuration ``L``, built once."""
+        config = tuple(L.values())
+        plan = self._rate_plans.get(config)
+        if plan is None:
+            locations = [cc.locations[L[cc.name]] for cc in self.components]
+            plan = self._rate_plans[config] = _RatePlan(
+                self.clock_keys,
+                [loc for loc in locations if not loc.committed])
+        return plan
 
     def initial_state(self) -> "State":
         V = {}
@@ -331,53 +398,40 @@ class Simulator:
 
     # -- expression probing under linear clock extrapolation --
 
-    def _advanced_values(self, dt: float, rates: dict) -> dict:
-        V = self.state.V
-        if dt == 0.0:
-            return V
-        V2 = dict(V)
-        for key, r in rates.items():
-            V2[key] = V[key] + r * dt
-        return V2
-
     def _current_rates(self) -> dict:
         """Numeric rate per clock at the current state (linear probe basis)."""
         V, L = self.state.V, self.state.L
-        rates = {key: 1.0 for key in self.net.clock_keys}
-        for cc in self.net.components:
-            loc = cc.locations[L[cc.name]]
-            if loc.committed:
-                continue
-            for key, (fn, _) in loc.rates.items():
-                rates[key] = float(fn(V, L))
+        rates = dict.fromkeys(self.net.clock_keys, 1.0)
+        for key, fn in self.net.rate_plan(L).rates:
+            rates[key] = float(fn(V, L))
         return rates
 
-    def _earliest(self, pred, atoms, rates, horizon: float, want: bool):
+    def _earliest(self, pred, probe, atoms, rates, horizon: float,
+                  want: bool):
         """Earliest t in [0, horizon] with pred == want, or None.
 
         Guard/invariant atoms are affine in the clocks (validated), so truth
         can only flip at atom crossing times; probe those breakpoints.
         """
-        L = self.state.L
+        V, L = self.state.V, self.state.L
         eps = 1e-9
-        if bool(pred(self.state.V, L)) == want:
+        if bool(pred(V, L)) == want:
             return 0.0
         if horizon <= 0:
             return None
         # boundary case: truth flips immediately (atom sitting at 0 with a
         # nonzero slope), which yields no strictly positive crossing below
         crossings = [eps]
-        for diff in atoms:
-            g0 = float(diff(self.state.V, L))
-            g1 = float(diff(self._advanced_values(1.0, rates), L))
-            slope = g1 - g0
+        for diff, diff_probe in atoms:
+            g0 = float(diff(V, L))
+            slope = float(diff_probe(V, L, rates, 1.0)) - g0
             if slope == 0.0:
                 continue
             t = -g0 / slope
-            if eps < t <= horizon if horizon != INF else t > eps:
+            if eps < t <= horizon:
                 crossings.append(t)
         for t in sorted(crossings):
-            if bool(pred(self._advanced_values(t + eps, rates), L)) == want:
+            if bool(probe(V, L, rates, t + eps)) == want:
                 return t
         return None
 
@@ -389,14 +443,15 @@ class Simulator:
         if not bool(loc.invariant(self.state.V, self.state.L)):
             raise EngineError(
                 f"invariant of {cc.name} violated at entry (engine defect)")
-        t = self._earliest(loc.invariant, loc.inv_atoms, rates, INF, False)
+        t = self._earliest(loc.invariant, loc.inv_probe, loc.inv_atoms,
+                           rates, INF, False)
         return INF if t is None else t
 
     def _edge_window_start(self, edge, rates, horizon: float):
         if edge.guard is None:
             return 0.0
-        return self._earliest(edge.guard, edge.guard_atoms, rates, horizon,
-                              True)
+        return self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
+                              rates, horizon, True)
 
     def sample_delay(self, comp_index: int, rates: Optional[dict] = None):
         """Sojourn delay for one component, or None if it cannot act.
@@ -446,56 +501,77 @@ class Simulator:
         if dt == 0.0:
             return
         V, L = self.state.V, self.state.L
-        const_rates = {}
-        var_rates = {}  # clock key -> rate fn
-        for cc in self.net.components:
-            loc = cc.locations[L[cc.name]]
-            if loc.committed:
-                continue
-            for key, (fn, refs_clocks) in loc.rates.items():
-                if refs_clocks:
-                    var_rates[key] = fn
-                else:
-                    const_rates[key] = float(fn(V, L))
-        for key in self.net.clock_keys:
-            if key not in var_rates and key not in const_rates:
-                const_rates[key] = 1.0
-
-        base = {key: V[key] for key in const_rates}
-        if var_rates:
-            ykeys = list(var_rates)
-            y = np.array([V[k] for k in ykeys], dtype=float)
-            n_steps = max(1, math.ceil(dt / self.config.h_max))
-            h = dt / n_steps
-
-            def f(t_off, yvals):
-                for key, r in const_rates.items():
-                    V[key] = base[key] + r * t_off
-                for k, val in zip(ykeys, yvals):
-                    V[k] = val
-                out = np.empty(len(ykeys))
-                for i, k in enumerate(ykeys):
-                    v = float(var_rates[k](V, L))
-                    if not math.isfinite(v):
-                        raise EngineError(f"rate of {k!r} is not finite")
-                    out[i] = v
-                return out
-
-            t = 0.0
-            for _ in range(n_steps):
-                k1 = f(t, y)
-                k2 = f(t + h / 2, y + k1 * (h / 2))
-                k3 = f(t + h / 2, y + k2 * (h / 2))
-                k4 = f(t + h, y + k3 * h)
-                y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
-                t += h
-            for k, val in zip(ykeys, y):
-                V[k] = float(val)
-        for key, r in const_rates.items():
+        plan = self.net.rate_plan(L)
+        rates = {}
+        for key, fn in plan.const:
+            rates[key] = float(fn(V, L))
+        for key in plan.unit:
+            rates[key] = 1.0
+        base = [V[key] for key in rates]
+        if plan.coupled:
+            self._integrate(plan, rates, dt)
+        for (key, r), b in zip(rates.items(), base):
             if not math.isfinite(r):
                 raise EngineError(f"rate of {key!r} is not finite")
-            V[key] = base[key] + r * dt
+            V[key] = b + r * dt
         self.state.time += dt
+
+    def _integrate(self, plan, rates, dt: float) -> None:
+        """RK4 over dt for the clocks whose rates read clocks."""
+        V, L = self.state.V, self.state.L
+        ykeys = [key for key, _ in plan.coupled]
+        fns = [fn for _, fn in plan.coupled]
+        y = [V[key] for key in ykeys]
+        stage_const = [(key, V[key], rates[key]) for key in plan.stage_const]
+        stage_y = plan.stage_y
+
+        def f(t_off, yvals):
+            for key, b, r in stage_const:
+                V[key] = b + r * t_off
+            for i, key in stage_y:
+                V[key] = yvals[i]
+            out = []
+            for key, fn in zip(ykeys, fns):
+                v = float(fn(V, L))
+                if not math.isfinite(v):
+                    raise EngineError(f"rate of {key!r} is not finite")
+                out.append(v)
+            return out
+
+        n_steps = max(1, math.ceil(dt / self.config.h_max))
+        h = dt / n_steps
+        h2, h6 = h / 2, h / 6
+        t = 0.0
+        if stage_y:
+            for _ in range(n_steps):
+                k1 = f(t, y)
+                k2 = f(t + h2, [a + k * h2 for a, k in zip(y, k1)])
+                k3 = f(t + h2, [a + k * h2 for a, k in zip(y, k2)])
+                k4 = f(t + h, [a + k * h for a, k in zip(y, k3)])
+                y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                t += h
+        elif all(r == 0.0 for _, _, r in stage_const):
+            # the rates read only clocks that stand still: every stage sees
+            # the same values, so every step adds the same increment
+            k = f(t, y)
+            inc = [(((b + 2 * b) + 2 * b) + b) * h6 for b in k]
+            for _ in range(n_steps):
+                y = [a + d for a, d in zip(y, inc)]
+        else:
+            # the rates read no integrated clock, so they depend on the
+            # stage time alone: k3 equals k2, and the next step's k1 (at
+            # t + h, summed the same way) equals this step's k4
+            k1 = f(t, y)
+            for _ in range(n_steps):
+                k2 = f(t + h2, y)
+                k4 = f(t + h, y)
+                y = [a + (((b1 + 2 * b2) + 2 * b2) + b4) * h6
+                     for a, b1, b2, b4 in zip(y, k1, k2, k4)]
+                k1 = k4
+                t += h
+        for key, val in zip(ykeys, y):
+            V[key] = val
 
     # -- firing --
 
@@ -559,14 +635,30 @@ class Simulator:
         V, L = self.state.V, self.state.L
         return {key: fn(V, L) for key, fn in self.watch}
 
-    def _check_invariants(self) -> None:
+    def _check_invariants(self, when: str) -> None:
+        """Raise unless every current invariant holds, or held 1e-9 time
+        units ago under the current rates: the window search probes 1e-9
+        past each crossing, so a delay may end that far beyond a
+        boundary."""
         V, L = self.state.V, self.state.L
+        rates = None
         for cc in self.net.components:
-            inv = cc.locations[L[cc.name]].invariant
-            if inv is not None and not inv(V, L):
-                raise EngineError(
-                    f"invariant of {cc.name} violated after step "
-                    f"(t={self.state.time})")
+            loc = cc.locations[L[cc.name]]
+            if loc.invariant is None or loc.invariant(V, L):
+                continue
+            rates = rates or self._current_rates()
+            if loc.inv_probe(V, L, rates, -1e-9):
+                continue
+            tpl = self.net.network.components[cc.index].template
+            inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
+            raise EngineError(
+                f"invariant {E.to_text(inv)!r} of {cc.name}.{loc.id} "
+                f"violated {when} (t={self.state.time})")
+
+    def _delay(self, dt: float) -> None:
+        self.advance_time(dt)
+        if self.config.check_invariants:
+            self._check_invariants("at the end of a delay")
 
     def step(self, bound: float):
         """One network step.  Returns a TraceEvent, or a terminal string:
@@ -583,7 +675,7 @@ class Simulator:
                     idx = self.rng.weighted_choice([e.weight for e in enabled])
                     ch = self._fire(cc, enabled[idx])
                     if self.config.check_invariants:
-                        self._check_invariants()
+                        self._check_invariants("after a firing")
                     return TraceEvent(self.state.time, cc.name,
                                       enabled[idx].label, ch, pre,
                                       self._snapshot())
@@ -601,17 +693,17 @@ class Simulator:
 
         remaining = bound - self.state.time
         if best is None:
-            self.advance_time(min(remaining, cap))
+            self._delay(min(remaining, cap))
             return "bound_reached" if cap >= remaining else "deadlock"
         delay, winner_idx = best
         if delay > remaining:
-            self.advance_time(remaining)
+            self._delay(remaining)
             return "bound_reached"
         if delay > cap:
-            self.advance_time(cap)
+            self._delay(cap)
             return "deadlock"
 
-        self.advance_time(delay)
+        self._delay(delay)
         cc = self.net.components[winner_idx]
         enabled = [e for e in cc.out_active[L[cc.name]]
                    if self._edge_enabled(cc, e)]
@@ -629,7 +721,7 @@ class Simulator:
         idx = self.rng.weighted_choice([e.weight for e in enabled])
         ch = self._fire(cc, enabled[idx])
         if self.config.check_invariants:
-            self._check_invariants()
+            self._check_invariants("after a firing")
         return TraceEvent(self.state.time, cc.name, enabled[idx].label, ch,
                           pre, self._snapshot())
 

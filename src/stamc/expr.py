@@ -1,10 +1,17 @@
 """Expression AST shared by guards, invariants, rates, updates and queries.
 
 Expressions are parsed by :mod:`stamc.parser`, resolved against a network
-scope and compiled to plain Python closures for speed.  The evaluation
-environment is a pair of dicts: ``V`` maps resolved value keys (globals as
-``name``, per-instance locals as ``inst.name``) to numbers, and ``L`` maps
-instance names to their current location id.
+scope and compiled once to real Python closures, ``lambda V, L: <src>``.
+The evaluation environment is a pair of dicts: ``V`` maps resolved value
+keys (globals as ``name``, per-instance locals as ``inst.name``) to
+numbers, and ``L`` maps instance names to their current location id.
+
+The probe form ``lambda V, L, R, dt: <src>`` (:func:`compile_probe`)
+evaluates the same expression ``dt`` time units ahead under constant clock
+rates ``R``: each clock ``k`` reads as ``(V[k] + R[k] * dt)``.  That is the
+same float operation as building an advanced copy of ``V`` and evaluating
+the plain form on it, so a probe returns bit-identical values without
+copying ``V``.
 """
 
 from __future__ import annotations
@@ -102,7 +109,9 @@ def names(e: Expr) -> set:
     return {n.name for n in walk(e) if isinstance(n, Name)}
 
 
-def _py(e: Expr, resolver: Resolver) -> str:
+def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
+    """Python source of ``e``; a variable whose key is in ``clocks`` reads
+    as ``(V[k] + R[k] * dt)``."""
     if isinstance(e, Num):
         return repr(e.value)
     if isinstance(e, BoolLit):
@@ -110,7 +119,10 @@ def _py(e: Expr, resolver: Resolver) -> str:
     if isinstance(e, Name):
         kind, *rest = resolver(e.name)
         if kind == "var":
-            return f"V[{rest[0]!r}]"
+            key = rest[0]
+            if key in clocks:
+                return f"(V[{key!r}] + R[{key!r}] * dt)"
+            return f"V[{key!r}]"
         if kind == "loc":
             comp, loc = rest
             return f"(L[{comp!r}] == {loc!r})"
@@ -118,35 +130,41 @@ def _py(e: Expr, resolver: Resolver) -> str:
             return repr(rest[0])
         raise ExprError(f"unresolvable name {e.name!r}")
     if isinstance(e, Unary):
-        inner = _py(e.operand, resolver)
+        inner = _py(e.operand, resolver, clocks)
         return f"(not {inner})" if e.op == "!" else f"(-{inner})"
     if isinstance(e, Binary):
-        a, b = _py(e.left, resolver), _py(e.right, resolver)
+        a = _py(e.left, resolver, clocks)
+        b = _py(e.right, resolver, clocks)
         if e.op == "imply":
             return f"((not {a}) or {b})"
         return f"({a} {_PY_OP[e.op]} {b})"
     if isinstance(e, Cond):
         return (
-            f"({_py(e.then, resolver)} if {_py(e.test, resolver)}"
-            f" else {_py(e.other, resolver)})"
+            f"({_py(e.then, resolver, clocks)} if "
+            f"{_py(e.test, resolver, clocks)}"
+            f" else {_py(e.other, resolver, clocks)})"
         )
     if isinstance(e, Call):
-        args = ", ".join(_py(a, resolver) for a in e.args)
+        args = ", ".join(_py(a, resolver, clocks) for a in e.args)
         return f"{e.func}({args})"
     raise ExprError(f"unknown node {e!r}")
 
 
+def _lambda(params: str, src: str) -> Callable:
+    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **_FUNCS})
+    fn.source = src  # type: ignore[attr-defined]
+    return fn
+
+
 def compile_expr(e: Expr, resolver: Resolver) -> Callable:
     """Compile to ``f(V, L) -> value``."""
-    src = _py(e, resolver)
-    code = compile(src, "<expr>", "eval")
-    env = {"__builtins__": {}, **_FUNCS}
+    return _lambda("V, L", _py(e, resolver))
 
-    def evaluate(V, L, _code=code, _env=env):
-        return eval(_code, _env, {"V": V, "L": L})
 
-    evaluate.source = src  # type: ignore[attr-defined]
-    return evaluate
+def compile_probe(e: Expr, resolver: Resolver, clocks) -> Callable:
+    """Compile to ``f(V, L, R, dt) -> value``: ``e`` after ``dt`` time units
+    in which every clock key in ``clocks`` advances at rate ``R[key]``."""
+    return _lambda("V, L, R, dt", _py(e, resolver, frozenset(clocks)))
 
 
 def to_text(e: Expr) -> str:

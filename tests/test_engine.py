@@ -1,13 +1,16 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from stamc import engine
+from stamc import engine, monitors
 from stamc.engine import EngineError, RngStream, RunConfig, run
 from stamc.model import instantiate
-from stamc.parser import parse_model
+from stamc.parser import parse_model, parse_queries
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 
 def net(text):
@@ -390,3 +393,231 @@ system T;
     rows = [json.loads(l) for l in lines]
     assert rows[0]["comp"] == "T"
     assert {"t", "comp", "edge", "watch"} <= set(rows[0])
+
+
+def test_check_invariants_covers_the_final_delay():
+    """A clock whose rate reads a clock outruns the window search, which
+    extrapolates the current rate in a straight line: e reaches about 50
+    at the bound. The invariant check must notice, although the run only
+    ever delays and never fires."""
+    text = """
+clock t;
+clock e;
+template T() {
+  init loc a { inv e <= 8; rate e = t; }
+  loc b;
+  a -> b { guard e >= 8; }
+}
+system T;
+"""
+    with pytest.raises(EngineError, match=r"invariant 'e <= 8' of T\.a"):
+        runs(text, 10, 1, check_invariants=True)
+
+
+def test_check_invariants_accepts_the_vehicle_runs():
+    """The window search may end a delay up to 1e-9 time units past an
+    invariant boundary (a braking wheel ends some delays at a speed of
+    about -8e-9 under `inv wvr >= 0`); the check allows that, so vehicle
+    runs pass it."""
+    network = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    config = RunConfig(h_max=10.0, check_invariants=True)
+    for i in range(4):
+        run(network, 3000, RngStream(42, i), config=config)
+
+
+# --- bit-identity of the compiled hot path ---------------------------------
+#
+# The engine probes guards and invariants through closures that read each
+# clock as V[k] + R[k] * dt, and integrates clock-reading rates by RK4 on
+# float lists. The references below are the straightforward forms they
+# replace; results must agree bit for bit, not within a tolerance.
+
+
+def _advanced_copy(V, rates, dt):
+    """Reference probe: a copy of V with every clock advanced dt."""
+    V2 = dict(V)
+    for key, r in rates.items():
+        V2[key] = V[key] + r * dt
+    return V2
+
+
+def _advance_reference(sim, dt):
+    """Reference advance_time: dict rates and numpy RK4 arrays."""
+    V, L = sim.state.V, sim.state.L
+    const_rates, var_rates = {}, {}
+    for cc in sim.net.components:
+        loc = cc.locations[L[cc.name]]
+        if loc.committed:
+            continue
+        for key, fn, reads in loc.rates:
+            if reads:
+                var_rates[key] = fn
+            else:
+                const_rates[key] = float(fn(V, L))
+    for key in sim.net.clock_keys:
+        if key not in var_rates and key not in const_rates:
+            const_rates[key] = 1.0
+    base = {key: V[key] for key in const_rates}
+    if var_rates:
+        ykeys = list(var_rates)
+        y = np.array([V[k] for k in ykeys], dtype=float)
+        n_steps = max(1, math.ceil(dt / sim.config.h_max))
+        h = dt / n_steps
+
+        def f(t_off, yvals):
+            for key, r in const_rates.items():
+                V[key] = base[key] + r * t_off
+            for k, val in zip(ykeys, yvals):
+                V[k] = val
+            return np.array([float(var_rates[k](V, L)) for k in ykeys])
+
+        t = 0.0
+        for _ in range(n_steps):
+            k1 = f(t, y)
+            k2 = f(t + h / 2, y + k1 * (h / 2))
+            k3 = f(t + h / 2, y + k2 * (h / 2))
+            k4 = f(t + h, y + k3 * h)
+            y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
+            t += h
+        for k, val in zip(ykeys, y):
+            V[k] = float(val)
+    for key, r in const_rates.items():
+        V[key] = base[key] + r * dt
+    sim.state.time += dt
+
+
+def _bits(values):
+    """repr keeps every bit of a float, the sign of zero included."""
+    return [repr(v) for v in values]
+
+
+def _vehicle_states(name, n_runs=3, every=7, bound=1500):
+    """(compiled network, [(V, L)]) sampled along vehicle runs."""
+    compiled = engine.CompiledNetwork(
+        instantiate(parse_model((MODELS / name).read_text())))
+    states = []
+    for i in range(n_runs):
+        sim = engine.Simulator(compiled, RngStream(42, i),
+                               RunConfig(h_max=10.0))
+        for n in range(10 ** 4):
+            if isinstance(sim.step(bound), str):
+                break
+            if n % every == 0:
+                states.append((dict(sim.state.V), dict(sim.state.L)))
+    return compiled, states
+
+
+def _at(compiled, V, L):
+    sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=10.0))
+    sim.state = engine.State(dict(V), dict(L), 0.0)
+    return sim
+
+
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
+def test_window_probes_match_dict_copy_reference(name):
+    compiled, states = _vehicle_states(name)
+    windows = []
+    for cc in compiled.components:
+        for loc in cc.locations.values():
+            if loc.invariant is not None:
+                windows.append((loc.invariant, loc.inv_probe, loc.inv_atoms))
+        edges = [e for es in cc.out_active.values() for e in es]
+        edges += [e for by_ch in cc.out_receive.values()
+                  for es in by_ch.values() for e in es]
+        for e in edges:
+            if e.guard is not None:
+                windows.append((e.guard, e.guard_probe, e.guard_atoms))
+    assert sum(len(atoms) for _, _, atoms in windows) > 20
+    assert len(states) > 100
+    checked = 0
+    for V, L in states:
+        rates = _at(compiled, V, L)._current_rates()
+        for dt in (1.0, 1e-9, 0.25, 1.0 + 1e-9, 3.7, 40.0, 1234.5):
+            ref_V = _advanced_copy(V, rates, dt)
+            for pred, probe, atoms in windows:
+                fns = [(pred, probe)] + list(atoms)
+                ref = [fn(ref_V, L) for fn, _ in fns]
+                got = [pr(V, L, rates, dt) for _, pr in fns]
+                assert _bits(got) == _bits(ref)
+                checked += len(fns)
+    assert checked > 10 ** 4
+
+
+def _compare_advance(compiled, V, L, dt, h_max):
+    ref = _at(compiled, V, L)
+    ref.config = RunConfig(h_max=h_max)
+    _advance_reference(ref, dt)
+    sim = _at(compiled, V, L)
+    sim.config = RunConfig(h_max=h_max)
+    sim.advance_time(dt)
+    assert list(sim.state.V) == list(ref.state.V)
+    assert _bits(sim.state.V.values()) == _bits(ref.state.V.values())
+    assert sim.state.time == ref.state.time
+
+
+@pytest.mark.parametrize("h_max", [10.0, 0.05])
+def test_advance_time_matches_numpy_rk4_reference(h_max):
+    """Every mode of the energy automaton, with the wheels cruising,
+    speeding up, braking and turning."""
+    compiled, states = _vehicle_states("av.sta", n_runs=1, every=1, bound=400)
+    timed = [(V, L) for V, L in states
+             if not any(cc.locations[L[cc.name]].committed
+                        for cc in compiled.components)]
+    for V, L in timed[::max(1, len(timed) // 3)][:3]:
+        for mode in range(7):
+            for al, ar in ((0, 0), (1, 1), (-1, -1), (1, -1)):
+                for wvl, wvr in ((V["wvl"], V["wvr"]), (83.17, 91.9)):
+                    W = dict(V, mode=mode, al=float(al), ar=float(ar),
+                             wvl=wvl, wvr=wvr)
+                    for dt in (0.7, 6.1):
+                        _compare_advance(compiled, W, L, dt, h_max)
+
+
+@pytest.mark.parametrize("h_max", [0.5, 0.05])
+def test_advance_time_matches_reference_on_coupled_clocks(h_max):
+    """Rates that read integrated clocks (and a clock at a constant rate)
+    take the full four-stage RK4 path."""
+    text = """
+clock x = 1;
+clock y;
+clock u;
+clock w;
+template T() {
+  init loc a {
+    rate x = -y + 0.1 * u; rate y = x; rate u = 3; rate w = x * 0.5 - w;
+  }
+}
+system T;
+"""
+    compiled = engine.CompiledNetwork(net(text))
+    state = compiled.initial_state()
+    for dt in (0.3, 2.9, 7.0):
+        _compare_advance(compiled, state.V, state.L, dt, h_max)
+
+
+def test_observers_do_not_perturb_trajectories():
+    """Attaching weakly-hard observers leaves every other component's
+    events and watched values unchanged, run by run."""
+    model = parse_model((MODELS / "av.sta").read_text())
+    queries = {q.name: q.query for q in
+               parse_queries((MODELS / "requirements.q").read_text())}
+    observed = model
+    for name in ("R46", "R48", "R50"):
+        observed = monitors.attach_observer(
+            observed, queries[name].constraint, f"_obs_{name}")
+    plain_net, observed_net = instantiate(model), instantiate(observed)
+    watch = ["wvl", "wvr", "mode", "energy.Con_en", "(wvl + wvr) / 2"]
+    config = RunConfig(h_max=10.0)
+    observer_events = 0
+    for i in range(30):
+        plain = run(plain_net, 3000, RngStream(42, i), watch, config)
+        seen = run(observed_net, 3000, RngStream(42, i), watch, config)
+        kept = [e for e in seen.events
+                if not e.component.startswith("_obs_")]
+        observer_events += len(seen.events) - len(kept)
+        assert [(e.time, e.component, e.edge, e.watch_pre, e.watch)
+                for e in kept] == \
+            [(e.time, e.component, e.edge, e.watch_pre, e.watch)
+             for e in plain.events]
+        assert (seen.end_time, seen.final) == (plain.end_time, plain.final)
+    assert observer_events > 0

@@ -104,3 +104,15 @@ def test_comparison_atoms():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ev("1 / x", {"x": 0})
+
+
+def test_probe_reads_clocks_advanced_by_rate_times_dt():
+    for text in ("x - 2 * y", "x - 2 * y <= z"):
+        e = parse_expression(text)
+        plain = E.compile_expr(e, var_resolver)
+        probe = E.compile_probe(e, var_resolver, {"x", "y"})
+        V = {"x": 0.1, "y": 0.7, "z": -1.3}
+        R = {"x": 3.0, "y": 0.3}
+        for dt in (0.0, 1e-9, 0.3, 2.0):
+            ahead = dict(V, x=V["x"] + R["x"] * dt, y=V["y"] + R["y"] * dt)
+            assert probe(V, {}, R, dt) == plain(ahead, {})
