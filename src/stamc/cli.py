@@ -181,8 +181,7 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
         if isinstance(nq.query, ObserverDecl):
             model = monitors.attach_observer(model, nq.query.constraint,
                                              nq.query.name)
-    rows = []
-    mismatch = False
+    queries = []
     for nq in named:
         if isinstance(nq.query, ObserverDecl):
             continue
@@ -192,23 +191,35 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
         if isinstance(query, Simulate) and manifest.sample_step is not None:
             query = dataclasses.replace(query,
                                         sample_step=manifest.sample_step)
-        result = smc.evaluate_query(model, query, cfg, run_config,
-                                    name=nq.name)
-        base = nq.name or f"q{len(rows)}"
-        if isinstance(query, Simulate):
-            csv = smc.trajectories_to_csv(result.details["trajectories"],
-                                          query.exprs)
-            _write_with_manifest(os.path.join(manifest.out, f"{base}.csv"),
-                                 manifest, csv)
-        if isinstance(query, Expected) and result.histogram:
-            _write_with_manifest(
-                os.path.join(manifest.out, f"{base}_hist.csv"), manifest,
-                smc.histogram_to_csv(result.histogram))
-        row = _result_row(base, result, nq.expected)
-        rows.append(row)
-        if row["match"] is False:
-            mismatch = True
+        queries.append((nq, query))
+    rows = []
+    mismatch = False
+    # one pool for every query: workers live, and compile each model once,
+    # for the whole call
+    with smc.RunPool(manifest.workers) as pool:
+        for nq, query in queries:
+            row = _run_query(model, nq, query, cfg, run_config, manifest,
+                             len(rows), pool)
+            rows.append(row)
+            mismatch = mismatch or row["match"] is False
     return rows, mismatch
+
+
+def _run_query(model, nq, query, cfg, run_config, manifest, index, pool):
+    """Evaluate one query, write its CSV outputs and return its row."""
+    result = smc.evaluate_query(model, query, cfg, run_config, name=nq.name,
+                                pool=pool)
+    base = nq.name or f"q{index}"
+    if isinstance(query, Simulate):
+        csv = smc.trajectories_to_csv(result.details["trajectories"],
+                                      query.exprs)
+        _write_with_manifest(os.path.join(manifest.out, f"{base}.csv"),
+                             manifest, csv)
+    if isinstance(query, Expected) and result.histogram:
+        _write_with_manifest(
+            os.path.join(manifest.out, f"{base}_hist.csv"), manifest,
+            smc.histogram_to_csv(result.histogram))
+    return _result_row(base, result, nq.expected)
 
 
 @main.command()

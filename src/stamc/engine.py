@@ -453,12 +453,14 @@ class Simulator:
         return self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
                               rates, horizon, True)
 
-    def sample_delay(self, comp_index: int, rates: Optional[dict] = None):
+    def sample_delay(self, comp_index: int, rates: Optional[dict] = None,
+                     deadline: Optional[float] = None):
         """Sojourn delay for one component, or None if it cannot act.
 
         Uniform[L, U] when the invariant bounds the sojourn, otherwise
         L + Exponential(exit-rate, default 1).  Committed locations are the
-        caller's business (delay 0).
+        caller's business (delay 0).  ``deadline`` is the component's
+        invariant deadline U under ``rates`` if the caller has it.
         """
         cc = self.net.components[comp_index]
         loc = cc.locations[self.state.L[cc.name]]
@@ -466,7 +468,8 @@ class Simulator:
             return 0.0
         if rates is None:
             rates = self._current_rates()
-        U = self._invariant_deadline(cc, rates)
+        U = (self._invariant_deadline(cc, rates) if deadline is None
+             else deadline)
         starts = []
         for edge in cc.out_active[loc.id]:
             if (edge.sync is not None and edge.sync.direction == "emit"
@@ -685,9 +688,10 @@ class Simulator:
         best = None  # (delay, index)
         cap = INF  # invariant ceiling of components that cannot act
         for cc in self.net.components:
-            delay = self.sample_delay(cc.index, rates)
+            deadline = self._invariant_deadline(cc, rates)
+            delay = self.sample_delay(cc.index, rates, deadline)
             if delay is None:
-                cap = min(cap, self._invariant_deadline(cc, rates))
+                cap = min(cap, deadline)
             elif best is None or delay < best[0]:
                 best = (delay, cc.index)
 

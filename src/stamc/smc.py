@@ -8,16 +8,25 @@ Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
 hypothesis tests.  Every result records the seed that reproduces it.
 
-Concurrency: runs are dispatched to a process pool and merged strictly in
-run-index order, so verdicts and estimates do not depend on the worker
-count.
+Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
+call; the queries of the call, and the two streams of a ``compare``,
+share it, and a library call without one opens one for that call. At one
+worker the runs execute in this process. Otherwise they go to one process
+pool in chunks of 4 run indices, with at most 2 chunks per worker and
+stream in flight, and every process compiles each distinct model once.
+Outcomes are merged strictly in run-index order, so verdicts and
+estimates do not depend on the worker count; when a test decides, its
+queued chunks are cancelled and the outcomes of running ones dropped.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -214,57 +223,137 @@ def _run_one(job: _Job, net: CompiledNetwork, index: int):
     raise QueryError(f"unknown job kind {job.kind!r}")
 
 
-_W_JOB = None
-_W_NET = None
+# In a worker process: job key -> (job, compiled network), and model key
+# -> compiled network. A worker serves one pool, so the keys of one check.
+_W_JOBS = {}
+_W_NETS = {}
 
 
-def _worker_init(job: _Job):
-    global _W_JOB, _W_NET
-    _W_JOB = job
-    _W_NET = CompiledNetwork(instantiate(job.model))
+def _worker_chunk(indices, job_key, model_key, blob):
+    """Runs ``indices`` of a job in a worker. The job arrives pickled with
+    every chunk and is unpickled, and its model compiled, once."""
+    entry = _W_JOBS.get(job_key)
+    if entry is None:
+        job = pickle.loads(blob)
+        net = _W_NETS.get(model_key)
+        if net is None:
+            net = _W_NETS[model_key] = CompiledNetwork(instantiate(job.model))
+        entry = _W_JOBS[job_key] = (job, net)
+    job, net = entry
+    return [_run_one(job, net, i) for i in indices]
 
 
-def _worker_chunk(indices):
-    return [_run_one(_W_JOB, _W_NET, i) for i in indices]
+class RunPool:
+    """Where the runs of one check execute; all its queries share it.
+
+    At one worker the runs execute in this process. Otherwise they go to
+    one process pool, in chunks of ``CHUNK`` run indices, at most
+    ``AHEAD`` chunks per worker and job in flight. Every process compiles
+    each distinct model once.
+    """
+
+    CHUNK = 4
+    AHEAD = 2
+
+    def __init__(self, workers: int = 1):
+        self.workers = max(1, workers)
+        self._models = {}  # id(model) -> (model key, model)
+        self._nets = {}  # model key -> compiled network, at one worker
+        self._jobs = 0
+        self._executor = None
+        if self.workers > 1:
+            # the platform's default start method (fork on Linux): workers
+            # inherit the loaded modules and start at once
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Cancel queued chunks and wait for the running ones."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+    def _model_key(self, model: Model) -> int:
+        # the entry holds the model, so its id is not reused meanwhile
+        return self._models.setdefault(id(model),
+                                       (len(self._models), model))[0]
+
+    def network(self, model: Model) -> CompiledNetwork:
+        key = self._model_key(model)
+        net = self._nets.get(key)
+        if net is None:
+            net = self._nets[key] = CompiledNetwork(instantiate(model))
+        return net
+
+    def ticket(self, job: _Job) -> tuple:
+        """(job key, model key, pickled job): what a worker gets with each
+        chunk of ``job``'s run indices."""
+        self._jobs += 1
+        return (self._jobs, self._model_key(job.model), pickle.dumps(job))
+
+    def submit(self, indices: list, ticket: tuple):
+        return self._executor.submit(_worker_chunk, indices, *ticket)
 
 
 class _Runner:
-    """Yields per-run outcomes in run-index order, inline or pooled."""
+    """Yields one job's per-run outcomes in run-index order.
 
-    CHUNK = 32
+    Outcomes are merged strictly by run index, so they do not depend on
+    the worker count. ``close`` cancels the chunks still queued and does
+    not wait for running ones, whose outcomes are dropped.
+    """
 
-    def __init__(self, job: _Job, workers: int):
+    def __init__(self, job: _Job, pool: RunPool):
         self.job = job
-        self.workers = max(1, workers)
-        self._pool = None
-        if self.workers == 1:
-            self._net = CompiledNetwork(instantiate(job.model))
-        else:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_worker_init,
-                initargs=(job,))
+        self.pool = pool
+        self._pending = deque()
 
     def outcomes(self, total: int):
-        if self._pool is None:
+        pool = self.pool
+        if pool.workers == 1:
+            net = pool.network(self.job.model)
             for i in range(total):
-                yield _run_one(self.job, self._net, i)
+                yield _run_one(self.job, net, i)
             return
-        chunks = [list(range(s, min(s + self.CHUNK, total)))
-                  for s in range(0, total, self.CHUNK)]
-        window = self.workers * 2
-        pending = []
-        nxt = 0
-        while nxt < len(chunks) or pending:
-            while nxt < len(chunks) and len(pending) < window:
-                pending.append(self._pool.submit(_worker_chunk, chunks[nxt]))
-                nxt += 1
-            fut = pending.pop(0)
-            yield from fut.result()
+        ticket = pool.ticket(self.job)
+        starts = iter(range(0, total, pool.CHUNK))
+        window = pool.AHEAD * pool.workers
+        pending = self._pending
+        while True:
+            while len(pending) < window:
+                s = next(starts, None)
+                if s is None:
+                    break
+                chunk = list(range(s, min(s + pool.CHUNK, total)))
+                pending.append(pool.submit(chunk, ticket))
+            if not pending:
+                return
+            yield from pending.popleft().result()
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-            self._pool = None
+        for future in self._pending:
+            future.cancel()
+        self._pending.clear()
+
+
+@contextmanager
+def _runners(pool: Optional[RunPool], workers: int, *jobs):
+    """One runner per job on ``pool``, or on a pool of ``workers`` opened
+    for this call; all closed on exit."""
+    own = RunPool(workers) if pool is None else None
+    runners = [_Runner(job, pool or own) for job in jobs]
+    try:
+        yield runners
+    finally:
+        for runner in runners:
+            runner.close()
+        if own is not None:
+            own.close()
 
 
 def _coerce_network(network) -> Model:
@@ -286,18 +375,15 @@ def _formula_job(network, f: PathFormula, bound: float, cfg: StatConfig,
 
 
 def estimate_probability(network, f: PathFormula, bound: float,
-                         cfg: StatConfig, run_config=None,
-                         name=None) -> SmcResult:
+                         cfg: StatConfig, run_config=None, name=None,
+                         pool=None) -> SmcResult:
     t0 = time.perf_counter()
     n = chernoff_runs(cfg.alpha, cfg.epsilon)
     capped = n > cfg.max_runs
     n = min(n, cfg.max_runs)
-    runner = _Runner(_formula_job(network, f, bound, cfg, run_config),
-                     cfg.workers)
-    try:
+    job = _formula_job(network, f, bound, cfg, run_config)
+    with _runners(pool, cfg.workers, job) as [runner]:
         successes = sum(1 for ok in runner.outcomes(n) if ok)
-    finally:
-        runner.close()
     p_hat = successes / n
     return SmcResult(
         name=name, verdict="undecided" if capped else "estimate-only",
@@ -307,21 +393,19 @@ def estimate_probability(network, f: PathFormula, bound: float,
 
 
 def hypothesis_test(network, f: PathFormula, bound: float, p0: float,
-                    cfg: StatConfig, run_config=None, name=None) -> SmcResult:
+                    cfg: StatConfig, run_config=None, name=None,
+                    pool=None) -> SmcResult:
     if not 0 < p0 < 1:
         raise QueryError("need 0 < p0 < 1")
     t0 = time.perf_counter()
     sprt = Sprt(p0, cfg.delta_indiff, cfg.alpha, cfg.alpha)
-    runner = _Runner(_formula_job(network, f, bound, cfg, run_config),
-                     cfg.workers)
+    job = _formula_job(network, f, bound, cfg, run_config)
     successes = 0
-    try:
+    with _runners(pool, cfg.workers, job) as [runner]:
         for ok in runner.outcomes(cfg.max_runs):
             successes += bool(ok)
             if sprt.feed(bool(ok)) is not None:
                 break
-    finally:
-        runner.close()
     n = sprt.n
     return SmcResult(
         name=name, verdict=sprt.decision or "undecided",
@@ -333,7 +417,7 @@ def hypothesis_test(network, f: PathFormula, bound: float, p0: float,
 
 def compare_probabilities(network, f1: PathFormula, b1: float,
                           f2: PathFormula, b2: float, cfg: StatConfig,
-                          run_config=None, name=None) -> SmcResult:
+                          run_config=None, name=None, pool=None) -> SmcResult:
     """SPRT on discordant pairs of H0: p1 >= p2 (indifference delta).
 
     Pairs use independent run sets (distinct seed substreams).  Concordant
@@ -349,18 +433,14 @@ def compare_probabilities(network, f1: PathFormula, b1: float,
                    seed=cfg.seed + 0x9E3779B9)  # independent substream
     budget = min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
     sprt = Sprt(0.5, cfg.delta_indiff, cfg.alpha, cfg.alpha)
-    r1, r2 = _Runner(job1, cfg.workers), _Runner(job2, cfg.workers)
     s1 = s2 = pairs = 0
-    try:
+    with _runners(pool, cfg.workers, job1, job2) as [r1, r2]:
         for x1, x2 in zip(r1.outcomes(budget), r2.outcomes(budget)):
             pairs += 1
             s1 += bool(x1)
             s2 += bool(x2)
             if x1 != x2 and sprt.feed(bool(x1)) is not None:
                 break
-    finally:
-        r1.close()
-        r2.close()
     verdict = sprt.decision
     p1_hat, p2_hat = s1 / pairs, s2 / pairs
     if verdict is None:
@@ -378,7 +458,8 @@ def compare_probabilities(network, f1: PathFormula, b1: float,
 
 
 def expected_value(network, expr, bound: float, n_runs: int, mode: str,
-                   cfg: StatConfig, run_config=None, name=None) -> SmcResult:
+                   cfg: StatConfig, run_config=None, name=None,
+                   pool=None) -> SmcResult:
     if n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if mode not in ("max", "min"):
@@ -388,11 +469,8 @@ def expected_value(network, expr, bound: float, n_runs: int, mode: str,
     job = _Job(model=_coerce_network(network), bound=bound, kind="extremum",
                watch=(key,), seed=cfg.seed,
                run_config=run_config or RunConfig(), mode=mode, value_key=key)
-    runner = _Runner(job, cfg.workers)
-    try:
+    with _runners(pool, cfg.workers, job) as [runner]:
         values = list(runner.outcomes(n_runs))
-    finally:
-        runner.close()
     import numpy as np
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -408,7 +486,8 @@ def expected_value(network, expr, bound: float, n_runs: int, mode: str,
 
 
 def simulate(network, n_runs: int, bound: float, exprs, cfg: StatConfig,
-             sample_step: Optional[float] = None, run_config=None) -> list:
+             sample_step: Optional[float] = None, run_config=None,
+             pool=None) -> list:
     """Trajectory set: per run, rows (t, v1, ...) on a regular grid plus at
     every event."""
     if sample_step is not None and sample_step <= 0:
@@ -417,11 +496,8 @@ def simulate(network, n_runs: int, bound: float, exprs, cfg: StatConfig,
     job = _Job(model=_coerce_network(network), bound=bound, kind="trajectory",
                watch=keys, seed=cfg.seed,
                run_config=run_config or RunConfig(), sample_step=sample_step)
-    runner = _Runner(job, cfg.workers)
-    try:
+    with _runners(pool, cfg.workers, job) as [runner]:
         return list(runner.outcomes(n_runs))
-    finally:
-        runner.close()
 
 
 def trajectories_to_csv(trajectories, exprs) -> str:
@@ -445,7 +521,8 @@ def histogram_to_csv(histogram) -> str:
 
 
 def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
-                     run_config=None, name=None) -> ConstraintResult:
+                     run_config=None, name=None,
+                     pool=None) -> ConstraintResult:
     """Hypothesis test Pr[[] !Obs.fail] >= m/k on the observer route, with
     the independent sliding-window trace oracle tallied on the same runs."""
     c = cq.constraint
@@ -464,9 +541,8 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
                watch=tuple(watch), seed=cfg.seed,
                run_config=run_config or RunConfig(), constraint=c,
                observer_name=inst)
-    runner = _Runner(job, cfg.workers)
     obs_ok = orc_ok = n = 0
-    try:
+    with _runners(pool, cfg.workers, job) as [runner]:
         for obs, orc in runner.outcomes(cfg.max_runs):
             n += 1
             obs_ok += bool(obs)
@@ -475,8 +551,6 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
             orc_sprt.feed(bool(orc))
             if obs_done:
                 break
-    finally:
-        runner.close()
     observer = SmcResult(
         name=name, verdict=obs_sprt.decision or "undecided",
         p_hat=obs_ok / n if n else None,
@@ -492,28 +566,31 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
 
 
 def evaluate_query(network, query, cfg: StatConfig, run_config=None,
-                   name=None):
+                   name=None, pool: Optional[RunPool] = None):
+    """Evaluate one query. Its runs go to ``pool`` when given (``check``
+    passes the one pool of the whole check), else to a pool of
+    ``cfg.workers`` opened for this call."""
     if isinstance(query, Estimate):
         return estimate_probability(network, query.formula, query.bound, cfg,
-                                    run_config, name)
+                                    run_config, name, pool)
     if isinstance(query, Hypothesis):
         return hypothesis_test(network, query.formula, query.bound, query.p0,
-                               cfg, run_config, name)
+                               cfg, run_config, name, pool)
     if isinstance(query, Compare):
         return compare_probabilities(network, query.formula1, query.bound1,
                                      query.formula2, query.bound2, cfg,
-                                     run_config, name)
+                                     run_config, name, pool)
     if isinstance(query, Expected):
         return expected_value(network, query.expr, query.bound, query.n_runs,
-                              query.mode, cfg, run_config, name)
+                              query.mode, cfg, run_config, name, pool)
     if isinstance(query, Simulate):
         trajectories = simulate(network, query.n_runs, query.bound,
                                 query.exprs, cfg, query.sample_step,
-                                run_config)
+                                run_config, pool)
         return SmcResult(name=name, verdict="estimate-only", p_hat=None,
                          ci=None, runs=query.n_runs, wall_ms=0.0,
                          seed=cfg.seed,
                          details={"trajectories": trajectories})
     if isinstance(query, ConstraintQuery):
-        return check_constraint(network, query, cfg, run_config, name)
+        return check_constraint(network, query, cfg, run_config, name, pool)
     raise QueryError(f"unsupported query {type(query).__name__}")

@@ -156,3 +156,57 @@ def test_simulate_requires_exactly_one_source(runner, small, tmp_path):
                                "--out", str(tmp_path / "o")])
     assert res.exit_code != 0
     assert "no simulate query" in res.output
+
+
+# one query of every form that runs a test or an estimate
+MIXED = """\
+H: Pr[<=50](<> n >= 5) >= 0.3;
+C: Pr[<=50](<> n >= 5) >= Pr[<=50](<> n >= 4);
+E: E[<=50; 30](max: p);
+S: simulate 3 [<=20] {n, p};
+K: constraint execution(m=3, k=4, bound=50, lower=1, upper=5) on start=start, stop=stop;
+"""
+
+
+def check_mixed(runner, tmp_path, workers, task_text):
+    model, queries = tmp_path / "task.sta", tmp_path / "mixed.q"
+    model.write_text(task_text)
+    queries.write_text(MIXED)
+    out = tmp_path / f"w{workers}"
+    res = runner.invoke(main, ["check", str(model), str(queries), "--seed",
+                               "3", "--epsilon", "0.1", "--indifference",
+                               "0.05", "--workers", str(workers), "--out",
+                               str(out)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads((out / "results.json").read_text())["results"]
+    for row in rows:
+        row.pop("wall_ms")
+    trajectories = (out / "S.csv").read_text().split("\n", 1)[1]
+    return rows, trajectories
+
+
+def test_check_opens_one_pool(runner, tmp_path, pools, task_text):
+    check_mixed(runner, tmp_path, 2, task_text)
+    [pool] = pools
+    assert pool.shut_down
+
+
+def test_check_rows_do_not_depend_on_workers(runner, tmp_path, task_text):
+    rows, trajectories = check_mixed(runner, tmp_path, 1, task_text)
+    assert [r["runs"] for r in rows] == [33, 28, 30, 3, 13]
+    for workers in (2, 3):
+        assert check_mixed(runner, tmp_path, workers, task_text) == \
+            (rows, trajectories)
+
+
+def test_check_engine_error_in_a_worker_exits_3(runner, tmp_path, pools):
+    m = tmp_path / "bad_update.sta"
+    m.write_text(SMALL.replace("update heads := 1;", "update heads := 2.5;"))
+    q = tmp_path / "suite.q"
+    q.write_text("Q1: Pr[<=5](<> heads == 1) >= 0.1;\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers", "2",
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert "non-integer value 2.5" in res.output
+    [pool] = pools
+    assert pool.shut_down

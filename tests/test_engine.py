@@ -324,7 +324,7 @@ template T() {
 system T;
 """
     with pytest.raises(EngineError, match="zeno|committed"):
-        runs(text, 10, 1)
+        runs(text, 10, 1, max_steps=10_000)
 
 
 def test_int_update_range_checked():

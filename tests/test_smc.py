@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,3 +211,46 @@ def test_stat_config_validation():
         StatConfig(alpha=0)
     with pytest.raises(Exception):
         StatConfig(epsilon=1.5)
+
+
+def without_wall(result):
+    if isinstance(result, smc.ConstraintResult):
+        return replace(result, observer=without_wall(result.observer))
+    return replace(result, wall_ms=0.0)
+
+
+def test_library_calls_match_inline_at_two_workers(pools, task_text):
+    coin, task = coin_model(), parse_model(task_text)
+    f = heads_formula()
+    f_done = eventually(parse_queries("Pr[<=5](<> done == 1)")[0]
+                        .query.formula.state_expr)
+    cq = parse_queries(
+        "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
+        "on start=start, stop=stop;")[0].query
+    calls = [
+        lambda cfg: smc.hypothesis_test(coin, f, 5.0, 0.25, cfg),
+        lambda cfg: smc.compare_probabilities(coin, f, 5.0, f_done, 5.0,
+                                              cfg),
+        lambda cfg: smc.check_constraint(task, cq, cfg, name="K"),
+    ]
+    for call in calls:
+        inline = call(StatConfig(seed=7, delta_indiff=0.05, workers=1))
+        pooled = call(StatConfig(seed=7, delta_indiff=0.05, workers=2))
+        assert without_wall(pooled) == without_wall(inline)
+    # one pool per call, shared by compare's two streams, and closed
+    assert len(pools) == len(calls)
+    assert all(pool.shut_down for pool in pools)
+    assert all(pool.chunks for pool in pools)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sprt_dispatches_at_most_the_look_ahead(pools, workers):
+    res = smc.hypothesis_test(coin_model(), heads_formula(), 5.0, 0.25,
+                              StatConfig(seed=7, delta_indiff=0.02,
+                                         workers=workers))
+    [pool] = pools
+    dispatched = sorted(i for chunk in pool.chunks for i in chunk)
+    look_ahead = 2 * workers * smc.RunPool.CHUNK
+    assert res.runs > look_ahead  # the test spans several windows
+    assert dispatched == list(range(len(dispatched)))
+    assert res.runs <= len(dispatched) <= res.runs + look_ahead
