@@ -222,21 +222,15 @@ def _run_query(model, nq, query, cfg, run_config, manifest, index, pool):
     return _result_row(base, result, nq.expected)
 
 
-@main.command()
-@click.argument("model_path", type=click.Path())
-@click.argument("query_path", type=click.Path())
-@_stat_options
-def check(model_path, query_path, seed, alpha, epsilon, indifference,
-          max_runs, bound_override, sample_step, workers, h_max, out):
-    """Run every query in a query file and write results.json."""
-    manifest = RunManifest(model=model_path, queries=query_path, seed=seed,
-                           alpha=alpha, epsilon=epsilon,
-                           indifference=indifference, max_runs=max_runs,
-                           workers=workers, bound_override=bound_override,
-                           sample_step=sample_step, h_max=h_max, out=out)
+def _front_end(model_path, query_path, query_text, simulate_only,
+               **options):
+    """Read, parse and validate the model and the queries, then run them:
+    (manifest, rows, mismatch). Exits with the matching code on failure."""
+    manifest = RunManifest(model=model_path, queries=query_path, **options)
     try:
         model_text = _read(model_path)
-        query_text = _read(query_path)
+        if query_text is None:
+            query_text = _read(query_path)
     except _IoFailure as exc:
         sys.exit(_fail(EXIT_IO, str(exc)))
     try:
@@ -246,13 +240,24 @@ def check(model_path, query_path, seed, alpha, epsilon, indifference,
             for issue in report.errors:
                 click.echo(f"error: {issue.code}: {issue.message}", err=True)
             sys.exit(EXIT_VALIDATION)
-        named = parser.parse_queries(query_text, query_path)
-        rows, mismatch = _run_suite(model, named, manifest)
+        named = parser.parse_queries(query_text, query_path or "<query>")
+        rows, mismatch = _run_suite(model, named, manifest, simulate_only)
     except (ParseError, EngineError, smc.QueryError,
             monitors.MonitorError) as exc:
         sys.exit(_fail(EXIT_QUERY, str(exc)))
+    return manifest, rows, mismatch
+
+
+@main.command()
+@click.argument("model_path", type=click.Path())
+@click.argument("query_path", type=click.Path())
+@_stat_options
+def check(model_path, query_path, **options):
+    """Run every query in a query file and write results.json."""
+    manifest, rows, mismatch = _front_end(model_path, query_path, None,
+                                          False, **options)
     payload = {"manifest": manifest.as_dict(), "results": rows}
-    with open(os.path.join(out, "results.json"), "w") as fh:
+    with open(os.path.join(manifest.out, "results.json"), "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _print_table(rows)
@@ -269,35 +274,13 @@ def check(model_path, query_path, seed, alpha, epsilon, indifference,
 @click.option("--query", "query_text", default=None,
               help="Inline query text instead of a query file.")
 @_stat_options
-def simulate(model_path, query_path, query_text, seed, alpha, epsilon,
-             indifference, max_runs, bound_override, sample_step, workers,
-             h_max, out):
+def simulate(model_path, query_path, query_text, **options):
     """Run the Simulate queries of a query file (or an inline query) and
     write trajectory CSVs."""
     if (query_path is None) == (query_text is None):
         raise click.UsageError("give exactly one of QUERY_PATH or --query")
-    manifest = RunManifest(model=model_path, queries=query_path, seed=seed,
-                           alpha=alpha, epsilon=epsilon,
-                           indifference=indifference, max_runs=max_runs,
-                           workers=workers, bound_override=bound_override,
-                           sample_step=sample_step, h_max=h_max, out=out)
-    try:
-        model_text = _read(model_path)
-        text = query_text if query_text is not None else _read(query_path)
-    except _IoFailure as exc:
-        sys.exit(_fail(EXIT_IO, str(exc)))
-    try:
-        model = parser.parse_model(model_text, model_path)
-        report = validate_model(model)
-        if not report.ok:
-            for issue in report.errors:
-                click.echo(f"error: {issue.code}: {issue.message}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        named = parser.parse_queries(text, query_path or "<query>")
-        rows, _ = _run_suite(model, named, manifest, simulate_only=True)
-    except (ParseError, EngineError, smc.QueryError,
-            monitors.MonitorError) as exc:
-        sys.exit(_fail(EXIT_QUERY, str(exc)))
+    _, rows, _ = _front_end(model_path, query_path, query_text, True,
+                            **options)
     if not rows:
         raise click.UsageError("no simulate query found")
     _print_table(rows)

@@ -211,6 +211,7 @@ class CompiledNetwork:
         self.components = []
         self._global_init = []
         self._rate_plans = {}  # tuple of location ids -> _RatePlan
+        self._watches = {}  # watch tuple -> compiled watch list
 
         for d in model.decls:
             self.var_types[d.name] = d.type
@@ -367,13 +368,16 @@ class CompiledNetwork:
         return float(value)
 
     def compile_watch(self, exprs):
-        """[(key text, compiled fn)] for query-scope watch expressions."""
-        out = []
-        for e in exprs:
-            if isinstance(e, str):
-                from .parser import parse_expression
-                e = parse_expression(e)
-            out.append((E.to_text(e), E.compile_expr(e, self.query_resolver)))
+        """[(key text, compiled fn)] for query-scope watch expressions,
+        built once per watch tuple."""
+        key = tuple(exprs)
+        out = self._watches.get(key)
+        if out is None:
+            from .parser import parse_expression
+            out = self._watches[key] = [
+                (E.to_text(e), E.compile_expr(e, self.query_resolver))
+                for e in (parse_expression(x) if isinstance(x, str) else x
+                          for x in key)]
         return out
 
 
@@ -453,23 +457,16 @@ class Simulator:
         return self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
                               rates, horizon, True)
 
-    def sample_delay(self, comp_index: int, rates: Optional[dict] = None,
-                     deadline: Optional[float] = None):
-        """Sojourn delay for one component, or None if it cannot act.
+    def sample_delay(self, comp_index: int, rates: dict, deadline: float):
+        """Sojourn delay for one component in a location that is not
+        committed, or None if it cannot act.
 
         Uniform[L, U] when the invariant bounds the sojourn, otherwise
-        L + Exponential(exit-rate, default 1).  Committed locations are the
-        caller's business (delay 0).  ``deadline`` is the component's
-        invariant deadline U under ``rates`` if the caller has it.
+        L + Exponential(exit-rate, default 1); U is ``deadline``, the
+        component's invariant deadline under ``rates``.
         """
         cc = self.net.components[comp_index]
         loc = cc.locations[self.state.L[cc.name]]
-        if loc.committed:
-            return 0.0
-        if rates is None:
-            rates = self._current_rates()
-        U = (self._invariant_deadline(cc, rates) if deadline is None
-             else deadline)
         starts = []
         for edge in cc.out_active[loc.id]:
             if (edge.sync is not None and edge.sync.direction == "emit"
@@ -479,14 +476,14 @@ class Simulator:
                 # locations are frozen until the next event, so skip it
                 # (clock-guarded receivers opening mid-sojourn are ignored)
                 continue
-            s = self._edge_window_start(edge, rates, U)
+            s = self._edge_window_start(edge, rates, deadline)
             if s is not None:
                 starts.append(s)
         if not starts:
             return None
         Lb = min(starts)
-        if U < INF:
-            return self.rng.uniform(Lb, U)
+        if deadline < INF:
+            return self.rng.uniform(Lb, deadline)
         return Lb + self.rng.exponential(loc.exit_rate or 1.0)
 
     # -- integration --
@@ -578,16 +575,19 @@ class Simulator:
 
     # -- firing --
 
-    def _edge_enabled(self, cc, edge) -> bool:
+    def _enabled_edges(self, cc) -> list:
+        """The active edges of ``cc`` that can fire now."""
         V, L = self.state.V, self.state.L
-        if edge.guard is not None and not edge.guard(V, L):
-            return False
-        if edge.sync is not None and edge.sync.direction == "emit":
-            ch = edge.sync.channel
-            if not self.net.broadcast.get(ch, True):
-                # binary: exactly one matching receiver required
-                return self._receiver_count(cc, ch) == 1
-        return True
+        enabled = []
+        for edge in cc.out_active[L[cc.name]]:
+            if edge.guard is not None and not edge.guard(V, L):
+                continue
+            if (edge.sync is not None and edge.sync.direction == "emit"
+                    and not self.net.broadcast.get(edge.sync.channel, True)
+                    and self._receiver_count(cc, edge.sync.channel) != 1):
+                continue  # binary: exactly one matching receiver required
+            enabled.append(edge)
+        return enabled
 
     def _receiver_count(self, emitter, ch) -> int:
         V, L = self.state.V, self.state.L
@@ -607,6 +607,16 @@ class Simulator:
             staged = [(key, fn(V, L), vtype) for key, fn, vtype in edge.updates]
             for key, value, vtype in staged:
                 V[key] = CompiledNetwork._coerce(value, vtype)
+
+    def _fire_one_of(self, cc, enabled) -> TraceEvent:
+        """Fire one of ``cc``'s ``enabled`` edges, chosen by weight."""
+        pre = self._snapshot()
+        edge = enabled[self.rng.weighted_choice([e.weight for e in enabled])]
+        ch = self._fire(cc, edge)
+        if self.config.check_invariants:
+            self._check_invariants("after a firing")
+        return TraceEvent(self.state.time, cc.name, edge.label, ch, pre,
+                          self._snapshot())
 
     def _fire(self, cc, edge) -> Optional[str]:
         """Apply one edge plus any synchronized receivers; returns channel."""
@@ -666,22 +676,14 @@ class Simulator:
     def step(self, bound: float):
         """One network step.  Returns a TraceEvent, or a terminal string:
         "bound_reached" | "deadlock"."""
-        V, L = self.state.V, self.state.L
+        L = self.state.L
         committed = [cc for cc in self.net.components
                      if cc.locations[L[cc.name]].committed]
         if committed:
             for cc in committed:
-                enabled = [e for e in cc.out_active[L[cc.name]]
-                           if self._edge_enabled(cc, e)]
+                enabled = self._enabled_edges(cc)
                 if enabled:
-                    pre = self._snapshot()
-                    idx = self.rng.weighted_choice([e.weight for e in enabled])
-                    ch = self._fire(cc, enabled[idx])
-                    if self.config.check_invariants:
-                        self._check_invariants("after a firing")
-                    return TraceEvent(self.state.time, cc.name,
-                                      enabled[idx].label, ch, pre,
-                                      self._snapshot())
+                    return self._fire_one_of(cc, enabled)
             return "deadlock"
 
         rates = self._current_rates()
@@ -709,25 +711,17 @@ class Simulator:
 
         self._delay(delay)
         cc = self.net.components[winner_idx]
-        enabled = [e for e in cc.out_active[L[cc.name]]
-                   if self._edge_enabled(cc, e)]
+        enabled = self._enabled_edges(cc)
         if not enabled:
             # accumulated rounding can leave a boundary guard (window of
             # width zero) a few ulps short of its crossing; nudge once
             self.advance_time(1e-9)
-            enabled = [e for e in cc.out_active[L[cc.name]]
-                       if self._edge_enabled(cc, e)]
+            enabled = self._enabled_edges(cc)
         if not enabled:
             raise EngineError(
                 f"{cc.name}: no edge enabled at its sampled delay "
                 "(guard window closed; engine defect or unsupported model)")
-        pre = self._snapshot()
-        idx = self.rng.weighted_choice([e.weight for e in enabled])
-        ch = self._fire(cc, enabled[idx])
-        if self.config.check_invariants:
-            self._check_invariants("after a firing")
-        return TraceEvent(self.state.time, cc.name, enabled[idx].label, ch,
-                          pre, self._snapshot())
+        return self._fire_one_of(cc, enabled)
 
 
 def run(network, bound: float, rng: RngStream, watch=(),

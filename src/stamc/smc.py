@@ -8,15 +8,22 @@ Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
 hypothesis tests.  Every result records the seed that reproduces it.
 
+Run path: a query is a job, whose module-level judge turns each run's
+trace into an outcome, and a decision rule over the job's outcome stream,
+``RunPool.outcomes``. Estimation counts a fixed number of outcomes; one
+SPRT loop serves hypothesis tests, both routes of a constraint and the
+discordant pairs of ``compare``; extrema and trajectories are listed.
+
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
 call; the queries of the call, and the two streams of a ``compare``,
 share it, and a library call without one opens one for that call. At one
 worker the runs execute in this process. Otherwise they go to one process
 pool in chunks of 4 run indices, with at most 2 chunks per worker and
 stream in flight, and every process compiles each distinct model once.
-Outcomes are merged strictly in run-index order, so verdicts and
-estimates do not depend on the worker count; when a test decides, its
-queued chunks are cancelled and the outcomes of running ones dropped.
+A stream yields outcomes strictly in run-index order, so verdicts and
+estimates do not depend on the worker count; once its rule has decided,
+the stream is closed, which cancels its queued chunks and drops the
+outcomes of running ones.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import scipy.stats
 
@@ -191,36 +198,38 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
 # --- worker plumbing -------------------------------------------------------
 
 
+def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
+    """(observer route holds, trace oracle holds) on one run; the observer
+    is asked first."""
+    failed = monitors.observer_failed(trace, inst)
+    return (not failed, monitors.check_trace(trace, c).wh_holds)
+
+
 @dataclass
 class _Job:
+    """The runs of one query: each run to ``bound`` is judged by
+    ``judge(trace, *args)``, a module-level function so that jobs pickle."""
+
     model: Model
     bound: float
-    kind: str  # formula | extremum | trajectory | constraint
     watch: tuple  # expression texts
     seed: int
     run_config: RunConfig
-    formula: Optional[PathFormula] = None
-    mode: str = "max"
-    value_key: Optional[str] = None
-    sample_step: Optional[float] = None
-    constraint: Optional[monitors.WhConstraint] = None
-    observer_name: Optional[str] = None
+    judge: Callable
+    args: tuple
+
+
+def _job(network, bound: float, watch, cfg: StatConfig, run_config, judge,
+         *args) -> _Job:
+    return _Job(model=_coerce_network(network), bound=bound,
+                watch=tuple(watch), seed=cfg.seed,
+                run_config=run_config or RunConfig(), judge=judge, args=args)
 
 
 def _run_one(job: _Job, net: CompiledNetwork, index: int):
     rng = RngStream(job.seed, index)
     trace = run(net, job.bound, rng, watch=job.watch, config=job.run_config)
-    if job.kind == "formula":
-        return evaluate_path_formula(trace, job.formula, job.bound)
-    if job.kind == "extremum":
-        return _extremum(trace, job.value_key, job.mode)
-    if job.kind == "trajectory":
-        return _trajectory(trace, job.watch, job.bound, job.sample_step)
-    if job.kind == "constraint":
-        failed = monitors.observer_failed(trace, job.observer_name)
-        oracle = monitors.check_trace(trace, job.constraint)
-        return (not failed, oracle.wh_holds)
-    raise QueryError(f"unknown job kind {job.kind!r}")
+    return job.judge(trace, *job.args)
 
 
 # In a worker process: job key -> (job, compiled network), and model key
@@ -248,8 +257,8 @@ class RunPool:
 
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, in chunks of ``CHUNK`` run indices, at most
-    ``AHEAD`` chunks per worker and job in flight. Every process compiles
-    each distinct model once.
+    ``AHEAD`` chunks per worker and stream in flight. Every process
+    compiles each distinct model once.
     """
 
     CHUNK = 4
@@ -278,80 +287,50 @@ class RunPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def _model_key(self, model: Model) -> int:
+    def outcomes(self, job: _Job, total: int):
+        """Yields the outcomes of ``job``'s runs 0 .. total - 1 in run-index
+        order, so they do not depend on the worker count. Closing the
+        stream cancels its chunks still queued and does not wait for
+        running ones, whose outcomes are dropped."""
         # the entry holds the model, so its id is not reused meanwhile
-        return self._models.setdefault(id(model),
-                                       (len(self._models), model))[0]
-
-    def network(self, model: Model) -> CompiledNetwork:
-        key = self._model_key(model)
-        net = self._nets.get(key)
-        if net is None:
-            net = self._nets[key] = CompiledNetwork(instantiate(model))
-        return net
-
-    def ticket(self, job: _Job) -> tuple:
-        """(job key, model key, pickled job): what a worker gets with each
-        chunk of ``job``'s run indices."""
-        self._jobs += 1
-        return (self._jobs, self._model_key(job.model), pickle.dumps(job))
-
-    def submit(self, indices: list, ticket: tuple):
-        return self._executor.submit(_worker_chunk, indices, *ticket)
-
-
-class _Runner:
-    """Yields one job's per-run outcomes in run-index order.
-
-    Outcomes are merged strictly by run index, so they do not depend on
-    the worker count. ``close`` cancels the chunks still queued and does
-    not wait for running ones, whose outcomes are dropped.
-    """
-
-    def __init__(self, job: _Job, pool: RunPool):
-        self.job = job
-        self.pool = pool
-        self._pending = deque()
-
-    def outcomes(self, total: int):
-        pool = self.pool
-        if pool.workers == 1:
-            net = pool.network(self.job.model)
+        key = self._models.setdefault(id(job.model),
+                                      (len(self._models), job.model))[0]
+        if self._executor is None:
+            net = self._nets.get(key)
+            if net is None:
+                net = self._nets[key] = CompiledNetwork(instantiate(job.model))
             for i in range(total):
-                yield _run_one(self.job, net, i)
+                yield _run_one(job, net, i)
             return
-        ticket = pool.ticket(self.job)
-        starts = iter(range(0, total, pool.CHUNK))
-        window = pool.AHEAD * pool.workers
-        pending = self._pending
-        while True:
-            while len(pending) < window:
-                s = next(starts, None)
-                if s is None:
-                    break
-                chunk = list(range(s, min(s + pool.CHUNK, total)))
-                pending.append(pool.submit(chunk, ticket))
-            if not pending:
-                return
-            yield from pending.popleft().result()
-
-    def close(self):
-        for future in self._pending:
-            future.cancel()
-        self._pending.clear()
+        self._jobs += 1
+        ticket = (self._jobs, key, pickle.dumps(job))
+        window = self.AHEAD * self.workers
+        pending = deque()
+        try:
+            for s in range(0, total, self.CHUNK):
+                if len(pending) == window:
+                    yield from pending.popleft().result()
+                chunk = list(range(s, min(s + self.CHUNK, total)))
+                pending.append(self._executor.submit(_worker_chunk, chunk,
+                                                     *ticket))
+            while pending:
+                yield from pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 @contextmanager
-def _runners(pool: Optional[RunPool], workers: int, *jobs):
-    """One runner per job on ``pool``, or on a pool of ``workers`` opened
-    for this call; all closed on exit."""
-    own = RunPool(workers) if pool is None else None
-    runners = [_Runner(job, pool or own) for job in jobs]
+def _streams(pool: Optional[RunPool], cfg: StatConfig, total: int, *jobs):
+    """One outcome stream of ``total`` runs per job, on ``pool`` or on a
+    pool of ``cfg.workers`` opened for this call; all closed on exit."""
+    own = RunPool(cfg.workers) if pool is None else None
+    streams = [(pool or own).outcomes(job, total) for job in jobs]
     try:
-        yield runners
+        yield streams
     finally:
-        for runner in runners:
-            runner.close()
+        for stream in streams:
+            stream.close()
         if own is not None:
             own.close()
 
@@ -366,9 +345,38 @@ def _coerce_network(network) -> Model:
 
 def _formula_job(network, f: PathFormula, bound: float, cfg: StatConfig,
                  run_config) -> _Job:
-    return _Job(model=_coerce_network(network), bound=bound, kind="formula",
-                watch=(E.to_text(f.state_expr),), seed=cfg.seed,
-                run_config=run_config or RunConfig(), formula=f)
+    return _job(network, bound, [E.to_text(f.state_expr)], cfg, run_config,
+                evaluate_path_formula, f, bound)
+
+
+def _sprt(outcomes, p0: float, cfg: StatConfig) -> tuple:
+    """Wald SPRT of Pr >= p0 over ``outcomes``, read until it decides:
+    (decision or None, runs read, successes)."""
+    sprt = Sprt(p0, cfg.delta_indiff, cfg.alpha, cfg.alpha)
+    successes = 0
+    for ok in outcomes:
+        successes += bool(ok)
+        if sprt.feed(bool(ok)) is not None:
+            break
+    return sprt.decision, sprt.n, successes
+
+
+def _kept(outcomes, into: list):
+    """``outcomes``, each also appended to ``into`` as it is read."""
+    for x in outcomes:
+        into.append(x)
+        yield x
+
+
+def _binomial(name, verdict: str, successes: int, n: int, cfg: StatConfig,
+              t0: float, details: dict) -> SmcResult:
+    """A result with p_hat and the Clopper-Pearson interval of ``successes``
+    in ``n`` runs (None for both when n is 0)."""
+    return SmcResult(
+        name=name, verdict=verdict, p_hat=successes / n if n else None,
+        ci=clopper_pearson(successes, n, cfg.alpha) if n else None, runs=n,
+        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
+        details=details)
 
 
 # --- the five query forms --------------------------------------------------
@@ -382,14 +390,10 @@ def estimate_probability(network, f: PathFormula, bound: float,
     capped = n > cfg.max_runs
     n = min(n, cfg.max_runs)
     job = _formula_job(network, f, bound, cfg, run_config)
-    with _runners(pool, cfg.workers, job) as [runner]:
-        successes = sum(1 for ok in runner.outcomes(n) if ok)
-    p_hat = successes / n
-    return SmcResult(
-        name=name, verdict="undecided" if capped else "estimate-only",
-        p_hat=p_hat, ci=clopper_pearson(successes, n, cfg.alpha), runs=n,
-        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
-        details={"successes": successes})
+    with _streams(pool, cfg, n, job) as [outcomes]:
+        successes = sum(1 for ok in outcomes if ok)
+    return _binomial(name, "undecided" if capped else "estimate-only",
+                     successes, n, cfg, t0, {"successes": successes})
 
 
 def hypothesis_test(network, f: PathFormula, bound: float, p0: float,
@@ -398,21 +402,11 @@ def hypothesis_test(network, f: PathFormula, bound: float, p0: float,
     if not 0 < p0 < 1:
         raise QueryError("need 0 < p0 < 1")
     t0 = time.perf_counter()
-    sprt = Sprt(p0, cfg.delta_indiff, cfg.alpha, cfg.alpha)
     job = _formula_job(network, f, bound, cfg, run_config)
-    successes = 0
-    with _runners(pool, cfg.workers, job) as [runner]:
-        for ok in runner.outcomes(cfg.max_runs):
-            successes += bool(ok)
-            if sprt.feed(bool(ok)) is not None:
-                break
-    n = sprt.n
-    return SmcResult(
-        name=name, verdict=sprt.decision or "undecided",
-        p_hat=successes / n if n else None,
-        ci=clopper_pearson(successes, n, cfg.alpha) if n else None,
-        runs=n, wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
-        details={"p0": p0, "successes": successes})
+    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
+        decision, n, successes = _sprt(outcomes, p0, cfg)
+    return _binomial(name, decision or "undecided", successes, n, cfg, t0,
+                     {"p0": p0, "successes": successes})
 
 
 def compare_probabilities(network, f1: PathFormula, b1: float,
@@ -426,35 +420,30 @@ def compare_probabilities(network, f1: PathFormula, b1: float,
     rule on the point estimates: valid when p1_hat + delta >= p2_hat.
     """
     t0 = time.perf_counter()
-    rc = run_config or RunConfig()
-    model = _coerce_network(network)
-    job1 = _formula_job(model, f1, b1, cfg, rc)
-    job2 = replace(_formula_job(model, f2, b2, cfg, rc),
+    job1 = _formula_job(network, f1, b1, cfg, run_config)
+    job2 = replace(_formula_job(network, f2, b2, cfg, run_config),
                    seed=cfg.seed + 0x9E3779B9)  # independent substream
     budget = min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
-    sprt = Sprt(0.5, cfg.delta_indiff, cfg.alpha, cfg.alpha)
-    s1 = s2 = pairs = 0
-    with _runners(pool, cfg.workers, job1, job2) as [r1, r2]:
-        for x1, x2 in zip(r1.outcomes(budget), r2.outcomes(budget)):
-            pairs += 1
-            s1 += bool(x1)
-            s2 += bool(x2)
-            if x1 != x2 and sprt.feed(bool(x1)) is not None:
-                break
-    verdict = sprt.decision
-    p1_hat, p2_hat = s1 / pairs, s2 / pairs
+    pairs = []
+    with _streams(pool, cfg, budget, job1, job2) as [r1, r2]:
+        verdict, discordant, _ = _sprt(
+            (x1 for x1, x2 in _kept(zip(r1, r2), pairs) if x1 != x2), 0.5,
+            cfg)
+    n = len(pairs)
+    p1_hat = sum(bool(x1) for x1, _ in pairs) / n
+    p2_hat = sum(bool(x2) for _, x2 in pairs) / n
     if verdict is None:
         if p1_hat + cfg.delta_indiff >= p2_hat:
             verdict = "valid"
-        elif pairs < cfg.max_runs:
+        elif n < cfg.max_runs:
             verdict = "invalid"
         else:
             verdict = "undecided"
     return SmcResult(
-        name=name, verdict=verdict, p_hat=p1_hat - p2_hat, ci=None,
-        runs=pairs, wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
+        name=name, verdict=verdict, p_hat=p1_hat - p2_hat, ci=None, runs=n,
+        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
         details={"p1_hat": p1_hat, "p2_hat": p2_hat,
-                 "discordant": sprt.n})
+                 "discordant": discordant})
 
 
 def expected_value(network, expr, bound: float, n_runs: int, mode: str,
@@ -466,11 +455,9 @@ def expected_value(network, expr, bound: float, n_runs: int, mode: str,
         raise QueryError("mode is max or min")
     t0 = time.perf_counter()
     key = E.to_text(expr) if not isinstance(expr, str) else expr
-    job = _Job(model=_coerce_network(network), bound=bound, kind="extremum",
-               watch=(key,), seed=cfg.seed,
-               run_config=run_config or RunConfig(), mode=mode, value_key=key)
-    with _runners(pool, cfg.workers, job) as [runner]:
-        values = list(runner.outcomes(n_runs))
+    job = _job(network, bound, [key], cfg, run_config, _extremum, key, mode)
+    with _streams(pool, cfg, n_runs, job) as [outcomes]:
+        values = list(outcomes)
     import numpy as np
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -493,11 +480,10 @@ def simulate(network, n_runs: int, bound: float, exprs, cfg: StatConfig,
     if sample_step is not None and sample_step <= 0:
         raise QueryError("need sample_step > 0")
     keys = tuple(E.to_text(e) if not isinstance(e, str) else e for e in exprs)
-    job = _Job(model=_coerce_network(network), bound=bound, kind="trajectory",
-               watch=keys, seed=cfg.seed,
-               run_config=run_config or RunConfig(), sample_step=sample_step)
-    with _runners(pool, cfg.workers, job) as [runner]:
-        return list(runner.outcomes(n_runs))
+    job = _job(network, bound, keys, cfg, run_config, _trajectory, keys,
+               bound, sample_step)
+    with _streams(pool, cfg, n_runs, job) as [outcomes]:
+        return list(outcomes)
 
 
 def trajectories_to_csv(trajectories, exprs) -> str:
@@ -535,31 +521,19 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
             watch.append(E.to_text(b.predicate))
     t0 = time.perf_counter()
     p0 = c.m / c.k
-    obs_sprt = Sprt(p0, cfg.delta_indiff, cfg.alpha, cfg.alpha)
-    orc_sprt = Sprt(p0, cfg.delta_indiff, cfg.alpha, cfg.alpha)
-    job = _Job(model=observed, bound=cq.bound, kind="constraint",
-               watch=tuple(watch), seed=cfg.seed,
-               run_config=run_config or RunConfig(), constraint=c,
-               observer_name=inst)
-    obs_ok = orc_ok = n = 0
-    with _runners(pool, cfg.workers, job) as [runner]:
-        for obs, orc in runner.outcomes(cfg.max_runs):
-            n += 1
-            obs_ok += bool(obs)
-            orc_ok += bool(orc)
-            obs_done = obs_sprt.feed(bool(obs)) is not None
-            orc_sprt.feed(bool(orc))
-            if obs_done:
-                break
-    observer = SmcResult(
-        name=name, verdict=obs_sprt.decision or "undecided",
-        p_hat=obs_ok / n if n else None,
-        ci=clopper_pearson(obs_ok, n, cfg.alpha) if n else None, runs=n,
-        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
-        details={"p0": p0, "constraint": c.kind})
+    job = _job(observed, cq.bound, watch, cfg, run_config, _routes, c, inst)
+    routes = []
+    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
+        verdict, n, obs_ok = _sprt(
+            (obs for obs, _ in _kept(outcomes, routes)), p0, cfg)
+    # the oracle's verdict: the same test over the oracle outcomes tallied
+    oracle = [orc for _, orc in routes]
+    oracle_verdict, _, _ = _sprt(oracle, p0, cfg)
+    observer = _binomial(name, verdict or "undecided", obs_ok, n, cfg, t0,
+                         {"p0": p0, "constraint": c.kind})
     return ConstraintResult(
-        observer=observer, oracle_fraction=orc_ok / n if n else 0.0,
-        oracle_verdict=orc_sprt.decision or "undecided", runs=n)
+        observer=observer, oracle_fraction=sum(oracle) / n if n else 0.0,
+        oracle_verdict=oracle_verdict or "undecided", runs=n)
 
 
 # --- dispatch --------------------------------------------------------------
@@ -584,11 +558,13 @@ def evaluate_query(network, query, cfg: StatConfig, run_config=None,
         return expected_value(network, query.expr, query.bound, query.n_runs,
                               query.mode, cfg, run_config, name, pool)
     if isinstance(query, Simulate):
+        t0 = time.perf_counter()
         trajectories = simulate(network, query.n_runs, query.bound,
                                 query.exprs, cfg, query.sample_step,
                                 run_config, pool)
         return SmcResult(name=name, verdict="estimate-only", p_hat=None,
-                         ci=None, runs=query.n_runs, wall_ms=0.0,
+                         ci=None, runs=query.n_runs,
+                         wall_ms=(time.perf_counter() - t0) * 1e3,
                          seed=cfg.seed,
                          details={"trajectories": trajectories})
     if isinstance(query, ConstraintQuery):

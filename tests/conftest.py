@@ -31,19 +31,23 @@ def task_text():
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool smc creates while the test runs, each with the
-    run-index chunks submitted to it and whether it was shut down."""
+    run-index chunks submitted to it, their futures and whether it was
+    shut down."""
     created = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.chunks = []
+            self.futures = []
             self.shut_down = False
             created.append(self)
 
         def submit(self, fn, /, *args, **kwargs):
             self.chunks.append(list(args[0]))
-            return super().submit(fn, *args, **kwargs)
+            future = super().submit(fn, *args, **kwargs)
+            self.futures.append(future)
+            return future
 
         def shutdown(self, *args, **kwargs):
             super().shutdown(*args, **kwargs)

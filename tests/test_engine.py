@@ -358,6 +358,28 @@ system T;
     assert event_snap["x * 2"] == pytest.approx(2)
 
 
+def test_watch_is_compiled_once_per_network(monkeypatch):
+    from stamc import parser
+    network = engine.CompiledNetwork(net("""
+clock x;
+template T() {
+  init loc a { inv x <= 1; }
+  a -> a { guard x >= 1; update x := 0; }
+}
+system T;
+"""))
+    parsed = []
+    parse = parser.parse_expression
+    monkeypatch.setattr(parser, "parse_expression",
+                        lambda text: parsed.append(text) or parse(text))
+    watch = ("x * 2", "T.a")
+    first = run(network, 5, RngStream(0, 0), watch=watch)
+    assert parsed == list(watch)
+    second = run(network, 5, RngStream(0, 0), watch=list(watch))
+    assert parsed == list(watch)  # the second run parses nothing
+    assert second == first
+
+
 def test_samples_are_time_ordered_with_pre_values():
     text = """
 int k = 0;

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import wait
 from dataclasses import replace
 
 import numpy as np
@@ -254,3 +255,25 @@ def test_sprt_dispatches_at_most_the_look_ahead(pools, workers):
     assert res.runs > look_ahead  # the test spans several windows
     assert dispatched == list(range(len(dispatched)))
     assert res.runs <= len(dispatched) <= res.runs + look_ahead
+
+
+def test_decided_test_leaves_no_chunk_queued(pools, monkeypatch):
+    # a wide look-ahead, so that chunks are still queued when the test
+    # decides
+    monkeypatch.setattr(smc.RunPool, "AHEAD", 8)
+    cfg = StatConfig(seed=7, delta_indiff=0.02, epsilon=0.2, workers=2)
+    f = heads_formula()
+    with smc.RunPool(2) as pool:
+        smc.hypothesis_test(coin_model(), f, 5.0, 0.25, cfg, pool=pool)
+        [executor] = pools
+        futures = list(executor.futures)
+        # each chunk is done, cancelled or already with a worker: none is
+        # left queued to run ahead of the next query's chunks
+        assert all(fut.done() or fut.running() for fut in futures)
+        done, not_done = wait(futures, timeout=60)
+        assert not not_done
+        second = smc.estimate_probability(coin_model(), f, 5.0, cfg,
+                                          pool=pool)
+    inline = smc.estimate_probability(coin_model(), f, 5.0,
+                                      replace(cfg, workers=1))
+    assert without_wall(second) == without_wall(inline)
