@@ -19,12 +19,9 @@ suite).
 
 from __future__ import annotations
 
-import ast
-import dataclasses
 from dataclasses import dataclass
 
 from . import parser
-from .engine import RunConfig
 from .model import Model
 from .monitors import EventBinding, WhConstraint
 from .queries import ConstraintQuery, Estimate, NamedQuery, ObserverDecl
@@ -65,36 +62,6 @@ class AvConfig:
             raise ValueError("need 0 <= jitter < period")
         if self.accel <= 0:
             raise ValueError("need accel > 0")
-
-
-def load_av_config(path: str) -> AvConfig:
-    """Read key = value overrides onto the defaults.
-
-    One assignment per line, values in literal syntax (numbers, booleans,
-    lists); # starts a comment.
-    """
-    data = {}
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            try:
-                data[key.strip()] = ast.literal_eval(value.strip())
-            except (SyntaxError, ValueError):
-                raise ValueError(f"{path}:{lineno}: bad value {value.strip()!r}")
-    fields = {f.name for f in dataclasses.fields(AvConfig)}
-    unknown = sorted(set(data) - fields)
-    if unknown:
-        raise ValueError(f"unknown config key(s) {unknown}")
-    for key in ("max_limits", "min_limits", "reg_exec", "e2e",
-                "turn_duration"):
-        if key in data:
-            data[key] = tuple(data[key])
-    return AvConfig(**data)
 
 
 def _fmt(v: float) -> str:
@@ -328,13 +295,6 @@ system SignSource, Camera, SignReg, Ctrl, Straight, Stop, TurnLeft,
 
 def build_av_model(cfg: AvConfig = AvConfig()) -> Model:
     return parser.parse_model(av_model_source(cfg), filename="<av>")
-
-
-def av_run_config() -> RunConfig:
-    """All rate ODEs in this network are affine with piecewise-constant
-    coefficients, so fixed-step RK4 reproduces them exactly; the step
-    ceiling can be relaxed far beyond the generic default."""
-    return RunConfig(h_max=10.0)
 
 
 BOUND = 3000.0  # 60 s at 20 ms per time unit

@@ -91,7 +91,8 @@ def _stat_options(fn):
                      help="Regular sampling grid for trajectory output."),
         click.option("--workers", type=int, default=1, show_default=True),
         click.option("--h-max", type=float, default=0.05, show_default=True,
-                     help="Integration step ceiling."),
+                     help="RK4 step ceiling, for clock rates that one "
+                     "midpoint step cannot integrate exactly."),
         click.option("--out", type=click.Path(), default=".",
                      show_default=True, help="Output directory."),
     ]):

@@ -18,14 +18,17 @@ clock as ``V[k] + R[k] * dt``: window search evaluates them ``dt`` ahead
 under the current rates without copying ``V``.  Each location's rates are
 split at compile time into clock-free rates, which advance their clock
 exactly by ``rate * dt``, and clock-reading rates, which are integrated
-jointly by fixed-step RK4 on float lists; a stage whose inputs repeat an
-earlier stage's is not evaluated again.
+jointly on float lists.  When the clock-reading rates are affine in clocks
+that all move at constant rates, they are linear in time over a delay and
+one midpoint step ``y + f(dt / 2) * dt`` integrates them exactly; otherwise
+fixed-step RK4 takes ``ceil(dt / h_max)`` steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, as copying ``V`` per probe and integrating with numpy
-arrays (``y + k * (h / 2)``, then ``((k1 + 2 * k2) + 2 * k3) + k4`` times
-``h / 6``).  Runs are bit-identical to that straightforward form, which
-``tests/test_engine.py`` keeps as its reference.
+arrays (the midpoint step above, or RK4 as ``y + k * (h / 2)``, then
+``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  Runs are bit-identical
+to that straightforward form, which ``tests/test_engine.py`` keeps as its
+reference.  Only runs through a stepped plan depend on ``h_max``.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ class Trace:
 
 @dataclass
 class RunConfig:
-    h_max: float = 0.05  # RK4 step ceiling (time units)
+    # RK4 step ceiling (time units); rates that one midpoint step integrates
+    # exactly never read it
+    h_max: float = 0.05
     max_steps: int = 10 ** 6  # zeno / committed-loop ceiling
     # re-check every invariant after each delay and each firing
     check_invariants: bool = False
@@ -138,26 +143,29 @@ class _CompiledEdge:
 
 class _CompiledLocation:
     __slots__ = ("id", "committed", "invariant", "inv_probe", "inv_atoms",
-                 "rates", "exit_rate")
+                 "rates", "affine", "exit_rate")
 
     def __init__(self, id, committed, invariant, inv_probe, inv_atoms, rates,
-                 exit_rate):
+                 affine, exit_rate):
         self.id = id
         self.committed = committed
         self.invariant = invariant
         self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
         self.rates = rates  # [(clock key, fn, clock keys the rate reads)]
+        self.affine = affine  # every rate is affine in clocks
         self.exit_rate = exit_rate
 
 
 class _RatePlan:
     """How clocks advance while the network sits in one location
     configuration: the clock-free rates, the clocks left at rate 1, and the
-    clock-reading rates that RK4 integrates."""
+    clock-reading rates that are integrated.  The plan is ``exact`` when
+    those rates read only constant-rate clocks and are affine in them: they
+    are then linear in time over a delay."""
 
     __slots__ = ("rates", "const", "unit", "coupled", "stage_const",
-                 "stage_y")
+                 "stage_y", "exact")
 
     def __init__(self, clock_keys, locations):
         self.rates = []  # every rate fn, in component order
@@ -183,6 +191,21 @@ class _RatePlan:
                             if key in read and key not in coupled]
         self.stage_y = [(i, key) for i, key in enumerate(coupled)
                         if key in read]
+        self.exact = not self.stage_y and all(loc.affine for loc in locations)
+
+
+_BOOLEAN_OPS = ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "imply")
+
+
+def _affine_rate(e, is_clock) -> bool:
+    """Whether rate ``e`` is affine in clocks.  ``clock_degree`` counts a
+    comparison or boolean operator as clock-free, which suits guards; in a
+    rate, one that reads a clock is a step in time."""
+    return E.clock_degree(e, is_clock) != E.NONLINEAR and not any(
+        ((isinstance(n, E.Binary) and n.op in _BOOLEAN_OPS)
+         or (isinstance(n, E.Unary) and n.op == "!"))
+        and any(is_clock(name) for name in E.names(n))
+        for n in E.walk(e))
 
 
 class _CompiledComponent:
@@ -273,13 +296,13 @@ class CompiledNetwork:
             for d in comp.template.decls:
                 cc.init_values.append((f"{comp.name}.{d.name}", d.init, d.type))
 
+            def is_clock(name: str) -> bool:
+                kind, *rest = resolver(name)
+                return kind == "var" and self.var_types.get(rest[0]) == "clock"
+
             def resolved_clock_refs(e) -> frozenset:
-                refs = set()
-                for n in E.names(e):
-                    kind, *rest = resolver(n)
-                    if kind == "var" and self.var_types.get(rest[0]) == "clock":
-                        refs.add(rest[0])
-                return frozenset(refs)
+                return frozenset(resolver(n)[1] for n in E.names(e)
+                                 if is_clock(n))
 
             for loc in comp.template.locations:
                 inv, inv_probe, inv_atoms = self._compile_window(
@@ -292,6 +315,7 @@ class CompiledNetwork:
                 cc.locations[loc.id] = _CompiledLocation(
                     loc.id, loc.kind == "committed", inv, inv_probe, inv_atoms,
                     [(key, fn, reads) for key, (fn, reads) in rates.items()],
+                    all(_affine_rate(e, is_clock) for _, e in loc.rates),
                     loc.exit_rate)
                 cc.out_active[loc.id] = []
                 cc.out_receive[loc.id] = {}
@@ -469,12 +493,10 @@ class Simulator:
         loc = cc.locations[self.state.L[cc.name]]
         starts = []
         for edge in cc.out_active[loc.id]:
-            if (edge.sync is not None and edge.sync.direction == "emit"
-                    and not self.net.broadcast.get(edge.sync.channel, True)
-                    and self._receiver_count(cc, edge.sync.channel) != 1):
-                # binary emit without exactly one ready receiver; receiver
-                # locations are frozen until the next event, so skip it
-                # (clock-guarded receivers opening mid-sojourn are ignored)
+            if self._emit_blocked(cc, edge):
+                # receiver locations are frozen until the next event, so
+                # skip it (clock-guarded receivers opening mid-sojourn are
+                # ignored)
                 continue
             s = self._edge_window_start(edge, rates, deadline)
             if s is not None:
@@ -492,7 +514,7 @@ class Simulator:
         """Advance all clocks by dt under the current location rates.
 
         Clocks whose rate does not reference other clocks advance exactly
-        by rate*dt; the rest are integrated jointly with fixed-step RK4.
+        by rate*dt; the rest are integrated jointly by :meth:`_integrate`.
         """
         if dt < 0:
             if dt < -1e-6:
@@ -517,7 +539,8 @@ class Simulator:
         self.state.time += dt
 
     def _integrate(self, plan, rates, dt: float) -> None:
-        """RK4 over dt for the clocks whose rates read clocks."""
+        """Integrate the clocks whose rates read clocks over dt: in one
+        midpoint step on an exact plan, otherwise by fixed-step RK4."""
         V, L = self.state.V, self.state.L
         ykeys = [key for key, _ in plan.coupled]
         fns = [fn for _, fn in plan.coupled]
@@ -538,11 +561,14 @@ class Simulator:
                 out.append(v)
             return out
 
-        n_steps = max(1, math.ceil(dt / self.config.h_max))
-        h = dt / n_steps
-        h2, h6 = h / 2, h / 6
-        t = 0.0
-        if stage_y:
+        if plan.exact:
+            # linear in time over the delay: the midpoint rule is exact
+            y = [a + k * dt for a, k in zip(y, f(dt / 2, y))]
+        else:
+            n_steps = max(1, math.ceil(dt / self.config.h_max))
+            h = dt / n_steps
+            h2, h6 = h / 2, h / 6
+            t = 0.0
             for _ in range(n_steps):
                 k1 = f(t, y)
                 k2 = f(t + h2, [a + k * h2 for a, k in zip(y, k1)])
@@ -550,25 +576,6 @@ class Simulator:
                 k4 = f(t + h, [a + k * h for a, k in zip(y, k3)])
                 y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-                t += h
-        elif all(r == 0.0 for _, _, r in stage_const):
-            # the rates read only clocks that stand still: every stage sees
-            # the same values, so every step adds the same increment
-            k = f(t, y)
-            inc = [(((b + 2 * b) + 2 * b) + b) * h6 for b in k]
-            for _ in range(n_steps):
-                y = [a + d for a, d in zip(y, inc)]
-        else:
-            # the rates read no integrated clock, so they depend on the
-            # stage time alone: k3 equals k2, and the next step's k1 (at
-            # t + h, summed the same way) equals this step's k4
-            k1 = f(t, y)
-            for _ in range(n_steps):
-                k2 = f(t + h2, y)
-                k4 = f(t + h, y)
-                y = [a + (((b1 + 2 * b2) + 2 * b2) + b4) * h6
-                     for a, b1, b2, b4 in zip(y, k1, k2, k4)]
-                k1 = k4
                 t += h
         for key, val in zip(ykeys, y):
             V[key] = val
@@ -582,12 +589,16 @@ class Simulator:
         for edge in cc.out_active[L[cc.name]]:
             if edge.guard is not None and not edge.guard(V, L):
                 continue
-            if (edge.sync is not None and edge.sync.direction == "emit"
-                    and not self.net.broadcast.get(edge.sync.channel, True)
-                    and self._receiver_count(cc, edge.sync.channel) != 1):
-                continue  # binary: exactly one matching receiver required
+            if self._emit_blocked(cc, edge):
+                continue
             enabled.append(edge)
         return enabled
+
+    def _emit_blocked(self, cc, edge) -> bool:
+        """A binary emit needs exactly one ready receiver."""
+        return (edge.sync is not None and edge.sync.direction == "emit"
+                and not self.net.broadcast.get(edge.sync.channel, True)
+                and self._receiver_count(cc, edge.sync.channel) != 1)
 
     def _receiver_count(self, emitter, ch) -> int:
         V, L = self.state.V, self.state.L

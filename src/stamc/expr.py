@@ -179,8 +179,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Unary):
         return f"{e.op}{_paren(e.operand)}"
     if isinstance(e, Binary):
-        op = e.op if e.op != "imply" else "imply"
-        return f"{_paren(e.left)} {op} {_paren(e.right)}"
+        return f"{_paren(e.left)} {e.op} {_paren(e.right)}"
     if isinstance(e, Cond):
         return f"{_paren(e.test)} ? {_paren(e.then)} : {_paren(e.other)}"
     if isinstance(e, Call):

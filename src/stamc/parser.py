@@ -402,7 +402,6 @@ class _Parser:
     def _system(self) -> tuple:
         self.expect("system")
         insts = []
-        names_used = {}
         raw = []
         while True:
             first = self.ident("template or instance name")
@@ -438,7 +437,6 @@ class _Parser:
                     inst_name = f"{tpl}{idx}"
                 else:
                     inst_name = tpl
-            names_used[inst_name] = True
             insts.append(Instantiation(inst_name, tpl, args))
         return tuple(insts)
 
@@ -712,28 +710,24 @@ def print_query(q) -> str:
         return (f"E[<={_fmt_num(q.bound)}; {q.n_runs}]"
                 f"({q.mode}: {E.to_text(q.expr)})")
     if isinstance(q, Q.ConstraintQuery):
-        c = q.constraint
-        params = [f"m={c.m}", f"k={c.k}", f"bound={_fmt_num(q.bound)}"]
-        if c.kind in ("execution", "periodic", "endtoend"):
-            params += [f"lower={_fmt_num(c.lower)}", f"upper={_fmt_num(c.upper)}"]
-        if c.kind == "synchronization":
-            params.append(f"tolerance={_fmt_num(c.tolerance)}")
-        if c.kind == "periodic":
-            params.append(f"jitter={_fmt_num(c.jitter)}")
-        binds = ", ".join(f"{n}={b.channel}" for n, b in c.bindings)
-        return f"constraint {c.kind}({', '.join(params)}) on {binds}"
+        return "constraint " + _fmt_constraint(
+            q.constraint, f"bound={_fmt_num(q.bound)}")
     if isinstance(q, Q.ObserverDecl):
-        c = q.constraint
-        params = [f"m={c.m}", f"k={c.k}"]
-        if c.kind in ("execution", "periodic", "endtoend"):
-            params += [f"lower={_fmt_num(c.lower)}", f"upper={_fmt_num(c.upper)}"]
-        if c.kind == "synchronization":
-            params.append(f"tolerance={_fmt_num(c.tolerance)}")
-        if c.kind == "periodic":
-            params.append(f"jitter={_fmt_num(c.jitter)}")
-        binds = ", ".join(f"{n}={b.channel}" for n, b in c.bindings)
-        return f"observer {q.name} {c.kind}({', '.join(params)}) on {binds}"
+        return f"observer {q.name} " + _fmt_constraint(q.constraint)
     raise TypeError(f"not a query: {q!r}")
+
+
+def _fmt_constraint(c, *head) -> str:
+    """``kind(m=.., k=.., *head, kind parameters) on bindings``."""
+    params = [f"m={c.m}", f"k={c.k}", *head]
+    if c.kind in ("execution", "periodic", "endtoend"):
+        params += [f"lower={_fmt_num(c.lower)}", f"upper={_fmt_num(c.upper)}"]
+    if c.kind == "synchronization":
+        params.append(f"tolerance={_fmt_num(c.tolerance)}")
+    if c.kind == "periodic":
+        params.append(f"jitter={_fmt_num(c.jitter)}")
+    binds = ", ".join(f"{n}={b.channel}" for n, b in c.bindings)
+    return f"{c.kind}({', '.join(params)}) on {binds}"
 
 
 def _fmt_path(f: Q.PathFormula) -> str:

@@ -510,7 +510,12 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
                      run_config=None, name=None,
                      pool=None) -> ConstraintResult:
     """Hypothesis test Pr[[] !Obs.fail] >= m/k on the observer route, with
-    the independent sliding-window trace oracle tallied on the same runs."""
+    the independent sliding-window trace oracle tallied on the same runs.
+
+    The observer fails a run at its first out-of-band occurrence, and the
+    share of runs it passes is tested at p0 = m/k; the oracle passes a run
+    when every window of k occurrences holds at least m in-band ones.  The
+    two routes agree run by run only when m = k."""
     c = cq.constraint
     model = _coerce_network(network)
     inst = f"_obs_{name or c.kind}"

@@ -16,8 +16,7 @@ import scipy.integrate
 from click.testing import CliRunner
 
 from stamc import engine, monitors, smc
-from stamc.avmodel import (BOUND, AvConfig, av_run_config, build_av_model,
-                           requirement_queries)
+from stamc.avmodel import BOUND, AvConfig, build_av_model, requirement_queries
 from stamc.cli import main as cli_main
 from stamc.engine import RngStream, run
 from stamc.model import instantiate
@@ -109,7 +108,7 @@ def test_timing_suite_all_valid():
     with timed(120):
         for name in ("R46", "R47", "R48", "R49", "R50"):
             res = smc.check_constraint(model, suite[name].query, cfg,
-                                       av_run_config(), name=name)
+                                       name=name)
             assert res.observer.verdict == "valid", name
             assert res.observer.details["p0"] == pytest.approx(0.95)
             assert res.oracle_verdict == "valid", name
@@ -143,7 +142,7 @@ def test_latency_bound_r51():
     observed = monitors.attach_observer(build_av_model(CFG), c, "CamToReg")
     res = smc.estimate_probability(
         observed, formula(f"Pr[<={int(BOUND)}]([] CamToReg.dclk <= {cutoff})"),
-        BOUND, StatConfig(seed=42, epsilon=0.1), av_run_config())
+        BOUND, StatConfig(seed=42, epsilon=0.1))
     assert res.p_hat >= 0.99
     lo, hi = res.ci
     assert 0.9 <= lo <= hi <= 1.0
@@ -159,15 +158,14 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
         unrefined = build_av_model(AvConfig(refined=False))
         res = smc.estimate_probability(
             unrefined, formula(f"Pr[<={int(BOUND)}](<> ({ONE_SIDED}))"),
-            BOUND, StatConfig(seed=42, epsilon=0.1), av_run_config())
+            BOUND, StatConfig(seed=42, epsilon=0.1))
         assert res.p_hat > 0
 
         witness = None
         net = instantiate(unrefined)
         for i in range(200):
             tr = run(net, BOUND, RngStream(42, i),
-                     watch=["Stop.totally_stop", "wvl", "wvr"],
-                     config=av_run_config())
+                     watch=["Stop.totally_stop", "wvl", "wvr"])
             for _, snap in tr.samples():
                 if snap["Stop.totally_stop"] and snap["wvl"] != snap["wvr"]:
                     witness = tr
@@ -182,8 +180,7 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
         refined = build_av_model(CFG)
         res = smc.hypothesis_test(
             refined, formula(f"Pr[<={int(BOUND)}]([] !({ONE_SIDED}))"),
-            BOUND, 0.99, StatConfig(seed=42, delta_indiff=0.005),
-            av_run_config())
+            BOUND, 0.99, StatConfig(seed=42, delta_indiff=0.005))
         assert res.verdict == "valid"
 
 
@@ -194,7 +191,7 @@ def test_braking_energy_band():
     with timed(60):
         res = smc.expected_value(build_av_model(CFG), "energy.braking_en",
                                  BOUND, 100, "max",
-                                 StatConfig(seed=42), av_run_config())
+                                 StatConfig(seed=42))
     assert 300 <= res.p_hat <= 600
     values = res.details["values"]
     in_band = sum(1 for v in values if 300 <= v <= 600)
@@ -323,10 +320,11 @@ template T() {{
 }}
 system T;
 """
-        tr = run(instantiate(parse_model(text)), dt + 1, RngStream(0, 0),
-                 watch=["e"], config=engine.RunConfig(h_max=0.05))
         exact = 0.1 * (v0 * dt + a * dt ** 2 / 2)
-        assert tr.final["e"] == pytest.approx(exact, rel=1e-6)
+        for h_max in (0.05, 10.0):
+            tr = run(instantiate(parse_model(text)), dt + 1, RngStream(0, 0),
+                     watch=["e"], config=engine.RunConfig(h_max=h_max))
+            assert tr.final["e"] == pytest.approx(exact, rel=1e-6)
 
 
 # --- 9: determinism --------------------------------------------------------
@@ -355,7 +353,7 @@ def test_check_is_deterministic_across_reruns_and_workers(tmp_path):
     for out_dir, workers in (("d1", 1), ("d2", 1), ("d3", 8)):
         res = runner.invoke(cli_main, [
             "check", str(MODELS / "av.sta"), str(q), "--seed", "42",
-            "--h-max", "10", "--indifference", "0.03", "--workers",
+            "--indifference", "0.03", "--workers",
             str(workers), "--out", str(tmp_path / out_dir)])
         assert res.exit_code == 0, res.output
         payloads.append(json.loads(

@@ -3,8 +3,7 @@ import pathlib
 import pytest
 
 from stamc import avmodel
-from stamc.avmodel import (AvConfig, av_model_source, av_run_config,
-                           build_av_model, load_av_config,
+from stamc.avmodel import (AvConfig, av_model_source, build_av_model,
                            requirement_queries, requirement_query_source)
 from stamc.engine import RngStream, run
 from stamc.model import instantiate, validate_model
@@ -43,27 +42,6 @@ def test_shipped_fixtures_match_builders():
            requirement_query_source(AvConfig())
 
 
-def test_load_av_config(tmp_path):
-    p = tmp_path / "cfg"
-    p.write_text("accel = 4  # slower wheels\nrefined = False\n"
-                 "max_limits = [90, 110]\n")
-    cfg = load_av_config(str(p))
-    assert cfg.accel == 4
-    assert cfg.refined is False
-    assert cfg.max_limits == (90, 110)
-    assert cfg.period == AvConfig().period  # untouched default
-
-
-def test_load_av_config_rejects_junk(tmp_path):
-    p = tmp_path / "cfg"
-    p.write_text("acel = 4\n")
-    with pytest.raises(ValueError, match="acel"):
-        load_av_config(str(p))
-    p.write_text("accel 4\n")
-    with pytest.raises(ValueError, match="key = value"):
-        load_av_config(str(p))
-
-
 def test_requirement_suite_round_trips_through_parser():
     text = requirement_query_source()
     parsed = parse_queries(text)
@@ -89,8 +67,7 @@ def test_suite_covers_constraint_kinds_and_expectations():
 
 def test_model_runs_and_stays_sane():
     net = instantiate(build_av_model())
-    tr = run(net, 600.0, RngStream(0, 0), watch=["wvl", "wvr", "mode"],
-             config=av_run_config())
+    tr = run(net, 600.0, RngStream(0, 0), watch=["wvl", "wvr", "mode"])
     assert tr.end_reason == "bound_reached"
     assert any(e.channel == "cam_start" for e in tr.events)
     for _, snap in tr.samples():

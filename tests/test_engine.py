@@ -450,9 +450,10 @@ def test_check_invariants_accepts_the_vehicle_runs():
 # --- bit-identity of the compiled hot path ---------------------------------
 #
 # The engine probes guards and invariants through closures that read each
-# clock as V[k] + R[k] * dt, and integrates clock-reading rates by RK4 on
-# float lists. The references below are the straightforward forms they
-# replace; results must agree bit for bit, not within a tolerance.
+# clock as V[k] + R[k] * dt, and integrates clock-reading rates on float
+# lists, by one midpoint step or by RK4. The references below are the
+# straightforward forms they replace; results must agree bit for bit, not
+# within a tolerance.
 
 
 def _advanced_copy(V, rates, dt):
@@ -463,8 +464,9 @@ def _advanced_copy(V, rates, dt):
     return V2
 
 
-def _advance_reference(sim, dt):
-    """Reference advance_time: dict rates and numpy RK4 arrays."""
+def _advance_reference(sim, dt, exact):
+    """Reference advance_time: dict rates and numpy arrays, integrated by
+    one midpoint step if ``exact``, otherwise by RK4."""
     V, L = sim.state.V, sim.state.L
     const_rates, var_rates = {}, {}
     for cc in sim.net.components:
@@ -493,14 +495,17 @@ def _advance_reference(sim, dt):
                 V[k] = val
             return np.array([float(var_rates[k](V, L)) for k in ykeys])
 
-        t = 0.0
-        for _ in range(n_steps):
-            k1 = f(t, y)
-            k2 = f(t + h / 2, y + k1 * (h / 2))
-            k3 = f(t + h / 2, y + k2 * (h / 2))
-            k4 = f(t + h, y + k3 * h)
-            y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
-            t += h
+        if exact:
+            y = y + f(dt / 2, y) * dt
+        else:
+            t = 0.0
+            for _ in range(n_steps):
+                k1 = f(t, y)
+                k2 = f(t + h / 2, y + k1 * (h / 2))
+                k3 = f(t + h / 2, y + k2 * (h / 2))
+                k4 = f(t + h, y + k3 * h)
+                y = y + (k1 + 2 * k2 + 2 * k3 + k4) * (h / 6)
+                t += h
         for k, val in zip(ykeys, y):
             V[k] = float(val)
     for key, r in const_rates.items():
@@ -565,10 +570,11 @@ def test_window_probes_match_dict_copy_reference(name):
     assert checked > 10 ** 4
 
 
-def _compare_advance(compiled, V, L, dt, h_max):
+def _compare_advance(compiled, V, L, dt, h_max, exact):
+    assert compiled.rate_plan(L).exact == exact
     ref = _at(compiled, V, L)
     ref.config = RunConfig(h_max=h_max)
-    _advance_reference(ref, dt)
+    _advance_reference(ref, dt, exact)
     sim = _at(compiled, V, L)
     sim.config = RunConfig(h_max=h_max)
     sim.advance_time(dt)
@@ -580,7 +586,9 @@ def _compare_advance(compiled, V, L, dt, h_max):
 @pytest.mark.parametrize("h_max", [10.0, 0.05])
 def test_advance_time_matches_numpy_rk4_reference(h_max):
     """Every mode of the energy automaton, with the wheels cruising,
-    speeding up, braking and turning."""
+    speeding up, braking and turning. The energy rates are affine in the
+    wheel speeds, which move at constant rates, so one midpoint step
+    integrates them at any h_max."""
     compiled, states = _vehicle_states("av.sta", n_runs=1, every=1, bound=400)
     timed = [(V, L) for V, L in states
              if not any(cc.locations[L[cc.name]].committed
@@ -592,14 +600,10 @@ def test_advance_time_matches_numpy_rk4_reference(h_max):
                     W = dict(V, mode=mode, al=float(al), ar=float(ar),
                              wvl=wvl, wvr=wvr)
                     for dt in (0.7, 6.1):
-                        _compare_advance(compiled, W, L, dt, h_max)
+                        _compare_advance(compiled, W, L, dt, h_max, True)
 
 
-@pytest.mark.parametrize("h_max", [0.5, 0.05])
-def test_advance_time_matches_reference_on_coupled_clocks(h_max):
-    """Rates that read integrated clocks (and a clock at a constant rate)
-    take the full four-stage RK4 path."""
-    text = """
+COUPLED = """
 clock x = 1;
 clock y;
 clock u;
@@ -611,10 +615,49 @@ template T() {
 }
 system T;
 """
+
+TIME_ONLY = """
+clock u;
+clock z;
+clock s;
+template T() {
+  init loc a { rate u = 0.5; rate z = u * u; rate s = u <= 1 ? 1 : 0; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("text,h_max", [
+    pytest.param(COUPLED, 0.5, id="0.5"),
+    pytest.param(COUPLED, 0.05, id="0.05"),
+    pytest.param(TIME_ONLY, 0.5, id="time-only-0.5"),
+    pytest.param(TIME_ONLY, 0.05, id="time-only-0.05"),
+])
+def test_advance_time_matches_reference_on_coupled_clocks(text, h_max):
+    """Rates that read integrated clocks (and a clock at a constant rate),
+    or that are nonlinear in time or step in time, take the full
+    four-stage RK4 path."""
     compiled = engine.CompiledNetwork(net(text))
     state = compiled.initial_state()
     for dt in (0.3, 2.9, 7.0):
-        _compare_advance(compiled, state.V, state.L, dt, h_max)
+        _compare_advance(compiled, state.V, state.L, dt, h_max, False)
+
+
+def test_rate_that_steps_in_time_is_stepped():
+    """A comparison on a clock makes a rate a step in time: one midpoint
+    step over the whole delay would give 8, not 5."""
+    text = """
+clock t;
+clock e;
+template T() {
+  init loc a { rate e = t <= 5 ? 1 : 0; }
+}
+system T;
+"""
+    compiled = engine.CompiledNetwork(net(text))
+    sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
+    sim.advance_time(8.0)
+    assert sim.state.V["e"] == pytest.approx(5, abs=0.05)
 
 
 def test_observers_do_not_perturb_trajectories():
