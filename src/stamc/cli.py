@@ -67,6 +67,10 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _issue(level: str, issue) -> str:
+    return f"{level}: {issue.code}: {issue.where}: {issue.message}"
+
+
 def _stat_config(manifest: RunManifest) -> smc.StatConfig:
     return smc.StatConfig(alpha=manifest.alpha, epsilon=manifest.epsilon,
                           delta_indiff=manifest.indifference,
@@ -119,9 +123,9 @@ def validate(model_path):
         sys.exit(_fail(EXIT_VALIDATION, str(exc)))
     report = validate_model(model)
     for issue in report.errors:
-        click.echo(f"error: {issue.code}: {issue.where}: {issue.message}")
+        click.echo(_issue("error", issue))
     for issue in report.warnings:
-        click.echo(f"warning: {issue.code}: {issue.where}: {issue.message}")
+        click.echo(_issue("warning", issue))
     if report.ok:
         click.echo(f"{model_path}: ok ({len(model.templates)} templates, "
                    f"{len(model.system)} components)")
@@ -239,7 +243,7 @@ def _front_end(model_path, query_path, query_text, simulate_only,
         report = validate_model(model)
         if not report.ok:
             for issue in report.errors:
-                click.echo(f"error: {issue.code}: {issue.message}", err=True)
+                click.echo(_issue("error", issue), err=True)
             sys.exit(EXIT_VALIDATION)
         named = parser.parse_queries(query_text, query_path or "<query>")
         rows, mismatch = _run_suite(model, named, manifest, simulate_only)

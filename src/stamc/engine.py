@@ -120,6 +120,12 @@ class RunConfig:
 
     _INT_MAX = 2 ** 63 - 1
 
+    def __post_init__(self):
+        if not (math.isfinite(self.h_max) and self.h_max > 0):
+            raise EngineError("need h_max > 0")
+        if self.max_steps < 1:
+            raise EngineError("need max_steps >= 1")
+
 
 # --- compilation -----------------------------------------------------------
 

@@ -68,6 +68,8 @@ class StatConfig:
             raise QueryError("need 0 < epsilon < 0.5")
         if self.delta_indiff <= 0:
             raise QueryError("need delta_indiff > 0")
+        if self.workers < 1:
+            raise QueryError("need workers >= 1")
 
 
 @dataclass

@@ -16,7 +16,7 @@ import scipy.integrate
 from click.testing import CliRunner
 
 from stamc import engine, monitors, smc
-from stamc.avmodel import BOUND, AvConfig, build_av_model, requirement_queries
+from stamc.avmodel import BOUND, AvConfig
 from stamc.cli import main as cli_main
 from stamc.engine import RngStream, run
 from stamc.model import instantiate
@@ -26,6 +26,10 @@ from stamc.smc import Sprt, StatConfig, chernoff_runs, clopper_pearson
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 CFG = AvConfig()
+
+
+def shipped_model(name="av.sta"):
+    return parse_model((MODELS / name).read_text(), name)
 
 
 def timed(budget_s):
@@ -102,8 +106,9 @@ def test_sign_distribution():
 
 
 def test_timing_suite_all_valid():
-    model = build_av_model(CFG)
-    suite = {q.name: q for q in requirement_queries(CFG)}
+    model = shipped_model()
+    suite = {q.name: q for q in parse_queries(
+        (MODELS / "requirements.q").read_text(), "requirements.q")}
     cfg = StatConfig(seed=42, delta_indiff=0.03)
     with timed(120):
         for name in ("R46", "R47", "R48", "R49", "R50"):
@@ -139,7 +144,7 @@ def test_latency_bound_r51():
                      (("source", EventBinding(channel="cam_start")),
                       ("target", EventBinding(channel="sign_ready"))),
                      lower=CFG.e2e[0], upper=CFG.e2e[1])
-    observed = monitors.attach_observer(build_av_model(CFG), c, "CamToReg")
+    observed = monitors.attach_observer(shipped_model(), c, "CamToReg")
     res = smc.estimate_probability(
         observed, formula(f"Pr[<={int(BOUND)}]([] CamToReg.dclk <= {cutoff})"),
         BOUND, StatConfig(seed=42, epsilon=0.1))
@@ -155,7 +160,7 @@ ONE_SIDED = "Stop.totally_stop && (wvl > wvr || wvr > wvl)"
 
 def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
     with timed(60):
-        unrefined = build_av_model(AvConfig(refined=False))
+        unrefined = shipped_model("av_unrefined.sta")
         res = smc.estimate_probability(
             unrefined, formula(f"Pr[<={int(BOUND)}](<> ({ONE_SIDED}))"),
             BOUND, StatConfig(seed=42, epsilon=0.1))
@@ -177,7 +182,7 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
         out.write_text(engine.trace_to_jsonl(witness))
         assert out.stat().st_size > 0
 
-        refined = build_av_model(CFG)
+        refined = shipped_model()
         res = smc.hypothesis_test(
             refined, formula(f"Pr[<={int(BOUND)}]([] !({ONE_SIDED}))"),
             BOUND, 0.99, StatConfig(seed=42, delta_indiff=0.005))
@@ -189,7 +194,7 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
 
 def test_braking_energy_band():
     with timed(60):
-        res = smc.expected_value(build_av_model(CFG), "energy.braking_en",
+        res = smc.expected_value(shipped_model(), "energy.braking_en",
                                  BOUND, 100, "max",
                                  StatConfig(seed=42))
     assert 300 <= res.p_hat <= 600

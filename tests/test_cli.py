@@ -112,6 +112,56 @@ def test_check_invalid_model_exits_1(runner, tmp_path):
     assert res.exit_code == 1
 
 
+UNDECLARED = """
+clock x;
+template A() { init loc a { inv y <= 1; } }
+system A;
+"""
+
+
+def test_check_names_where_a_validation_error_is(runner, tmp_path):
+    m = tmp_path / "undeclared.sta"
+    m.write_text(UNDECLARED)
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=5](<> 1 == 1)\n")
+    res = runner.invoke(main, ["check", str(m), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert "error: unknown name: A.a: " in res.output
+    assert runner.invoke(main, ["validate", str(m)]).output \
+        in res.output
+
+
+# a rate that steps in time, so only RK4 integrates it
+STEPPED = """
+clock u;
+clock z;
+template T() {
+  init loc a { rate z = u * u; inv u <= 2; }
+  loc b;
+  a -> b { guard u >= 2; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("option,message", [
+    (("--h-max", "0"), "need h_max > 0"),
+    (("--h-max", "-1"), "need h_max > 0"),
+    (("--h-max", "nan"), "need h_max > 0"),
+    (("--workers", "0"), "need workers >= 1"),
+], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0"])
+def test_check_rejects_bad_run_options(runner, tmp_path, option, message):
+    m = tmp_path / "stepped.sta"
+    m.write_text(STEPPED)
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=5; 2](max: z);\n")
+    res = runner.invoke(main, ["check", str(m), str(q), *option,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == f"error: {message}\n"
+
+
 def test_check_bound_override(runner, small, tmp_path):
     q = tmp_path / "suite.q"
     # heads flips by t = 1; an overridden tiny bound leaves no time for it

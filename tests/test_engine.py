@@ -327,6 +327,18 @@ system T;
         runs(text, 10, 1, max_steps=10_000)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("h_max", 0.0, "need h_max > 0"),
+    ("h_max", -1.0, "need h_max > 0"),
+    ("h_max", math.nan, "need h_max > 0"),
+    ("h_max", math.inf, "need h_max > 0"),
+    ("max_steps", 0, "need max_steps >= 1"),
+])
+def test_run_config_rejects_bad_limits(field, value, message):
+    with pytest.raises(EngineError, match=message):
+        RunConfig(**{field: value})
+
+
 def test_int_update_range_checked():
     text = """
 int k = 0;

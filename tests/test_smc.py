@@ -212,6 +212,9 @@ def test_stat_config_validation():
         StatConfig(alpha=0)
     with pytest.raises(Exception):
         StatConfig(epsilon=1.5)
+    for workers in (0, -3):
+        with pytest.raises(smc.QueryError, match=r"need workers >= 1"):
+            StatConfig(workers=workers)
 
 
 def without_wall(result):
