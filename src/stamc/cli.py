@@ -17,6 +17,7 @@ import click
 
 from . import monitors, parser, smc
 from .engine import EngineError, RunConfig
+from .expr import ExprError
 from .model import validate_model
 from .parser import ParseError
 from .queries import Expected, ObserverDecl, Simulate
@@ -67,8 +68,8 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _issue(level: str, issue) -> str:
-    return f"{level}: {issue.code}: {issue.where}: {issue.message}"
+def _issue(issue) -> str:
+    return f"error: {issue.code}: {issue.where}: {issue.message}"
 
 
 def _stat_config(manifest: RunManifest) -> smc.StatConfig:
@@ -123,9 +124,7 @@ def validate(model_path):
         sys.exit(_fail(EXIT_VALIDATION, str(exc)))
     report = validate_model(model)
     for issue in report.errors:
-        click.echo(_issue("error", issue))
-    for issue in report.warnings:
-        click.echo(_issue("warning", issue))
+        click.echo(_issue(issue))
     if report.ok:
         click.echo(f"{model_path}: ok ({len(model.templates)} templates, "
                    f"{len(model.system)} components)")
@@ -243,11 +242,11 @@ def _front_end(model_path, query_path, query_text, simulate_only,
         report = validate_model(model)
         if not report.ok:
             for issue in report.errors:
-                click.echo(_issue("error", issue), err=True)
+                click.echo(_issue(issue), err=True)
             sys.exit(EXIT_VALIDATION)
         named = parser.parse_queries(query_text, query_path or "<query>")
         rows, mismatch = _run_suite(model, named, manifest, simulate_only)
-    except (ParseError, EngineError, smc.QueryError,
+    except (ParseError, EngineError, ExprError, smc.QueryError,
             monitors.MonitorError) as exc:
         sys.exit(_fail(EXIT_QUERY, str(exc)))
     return manifest, rows, mismatch

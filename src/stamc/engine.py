@@ -36,12 +36,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import expr as E
-from .model import Model, Network, instantiate
+from .model import (Model, Network, instantiate, resolver, value_key,
+                    value_types)
 
 INF = math.inf
 
@@ -235,88 +236,35 @@ class CompiledNetwork:
         self.network = network
         model = network.model
         self.broadcast = {c.name: c.broadcast for c in model.channels}
-        self.var_types = {}  # value key -> int|real|bool|clock
-        self.clock_keys = []
+        self.var_types = value_types(network)  # value key -> type
+        self.clock_keys = [key for key, vtype in self.var_types.items()
+                           if vtype == "clock"]
+        self._global_init = [(d.name, d.init, d.type) for d in model.decls]
         self.components = []
-        self._global_init = []
         self._rate_plans = {}  # tuple of location ids -> _RatePlan
         self._watches = {}  # watch tuple -> compiled watch list
-
-        for d in model.decls:
-            self.var_types[d.name] = d.type
-            if d.type == "clock":
-                self.clock_keys.append(d.name)
-            self._global_init.append((d.name, d.init, d.type))
-
-        comp_templates = {c.name: c.template for c in network.components}
-        comp_locals = {}
-        for comp in network.components:
-            local = {p: v for p, v in comp.bindings}
-            comp_locals[comp.name] = ({d.name for d in comp.template.decls},
-                                      local)
-            for d in comp.template.decls:
-                key = f"{comp.name}.{d.name}"
-                self.var_types[key] = d.type
-                if d.type == "clock":
-                    self.clock_keys.append(key)
-
-        global_names = {d.name for d in model.decls}
-
-        def make_resolver(comp_name: Optional[str]) -> Callable:
-            local_decls, params = ((set(), {}) if comp_name is None
-                                   else comp_locals[comp_name])
-
-            def resolver(name: str):
-                if "." in name:
-                    owner, member = name.split(".", 1)
-                    if owner not in comp_templates:
-                        raise E.ExprError(f"unknown component {owner!r}")
-                    tpl = comp_templates[owner]
-                    if any(l.id == member for l in tpl.locations):
-                        return ("loc", owner, member)
-                    if any(d.name == member for d in tpl.decls):
-                        return ("var", name)
-                    for p, v in dict(
-                            next(c.bindings for c in network.components
-                                 if c.name == owner)).items():
-                        if p == member:
-                            return ("const", v)
-                    raise E.ExprError(f"unknown member {name!r}")
-                if comp_name is not None:
-                    if name in params:
-                        return ("const", params[name])
-                    if name in local_decls:
-                        return ("var", f"{comp_name}.{name}")
-                if name in global_names:
-                    return ("var", name)
-                raise E.ExprError(f"unknown name {name!r}")
-
-            return resolver
-
-        self.query_resolver = make_resolver(None)
+        self.query_resolver = resolver(network)
 
         for index, comp in enumerate(network.components):
             cc = _CompiledComponent(comp.name, index, comp.template.initial)
-            resolver = make_resolver(comp.name)
-            local_decls, params = comp_locals[comp.name]
-            for d in comp.template.decls:
-                cc.init_values.append((f"{comp.name}.{d.name}", d.init, d.type))
+            resolve = resolver(network, comp)
+            cc.init_values = [(f"{comp.name}.{d.name}", d.init, d.type)
+                              for d in comp.template.decls]
 
             def is_clock(name: str) -> bool:
-                kind, *rest = resolver(name)
-                return kind == "var" and self.var_types.get(rest[0]) == "clock"
+                return self.var_types.get(value_key(resolve, name)) == "clock"
 
             def resolved_clock_refs(e) -> frozenset:
-                return frozenset(resolver(n)[1] for n in E.names(e)
+                return frozenset(value_key(resolve, n) for n in E.names(e)
                                  if is_clock(n))
 
             for loc in comp.template.locations:
                 inv, inv_probe, inv_atoms = self._compile_window(
-                    loc.invariant, resolver, resolved_clock_refs)
+                    loc.invariant, resolve, resolved_clock_refs)
                 rates = {}
                 for clk, rate_expr in loc.rates:
-                    key = resolver(clk)[1]
-                    rates[key] = (E.compile_expr(rate_expr, resolver),
+                    key = resolve(clk)[1]
+                    rates[key] = (E.compile_expr(rate_expr, resolve),
                                   resolved_clock_refs(rate_expr))
                 cc.locations[loc.id] = _CompiledLocation(
                     loc.id, loc.kind == "committed", inv, inv_probe, inv_atoms,
@@ -328,11 +276,11 @@ class CompiledNetwork:
 
             for i, edge in enumerate(comp.template.edges):
                 guard, guard_probe, atoms = self._compile_window(
-                    edge.guard, resolver, resolved_clock_refs)
+                    edge.guard, resolve, resolved_clock_refs)
                 updates = []
                 for name, rhs in edge.updates:
-                    key = resolver(name)[1]
-                    updates.append((key, E.compile_expr(rhs, resolver),
+                    key = resolve(name)[1]
+                    updates.append((key, E.compile_expr(rhs, resolve),
                                     self.var_types[key]))
                 ce = _CompiledEdge(
                     f"{edge.source}->{edge.target}#{i}", edge.source,
@@ -345,7 +293,7 @@ class CompiledNetwork:
                     cc.out_active[edge.source].append(ce)
             self.components.append(cc)
 
-    def _compile_window(self, boolean_expr, resolver, refs_clocks):
+    def _compile_window(self, boolean_expr, resolve, refs_clocks):
         """(predicate, its probe, [(lhs - rhs, its probe)] for each
         clock-bearing atom) of a guard or invariant; (None, None, []) for
         an absent one."""
@@ -356,10 +304,10 @@ class CompiledNetwork:
         for atom in E.comparison_atoms(boolean_expr):
             if refs_clocks(atom.left) or refs_clocks(atom.right):
                 diff = E.Binary("-", atom.left, atom.right)
-                atoms.append((E.compile_expr(diff, resolver),
-                              E.compile_probe(diff, resolver, clocks)))
-        return (E.compile_expr(boolean_expr, resolver),
-                E.compile_probe(boolean_expr, resolver, clocks), atoms)
+                atoms.append((E.compile_expr(diff, resolve),
+                              E.compile_probe(diff, resolve, clocks)))
+        return (E.compile_expr(boolean_expr, resolve),
+                E.compile_probe(boolean_expr, resolve, clocks), atoms)
 
     def rate_plan(self, L) -> _RatePlan:
         """The rate plan of location configuration ``L``, built once."""

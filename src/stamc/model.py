@@ -104,7 +104,6 @@ class Issue:
 @dataclass
 class ValidationReport:
     errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -126,38 +125,99 @@ class Network:
     components: tuple = ()  # ordered as declared in the system line
 
 
-def _template_scope(model: Model, tpl: Template) -> dict:
-    """name -> ('var'|'clock'|'param'|'chan', decl) visible inside tpl."""
+def value_types(network: Network) -> dict:
+    """value key -> int|real|bool|clock: globals by name, then each
+    component's locals as ``comp.name``, in declaration order."""
+    types = {d.name: d.type for d in network.model.decls}
+    for comp in network.components:
+        for d in comp.template.decls:
+            types[f"{comp.name}.{d.name}"] = d.type
+    return types
+
+
+def resolver(network: Network, comp: Optional[Component] = None) -> E.Resolver:
+    """The name scope of ``comp``'s expressions, or of queries when ``comp``
+    is None: name -> ``("var", key)``, ``("loc", comp, loc)`` or
+    ``("const", value)``.  Parameters shadow local declarations, which shadow
+    globals; ``Comp.member`` reads a location, else a local, else a parameter
+    of component ``Comp``.  Raises :class:`ExprError` for any other name."""
     scope = {}
-    for d in model.decls:
-        scope[d.name] = ("clock" if d.type == "clock" else "var", d)
-    for c in model.channels:
-        scope[c.name] = ("chan", c)
-    for p, ptype in tpl.params:
-        scope[p] = ("param", ptype)
-    for d in tpl.decls:
-        scope[d.name] = ("clock" if d.type == "clock" else "var", d)
-    return scope
+    for c in network.components:  # later updates shadow earlier ones
+        scope.update((f"{c.name}.{p}", ("const", v)) for p, v in c.bindings)
+        scope.update((f"{c.name}.{d.name}", ("var", f"{c.name}.{d.name}"))
+                     for d in c.template.decls)
+        scope.update((f"{c.name}.{l.id}", ("loc", c.name, l.id))
+                     for l in c.template.locations)
+    scope.update((d.name, ("var", d.name)) for d in network.model.decls)
+    if comp is not None:
+        scope.update((d.name, ("var", f"{comp.name}.{d.name}"))
+                     for d in comp.template.decls)
+        scope.update((p, ("const", v)) for p, v in comp.bindings)
+
+    def resolve(name: str):
+        if name not in scope:
+            raise E.ExprError(f"name {name!r} undeclared")
+        return scope[name]
+
+    return resolve
+
+
+def value_key(resolve: E.Resolver, name: str) -> Optional[str]:
+    """The value key ``name`` resolves to; None for a location, a parameter
+    or an unknown name."""
+    try:
+        kind, *rest = resolve(name)
+    except E.ExprError:
+        return None
+    return rest[0] if kind == "var" else None
 
 
 def validate_model(model: Model) -> ValidationReport:
     """Collect every structural violation; pure and idempotent.
 
     A model with an empty error list is accepted by the engine and will not
-    be rejected mid-run for structural reasons.
+    be rejected mid-run for structural reasons: every name is resolved, and
+    every clock found, by :func:`resolver` and :func:`value_types` over the
+    system line's network, the scope the engine compiles with.  A template
+    checks through its first instance, or through a placeholder instance if
+    the system line has none.
     """
     rep = ValidationReport()
     err = lambda code, where, msg: rep.errors.append(Issue(code, where, msg))
 
+    components = []
+    for inst in model.system:
+        try:
+            components.append(_component(model, inst))
+        except ModelError:
+            pass  # reported below
+    placeholders = [Component(t.name, t, tuple((p, 0) for p, _ in t.params))
+                    for t in model.templates
+                    if not any(c.template is t for c in components)]
+    network = Network(model, tuple(placeholders + components))
+    types = value_types(network)
     chan_names = {c.name for c in model.channels}
+
     tpl_names = set()
     for tpl in model.templates:
         if tpl.name in tpl_names:
             err("duplicate template", tpl.name, f"template {tpl.name!r} declared twice")
         tpl_names.add(tpl.name)
 
-        scope = _template_scope(model, tpl)
-        is_clock = lambda n: scope.get(n.split(".")[0], ("",))[0] == "clock"
+        resolve = resolver(network, next(c for c in network.components
+                                         if c.template is tpl))
+        is_clock = lambda name: types.get(value_key(resolve, name)) == "clock"
+
+        def check_names(e, where):
+            for name in E.names(e):
+                try:
+                    resolve(name)
+                except E.ExprError as exc:
+                    if name in chan_names:
+                        err("channel in expression", where,
+                            f"channel {name!r} used as a value")
+                    else:
+                        err("unknown name", where, str(exc))
 
         loc_ids = set()
         initials = [l for l in tpl.locations if l.id == tpl.initial]
@@ -170,11 +230,11 @@ def validate_model(model: Model) -> ValidationReport:
                 if E.clock_degree(loc.invariant, is_clock) == E.NONLINEAR:
                     err("nonlinear invariant", where,
                         "invariant has nonlinear clock terms")
-                _check_names(loc.invariant, scope, rep, where)
+                check_names(loc.invariant, where)
             for clk, rate in loc.rates:
-                if clk not in scope or scope[clk][0] != "clock":
+                if "." in clk or not is_clock(clk):
                     err("unknown clock", where, f"rate on unknown clock {clk!r}")
-                _check_names(rate, scope, rep, where)
+                check_names(rate, where)
             if loc.exit_rate is not None and loc.exit_rate <= 0:
                 err("nonpositive exitrate", where, "exitrate must be > 0")
         if not tpl.locations:
@@ -200,11 +260,11 @@ def validate_model(model: Model) -> ValidationReport:
             if edge.guard is not None:
                 if E.clock_degree(edge.guard, is_clock) == E.NONLINEAR:
                     err("nonlinear guard", where, "guard has nonlinear clock terms")
-                _check_names(edge.guard, scope, rep, where)
+                check_names(edge.guard, where)
             for name, rhs in edge.updates:
-                if name not in scope or scope[name][0] not in ("var", "clock"):
+                if "." in name or value_key(resolve, name) is None:
                     err("unknown name", where, f"update target {name!r} undeclared")
-                _check_names(rhs, scope, rep, where)
+                check_names(rhs, where)
 
     seen_inst = set()
     for inst in model.system:
@@ -224,17 +284,17 @@ def validate_model(model: Model) -> ValidationReport:
     return rep
 
 
-def _check_names(e: E.Expr, scope: dict, rep: ValidationReport, where: str) -> None:
-    for name in E.names(e):
-        base = name.split(".")[0]
-        if "." in name:
-            continue  # qualified: resolved against the network at compile time
-        if base not in scope:
-            rep.errors.append(Issue("unknown name", where,
-                                    f"name {name!r} undeclared"))
-        elif scope[base][0] == "chan":
-            rep.errors.append(Issue("channel in expression", where,
-                                    f"channel {name!r} used as a value"))
+def _component(model: Model, inst: Instantiation) -> Component:
+    try:
+        tpl = model.template(inst.template)
+    except KeyError:
+        raise ModelError(f"unknown template {inst.template!r}") from None
+    if len(inst.args) != len(tpl.params):
+        raise ModelError(
+            f"{inst.name}: {inst.template} takes {len(tpl.params)} "
+            f"argument(s), got {len(inst.args)}")
+    return Component(inst.name, tpl,
+                     tuple((p, a) for (p, _), a in zip(tpl.params, inst.args)))
 
 
 def instantiate(model: Model) -> Network:
@@ -243,16 +303,4 @@ def instantiate(model: Model) -> Network:
     Callers must first run :func:`validate_model`; arity mismatches still
     raise so a skipped validation fails loudly.
     """
-    components = []
-    for inst in model.system:
-        try:
-            tpl = model.template(inst.template)
-        except KeyError:
-            raise ModelError(f"unknown template {inst.template!r}") from None
-        if len(inst.args) != len(tpl.params):
-            raise ModelError(
-                f"{inst.name}: {inst.template} takes {len(tpl.params)} "
-                f"argument(s), got {len(inst.args)}")
-        bindings = tuple((p, a) for (p, _), a in zip(tpl.params, inst.args))
-        components.append(Component(inst.name, tpl, bindings))
-    return Network(model=model, components=tuple(components))
+    return Network(model, tuple(_component(model, inst) for inst in model.system))

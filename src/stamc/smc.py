@@ -46,6 +46,8 @@ from .model import Model, Network, instantiate
 from .queries import (Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
 
+HISTOGRAM_BINS = 20  # bins of an expected-extremum query's value histogram
+
 
 class QueryError(Exception):
     pass
@@ -59,7 +61,6 @@ class StatConfig:
     max_runs: int = 10 ** 6
     seed: int = 0
     workers: int = 1
-    histogram_bins: int = 20
 
     def __post_init__(self):
         if not 0 < self.alpha < 1:
@@ -68,6 +69,8 @@ class StatConfig:
             raise QueryError("need 0 < epsilon < 0.5")
         if self.delta_indiff <= 0:
             raise QueryError("need delta_indiff > 0")
+        if self.max_runs < 1:
+            raise QueryError("need max_runs >= 1")
         if self.workers < 1:
             raise QueryError("need workers >= 1")
 
@@ -465,7 +468,7 @@ def expected_value(network, expr, bound: float, n_runs: int, mode: str,
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(n_runs))
     t_crit = float(scipy.stats.t.ppf(1 - cfg.alpha / 2, n_runs - 1))
-    counts, edges = np.histogram(arr, bins=cfg.histogram_bins)
+    counts, edges = np.histogram(arr, bins=HISTOGRAM_BINS)
     return SmcResult(
         name=name, verdict="estimate-only", p_hat=mean,
         ci=(mean - t_crit * se, mean + t_crit * se), runs=n_runs,

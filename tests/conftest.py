@@ -28,6 +28,54 @@ def task_text():
     return TASK
 
 
+# models whose names the engine cannot compile as the guard or invariant
+# reads; id -> (issue code validation must report, model text)
+UNRESOLVABLE = {
+    # B.y is a clock, so B.y * B.y is a nonlinear guard
+    "qualified-clock-guard": ("nonlinear guard", """
+template A() {
+  init loc a;
+  loc b;
+  a -> b { guard B.y * B.y >= 16; }
+}
+template B() { clock y; init loc s; }
+system A, B;
+"""),
+    "qualified-clock-invariant": ("nonlinear invariant", """
+template A() {
+  init loc a { inv B.y * B.y <= 16; }
+  loc b;
+  a -> b { guard B.y >= 4; }
+}
+template B() { clock y; init loc s; }
+system A, B;
+"""),
+    "unknown-component": ("unknown name", """
+template A() { init loc a; loc b; a -> b { guard B.y > 0; } }
+system A;
+"""),
+    "unknown-member": ("unknown name", """
+template A() { clock y; init loc a; loc b; a -> b { guard A.z >= 0; } }
+system A;
+"""),
+    # the parameter n shadows the local n, so n is no update target
+    "parameter-update-target": ("unknown name", """
+template A(n: int) {
+  int n;
+  init loc a;
+  a -> a { guard n < 100; update n := n + 1; }
+}
+system A(7);
+"""),
+}
+
+
+@pytest.fixture(params=list(UNRESOLVABLE))
+def unresolvable(request):
+    """(issue code, model text) of a model validation must reject."""
+    return UNRESOLVABLE[request.param]
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool smc creates while the test runs, each with the

@@ -132,6 +132,34 @@ def test_check_names_where_a_validation_error_is(runner, tmp_path):
         in res.output
 
 
+def test_unresolvable_names_fail_validation_before_any_run(
+        runner, tmp_path, unresolvable):
+    code, text = unresolvable
+    m = tmp_path / "unresolvable.sta"
+    m.write_text(text)
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=10](<> A.b) >= 0.5;\n")
+    res = runner.invoke(main, ["validate", str(m)])
+    assert res.exit_code == 1
+    [line] = res.output.splitlines()
+    assert line.startswith(f"error: {code}: A.")
+    res = runner.invoke(main, ["check", str(m), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert res.output == line + "\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_check_query_naming_an_undeclared_value_exits_3(
+        runner, small, tmp_path, workers):
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=10](<> foo > 2);\n")
+    res = runner.invoke(main, ["check", small, str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == "error: name 'foo' undeclared\n"
+
+
 # a rate that steps in time, so only RK4 integrates it
 STEPPED = """
 clock u;
@@ -150,7 +178,8 @@ system T;
     (("--h-max", "-1"), "need h_max > 0"),
     (("--h-max", "nan"), "need h_max > 0"),
     (("--workers", "0"), "need workers >= 1"),
-], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0"])
+    (("--max-runs", "0"), "need max_runs >= 1"),
+], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0", "max-runs-0"])
 def test_check_rejects_bad_run_options(runner, tmp_path, option, message):
     m = tmp_path / "stepped.sta"
     m.write_text(STEPPED)

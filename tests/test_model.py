@@ -1,7 +1,12 @@
+import pathlib
+
 import pytest
 
+from stamc.engine import CompiledNetwork
 from stamc.model import instantiate, validate_model
 from stamc.parser import parse_model
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
 GOOD = """
 int n = 0;
@@ -130,3 +135,42 @@ def test_instantiate_binds_parameters():
     assert dict(a.bindings)["speed"] == 1
     assert dict(b.bindings)["speed"] == 2
     assert a.template.name == "Worker"
+
+
+def test_names_resolve_as_the_engine_compiles_them(unresolvable):
+    code, text = unresolvable
+    assert code in codes(text)
+
+
+def test_unused_template_is_still_checked():
+    assert "nonlinear guard" in codes("""
+template U(k: int) { clock c; init loc a; a -> a { guard c * c >= k; } }
+template T() { init loc a; }
+system T;
+""")
+
+
+# qualified names of every kind, a parameter that shadows a global and a
+# template the system line does not use
+QUALIFIED = """
+int j = 0;
+int k = 0;
+template A(k: int) {
+  clock y;
+  init loc a { inv y <= B.d + k; }
+  loc b;
+  a -> b { guard B.s && B.x - y >= B.d; update j := B.d + k; }
+}
+template B(d: real) { clock x; init loc s; }
+template Unused(m: real) { clock c; init loc a { inv c <= m; } }
+system A(2), B(3);
+"""
+
+
+@pytest.mark.parametrize("text", [
+    GOOD, QUALIFIED, *(p.read_text() for p in sorted(MODELS.glob("*.sta")))],
+    ids=["GOOD", "QUALIFIED", *(p.name for p in sorted(MODELS.glob("*.sta")))])
+def test_every_accepted_model_compiles(text):
+    model = parse_model(text)
+    assert validate_model(model).ok
+    CompiledNetwork(instantiate(model))

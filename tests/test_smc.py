@@ -215,6 +215,9 @@ def test_stat_config_validation():
     for workers in (0, -3):
         with pytest.raises(smc.QueryError, match=r"need workers >= 1"):
             StatConfig(workers=workers)
+    for max_runs in (0, -1):
+        with pytest.raises(smc.QueryError, match=r"need max_runs >= 1"):
+            StatConfig(max_runs=max_runs)
 
 
 def without_wall(result):
