@@ -17,10 +17,11 @@ import click
 
 from . import monitors, parser, smc
 from .engine import EngineError, RunConfig
-from .expr import ExprError
-from .model import validate_model
+from .expr import ExprError, names
+from .model import instantiate, resolver, validate_model
 from .parser import ParseError
-from .queries import Expected, ObserverDecl, Simulate
+from .queries import (ConstraintQuery, Expected, ObserverDecl, Simulate,
+                      expressions)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -196,6 +197,14 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
             query = dataclasses.replace(query,
                                         sample_step=manifest.sample_step)
         queries.append((nq, query))
+    # every name and channel the queries read, before the first run
+    resolve = resolver(instantiate(model))
+    for _, query in queries:
+        if isinstance(query, ConstraintQuery):
+            monitors.check_channels(model, query.constraint)
+        for e in expressions(query):
+            for name in names(e):
+                resolve(name)
     rows = []
     mismatch = False
     # one pool for every query: workers live, and compile each model once,

@@ -263,7 +263,12 @@ def validate_model(model: Model) -> ValidationReport:
                 check_names(edge.guard, where)
             for name, rhs in edge.updates:
                 if "." in name or value_key(resolve, name) is None:
-                    err("unknown name", where, f"update target {name!r} undeclared")
+                    why = "undeclared"
+                    if name in dict(tpl.params):
+                        why = f"is a parameter of {tpl.name}"
+                        if any(d.name == name for d in tpl.decls):
+                            why += f" (shadows local {name!r})"
+                    err("unknown name", where, f"update target {name!r} {why}")
                 check_names(rhs, where)
 
     seen_inst = set()

@@ -1,16 +1,19 @@
 """Weakly-hard timing-constraint monitors.
 
-Each of the four constraint kinds (execution, synchronization, periodic,
-end-to-end) is available twice: as a pure trace-checking oracle
-(``measure_*`` + :func:`wh_judge`) and as an observer template
-(:func:`build_observer`) that composes with any network as a pure listener.
-The two routes are checked against each other in the test suite.
+A constraint's events are broadcast channels: each event the constraint's
+kind reads is bound to one, and an event occurs whenever a component emits
+on its channel.  Each of the four constraint kinds (execution,
+synchronization, periodic, end-to-end) is available twice: as a pure
+trace-checking oracle over the run's events (``measure_*`` +
+:func:`wh_judge`) and as an observer template (:func:`build_observer`) that
+composes with any network as a pure listener on those channels.  The two
+routes are checked against each other in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as E
@@ -28,26 +31,15 @@ class MalformedTrace(MonitorError):
 
 
 @dataclass(frozen=True)
-class EventBinding:
-    channel: Optional[str] = None
-    predicate: Optional[E.Expr] = None  # rising edge; oracle-only
-
-    def __post_init__(self):
-        if (self.channel is None) == (self.predicate is None):
-            raise MonitorError("binding is either a channel or a predicate")
-
-
-@dataclass(frozen=True)
 class WhConstraint:
     kind: str
     m: int
     k: int
-    bindings: tuple = ()  # tuple[(event name, EventBinding)]
+    bindings: tuple = ()  # tuple[(event name, channel name)]
     lower: float = 0.0
     upper: float = math.inf
     tolerance: float = 0.0
     jitter: float = 0.0
-    short_window: str = "proportional"  # or "vacuous"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -58,19 +50,30 @@ class WhConstraint:
             raise MonitorError("need lower <= upper")
         if self.tolerance < 0 or self.jitter < 0:
             raise MonitorError("tolerance and jitter must be >= 0")
+        bound = [name for name, _ in self.bindings]
+        if len(set(bound)) < len(bound):
+            raise MonitorError("an event is bound twice")
+        for event in self.events():
+            if event not in bound:
+                raise MonitorError(f"event {event!r} not bound")
+        if self.kind == "synchronization" and len(bound) < 2:
+            raise MonitorError("synchronization needs >= 2 events")
 
-    def binding(self, event: str) -> EventBinding:
-        for name, b in self.bindings:
-            if name == event:
-                return b
-        raise MonitorError(f"event {event!r} not bound")
+    def events(self) -> tuple:
+        """The events this constraint reads, in the order its observer
+        listens to them: synchronization reads every bound event."""
+        if self.kind == "synchronization":
+            return tuple(name for name, _ in self.bindings)
+        if self.kind == "periodic":
+            return ("occurrence",)
+        if self.kind == "endtoend":
+            return ("source", "target")
+        if "preempt" in dict(self.bindings):
+            return ("start", "stop", "preempt", "resume")
+        return ("start", "stop")
 
-    def has(self, event: str) -> bool:
-        return any(name == event for name, _ in self.bindings)
-
-    def event_streams(self) -> list:
-        """Bound events in declaration order (for synchronization)."""
-        return [name for name, _ in self.bindings]
+    def channel(self, event: str) -> str:
+        return dict(self.bindings)[event]
 
 
 @dataclass(frozen=True)
@@ -92,21 +95,9 @@ class MonitorVerdict:
 # --- event extraction ------------------------------------------------------
 
 
-def event_times(trace, binding: EventBinding) -> list:
-    """Occurrence times of a bound event, in trace order."""
-    if binding.channel is not None:
-        return [ev.time for ev in trace.events if ev.channel == binding.channel]
-    key = E.to_text(binding.predicate)
-    times = []
-    prev = None
-    for t, snap in trace.samples():
-        if key not in snap:
-            raise MonitorError(f"predicate {key!r} not watched on this trace")
-        cur = bool(snap[key])
-        if cur and prev is False:
-            times.append(t)
-        prev = cur
-    return times
+def event_times(trace, channel: str) -> list:
+    """Occurrence times of events on ``channel``, in trace order."""
+    return [ev.time for ev in trace.events if ev.channel == channel]
 
 
 # --- oracles ---------------------------------------------------------------
@@ -114,19 +105,9 @@ def event_times(trace, binding: EventBinding) -> list:
 
 def measure_execution(trace, c: WhConstraint) -> list:
     """Per start..stop pair: duration minus preempted intervals."""
-    tagged = []
-    for ev in trace.events:
-        for name in ("start", "stop", "preempt", "resume"):
-            if c.has(name):
-                b = c.binding(name)
-                if b.channel is not None and ev.channel == b.channel:
-                    tagged.append((name, ev.time))
-    # predicate bindings: merge rising edges, keeping time order
-    for name in ("start", "stop", "preempt", "resume"):
-        if c.has(name) and c.binding(name).predicate is not None:
-            tagged.extend((name, t) for t in event_times(trace, c.binding(name)))
-    tagged.sort(key=lambda x: x[1])
-
+    chans = [(name, c.channel(name)) for name in c.events()]
+    tagged = [(name, ev.time) for ev in trace.events
+              for name, ch in chans if ev.channel == ch]
     records = []
     open_t = None
     preempt_t = None
@@ -160,9 +141,7 @@ def measure_execution(trace, c: WhConstraint) -> list:
 
 def measure_synchronization(trace, c: WhConstraint) -> list:
     """Group i-th arrivals across all bound streams; quantity = spread."""
-    streams = [event_times(trace, b) for _, b in c.bindings]
-    if len(streams) < 2:
-        raise MonitorError("synchronization needs >= 2 event streams")
+    streams = [event_times(trace, ch) for _, ch in c.bindings]
     full = min(len(s) for s in streams)
     records = []
     for i in range(full):
@@ -175,7 +154,7 @@ def measure_synchronization(trace, c: WhConstraint) -> list:
 
 
 def measure_periodic(trace, c: WhConstraint) -> list:
-    times = event_times(trace, c.binding("occurrence"))
+    times = event_times(trace, c.channel("occurrence"))
     lo = c.lower - c.jitter
     hi = c.upper + c.jitter
     return [
@@ -185,8 +164,8 @@ def measure_periodic(trace, c: WhConstraint) -> list:
 
 
 def measure_end_to_end(trace, c: WhConstraint) -> list:
-    sources = event_times(trace, c.binding("source"))
-    targets = event_times(trace, c.binding("target"))
+    sources = event_times(trace, c.channel("source"))
+    targets = event_times(trace, c.channel("target"))
     records = []
     for i, (s, t) in enumerate(zip(sources, targets)):
         if t < s:
@@ -207,19 +186,19 @@ _MEASURES = {
 }
 
 
-def wh_judge(records, m: int, k: int, short_window: str = "proportional"):
+def wh_judge(records, m: int, k: int):
     """True iff every window of k consecutive complete records has >= m passes.
 
-    Fewer records than k: proportional threshold ceil(m*len/k), or vacuously
-    true under the "vacuous" policy.  Returns (holds, first violating window
-    start index or None).
+    Fewer records than k: proportional threshold ceil(m*len/k), so no
+    records hold.  Returns (holds, first violating window start index or
+    None).
     """
     if not (1 <= m <= k):
         raise MonitorError("need 1 <= m <= k")
     passes = [r.passed for r in records if not r.incomplete]
     n = len(passes)
     if n < k:
-        if short_window == "vacuous" or n == 0:
+        if n == 0:
             return True, None
         need = math.ceil(m * n / k)
         return (True, None) if sum(passes) >= need else (False, 0)
@@ -231,7 +210,7 @@ def wh_judge(records, m: int, k: int, short_window: str = "proportional"):
 
 def check_trace(trace, c: WhConstraint) -> MonitorVerdict:
     records = _MEASURES[c.kind](trace, c)
-    holds, first = wh_judge(records, c.m, c.k, c.short_window)
+    holds, first = wh_judge(records, c.m, c.k)
     return MonitorVerdict(c, records, holds, first)
 
 
@@ -260,15 +239,6 @@ def _out_band(clock: str, lo: float, hi: float) -> E.Expr:
                     _cmp(">", E.Name(clock), _num(hi)))
 
 
-def _chan(c: WhConstraint, event: str) -> str:
-    b = c.binding(event)
-    if b.channel is None:
-        raise MonitorError(
-            f"observer needs a channel binding for {event!r} "
-            "(predicate bindings are oracle-only)")
-    return b.channel
-
-
 def build_observer(c: WhConstraint, name: str = "Observer") -> Template:
     """Observer template with `success` and `fail` locations.
 
@@ -277,49 +247,49 @@ def build_observer(c: WhConstraint, name: str = "Observer") -> Template:
     listens on must be broadcast).
     """
     if c.kind == "execution":
-        return _execution_observer(c, name)
+        return _interval_observer(c, name, "execclk", "exec")
     if c.kind == "synchronization":
         return _synchronization_observer(c, name)
     if c.kind == "periodic":
         return _periodic_observer(c, name)
-    return _end_to_end_observer(c, name)
+    return _interval_observer(c, name, "dclk", "waiting")
 
 
-def _execution_observer(c: WhConstraint, name: str) -> Template:
-    start, stop = _chan(c, "start"), _chan(c, "stop")
-    has_preempt = c.has("preempt")
+def _interval_observer(c: WhConstraint, name: str, clock: str,
+                       busy: str) -> Template:
+    """Judges each interval from the first to the second event of ``c``,
+    measured on ``clock`` while in location ``busy``; an execution's clock
+    holds from preempt to resume."""
+    first, last = (Sync(c.channel(ev), "receive") for ev in c.events()[:2])
+    held = lambda loc: Location(loc, rates=((clock, _num(0)),))
+    reset = ((clock, _num(0)),)
     locs = [
-        Location("idle", rates=(("execclk", _num(0)),)),
-        Location("exec", rates=(("execclk", _num(1)),)),
+        held("idle"),
+        Location(busy, rates=((clock, _num(1)),)),
         Location("finish", kind="committed"),
-        Location("success", rates=(("execclk", _num(0)),)),
-        Location("fail", rates=(("execclk", _num(0)),)),
+        held("success"),
+        held("fail"),
     ]
     edges = [
-        Edge("idle", "exec", sync=Sync(start, "receive"),
-             updates=(("execclk", _num(0)),)),
-        Edge("exec", "finish", sync=Sync(stop, "receive")),
-        Edge("finish", "success", guard=_in_band("execclk", c.lower, c.upper)),
-        Edge("finish", "fail", guard=_out_band("execclk", c.lower, c.upper)),
-        Edge("success", "exec", sync=Sync(start, "receive"),
-             updates=(("execclk", _num(0)),)),
+        Edge("idle", busy, sync=first, updates=reset),
+        Edge(busy, "finish", sync=last),
+        Edge("finish", "success", guard=_in_band(clock, c.lower, c.upper)),
+        Edge("finish", "fail", guard=_out_band(clock, c.lower, c.upper)),
+        Edge("success", busy, sync=first, updates=reset),
     ]
-    if has_preempt:
-        preempt, resume = _chan(c, "preempt"), _chan(c, "resume")
-        locs.insert(2, Location("preempted", rates=(("execclk", _num(0)),)))
+    if "preempt" in c.events():
+        locs.insert(2, held("preempted"))
         edges += [
-            Edge("exec", "preempted", sync=Sync(preempt, "receive")),
-            Edge("preempted", "exec", sync=Sync(resume, "receive")),
+            Edge(busy, "preempted", sync=Sync(c.channel("preempt"), "receive")),
+            Edge("preempted", busy, sync=Sync(c.channel("resume"), "receive")),
         ]
-    return Template(name=name, decls=(VarDecl("execclk", "clock"),),
+    return Template(name=name, decls=(VarDecl(clock, "clock"),),
                     locations=tuple(locs), edges=tuple(edges), initial="idle")
 
 
 def _synchronization_observer(c: WhConstraint, name: str) -> Template:
-    chans = [_chan(c, ev) for ev in c.event_streams()]
+    chans = [c.channel(ev) for ev in c.events()]
     n = len(chans)
-    if n < 2:
-        raise MonitorError("synchronization observer needs >= 2 channels")
     decls = [VarDecl("sclk", "clock"), VarDecl("cnt", "int")]
     decls += [VarDecl(f"got{i}", "bool") for i in range(n)]
     locs = (
@@ -361,7 +331,7 @@ def _synchronization_observer(c: WhConstraint, name: str) -> Template:
 
 
 def _periodic_observer(c: WhConstraint, name: str) -> Template:
-    ch = _chan(c, "occurrence")
+    ch = c.channel("occurrence")
     lo, hi = c.lower - c.jitter, c.upper + c.jitter
     locs = (
         Location("firstoccurrence"),
@@ -382,42 +352,24 @@ def _periodic_observer(c: WhConstraint, name: str) -> Template:
                     locations=locs, edges=edges, initial="firstoccurrence")
 
 
-def _end_to_end_observer(c: WhConstraint, name: str) -> Template:
-    source, target = _chan(c, "source"), _chan(c, "target")
-    locs = (
-        Location("idle", rates=(("dclk", _num(0)),)),
-        Location("waiting", rates=(("dclk", _num(1)),)),
-        Location("finish", kind="committed"),
-        Location("success", rates=(("dclk", _num(0)),)),
-        Location("fail", rates=(("dclk", _num(0)),)),
-    )
-    edges = (
-        Edge("idle", "waiting", sync=Sync(source, "receive"),
-             updates=(("dclk", _num(0)),)),
-        Edge("waiting", "finish", sync=Sync(target, "receive")),
-        Edge("finish", "success", guard=_in_band("dclk", c.lower, c.upper)),
-        Edge("finish", "fail", guard=_out_band("dclk", c.lower, c.upper)),
-        Edge("success", "waiting", sync=Sync(source, "receive"),
-             updates=(("dclk", _num(0)),)),
-    )
-    return Template(name=name, decls=(VarDecl("dclk", "clock"),),
-                    locations=locs, edges=edges, initial="idle")
+def check_channels(model: Model, c: WhConstraint) -> None:
+    """Raise unless every channel ``c`` reads is a declared broadcast
+    channel of ``model``: an observer must only listen."""
+    broadcast = {ch.name: ch.broadcast for ch in model.channels}
+    for event in c.events():
+        ch = c.channel(event)
+        if ch not in broadcast:
+            raise MonitorError(f"cannot bind observer: unknown channel {ch!r}")
+        if not broadcast[ch]:
+            raise MonitorError(
+                f"observer on binary channel {ch!r} would perturb the network; "
+                "declare it broadcast")
 
 
 def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
     """New model with the observer template instantiated at the end."""
+    check_channels(model, c)
     tpl = build_observer(c, name=f"{inst_name}T")
-    chan_kinds = {ch.name: ch.broadcast for ch in model.channels}
-    for edge in tpl.edges:
-        if edge.sync is None:
-            continue
-        ch = edge.sync.channel
-        if ch not in chan_kinds:
-            raise MonitorError(f"cannot bind observer: unknown channel {ch!r}")
-        if not chan_kinds[ch]:
-            raise MonitorError(
-                f"observer on binary channel {ch!r} would perturb the network; "
-                "declare it broadcast")
     return Model(
         decls=model.decls,
         channels=model.channels,

@@ -28,7 +28,7 @@ from . import expr as E
 from . import queries as Q
 from .model import (ChanDecl, Edge, Instantiation, Location, Model, Sync,
                     Template, VarDecl)
-from .monitors import EventBinding, WhConstraint
+from .monitors import WhConstraint
 
 
 @dataclass(frozen=True)
@@ -486,15 +486,24 @@ class _Parser:
                          expected={"Pr", "simulate", "E", "constraint",
                                    "observer"})
 
-    def _bound(self) -> float:
+    def _bound(self, close: str = "]") -> float:
+        """``[<=B`` then ``close``: ``]``, or ``;`` before E's run count."""
         self.expect("[")
         if not self.accept("<="):
             self.expect(">=")  # both spellings denote the simulation horizon
         bound = self.number()
-        self.expect("]")
+        self.expect(close)
         if bound <= 0:
             raise ParseError("bound must be > 0", self.tok.span)
         return bound
+
+    def _runs(self, least: int) -> int:
+        """A run count: an integer >= ``least``."""
+        span = self.tok.span
+        n = self.number()
+        if n != int(n) or n < least:
+            raise ParseError(f"run count must be an integer >= {least}", span)
+        return int(n)
 
     def _path_formula(self) -> Q.PathFormula:
         self.expect("(")
@@ -526,9 +535,7 @@ class _Parser:
 
     def _simulate_query(self) -> Q.Simulate:
         self.expect("simulate")
-        n_runs = int(self.number())
-        if n_runs < 1:
-            raise ParseError("simulate needs n_runs >= 1", self.tok.span)
+        n_runs = self._runs(1)
         bound = self._bound()
         self.expect("{")
         exprs = [self.expression()]
@@ -539,12 +546,8 @@ class _Parser:
 
     def _expected_query(self) -> Q.Expected:
         self.expect("E")
-        self.expect("[")
-        if not self.accept("<="):
-            self.accept(">=")
-        bound = self.number()
-        self.expect(";")
-        n_runs = int(self.number())
+        bound = self._bound(";")
+        n_runs = self._runs(2)  # a sample variance needs two runs
         self.expect("]")
         self.expect("(")
         if self.accept("max"):
@@ -557,8 +560,6 @@ class _Parser:
         self.expect(":")
         e = self.expression()
         self.expect(")")
-        if n_runs < 1:
-            raise ParseError("E query needs n_runs >= 1", self.tok.span)
         return Q.Expected(bound, n_runs, mode, e)
 
     def _constraint_query(self) -> Q.ConstraintQuery:
@@ -598,8 +599,7 @@ class _Parser:
         while True:
             event = self.ident("event name")
             self.expect("=")
-            chan = self.ident("channel name")
-            bindings.append((event, EventBinding(channel=chan)))
+            bindings.append((event, self.ident("channel name")))
             if not self.accept(","):
                 break
         bound = params.pop("bound", 3000.0)
@@ -726,7 +726,7 @@ def _fmt_constraint(c, *head) -> str:
         params.append(f"tolerance={_fmt_num(c.tolerance)}")
     if c.kind == "periodic":
         params.append(f"jitter={_fmt_num(c.jitter)}")
-    binds = ", ".join(f"{n}={b.channel}" for n, b in c.bindings)
+    binds = ", ".join(f"{n}={ch}" for n, ch in c.bindings)
     return f"{c.kind}({', '.join(params)}) on {binds}"
 
 

@@ -525,13 +525,10 @@ def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
     model = _coerce_network(network)
     inst = f"_obs_{name or c.kind}"
     observed = monitors.attach_observer(model, c, inst)
-    watch = [f"{inst}.fail"]
-    for _, b in c.bindings:
-        if b.predicate is not None:
-            watch.append(E.to_text(b.predicate))
     t0 = time.perf_counter()
     p0 = c.m / c.k
-    job = _job(observed, cq.bound, watch, cfg, run_config, _routes, c, inst)
+    job = _job(observed, cq.bound, [f"{inst}.fail"], cfg, run_config,
+               _routes, c, inst)
     routes = []
     with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
         verdict, n, obs_ok = _sprt(

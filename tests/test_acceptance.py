@@ -20,7 +20,7 @@ from stamc.avmodel import BOUND, AvConfig
 from stamc.cli import main as cli_main
 from stamc.engine import RngStream, run
 from stamc.model import instantiate
-from stamc.monitors import EventBinding, WhConstraint
+from stamc.monitors import WhConstraint
 from stamc.parser import parse_model, parse_queries
 from stamc.smc import Sprt, StatConfig, chernoff_runs, clopper_pearson
 
@@ -141,8 +141,7 @@ def test_latency_bound_r51():
     assert latency_oracle(cutoff - 1) < 1.0  # the bound is tight
 
     c = WhConstraint("endtoend", 19, 20,
-                     (("source", EventBinding(channel="cam_start")),
-                      ("target", EventBinding(channel="sign_ready"))),
+                     (("source", "cam_start"), ("target", "sign_ready")),
                      lower=CFG.e2e[0], upper=CFG.e2e[1])
     observed = monitors.attach_observer(shipped_model(), c, "CamToReg")
     res = smc.estimate_probability(
@@ -250,19 +249,16 @@ system Kick, EmitA, EmitB;
 
 @pytest.mark.parametrize("text,constraint", [
     (TASK, WhConstraint("execution", 1, 1,
-                        (("start", EventBinding(channel="start")),
-                         ("stop", EventBinding(channel="stop"))),
+                        (("start", "start"), ("stop", "stop")),
                         lower=1, upper=5.7)),
     (PAIR, WhConstraint("synchronization", 1, 1,
-                        (("e1", EventBinding(channel="a")),
-                         ("e2", EventBinding(channel="b"))),
+                        (("e1", "a"), ("e2", "b")),
                         tolerance=1.7)),
     (TASK, WhConstraint("periodic", 1, 1,
-                        (("occurrence", EventBinding(channel="start")),),
+                        (("occurrence", "start"),),
                         lower=9, upper=11, jitter=0.7)),
     (TASK, WhConstraint("endtoend", 1, 1,
-                        (("source", EventBinding(channel="start")),
-                         ("target", EventBinding(channel="stop"))),
+                        (("source", "start"), ("target", "stop")),
                         lower=0, upper=5.7)),
 ], ids=["execution", "synchronization", "periodic", "endtoend"])
 def test_observer_equals_trace_oracle_on_1000_runs(text, constraint):

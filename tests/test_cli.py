@@ -4,6 +4,7 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
+from stamc import smc
 from stamc.cli import main
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -158,6 +159,48 @@ def test_check_query_naming_an_undeclared_value_exits_3(
                                str(workers), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3
     assert res.output == "error: name 'foo' undeclared\n"
+
+
+# a ticker on a broadcast channel, next to an unused binary channel
+TICKER = """
+clock p;
+broadcast chan tick;
+chan go;
+template T() {
+  init loc a { inv p <= 2; }
+  a -> a { guard p >= 1; sync tick!; update p := 0; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("Pr[<=10](<> wvx > 2)", "name 'wvx' undeclared"),
+    ("constraint periodic(m=1, k=1, bound=10, lower=1, upper=2)"
+     " on occurrence=ghost", "cannot bind observer: unknown channel 'ghost'"),
+    ("constraint periodic(m=1, k=1, bound=10, lower=1, upper=2)"
+     " on occurrence=go", "observer on binary channel 'go' would perturb"
+     " the network; declare it broadcast"),
+], ids=["undeclared-name", "unknown-channel", "binary-channel"])
+def test_check_fails_a_bad_later_query_before_any_run(
+        runner, tmp_path, monkeypatch, bad, message):
+    runs = []
+    real_run = smc.run
+
+    def counting_run(*args, **kwargs):
+        runs.append(args)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(smc, "run", counting_run)
+    model = tmp_path / "ticker.sta"
+    model.write_text(TICKER)
+    q = tmp_path / "suite.q"
+    q.write_text(f"Pr[<=10](<> p >= 1);\n{bad};\n")
+    res = runner.invoke(main, ["check", str(model), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == f"error: {message}\n"
+    assert runs == []
 
 
 # a rate that steps in time, so only RK4 integrates it

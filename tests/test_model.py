@@ -142,6 +142,20 @@ def test_names_resolve_as_the_engine_compiles_them(unresolvable):
     assert code in codes(text)
 
 
+def test_update_target_names_the_shadowed_local():
+    [issue] = validate_model(parse_model("""
+template A(n: int) {
+  int n;
+  init loc a;
+  a -> a { guard n < 100; update n := n + 1; }
+}
+system A(7);
+""")).errors
+    assert (issue.code, issue.message) == (
+        "unknown name",
+        "update target 'n' is a parameter of A (shadows local 'n')")
+
+
 def test_unused_template_is_still_checked():
     assert "nonlinear guard" in codes("""
 template U(k: int) { clock c; init loc a; a -> a { guard c * c >= k; } }

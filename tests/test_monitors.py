@@ -5,7 +5,7 @@ import pytest
 from stamc import monitors as M
 from stamc.engine import RngStream, RunConfig, Trace, TraceEvent, run
 from stamc.model import instantiate
-from stamc.parser import parse_expression, parse_model
+from stamc.parser import parse_model
 
 
 def ev(t, channel):
@@ -17,8 +17,7 @@ def trace(events, end=100.0):
 
 
 def wh(kind, m, k, names, **kw):
-    binds = tuple((n, M.EventBinding(channel=c)) for n, c in names)
-    return M.WhConstraint(kind, m, k, binds, **kw)
+    return M.WhConstraint(kind, m, k, tuple(names), **kw)
 
 
 # --- wh_judge --------------------------------------------------------------
@@ -52,7 +51,6 @@ def test_wh_judge_short_window_proportional():
 
 
 def test_wh_judge_short_window_vacuous():
-    assert M.wh_judge(rec(False), 19, 20, short_window="vacuous")[0]
     assert M.wh_judge([], 19, 20)[0]
 
 
@@ -147,28 +145,24 @@ def test_check_trace_combines_measure_and_judge():
     assert [r.passed for r in v.records] == [True, False, True]
 
 
-def test_predicate_binding_rising_edges():
-    b = M.EventBinding(predicate=parse_expression("x >= 2"))
-    rows = [(0.0, {"x >= 2": False}), (1.0, {"x >= 2": True}),
-            (2.0, {"x >= 2": True}), (3.0, {"x >= 2": False}),
-            (4.0, {"x >= 2": True})]
-
-    class FakeTrace:
-        def samples(self):
-            return iter(rows)
-
-    assert M.event_times(FakeTrace(), b) == [1.0, 4.0]
-
-
 def test_constraint_validation():
-    with pytest.raises(M.MonitorError):
+    with pytest.raises(M.MonitorError, match="need 1 <= m <= k"):
         M.WhConstraint("execution", 0, 4)
-    with pytest.raises(M.MonitorError):
+    with pytest.raises(M.MonitorError, match="unknown constraint kind"):
         M.WhConstraint("nope", 1, 1)
-    with pytest.raises(M.MonitorError):
+    with pytest.raises(M.MonitorError, match="need lower <= upper"):
         M.WhConstraint("execution", 1, 1, lower=5, upper=2)
-    with pytest.raises(M.MonitorError):
-        M.EventBinding()
+    with pytest.raises(M.MonitorError, match="event 'stop' not bound"):
+        wh("execution", 1, 1, [("start", "s")])
+    with pytest.raises(M.MonitorError, match="event 'resume' not bound"):
+        wh("execution", 1, 1, [("start", "s"), ("stop", "e"),
+                               ("preempt", "p")])
+    with pytest.raises(M.MonitorError, match="event 'source' not bound"):
+        wh("endtoend", 1, 1, [("src", "s"), ("target", "t")])
+    with pytest.raises(M.MonitorError, match="needs >= 2 events"):
+        wh("synchronization", 1, 1, [("e1", "a")])
+    with pytest.raises(M.MonitorError, match="bound twice"):
+        wh("synchronization", 1, 1, [("e1", "a"), ("e1", "b")])
 
 
 # --- observers against a live network --------------------------------------

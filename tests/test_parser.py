@@ -177,6 +177,31 @@ def test_zero_bound_rejected():
         parse_queries("Pr[<=0]([] x)")
 
 
+def test_simulate_run_count_must_be_an_integer():
+    with pytest.raises(ParseError, match="run count must be an integer"):
+        parse_queries("simulate 2.5 [<=10] {x}")
+
+
+def test_expected_run_count_must_be_an_integer():
+    with pytest.raises(ParseError, match="run count must be an integer"):
+        parse_queries("E[<=10; 2.5](max: x)")
+
+
+def test_expected_needs_two_runs():
+    with pytest.raises(ParseError, match="integer >= 2"):
+        parse_queries("E[<=10; 1](max: x)")
+
+
+def test_expected_zero_bound_rejected():
+    with pytest.raises(ParseError, match="bound must be > 0"):
+        parse_queries("E[<=0; 5](max: x)")
+
+
+def test_expected_bound_needs_an_operator():
+    with pytest.raises(ParseError, match="expected '>='"):
+        parse_queries("E[10; 5](max: x)")
+
+
 QUERY_TEXTS = [
     "Pr[<=100](<> hits >= 3);",
     "R9: Pr[<=50]([] x <= 2) >= 0.95 expect valid;",
