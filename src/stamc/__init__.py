@@ -5,16 +5,15 @@ from .engine import EngineError, RngStream, RunConfig, Trace, run
 from .model import Model, Network, instantiate, validate_model
 from .monitors import WhConstraint, attach_observer, check_trace, wh_judge
 from .parser import ParseError, parse_expression, parse_model, parse_queries
-from .smc import (ConstraintResult, SmcResult, StatConfig, check_constraint,
-                  chernoff_runs, clopper_pearson, evaluate_query)
+from .smc import (SmcResult, StatConfig, chernoff_runs, clopper_pearson,
+                  evaluate_query)
 
 __all__ = [
-    "ConstraintResult", "EngineError", "Model", "Network", "ParseError",
-    "RngStream", "RunConfig", "SmcResult", "StatConfig", "Trace",
-    "WhConstraint", "attach_observer", "check_constraint", "check_trace",
-    "chernoff_runs", "clopper_pearson", "evaluate_query", "instantiate",
-    "parse_expression", "parse_model", "parse_queries", "run",
-    "validate_model", "wh_judge",
+    "EngineError", "Model", "Network", "ParseError", "RngStream",
+    "RunConfig", "SmcResult", "StatConfig", "Trace", "WhConstraint",
+    "attach_observer", "check_trace", "chernoff_runs", "clopper_pearson",
+    "evaluate_query", "instantiate", "parse_expression", "parse_model",
+    "parse_queries", "run", "validate_model", "wh_judge",
 ]
 
 __version__ = "0.1.0"

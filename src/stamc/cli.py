@@ -143,11 +143,6 @@ def _apply_bound(query, bound):
 
 
 def _result_row(name, result, expected):
-    if isinstance(result, smc.ConstraintResult):
-        row = _result_row(name, result.observer, expected)
-        row["details"]["oracle_fraction"] = result.oracle_fraction
-        row["details"]["oracle_verdict"] = result.oracle_verdict
-        return row
     match = None if expected is None else (result.verdict == expected)
     details = {k: v for k, v in (result.details or {}).items()
                if k not in ("trajectories", "values")}

@@ -552,19 +552,21 @@ class Simulator:
         """A binary emit needs exactly one ready receiver."""
         return (edge.sync is not None and edge.sync.direction == "emit"
                 and not self.net.broadcast.get(edge.sync.channel, True)
-                and self._receiver_count(cc, edge.sync.channel) != 1)
+                and len(self._receivers(cc, edge.sync.channel)) != 1)
 
-    def _receiver_count(self, emitter, ch) -> int:
+    def _receivers(self, emitter, ch) -> list:
+        """[(component, its enabled receive edges on ``ch``)] for every
+        component but ``emitter`` with at least one."""
         V, L = self.state.V, self.state.L
-        count = 0
+        receivers = []
         for cc in self.net.components:
             if cc is emitter:
                 continue
-            for edge in cc.out_receive[L[cc.name]].get(ch, ()):
-                if edge.guard is None or edge.guard(V, L):
-                    count += 1
-                    break
-        return count
+            enabled = [e for e in cc.out_receive[L[cc.name]].get(ch, ())
+                       if e.guard is None or e.guard(V, L)]
+            if enabled:
+                receivers.append((cc, enabled))
+        return receivers
 
     def _apply_updates(self, edge) -> None:
         V, L = self.state.V, self.state.L
@@ -585,22 +587,14 @@ class Simulator:
 
     def _fire(self, cc, edge) -> Optional[str]:
         """Apply one edge plus any synchronized receivers; returns channel."""
-        V, L = self.state.V, self.state.L
+        L = self.state.L
         self._apply_updates(edge)
         L[cc.name] = edge.target
         if edge.sync is None:
             return None
         ch = edge.sync.channel
-        broadcast = self.net.broadcast.get(ch, True)
-        receivers = []
-        for other in self.net.components:
-            if other is cc:
-                continue
-            enabled = [e for e in other.out_receive[L[other.name]].get(ch, ())
-                       if e.guard is None or e.guard(V, L)]
-            if enabled:
-                receivers.append((other, enabled))
-        if not broadcast:
+        receivers = self._receivers(cc, ch)
+        if not self.net.broadcast.get(ch, True):
             receivers = receivers[:1]  # validated to be exactly one
         for other, enabled in receivers:
             idx = self.rng.weighted_choice([e.weight for e in enabled])

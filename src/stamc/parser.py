@@ -28,7 +28,7 @@ from . import expr as E
 from . import queries as Q
 from .model import (ChanDecl, Edge, Instantiation, Location, Model, Sync,
                     Template, VarDecl)
-from .monitors import WhConstraint
+from .monitors import MonitorError, WhConstraint
 
 
 @dataclass(frozen=True)
@@ -497,12 +497,12 @@ class _Parser:
             raise ParseError("bound must be > 0", self.tok.span)
         return bound
 
-    def _runs(self, least: int) -> int:
-        """A run count: an integer >= ``least``."""
+    def _integer(self, least: int, what: str = "run count") -> int:
+        """A count such as a run count: an integer >= ``least``."""
         span = self.tok.span
         n = self.number()
         if n != int(n) or n < least:
-            raise ParseError(f"run count must be an integer >= {least}", span)
+            raise ParseError(f"{what} must be an integer >= {least}", span)
         return int(n)
 
     def _path_formula(self) -> Q.PathFormula:
@@ -535,7 +535,7 @@ class _Parser:
 
     def _simulate_query(self) -> Q.Simulate:
         self.expect("simulate")
-        n_runs = self._runs(1)
+        n_runs = self._integer(1)
         bound = self._bound()
         self.expect("{")
         exprs = [self.expression()]
@@ -547,7 +547,7 @@ class _Parser:
     def _expected_query(self) -> Q.Expected:
         self.expect("E")
         bound = self._bound(";")
-        n_runs = self._runs(2)  # a sample variance needs two runs
+        n_runs = self._integer(2)  # a sample variance needs two runs
         self.expect("]")
         self.expect("(")
         if self.accept("max"):
@@ -565,24 +565,26 @@ class _Parser:
     def _constraint_query(self) -> Q.ConstraintQuery:
         # constraint [Name] execution(lower=10, upper=20, m=19, k=20,
         #   bound=3000) on start=sig_start, stop=sig_done;
-        self.expect("constraint")
+        span = self.expect("constraint").span
         kind = self.ident("constraint kind")
         if self.tok.kind == "ident":
             self._inline_name = kind
             kind = self.ident("constraint kind")
-        constraint, bound = self._constraint_tail(kind)
+        constraint, bound = self._constraint_tail(kind, span)
         return Q.ConstraintQuery(constraint, bound)
 
     def _observer_decl(self) -> Q.ObserverDecl:
         # observer Name endtoend(lower=10, upper=30, m=19, k=20)
         #   on source=cam_start, target=sign_ready;
-        self.expect("observer")
+        span = self.expect("observer").span
         name = self.ident("observer name")
         kind = self.ident("constraint kind")
-        constraint, _ = self._constraint_tail(kind)
+        constraint, _ = self._constraint_tail(kind, span)
         return Q.ObserverDecl(name, constraint)
 
-    def _constraint_tail(self, kind: str):
+    def _constraint_tail(self, kind: str, span: SourceSpan):
+        """``(parameters) on bindings`` of the constraint at ``span``, which
+        locates the constraint's own checks."""
         if kind == "end" or kind == "endtoend":
             kind = "endtoend"
         self.expect("(")
@@ -590,7 +592,8 @@ class _Parser:
         while True:
             key = self.ident("parameter name")
             self.expect("=")
-            params[key] = self.number()
+            params[key] = (self._integer(1, key) if key in ("m", "k")
+                           else self.number())
             if not self.accept(","):
                 break
         self.expect(")")
@@ -607,13 +610,16 @@ class _Parser:
         for key in ("lower", "upper", "tolerance", "jitter"):
             if key in params:
                 kwargs[key] = params.pop(key)
-        m = int(params.pop("m", 1))
-        k = int(params.pop("k", 1))
+        m = params.pop("m", 1)
+        k = params.pop("k", 1)
         if params:
             raise ParseError(f"unknown constraint parameter(s) {sorted(params)}",
                              self.tok.span)
-        constraint = WhConstraint(kind=kind, m=m, k=k,
-                                  bindings=tuple(bindings), **kwargs)
+        try:
+            constraint = WhConstraint(kind=kind, m=m, k=k,
+                                      bindings=tuple(bindings), **kwargs)
+        except MonitorError as exc:
+            raise ParseError(str(exc), span) from exc
         return constraint, bound
 
 
@@ -632,108 +638,3 @@ def parse_expression(text: str, filename: str = "<expr>") -> E.Expr:
         raise ParseError(f"trailing input {p.tok.text!r}", p.tok.span)
     return e
 
-
-# --- pretty printing -------------------------------------------------------
-
-
-def print_model(model: Model) -> str:
-    out = []
-    for d in model.decls:
-        init = f" = {_fmt_num(d.init)}" if d.init else ""
-        out.append(f"{d.type} {d.name}{init};")
-    for c in model.channels:
-        out.append(f"{'broadcast ' if c.broadcast else ''}chan {c.name};")
-    for tpl in model.templates:
-        params = ", ".join(f"{p}: {t}" for p, t in tpl.params)
-        out.append(f"template {tpl.name}({params}) {{")
-        for d in tpl.decls:
-            init = f" = {_fmt_num(d.init)}" if d.init else ""
-            out.append(f"  {d.type} {d.name}{init};")
-        for loc in tpl.locations:
-            head = "  "
-            if loc.id == tpl.initial:
-                head += "init "
-            if loc.kind == "committed":
-                head += "committed "
-            head += f"loc {loc.id}"
-            body = []
-            if loc.invariant is not None:
-                body.append(f"inv {E.to_text(loc.invariant)};")
-            for clk, rate in loc.rates:
-                body.append(f"rate {clk} = {E.to_text(rate)};")
-            if loc.exit_rate is not None:
-                body.append(f"exitrate {_fmt_num(loc.exit_rate)};")
-            if body:
-                out.append(head + " { " + " ".join(body) + " }")
-            else:
-                out.append(head + ";")
-        for e in tpl.edges:
-            parts = []
-            if e.guard is not None:
-                parts.append(f"guard {E.to_text(e.guard)};")
-            if e.sync is not None:
-                mark = "!" if e.sync.direction == "emit" else "?"
-                parts.append(f"sync {e.sync.channel}{mark};")
-            if e.weight != 1.0:
-                parts.append(f"weight {_fmt_num(e.weight)};")
-            if e.updates:
-                ups = ", ".join(f"{n} := {E.to_text(x)}" for n, x in e.updates)
-                parts.append(f"update {ups};")
-            out.append(f"  {e.source} -> {e.target} {{ " + " ".join(parts) + " }")
-        out.append("}")
-    insts = ", ".join(
-        f"{i.name} = {i.template}({', '.join(_fmt_num(a) for a in i.args)})"
-        for i in model.system)
-    out.append(f"system {insts};")
-    return "\n".join(out) + "\n"
-
-
-def print_query(q) -> str:
-    if isinstance(q, Q.NamedQuery):
-        prefix = f"{q.name}: " if q.name else ""
-        if isinstance(q.query, Q.ObserverDecl) and q.name == q.query.name:
-            prefix = ""
-        suffix = f" expect {q.expected}" if q.expected else ""
-        return prefix + print_query(q.query) + suffix + ";"
-    if isinstance(q, Q.Estimate):
-        return f"Pr[<={_fmt_num(q.bound)}]({_fmt_path(q.formula)})"
-    if isinstance(q, Q.Hypothesis):
-        return (f"Pr[<={_fmt_num(q.bound)}]({_fmt_path(q.formula)})"
-                f" >= {_fmt_num(q.p0)}")
-    if isinstance(q, Q.Compare):
-        return (f"Pr[<={_fmt_num(q.bound1)}]({_fmt_path(q.formula1)}) >= "
-                f"Pr[<={_fmt_num(q.bound2)}]({_fmt_path(q.formula2)})")
-    if isinstance(q, Q.Simulate):
-        exprs = ", ".join(E.to_text(e) for e in q.exprs)
-        return f"simulate {q.n_runs} [<={_fmt_num(q.bound)}] {{{exprs}}}"
-    if isinstance(q, Q.Expected):
-        return (f"E[<={_fmt_num(q.bound)}; {q.n_runs}]"
-                f"({q.mode}: {E.to_text(q.expr)})")
-    if isinstance(q, Q.ConstraintQuery):
-        return "constraint " + _fmt_constraint(
-            q.constraint, f"bound={_fmt_num(q.bound)}")
-    if isinstance(q, Q.ObserverDecl):
-        return f"observer {q.name} " + _fmt_constraint(q.constraint)
-    raise TypeError(f"not a query: {q!r}")
-
-
-def _fmt_constraint(c, *head) -> str:
-    """``kind(m=.., k=.., *head, kind parameters) on bindings``."""
-    params = [f"m={c.m}", f"k={c.k}", *head]
-    if c.kind in ("execution", "periodic", "endtoend"):
-        params += [f"lower={_fmt_num(c.lower)}", f"upper={_fmt_num(c.upper)}"]
-    if c.kind == "synchronization":
-        params.append(f"tolerance={_fmt_num(c.tolerance)}")
-    if c.kind == "periodic":
-        params.append(f"jitter={_fmt_num(c.jitter)}")
-    binds = ", ".join(f"{n}={ch}" for n, ch in c.bindings)
-    return f"{c.kind}({', '.join(params)}) on {binds}"
-
-
-def _fmt_path(f: Q.PathFormula) -> str:
-    op = "[]" if f.op == "globally" else "<>"
-    return f"{op} {E.to_text(f.state_expr)}"
-
-
-def _fmt_num(v: float) -> str:
-    return repr(int(v)) if float(v).is_integer() else repr(v)

@@ -1,8 +1,10 @@
 """Statistical query evaluation over Monte Carlo engine runs.
 
-The five query forms (probability estimation, hypothesis testing,
-probability comparison, expected extrema, multi-trajectory simulation)
-plus the dual-route runner for weakly-hard timing constraints.
+``evaluate_query`` is the one entry. It looks the query's dataclass up
+in the form table ``_FORMS``, whose rules answer the five query forms
+(probability estimation, hypothesis testing, probability comparison,
+expected extrema, multi-trajectory simulation) and the dual-route check
+of weakly-hard timing constraints, each with one ``SmcResult``.
 
 Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
@@ -77,25 +79,16 @@ class StatConfig:
 
 @dataclass
 class SmcResult:
-    name: Optional[str]
     verdict: str  # valid | invalid | estimate-only | undecided
     p_hat: Optional[float]
     ci: Optional[tuple]  # (lo, hi)
     runs: int
-    wall_ms: float
-    seed: int
     histogram: Optional[tuple] = None  # (bin edges, counts)
     details: dict = field(default_factory=dict)
-
-
-@dataclass
-class ConstraintResult:
-    """Both routes for one weakly-hard constraint, side by side."""
-
-    observer: SmcResult  # hypothesis test on the observer's fail location
-    oracle_fraction: float  # share of runs the trace oracle accepts
-    oracle_verdict: str  # same SPRT applied to the oracle outcomes
-    runs: int
+    # set by evaluate_query
+    name: Optional[str] = None
+    wall_ms: float = 0.0
+    seed: int = 0
 
 
 def chernoff_runs(alpha: float, epsilon: float) -> int:
@@ -224,10 +217,9 @@ class _Job:
     args: tuple
 
 
-def _job(network, bound: float, watch, cfg: StatConfig, run_config, judge,
-         *args) -> _Job:
-    return _Job(model=_coerce_network(network), bound=bound,
-                watch=tuple(watch), seed=cfg.seed,
+def _job(model: Model, bound: float, watch, cfg: StatConfig, run_config,
+         judge, *args) -> _Job:
+    return _Job(model=model, bound=bound, watch=tuple(watch), seed=cfg.seed,
                 run_config=run_config or RunConfig(), judge=judge, args=args)
 
 
@@ -348,9 +340,9 @@ def _coerce_network(network) -> Model:
     raise QueryError("expected a Model or Network")
 
 
-def _formula_job(network, f: PathFormula, bound: float, cfg: StatConfig,
-                 run_config) -> _Job:
-    return _job(network, bound, [E.to_text(f.state_expr)], cfg, run_config,
+def _formula_job(model: Model, f: PathFormula, bound: float,
+                 cfg: StatConfig, run_config) -> _Job:
+    return _job(model, bound, [E.to_text(f.state_expr)], cfg, run_config,
                 evaluate_path_formula, f, bound)
 
 
@@ -373,50 +365,45 @@ def _kept(outcomes, into: list):
         yield x
 
 
-def _binomial(name, verdict: str, successes: int, n: int, cfg: StatConfig,
-              t0: float, details: dict) -> SmcResult:
+def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
+              details: dict) -> SmcResult:
     """A result with p_hat and the Clopper-Pearson interval of ``successes``
     in ``n`` runs (None for both when n is 0)."""
     return SmcResult(
-        name=name, verdict=verdict, p_hat=successes / n if n else None,
+        verdict=verdict, p_hat=successes / n if n else None,
         ci=clopper_pearson(successes, n, cfg.alpha) if n else None, runs=n,
-        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
         details=details)
 
 
-# --- the five query forms --------------------------------------------------
+# --- the form table --------------------------------------------------------
+#
+# One rule per query dataclass: (model, query, cfg, run_config, pool, name)
+# -> SmcResult, with name, seed and wall_ms left to ``evaluate_query``.
 
 
-def estimate_probability(network, f: PathFormula, bound: float,
-                         cfg: StatConfig, run_config=None, name=None,
-                         pool=None) -> SmcResult:
-    t0 = time.perf_counter()
+def _estimate(model, q: Estimate, cfg, run_config, pool, name) -> SmcResult:
     n = chernoff_runs(cfg.alpha, cfg.epsilon)
     capped = n > cfg.max_runs
     n = min(n, cfg.max_runs)
-    job = _formula_job(network, f, bound, cfg, run_config)
+    job = _formula_job(model, q.formula, q.bound, cfg, run_config)
     with _streams(pool, cfg, n, job) as [outcomes]:
         successes = sum(1 for ok in outcomes if ok)
-    return _binomial(name, "undecided" if capped else "estimate-only",
-                     successes, n, cfg, t0, {"successes": successes})
+    return _binomial("undecided" if capped else "estimate-only", successes,
+                     n, cfg, {"successes": successes})
 
 
-def hypothesis_test(network, f: PathFormula, bound: float, p0: float,
-                    cfg: StatConfig, run_config=None, name=None,
-                    pool=None) -> SmcResult:
-    if not 0 < p0 < 1:
+def _hypothesis(model, q: Hypothesis, cfg, run_config, pool,
+                name) -> SmcResult:
+    if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    t0 = time.perf_counter()
-    job = _formula_job(network, f, bound, cfg, run_config)
+    job = _formula_job(model, q.formula, q.bound, cfg, run_config)
     with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
-        decision, n, successes = _sprt(outcomes, p0, cfg)
-    return _binomial(name, decision or "undecided", successes, n, cfg, t0,
-                     {"p0": p0, "successes": successes})
+        decision, n, successes = _sprt(outcomes, q.p0, cfg)
+    return _binomial(decision or "undecided", successes, n, cfg,
+                     {"p0": q.p0, "successes": successes})
 
 
-def compare_probabilities(network, f1: PathFormula, b1: float,
-                          f2: PathFormula, b2: float, cfg: StatConfig,
-                          run_config=None, name=None, pool=None) -> SmcResult:
+def _compare(model, q: Compare, cfg, run_config, pool, name) -> SmcResult:
     """SPRT on discordant pairs of H0: p1 >= p2 (indifference delta).
 
     Pairs use independent run sets (distinct seed substreams).  Concordant
@@ -424,9 +411,8 @@ def compare_probabilities(network, f1: PathFormula, b1: float,
     open after the estimation run budget it falls back to the indifference
     rule on the point estimates: valid when p1_hat + delta >= p2_hat.
     """
-    t0 = time.perf_counter()
-    job1 = _formula_job(network, f1, b1, cfg, run_config)
-    job2 = replace(_formula_job(network, f2, b2, cfg, run_config),
+    job1 = _formula_job(model, q.formula1, q.bound1, cfg, run_config)
+    job2 = replace(_formula_job(model, q.formula2, q.bound2, cfg, run_config),
                    seed=cfg.seed + 0x9E3779B9)  # independent substream
     budget = min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
     pairs = []
@@ -444,55 +430,100 @@ def compare_probabilities(network, f1: PathFormula, b1: float,
             verdict = "invalid"
         else:
             verdict = "undecided"
-    return SmcResult(
-        name=name, verdict=verdict, p_hat=p1_hat - p2_hat, ci=None, runs=n,
-        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
-        details={"p1_hat": p1_hat, "p2_hat": p2_hat,
-                 "discordant": discordant})
+    return SmcResult(verdict=verdict, p_hat=p1_hat - p2_hat, ci=None, runs=n,
+                     details={"p1_hat": p1_hat, "p2_hat": p2_hat,
+                              "discordant": discordant})
 
 
-def expected_value(network, expr, bound: float, n_runs: int, mode: str,
-                   cfg: StatConfig, run_config=None, name=None,
-                   pool=None) -> SmcResult:
-    if n_runs < 2:
+def _expected(model, q: Expected, cfg, run_config, pool, name) -> SmcResult:
+    if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
-    if mode not in ("max", "min"):
+    if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
-    t0 = time.perf_counter()
-    key = E.to_text(expr) if not isinstance(expr, str) else expr
-    job = _job(network, bound, [key], cfg, run_config, _extremum, key, mode)
-    with _streams(pool, cfg, n_runs, job) as [outcomes]:
+    key = E.to_text(q.expr)
+    job = _job(model, q.bound, [key], cfg, run_config, _extremum, key, q.mode)
+    with _streams(pool, cfg, q.n_runs, job) as [outcomes]:
         values = list(outcomes)
     import numpy as np
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
-    se = float(arr.std(ddof=1) / math.sqrt(n_runs))
-    t_crit = float(scipy.stats.t.ppf(1 - cfg.alpha / 2, n_runs - 1))
+    se = float(arr.std(ddof=1) / math.sqrt(q.n_runs))
+    t_crit = float(scipy.stats.t.ppf(1 - cfg.alpha / 2, q.n_runs - 1))
     counts, edges = np.histogram(arr, bins=HISTOGRAM_BINS)
     return SmcResult(
-        name=name, verdict="estimate-only", p_hat=mean,
-        ci=(mean - t_crit * se, mean + t_crit * se), runs=n_runs,
-        wall_ms=(time.perf_counter() - t0) * 1e3, seed=cfg.seed,
+        verdict="estimate-only", p_hat=mean,
+        ci=(mean - t_crit * se, mean + t_crit * se), runs=q.n_runs,
         histogram=(edges.tolist(), counts.tolist()),
-        details={"mode": mode, "values": values})
+        details={"mode": q.mode, "values": values})
 
 
-def simulate(network, n_runs: int, bound: float, exprs, cfg: StatConfig,
-             sample_step: Optional[float] = None, run_config=None,
-             pool=None) -> list:
-    """Trajectory set: per run, rows (t, v1, ...) on a regular grid plus at
-    every event."""
-    if sample_step is not None and sample_step <= 0:
+def _simulate(model, q: Simulate, cfg, run_config, pool, name) -> SmcResult:
+    """Trajectory set in ``details["trajectories"]``: per run, rows
+    (t, v1, ...) on a regular grid plus at every event."""
+    if q.sample_step is not None and q.sample_step <= 0:
         raise QueryError("need sample_step > 0")
-    keys = tuple(E.to_text(e) if not isinstance(e, str) else e for e in exprs)
-    job = _job(network, bound, keys, cfg, run_config, _trajectory, keys,
-               bound, sample_step)
-    with _streams(pool, cfg, n_runs, job) as [outcomes]:
-        return list(outcomes)
+    keys = tuple(E.to_text(e) for e in q.exprs)
+    job = _job(model, q.bound, keys, cfg, run_config, _trajectory, keys,
+               q.bound, q.sample_step)
+    with _streams(pool, cfg, q.n_runs, job) as [outcomes]:
+        trajectories = list(outcomes)
+    return SmcResult(verdict="estimate-only", p_hat=None, ci=None,
+                     runs=q.n_runs, details={"trajectories": trajectories})
+
+
+def _constraint(model, q: ConstraintQuery, cfg, run_config, pool,
+                name) -> SmcResult:
+    """Hypothesis test Pr[[] !Obs.fail] >= m/k on the observer route, with
+    the independent sliding-window trace oracle tallied on the same runs.
+
+    The observer fails a run at its first out-of-band occurrence, and the
+    share of runs it passes is tested at p0 = m/k; the oracle passes a run
+    when every window of k occurrences holds at least m in-band ones.  The
+    two routes agree run by run only when m = k."""
+    c = q.constraint
+    inst = f"_obs_{name or c.kind}"
+    observed = monitors.attach_observer(model, c, inst)
+    p0 = c.m / c.k
+    job = _job(observed, q.bound, [f"{inst}.fail"], cfg, run_config,
+               _routes, c, inst)
+    routes = []
+    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
+        verdict, n, obs_ok = _sprt(
+            (obs for obs, _ in _kept(outcomes, routes)), p0, cfg)
+    # the oracle's verdict: the same test over the oracle outcomes tallied
+    oracle = [orc for _, orc in routes]
+    oracle_verdict, _, _ = _sprt(oracle, p0, cfg)
+    return _binomial(verdict or "undecided", obs_ok, n, cfg,
+                     {"p0": p0, "constraint": c.kind,
+                      "oracle_fraction": sum(oracle) / n if n else 0.0,
+                      "oracle_verdict": oracle_verdict or "undecided"})
+
+
+# --- the one entry ---------------------------------------------------------
+
+_FORMS = {Estimate: _estimate, Hypothesis: _hypothesis, Compare: _compare,
+          Expected: _expected, Simulate: _simulate,
+          ConstraintQuery: _constraint}
+
+
+def evaluate_query(network, query, cfg: StatConfig, run_config=None,
+                   name=None, pool: Optional[RunPool] = None) -> SmcResult:
+    """Evaluate one query by its form's rule. Its runs go to ``pool`` when
+    given (``check`` passes the one pool of the whole check), else to a
+    pool of ``cfg.workers`` opened for this call."""
+    rule = _FORMS.get(type(query))
+    if rule is None:
+        raise QueryError(f"unsupported query {type(query).__name__}")
+    model = _coerce_network(network)
+    t0 = time.perf_counter()
+    result = rule(model, query, cfg, run_config, pool, name)
+    result.wall_ms = (time.perf_counter() - t0) * 1e3
+    result.name, result.seed = name, cfg.seed
+    return result
 
 
 def trajectories_to_csv(trajectories, exprs) -> str:
-    keys = [E.to_text(e) if not isinstance(e, str) else e for e in exprs]
+    keys = [E.to_text(e) for e in exprs]
     lines = ["run,t," + ",".join(keys)]
     for i, rows in enumerate(trajectories):
         for row in rows:
@@ -506,74 +537,3 @@ def histogram_to_csv(histogram) -> str:
     for lo, hi, c in zip(edges, edges[1:], counts):
         lines.append(f"{lo!r},{hi!r},{c}")
     return "\n".join(lines) + "\n"
-
-
-# --- weakly-hard constraints (dual route) ----------------------------------
-
-
-def check_constraint(network, cq: ConstraintQuery, cfg: StatConfig,
-                     run_config=None, name=None,
-                     pool=None) -> ConstraintResult:
-    """Hypothesis test Pr[[] !Obs.fail] >= m/k on the observer route, with
-    the independent sliding-window trace oracle tallied on the same runs.
-
-    The observer fails a run at its first out-of-band occurrence, and the
-    share of runs it passes is tested at p0 = m/k; the oracle passes a run
-    when every window of k occurrences holds at least m in-band ones.  The
-    two routes agree run by run only when m = k."""
-    c = cq.constraint
-    model = _coerce_network(network)
-    inst = f"_obs_{name or c.kind}"
-    observed = monitors.attach_observer(model, c, inst)
-    t0 = time.perf_counter()
-    p0 = c.m / c.k
-    job = _job(observed, cq.bound, [f"{inst}.fail"], cfg, run_config,
-               _routes, c, inst)
-    routes = []
-    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
-        verdict, n, obs_ok = _sprt(
-            (obs for obs, _ in _kept(outcomes, routes)), p0, cfg)
-    # the oracle's verdict: the same test over the oracle outcomes tallied
-    oracle = [orc for _, orc in routes]
-    oracle_verdict, _, _ = _sprt(oracle, p0, cfg)
-    observer = _binomial(name, verdict or "undecided", obs_ok, n, cfg, t0,
-                         {"p0": p0, "constraint": c.kind})
-    return ConstraintResult(
-        observer=observer, oracle_fraction=sum(oracle) / n if n else 0.0,
-        oracle_verdict=oracle_verdict or "undecided", runs=n)
-
-
-# --- dispatch --------------------------------------------------------------
-
-
-def evaluate_query(network, query, cfg: StatConfig, run_config=None,
-                   name=None, pool: Optional[RunPool] = None):
-    """Evaluate one query. Its runs go to ``pool`` when given (``check``
-    passes the one pool of the whole check), else to a pool of
-    ``cfg.workers`` opened for this call."""
-    if isinstance(query, Estimate):
-        return estimate_probability(network, query.formula, query.bound, cfg,
-                                    run_config, name, pool)
-    if isinstance(query, Hypothesis):
-        return hypothesis_test(network, query.formula, query.bound, query.p0,
-                               cfg, run_config, name, pool)
-    if isinstance(query, Compare):
-        return compare_probabilities(network, query.formula1, query.bound1,
-                                     query.formula2, query.bound2, cfg,
-                                     run_config, name, pool)
-    if isinstance(query, Expected):
-        return expected_value(network, query.expr, query.bound, query.n_runs,
-                              query.mode, cfg, run_config, name, pool)
-    if isinstance(query, Simulate):
-        t0 = time.perf_counter()
-        trajectories = simulate(network, query.n_runs, query.bound,
-                                query.exprs, cfg, query.sample_step,
-                                run_config, pool)
-        return SmcResult(name=name, verdict="estimate-only", p_hat=None,
-                         ci=None, runs=query.n_runs,
-                         wall_ms=(time.perf_counter() - t0) * 1e3,
-                         seed=cfg.seed,
-                         details={"trajectories": trajectories})
-    if isinstance(query, ConstraintQuery):
-        return check_constraint(network, query, cfg, run_config, name, pool)
-    raise QueryError(f"unsupported query {type(query).__name__}")

@@ -46,8 +46,9 @@ def timed(budget_s):
     return _Timer()
 
 
-def formula(text):
-    return parse_queries(text)[0].query.formula
+def query(text):
+    [nq] = parse_queries(text)
+    return nq.query
 
 
 # --- 1: sign distribution --------------------------------------------------
@@ -112,11 +113,11 @@ def test_timing_suite_all_valid():
     cfg = StatConfig(seed=42, delta_indiff=0.03)
     with timed(120):
         for name in ("R46", "R47", "R48", "R49", "R50"):
-            res = smc.check_constraint(model, suite[name].query, cfg,
-                                       name=name)
-            assert res.observer.verdict == "valid", name
-            assert res.observer.details["p0"] == pytest.approx(0.95)
-            assert res.oracle_verdict == "valid", name
+            res = smc.evaluate_query(model, suite[name].query, cfg,
+                                     name=name)
+            assert res.verdict == "valid", name
+            assert res.details["p0"] == pytest.approx(0.95)
+            assert res.details["oracle_verdict"] == "valid", name
 
 
 # --- 3: worst-case camera-to-recognition latency ---------------------------
@@ -144,9 +145,9 @@ def test_latency_bound_r51():
                      (("source", "cam_start"), ("target", "sign_ready")),
                      lower=CFG.e2e[0], upper=CFG.e2e[1])
     observed = monitors.attach_observer(shipped_model(), c, "CamToReg")
-    res = smc.estimate_probability(
-        observed, formula(f"Pr[<={int(BOUND)}]([] CamToReg.dclk <= {cutoff})"),
-        BOUND, StatConfig(seed=42, epsilon=0.1))
+    res = smc.evaluate_query(
+        observed, query(f"Pr[<={int(BOUND)}]([] CamToReg.dclk <= {cutoff})"),
+        StatConfig(seed=42, epsilon=0.1))
     assert res.p_hat >= 0.99
     lo, hi = res.ci
     assert 0.9 <= lo <= hi <= 1.0
@@ -160,9 +161,9 @@ ONE_SIDED = "Stop.totally_stop && (wvl > wvr || wvr > wvl)"
 def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
     with timed(60):
         unrefined = shipped_model("av_unrefined.sta")
-        res = smc.estimate_probability(
-            unrefined, formula(f"Pr[<={int(BOUND)}](<> ({ONE_SIDED}))"),
-            BOUND, StatConfig(seed=42, epsilon=0.1))
+        res = smc.evaluate_query(
+            unrefined, query(f"Pr[<={int(BOUND)}](<> ({ONE_SIDED}))"),
+            StatConfig(seed=42, epsilon=0.1))
         assert res.p_hat > 0
 
         witness = None
@@ -182,9 +183,9 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
         assert out.stat().st_size > 0
 
         refined = shipped_model()
-        res = smc.hypothesis_test(
-            refined, formula(f"Pr[<={int(BOUND)}]([] !({ONE_SIDED}))"),
-            BOUND, 0.99, StatConfig(seed=42, delta_indiff=0.005))
+        res = smc.evaluate_query(
+            refined, query(f"Pr[<={int(BOUND)}]([] !({ONE_SIDED})) >= 0.99"),
+            StatConfig(seed=42, delta_indiff=0.005))
         assert res.verdict == "valid"
 
 
@@ -193,9 +194,10 @@ def test_unrefined_stops_on_one_side_refined_does_not(tmp_path):
 
 def test_braking_energy_band():
     with timed(60):
-        res = smc.expected_value(shipped_model(), "energy.braking_en",
-                                 BOUND, 100, "max",
-                                 StatConfig(seed=42))
+        res = smc.evaluate_query(
+            shipped_model(),
+            query(f"E[<={int(BOUND)}; 100](max: energy.braking_en)"),
+            StatConfig(seed=42))
     assert 300 <= res.p_hat <= 600
     values = res.details["values"]
     in_band = sum(1 for v in values if 300 <= v <= 600)

@@ -5,7 +5,7 @@ import pytest
 from stamc import expr as E
 from stamc import queries as Q
 from stamc.parser import (ParseError, parse_expression, parse_model,
-                          parse_queries, print_model, print_query)
+                          parse_queries)
 
 PING = """
 int hits = 0;
@@ -84,11 +84,6 @@ def test_parse_error_has_position():
 def test_unexpected_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_model("int x = 0; $")
-
-
-def test_print_model_roundtrip():
-    m = parse_model(PING)
-    assert parse_model(print_model(m)) == m
 
 
 # --- queries ---------------------------------------------------------------
@@ -202,6 +197,33 @@ def test_expected_bound_needs_an_operator():
         parse_queries("E[10; 5](max: x)")
 
 
+@pytest.mark.parametrize("window, message, column", [
+    ("m=1.5, k=2.9", "m must be an integer >= 1", 23),
+    ("m=1, k=2.9", "k must be an integer >= 1", 28),
+    ("m=0, k=2", "m must be an integer >= 1", 23),
+], ids=["m-fraction", "k-fraction", "m-zero"])
+def test_constraint_window_must_be_integers(window, message, column):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_queries(f"constraint periodic({window}, lower=1, upper=2)"
+                      " on occurrence=a;")
+    assert (exc.value.span.line, exc.value.span.column) == (1, column)
+
+
+@pytest.mark.parametrize("text, message, column", [
+    ("constraint endtoend(m=19, k=20, bound=300, lower=10, upper=30)"
+     " on src=a, target=b;", "event 'source' not bound", 3),
+    ("R9: constraint execution(m=3, k=2, lower=1, upper=5)"
+     " on start=a, stop=b;", "need 1 <= m <= k", 7),
+    ("observer Lat endtoend(m=1, k=1, lower=30, upper=10)"
+     " on source=a, target=b;", "need lower <= upper", 3),
+], ids=["unbound-event", "m-above-k", "observer-band"])
+def test_constraint_errors_are_located(text, message, column):
+    # located at the constraint's keyword, on the second line
+    with pytest.raises(ParseError) as exc:
+        parse_queries("Pr[<=5](<> x);\n  " + text, "c.q")
+    assert str(exc.value) == f"c.q:2:{column}: {message}"
+
+
 QUERY_TEXTS = [
     "Pr[<=100](<> hits >= 3);",
     "R9: Pr[<=50]([] x <= 2) >= 0.95 expect valid;",
@@ -213,12 +235,6 @@ QUERY_TEXTS = [
     "observer Lat endtoend(m=19, k=20, lower=10, upper=30)"
     " on source=a, target=b;",
 ]
-
-
-@pytest.mark.parametrize("text", QUERY_TEXTS)
-def test_print_query_roundtrip(text):
-    [nq] = parse_queries(text)
-    assert [nq] == parse_queries(print_query(nq))
 
 
 def test_query_file_without_semicolons():

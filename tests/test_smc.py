@@ -8,8 +8,8 @@ import scipy.stats
 
 from stamc import smc
 from stamc.engine import RunConfig
-from stamc.parser import parse_model, parse_queries
-from stamc.queries import eventually, globally
+from stamc.parser import parse_expression, parse_model, parse_queries
+from stamc.queries import Expected
 from stamc.smc import (Sprt, StatConfig, chernoff_runs, clopper_pearson,
                        evaluate_query)
 
@@ -37,9 +37,9 @@ def coin_model():
     return parse_model(COIN)
 
 
-def heads_formula():
-    return eventually(parse_queries("Pr[<=5](<> heads == 1)")[0]
-                      .query.formula.state_expr)
+def query(text):
+    [nq] = parse_queries(text)
+    return nq.query
 
 
 def test_chernoff_runs():
@@ -89,7 +89,7 @@ def test_sprt_decides_clear_cases():
 
 def test_estimate_probability():
     cfg = StatConfig(seed=7, epsilon=0.05)
-    res = smc.estimate_probability(coin_model(), heads_formula(), 5.0, cfg)
+    res = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"), cfg)
     assert res.verdict == "estimate-only"
     assert res.runs == 738
     assert abs(res.p_hat - 0.3) < 0.05
@@ -98,43 +98,45 @@ def test_estimate_probability():
 
 def test_estimate_capped_is_undecided():
     cfg = StatConfig(seed=7, epsilon=0.05, max_runs=50)
-    res = smc.estimate_probability(coin_model(), heads_formula(), 5.0, cfg)
+    res = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"), cfg)
     assert res.verdict == "undecided"
     assert res.runs == 50
 
 
 def test_hypothesis_clear_accept_and_reject():
     cfg = StatConfig(seed=7)
-    res = smc.hypothesis_test(coin_model(), heads_formula(), 5.0, 0.1, cfg)
+    res = evaluate_query(coin_model(),
+                         query("Pr[<=5](<> heads == 1) >= 0.1"), cfg)
     assert res.verdict == "valid"
-    res = smc.hypothesis_test(coin_model(), heads_formula(), 5.0, 0.6, cfg)
+    res = evaluate_query(coin_model(),
+                         query("Pr[<=5](<> heads == 1) >= 0.6"), cfg)
     assert res.verdict == "invalid"
 
 
 def test_globally_formula_detects_violation():
     cfg = StatConfig(seed=7)
-    f = globally(parse_queries("Pr[<=5]([] done == 0)")[0]
-                 .query.formula.state_expr)
-    res = smc.hypothesis_test(coin_model(), f, 5.0, 0.5, cfg)
+    res = evaluate_query(coin_model(), query("Pr[<=5]([] done == 0) >= 0.5"),
+                         cfg)
     assert res.verdict == "invalid"  # done flips to 1 in every run
 
 
 def test_compare_identical_formulas_is_valid():
     cfg = StatConfig(seed=7)
-    f = heads_formula()
-    res = smc.compare_probabilities(coin_model(), f, 5.0, f, 5.0, cfg)
+    res = evaluate_query(
+        coin_model(),
+        query("Pr[<=5](<> heads == 1) >= Pr[<=5](<> heads == 1)"), cfg)
     assert res.verdict == "valid"
 
 
 def test_compare_detects_strict_ordering():
     cfg = StatConfig(seed=7)
-    f_all = eventually(parse_queries("Pr[<=5](<> done == 1)")[0]
-                       .query.formula.state_expr)
-    res = smc.compare_probabilities(coin_model(), f_all, 5.0,
-                                    heads_formula(), 5.0, cfg)
+    res = evaluate_query(
+        coin_model(),
+        query("Pr[<=5](<> done == 1) >= Pr[<=5](<> heads == 1)"), cfg)
     assert res.verdict == "valid"
-    res = smc.compare_probabilities(coin_model(), heads_formula(), 5.0,
-                                    f_all, 5.0, cfg)
+    res = evaluate_query(
+        coin_model(),
+        query("Pr[<=5](<> heads == 1) >= Pr[<=5](<> done == 1)"), cfg)
     assert res.verdict == "invalid"
     assert res.details["p1_hat"] < res.details["p2_hat"]
 
@@ -153,7 +155,7 @@ system Ramp;
 
 def test_expected_value_of_peak():
     cfg = StatConfig(seed=3)
-    res = smc.expected_value(parse_model(RAMP), "e", 20.0, 30, "max", cfg)
+    res = evaluate_query(parse_model(RAMP), query("E[<=20; 30](max: e)"), cfg)
     assert res.p_hat == pytest.approx(20.0)  # rate 2 for 10 time units
     assert res.verdict == "estimate-only"
     edges, counts = res.histogram
@@ -162,21 +164,24 @@ def test_expected_value_of_peak():
 
 
 def test_expected_value_needs_two_runs():
-    with pytest.raises(smc.QueryError):
-        smc.expected_value(parse_model(RAMP), "e", 20.0, 1, "max",
-                           StatConfig())
+    # the parser rejects E[<=20; 1]; the library checks a direct query too
+    with pytest.raises(smc.QueryError, match="need n_runs >= 2"):
+        evaluate_query(parse_model(RAMP),
+                       Expected(20.0, 1, "max", parse_expression("e")),
+                       StatConfig())
 
 
 def test_simulate_grid_and_events():
     cfg = StatConfig(seed=3)
-    rows_per_run = smc.simulate(parse_model(RAMP), 2, 10.0, ["e"], cfg,
-                                sample_step=1.0)
+    q = replace(query("simulate 2 [<=10] {e}"), sample_step=1.0)
+    rows_per_run = evaluate_query(parse_model(RAMP), q,
+                                  cfg).details["trajectories"]
     assert len(rows_per_run) == 2
     times = [r[0] for r in rows_per_run[0]]
     assert times == sorted(times)
     for g in range(11):
         assert any(t == pytest.approx(g) for t in times)
-    csv = smc.trajectories_to_csv(rows_per_run, ["e"])
+    csv = smc.trajectories_to_csv(rows_per_run, q.exprs)
     assert csv.splitlines()[0] == "run,t,e"
 
 
@@ -188,23 +193,38 @@ def test_histogram_csv_format():
 
 
 def test_worker_pool_matches_inline():
-    f = heads_formula()
-    res1 = smc.estimate_probability(
-        coin_model(), f, 5.0, StatConfig(seed=7, epsilon=0.2, workers=1))
-    res2 = smc.estimate_probability(
-        coin_model(), f, 5.0, StatConfig(seed=7, epsilon=0.2, workers=2))
+    q = query("Pr[<=5](<> heads == 1)")
+    res1 = evaluate_query(coin_model(), q,
+                          StatConfig(seed=7, epsilon=0.2, workers=1))
+    res2 = evaluate_query(coin_model(), q,
+                          StatConfig(seed=7, epsilon=0.2, workers=2))
     assert res1.p_hat == res2.p_hat
     assert res1.runs == res2.runs
 
 
-def test_evaluate_query_dispatch():
-    cfg = StatConfig(seed=7, epsilon=0.2)
-    for text, verdict in [
-        ("Pr[<=5](<> heads == 1)", "estimate-only"),
-        ("Pr[<=5](<> heads == 1) >= 0.1", "valid"),
+def test_evaluate_query_dispatch(task_text):
+    cfg = StatConfig(seed=7, epsilon=0.2, delta_indiff=0.05)
+    for model, text, verdict in [
+        (COIN, "Pr[<=5](<> heads == 1)", "estimate-only"),
+        (COIN, "Pr[<=5](<> heads == 1) >= 0.1", "valid"),
+        (COIN, "Pr[<=5](<> done == 1) >= Pr[<=5](<> heads == 1)", "valid"),
+        (RAMP, "E[<=20; 2](max: e)", "estimate-only"),
+        (RAMP, "simulate 1 [<=10] {e}", "estimate-only"),
+        (task_text, "constraint execution(m=3, k=4, bound=50, lower=0, "
+         "upper=10) on start=start, stop=stop", "valid"),
     ]:
-        q = parse_queries(text)[0].query
-        assert evaluate_query(coin_model(), q, cfg).verdict == verdict
+        res = evaluate_query(parse_model(model), query(text), cfg, name="Q")
+        assert res.verdict == verdict
+        assert (res.name, res.seed) == ("Q", 7)
+        assert res.wall_ms > 0
+    assert res.details["oracle_verdict"] == "valid"  # the constraint's
+    decl = query("observer Lat endtoend(m=1, k=1, lower=1, upper=5) "
+                 "on source=start, target=stop")
+    with pytest.raises(smc.QueryError, match="unsupported query ObserverDecl"):
+        evaluate_query(coin_model(), decl, cfg)
+    with pytest.raises(smc.QueryError, match="need n_runs >= 2"):
+        evaluate_query(parse_model(RAMP),
+                       Expected(20.0, 1, "max", parse_expression("e")), cfg)
 
 
 def test_stat_config_validation():
@@ -221,24 +241,21 @@ def test_stat_config_validation():
 
 
 def without_wall(result):
-    if isinstance(result, smc.ConstraintResult):
-        return replace(result, observer=without_wall(result.observer))
     return replace(result, wall_ms=0.0)
 
 
 def test_library_calls_match_inline_at_two_workers(pools, task_text):
     coin, task = coin_model(), parse_model(task_text)
-    f = heads_formula()
-    f_done = eventually(parse_queries("Pr[<=5](<> done == 1)")[0]
-                        .query.formula.state_expr)
-    cq = parse_queries(
-        "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
-        "on start=start, stop=stop;")[0].query
     calls = [
-        lambda cfg: smc.hypothesis_test(coin, f, 5.0, 0.25, cfg),
-        lambda cfg: smc.compare_probabilities(coin, f, 5.0, f_done, 5.0,
-                                              cfg),
-        lambda cfg: smc.check_constraint(task, cq, cfg, name="K"),
+        lambda cfg: evaluate_query(
+            coin, query("Pr[<=5](<> heads == 1) >= 0.25"), cfg),
+        lambda cfg: evaluate_query(
+            coin, query("Pr[<=5](<> heads == 1) >= Pr[<=5](<> done == 1)"),
+            cfg),
+        lambda cfg: evaluate_query(
+            task, query("constraint execution(m=3, k=4, bound=50, lower=1, "
+                        "upper=5) on start=start, stop=stop;"), cfg,
+            name="K"),
     ]
     for call in calls:
         inline = call(StatConfig(seed=7, delta_indiff=0.05, workers=1))
@@ -252,9 +269,9 @@ def test_library_calls_match_inline_at_two_workers(pools, task_text):
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_sprt_dispatches_at_most_the_look_ahead(pools, workers):
-    res = smc.hypothesis_test(coin_model(), heads_formula(), 5.0, 0.25,
-                              StatConfig(seed=7, delta_indiff=0.02,
-                                         workers=workers))
+    res = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1) >= 0.25"),
+                         StatConfig(seed=7, delta_indiff=0.02,
+                                    workers=workers))
     [pool] = pools
     dispatched = sorted(i for chunk in pool.chunks for i in chunk)
     look_ahead = 2 * workers * smc.RunPool.CHUNK
@@ -268,9 +285,9 @@ def test_decided_test_leaves_no_chunk_queued(pools, monkeypatch):
     # decides
     monkeypatch.setattr(smc.RunPool, "AHEAD", 8)
     cfg = StatConfig(seed=7, delta_indiff=0.02, epsilon=0.2, workers=2)
-    f = heads_formula()
     with smc.RunPool(2) as pool:
-        smc.hypothesis_test(coin_model(), f, 5.0, 0.25, cfg, pool=pool)
+        evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1) >= 0.25"),
+                       cfg, pool=pool)
         [executor] = pools
         futures = list(executor.futures)
         # each chunk is done, cancelled or already with a worker: none is
@@ -278,8 +295,8 @@ def test_decided_test_leaves_no_chunk_queued(pools, monkeypatch):
         assert all(fut.done() or fut.running() for fut in futures)
         done, not_done = wait(futures, timeout=60)
         assert not not_done
-        second = smc.estimate_probability(coin_model(), f, 5.0, cfg,
-                                          pool=pool)
-    inline = smc.estimate_probability(coin_model(), f, 5.0,
-                                      replace(cfg, workers=1))
+        second = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"),
+                                cfg, pool=pool)
+    inline = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"),
+                            replace(cfg, workers=1))
     assert without_wall(second) == without_wall(inline)
