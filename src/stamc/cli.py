@@ -203,8 +203,10 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
     rows = []
     mismatch = False
     # one pool for every query: workers live, and compile each model once,
-    # for the whole call
+    # for the whole call; the queries registered up front share each run
     with smc.RunPool(manifest.workers) as pool:
+        for nq, query in queries:
+            pool.register(model, query, cfg, run_config, nq.name)
         for nq, query in queries:
             row = _run_query(model, nq, query, cfg, run_config, manifest,
                              len(rows), pool)

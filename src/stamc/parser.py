@@ -491,10 +491,11 @@ class _Parser:
         self.expect("[")
         if not self.accept("<="):
             self.expect(">=")  # both spellings denote the simulation horizon
+        span = self.tok.span
         bound = self.number()
         self.expect(close)
         if bound <= 0:
-            raise ParseError("bound must be > 0", self.tok.span)
+            raise ParseError("bound must be > 0", span)
         return bound
 
     def _integer(self, least: int, what: str = "run count") -> int:
@@ -527,9 +528,12 @@ class _Parser:
                 bound2 = self._bound()
                 formula2 = self._path_formula()
                 return Q.Compare(formula, bound, formula2, bound2)
+            span = self.tok.span
             p0 = self.number()
-            if not 0 <= p0 <= 1:
-                raise ParseError("p0 must be within [0, 1]", self.tok.span)
+            # the test weighs p >= p0 + delta against p <= p0 - delta, and
+            # at 0 or 1 one side is empty
+            if not 0 < p0 < 1:
+                raise ParseError("p0 must be within (0, 1)", span)
             return Q.Hypothesis(formula, bound, p0)
         return Q.Estimate(formula, bound)
 
@@ -588,8 +592,9 @@ class _Parser:
         if kind == "end" or kind == "endtoend":
             kind = "endtoend"
         self.expect("(")
-        params = {}
+        params, spans = {}, {}
         while True:
+            spans.setdefault(self.tok.text, self.tok.span)
             key = self.ident("parameter name")
             self.expect("=")
             params[key] = (self._integer(1, key) if key in ("m", "k")
@@ -614,7 +619,7 @@ class _Parser:
         k = params.pop("k", 1)
         if params:
             raise ParseError(f"unknown constraint parameter(s) {sorted(params)}",
-                             self.tok.span)
+                             spans[next(iter(params))])
         try:
             constraint = WhConstraint(kind=kind, m=m, k=k,
                                       bindings=tuple(bindings), **kwargs)

@@ -10,21 +10,33 @@ Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
 hypothesis tests.  Every result records the seed that reproduces it.
 
-Run path: a query is a job, whose module-level judge turns each run's
-trace into an outcome, and a decision rule over the job's outcome stream,
-``RunPool.outcomes``. Estimation counts a fixed number of outcomes; one
-SPRT loop serves hypothesis tests, both routes of a constraint and the
-discordant pairs of ``compare``; extrema and trajectories are listed.
+Run path: a query is one or two jobs, each with a module-level judge
+that turns a run's trace into an outcome, and a decision rule over the
+jobs' outcome streams, ``RunPool.outcomes``. Estimation counts a fixed
+number of outcomes; one SPRT loop serves hypothesis tests, both routes of
+a constraint and the discordant pairs of ``compare``; extrema and
+trajectories are listed.
+
+Sharing: a run is a pure function of (model, seed, run index), and what a
+run watches changes nothing in it. So the jobs of one (model, bound,
+stream seed, run config) share one run stream: each run is simulated once,
+watching the union of the jobs' expressions, every job judges it, and
+only the outcomes are cached. A rule reads the cache first and has the
+stream simulate more runs only past its end. ``check`` registers every
+query with its pool before the first run, so its queries share; a
+constraint's observed model is a network of its own, and its stream
+serves that query alone; a library call is a one-query group. A query's
+``wall_ms`` covers its judging and statistics and the runs it was first
+to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
-call; the queries of the call, and the two streams of a ``compare``,
-share it, and a library call without one opens one for that call. At one
+call, and a library call without one opens one for that call. At one
 worker the runs execute in this process. Otherwise they go to one process
 pool in chunks of 4 run indices, with at most 2 chunks per worker and
 stream in flight, and every process compiles each distinct model once.
 A stream yields outcomes strictly in run-index order, so verdicts and
-estimates do not depend on the worker count; once its rule has decided,
-the stream is closed, which cancels its queued chunks and drops the
+estimates do not depend on the worker count; once a rule has decided,
+its streams are closed, which cancels their queued chunks and drops the
 outcomes of running ones.
 """
 
@@ -35,8 +47,8 @@ import pickle
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager, nullcontext
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import scipy.stats
@@ -193,7 +205,7 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
     return rows
 
 
-# --- worker plumbing -------------------------------------------------------
+# --- shared run streams ----------------------------------------------------
 
 
 def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
@@ -205,52 +217,102 @@ def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
 
 @dataclass
 class _Job:
-    """The runs of one query: each run to ``bound`` is judged by
-    ``judge(trace, *args)``, a module-level function so that jobs pickle."""
+    """What one query reads of a stream's runs: ``judge(trace, *args)`` on
+    each of the first ``n_runs`` runs to ``bound`` of ``model`` from stream
+    ``seed``, watching ``watch``. The judge is a module-level function, so
+    that jobs pickle."""
 
     model: Model
     bound: float
-    watch: tuple  # expression texts
     seed: int
     run_config: RunConfig
+    watch: tuple  # expression texts
+    n_runs: int  # the most runs the query's rule reads
     judge: Callable
     args: tuple
 
 
-def _job(model: Model, bound: float, watch, cfg: StatConfig, run_config,
-         judge, *args) -> _Job:
-    return _Job(model=model, bound=bound, watch=tuple(watch), seed=cfg.seed,
-                run_config=run_config or RunConfig(), judge=judge, args=args)
+def _job(model: Model, bound: float, seed: int, run_config, watch,
+         n_runs: int, judge, *args) -> _Job:
+    return _Job(model=model, bound=bound, seed=seed,
+                run_config=run_config or RunConfig(), watch=tuple(watch),
+                n_runs=n_runs, judge=judge, args=args)
 
 
-def _run_one(job: _Job, net: CompiledNetwork, index: int):
-    rng = RngStream(job.seed, index)
-    trace = run(net, job.bound, rng, watch=job.watch, config=job.run_config)
-    return job.judge(trace, *job.args)
+@dataclass
+class _Runs:
+    """The runs of one stream as they execute: run i goes to ``bound`` from
+    ``RngStream(seed, i)`` watching ``watch``, the union of the jobs'
+    expressions, and each job judges it if i is below its ``n_runs``."""
+
+    bound: float
+    seed: int
+    run_config: RunConfig
+    watch: tuple
+    jobs: tuple  # (judge, args, n_runs)
 
 
-# In a worker process: job key -> (job, compiled network), and model key
-# -> compiled network. A worker serves one pool, so the keys of one check.
-_W_JOBS = {}
+def _run_one(runs: _Runs, net: CompiledNetwork, index: int) -> tuple:
+    """One run's outcome per job; None where a job reads no more runs. The
+    trace is dropped."""
+    trace = run(net, runs.bound, RngStream(runs.seed, index),
+                watch=runs.watch, config=runs.run_config)
+    return tuple(judge(trace, *args) if index < n else None
+                 for judge, args, n in runs.jobs)
+
+
+# In a worker process: stream key -> (its runs, compiled network), and model
+# key -> compiled network. A worker serves one pool, so the keys of one check.
+_W_STREAMS = {}
 _W_NETS = {}
 
 
-def _worker_chunk(indices, job_key, model_key, blob):
-    """Runs ``indices`` of a job in a worker. The job arrives pickled with
-    every chunk and is unpickled, and its model compiled, once."""
-    entry = _W_JOBS.get(job_key)
+def _worker_chunk(indices, stream_key, model_key, blob):
+    """Runs ``indices`` of a stream in a worker. The stream's model and runs
+    arrive pickled with every chunk and are unpickled, and the model
+    compiled, once."""
+    entry = _W_STREAMS.get(stream_key)
     if entry is None:
-        job = pickle.loads(blob)
+        model, runs = pickle.loads(blob)
         net = _W_NETS.get(model_key)
         if net is None:
-            net = _W_NETS[model_key] = CompiledNetwork(instantiate(job.model))
-        entry = _W_JOBS[job_key] = (job, net)
-    job, net = entry
-    return [_run_one(job, net, i) for i in indices]
+            net = _W_NETS[model_key] = CompiledNetwork(instantiate(model))
+        entry = _W_STREAMS[stream_key] = (runs, net)
+    runs, net = entry
+    return [_run_one(runs, net, i) for i in indices]
+
+
+class _Stream:
+    """The runs of one (model, bound, stream seed, run config): each run is
+    simulated once and judged by every job of the stream, and its outcomes
+    are cached, one tuple per run. The jobs are fixed at the first run."""
+
+    def __init__(self, model_key: int, model: Model):
+        self.model_key, self.model = model_key, model
+        self.jobs = []  # a job's place here is its place in each outcome tuple
+        self.runs = None  # the _Runs, set at the first run
+        self.ticket = None  # (stream key, model key, pickled model and runs)
+        self.cache = []  # outcome tuples of runs 0 .. len - 1
+        self.pending = deque()  # futures of the chunks past it, in order
+        self.submitted = 0  # runs cached or pending
+
+    def seal(self) -> _Runs:
+        if self.runs is None:
+            first = self.jobs[0]
+            watch = tuple(dict.fromkeys(k for j in self.jobs for k in j.watch))
+            self.runs = _Runs(first.bound, first.seed, first.run_config, watch,
+                              tuple((j.judge, j.args, j.n_runs)
+                                    for j in self.jobs))
+        return self.runs
 
 
 class RunPool:
     """Where the runs of one check execute; all its queries share it.
+
+    The queries' jobs share one run stream per (model, bound, stream seed,
+    run config): each run is simulated once, judged by every job of its
+    stream, and only the outcomes are cached. A job joins a stream until the
+    stream's first run, so ``check`` registers every query first.
 
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, in chunks of ``CHUNK`` run indices, at most
@@ -265,7 +327,9 @@ class RunPool:
         self.workers = max(1, workers)
         self._models = {}  # id(model) -> (model key, model)
         self._nets = {}  # model key -> compiled network, at one worker
-        self._jobs = 0
+        self._streams = {}  # stream key -> the stream jobs join
+        self._registered = {}  # id(query) -> (query, its lanes)
+        self._sealed = 0  # streams sent to workers
         self._executor = None
         if self.workers > 1:
             # the platform's default start method (fork on Linux): workers
@@ -284,52 +348,86 @@ class RunPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def outcomes(self, job: _Job, total: int):
-        """Yields the outcomes of ``job``'s runs 0 .. total - 1 in run-index
-        order, so they do not depend on the worker count. Closing the
-        stream cancels its chunks still queued and does not wait for
-        running ones, whose outcomes are dropped."""
+    def register(self, model, query, cfg: StatConfig, run_config=None,
+                 name=None):
+        """Joins ``query``'s jobs to their streams ahead of its evaluation
+        by ``evaluate_query`` with the same arguments."""
+        jobs, _ = _form(query)
+        lanes = [self._join(job) for job in
+                 jobs(_coerce_network(model), query, cfg, run_config, name)]
+        self._registered[id(query)] = (query, lanes)
+
+    def _lanes(self, model, query, cfg, run_config, name) -> list:
+        """(stream, place) of each of ``query``'s jobs, registered now if
+        they were not before."""
+        if id(query) not in self._registered:
+            self.register(model, query, cfg, run_config, name)
+        return self._registered.pop(id(query))[1]
+
+    def _join(self, job: _Job) -> tuple:
         # the entry holds the model, so its id is not reused meanwhile
-        key = self._models.setdefault(id(job.model),
-                                      (len(self._models), job.model))[0]
-        if self._executor is None:
-            net = self._nets.get(key)
-            if net is None:
-                net = self._nets[key] = CompiledNetwork(instantiate(job.model))
-            for i in range(total):
-                yield _run_one(job, net, i)
-            return
-        self._jobs += 1
-        ticket = (self._jobs, key, pickle.dumps(job))
-        window = self.AHEAD * self.workers
-        pending = deque()
+        mkey = self._models.setdefault(id(job.model),
+                                       (len(self._models), job.model))[0]
+        key = (mkey, job.bound, job.seed, astuple(job.run_config))
+        stream = self._streams.get(key)
+        if stream is None or stream.runs is not None:
+            stream = self._streams[key] = _Stream(mkey, job.model)
+        stream.jobs.append(job)
+        return stream, len(stream.jobs) - 1
+
+    def outcomes(self, lane):
+        """Yields one job's outcomes of its runs in run-index order, so
+        they do not depend on the worker count: cached ones first, then
+        those of runs its stream simulates for it. Closing it
+        cancels the stream's chunks still queued and drops the outcomes of
+        running ones, so that the chunks sent depend on what the rules
+        read, never on timing."""
+        stream, place = lane
+        total = stream.jobs[place].n_runs
         try:
-            for s in range(0, total, self.CHUNK):
-                if len(pending) == window:
-                    yield from pending.popleft().result()
-                chunk = list(range(s, min(s + self.CHUNK, total)))
-                pending.append(self._executor.submit(_worker_chunk, chunk,
-                                                     *ticket))
-            while pending:
-                yield from pending.popleft().result()
+            for i in range(total):
+                if i >= len(stream.cache):
+                    self._extend(stream, total)
+                yield stream.cache[i][place]
         finally:
-            for future in pending:
+            for future in stream.pending:
                 future.cancel()
+            stream.pending.clear()
+            stream.submitted = len(stream.cache)
+
+    def _extend(self, stream: _Stream, total: int):
+        """Caches the outcomes of at least the stream's next run."""
+        runs = stream.seal()
+        if self._executor is None:
+            net = self._nets.get(stream.model_key)
+            if net is None:
+                net = self._nets[stream.model_key] = CompiledNetwork(
+                    instantiate(stream.model))
+            stream.cache.append(_run_one(runs, net, len(stream.cache)))
+            return
+        if stream.ticket is None:
+            self._sealed += 1
+            stream.ticket = (self._sealed, stream.model_key,
+                             pickle.dumps((stream.model, runs)))
+        while (len(stream.pending) < self.AHEAD * self.workers
+               and stream.submitted < total):
+            chunk = list(range(stream.submitted,
+                               min(stream.submitted + self.CHUNK, total)))
+            stream.pending.append(self._executor.submit(
+                _worker_chunk, chunk, *stream.ticket))
+            stream.submitted = chunk[-1] + 1
+        stream.cache.extend(stream.pending.popleft().result())
 
 
 @contextmanager
-def _streams(pool: Optional[RunPool], cfg: StatConfig, total: int, *jobs):
-    """One outcome stream of ``total`` runs per job, on ``pool`` or on a
-    pool of ``cfg.workers`` opened for this call; all closed on exit."""
-    own = RunPool(cfg.workers) if pool is None else None
-    streams = [(pool or own).outcomes(job, total) for job in jobs]
+def _streams(pool: RunPool, lanes):
+    """One job's outcome stream per lane; all closed on exit."""
+    streams = [pool.outcomes(lane) for lane in lanes]
     try:
         yield streams
     finally:
         for stream in streams:
             stream.close()
-        if own is not None:
-            own.close()
 
 
 def _coerce_network(network) -> Model:
@@ -340,10 +438,10 @@ def _coerce_network(network) -> Model:
     raise QueryError("expected a Model or Network")
 
 
-def _formula_job(model: Model, f: PathFormula, bound: float,
-                 cfg: StatConfig, run_config) -> _Job:
-    return _job(model, bound, [E.to_text(f.state_expr)], cfg, run_config,
-                evaluate_path_formula, f, bound)
+def _formula_job(model: Model, f: PathFormula, bound: float, seed: int,
+                 run_config, n_runs: int) -> _Job:
+    return _job(model, bound, seed, run_config, [E.to_text(f.state_expr)],
+                n_runs, evaluate_path_formula, f, bound)
 
 
 def _sprt(outcomes, p0: float, cfg: StatConfig) -> tuple:
@@ -377,49 +475,65 @@ def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
 
 # --- the form table --------------------------------------------------------
 #
-# One rule per query dataclass: (model, query, cfg, run_config, pool, name)
-# -> SmcResult, with name, seed and wall_ms left to ``evaluate_query``.
+# Two functions per query dataclass: its jobs, (model, query, cfg,
+# run_config, name) -> [_Job], which check the query before any run, and
+# its rule, (query, cfg, streams) -> SmcResult, which reads one outcome
+# stream per job, with name, seed and wall_ms left to ``evaluate_query``.
 
 
-def _estimate(model, q: Estimate, cfg, run_config, pool, name) -> SmcResult:
-    n = chernoff_runs(cfg.alpha, cfg.epsilon)
-    capped = n > cfg.max_runs
-    n = min(n, cfg.max_runs)
-    job = _formula_job(model, q.formula, q.bound, cfg, run_config)
-    with _streams(pool, cfg, n, job) as [outcomes]:
-        successes = sum(1 for ok in outcomes if ok)
+def _estimate_runs(cfg: StatConfig) -> int:
+    return min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
+
+
+def _estimate_jobs(model, q: Estimate, cfg, run_config, name) -> list:
+    return [_formula_job(model, q.formula, q.bound, cfg.seed, run_config,
+                         _estimate_runs(cfg))]
+
+
+def _estimate(q: Estimate, cfg, streams) -> SmcResult:
+    [outcomes] = streams
+    capped = chernoff_runs(cfg.alpha, cfg.epsilon) > cfg.max_runs
+    n = _estimate_runs(cfg)
+    successes = sum(1 for ok in outcomes if ok)
     return _binomial("undecided" if capped else "estimate-only", successes,
                      n, cfg, {"successes": successes})
 
 
-def _hypothesis(model, q: Hypothesis, cfg, run_config, pool,
-                name) -> SmcResult:
+def _hypothesis_jobs(model, q: Hypothesis, cfg, run_config, name) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    job = _formula_job(model, q.formula, q.bound, cfg, run_config)
-    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
-        decision, n, successes = _sprt(outcomes, q.p0, cfg)
+    return [_formula_job(model, q.formula, q.bound, cfg.seed, run_config,
+                         cfg.max_runs)]
+
+
+def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
+    [outcomes] = streams
+    decision, n, successes = _sprt(outcomes, q.p0, cfg)
     return _binomial(decision or "undecided", successes, n, cfg,
                      {"p0": q.p0, "successes": successes})
 
 
-def _compare(model, q: Compare, cfg, run_config, pool, name) -> SmcResult:
+def _compare_jobs(model, q: Compare, cfg, run_config, name) -> list:
+    """Independent run sets for the two formulas: the second stream has its
+    own seed."""
+    budget = _estimate_runs(cfg)
+    return [_formula_job(model, q.formula1, q.bound1, cfg.seed, run_config,
+                         budget),
+            _formula_job(model, q.formula2, q.bound2, cfg.seed + 0x9E3779B9,
+                         run_config, budget)]
+
+
+def _compare(q: Compare, cfg, streams) -> SmcResult:
     """SPRT on discordant pairs of H0: p1 >= p2 (indifference delta).
 
-    Pairs use independent run sets (distinct seed substreams).  Concordant
-    pairs carry no sign information and are skipped.  If the test is still
-    open after the estimation run budget it falls back to the indifference
-    rule on the point estimates: valid when p1_hat + delta >= p2_hat.
+    Concordant pairs carry no sign information and are skipped.  If the
+    test is still open after the estimation run budget it falls back to
+    the indifference rule on the point estimates: valid when
+    p1_hat + delta >= p2_hat.
     """
-    job1 = _formula_job(model, q.formula1, q.bound1, cfg, run_config)
-    job2 = replace(_formula_job(model, q.formula2, q.bound2, cfg, run_config),
-                   seed=cfg.seed + 0x9E3779B9)  # independent substream
-    budget = min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
     pairs = []
-    with _streams(pool, cfg, budget, job1, job2) as [r1, r2]:
-        verdict, discordant, _ = _sprt(
-            (x1 for x1, x2 in _kept(zip(r1, r2), pairs) if x1 != x2), 0.5,
-            cfg)
+    verdict, discordant, _ = _sprt(
+        (x1 for x1, x2 in _kept(zip(*streams), pairs) if x1 != x2), 0.5, cfg)
     n = len(pairs)
     p1_hat = sum(bool(x1) for x1, _ in pairs) / n
     p2_hat = sum(bool(x2) for _, x2 in pairs) / n
@@ -435,15 +549,19 @@ def _compare(model, q: Compare, cfg, run_config, pool, name) -> SmcResult:
                               "discordant": discordant})
 
 
-def _expected(model, q: Expected, cfg, run_config, pool, name) -> SmcResult:
+def _expected_jobs(model, q: Expected, cfg, run_config, name) -> list:
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
     key = E.to_text(q.expr)
-    job = _job(model, q.bound, [key], cfg, run_config, _extremum, key, q.mode)
-    with _streams(pool, cfg, q.n_runs, job) as [outcomes]:
-        values = list(outcomes)
+    return [_job(model, q.bound, cfg.seed, run_config, [key], q.n_runs,
+                 _extremum, key, q.mode)]
+
+
+def _expected(q: Expected, cfg, streams) -> SmcResult:
+    [outcomes] = streams
+    values = list(outcomes)
     import numpy as np
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
@@ -457,22 +575,35 @@ def _expected(model, q: Expected, cfg, run_config, pool, name) -> SmcResult:
         details={"mode": q.mode, "values": values})
 
 
-def _simulate(model, q: Simulate, cfg, run_config, pool, name) -> SmcResult:
-    """Trajectory set in ``details["trajectories"]``: per run, rows
-    (t, v1, ...) on a regular grid plus at every event."""
+def _simulate_jobs(model, q: Simulate, cfg, run_config, name) -> list:
     if q.sample_step is not None and q.sample_step <= 0:
         raise QueryError("need sample_step > 0")
     keys = tuple(E.to_text(e) for e in q.exprs)
-    job = _job(model, q.bound, keys, cfg, run_config, _trajectory, keys,
-               q.bound, q.sample_step)
-    with _streams(pool, cfg, q.n_runs, job) as [outcomes]:
-        trajectories = list(outcomes)
+    return [_job(model, q.bound, cfg.seed, run_config, keys, q.n_runs,
+                 _trajectory, keys, q.bound, q.sample_step)]
+
+
+def _simulate(q: Simulate, cfg, streams) -> SmcResult:
+    """Trajectory set in ``details["trajectories"]``: per run, rows
+    (t, v1, ...) on a regular grid plus at every event."""
+    [outcomes] = streams
+    trajectories = list(outcomes)
     return SmcResult(verdict="estimate-only", p_hat=None, ci=None,
                      runs=q.n_runs, details={"trajectories": trajectories})
 
 
-def _constraint(model, q: ConstraintQuery, cfg, run_config, pool,
-                name) -> SmcResult:
+def _constraint_jobs(model, q: ConstraintQuery, cfg, run_config,
+                     name) -> list:
+    """Runs of the model with the constraint's observer attached: a network
+    of its own, so its stream serves this query alone."""
+    c = q.constraint
+    inst = f"_obs_{name or c.kind}"
+    observed = monitors.attach_observer(model, c, inst)
+    return [_job(observed, q.bound, cfg.seed, run_config, [f"{inst}.fail"],
+                 cfg.max_runs, _routes, c, inst)]
+
+
+def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:
     """Hypothesis test Pr[[] !Obs.fail] >= m/k on the observer route, with
     the independent sliding-window trace oracle tallied on the same runs.
 
@@ -481,15 +612,11 @@ def _constraint(model, q: ConstraintQuery, cfg, run_config, pool,
     when every window of k occurrences holds at least m in-band ones.  The
     two routes agree run by run only when m = k."""
     c = q.constraint
-    inst = f"_obs_{name or c.kind}"
-    observed = monitors.attach_observer(model, c, inst)
     p0 = c.m / c.k
-    job = _job(observed, q.bound, [f"{inst}.fail"], cfg, run_config,
-               _routes, c, inst)
+    [outcomes] = streams
     routes = []
-    with _streams(pool, cfg, cfg.max_runs, job) as [outcomes]:
-        verdict, n, obs_ok = _sprt(
-            (obs for obs, _ in _kept(outcomes, routes)), p0, cfg)
+    verdict, n, obs_ok = _sprt(
+        (obs for obs, _ in _kept(outcomes, routes)), p0, cfg)
     # the oracle's verdict: the same test over the oracle outcomes tallied
     oracle = [orc for _, orc in routes]
     oracle_verdict, _, _ = _sprt(oracle, p0, cfg)
@@ -501,22 +628,34 @@ def _constraint(model, q: ConstraintQuery, cfg, run_config, pool,
 
 # --- the one entry ---------------------------------------------------------
 
-_FORMS = {Estimate: _estimate, Hypothesis: _hypothesis, Compare: _compare,
-          Expected: _expected, Simulate: _simulate,
-          ConstraintQuery: _constraint}
+_FORMS = {Estimate: (_estimate_jobs, _estimate),
+          Hypothesis: (_hypothesis_jobs, _hypothesis),
+          Compare: (_compare_jobs, _compare),
+          Expected: (_expected_jobs, _expected),
+          Simulate: (_simulate_jobs, _simulate),
+          ConstraintQuery: (_constraint_jobs, _constraint)}
+
+
+def _form(query) -> tuple:
+    form = _FORMS.get(type(query))
+    if form is None:
+        raise QueryError(f"unsupported query {type(query).__name__}")
+    return form
 
 
 def evaluate_query(network, query, cfg: StatConfig, run_config=None,
                    name=None, pool: Optional[RunPool] = None) -> SmcResult:
-    """Evaluate one query by its form's rule. Its runs go to ``pool`` when
-    given (``check`` passes the one pool of the whole check), else to a
-    pool of ``cfg.workers`` opened for this call."""
-    rule = _FORMS.get(type(query))
-    if rule is None:
-        raise QueryError(f"unsupported query {type(query).__name__}")
+    """Evaluate one query by its form's rule. Its runs come from ``pool``
+    when given (``check`` passes the one pool of the whole check, with
+    every query registered), else from a pool of ``cfg.workers`` opened
+    for this call."""
+    _, rule = _form(query)
     model = _coerce_network(network)
     t0 = time.perf_counter()
-    result = rule(model, query, cfg, run_config, pool, name)
+    with RunPool(cfg.workers) if pool is None else nullcontext(pool) as p:
+        lanes = p._lanes(model, query, cfg, run_config, name)
+        with _streams(p, lanes) as streams:
+            result = rule(query, cfg, streams)
     result.wall_ms = (time.perf_counter() - t0) * 1e3
     result.name, result.seed = name, cfg.seed
     return result

@@ -321,6 +321,45 @@ def test_check_rows_do_not_depend_on_workers(runner, tmp_path, task_text):
             (rows, trajectories)
 
 
+# every form that reads plain runs, all on one bound
+ONE_BOUND = """\
+H: Pr[<=50](<> n >= 5) >= 0.3;
+P: Pr[<=50](<> n >= 4);
+C: Pr[<=50](<> n >= 5) >= Pr[<=50](<> n >= 4);
+E: E[<=50; 30](max: p);
+S: simulate 3 [<=50] {n, p};
+"""
+
+
+def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
+                                       task_text):
+    runs = []
+    real_run = smc.run
+
+    def counting_run(net, bound, rng, *args, **kwargs):
+        runs.append((id(net), bound, rng.master_seed, rng.run_index))
+        return real_run(net, bound, rng, *args, **kwargs)
+
+    monkeypatch.setattr(smc, "run", counting_run)
+    model, queries = tmp_path / "task.sta", tmp_path / "one_bound.q"
+    model.write_text(task_text)
+    queries.write_text(ONE_BOUND)
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["check", str(model), str(queries), "--seed",
+                               "3", "--epsilon", "0.1", "--indifference",
+                               "0.05", "--workers", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(runs) == len(set(runs))  # no run simulated twice
+    rows = {r["name"]: r for r in
+            json.loads((out / "results.json").read_text())["results"]}
+    # two streams: the seed's, which every query reads, and compare's own
+    first = [r for r in runs if r[2] == 3]
+    second = [r for r in runs if r[2] != 3]
+    assert len({r[:3] for r in first}) == len({r[:3] for r in second}) == 1
+    assert len(first) == max(r["runs"] for r in rows.values()) == 185
+    assert len(second) == rows["C"]["runs"]
+
+
 def test_check_engine_error_in_a_worker_exits_3(runner, tmp_path, pools):
     m = tmp_path / "bad_update.sta"
     m.write_text(SMALL.replace("update heads := 1;", "update heads := 2.5;"))

@@ -678,23 +678,51 @@ def test_observers_do_not_perturb_trajectories():
     model = parse_model((MODELS / "av.sta").read_text())
     queries = {q.name: q.query for q in
                parse_queries((MODELS / "requirements.q").read_text())}
-    observed = model
-    for name in ("R46", "R48", "R50"):
+    observed = monitors.attach_observer(
+        model, queries["CamToReg"].constraint, "CamToReg")
+    observers = {"CamToReg"}
+    for name in ("R46", "R47", "R48", "R49", "R50"):
         observed = monitors.attach_observer(
             observed, queries[name].constraint, f"_obs_{name}")
+        observers.add(f"_obs_{name}")
     plain_net, observed_net = instantiate(model), instantiate(observed)
     watch = ["wvl", "wvr", "mode", "energy.Con_en", "(wvl + wvr) / 2"]
     config = RunConfig(h_max=10.0)
-    observer_events = 0
+    observer_events = set()
     for i in range(30):
         plain = run(plain_net, 3000, RngStream(42, i), watch, config)
         seen = run(observed_net, 3000, RngStream(42, i), watch, config)
-        kept = [e for e in seen.events
-                if not e.component.startswith("_obs_")]
-        observer_events += len(seen.events) - len(kept)
+        kept = [e for e in seen.events if e.component not in observers]
+        observer_events.update(e.component for e in seen.events
+                               if e.component in observers)
         assert [(e.time, e.component, e.edge, e.watch_pre, e.watch)
                 for e in kept] == \
             [(e.time, e.component, e.edge, e.watch_pre, e.watch)
              for e in plain.events]
         assert (seen.end_time, seen.final) == (plain.end_time, plain.final)
-    assert observer_events > 0
+    assert observer_events == observers  # every observer moved
+
+
+def test_watching_more_expressions_changes_nothing_watched_before():
+    """A run watching a superset of expressions has the same events and
+    the same values of the original expressions: the property that lets
+    the queries of one check share each run."""
+    network = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    watch = ["wvl", "(wvl + wvr) / 2"]
+    more = ["mode", *watch, "energy.braking_en", "Stop.totally_stop",
+            "Camera.cam_en <= 3"]
+    config = RunConfig(h_max=10.0)
+
+    def seen(trace, keys):
+        return ([(e.time, e.component, e.edge, e.channel,
+                  {k: e.watch_pre[k] for k in keys},
+                  {k: e.watch[k] for k in keys}) for e in trace.events],
+                {k: trace.initial[k] for k in keys},
+                {k: trace.final[k] for k in keys},
+                trace.end_time, trace.end_reason)
+
+    for i in range(30):
+        few = run(network, 3000, RngStream(42, i), watch, config)
+        many = run(network, 3000, RngStream(42, i), more, config)
+        assert set(many.initial) == set(more)
+        assert seen(many, watch) == seen(few, watch)

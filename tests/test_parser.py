@@ -224,6 +224,21 @@ def test_constraint_errors_are_located(text, message, column):
     assert str(exc.value) == f"c.q:2:{column}: {message}"
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("Pr[<=0]([] x)", "bound must be > 0", 6),
+    ("Pr[<=10]([] x) >= 1.5 expect valid", "p0 must be within (0, 1)", 19),
+    ("Pr[<=10](<> x > 0) >= 1", "p0 must be within (0, 1)", 23),
+    ("Pr[<=10](<> x > 0) >= 0;", "p0 must be within (0, 1)", 23),
+    ("constraint periodic(m=1, k=1, phase=3) on occurrence=a;",
+     "unknown constraint parameter(s) ['phase']", 31),
+], ids=["zero-bound", "p0-above-one", "p0-one", "p0-zero",
+        "unknown-parameter"])
+def test_value_errors_point_at_the_value(text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse_queries(text, "v.q")
+    assert str(exc.value) == f"v.q:1:{column}: {message}"
+
+
 QUERY_TEXTS = [
     "Pr[<=100](<> hits >= 3);",
     "R9: Pr[<=50]([] x <= 2) >= 0.95 expect valid;",

@@ -300,3 +300,31 @@ def test_decided_test_leaves_no_chunk_queued(pools, monkeypatch):
     inline = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"),
                             replace(cfg, workers=1))
     assert without_wall(second) == without_wall(inline)
+
+
+def test_registered_queries_share_runs_and_late_ones_start_afresh(
+        monkeypatch):
+    coin = coin_model()
+    cfg = StatConfig(seed=7, delta_indiff=0.05, epsilon=0.2)
+    texts = ["Pr[<=5](<> heads == 1) >= 0.25", "Pr[<=5](<> heads == 1)",
+             "E[<=5; 30](max: heads)"]
+    alone = [without_wall(evaluate_query(coin, query(t), cfg))
+             for t in texts]
+    runs = []
+    real_run = smc.run
+
+    def counting_run(net, bound, rng, *args, **kwargs):
+        runs.append(rng.run_index)
+        return real_run(net, bound, rng, *args, **kwargs)
+
+    monkeypatch.setattr(smc, "run", counting_run)
+    with smc.RunPool(1) as pool:
+        shared = [query(t) for t in texts]
+        for q in shared[:2]:
+            pool.register(coin, q, cfg)
+        # the third joins after the stream's first run: a stream of its own
+        results = [without_wall(evaluate_query(coin, q, cfg, pool=pool))
+                   for q in shared]
+    assert results == alone
+    first = max(r.runs for r in results[:2])
+    assert runs == list(range(first)) + list(range(30))
