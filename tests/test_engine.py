@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pathlib
@@ -726,3 +727,27 @@ def test_watching_more_expressions_changes_nothing_watched_before():
         many = run(network, 3000, RngStream(42, i), more, config)
         assert set(many.initial) == set(more)
         assert seen(many, watch) == seen(few, watch)
+
+
+# Pinned at a commit whose engine kept V and L as dicts keyed by name; an
+# engine refactor that changes no float operation and no random draw keeps
+# it. Never regenerate it to make a change pass.
+RUN_DIGEST = ("0256a8893e9641d4e9c0fad942820e4b"
+              "a26a3d73c6969dc94f36fe56f826e776")
+
+
+def test_vehicle_runs_match_the_pinned_digest():
+    """Events, watched values, ends and finals of 20 ``av.sta`` and 10
+    ``av_unrefined.sta`` runs hash to one pinned constant."""
+    watch = ["(wvl + wvr) / 2", "energy.Con_en", "mode"]
+    config = RunConfig(h_max=10.0)
+    h = hashlib.sha256()
+    for name, n in (("av.sta", 20), ("av_unrefined.sta", 10)):
+        network = instantiate(parse_model((MODELS / name).read_text()))
+        for i in range(n):
+            tr = run(network, 3000, RngStream(42, i), watch, config)
+            for e in tr.events:
+                h.update(repr((e.time, e.component, e.edge, e.channel,
+                               e.watch_pre, e.watch)).encode())
+            h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
+    assert h.hexdigest() == RUN_DIGEST
