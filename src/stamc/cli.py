@@ -16,7 +16,7 @@ from typing import Optional
 import click
 
 from . import monitors, parser, smc
-from .engine import EngineError, RunConfig
+from .engine import EngineError, RunConfig, check_bound
 from .expr import ExprError, names
 from .model import instantiate, resolver, validate_model
 from .parser import ParseError
@@ -175,6 +175,8 @@ def _write_with_manifest(path, manifest, body):
 def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
     cfg = _stat_config(manifest)
     run_config = RunConfig(h_max=manifest.h_max)
+    if manifest.bound_override is not None:
+        check_bound(manifest.bound_override)
     os.makedirs(manifest.out, exist_ok=True)
     # observers first: later queries may reference their locations/clocks
     for nq in named:

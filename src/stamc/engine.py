@@ -10,25 +10,37 @@ Determinism contract: a run is a pure function of (model, master seed, run
 index).  Each run owns its RngStream and its mutable state; nothing is
 shared, so runs can execute on any number of workers.
 
-Hot path.  Every guard, invariant, rate and update is compiled once to a
-``lambda V, L`` closure (:func:`stamc.expr.compile_expr`).  Guards,
-invariants and their clock atoms also get a probe closure
-``lambda V, L, R, dt`` (:func:`stamc.expr.compile_probe`) that reads each
-clock as ``V[k] + R[k] * dt``: window search evaluates them ``dt`` ahead
-under the current rates without copying ``V``.  Each location's rates are
-split at compile time into clock-free rates, which advance their clock
-exactly by ``rate * dt``, and clock-reading rates, which are integrated
-jointly on float lists.  When the clock-reading rates are affine in clocks
-that all move at constant rates, they are linear in time over a delay and
-one midpoint step ``y + f(dt / 2) * dt`` integrates them exactly; otherwise
-fixed-step RK4 takes ``ceil(dt / h_max)`` steps.
+Hot path.  The state is two lists: ``V`` holds one slot per value key and
+``L`` one location id per component.  Every guard, invariant, rate, update
+and watched expression is compiled once to a ``lambda V, L`` closure over
+integer slots, such as ``V[3] > 2 and L[2] == 'idle'``
+(:func:`stamc.expr.compile_expr`).  Guards, invariants and their clock
+atoms also get a probe closure ``lambda V, L, R, dt``
+(:func:`stamc.expr.compile_probe`) that reads each clock as
+``V[3] + R[3] * dt``: window search evaluates them ``dt`` ahead under the
+current rates without copying ``V``.
+
+Each location configuration gets one step table, built the first time the
+network enters it.  It lists the committed components; the actors, which
+are the components with an internal or emitting edge or an invariant; the
+receive edges per channel; and the rate plan.  A component with neither
+draws no delay and caps none, so a step races only the actors, and a sync
+looks its receivers up by channel.  The rate plan splits the rates
+into clock-free rates, which advance their clock exactly by ``rate * dt``,
+and clock-reading rates, which are integrated jointly on float lists.  A
+delay reuses the rates its step evaluated for window search.  When the
+clock-reading rates are affine in clocks that all move at constant rates,
+they are linear in time over a delay and one midpoint step
+``y + f(dt / 2) * dt`` integrates them exactly; otherwise fixed-step RK4
+takes ``ceil(dt / h_max)`` steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, as copying ``V`` per probe and integrating with numpy
 arrays (the midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  Runs are bit-identical
 to that straightforward form, which ``tests/test_engine.py`` keeps as its
-reference.  Only runs through a stepped plan depend on ``h_max``.
+reference, next to a digest of 30 vehicle runs.  Only runs through a
+stepped plan depend on ``h_max``.
 """
 
 from __future__ import annotations
@@ -132,25 +144,25 @@ class RunConfig:
 
 
 class _CompiledEdge:
-    __slots__ = ("label", "source", "target", "guard", "guard_probe",
-                 "guard_atoms", "sync", "weight", "updates")
+    __slots__ = ("label", "target", "guard", "guard_probe", "guard_atoms",
+                 "sync", "binary", "weight", "updates")
 
-    def __init__(self, label, source, target, guard, guard_probe, guard_atoms,
-                 sync, weight, updates):
+    def __init__(self, label, target, guard, guard_probe, guard_atoms, sync,
+                 binary, weight, updates):
         self.label = label
-        self.source = source
         self.target = target
         self.guard = guard  # compiled or None
         self.guard_probe = guard_probe  # probe form of guard, or None
         self.guard_atoms = guard_atoms  # [(lhs - rhs fn, its probe form)]
         self.sync = sync
+        self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
-        self.updates = updates  # list[(key, fn, vtype)]
+        self.updates = updates  # list[(slot, fn, vtype)]
 
 
 class _CompiledLocation:
     __slots__ = ("id", "committed", "invariant", "inv_probe", "inv_atoms",
-                 "rates", "affine", "exit_rate")
+                 "rates", "affine", "exit_rate", "active", "receive")
 
     def __init__(self, id, committed, invariant, inv_probe, inv_atoms, rates,
                  affine, exit_rate):
@@ -159,46 +171,69 @@ class _CompiledLocation:
         self.invariant = invariant
         self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
-        self.rates = rates  # [(clock key, fn, clock keys the rate reads)]
+        self.rates = rates  # [(clock slot, fn, clock slots the rate reads)]
         self.affine = affine  # every rate is affine in clocks
         self.exit_rate = exit_rate
+        self.active = []  # outgoing edges that are internal or emit
+        self.receive = {}  # channel -> outgoing receive edges
 
 
 class _RatePlan:
     """How clocks advance while the network sits in one location
-    configuration: the clock-free rates, the clocks left at rate 1, and the
-    clock-reading rates that are integrated.  The plan is ``exact`` when
-    those rates read only constant-rate clocks and are affine in them: they
-    are then linear in time over a delay."""
+    configuration: the clocks that advance at a constant rate (a clock-free
+    rate, or 1), and the clock-reading rates that are integrated.  A clock
+    that two components rate takes the later one's rate.  The plan is
+    ``exact`` when the integrated rates read only constant-rate clocks and
+    are affine in them: they are then linear in time over a delay."""
 
-    __slots__ = ("rates", "const", "unit", "coupled", "stage_const",
-                 "stage_y", "exact")
+    __slots__ = ("rates", "advanced", "coupled", "stage_const", "stage_y",
+                 "exact")
 
-    def __init__(self, clock_keys, locations):
-        self.rates = []  # every rate fn, in component order
-        self.const = []  # clock-free rate fns
-        coupled = {}  # clock key -> (fn, clock keys it reads)
+    def __init__(self, clock_slots, locations):
+        rates = {}  # clock slot -> (fn, clock slots it reads)
         for loc in locations:
-            for key, fn, reads in loc.rates:
-                self.rates.append((key, fn))
-                if reads:
-                    coupled[key] = (fn, reads)
-                else:
-                    self.const.append((key, fn))
-        const_keys = dict(self.const)
-        self.unit = [key for key in clock_keys
-                     if key not in coupled and key not in const_keys]
-        self.coupled = [(key, fn) for key, (fn, _) in coupled.items()]
+            for slot, fn, reads in loc.rates:
+                rates[slot] = (fn, reads)
+        self.rates = [(slot, fn) for slot, (fn, _) in rates.items()]
+        coupled = {slot: fn for slot, (fn, reads) in rates.items() if reads}
+        # advanced by rate * dt: clock-free rates, then clocks at rate 1
+        self.advanced = ([slot for slot in rates if slot not in coupled]
+                         + [slot for slot in clock_slots if slot not in rates])
+        self.coupled = list(coupled.items())
         read = set()
-        for _, reads in coupled.values():
-            read |= reads
+        for slot in coupled:
+            read |= rates[slot][1]
         # what the coupled rates read inside an RK4 stage: clocks that
         # advance at a constant rate, and positions of integrated clocks
-        self.stage_const = [key for key in list(const_keys) + self.unit
-                            if key in read and key not in coupled]
-        self.stage_y = [(i, key) for i, key in enumerate(coupled)
-                        if key in read]
+        self.stage_const = [slot for slot in self.advanced if slot in read]
+        self.stage_y = [(i, slot) for i, slot in enumerate(coupled)
+                        if slot in read]
         self.exact = not self.stage_y and all(loc.affine for loc in locations)
+
+
+class _StepTable:
+    """What a step needs in one location configuration: the committed
+    components, the actors, the receive edges per channel and the rate
+    plan.  An actor is a component that can fire or whose invariant caps
+    the delay; one with neither draws nothing and caps nothing, so the
+    delay race leaves it out.  Components come as (component, location)
+    pairs, in component order."""
+
+    __slots__ = ("committed", "actors", "receivers", "plan")
+
+    def __init__(self, net, config):
+        located = [(cc, cc.locations[loc_id])
+                   for cc, loc_id in zip(net.components, config)]
+        self.committed = [(cc, loc) for cc, loc in located if loc.committed]
+        self.actors = [(cc, loc) for cc, loc in located
+                       if not loc.committed
+                       and (loc.active or loc.invariant is not None)]
+        self.receivers = {}  # channel -> [(component, its receive edges)]
+        for cc, loc in located:
+            for ch, edges in loc.receive.items():
+                self.receivers.setdefault(ch, []).append((cc, edges))
+        self.plan = _RatePlan(net.clock_slots,
+                              [loc for _, loc in located if not loc.committed])
 
 
 _BOOLEAN_OPS = ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "imply")
@@ -216,120 +251,131 @@ def _affine_rate(e, is_clock) -> bool:
 
 
 class _CompiledComponent:
-    __slots__ = ("name", "index", "initial", "locations", "out_active",
-                 "out_receive", "init_values")
+    __slots__ = ("name", "index", "initial", "locations")
 
     def __init__(self, name, index, initial):
         self.name = name
-        self.index = index
+        self.index = index  # its slot in L
         self.initial = initial
         self.locations = {}  # loc id -> _CompiledLocation
-        self.out_active = {}  # loc id -> [edges] (internal or emitting)
-        self.out_receive = {}  # loc id -> {channel: [edges]}
-        self.init_values = []  # [(key, value, vtype)] for locals
 
 
 class CompiledNetwork:
-    """A network lowered to closures, ready to simulate."""
+    """A network lowered to closures over slots, ready to simulate: ``V``
+    holds one slot per value key, in ``value_types`` order, and ``L`` one
+    location id per component."""
 
     def __init__(self, network: Network):
         self.network = network
         model = network.model
-        self.broadcast = {c.name: c.broadcast for c in model.channels}
+        broadcast = {c.name: c.broadcast for c in model.channels}
         self.var_types = value_types(network)  # value key -> type
-        self.clock_keys = [key for key, vtype in self.var_types.items()
-                           if vtype == "clock"]
-        self._global_init = [(d.name, d.init, d.type) for d in model.decls]
+        self.keys = list(self.var_types)  # slot -> value key
+        self.slots = {key: i for i, key in enumerate(self.keys)}
+        self.clock_slots = [self.slots[key] for key, vtype
+                            in self.var_types.items() if vtype == "clock"]
+        self._init = [(self.slots[d.name], d.init, d.type)
+                      for d in model.decls]
+        self._comp_slots = {comp.name: i
+                            for i, comp in enumerate(network.components)}
         self.components = []
-        self._rate_plans = {}  # tuple of location ids -> _RatePlan
+        self._tables = {}  # location configuration -> _StepTable
         self._watches = {}  # watch tuple -> compiled watch list
-        self.query_resolver = resolver(network)
+        self.query_resolver = self._slotted(resolver(network))
 
         for index, comp in enumerate(network.components):
             cc = _CompiledComponent(comp.name, index, comp.template.initial)
             resolve = resolver(network, comp)
-            cc.init_values = [(f"{comp.name}.{d.name}", d.init, d.type)
-                              for d in comp.template.decls]
+            slotted = self._slotted(resolve)
+            self._init += [(self.slots[f"{comp.name}.{d.name}"], d.init,
+                            d.type) for d in comp.template.decls]
 
             def is_clock(name: str) -> bool:
                 return self.var_types.get(value_key(resolve, name)) == "clock"
 
-            def resolved_clock_refs(e) -> frozenset:
-                return frozenset(value_key(resolve, n) for n in E.names(e)
-                                 if is_clock(n))
+            def clock_refs(e) -> frozenset:
+                return frozenset(self.slots[value_key(resolve, n)]
+                                 for n in E.names(e) if is_clock(n))
 
             for loc in comp.template.locations:
-                inv, inv_probe, inv_atoms = self._compile_window(
-                    loc.invariant, resolve, resolved_clock_refs)
                 rates = {}
                 for clk, rate_expr in loc.rates:
-                    key = resolve(clk)[1]
-                    rates[key] = (E.compile_expr(rate_expr, resolve),
-                                  resolved_clock_refs(rate_expr))
+                    rates[self.slots[resolve(clk)[1]]] = (
+                        E.compile_expr(rate_expr, slotted),
+                        clock_refs(rate_expr))
                 cc.locations[loc.id] = _CompiledLocation(
-                    loc.id, loc.kind == "committed", inv, inv_probe, inv_atoms,
-                    [(key, fn, reads) for key, (fn, reads) in rates.items()],
+                    loc.id, loc.kind == "committed",
+                    *self._compile_window(loc.invariant, slotted, clock_refs),
+                    [(slot, fn, reads) for slot, (fn, reads) in rates.items()],
                     all(_affine_rate(e, is_clock) for _, e in loc.rates),
                     loc.exit_rate)
-                cc.out_active[loc.id] = []
-                cc.out_receive[loc.id] = {}
 
             for i, edge in enumerate(comp.template.edges):
-                guard, guard_probe, atoms = self._compile_window(
-                    edge.guard, resolve, resolved_clock_refs)
                 updates = []
                 for name, rhs in edge.updates:
                     key = resolve(name)[1]
-                    updates.append((key, E.compile_expr(rhs, resolve),
+                    updates.append((self.slots[key],
+                                    E.compile_expr(rhs, slotted),
                                     self.var_types[key]))
+                sync = edge.sync
+                binary = (sync.channel if sync is not None
+                          and sync.direction == "emit"
+                          and not broadcast.get(sync.channel, True) else None)
                 ce = _CompiledEdge(
-                    f"{edge.source}->{edge.target}#{i}", edge.source,
-                    edge.target, guard, guard_probe, atoms, edge.sync,
-                    edge.weight, updates)
-                if edge.sync is not None and edge.sync.direction == "receive":
-                    cc.out_receive[edge.source].setdefault(
-                        edge.sync.channel, []).append(ce)
+                    f"{edge.source}->{edge.target}#{i}", edge.target,
+                    *self._compile_window(edge.guard, slotted, clock_refs),
+                    sync, binary, edge.weight, updates)
+                source = cc.locations[edge.source]
+                if sync is not None and sync.direction == "receive":
+                    source.receive.setdefault(sync.channel, []).append(ce)
                 else:
-                    cc.out_active[edge.source].append(ce)
+                    source.active.append(ce)
             self.components.append(cc)
 
-    def _compile_window(self, boolean_expr, resolve, refs_clocks):
+    def _slotted(self, resolve):
+        """``resolve`` with each value key and component name replaced by
+        its slot in ``V`` or ``L``."""
+        slots, comp_slots = self.slots, self._comp_slots
+
+        def resolve_slot(name: str):
+            kind, *rest = resolve(name)
+            if kind == "var":
+                return kind, slots[rest[0]]
+            if kind == "loc":
+                return kind, comp_slots[rest[0]], rest[1]
+            return (kind, *rest)
+
+        return resolve_slot
+
+    def _compile_window(self, boolean_expr, resolve, clock_refs):
         """(predicate, its probe, [(lhs - rhs, its probe)] for each
         clock-bearing atom) of a guard or invariant; (None, None, []) for
         an absent one."""
         if boolean_expr is None:
             return None, None, []
-        clocks = frozenset(self.clock_keys)
+        clocks = frozenset(self.clock_slots)
         atoms = []
         for atom in E.comparison_atoms(boolean_expr):
-            if refs_clocks(atom.left) or refs_clocks(atom.right):
+            if clock_refs(atom.left) or clock_refs(atom.right):
                 diff = E.Binary("-", atom.left, atom.right)
                 atoms.append((E.compile_expr(diff, resolve),
                               E.compile_probe(diff, resolve, clocks)))
         return (E.compile_expr(boolean_expr, resolve),
                 E.compile_probe(boolean_expr, resolve, clocks), atoms)
 
-    def rate_plan(self, L) -> _RatePlan:
-        """The rate plan of location configuration ``L``, built once."""
-        config = tuple(L.values())
-        plan = self._rate_plans.get(config)
-        if plan is None:
-            locations = [cc.locations[L[cc.name]] for cc in self.components]
-            plan = self._rate_plans[config] = _RatePlan(
-                self.clock_keys,
-                [loc for loc in locations if not loc.committed])
-        return plan
+    def step_table(self, L) -> _StepTable:
+        """The step table of location configuration ``L``, built once."""
+        config = tuple(L)
+        table = self._tables.get(config)
+        if table is None:
+            table = self._tables[config] = _StepTable(self, config)
+        return table
 
     def initial_state(self) -> "State":
-        V = {}
-        L = {}
-        for key, value, vtype in self._global_init:
-            V[key] = self._coerce(value, vtype)
-        for cc in self.components:
-            L[cc.name] = cc.initial
-            for key, value, vtype in cc.init_values:
-                V[key] = self._coerce(value, vtype)
-        return State(V, L, 0.0)
+        V = [None] * len(self.slots)
+        for slot, value, vtype in self._init:
+            V[slot] = self._coerce(value, vtype)
+        return State(V, [cc.initial for cc in self.components], 0.0)
 
     @staticmethod
     def _coerce(value, vtype):
@@ -361,8 +407,8 @@ class CompiledNetwork:
 
 @dataclass
 class State:
-    V: dict  # value key -> number
-    L: dict  # component name -> location id
+    V: list  # value slot -> number
+    L: list  # component index -> location id
     time: float
 
 
@@ -377,15 +423,17 @@ class Simulator:
         self.config = config or RunConfig()
         self.state = net.initial_state()
         self.watch = net.compile_watch(watch)
+        self._receiving = {}  # receive edges per channel in this step
 
     # -- expression probing under linear clock extrapolation --
 
-    def _current_rates(self) -> dict:
-        """Numeric rate per clock at the current state (linear probe basis)."""
+    def _current_rates(self, plan) -> list:
+        """Numeric rate per clock slot at the current state (linear probe
+        basis); 1 at every other slot."""
         V, L = self.state.V, self.state.L
-        rates = dict.fromkeys(self.net.clock_keys, 1.0)
-        for key, fn in self.net.rate_plan(L).rates:
-            rates[key] = float(fn(V, L))
+        rates = [1.0] * len(V)
+        for slot, fn in plan.rates:
+            rates[slot] = float(fn(V, L))
         return rates
 
     def _earliest(self, pred, probe, atoms, rates, horizon: float,
@@ -417,9 +465,8 @@ class Simulator:
                 return t
         return None
 
-    def _invariant_deadline(self, cc, rates) -> float:
+    def _invariant_deadline(self, cc, loc, rates) -> float:
         """Latest delay the location invariant allows (inf if unbounded)."""
-        loc = cc.locations[self.state.L[cc.name]]
         if loc.invariant is None:
             return INF
         if not bool(loc.invariant(self.state.V, self.state.L)):
@@ -429,30 +476,26 @@ class Simulator:
                            rates, INF, False)
         return INF if t is None else t
 
-    def _edge_window_start(self, edge, rates, horizon: float):
-        if edge.guard is None:
-            return 0.0
-        return self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
-                              rates, horizon, True)
-
-    def sample_delay(self, comp_index: int, rates: dict, deadline: float):
-        """Sojourn delay for one component in a location that is not
-        committed, or None if it cannot act.
+    def sample_delay(self, cc, loc, rates: list, deadline: float):
+        """Sojourn delay for component ``cc`` in ``loc``, a location that is
+        not committed, or None if it cannot act.
 
         Uniform[L, U] when the invariant bounds the sojourn, otherwise
         L + Exponential(exit-rate, default 1); U is ``deadline``, the
         component's invariant deadline under ``rates``.
         """
-        cc = self.net.components[comp_index]
-        loc = cc.locations[self.state.L[cc.name]]
         starts = []
-        for edge in cc.out_active[loc.id]:
-            if self._emit_blocked(cc, edge):
+        for edge in loc.active:
+            if edge.binary is not None and self._emit_blocked(cc, edge):
                 # receiver locations are frozen until the next event, so
                 # skip it (clock-guarded receivers opening mid-sojourn are
                 # ignored)
                 continue
-            s = self._edge_window_start(edge, rates, deadline)
+            if edge.guard is None:
+                starts.append(0.0)
+                continue
+            s = self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
+                               rates, deadline, True)
             if s is not None:
                 starts.append(s)
         if not starts:
@@ -464,9 +507,12 @@ class Simulator:
 
     # -- integration --
 
-    def advance_time(self, dt: float) -> None:
+    def advance_time(self, dt: float, rates: list) -> None:
         """Advance all clocks by dt under the current location rates.
 
+        ``rates`` are what :meth:`_current_rates` gave in this location
+        configuration, which a step evaluates once for window search and
+        passes on: a clock-free rate reads no clock, so no delay changes it.
         Clocks whose rate does not reference other clocks advance exactly
         by rate*dt; the rest are integrated jointly by :meth:`_integrate`.
         """
@@ -476,42 +522,42 @@ class Simulator:
             dt = 0.0  # rounding residue from a boundary nudge
         if dt == 0.0:
             return
-        V, L = self.state.V, self.state.L
-        plan = self.net.rate_plan(L)
-        rates = {}
-        for key, fn in plan.const:
-            rates[key] = float(fn(V, L))
-        for key in plan.unit:
-            rates[key] = 1.0
-        base = [V[key] for key in rates]
+        V = self.state.V
+        plan = self.net.step_table(self.state.L).plan
+        base = [V[slot] for slot in plan.advanced]
         if plan.coupled:
             self._integrate(plan, rates, dt)
-        for (key, r), b in zip(rates.items(), base):
+        for slot, b in zip(plan.advanced, base):
+            r = rates[slot]
             if not math.isfinite(r):
-                raise EngineError(f"rate of {key!r} is not finite")
-            V[key] = b + r * dt
+                raise EngineError(
+                    f"rate of {self.net.keys[slot]!r} is not finite")
+            V[slot] = b + r * dt
         self.state.time += dt
 
     def _integrate(self, plan, rates, dt: float) -> None:
         """Integrate the clocks whose rates read clocks over dt: in one
         midpoint step on an exact plan, otherwise by fixed-step RK4."""
         V, L = self.state.V, self.state.L
-        ykeys = [key for key, _ in plan.coupled]
+        yslots = [slot for slot, _ in plan.coupled]
         fns = [fn for _, fn in plan.coupled]
-        y = [V[key] for key in ykeys]
-        stage_const = [(key, V[key], rates[key]) for key in plan.stage_const]
+        y = [V[slot] for slot in yslots]
+        stage_const = [(slot, V[slot], rates[slot])
+                       for slot in plan.stage_const]
         stage_y = plan.stage_y
 
         def f(t_off, yvals):
-            for key, b, r in stage_const:
-                V[key] = b + r * t_off
-            for i, key in stage_y:
-                V[key] = yvals[i]
+            for slot, b, r in stage_const:
+                V[slot] = b + r * t_off
+            for i, slot in stage_y:
+                V[slot] = yvals[i]
             out = []
-            for key, fn in zip(ykeys, fns):
+            for slot, fn in zip(yslots, fns):
                 v = float(fn(V, L))
                 if not math.isfinite(v):
-                    raise EngineError(f"rate of {key!r} is not finite")
+                    raise EngineError(
+                        f"rate of {self.net.keys[slot]!r} is not "
+                        "finite")
                 out.append(v)
             return out
 
@@ -531,39 +577,37 @@ class Simulator:
                 y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
                      for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
                 t += h
-        for key, val in zip(ykeys, y):
-            V[key] = val
+        for slot, val in zip(yslots, y):
+            V[slot] = val
 
     # -- firing --
 
-    def _enabled_edges(self, cc) -> list:
-        """The active edges of ``cc`` that can fire now."""
+    def _enabled_edges(self, cc, loc) -> list:
+        """The active edges of ``cc`` in ``loc`` that can fire now."""
         V, L = self.state.V, self.state.L
         enabled = []
-        for edge in cc.out_active[L[cc.name]]:
+        for edge in loc.active:
             if edge.guard is not None and not edge.guard(V, L):
                 continue
-            if self._emit_blocked(cc, edge):
+            if edge.binary is not None and self._emit_blocked(cc, edge):
                 continue
             enabled.append(edge)
         return enabled
 
     def _emit_blocked(self, cc, edge) -> bool:
         """A binary emit needs exactly one ready receiver."""
-        return (edge.sync is not None and edge.sync.direction == "emit"
-                and not self.net.broadcast.get(edge.sync.channel, True)
-                and len(self._receivers(cc, edge.sync.channel)) != 1)
+        return len(self._receivers(cc, edge.binary)) != 1
 
     def _receivers(self, emitter, ch) -> list:
         """[(component, its enabled receive edges on ``ch``)] for every
-        component but ``emitter`` with at least one."""
+        component but ``emitter`` with at least one, in the location
+        configuration the current step started in."""
         V, L = self.state.V, self.state.L
         receivers = []
-        for cc in self.net.components:
+        for cc, edges in self._receiving.get(ch, ()):
             if cc is emitter:
                 continue
-            enabled = [e for e in cc.out_receive[L[cc.name]].get(ch, ())
-                       if e.guard is None or e.guard(V, L)]
+            enabled = [e for e in edges if e.guard is None or e.guard(V, L)]
             if enabled:
                 receivers.append((cc, enabled))
         return receivers
@@ -571,9 +615,10 @@ class Simulator:
     def _apply_updates(self, edge) -> None:
         V, L = self.state.V, self.state.L
         if edge.updates:
-            staged = [(key, fn(V, L), vtype) for key, fn, vtype in edge.updates]
-            for key, value, vtype in staged:
-                V[key] = CompiledNetwork._coerce(value, vtype)
+            staged = [(slot, fn(V, L), vtype)
+                      for slot, fn, vtype in edge.updates]
+            for slot, value, vtype in staged:
+                V[slot] = CompiledNetwork._coerce(value, vtype)
 
     def _fire_one_of(self, cc, enabled) -> TraceEvent:
         """Fire one of ``cc``'s ``enabled`` edges, chosen by weight."""
@@ -589,18 +634,18 @@ class Simulator:
         """Apply one edge plus any synchronized receivers; returns channel."""
         L = self.state.L
         self._apply_updates(edge)
-        L[cc.name] = edge.target
+        L[cc.index] = edge.target
         if edge.sync is None:
             return None
         ch = edge.sync.channel
         receivers = self._receivers(cc, ch)
-        if not self.net.broadcast.get(ch, True):
+        if edge.binary is not None:
             receivers = receivers[:1]  # validated to be exactly one
         for other, enabled in receivers:
             idx = self.rng.weighted_choice([e.weight for e in enabled])
             chosen = enabled[idx]
             self._apply_updates(chosen)
-            L[other.name] = chosen.target
+            L[other.index] = chosen.target
         return ch
 
     def _snapshot(self) -> dict:
@@ -615,10 +660,11 @@ class Simulator:
         V, L = self.state.V, self.state.L
         rates = None
         for cc in self.net.components:
-            loc = cc.locations[L[cc.name]]
+            loc = cc.locations[L[cc.index]]
             if loc.invariant is None or loc.invariant(V, L):
                 continue
-            rates = rates or self._current_rates()
+            if rates is None:
+                rates = self._current_rates(self.net.step_table(L).plan)
             if loc.inv_probe(V, L, rates, -1e-9):
                 continue
             tpl = self.net.network.components[cc.index].template
@@ -627,55 +673,53 @@ class Simulator:
                 f"invariant {E.to_text(inv)!r} of {cc.name}.{loc.id} "
                 f"violated {when} (t={self.state.time})")
 
-    def _delay(self, dt: float) -> None:
-        self.advance_time(dt)
+    def _delay(self, dt: float, rates: list) -> None:
+        self.advance_time(dt, rates)
         if self.config.check_invariants:
             self._check_invariants("at the end of a delay")
 
     def step(self, bound: float):
         """One network step.  Returns a TraceEvent, or a terminal string:
         "bound_reached" | "deadlock"."""
-        L = self.state.L
-        committed = [cc for cc in self.net.components
-                     if cc.locations[L[cc.name]].committed]
-        if committed:
-            for cc in committed:
-                enabled = self._enabled_edges(cc)
+        table = self.net.step_table(self.state.L)
+        self._receiving = table.receivers
+        if table.committed:
+            for cc, loc in table.committed:
+                enabled = self._enabled_edges(cc, loc)
                 if enabled:
                     return self._fire_one_of(cc, enabled)
             return "deadlock"
 
-        rates = self._current_rates()
-        best = None  # (delay, index)
-        cap = INF  # invariant ceiling of components that cannot act
-        for cc in self.net.components:
-            deadline = self._invariant_deadline(cc, rates)
-            delay = self.sample_delay(cc.index, rates, deadline)
+        rates = self._current_rates(table.plan)
+        best = None  # (delay, component, location)
+        cap = INF  # invariant ceiling of actors that cannot fire
+        for cc, loc in table.actors:
+            deadline = self._invariant_deadline(cc, loc, rates)
+            delay = self.sample_delay(cc, loc, rates, deadline)
             if delay is None:
                 cap = min(cap, deadline)
             elif best is None or delay < best[0]:
-                best = (delay, cc.index)
+                best = (delay, cc, loc)
 
         remaining = bound - self.state.time
         if best is None:
-            self._delay(min(remaining, cap))
+            self._delay(min(remaining, cap), rates)
             return "bound_reached" if cap >= remaining else "deadlock"
-        delay, winner_idx = best
+        delay, cc, loc = best
         if delay > remaining:
-            self._delay(remaining)
+            self._delay(remaining, rates)
             return "bound_reached"
         if delay > cap:
-            self._delay(cap)
+            self._delay(cap, rates)
             return "deadlock"
 
-        self._delay(delay)
-        cc = self.net.components[winner_idx]
-        enabled = self._enabled_edges(cc)
+        self._delay(delay, rates)
+        enabled = self._enabled_edges(cc, loc)
         if not enabled:
             # accumulated rounding can leave a boundary guard (window of
             # width zero) a few ulps short of its crossing; nudge once
-            self.advance_time(1e-9)
-            enabled = self._enabled_edges(cc)
+            self.advance_time(1e-9, rates)
+            enabled = self._enabled_edges(cc, loc)
         if not enabled:
             raise EngineError(
                 f"{cc.name}: no edge enabled at its sampled delay "
@@ -683,12 +727,17 @@ class Simulator:
         return self._fire_one_of(cc, enabled)
 
 
+def check_bound(bound: float) -> None:
+    """Every time bound is finite and > 0."""
+    if not 0 < bound < INF:
+        raise EngineError("bound must be finite and > 0")
+
+
 def run(network, bound: float, rng: RngStream, watch=(),
         config: Optional[RunConfig] = None) -> Trace:
     """Simulate one run up to the bound; final partial delay is applied so
     watched expressions are sampled exactly at the bound."""
-    if bound <= 0:
-        raise EngineError("bound must be > 0")
+    check_bound(bound)
     if isinstance(network, Model):
         network = instantiate(network)
     net = (network if isinstance(network, CompiledNetwork)

@@ -2,9 +2,10 @@
 
 Expressions are parsed by :mod:`stamc.parser`, resolved against a network
 scope and compiled once to real Python closures, ``lambda V, L: <src>``.
-The evaluation environment is a pair of dicts: ``V`` maps resolved value
-keys (globals as ``name``, per-instance locals as ``inst.name``) to
-numbers, and ``L`` maps instance names to their current location id.
+``V`` is indexed by the key a ``("var", key)`` resolution gives and ``L``
+by the component of a ``("loc", comp, loc)`` one; both keys appear in the
+source by ``repr``.  The engine resolves names to integer slots, so its
+closures read ``V[3]`` and ``L[2]`` from two lists.
 
 The probe form ``lambda V, L, R, dt: <src>`` (:func:`compile_probe`)
 evaluates the same expression ``dt`` time units ahead under constant clock

@@ -20,6 +20,7 @@ weakly-hard timing monitors; `//` comments run to end of line everywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -494,9 +495,7 @@ class _Parser:
         span = self.tok.span
         bound = self.number()
         self.expect(close)
-        if bound <= 0:
-            raise ParseError("bound must be > 0", span)
-        return bound
+        return _checked_bound(bound, span)
 
     def _integer(self, least: int, what: str = "run count") -> int:
         """A count such as a run count: an integer >= ``least``."""
@@ -597,8 +596,13 @@ class _Parser:
             spans.setdefault(self.tok.text, self.tok.span)
             key = self.ident("parameter name")
             self.expect("=")
-            params[key] = (self._integer(1, key) if key in ("m", "k")
-                           else self.number())
+            if key in ("m", "k"):
+                params[key] = self._integer(1, key)
+            elif key == "bound":
+                at = self.tok.span
+                params[key] = _checked_bound(self.number(), at)
+            else:
+                params[key] = self.number()
             if not self.accept(","):
                 break
         self.expect(")")
@@ -626,6 +630,16 @@ class _Parser:
         except MonitorError as exc:
             raise ParseError(str(exc), span) from exc
         return constraint, bound
+
+
+def _checked_bound(bound: float, span: SourceSpan) -> float:
+    """A time bound read at ``span``: finite and > 0.  A literal too large
+    for a float reads as inf."""
+    if not bound > 0:
+        raise ParseError("bound must be > 0", span)
+    if not math.isfinite(bound):
+        raise ParseError("bound must be finite", span)
+    return bound
 
 
 def parse_model(text: str, filename: str = "<input>") -> Model:

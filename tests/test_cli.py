@@ -246,6 +246,38 @@ def test_check_bound_override(runner, small, tmp_path):
     assert row["verdict"] == "invalid"
 
 
+BIG = "9" * 400  # reads as inf
+
+
+@pytest.mark.parametrize("query,column", [
+    (f"Pr[<={BIG}](<> heads > 0);", 6),
+    ("constraint periodic(m=1, k=1, bound=0, lower=1, upper=2)"
+     " on occurrence=tick;", 37),
+], ids=["inf-query-bound", "zero-constraint-bound"])
+def test_check_names_where_a_bad_bound_is(runner, small, tmp_path, query,
+                                          column):
+    q = tmp_path / "suite.q"
+    q.write_text(query + "\n")
+    res = runner.invoke(main, ["check", small, str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output.startswith(f"error: {q}:1:{column}: bound must be ")
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+def test_check_rejects_a_bad_bound_override_before_any_run(
+        runner, small, tmp_path, monkeypatch, bound):
+    runs = []
+    monkeypatch.setattr(smc, "run", lambda *a, **k: runs.append(a))
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=5](<> heads == 1) >= 0.1;\n")
+    res = runner.invoke(main, ["check", small, str(q), "--bound-override",
+                               bound, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == "error: bound must be finite and > 0\n"
+    assert runs == []
+
+
 def test_check_expected_histogram_csv(runner, small, tmp_path):
     q = tmp_path / "suite.q"
     q.write_text("H: E[<=5; 20](max: heads);\n")

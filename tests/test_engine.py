@@ -328,6 +328,61 @@ system T;
         runs(text, 10, 1, max_steps=10_000)
 
 
+@pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
+def test_run_rejects_a_bound_that_is_not_finite_and_positive(bound):
+    text = """
+clock x;
+template T() {
+  init loc a { inv x <= 1; }
+  a -> a { guard x >= 1; update x := 0; }
+}
+system T;
+"""
+    with pytest.raises(EngineError, match="^bound must be finite and > 0$"):
+        runs(text, bound, 1)
+
+
+def _listened(n):
+    """An emitter on a broadcast channel and ``n`` listeners that only
+    receive on it: no invariant, no internal or emitting edge."""
+    return """
+int heard = 0;
+clock x;
+broadcast chan go;
+template Emit() {
+  init loc a { inv x <= 2; }
+  a -> a { guard x >= 1; sync go!; update x := 0; }
+}
+template Listen() {
+  init loc idle;
+  loc woken;
+  idle -> woken { sync go?; update heard := heard + 1; }
+  woken -> idle { sync go?; update heard := heard + 1; }
+}
+system Emit""" + ", Listen" * n + ";\n"
+
+
+def test_inert_components_cost_no_delay_sampling(monkeypatch):
+    """Components that can neither fire on their own nor cap a delay stay
+    out of the delay race: eight listeners add no ``sample_delay`` call
+    and change none of the emitter's events."""
+    calls = []
+    sample_delay = engine.Simulator.sample_delay
+    monkeypatch.setattr(
+        engine.Simulator, "sample_delay",
+        lambda self, *args: calls.append(args[0].name)
+        or sample_delay(self, *args))
+    seen = {}
+    for n in (0, 8):
+        calls.clear()
+        tr = runs(_listened(n), 100, 1, watch=["heard"])[0]
+        seen[n] = (list(calls), [(e.time, e.component, e.edge, e.channel)
+                                 for e in tr.events])
+        assert tr.final["heard"] == n * len(tr.events)
+    assert seen[0] == seen[8]
+    assert set(seen[8][0]) == {"Emit"} and len(seen[8][0]) > 30
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("h_max", 0.0, "need h_max > 0"),
     ("h_max", -1.0, "need h_max > 0"),
@@ -462,11 +517,19 @@ def test_check_invariants_accepts_the_vehicle_runs():
 
 # --- bit-identity of the compiled hot path ---------------------------------
 #
-# The engine probes guards and invariants through closures that read each
-# clock as V[k] + R[k] * dt, and integrates clock-reading rates on float
-# lists, by one midpoint step or by RK4. The references below are the
-# straightforward forms they replace; results must agree bit for bit, not
-# within a tolerance.
+# The engine keeps values and locations in slot-indexed lists, probes guards
+# and invariants through closures that read each clock as V[3] + R[3] * dt,
+# and integrates clock-reading rates on float lists, by one midpoint step or
+# by RK4. The references below are the straightforward forms they replace,
+# on dicts and numpy arrays; results must agree bit for bit, not within a
+# tolerance. _named maps slots back to names for them.
+
+
+def _named(compiled, V, L):
+    """A slot-indexed state as dicts: values by value key, locations by
+    component name."""
+    return (dict(zip(compiled.keys, V)),
+            {cc.name: L[cc.index] for cc in compiled.components})
 
 
 def _advanced_copy(V, rates, dt):
@@ -483,7 +546,7 @@ def _advance_reference(sim, dt, exact):
     V, L = sim.state.V, sim.state.L
     const_rates, var_rates = {}, {}
     for cc in sim.net.components:
-        loc = cc.locations[L[cc.name]]
+        loc = cc.locations[L[cc.index]]
         if loc.committed:
             continue
         for key, fn, reads in loc.rates:
@@ -491,7 +554,7 @@ def _advance_reference(sim, dt, exact):
                 var_rates[key] = fn
             else:
                 const_rates[key] = float(fn(V, L))
-    for key in sim.net.clock_keys:
+    for key in sim.net.clock_slots:
         if key not in var_rates and key not in const_rates:
             const_rates[key] = 1.0
     base = {key: V[key] for key in const_rates}
@@ -532,7 +595,8 @@ def _bits(values):
 
 
 def _vehicle_states(name, n_runs=3, every=7, bound=1500):
-    """(compiled network, [(V, L)]) sampled along vehicle runs."""
+    """(compiled network, [(V, L)] as named dicts) sampled along vehicle
+    runs."""
     compiled = engine.CompiledNetwork(
         instantiate(parse_model((MODELS / name).read_text())))
     states = []
@@ -543,13 +607,15 @@ def _vehicle_states(name, n_runs=3, every=7, bound=1500):
             if isinstance(sim.step(bound), str):
                 break
             if n % every == 0:
-                states.append((dict(sim.state.V), dict(sim.state.L)))
+                states.append(_named(compiled, sim.state.V, sim.state.L))
     return compiled, states
 
 
 def _at(compiled, V, L):
+    """A simulator at the named state (V, L)."""
     sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=10.0))
-    sim.state = engine.State(dict(V), dict(L), 0.0)
+    sim.state = engine.State([V[key] for key in compiled.keys],
+                             [L[cc.name] for cc in compiled.components], 0.0)
     return sim
 
 
@@ -561,38 +627,46 @@ def test_window_probes_match_dict_copy_reference(name):
         for loc in cc.locations.values():
             if loc.invariant is not None:
                 windows.append((loc.invariant, loc.inv_probe, loc.inv_atoms))
-        edges = [e for es in cc.out_active.values() for e in es]
-        edges += [e for by_ch in cc.out_receive.values()
-                  for es in by_ch.values() for e in es]
-        for e in edges:
-            if e.guard is not None:
-                windows.append((e.guard, e.guard_probe, e.guard_atoms))
+            edges = loc.active + [e for es in loc.receive.values()
+                                  for e in es]
+            for e in edges:
+                if e.guard is not None:
+                    windows.append((e.guard, e.guard_probe, e.guard_atoms))
     assert sum(len(atoms) for _, _, atoms in windows) > 20
     assert len(states) > 100
     checked = 0
     for V, L in states:
-        rates = _at(compiled, V, L)._current_rates()
+        sim = _at(compiled, V, L)
+        slot_V, slot_L = sim.state.V, sim.state.L
+        rates = sim._current_rates(compiled.step_table(slot_L).plan)
+        clock_rates = {key: r for key, r in
+                       _named(compiled, rates, slot_L)[0].items()
+                       if compiled.var_types[key] == "clock"}
         for dt in (1.0, 1e-9, 0.25, 1.0 + 1e-9, 3.7, 40.0, 1234.5):
-            ref_V = _advanced_copy(V, rates, dt)
+            ahead = _advanced_copy(V, clock_rates, dt)
+            ref_V = [ahead[key] for key in compiled.keys]
             for pred, probe, atoms in windows:
                 fns = [(pred, probe)] + list(atoms)
-                ref = [fn(ref_V, L) for fn, _ in fns]
-                got = [pr(V, L, rates, dt) for _, pr in fns]
+                ref = [fn(ref_V, slot_L) for fn, _ in fns]
+                got = [pr(slot_V, slot_L, rates, dt) for _, pr in fns]
                 assert _bits(got) == _bits(ref)
                 checked += len(fns)
     assert checked > 10 ** 4
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
-    assert compiled.rate_plan(L).exact == exact
     ref = _at(compiled, V, L)
+    assert compiled.step_table(ref.state.L).plan.exact == exact
     ref.config = RunConfig(h_max=h_max)
     _advance_reference(ref, dt, exact)
     sim = _at(compiled, V, L)
     sim.config = RunConfig(h_max=h_max)
-    sim.advance_time(dt)
-    assert list(sim.state.V) == list(ref.state.V)
-    assert _bits(sim.state.V.values()) == _bits(ref.state.V.values())
+    sim.advance_time(dt, sim._current_rates(
+        compiled.step_table(sim.state.L).plan))
+    got = _named(compiled, sim.state.V, sim.state.L)[0]
+    want = _named(compiled, ref.state.V, ref.state.L)[0]
+    assert list(got) == list(want)
+    assert _bits(got.values()) == _bits(want.values())
     assert sim.state.time == ref.state.time
 
 
@@ -653,7 +727,8 @@ def test_advance_time_matches_reference_on_coupled_clocks(text, h_max):
     compiled = engine.CompiledNetwork(net(text))
     state = compiled.initial_state()
     for dt in (0.3, 2.9, 7.0):
-        _compare_advance(compiled, state.V, state.L, dt, h_max, False)
+        _compare_advance(compiled, *_named(compiled, state.V, state.L), dt,
+                         h_max, False)
 
 
 def test_rate_that_steps_in_time_is_stepped():
@@ -669,8 +744,10 @@ system T;
 """
     compiled = engine.CompiledNetwork(net(text))
     sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
-    sim.advance_time(8.0)
-    assert sim.state.V["e"] == pytest.approx(5, abs=0.05)
+    sim.advance_time(8.0, sim._current_rates(
+        compiled.step_table(sim.state.L).plan))
+    V, _ = _named(compiled, sim.state.V, sim.state.L)
+    assert V["e"] == pytest.approx(5, abs=0.05)
 
 
 def test_observers_do_not_perturb_trajectories():

@@ -192,6 +192,22 @@ def test_expected_zero_bound_rejected():
         parse_queries("E[<=0; 5](max: x)")
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("Pr[<=" + "9" * 400 + "](<> x > 0);", "bound must be finite", 6),
+    ("E[<=1" + "0" * 400 + "; 5](max: x);", "bound must be finite", 5),
+    ("constraint periodic(m=1, k=1, bound=0, lower=1, upper=2)"
+     " on occurrence=a;", "bound must be > 0", 37),
+    ("constraint periodic(m=1, k=1, bound=" + "9" * 400 + ", lower=1,"
+     " upper=2) on occurrence=a;", "bound must be finite", 37),
+], ids=["inf-query", "inf-expected", "zero-constraint", "inf-constraint"])
+def test_every_bound_is_finite_and_positive(text, message, column):
+    """A literal too large for a float reads as inf, and is rejected where
+    it is read, as a zero bound is."""
+    with pytest.raises(ParseError) as exc:
+        parse_queries(text, "b.q")
+    assert str(exc.value) == f"b.q:1:{column}: {message}"
+
+
 def test_expected_bound_needs_an_operator():
     with pytest.raises(ParseError, match="expected '>='"):
         parse_queries("E[10; 5](max: x)")
