@@ -57,6 +57,7 @@ from .model import (Model, Network, instantiate, resolver, value_key,
                     value_types)
 
 INF = math.inf
+_UNWATCHED = {}  # the samples of a run that watches nothing; never written
 
 
 class EngineError(Exception):
@@ -112,6 +113,8 @@ class Trace:
     end_time: float
     end_reason: str  # bound_reached | deadlock
     final: dict = field(default_factory=dict)
+    # component name -> its location at the end of the run
+    locations: dict = field(default_factory=dict)
 
     def samples(self):
         """Time-ordered (t, watch-dict) pairs covering the whole run."""
@@ -181,8 +184,8 @@ class _CompiledLocation:
 class _RatePlan:
     """How clocks advance while the network sits in one location
     configuration: the clocks that advance at a constant rate (a clock-free
-    rate, or 1), and the clock-reading rates that are integrated.  A clock
-    that two components rate takes the later one's rate.  The plan is
+    rate, or 1), and the clock-reading rates that are integrated
+    (validation rejects a clock that two components rate).  The plan is
     ``exact`` when the integrated rates read only constant-rate clocks and
     are affine in them: they are then linear in time over a delay."""
 
@@ -417,12 +420,13 @@ class State:
 
 class Simulator:
     def __init__(self, net: CompiledNetwork, rng: RngStream,
-                 config: Optional[RunConfig] = None, watch=()):
+                 config: Optional[RunConfig] = None, watch=(), monitor=None):
         self.net = net
         self.rng = rng
         self.config = config or RunConfig()
         self.state = net.initial_state()
         self.watch = net.compile_watch(watch)
+        self.monitor = monitor  # called with (V, L) at every sample point
         self._receiving = {}  # receive edges per channel in this step
 
     # -- expression probing under linear clock extrapolation --
@@ -649,7 +653,13 @@ class Simulator:
         return ch
 
     def _snapshot(self) -> dict:
+        """The watched values at a sample point, after the monitor has seen
+        the state; one shared empty dict when nothing is watched."""
         V, L = self.state.V, self.state.L
+        if self.monitor is not None:
+            self.monitor(V, L)
+        if not self.watch:
+            return _UNWATCHED
         return {key: fn(V, L) for key, fn in self.watch}
 
     def _check_invariants(self, when: str) -> None:
@@ -734,25 +744,29 @@ def check_bound(bound: float) -> None:
 
 
 def run(network, bound: float, rng: RngStream, watch=(),
-        config: Optional[RunConfig] = None) -> Trace:
+        config: Optional[RunConfig] = None, monitor=None) -> Trace:
     """Simulate one run up to the bound; final partial delay is applied so
-    watched expressions are sampled exactly at the bound."""
+    watched expressions are sampled exactly at the bound.
+
+    The sample points are the start, before and after each event, and the
+    end.  ``watch`` records expressions there in the trace's dicts;
+    ``monitor``, a callable, is called with the state lists ``(V, L)``
+    there, and records nothing in the trace."""
     check_bound(bound)
     if isinstance(network, Model):
         network = instantiate(network)
     net = (network if isinstance(network, CompiledNetwork)
            else CompiledNetwork(network))
-    sim = Simulator(net, rng, config, watch)
+    sim = Simulator(net, rng, config, watch, monitor)
     events = []
     initial = sim._snapshot()
     for _ in range(sim.config.max_steps):
         result = sim.step(bound)
-        if result == "bound_reached":
-            return Trace(initial, events, sim.state.time, "bound_reached",
-                         sim._snapshot())
-        if result == "deadlock":
-            return Trace(initial, events, sim.state.time, "deadlock",
-                         sim._snapshot())
+        if isinstance(result, str):  # "bound_reached" | "deadlock"
+            return Trace(initial, events, sim.state.time, result,
+                         sim._snapshot(),
+                         {cc.name: loc for cc, loc
+                          in zip(net.components, sim.state.L)})
         events.append(result)
     raise EngineError(
         "zeno/committed-loop: step ceiling "

@@ -271,6 +271,19 @@ def validate_model(model: Model) -> ValidationReport:
                     err("unknown name", where, f"update target {name!r} {why}")
                 check_names(rhs, where)
 
+    raters = {}  # clock value key -> the first instance that rates it
+    for comp in components:
+        resolve = resolver(network, comp)
+        for key in dict.fromkeys(value_key(resolve, clk)
+                                 for loc in comp.template.locations
+                                 for clk, _ in loc.rates):
+            if types.get(key) != "clock":
+                continue  # reported as an unknown clock above
+            first = raters.setdefault(key, comp.name)
+            if first != comp.name:
+                err("clock rated twice", comp.name,
+                    f"clock {key!r} is rated by {first} and {comp.name}")
+
     seen_inst = set()
     for inst in model.system:
         if inst.template not in tpl_names:

@@ -10,24 +10,33 @@ Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
 hypothesis tests.  Every result records the seed that reproduces it.
 
-Run path: a query is one or two jobs, each with a module-level judge
-that turns a run's trace into an outcome, and a decision rule over the
-jobs' outcome streams, ``RunPool.outcomes``. Estimation counts a fixed
-number of outcomes; one SPRT loop serves hypothesis tests, both routes of
-a constraint and the discordant pairs of ``compare``; extrema and
-trajectories are listed.
+Run path: a query is one or two jobs, each with a judge that turns a run
+into an outcome, and a decision rule over the jobs' outcome streams,
+``RunPool.outcomes``. Estimation counts a fixed number of outcomes; one
+SPRT loop serves hypothesis tests, both routes of a constraint and the
+discordant pairs of ``compare``; extrema and trajectories are listed.
+Path formulas and extrema are judged while the run runs: ``engine.run``
+calls one ``_Monitor`` per run at its sample points (the start, before
+and after each event, and the end), which evaluates each formula's
+compiled predicate until it decides (``<>`` once true, ``[]`` once false)
+and keeps a running maximum or minimum. Nothing is recorded for them, so
+such a run builds no snapshot dict. Trajectories and constraints are
+judged on the trace once the run ends: a ``simulate`` job watches its
+expressions, and a constraint reads the observer's final location and
+the events' channels.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one (model, bound,
-stream seed, run config) share one run stream: each run is simulated once,
-watching the union of the jobs' expressions, every job judges it, and
-only the outcomes are cached. A rule reads the cache first and has the
-stream simulate more runs only past its end. ``check`` registers every
-query with its pool before the first run, so its queries share; a
-constraint's observed model is a network of its own, and its stream
-serves that query alone; a library call is a one-query group. A query's
-``wall_ms`` covers its judging and statistics and the runs it was first
-to need.
+stream seed, run config) share one run stream: each run is simulated
+once, every live job judges it, and only the outcomes are cached. A rule
+reads the cache first and has the stream simulate more runs only past its
+end. Once a job's rule has decided, the job is retired: runs simulated
+later, and the chunks sent to workers, carry the mask of the live jobs
+and skip its judge. ``check`` registers every query with its pool before
+the first run, so its queries share; a constraint's observed model is a
+network of its own, and its stream serves that query alone; a library
+call is a one-query group. A query's ``wall_ms`` covers its judging and
+statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
 call, and a library call without one opens one for that call. At one
@@ -35,9 +44,12 @@ worker the runs execute in this process. Otherwise they go to one process
 pool in chunks of 4 run indices, with at most 2 chunks per worker and
 stream in flight, and every process compiles each distinct model once.
 A stream yields outcomes strictly in run-index order, so verdicts and
-estimates do not depend on the worker count; once a rule has decided,
-its streams are closed, which cancels their queued chunks and drops the
-outcomes of running ones.
+estimates do not depend on the worker count. When a rule decides, the
+chunks its reads sent ahead stay queued or running while another job of
+the stream has yet to finish reading, and are read by that job; once no
+job is left, they are cancelled and the outcomes of running ones
+dropped. So no run is simulated twice, and the chunks sent depend on
+what the rules read, never on timing.
 """
 
 from __future__ import annotations
@@ -50,8 +62,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
-
-import scipy.stats
 
 from . import expr as E
 from . import monitors
@@ -112,6 +122,7 @@ def clopper_pearson(successes: int, n: int, alpha: float) -> tuple:
     """Exact binomial confidence interval at level 1 - alpha."""
     if n <= 0:
         raise QueryError("need n > 0")
+    import scipy.stats  # here, not at module level: it takes most of a second
     lo = 0.0 if successes == 0 else float(
         scipy.stats.beta.ppf(alpha / 2, successes, n - successes + 1))
     hi = 1.0 if successes == n else float(
@@ -145,7 +156,7 @@ class Sprt:
         return self.decision
 
 
-# --- per-run evaluation ----------------------------------------------------
+# --- per-run judgement -----------------------------------------------------
 
 
 def evaluate_path_formula(trace, f: PathFormula, bound: float) -> bool:
@@ -153,7 +164,9 @@ def evaluate_path_formula(trace, f: PathFormula, bound: float) -> bool:
 
     States are the watched snapshots: initial, before and after every event,
     and at the bound.  The state expression must be among the trace's
-    watched expressions.
+    watched expressions.  The run path judges path formulas online, with
+    ``_Monitor``, at the same states; this is their definition over a
+    stored trace.
     """
     key = E.to_text(f.state_expr)
     want = f.op == "eventually"
@@ -165,15 +178,6 @@ def evaluate_path_formula(trace, f: PathFormula, bound: float) -> bool:
         if bool(snap[key]) == want:
             return want
     return not want
-
-
-def _extremum(trace, key: str, mode: str) -> float:
-    pick = max if mode == "max" else min
-    best = None
-    for _, snap in trace.samples():
-        v = float(snap[key])
-        best = v if best is None else pick(best, v)
-    return best
 
 
 def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
@@ -205,9 +209,6 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
     return rows
 
 
-# --- shared run streams ----------------------------------------------------
-
-
 def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
     """(observer route holds, trace oracle holds) on one run; the observer
     is asked first."""
@@ -215,50 +216,134 @@ def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
     return (not failed, monitors.check_trace(trace, c).wh_holds)
 
 
+@dataclass(frozen=True)
+class _Sampled:
+    """A judge that watches one expression at a run's sample points: a path
+    formula's state expression (``op`` "eventually" or "globally") or an
+    extremum's expression (``op`` "max" or "min")."""
+
+    op: str
+    expr: str  # expression text
+
+
+@dataclass(frozen=True)
+class _Traced:
+    """A judge of a run's trace once the run has ended:
+    ``fn(trace, *args)``, with ``watch`` recorded in the trace."""
+
+    fn: Callable
+    args: tuple
+    watch: tuple = ()
+
+
+class _Monitor:
+    """The sampled judges of one run, called at its sample points, with
+    their outcomes in ``out`` by job place.
+
+    A path formula leaves its list at its first sample of the wanted truth:
+    ``<>`` once true, ``[]`` once false. Its lists are rebuilt only then,
+    so a sample costs one call per judge still open."""
+
+    __slots__ = ("out", "always", "eventually", "extrema")
+
+    def __init__(self, out: list):
+        self.out = out
+        self.always = []  # [(place, predicate)] of [] formulas still true
+        self.eventually = []  # [(place, predicate)] of <> formulas not yet
+        self.extrema = []  # [(place, fn, is max)]
+
+    def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
+        [(_, fn)] = net.compile_watch((judge.expr,))
+        if judge.op == "globally":
+            self.always.append((place, fn))
+            self.out[place] = True
+        elif judge.op == "eventually":
+            self.eventually.append((place, fn))
+            self.out[place] = False
+        else:
+            self.extrema.append((place, fn, judge.op == "max"))
+
+    def __bool__(self):
+        return bool(self.always or self.eventually or self.extrema)
+
+    def sample(self, V, L):
+        out = self.out
+        for place, fn in self.always:
+            if not fn(V, L):
+                out[place] = False
+                self.always = [e for e in self.always if e[0] != place]
+        for place, fn in self.eventually:
+            if fn(V, L):
+                out[place] = True
+                self.eventually = [e for e in self.eventually
+                                   if e[0] != place]
+        for place, fn, is_max in self.extrema:
+            v = float(fn(V, L))
+            best = out[place]
+            if best is None or (v > best if is_max else v < best):
+                out[place] = v
+
+
+# --- shared run streams ----------------------------------------------------
+
+
 @dataclass
 class _Job:
-    """What one query reads of a stream's runs: ``judge(trace, *args)`` on
+    """What one query reads of a stream's runs: the outcome of ``judge`` on
     each of the first ``n_runs`` runs to ``bound`` of ``model`` from stream
-    ``seed``, watching ``watch``. The judge is a module-level function, so
-    that jobs pickle."""
+    ``seed``. A traced judge's function is module-level, so that jobs
+    pickle."""
 
     model: Model
     bound: float
     seed: int
     run_config: RunConfig
-    watch: tuple  # expression texts
     n_runs: int  # the most runs the query's rule reads
-    judge: Callable
-    args: tuple
+    judge: object  # _Sampled | _Traced
 
 
-def _job(model: Model, bound: float, seed: int, run_config, watch,
-         n_runs: int, judge, *args) -> _Job:
+def _job(model: Model, bound: float, seed: int, run_config, n_runs: int,
+         judge) -> _Job:
     return _Job(model=model, bound=bound, seed=seed,
-                run_config=run_config or RunConfig(), watch=tuple(watch),
-                n_runs=n_runs, judge=judge, args=args)
+                run_config=run_config or RunConfig(), n_runs=n_runs,
+                judge=judge)
 
 
 @dataclass
 class _Runs:
     """The runs of one stream as they execute: run i goes to ``bound`` from
-    ``RngStream(seed, i)`` watching ``watch``, the union of the jobs'
-    expressions, and each job judges it if i is below its ``n_runs``."""
+    ``RngStream(seed, i)``, and each live job judges it if i is below its
+    ``n_runs``."""
 
     bound: float
     seed: int
     run_config: RunConfig
-    watch: tuple
-    jobs: tuple  # (judge, args, n_runs)
+    jobs: tuple  # (judge, n_runs)
 
 
-def _run_one(runs: _Runs, net: CompiledNetwork, index: int) -> tuple:
-    """One run's outcome per job; None where a job reads no more runs. The
-    trace is dropped."""
+def _run_one(runs: _Runs, net: CompiledNetwork, index: int,
+             live: tuple) -> tuple:
+    """One run's outcome per job; None where a job is retired or reads no
+    more runs. Sampled judges watch the run as it runs; the trace, with the
+    traced judges' expressions, is judged once it ends, and dropped."""
+    out = [None] * len(runs.jobs)
+    monitor = _Monitor(out)
+    traced, watch = [], []
+    for place in live:
+        judge, n_runs = runs.jobs[place]
+        if index >= n_runs:
+            continue
+        if isinstance(judge, _Sampled):
+            monitor.add(place, judge, net)
+        else:
+            traced.append((place, judge))
+            watch += judge.watch
     trace = run(net, runs.bound, RngStream(runs.seed, index),
-                watch=runs.watch, config=runs.run_config)
-    return tuple(judge(trace, *args) if index < n else None
-                 for judge, args, n in runs.jobs)
+                watch=tuple(dict.fromkeys(watch)), config=runs.run_config,
+                monitor=monitor.sample if monitor else None)
+    for place, judge in traced:
+        out[place] = judge.fn(trace, *judge.args)
+    return tuple(out)
 
 
 # In a worker process: stream key -> (its runs, compiled network), and model
@@ -267,10 +352,10 @@ _W_STREAMS = {}
 _W_NETS = {}
 
 
-def _worker_chunk(indices, stream_key, model_key, blob):
-    """Runs ``indices`` of a stream in a worker. The stream's model and runs
-    arrive pickled with every chunk and are unpickled, and the model
-    compiled, once."""
+def _worker_chunk(indices, stream_key, model_key, blob, live):
+    """Runs ``indices`` of a stream in a worker, judged by the ``live``
+    jobs. The stream's model and runs arrive pickled with every chunk and
+    are unpickled, and the model compiled, once."""
     entry = _W_STREAMS.get(stream_key)
     if entry is None:
         model, runs = pickle.loads(blob)
@@ -279,17 +364,19 @@ def _worker_chunk(indices, stream_key, model_key, blob):
             net = _W_NETS[model_key] = CompiledNetwork(instantiate(model))
         entry = _W_STREAMS[stream_key] = (runs, net)
     runs, net = entry
-    return [_run_one(runs, net, i) for i in indices]
+    return [_run_one(runs, net, i, live) for i in indices]
 
 
 class _Stream:
     """The runs of one (model, bound, stream seed, run config): each run is
-    simulated once and judged by every job of the stream, and its outcomes
-    are cached, one tuple per run. The jobs are fixed at the first run."""
+    simulated once and judged by every live job of the stream, and its
+    outcomes are cached, one tuple per run. The jobs are fixed at the first
+    run; a job is live until it has finished reading."""
 
     def __init__(self, model_key: int, model: Model):
         self.model_key, self.model = model_key, model
         self.jobs = []  # a job's place here is its place in each outcome tuple
+        self.finished = set()  # places of the jobs done reading
         self.runs = None  # the _Runs, set at the first run
         self.ticket = None  # (stream key, model key, pickled model and runs)
         self.cache = []  # outcome tuples of runs 0 .. len - 1
@@ -299,20 +386,22 @@ class _Stream:
     def seal(self) -> _Runs:
         if self.runs is None:
             first = self.jobs[0]
-            watch = tuple(dict.fromkeys(k for j in self.jobs for k in j.watch))
-            self.runs = _Runs(first.bound, first.seed, first.run_config, watch,
-                              tuple((j.judge, j.args, j.n_runs)
-                                    for j in self.jobs))
+            self.runs = _Runs(first.bound, first.seed, first.run_config,
+                              tuple((j.judge, j.n_runs) for j in self.jobs))
         return self.runs
+
+    def live(self) -> tuple:
+        return tuple(place for place in range(len(self.jobs))
+                     if place not in self.finished)
 
 
 class RunPool:
     """Where the runs of one check execute; all its queries share it.
 
     The queries' jobs share one run stream per (model, bound, stream seed,
-    run config): each run is simulated once, judged by every job of its
-    stream, and only the outcomes are cached. A job joins a stream until the
-    stream's first run, so ``check`` registers every query first.
+    run config): each run is simulated once, judged by every live job of
+    its stream, and only the outcomes are cached. A job joins a stream
+    until the stream's first run, so ``check`` registers every query first.
 
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, in chunks of ``CHUNK`` run indices, at most
@@ -378,10 +467,14 @@ class RunPool:
     def outcomes(self, lane):
         """Yields one job's outcomes of its runs in run-index order, so
         they do not depend on the worker count: cached ones first, then
-        those of runs its stream simulates for it. Closing it
-        cancels the stream's chunks still queued and drops the outcomes of
-        running ones, so that the chunks sent depend on what the rules
-        read, never on timing."""
+        those of runs its stream simulates for it.
+
+        Closing it retires the job: runs simulated later skip its judge.
+        The stream's queued and running chunks are kept while another of
+        its jobs has yet to finish reading, and cancelled, with the
+        outcomes of running ones dropped, once none has. So a stream
+        simulates each run once, and the chunks sent depend on what the
+        rules read, never on timing."""
         stream, place = lane
         total = stream.jobs[place].n_runs
         try:
@@ -390,10 +483,10 @@ class RunPool:
                     self._extend(stream, total)
                 yield stream.cache[i][place]
         finally:
-            for future in stream.pending:
-                future.cancel()
-            stream.pending.clear()
-            stream.submitted = len(stream.cache)
+            stream.finished.add(place)
+            if len(stream.finished) == len(stream.jobs):
+                for future in stream.pending:
+                    future.cancel()
 
     def _extend(self, stream: _Stream, total: int):
         """Caches the outcomes of at least the stream's next run."""
@@ -403,18 +496,20 @@ class RunPool:
             if net is None:
                 net = self._nets[stream.model_key] = CompiledNetwork(
                     instantiate(stream.model))
-            stream.cache.append(_run_one(runs, net, len(stream.cache)))
+            stream.cache.append(_run_one(runs, net, len(stream.cache),
+                                         stream.live()))
             return
         if stream.ticket is None:
             self._sealed += 1
             stream.ticket = (self._sealed, stream.model_key,
                              pickle.dumps((stream.model, runs)))
+        live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.workers
                and stream.submitted < total):
             chunk = list(range(stream.submitted,
                                min(stream.submitted + self.CHUNK, total)))
             stream.pending.append(self._executor.submit(
-                _worker_chunk, chunk, *stream.ticket))
+                _worker_chunk, chunk, *stream.ticket, live))
             stream.submitted = chunk[-1] + 1
         stream.cache.extend(stream.pending.popleft().result())
 
@@ -440,8 +535,8 @@ def _coerce_network(network) -> Model:
 
 def _formula_job(model: Model, f: PathFormula, bound: float, seed: int,
                  run_config, n_runs: int) -> _Job:
-    return _job(model, bound, seed, run_config, [E.to_text(f.state_expr)],
-                n_runs, evaluate_path_formula, f, bound)
+    return _job(model, bound, seed, run_config, n_runs,
+                _Sampled(f.op, E.to_text(f.state_expr)))
 
 
 def _sprt(outcomes, p0: float, cfg: StatConfig) -> tuple:
@@ -554,15 +649,15 @@ def _expected_jobs(model, q: Expected, cfg, run_config, name) -> list:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
-    key = E.to_text(q.expr)
-    return [_job(model, q.bound, cfg.seed, run_config, [key], q.n_runs,
-                 _extremum, key, q.mode)]
+    return [_job(model, q.bound, cfg.seed, run_config, q.n_runs,
+                 _Sampled(q.mode, E.to_text(q.expr)))]
 
 
 def _expected(q: Expected, cfg, streams) -> SmcResult:
     [outcomes] = streams
     values = list(outcomes)
     import numpy as np
+    import scipy.stats
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(q.n_runs))
@@ -579,8 +674,8 @@ def _simulate_jobs(model, q: Simulate, cfg, run_config, name) -> list:
     if q.sample_step is not None and q.sample_step <= 0:
         raise QueryError("need sample_step > 0")
     keys = tuple(E.to_text(e) for e in q.exprs)
-    return [_job(model, q.bound, cfg.seed, run_config, keys, q.n_runs,
-                 _trajectory, keys, q.bound, q.sample_step)]
+    return [_job(model, q.bound, cfg.seed, run_config, q.n_runs,
+                 _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
 
 
 def _simulate(q: Simulate, cfg, streams) -> SmcResult:
@@ -599,8 +694,8 @@ def _constraint_jobs(model, q: ConstraintQuery, cfg, run_config,
     c = q.constraint
     inst = f"_obs_{name or c.kind}"
     observed = monitors.attach_observer(model, c, inst)
-    return [_job(observed, q.bound, cfg.seed, run_config, [f"{inst}.fail"],
-                 cfg.max_runs, _routes, c, inst)]
+    return [_job(observed, q.bound, cfg.seed, run_config, cfg.max_runs,
+                 _Traced(_routes, (c, inst)))]
 
 
 def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -403,3 +406,17 @@ def test_check_engine_error_in_a_worker_exits_3(runner, tmp_path, pools):
     assert "non-integer value 2.5" in res.output
     [pool] = pools
     assert pool.shut_down
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import; only the statistics
+    # that need it load it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, stamc.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

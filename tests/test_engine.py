@@ -468,6 +468,34 @@ system T;
     assert at2 == [0, 1]
 
 
+def test_monitor_sees_every_sample_point():
+    text = """
+int k = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 2; }
+  loc b { inv x <= 1; }
+  a -> b { guard x >= 2; update k := k + 1, x := 0; }
+  b -> a { guard x >= 1; }
+}
+system T;
+"""
+    network = engine.CompiledNetwork(net(text))
+    k, x = network.slots["k"], network.slots["x"]
+    seen = []
+    monitored = run(network, 7, RngStream(0, 0),
+                    monitor=lambda V, L: seen.append((V[k], V[x], L[0])))
+    watched = run(network, 7, RngStream(0, 0), watch=["k", "x", "T.b"])
+    assert seen == [(s["k"], s["x"], "b" if s["T.b"] else "a")
+                    for _, s in watched.samples()]
+    assert len(seen) == 2 * len(monitored.events) + 2
+    # a monitor changes nothing in the run, and the trace watches nothing
+    assert [e.time for e in monitored.events] == \
+        [e.time for e in watched.events]
+    assert all(snap == {} for _, snap in monitored.samples())
+    assert monitored.locations == watched.locations == {"T": "a"}
+
+
 def test_trace_to_jsonl_roundtrips():
     text = """
 clock x;

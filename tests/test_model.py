@@ -188,3 +188,30 @@ def test_every_accepted_model_compiles(text):
     model = parse_model(text)
     assert validate_model(model).ok
     CompiledNetwork(instantiate(model))
+
+
+def test_clock_rated_by_two_instances_is_rejected():
+    # the engine could honour only one of the two rates of e
+    text = """
+clock e;
+clock x;
+template A() { init loc a { rate e = 3; } }
+template B() {
+  init loc b { rate e = x; inv x <= 4; }
+  loc c;
+  b -> c { guard x >= 4; }
+}
+system A, B;
+"""
+    assert codes(text) == {"clock rated twice"}
+    # two instances of one template rating a global clock
+    assert codes("""
+clock g;
+template W() { init loc a { rate g = 2; } }
+system p = W, q = W;
+""") == {"clock rated twice"}
+    # a template-local clock is one clock per instance: no conflict
+    assert codes("""
+template W() { clock c; init loc a { rate c = 2; } }
+system p = W, q = W;
+""") == set()

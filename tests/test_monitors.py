@@ -191,8 +191,24 @@ def observed_runs(model_text, c, n, bound=200.0, seed=5):
     for i in range(n):
         tr = run(instantiate(obs), bound, RngStream(seed, i),
                  watch=["Obs.fail"])
-        out.append((M.observer_failed(tr, "Obs"), M.check_trace(tr, c)))
+        failed = M.observer_failed(tr, "Obs")
+        # it reads the final location; the snapshots say the same
+        assert failed == any(snap["Obs.fail"] for _, snap in tr.samples())
+        out.append((failed, M.check_trace(tr, c)))
     return out
+
+
+@pytest.mark.parametrize("c", [
+    wh("execution", 1, 1, [("start", "a"), ("stop", "b"), ("preempt", "c"),
+                           ("resume", "d")]),
+    wh("synchronization", 1, 1, [("e1", "a"), ("e2", "b")]),
+    wh("periodic", 1, 1, [("occurrence", "a")]),
+    wh("endtoend", 1, 1, [("source", "a"), ("target", "b")]),
+], ids=["execution", "synchronization", "periodic", "endtoend"])
+def test_no_observer_edge_leaves_fail(c):
+    tpl = M.build_observer(c)
+    assert any(loc.id == "fail" for loc in tpl.locations)
+    assert all(edge.source != "fail" for edge in tpl.edges)
 
 
 @pytest.mark.parametrize("c", [

@@ -1,4 +1,5 @@
 import math
+import pathlib
 from concurrent.futures import wait
 from dataclasses import replace
 
@@ -7,9 +8,13 @@ import pytest
 import scipy.stats
 
 from stamc import smc
-from stamc.engine import RunConfig
+from stamc.engine import CompiledNetwork, RngStream, RunConfig, run
+from stamc.expr import to_text
+from stamc.model import instantiate
+from stamc.monitors import attach_observer, check_trace
 from stamc.parser import parse_expression, parse_model, parse_queries
-from stamc.queries import Expected
+from stamc.queries import (Compare, ConstraintQuery, Estimate, Expected,
+                           Hypothesis, ObserverDecl)
 from stamc.smc import (Sprt, StatConfig, chernoff_runs, clopper_pearson,
                        evaluate_query)
 
@@ -328,3 +333,114 @@ def test_registered_queries_share_runs_and_late_ones_start_afresh(
     assert results == alone
     first = max(r.runs for r in results[:2])
     assert runs == list(range(first)) + list(range(30))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_kept_chunks_simulate_no_run_twice(pools, workers):
+    # the test decides after a few runs; the estimate reads on past it from
+    # the chunks the test's reads had sent ahead
+    coin = coin_model()
+    cfg = StatConfig(seed=7, delta_indiff=0.1, epsilon=0.2, workers=workers)
+    texts = ["Pr[<=5](<> heads == 1) >= 0.25", "Pr[<=5](<> heads == 1)"]
+    inline = [without_wall(evaluate_query(coin, query(t),
+                                          replace(cfg, workers=1)))
+              for t in texts]
+    with smc.RunPool(workers) as pool:
+        shared = [query(t) for t in texts]
+        for q in shared:
+            pool.register(coin, q, cfg)
+        results = [without_wall(evaluate_query(coin, q, cfg, pool=pool))
+                   for q in shared]
+    assert results == inline
+    assert results[0].runs < results[1].runs
+    [executor] = pools
+    submitted = [i for chunk in executor.chunks for i in chunk]
+    assert sorted(submitted) == list(range(len(submitted)))
+    assert len(submitted) >= results[1].runs
+
+
+def test_retired_job_judges_no_later_run():
+    coin = coin_model()
+    cfg = StatConfig(seed=7, delta_indiff=0.1, epsilon=0.2)
+    test, estimate = (query("Pr[<=5](<> heads == 1) >= 0.25"),
+                      query("Pr[<=5]([] done == 0)"))
+    with smc.RunPool(1) as pool:
+        pool.register(coin, test, cfg)
+        pool.register(coin, estimate, cfg)
+        decided = evaluate_query(coin, test, cfg, pool=pool).runs
+        read = evaluate_query(coin, estimate, cfg, pool=pool).runs
+        [stream] = pool._streams.values()
+    assert decided < read == len(stream.cache)
+    # the test's judge saw only the runs it read, the estimate's all
+    assert all(out[0] is not None for out in stream.cache[:decided])
+    assert all(out[0] is None for out in stream.cache[decided:])
+    assert all(out[1] is not None for out in stream.cache)
+
+
+# --- the online monitors against the trace judges -------------------------
+
+MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
+
+
+def reference_extremum(trace, key, mode):
+    """The running extremum over a stored trace, as judged before the
+    monitors."""
+    pick = max if mode == "max" else min
+    best = None
+    for _, snap in trace.samples():
+        v = float(snap[key])
+        best = v if best is None else pick(best, v)
+    return best
+
+
+def reference_observer_failed(trace, inst):
+    """The observer route over a stored trace that watches ``inst.fail``,
+    as judged before the monitors."""
+    return any(snap[f"{inst}.fail"] for _, snap in trace.samples())
+
+
+def test_monitors_match_the_trace_judges_on_vehicle_runs():
+    model = parse_model((MODELS / "av.sta").read_text())
+    named = parse_queries((MODELS / "requirements.q").read_text())
+    formulas, constraints = [], []
+    for nq in named:
+        q = nq.query
+        if isinstance(q, ObserverDecl):
+            model = attach_observer(model, q.constraint, nq.name)
+        elif isinstance(q, ConstraintQuery):
+            model = attach_observer(model, q.constraint, f"_obs_{nq.name}")
+            constraints.append((q.constraint, f"_obs_{nq.name}"))
+        elif isinstance(q, (Estimate, Hypothesis)):
+            formulas.append(q.formula)
+        elif isinstance(q, Compare):
+            formulas += [q.formula1, q.formula2]
+    # formulas that decide both ways on these runs
+    formulas += [query("Pr[<=1](<> wvl > 100)").formula,
+                 query("Pr[<=1]([] wvl <= 100)").formula]
+    extrema = [(mode, "energy.braking_en") for mode in ("max", "min")] + \
+        [("max", "(wvl + wvr) / 2"), ("min", "wvl - wvr")]
+    judges = ([smc._Sampled(f.op, to_text(f.state_expr)) for f in formulas]
+              + [smc._Sampled(mode, to_text(parse_expression(e)))
+                 for mode, e in extrema]
+              + [smc._Traced(smc._routes, (c, inst))
+                 for c, inst in constraints])
+    bound, seed = 3000.0, 42
+    runs = smc._Runs(bound, seed, RunConfig(), tuple((j, 30) for j in judges))
+    net = CompiledNetwork(instantiate(model))
+    watch = tuple(dict.fromkeys(
+        [j.expr for j in judges if isinstance(j, smc._Sampled)]
+        + [f"{inst}.fail" for _, inst in constraints]))
+    seen = set()
+    for i in range(30):
+        outcomes = smc._run_one(runs, net, i, tuple(range(len(judges))))
+        trace = run(net, bound, RngStream(seed, i), watch=watch)
+        want = [smc.evaluate_path_formula(trace, f, bound) for f in formulas]
+        want += [reference_extremum(trace, to_text(parse_expression(e)), mode)
+                 for mode, e in extrema]
+        want += [(not reference_observer_failed(trace, inst),
+                  check_trace(trace, c).wh_holds) for c, inst in constraints]
+        assert list(outcomes) == want, f"run {i}"
+        seen.update((k, x) for k, x in enumerate(want[:len(formulas)]))
+    # every formula added above decided both ways
+    assert all((k, x) in seen for k in range(len(formulas) - 2, len(formulas))
+               for x in (True, False))
