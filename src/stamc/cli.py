@@ -20,8 +20,8 @@ from .engine import EngineError, RunConfig, check_bound
 from .expr import ExprError, names
 from .model import instantiate, resolver, validate_model
 from .parser import ParseError
-from .queries import (ConstraintQuery, Expected, ObserverDecl, Simulate,
-                      expressions)
+from .queries import (ConstraintQuery, Expected, Hypothesis, ObserverDecl,
+                      Simulate, expressions)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -202,25 +202,27 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
         for e in expressions(query):
             for name in names(e):
                 resolve(name)
-    rows = []
-    mismatch = False
     # one pool for every query: workers live, and compile each model once,
-    # for the whole call; the queries registered up front share each run
+    # for the whole call; the queries registered up front share each run.
+    # A job judges every run simulated while it is live, so the sequential
+    # tests, which stop early, go first; the outputs keep file order.
+    results = [None] * len(queries)
     with smc.RunPool(manifest.workers) as pool:
         for nq, query in queries:
             pool.register(model, query, cfg, run_config, nq.name)
-        for nq, query in queries:
-            row = _run_query(model, nq, query, cfg, run_config, manifest,
-                             len(rows), pool)
-            rows.append(row)
-            mismatch = mismatch or row["match"] is False
-    return rows, mismatch
+        for i in sorted(range(len(queries)), key=lambda i: not isinstance(
+                queries[i][1], (Hypothesis, ConstraintQuery))):
+            nq, query = queries[i]
+            results[i] = smc.evaluate_query(model, query, cfg, run_config,
+                                            name=nq.name, pool=pool)
+    rows = [_outputs(nq, query, result, manifest, index)
+            for index, ((nq, query), result)
+            in enumerate(zip(queries, results))]
+    return rows, any(row["match"] is False for row in rows)
 
 
-def _run_query(model, nq, query, cfg, run_config, manifest, index, pool):
-    """Evaluate one query, write its CSV outputs and return its row."""
-    result = smc.evaluate_query(model, query, cfg, run_config, name=nq.name,
-                                pool=pool)
+def _outputs(nq, query, result, manifest, index):
+    """Write one query's CSV outputs and return its row."""
     base = nq.name or f"q{index}"
     if isinstance(query, Simulate):
         csv = smc.trajectories_to_csv(result.details["trajectories"],

@@ -20,8 +20,27 @@ atoms also get a probe closure ``lambda V, L, R, dt``
 ``V[3] + R[3] * dt``: window search evaluates them ``dt`` ahead under the
 current rates without copying ``V``.
 
+The per-event work runs in kernels, straight-line functions generated from
+those closures' sources with every expression inlined:
+
+- a window kernel per guard of an internal or emitting edge and per
+  invariant finds when the guard opens or the invariant closes, probing
+  each atom's crossing without a call per probe; an invariant is read once
+  per step;
+- an update kernel per edge evaluates every right-hand side, then stores
+  them, converting reals and bools inline;
+- an advance kernel per exact rate plan (below) does its midpoint step and
+  its ``rate * dt`` stores, with the same finiteness checks.
+
+A location's kernels and its edges' are generated when the first step
+table (below) that holds the location is built.  Closures and kernels are
+kept in module-level caches keyed by their source text, so a second
+network of the same model, such as the one each ``E`` query or worker
+process compiles, evaluates and execs nothing.
+
 Each location configuration gets one step table, built the first time the
-network enters it.  It lists the committed components; the actors, which
+network enters it; a simulator keeps the current one until a firing
+changes ``L``.  It lists the committed components; the actors, which
 are the components with an internal or emitting edge or an invariant; the
 receive edges per channel; and the rate plan.  A component with neither
 draws no delay and caps none, so a step races only the actors, and a sync
@@ -31,20 +50,25 @@ and clock-reading rates, which are integrated jointly on float lists.  A
 delay reuses the rates its step evaluated for window search.  When the
 clock-reading rates are affine in clocks that all move at constant rates,
 they are linear in time over a delay and one midpoint step
-``y + f(dt / 2) * dt`` integrates them exactly; otherwise fixed-step RK4
-takes ``ceil(dt / h_max)`` steps.
+``y + f(dt / 2) * dt`` integrates them exactly (the plan is exact);
+otherwise fixed-step RK4 takes ``ceil(dt / h_max)`` steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
-the same order, as copying ``V`` per probe and integrating with numpy
-arrays (the midpoint step above, or RK4 as ``y + k * (h / 2)``, then
-``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  Runs are bit-identical
-to that straightforward form, which ``tests/test_engine.py`` keeps as its
-reference, next to a digest of 30 vehicle runs.  Only runs through a
-stepped plan depend on ``h_max``.
+the same order, and draws the same random numbers, as copying ``V`` per
+probe, searching windows by a loop over the probe closures, applying
+updates through a staged list, and integrating with numpy arrays (the
+midpoint step above, or RK4 as ``y + k * (h / 2)``, then
+``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
+expression's source where its closure would have been called, which
+changes no float operation.  Runs are bit-identical to that
+straightforward form, which ``tests/test_engine.py`` keeps as its
+reference for every kind of kernel, next to a digest of 30 vehicle runs.
+Only runs through a stepped plan depend on ``h_max``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,7 +120,7 @@ class RngStream:
         return len(weights) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     time: float
     component: str
@@ -146,9 +170,125 @@ class RunConfig:
 # --- compilation -----------------------------------------------------------
 
 
+# --- kernels ---------------------------------------------------------------
+#
+# Straight-line functions generated from the sources of compiled closures
+# (``fn.source``) and exec'd once per distinct source text.  Each generator
+# is also memoised on its arguments, the closures themselves among them;
+# expr caches those by source, so a second network of the same model, or a
+# network per query, finds every kernel without writing its source again.
+
+_KERNELS: dict = {}  # source -> function, shared by every network
+
+
+def _kernel(lines: list):
+    """The function ``_k`` that ``lines`` define, exec'd once per source."""
+    src = "\n".join(lines)
+    fn = _KERNELS.get(src)
+    if fn is None:
+        scope = {"__builtins__": {}, **E._FUNCS, "float": float,
+                 "bool": bool, "len": len, "isfinite": math.isfinite,
+                 "EngineError": EngineError,
+                 "_coerce": CompiledNetwork._coerce}
+        exec(src, scope)
+        fn = _KERNELS[src] = scope["_k"]
+    return fn
+
+
+@functools.cache
+def _update_kernel(updates: tuple):
+    """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
+    there are none: every right-hand side is evaluated first, then stored,
+    with reals and clocks through ``float``, bools through ``bool`` and ints
+    through ``_coerce``."""
+    if not updates:
+        return None
+    lines = ["def _k(V, L):"]
+    lines += [f"    u{i} = {fn.source}"
+              for i, (_, fn, _) in enumerate(updates)]
+    for i, (slot, _, vtype) in enumerate(updates):
+        value = {"int": f"_coerce(u{i}, 'int')",
+                 "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
+        lines.append(f"    V[{slot}] = {value}")
+    return _kernel(lines)
+
+
+@functools.cache
+def _window_kernel(pred, probe, atoms: tuple, want: bool):
+    """``(V, L, R, horizon)``: the earliest t in [0, horizon] at which the
+    guard or invariant ``pred`` has truth ``want`` under clock rates ``R``,
+    or None.
+
+    Its atoms are affine in the clocks (validated), so truth can only flip
+    where an atom ``g0 + slope * t`` crosses 0: the kernel probes 1e-9 past
+    each such t, in increasing order.  1e-9 itself comes first, for an atom
+    sitting at 0 with a nonzero slope, whose truth flips at once."""
+    test = "" if want else "not "
+    lines = ["def _k(V, L, R, horizon):",
+             f"    if {test}({pred.source}):",
+             "        return 0.0",
+             "    if horizon <= 0:",
+             "        return None",
+             "    c = [1e-9]"]
+    for diff, diff_probe in atoms:
+        lines += [f"    g = float({diff.source})",
+                  "    dt = 1.0",
+                  f"    s = float({diff_probe.source}) - g",
+                  "    if s != 0.0:",
+                  "        t = -g / s",
+                  "        if 1e-9 < t <= horizon:",
+                  "            c.append(t)"]
+    if len(atoms) > 1:  # [1e-9, t] is sorted: every crossing is past 1e-9
+        lines += ["    if len(c) > 2:",
+                  "        c.sort()"]
+    lines += ["    for t in c:",
+              "        dt = t + 1e-9",
+              f"        if {test}({probe.source}):",
+              "            return t",
+              "    return None"]
+    return _kernel(lines)
+
+
+@functools.cache
+def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple):
+    """``(V, L, R, dt)`` advancing every clock of an exact plan by ``dt``:
+    the ``integrated`` clocks, ((slot, its rate, its key), ...), by one
+    midpoint step that reads the ``stage_const`` slots at ``dt / 2``, then
+    the ``advanced`` ones, ((slot, its key), ...), by ``rate * dt``."""
+    def check(var, key):
+        message = f"rate of {key!r} is not finite"
+        return [f"    if not isfinite({var}):",
+                f"        raise EngineError({message!r})"]
+
+    base = {slot: i for i, (slot, _) in enumerate(advanced)}
+    lines = ["def _k(V, L, R, dt):"]
+    lines += [f"    b{i} = V[{slot}]" for slot, i in base.items()]
+    if integrated:
+        lines += [f"    y{i} = V[{slot}]"
+                  for i, (slot, _, _) in enumerate(integrated)]
+        lines.append("    h = dt / 2")
+        lines += [f"    V[{slot}] = b{base[slot]} + R[{slot}] * h"
+                  for slot in stage_const]
+        for i, (_, fn, key) in enumerate(integrated):
+            lines.append(f"    k{i} = float({fn.source})")
+            lines += check(f"k{i}", key)
+        lines += [f"    V[{slot}] = y{i} + k{i} * dt"
+                  for i, (slot, _, _) in enumerate(integrated)]
+    for i, (slot, key) in enumerate(advanced):
+        lines.append(f"    r = R[{slot}]")
+        lines += check("r", key)
+        lines.append(f"    V[{slot}] = b{i} + r * dt")
+    if len(lines) == 1:
+        lines.append("    pass")
+    return _kernel(lines)
+
+
+# --- compilation -----------------------------------------------------------
+
+
 class _CompiledEdge:
     __slots__ = ("label", "target", "guard", "guard_probe", "guard_atoms",
-                 "sync", "binary", "weight", "updates")
+                 "window", "sync", "binary", "weight", "updates", "update")
 
     def __init__(self, label, target, guard, guard_probe, guard_atoms, sync,
                  binary, weight, updates):
@@ -156,16 +296,21 @@ class _CompiledEdge:
         self.target = target
         self.guard = guard  # compiled or None
         self.guard_probe = guard_probe  # probe form of guard, or None
-        self.guard_atoms = guard_atoms  # [(lhs - rhs fn, its probe form)]
+        self.guard_atoms = guard_atoms  # ((lhs - rhs fn, its probe), ...)
         self.sync = sync
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
-        self.updates = updates  # list[(slot, fn, vtype)]
+        self.updates = updates  # ((slot, fn, vtype), ...)
+        # kernels, from the source location's lower(): the guard's window
+        # (None for no guard, a receive edge or a committed source) and
+        # the updates (None for none)
+        self.window = self.update = None
 
 
 class _CompiledLocation:
     __slots__ = ("id", "committed", "invariant", "inv_probe", "inv_atoms",
-                 "rates", "affine", "exit_rate", "active", "receive")
+                 "window", "rates", "affine", "exit_rate", "active",
+                 "receive", "lowered")
 
     def __init__(self, id, committed, invariant, inv_probe, inv_atoms, rates,
                  affine, exit_rate):
@@ -174,11 +319,33 @@ class _CompiledLocation:
         self.invariant = invariant
         self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
+        self.window = None  # when the invariant turns false, from lower()
         self.rates = rates  # [(clock slot, fn, clock slots the rate reads)]
         self.affine = affine  # every rate is affine in clocks
         self.exit_rate = exit_rate
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
+        self.lowered = False
+
+    def lower(self) -> None:
+        """Generate the kernels of this location and of its outgoing edges,
+        once.  The first step table that holds the location asks for them,
+        as it asks for its rate plan's, so a network generates none for a
+        location it never enters."""
+        if self.lowered:
+            return
+        self.lowered = True
+        if not self.committed:
+            if self.invariant is not None:
+                self.window = _window_kernel(self.invariant, self.inv_probe,
+                                             self.inv_atoms, False)
+            for edge in self.active:
+                if edge.guard is not None:
+                    edge.window = _window_kernel(edge.guard, edge.guard_probe,
+                                                 edge.guard_atoms, True)
+        for edge in self.active + [e for es in self.receive.values()
+                                   for e in es]:
+            edge.update = _update_kernel(edge.updates)
 
 
 class _RatePlan:
@@ -187,12 +354,13 @@ class _RatePlan:
     rate, or 1), and the clock-reading rates that are integrated
     (validation rejects a clock that two components rate).  The plan is
     ``exact`` when the integrated rates read only constant-rate clocks and
-    are affine in them: they are then linear in time over a delay."""
+    are affine in them: they are then linear in time over a delay, and
+    ``advance`` is its kernel; a stepped plan's ``advance`` is None."""
 
-    __slots__ = ("rates", "advanced", "coupled", "stage_const", "stage_y",
-                 "exact")
+    __slots__ = ("rates", "advanced", "yslots", "fns",
+                 "stage_const", "stage_y", "exact", "advance")
 
-    def __init__(self, clock_slots, locations):
+    def __init__(self, clock_slots, keys, locations):
         rates = {}  # clock slot -> (fn, clock slots it reads)
         for loc in locations:
             for slot, fn, reads in loc.rates:
@@ -202,16 +370,22 @@ class _RatePlan:
         # advanced by rate * dt: clock-free rates, then clocks at rate 1
         self.advanced = ([slot for slot in rates if slot not in coupled]
                          + [slot for slot in clock_slots if slot not in rates])
-        self.coupled = list(coupled.items())
+        # the integrated clocks and their rates
+        self.yslots, self.fns = list(coupled), list(coupled.values())
         read = set()
         for slot in coupled:
             read |= rates[slot][1]
-        # what the coupled rates read inside an RK4 stage: clocks that
+        # what the coupled rates read in a midpoint or RK4 stage: clocks that
         # advance at a constant rate, and positions of integrated clocks
         self.stage_const = [slot for slot in self.advanced if slot in read]
         self.stage_y = [(i, slot) for i, slot in enumerate(coupled)
                         if slot in read]
         self.exact = not self.stage_y and all(loc.affine for loc in locations)
+        self.advance = _advance_kernel(
+            tuple((slot, keys[slot]) for slot in self.advanced),
+            tuple((slot, fn, keys[slot])
+                  for slot, fn in zip(self.yslots, self.fns)),
+            tuple(self.stage_const)) if self.exact else None
 
 
 class _StepTable:
@@ -227,6 +401,8 @@ class _StepTable:
     def __init__(self, net, config):
         located = [(cc, cc.locations[loc_id])
                    for cc, loc_id in zip(net.components, config)]
+        for _, loc in located:
+            loc.lower()
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
         self.actors = [(cc, loc) for cc, loc in located
                        if not loc.committed
@@ -235,7 +411,7 @@ class _StepTable:
         for cc, loc in located:
             for ch, edges in loc.receive.items():
                 self.receivers.setdefault(ch, []).append((cc, edges))
-        self.plan = _RatePlan(net.clock_slots,
+        self.plan = _RatePlan(net.clock_slots, net.keys,
                               [loc for _, loc in located if not loc.committed])
 
 
@@ -327,7 +503,7 @@ class CompiledNetwork:
                 ce = _CompiledEdge(
                     f"{edge.source}->{edge.target}#{i}", edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
-                    sync, binary, edge.weight, updates)
+                    sync, binary, edge.weight, tuple(updates))
                 source = cc.locations[edge.source]
                 if sync is not None and sync.direction == "receive":
                     source.receive.setdefault(sync.channel, []).append(ce)
@@ -351,11 +527,11 @@ class CompiledNetwork:
         return resolve_slot
 
     def _compile_window(self, boolean_expr, resolve, clock_refs):
-        """(predicate, its probe, [(lhs - rhs, its probe)] for each
-        clock-bearing atom) of a guard or invariant; (None, None, []) for
+        """(predicate, its probe, ((lhs - rhs, its probe), ...) for each
+        clock-bearing atom) of a guard or invariant; (None, None, ()) for
         an absent one."""
         if boolean_expr is None:
-            return None, None, []
+            return None, None, ()
         clocks = frozenset(self.clock_slots)
         atoms = []
         for atom in E.comparison_atoms(boolean_expr):
@@ -364,7 +540,7 @@ class CompiledNetwork:
                 atoms.append((E.compile_expr(diff, resolve),
                               E.compile_probe(diff, resolve, clocks)))
         return (E.compile_expr(boolean_expr, resolve),
-                E.compile_probe(boolean_expr, resolve, clocks), atoms)
+                E.compile_probe(boolean_expr, resolve, clocks), tuple(atoms))
 
     def step_table(self, L) -> _StepTable:
         """The step table of location configuration ``L``, built once."""
@@ -428,6 +604,13 @@ class Simulator:
         self.watch = net.compile_watch(watch)
         self.monitor = monitor  # called with (V, L) at every sample point
         self._receiving = {}  # receive edges per channel in this step
+        self._table = None  # step table of L; _fire drops it
+
+    def _step_table(self) -> _StepTable:
+        table = self._table
+        if table is None:
+            table = self._table = self.net.step_table(self.state.L)
+        return table
 
     # -- expression probing under linear clock extrapolation --
 
@@ -440,44 +623,14 @@ class Simulator:
             rates[slot] = float(fn(V, L))
         return rates
 
-    def _earliest(self, pred, probe, atoms, rates, horizon: float,
-                  want: bool):
-        """Earliest t in [0, horizon] with pred == want, or None.
-
-        Guard/invariant atoms are affine in the clocks (validated), so truth
-        can only flip at atom crossing times; probe those breakpoints.
-        """
-        V, L = self.state.V, self.state.L
-        eps = 1e-9
-        if bool(pred(V, L)) == want:
-            return 0.0
-        if horizon <= 0:
-            return None
-        # boundary case: truth flips immediately (atom sitting at 0 with a
-        # nonzero slope), which yields no strictly positive crossing below
-        crossings = [eps]
-        for diff, diff_probe in atoms:
-            g0 = float(diff(V, L))
-            slope = float(diff_probe(V, L, rates, 1.0)) - g0
-            if slope == 0.0:
-                continue
-            t = -g0 / slope
-            if eps < t <= horizon:
-                crossings.append(t)
-        for t in sorted(crossings):
-            if bool(probe(V, L, rates, t + eps)) == want:
-                return t
-        return None
-
     def _invariant_deadline(self, cc, loc, rates) -> float:
         """Latest delay the location invariant allows (inf if unbounded)."""
-        if loc.invariant is None:
+        if loc.window is None:
             return INF
-        if not bool(loc.invariant(self.state.V, self.state.L)):
+        t = loc.window(self.state.V, self.state.L, rates, INF)
+        if t == 0.0:  # false now; any later closing time is past 1e-9
             raise EngineError(
                 f"invariant of {cc.name} violated at entry (engine defect)")
-        t = self._earliest(loc.invariant, loc.inv_probe, loc.inv_atoms,
-                           rates, INF, False)
         return INF if t is None else t
 
     def sample_delay(self, cc, loc, rates: list, deadline: float):
@@ -488,6 +641,7 @@ class Simulator:
         L + Exponential(exit-rate, default 1); U is ``deadline``, the
         component's invariant deadline under ``rates``.
         """
+        V, L = self.state.V, self.state.L
         starts = []
         for edge in loc.active:
             if edge.binary is not None and self._emit_blocked(cc, edge):
@@ -495,11 +649,10 @@ class Simulator:
                 # skip it (clock-guarded receivers opening mid-sojourn are
                 # ignored)
                 continue
-            if edge.guard is None:
+            if edge.window is None:
                 starts.append(0.0)
                 continue
-            s = self._earliest(edge.guard, edge.guard_probe, edge.guard_atoms,
-                               rates, deadline, True)
+            s = edge.window(V, L, rates, deadline)
             if s is not None:
                 starts.append(s)
         if not starts:
@@ -518,7 +671,8 @@ class Simulator:
         configuration, which a step evaluates once for window search and
         passes on: a clock-free rate reads no clock, so no delay changes it.
         Clocks whose rate does not reference other clocks advance exactly
-        by rate*dt; the rest are integrated jointly by :meth:`_integrate`.
+        by rate*dt; the rest are integrated jointly, by the plan's kernel
+        on an exact plan, otherwise by :meth:`_integrate`.
         """
         if dt < 0:
             if dt < -1e-6:
@@ -527,24 +681,26 @@ class Simulator:
         if dt == 0.0:
             return
         V = self.state.V
-        plan = self.net.step_table(self.state.L).plan
-        base = [V[slot] for slot in plan.advanced]
-        if plan.coupled:
-            self._integrate(plan, rates, dt)
-        for slot, b in zip(plan.advanced, base):
-            r = rates[slot]
-            if not math.isfinite(r):
-                raise EngineError(
-                    f"rate of {self.net.keys[slot]!r} is not finite")
-            V[slot] = b + r * dt
+        plan = self._step_table().plan
+        if plan.advance is not None:
+            plan.advance(V, self.state.L, rates, dt)
+        else:
+            base = [V[slot] for slot in plan.advanced]
+            if plan.yslots:
+                self._integrate(plan, rates, dt)
+            for slot, b in zip(plan.advanced, base):
+                r = rates[slot]
+                if not math.isfinite(r):
+                    raise EngineError(
+                        f"rate of {self.net.keys[slot]!r} is not finite")
+                V[slot] = b + r * dt
         self.state.time += dt
 
     def _integrate(self, plan, rates, dt: float) -> None:
-        """Integrate the clocks whose rates read clocks over dt: in one
-        midpoint step on an exact plan, otherwise by fixed-step RK4."""
+        """Integrate the clocks whose rates read clocks over dt by
+        fixed-step RK4."""
         V, L = self.state.V, self.state.L
-        yslots = [slot for slot, _ in plan.coupled]
-        fns = [fn for _, fn in plan.coupled]
+        yslots, fns = plan.yslots, plan.fns
         y = [V[slot] for slot in yslots]
         stage_const = [(slot, V[slot], rates[slot])
                        for slot in plan.stage_const]
@@ -565,22 +721,18 @@ class Simulator:
                 out.append(v)
             return out
 
-        if plan.exact:
-            # linear in time over the delay: the midpoint rule is exact
-            y = [a + k * dt for a, k in zip(y, f(dt / 2, y))]
-        else:
-            n_steps = max(1, math.ceil(dt / self.config.h_max))
-            h = dt / n_steps
-            h2, h6 = h / 2, h / 6
-            t = 0.0
-            for _ in range(n_steps):
-                k1 = f(t, y)
-                k2 = f(t + h2, [a + k * h2 for a, k in zip(y, k1)])
-                k3 = f(t + h2, [a + k * h2 for a, k in zip(y, k2)])
-                k4 = f(t + h, [a + k * h for a, k in zip(y, k3)])
-                y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
-                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-                t += h
+        n_steps = max(1, math.ceil(dt / self.config.h_max))
+        h = dt / n_steps
+        h2, h6 = h / 2, h / 6
+        t = 0.0
+        for _ in range(n_steps):
+            k1 = f(t, y)
+            k2 = f(t + h2, [a + k * h2 for a, k in zip(y, k1)])
+            k3 = f(t + h2, [a + k * h2 for a, k in zip(y, k2)])
+            k4 = f(t + h, [a + k * h for a, k in zip(y, k3)])
+            y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            t += h
         for slot, val in zip(yslots, y):
             V[slot] = val
 
@@ -616,18 +768,17 @@ class Simulator:
                 receivers.append((cc, enabled))
         return receivers
 
-    def _apply_updates(self, edge) -> None:
-        V, L = self.state.V, self.state.L
-        if edge.updates:
-            staged = [(slot, fn(V, L), vtype)
-                      for slot, fn, vtype in edge.updates]
-            for slot, value, vtype in staged:
-                V[slot] = CompiledNetwork._coerce(value, vtype)
+    def _choose(self, enabled):
+        """One of the ``enabled`` edges, chosen by weight; a lone edge
+        draws nothing."""
+        if len(enabled) == 1:
+            return enabled[0]
+        return enabled[self.rng.weighted_choice([e.weight for e in enabled])]
 
     def _fire_one_of(self, cc, enabled) -> TraceEvent:
         """Fire one of ``cc``'s ``enabled`` edges, chosen by weight."""
         pre = self._snapshot()
-        edge = enabled[self.rng.weighted_choice([e.weight for e in enabled])]
+        edge = self._choose(enabled)
         ch = self._fire(cc, edge)
         if self.config.check_invariants:
             self._check_invariants("after a firing")
@@ -636,8 +787,10 @@ class Simulator:
 
     def _fire(self, cc, edge) -> Optional[str]:
         """Apply one edge plus any synchronized receivers; returns channel."""
-        L = self.state.L
-        self._apply_updates(edge)
+        V, L = self.state.V, self.state.L
+        self._table = None
+        if edge.update is not None:
+            edge.update(V, L)
         L[cc.index] = edge.target
         if edge.sync is None:
             return None
@@ -646,9 +799,9 @@ class Simulator:
         if edge.binary is not None:
             receivers = receivers[:1]  # validated to be exactly one
         for other, enabled in receivers:
-            idx = self.rng.weighted_choice([e.weight for e in enabled])
-            chosen = enabled[idx]
-            self._apply_updates(chosen)
+            chosen = self._choose(enabled)
+            if chosen.update is not None:
+                chosen.update(V, L)
             L[other.index] = chosen.target
         return ch
 
@@ -674,7 +827,7 @@ class Simulator:
             if loc.invariant is None or loc.invariant(V, L):
                 continue
             if rates is None:
-                rates = self._current_rates(self.net.step_table(L).plan)
+                rates = self._current_rates(self._step_table().plan)
             if loc.inv_probe(V, L, rates, -1e-9):
                 continue
             tpl = self.net.network.components[cc.index].template
@@ -691,7 +844,7 @@ class Simulator:
     def step(self, bound: float):
         """One network step.  Returns a TraceEvent, or a terminal string:
         "bound_reached" | "deadlock"."""
-        table = self.net.step_table(self.state.L)
+        table = self._step_table()
         self._receiving = table.receivers
         if table.committed:
             for cc, loc in table.committed:

@@ -13,6 +13,10 @@ rates ``R``: each clock ``k`` reads as ``(V[k] + R[k] * dt)``.  That is the
 same float operation as building an advanced copy of ``V`` and evaluating
 the plain form on it, so a probe returns bit-identical values without
 copying ``V``.
+
+Each function is evaluated once per distinct (parameters, source) and kept
+in a module-level cache, and carries its source as ``fn.source``, from
+which :mod:`stamc.engine` builds its kernels.
 """
 
 from __future__ import annotations
@@ -151,9 +155,17 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
     raise ExprError(f"unknown node {e!r}")
 
 
+_LAMBDAS: dict = {}  # (params, source) -> function, shared by every network
+
+
 def _lambda(params: str, src: str) -> Callable:
-    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **_FUNCS})
-    fn.source = src  # type: ignore[attr-defined]
+    """``lambda params: src``, evaluated once per distinct (params, src):
+    a second network with the same expressions compiles nothing."""
+    fn = _LAMBDAS.get((params, src))
+    if fn is None:
+        fn = _LAMBDAS[params, src] = eval(f"lambda {params}: {src}",
+                                          {"__builtins__": {}, **_FUNCS})
+        fn.source = src  # type: ignore[attr-defined]
     return fn
 
 

@@ -7,6 +7,7 @@ are shared freely across simulation workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -172,6 +173,12 @@ def value_key(resolve: E.Resolver, name: str) -> Optional[str]:
     return rest[0] if kind == "var" else None
 
 
+def _finite_positive(x: float) -> bool:
+    """A weight or an exit rate: a literal too large for a float reads as
+    inf, which no weighted choice or exponential draw can use."""
+    return math.isfinite(x) and x > 0
+
+
 def validate_model(model: Model) -> ValidationReport:
     """Collect every structural violation; pure and idempotent.
 
@@ -235,8 +242,10 @@ def validate_model(model: Model) -> ValidationReport:
                 if "." in clk or not is_clock(clk):
                     err("unknown clock", where, f"rate on unknown clock {clk!r}")
                 check_names(rate, where)
-            if loc.exit_rate is not None and loc.exit_rate <= 0:
-                err("nonpositive exitrate", where, "exitrate must be > 0")
+            if loc.exit_rate is not None and not _finite_positive(
+                    loc.exit_rate):
+                err("nonpositive exitrate", where,
+                    "exitrate must be finite and > 0")
         if not tpl.locations:
             err("no locations", tpl.name, "template has no locations")
         elif not tpl.initial:
@@ -251,9 +260,9 @@ def validate_model(model: Model) -> ValidationReport:
                 err("unknown location", where, f"source {edge.source!r} undeclared")
             if edge.target not in loc_ids:
                 err("unknown location", where, f"target {edge.target!r} undeclared")
-            if not edge.weight > 0:
+            if not _finite_positive(edge.weight):
                 err("nonpositive weight", where,
-                    f"edge weight {edge.weight} violates weight > 0")
+                    f"edge weight {edge.weight} must be finite and > 0")
             if edge.sync is not None and edge.sync.channel not in chan_names:
                 err("unknown channel", where,
                     f"sync on undeclared channel {edge.sync.channel!r}")

@@ -395,6 +395,40 @@ def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
     assert len(second) == rows["C"]["runs"]
 
 
+def test_sequential_tests_are_evaluated_first(runner, small, tmp_path,
+                                              monkeypatch):
+    """An estimate written before an SPRT on one stream: the SPRT runs
+    first, so its job judges only the runs it reads and then retires, and
+    the rows equal those of the file with the two swapped."""
+    judged = []
+    add = smc._Monitor.add
+    monkeypatch.setattr(smc._Monitor, "add", lambda self, place, judge, net:
+                        judged.append(judge.expr) or add(self, place, judge,
+                                                         net))
+    estimate, test = ("P: Pr[<=5](<> heads == 1);",
+                      "H: Pr[<=5](<> heads != 0) >= 0.1;")
+    rows = {}
+    for order in ((estimate, test), (test, estimate)):
+        judged.clear()
+        q = tmp_path / "order.q"
+        q.write_text("\n".join(order) + "\n")
+        out = tmp_path / "o"
+        res = runner.invoke(main, ["check", small, str(q), "--seed", "5",
+                                   "--epsilon", "0.1", "--workers", "1",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        found = json.loads((out / "results.json").read_text())["results"]
+        assert [r["name"] for r in found] == [o[0] for o in order]
+        for r in found:
+            r.pop("wall_ms")
+        rows[order] = sorted(found, key=lambda r: r["name"])
+        by_name = {r["name"]: r for r in found}
+        assert by_name["H"]["runs"] < by_name["P"]["runs"]
+        assert judged.count("heads != 0") == by_name["H"]["runs"]
+        assert judged.count("heads == 1") == by_name["P"]["runs"]
+    assert rows[estimate, test] == rows[test, estimate]
+
+
 def test_check_engine_error_in_a_worker_exits_3(runner, tmp_path, pools):
     m = tmp_path / "bad_update.sta"
     m.write_text(SMALL.replace("update heads := 1;", "update heads := 2.5;"))

@@ -513,6 +513,28 @@ system T;
     assert {"t", "comp", "edge", "watch"} <= set(rows[0])
 
 
+BIG = "9" * 300  # 1e300; its square overflows to inf
+
+
+@pytest.mark.parametrize("rate", [f"{BIG} * {BIG}", f"t * {BIG} * {BIG}"])
+def test_a_rate_that_is_not_finite_stops_the_run(rate):
+    """A clock-free rate, and a rate integrated in one midpoint step, that
+    overflow: the delay raises instead of storing inf."""
+    text = f"""
+clock t;
+clock e;
+template T() {{
+  init loc a {{ rate e = {rate}; inv t <= 1; }}
+  a -> a {{ guard t >= 1; update t := 0; }}
+}}
+system T;
+"""
+    compiled = engine.CompiledNetwork(net(text))
+    assert compiled.step_table(["a"]).plan.exact
+    with pytest.raises(EngineError, match="^rate of 'e' is not finite$"):
+        run(compiled, 10, RngStream(0, 0))
+
+
 def test_check_invariants_covers_the_final_delay():
     """A clock whose rate reads a clock outruns the window search, which
     extrapolates the current rate in a straight line: e reaches about 50
@@ -548,9 +570,11 @@ def test_check_invariants_accepts_the_vehicle_runs():
 # The engine keeps values and locations in slot-indexed lists, probes guards
 # and invariants through closures that read each clock as V[3] + R[3] * dt,
 # and integrates clock-reading rates on float lists, by one midpoint step or
-# by RK4. The references below are the straightforward forms they replace,
-# on dicts and numpy arrays; results must agree bit for bit, not within a
-# tolerance. _named maps slots back to names for them.
+# by RK4. Window search, updates and the midpoint step run as kernels
+# generated from those closures' sources. The references below are the
+# straightforward forms they replace, on dicts, numpy arrays and loops over
+# the closures; results must agree bit for bit, not within a tolerance.
+# _named maps slots back to names for them.
 
 
 def _named(compiled, V, L):
@@ -680,6 +704,135 @@ def test_window_probes_match_dict_copy_reference(name):
                 assert _bits(got) == _bits(ref)
                 checked += len(fns)
     assert checked > 10 ** 4
+
+
+def _earliest(pred, probe, atoms, V, L, rates, horizon, want):
+    """Reference window search: the earliest t in [0, horizon] with
+    ``bool(pred) == want``, or None, found by probing 1e-9 past 1e-9 and
+    past each atom's crossing, in increasing order."""
+    eps = 1e-9
+    if bool(pred(V, L)) == want:
+        return 0.0
+    if horizon <= 0:
+        return None
+    crossings = [eps]
+    for diff, diff_probe in atoms:
+        g0 = float(diff(V, L))
+        slope = float(diff_probe(V, L, rates, 1.0)) - g0
+        if slope == 0.0:
+            continue
+        t = -g0 / slope
+        if eps < t <= horizon:
+            crossings.append(t)
+    for t in sorted(crossings):
+        if bool(probe(V, L, rates, t + eps)) == want:
+            return t
+    return None
+
+
+def _edges(compiled):
+    """(location, edge) for every edge of every component, after every
+    location has generated its kernels."""
+    for cc in compiled.components:
+        for loc in cc.locations.values():
+            loc.lower()
+    return [(loc, e) for cc in compiled.components
+            for loc in cc.locations.values()
+            for e in loc.active + [e for es in loc.receive.values()
+                                   for e in es]]
+
+
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
+def test_window_kernels_match_the_loop_reference(name):
+    """Each guard's kernel finds when it opens, and each invariant's when
+    it closes, as the loop over the probe closures does."""
+    compiled, states = _vehicle_states(name)
+    windows = [(e.guard, e.guard_probe, e.guard_atoms, e.window, True)
+               for _, e in _edges(compiled) if e.window is not None]
+    windows += [(loc.invariant, loc.inv_probe, loc.inv_atoms, loc.window,
+                 False) for cc in compiled.components
+                for loc in cc.locations.values() if loc.window is not None]
+    assert len(windows) > 20
+    found = set()
+    for V, L in states:
+        sim = _at(compiled, V, L)
+        V, L = sim.state.V, sim.state.L
+        rates = sim._current_rates(compiled.step_table(L).plan)
+        for horizon in (math.inf, 0.0, 1e-9, 40.0):
+            for pred, probe, atoms, kernel, want in windows:
+                got = kernel(V, L, rates, horizon)
+                assert _bits([got]) == _bits([_earliest(
+                    pred, probe, atoms, V, L, rates, horizon, want)])
+                found.add(got is None or got > 0)
+    assert found == {True, False}  # windows now, later and never
+
+
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
+def test_update_kernels_match_the_staged_loop(name):
+    """Each edge's update kernel leaves V as evaluating every right-hand
+    side and then storing it through ``_coerce`` does."""
+    compiled, states = _vehicle_states(name)
+    edges = [e for _, e in _edges(compiled) if e.updates]
+    assert len(edges) > 20
+    assert all(e.update is None for _, e in _edges(compiled)
+               if not e.updates)
+    for V, L in states:
+        sim = _at(compiled, V, L)
+        for edge in edges:
+            want = list(sim.state.V)
+            staged = [(slot, fn(want, sim.state.L), vtype)
+                      for slot, fn, vtype in edge.updates]
+            try:
+                for slot, value, vtype in staged:
+                    want[slot] = engine.CompiledNetwork._coerce(value, vtype)
+            except EngineError as exc:
+                with pytest.raises(EngineError, match=f"^{exc}$"):
+                    edge.update(list(sim.state.V), sim.state.L)
+                continue
+            got = list(sim.state.V)
+            edge.update(got, sim.state.L)
+            assert _bits(got) == _bits(want)
+
+
+def test_an_edge_reads_every_right_hand_side_before_it_stores():
+    text = """
+int a = 1;
+int b = 2;
+clock x;
+template T() {
+  init loc s { inv x <= 1; }
+  loc t;
+  s -> t { guard x >= 1; update a := b, b := a, x := a + b; }
+}
+system T;
+"""
+    tr = runs(text, 5, 1, watch=["a", "b", "x"])[0]
+    assert tr.events[0].watch == {"a": 2, "b": 1, "x": 3.0}
+
+
+def test_a_second_compile_execs_nothing():
+    """Closures and kernels are cached by source: a second network of the
+    same model shares every function with the first."""
+    network = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    a, b = engine.CompiledNetwork(network), engine.CompiledNetwork(network)
+    # kernels wait for the first step table that holds their location
+    assert not any(loc.lowered for cc in a.components
+                   for loc in cc.locations.values())
+    pairs = list(zip(_edges(a), _edges(b)))
+    assert len(pairs) > 30
+    for (loc_a, ea), (loc_b, eb) in pairs:
+        assert (ea.guard, ea.guard_probe, ea.window, ea.update) == \
+            (eb.guard, eb.guard_probe, eb.window, eb.update)
+        assert (loc_a.invariant, loc_a.window, loc_a.rates) == \
+            (loc_b.invariant, loc_b.window, loc_b.rates)
+    assert a.components[0].locations is not b.components[0].locations
+    for _ in range(2):
+        for tr in (a, b):
+            run(tr, 300, RngStream(42, 0), config=RunConfig(h_max=10.0))
+    assert len(a._tables) == len(b._tables) > 1
+    for config, table in a._tables.items():
+        assert table.plan.advance is b._tables[config].plan.advance
+        assert table.plan.advance is not None
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):

@@ -128,6 +128,42 @@ system T;
 """)
 
 
+HUGE = "1" + "0" * 400  # reads as inf
+
+
+def test_infinite_weight_is_rejected():
+    """An edge of weight inf beside one of weight 1: every weighted draw
+    gave u = acc = inf and fell through to the last edge, so the edge that
+    should win every time never fired."""
+    rep = validate_model(parse_model(f"""
+int k = 0;
+template T() {{
+  init committed loc a;
+  loc b;
+  loc c;
+  a -> b {{ weight {HUGE}; update k := 1; }}
+  a -> c {{ weight 1; }}
+}}
+system T;
+"""))
+    assert [(i.code, i.message) for i in rep.errors] == [
+        ("nonpositive weight", "edge weight inf must be finite and > 0")]
+
+
+def test_infinite_exitrate_is_rejected():
+    """exitrate inf made every exponential sojourn 0."""
+    rep = validate_model(parse_model(f"""
+clock x;
+template T() {{
+  init loc a {{ exitrate {HUGE}; }}
+  a -> a {{ guard x >= 0; }}
+}}
+system T;
+"""))
+    assert [(i.code, i.message) for i in rep.errors] == [
+        ("nonpositive exitrate", "exitrate must be finite and > 0")]
+
+
 def test_instantiate_binds_parameters():
     net = instantiate(parse_model(GOOD))
     assert [c.name for c in net.components] == ["a", "b", "Boss"]
