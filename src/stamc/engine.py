@@ -29,12 +29,13 @@ those closures' sources with every expression inlined:
   per step;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting reals and bools inline;
-- an advance kernel per exact rate plan (below) does its midpoint step and
-  its ``rate * dt`` stores, with the same finiteness checks.
+- one advance kernel per rate plan (below) integrates its clock-reading
+  rates, by one midpoint step or by RK4 steps, then does its ``rate * dt``
+  stores, each rate checked to be finite.
 
 A location's kernels and its edges' are generated when the first step
-table (below) that holds the location is built.  Closures and kernels are
-kept in module-level caches keyed by their source text, so a second
+table (below) that holds the location is built.  Closures are cached by
+their source and kernels by their generators' arguments, so a second
 network of the same model, such as the one each ``E`` query or worker
 process compiles, evaluates and execs nothing.
 
@@ -51,7 +52,7 @@ delay reuses the rates its step evaluated for window search.  When the
 clock-reading rates are affine in clocks that all move at constant rates,
 they are linear in time over a delay and one midpoint step
 ``y + f(dt / 2) * dt`` integrates them exactly (the plan is exact);
-otherwise fixed-step RK4 takes ``ceil(dt / h_max)`` steps.
+otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
@@ -60,7 +61,8 @@ updates through a staged list, and integrating with numpy arrays (the
 midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
 expression's source where its closure would have been called, which
-changes no float operation.  Runs are bit-identical to that
+changes no float operation, and neither does unrolling RK4's four stages
+into straight-line code.  Runs are bit-identical to that
 straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
 Only runs through a stepped plan depend on ``h_max``.
@@ -167,32 +169,23 @@ class RunConfig:
             raise EngineError("need max_steps >= 1")
 
 
-# --- compilation -----------------------------------------------------------
-
-
 # --- kernels ---------------------------------------------------------------
 #
 # Straight-line functions generated from the sources of compiled closures
-# (``fn.source``) and exec'd once per distinct source text.  Each generator
-# is also memoised on its arguments, the closures themselves among them;
-# expr caches those by source, so a second network of the same model, or a
-# network per query, finds every kernel without writing its source again.
-
-_KERNELS: dict = {}  # source -> function, shared by every network
+# (``fn.source``).  Each generator is memoised on its arguments, the
+# closures themselves among them; expr caches those by source, so the
+# arguments fix the source, and a second network of the same model, or a
+# network per query, finds every kernel without writing or exec'ing it again.
 
 
 def _kernel(lines: list):
-    """The function ``_k`` that ``lines`` define, exec'd once per source."""
-    src = "\n".join(lines)
-    fn = _KERNELS.get(src)
-    if fn is None:
-        scope = {"__builtins__": {}, **E._FUNCS, "float": float,
-                 "bool": bool, "len": len, "isfinite": math.isfinite,
-                 "EngineError": EngineError,
-                 "_coerce": CompiledNetwork._coerce}
-        exec(src, scope)
-        fn = _KERNELS[src] = scope["_k"]
-    return fn
+    """The function ``_k`` that ``lines`` define."""
+    scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
+             "len": len, "range": range, "ceil": math.ceil,
+             "isfinite": math.isfinite, "EngineError": EngineError,
+             "_coerce": CompiledNetwork._coerce}
+    exec("\n".join(lines), scope)
+    return scope["_k"]
 
 
 @functools.cache
@@ -250,37 +243,62 @@ def _window_kernel(pred, probe, atoms: tuple, want: bool):
 
 
 @functools.cache
-def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple):
-    """``(V, L, R, dt)`` advancing every clock of an exact plan by ``dt``:
-    the ``integrated`` clocks, ((slot, its rate, its key), ...), by one
-    midpoint step that reads the ``stage_const`` slots at ``dt / 2``, then
-    the ``advanced`` ones, ((slot, its key), ...), by ``rate * dt``."""
+def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
+                    stage_y: tuple, exact: bool):
+    """``(V, L, R, dt, h_max)`` advancing every clock of a rate plan by
+    ``dt``: the ``integrated`` clocks, ((slot, its rate, its key), ...),
+    jointly, then the ``advanced`` ones, ((slot, its key), ...), by
+    ``rate * dt``.  A stage of the integration moves the ``stage_const``
+    slots to the stage's time offset at their constant rates and sets the
+    ``stage_y`` slots, the integrated clocks that rates read, to the
+    stage's input, then evaluates every integrated rate.  An ``exact`` plan
+    takes one midpoint stage at ``dt / 2``; a stepped one takes
+    ``max(1, ceil(dt / h_max))`` RK4 steps of four stages."""
     def check(var, key):
         message = f"rate of {key!r} is not finite"
-        return [f"    if not isfinite({var}):",
-                f"        raise EngineError({message!r})"]
+        return [f"if not isfinite({var}):",
+                f"    raise EngineError({message!r})"]
 
     base = {slot: i for i, (slot, _) in enumerate(advanced)}
-    lines = ["def _k(V, L, R, dt):"]
-    lines += [f"    b{i} = V[{slot}]" for slot, i in base.items()]
-    if integrated:
-        lines += [f"    y{i} = V[{slot}]"
-                  for i, (slot, _, _) in enumerate(integrated)]
-        lines.append("    h = dt / 2")
-        lines += [f"    V[{slot}] = b{base[slot]} + R[{slot}] * h"
-                  for slot in stage_const]
+    y = {slot: i for i, (slot, _, _) in enumerate(integrated)}
+
+    def stage(k, offset, step=None):
+        """Lines setting ``{k}{i}`` to the rate of integrated clock i at
+        time ``offset``, with the clock at ``y{i}``, or at
+        ``y{i} + {name}{i} * {width}`` for ``step`` = (name, width)."""
+        lines = [f"V[{slot}] = b{base[slot]} + R[{slot}] * {offset}"
+                 for slot in stage_const]
+        for slot in stage_y:
+            i = y[slot]
+            lines.append(f"V[{slot}] = y{i}" if step is None else
+                         f"V[{slot}] = y{i} + {step[0]}{i} * {step[1]}")
         for i, (_, fn, key) in enumerate(integrated):
-            lines.append(f"    k{i} = float({fn.source})")
-            lines += check(f"k{i}", key)
-        lines += [f"    V[{slot}] = y{i} + k{i} * dt"
-                  for i, (slot, _, _) in enumerate(integrated)]
+            lines.append(f"{k}{i} = float({fn.source})")
+            lines += check(f"{k}{i}", key)
+        return lines
+
+    body = [f"b{i} = V[{slot}]" for slot, i in base.items()]
+    body += [f"y{i} = V[{slot}]" for slot, i in y.items()]
+    if integrated and exact:
+        body += ["h = dt / 2", *stage("k", "h")]
+        body += [f"V[{slot}] = y{i} + k{i} * dt" for slot, i in y.items()]
+    elif integrated:
+        body += ["n = max(1, ceil(dt / h_max))", "h = dt / n",
+                 "h2 = h / 2", "h6 = h / 6", "t = 0.0", "for _ in range(n):"]
+        body += ["    " + line for line in [
+            *stage("p", "t"),
+            "o = t + h2", *stage("q", "o", ("p", "h2")),
+            *stage("r", "o", ("q", "h2")),
+            "o = t + h", *stage("s", "o", ("r", "h")),
+            *[f"y{i} = y{i} + (((p{i} + 2 * q{i}) + 2 * r{i}) + s{i}) * h6"
+              for i in y.values()],
+            "t += h"]]
+        body += [f"V[{slot}] = y{i}" for slot, i in y.items()]
     for i, (slot, key) in enumerate(advanced):
-        lines.append(f"    r = R[{slot}]")
-        lines += check("r", key)
-        lines.append(f"    V[{slot}] = b{i} + r * dt")
-    if len(lines) == 1:
-        lines.append("    pass")
-    return _kernel(lines)
+        body += [f"r = R[{slot}]", *check("r", key),
+                 f"V[{slot}] = b{i} + r * dt"]
+    return _kernel(["def _k(V, L, R, dt, h_max):",
+                    *["    " + line for line in body or ["pass"]]])
 
 
 # --- compilation -----------------------------------------------------------
@@ -354,11 +372,10 @@ class _RatePlan:
     rate, or 1), and the clock-reading rates that are integrated
     (validation rejects a clock that two components rate).  The plan is
     ``exact`` when the integrated rates read only constant-rate clocks and
-    are affine in them: they are then linear in time over a delay, and
-    ``advance`` is its kernel; a stepped plan's ``advance`` is None."""
+    are affine in them: they are then linear in time over a delay.
+    ``advance`` is the plan's kernel."""
 
-    __slots__ = ("rates", "advanced", "yslots", "fns",
-                 "stage_const", "stage_y", "exact", "advance")
+    __slots__ = ("rates", "exact", "advance")
 
     def __init__(self, clock_slots, keys, locations):
         rates = {}  # clock slot -> (fn, clock slots it reads)
@@ -368,24 +385,20 @@ class _RatePlan:
         self.rates = [(slot, fn) for slot, (fn, _) in rates.items()]
         coupled = {slot: fn for slot, (fn, reads) in rates.items() if reads}
         # advanced by rate * dt: clock-free rates, then clocks at rate 1
-        self.advanced = ([slot for slot in rates if slot not in coupled]
-                         + [slot for slot in clock_slots if slot not in rates])
-        # the integrated clocks and their rates
-        self.yslots, self.fns = list(coupled), list(coupled.values())
+        advanced = ([slot for slot in rates if slot not in coupled]
+                    + [slot for slot in clock_slots if slot not in rates])
         read = set()
         for slot in coupled:
             read |= rates[slot][1]
         # what the coupled rates read in a midpoint or RK4 stage: clocks that
-        # advance at a constant rate, and positions of integrated clocks
-        self.stage_const = [slot for slot in self.advanced if slot in read]
-        self.stage_y = [(i, slot) for i, slot in enumerate(coupled)
-                        if slot in read]
-        self.exact = not self.stage_y and all(loc.affine for loc in locations)
+        # advance at a constant rate, and integrated clocks
+        stage_const = tuple(slot for slot in advanced if slot in read)
+        stage_y = tuple(slot for slot in coupled if slot in read)
+        self.exact = not stage_y and all(loc.affine for loc in locations)
         self.advance = _advance_kernel(
-            tuple((slot, keys[slot]) for slot in self.advanced),
-            tuple((slot, fn, keys[slot])
-                  for slot, fn in zip(self.yslots, self.fns)),
-            tuple(self.stage_const)) if self.exact else None
+            tuple((slot, keys[slot]) for slot in advanced),
+            tuple((slot, fn, keys[slot]) for slot, fn in coupled.items()),
+            stage_const, stage_y, self.exact)
 
 
 class _StepTable:
@@ -665,14 +678,12 @@ class Simulator:
     # -- integration --
 
     def advance_time(self, dt: float, rates: list) -> None:
-        """Advance all clocks by dt under the current location rates.
+        """Advance all clocks by dt under the current location rates, by the
+        rate plan's kernel.
 
         ``rates`` are what :meth:`_current_rates` gave in this location
         configuration, which a step evaluates once for window search and
         passes on: a clock-free rate reads no clock, so no delay changes it.
-        Clocks whose rate does not reference other clocks advance exactly
-        by rate*dt; the rest are integrated jointly, by the plan's kernel
-        on an exact plan, otherwise by :meth:`_integrate`.
         """
         if dt < 0:
             if dt < -1e-6:
@@ -680,61 +691,9 @@ class Simulator:
             dt = 0.0  # rounding residue from a boundary nudge
         if dt == 0.0:
             return
-        V = self.state.V
-        plan = self._step_table().plan
-        if plan.advance is not None:
-            plan.advance(V, self.state.L, rates, dt)
-        else:
-            base = [V[slot] for slot in plan.advanced]
-            if plan.yslots:
-                self._integrate(plan, rates, dt)
-            for slot, b in zip(plan.advanced, base):
-                r = rates[slot]
-                if not math.isfinite(r):
-                    raise EngineError(
-                        f"rate of {self.net.keys[slot]!r} is not finite")
-                V[slot] = b + r * dt
+        self._step_table().plan.advance(self.state.V, self.state.L, rates, dt,
+                                        self.config.h_max)
         self.state.time += dt
-
-    def _integrate(self, plan, rates, dt: float) -> None:
-        """Integrate the clocks whose rates read clocks over dt by
-        fixed-step RK4."""
-        V, L = self.state.V, self.state.L
-        yslots, fns = plan.yslots, plan.fns
-        y = [V[slot] for slot in yslots]
-        stage_const = [(slot, V[slot], rates[slot])
-                       for slot in plan.stage_const]
-        stage_y = plan.stage_y
-
-        def f(t_off, yvals):
-            for slot, b, r in stage_const:
-                V[slot] = b + r * t_off
-            for i, slot in stage_y:
-                V[slot] = yvals[i]
-            out = []
-            for slot, fn in zip(yslots, fns):
-                v = float(fn(V, L))
-                if not math.isfinite(v):
-                    raise EngineError(
-                        f"rate of {self.net.keys[slot]!r} is not "
-                        "finite")
-                out.append(v)
-            return out
-
-        n_steps = max(1, math.ceil(dt / self.config.h_max))
-        h = dt / n_steps
-        h2, h6 = h / 2, h / 6
-        t = 0.0
-        for _ in range(n_steps):
-            k1 = f(t, y)
-            k2 = f(t + h2, [a + k * h2 for a, k in zip(y, k1)])
-            k3 = f(t + h2, [a + k * h2 for a, k in zip(y, k2)])
-            k4 = f(t + h, [a + k * h for a, k in zip(y, k3)])
-            y = [a + (((b1 + 2 * b2) + 2 * b3) + b4) * h6
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-            t += h
-        for slot, val in zip(yslots, y):
-            V[slot] = val
 
     # -- firing --
 

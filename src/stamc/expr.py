@@ -14,13 +14,15 @@ same float operation as building an advanced copy of ``V`` and evaluating
 the plain form on it, so a probe returns bit-identical values without
 copying ``V``.
 
-Each function is evaluated once per distinct (parameters, source) and kept
-in a module-level cache, and carries its source as ``fn.source``, from
+Each function is evaluated once per distinct (parameters, source), cached
+on those two strings, and carries its source as ``fn.source``, from
 which :mod:`stamc.engine` builds its kernels.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -118,6 +120,8 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
     """Python source of ``e``; a variable whose key is in ``clocks`` reads
     as ``(V[k] + R[k] * dt)``."""
     if isinstance(e, Num):
+        if math.isinf(e.value):  # repr gives the bare name inf
+            return "1e999" if e.value > 0 else "(-1e999)"
         return repr(e.value)
     if isinstance(e, BoolLit):
         return "True" if e.value else "False"
@@ -155,17 +159,12 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
     raise ExprError(f"unknown node {e!r}")
 
 
-_LAMBDAS: dict = {}  # (params, source) -> function, shared by every network
-
-
+@functools.cache
 def _lambda(params: str, src: str) -> Callable:
     """``lambda params: src``, evaluated once per distinct (params, src):
     a second network with the same expressions compiles nothing."""
-    fn = _LAMBDAS.get((params, src))
-    if fn is None:
-        fn = _LAMBDAS[params, src] = eval(f"lambda {params}: {src}",
-                                          {"__builtins__": {}, **_FUNCS})
-        fn.source = src  # type: ignore[attr-defined]
+    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **_FUNCS})
+    fn.source = src  # type: ignore[attr-defined]
     return fn
 
 

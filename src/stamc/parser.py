@@ -125,12 +125,15 @@ class _Parser:
         self.i += 1
         return name
 
-    def number(self) -> float:
+    def number(self, finite: bool = False) -> float:
+        """A number with an optional minus; with ``finite``, one too large
+        for a float is rejected at its span."""
         neg = self.accept("-")
-        if self.tok.kind != "number":
-            raise ParseError(f"expected number, found {self.tok.text!r}",
-                             self.tok.span, expected={"number"})
-        v = float(self.tok.text)
+        tok = self.tok
+        if tok.kind != "number":
+            raise ParseError(f"expected number, found {tok.text!r}",
+                             tok.span, expected={"number"})
+        v = _finite(tok) if finite else float(tok.text)
         self.i += 1
         return -v if neg else v
 
@@ -203,7 +206,7 @@ class _Parser:
         tok = self.tok
         if tok.kind == "number":
             self.i += 1
-            return E.Num(float(tok.text))
+            return E.Num(_finite(tok))
         if tok.text == "(":
             self.i += 1
             e = self.expression()
@@ -259,7 +262,7 @@ class _Parser:
             return 1.0
         if self.accept("false"):
             return 0.0
-        return self.number()
+        return self.number(finite=True)
 
     # --- model ------------------------------------------------------------
 
@@ -501,7 +504,7 @@ class _Parser:
         """A count such as a run count: an integer >= ``least``."""
         span = self.tok.span
         n = self.number()
-        if n != int(n) or n < least:
+        if not math.isfinite(n) or n != int(n) or n < least:
             raise ParseError(f"{what} must be an integer >= {least}", span)
         return int(n)
 
@@ -602,7 +605,7 @@ class _Parser:
                 at = self.tok.span
                 params[key] = _checked_bound(self.number(), at)
             else:
-                params[key] = self.number()
+                params[key] = self.number(finite=True)
             if not self.accept(","):
                 break
         self.expect(")")
@@ -630,6 +633,15 @@ class _Parser:
         except MonitorError as exc:
             raise ParseError(str(exc), span) from exc
         return constraint, bound
+
+
+def _finite(tok: Token) -> float:
+    """The value of number token ``tok``, which must be finite: a literal
+    too large for a float reads as inf."""
+    v = float(tok.text)
+    if not math.isfinite(v):
+        raise ParseError("number must be finite", tok.span)
+    return v
 
 
 def _checked_bound(bound: float, span: SourceSpan) -> float:

@@ -569,9 +569,9 @@ def test_check_invariants_accepts_the_vehicle_runs():
 #
 # The engine keeps values and locations in slot-indexed lists, probes guards
 # and invariants through closures that read each clock as V[3] + R[3] * dt,
-# and integrates clock-reading rates on float lists, by one midpoint step or
-# by RK4. Window search, updates and the midpoint step run as kernels
-# generated from those closures' sources. The references below are the
+# and integrates clock-reading rates by one midpoint step or by RK4. Window
+# search, updates and both integrators run as kernels generated from those
+# closures' sources. The references below are the
 # straightforward forms they replace, on dicts, numpy arrays and loops over
 # the closures; results must agree bit for bit, not within a tolerance.
 # _named maps slots back to names for them.
@@ -811,8 +811,9 @@ system T;
 
 
 def test_a_second_compile_execs_nothing():
-    """Closures and kernels are cached by source: a second network of the
-    same model shares every function with the first."""
+    """Closures are cached by source and kernels by their generators'
+    arguments: a second network of the same model shares every function
+    with the first."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
     a, b = engine.CompiledNetwork(network), engine.CompiledNetwork(network)
     # kernels wait for the first step table that holds their location
@@ -929,6 +930,23 @@ system T;
         compiled.step_table(sim.state.L).plan))
     V, _ = _named(compiled, sim.state.V, sim.state.L)
     assert V["e"] == pytest.approx(5, abs=0.05)
+
+
+@pytest.mark.parametrize("decls, rates", [
+    (f"clock t = {BIG}; clock e;", "rate e = t * t;"),
+    (f"real big = {BIG}; clock t; clock e; clock z;",
+     "rate e = big * big; rate z = t * t;"),
+], ids=["integrated", "constant-rate"])
+def test_a_stepped_plan_names_a_rate_that_is_not_finite(decls, rates):
+    """The RK4 kernel checks each integrated rate at every stage, and each
+    constant rate before it stores the clock."""
+    compiled = engine.CompiledNetwork(net(
+        f"{decls} template T() {{ init loc a {{ {rates} }} }} system T;"))
+    sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
+    plan = compiled.step_table(sim.state.L).plan
+    assert not plan.exact
+    with pytest.raises(EngineError, match=r"^rate of 'e' is not finite$"):
+        sim.advance_time(1.0, sim._current_rates(plan))
 
 
 def test_observers_do_not_perturb_trajectories():

@@ -5,7 +5,8 @@ import pytest
 from stamc import monitors as M
 from stamc.engine import RngStream, RunConfig, Trace, TraceEvent, run
 from stamc.model import instantiate
-from stamc.parser import parse_model
+from stamc.parser import parse_model, parse_queries
+from stamc.smc import StatConfig, evaluate_query
 
 
 def ev(t, channel):
@@ -227,6 +228,26 @@ def test_observer_agrees_with_record_oracle(c):
         oracle_any_fail = any(not r.passed for r in verdict.records
                               if not r.incomplete)
         assert fail == oracle_any_fail
+
+
+@pytest.mark.parametrize("form", [
+    "execution(m=1, k=1, bound=50, lower=3) on start=start, stop=stop",
+    "periodic(m=1, k=1, bound=50, lower=1) on occurrence=start",
+    "endtoend(m=1, k=1, bound=50, lower=1) on source=start, target=stop",
+], ids=["execution", "periodic", "endtoend"])
+def test_a_constraint_without_upper_is_judged(task_text, form):
+    """``upper`` defaults to inf, which the observer's guards compare
+    clocks with."""
+    q = parse_queries(f"constraint {form};")[0].query
+    assert q.constraint.upper == math.inf
+    res = evaluate_query(parse_model(task_text), q,
+                         StatConfig(seed=7, epsilon=0.2))
+    assert res.verdict in ("valid", "invalid")
+    assert res.details["oracle_verdict"] == res.verdict
+    for fail, verdict in observed_runs(task_text, q.constraint, 20,
+                                       bound=50.0):
+        assert fail == any(not r.passed for r in verdict.records
+                           if not r.incomplete)
 
 
 SYNC_DRIVER = """

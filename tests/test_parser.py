@@ -208,6 +208,43 @@ def test_every_bound_is_finite_and_positive(text, message, column):
     assert str(exc.value) == f"b.q:1:{column}: {message}"
 
 
+HUGE = "1" * 400  # too large for a float: it reads as inf
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_model, f"int n = {HUGE}; template T() {{ init loc a; }} system T;",
+     "number must be finite"),
+    (parse_model, f"real x = -{HUGE}; template T() {{ init loc a; }}"
+     " system T;", "number must be finite"),
+    (parse_model, f"template T(k: int) {{ init loc a; }} system T({HUGE});",
+     "number must be finite"),
+    (parse_model, f"clock x; template T() {{ init loc a {{ inv x <= {HUGE};"
+     " } } system T;", "number must be finite"),
+    (parse_queries, f"simulate {HUGE} [<=5] {{x}};",
+     "run count must be an integer >= 1"),
+    (parse_queries, f"E[<=5; {HUGE}](max: x);",
+     "run count must be an integer >= 2"),
+    (parse_queries, f"E[<=5; 3](max: wvl + {HUGE});", "number must be finite"),
+    (parse_queries, f"constraint periodic(m={HUGE}, k=1) on occurrence=a;",
+     "m must be an integer >= 1"),
+    (parse_queries, f"constraint periodic(m=1, k=1, lower=1, upper={HUGE})"
+     " on occurrence=a;", "number must be finite"),
+    (parse_queries, f"constraint periodic(m=1, k=1, lower=-{HUGE})"
+     " on occurrence=a;", "number must be finite"),
+    (parse_queries, f"constraint periodic(m=1, k=1, jitter={HUGE})"
+     " on occurrence=a;", "number must be finite"),
+    (parse_queries, f"constraint synchronization(m=1, k=1, tolerance={HUGE})"
+     " on e1=a, e2=b;", "number must be finite"),
+], ids=["int-init", "real-init", "instance-argument", "expression",
+        "simulate-runs", "expected-runs", "query-expression", "constraint-m",
+        "upper", "lower", "jitter", "tolerance"])
+def test_a_literal_too_large_for_a_float_is_rejected(parse, text, message):
+    """At the literal, wherever no later check reads the value."""
+    with pytest.raises(ParseError) as exc:
+        parse(text, "n.txt")
+    assert str(exc.value) == f"n.txt:1:{text.index(HUGE) + 1}: {message}"
+
+
 def test_expected_bound_needs_an_operator():
     with pytest.raises(ParseError, match="expected '>='"):
         parse_queries("E[10; 5](max: x)")
