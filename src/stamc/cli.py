@@ -17,11 +17,11 @@ import click
 
 from . import monitors, parser, smc
 from .engine import EngineError, RunConfig, check_bound
-from .expr import ExprError, names
-from .model import instantiate, resolver, validate_model
+from .expr import ExprError
+from .model import validate_model
 from .parser import ParseError
 from .queries import (ConstraintQuery, Expected, Hypothesis, ObserverDecl,
-                      Simulate, expressions)
+                      Simulate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -194,16 +194,9 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
             query = dataclasses.replace(query,
                                         sample_step=manifest.sample_step)
         queries.append((nq, query))
-    # every name and channel the queries read, before the first run
-    resolve = resolver(instantiate(model))
-    for _, query in queries:
-        if isinstance(query, ConstraintQuery):
-            monitors.check_channels(model, query.constraint)
-        for e in expressions(query):
-            for name in names(e):
-                resolve(name)
     # one pool for every query: workers live, and compile each model once,
-    # for the whole call; the queries registered up front share each run.
+    # for the whole call; the queries registered up front, each checked as
+    # it registers, share each run.
     # A job judges every run simulated while it is live, so the sequential
     # tests, which stop early, go first; the outputs keep file order.
     results = [None] * len(queries)

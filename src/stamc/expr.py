@@ -180,9 +180,13 @@ def compile_probe(e: Expr, resolver: Resolver, clocks) -> Callable:
 
 
 def to_text(e: Expr) -> str:
-    """Pretty-print an expression; reparses to a structurally identical AST."""
+    """Pretty-print an expression. An AST that the parser builds reparses to
+    a structurally identical one; a non-finite ``Num``, which has no literal
+    in the language, raises ``ExprError``."""
     if isinstance(e, Num):
         v = e.value
+        if not math.isfinite(v):
+            raise ExprError(f"no literal for the number {v!r}")
         return repr(int(v)) if float(v).is_integer() else repr(v)
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"

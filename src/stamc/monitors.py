@@ -229,14 +229,27 @@ def _and(a, b) -> E.Expr:
     return E.Binary("&&", a, b)
 
 
+def _band(op: str, empty: bool, *terms) -> E.Expr:
+    """The comparisons of ``terms``, (bound, comparison) pairs, whose bound
+    is finite, joined by ``op``, or the constant ``empty`` if none is: a
+    comparison with an infinite bound is constant, and the language has no
+    literal for it."""
+    kept = [cmp for bound, cmp in terms if math.isfinite(bound)]
+    if not kept:
+        return E.BoolLit(empty)
+    return kept[0] if len(kept) == 1 else E.Binary(op, *kept)
+
+
 def _in_band(clock: str, lo: float, hi: float) -> E.Expr:
-    return _and(_cmp("<=", _num(lo), E.Name(clock)),
-                _cmp("<=", E.Name(clock), _num(hi)))
+    x = E.Name(clock)
+    return _band("&&", True, (lo, _cmp("<=", _num(lo), x)),
+                 (hi, _cmp("<=", x, _num(hi))))
 
 
 def _out_band(clock: str, lo: float, hi: float) -> E.Expr:
-    return E.Binary("||", _cmp("<", E.Name(clock), _num(lo)),
-                    _cmp(">", E.Name(clock), _num(hi)))
+    x = E.Name(clock)
+    return _band("||", False, (lo, _cmp("<", x, _num(lo))),
+                 (hi, _cmp(">", x, _num(hi))))
 
 
 def build_observer(c: WhConstraint, name: str = "Observer") -> Template:
@@ -353,9 +366,10 @@ def _periodic_observer(c: WhConstraint, name: str) -> Template:
                     locations=locs, edges=edges, initial="firstoccurrence")
 
 
-def check_channels(model: Model, c: WhConstraint) -> None:
-    """Raise unless every channel ``c`` reads is a declared broadcast
-    channel of ``model``: an observer must only listen."""
+def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
+    """New model with the observer template instantiated at the end. Raises
+    unless every channel ``c`` reads is a declared broadcast channel of
+    ``model``: an observer must only listen."""
     broadcast = {ch.name: ch.broadcast for ch in model.channels}
     for event in c.events():
         ch = c.channel(event)
@@ -365,11 +379,6 @@ def check_channels(model: Model, c: WhConstraint) -> None:
             raise MonitorError(
                 f"observer on binary channel {ch!r} would perturb the network; "
                 "declare it broadcast")
-
-
-def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
-    """New model with the observer template instantiated at the end."""
-    check_channels(model, c)
     tpl = build_observer(c, name=f"{inst_name}T")
     return Model(
         decls=model.decls,

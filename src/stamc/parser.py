@@ -276,6 +276,9 @@ class _Parser:
             elif self.at("template"):
                 templates.append(self._template())
             elif self.at("system"):
+                if system is not None:
+                    raise ParseError("a model has at most one system line",
+                                     self.tok.span)
                 system = self._system()
             else:
                 raise ParseError(
@@ -313,9 +316,13 @@ class _Parser:
                                  self.tok.span)
             decls.append(d)
         while self.tok.text in ("init", "committed", "loc"):
+            span = self.tok.span
             loc, is_init = self._location()
             locations.append(loc)
             if is_init:
+                if initial:
+                    raise ParseError(
+                        "a template has at most one init location", span)
                 initial = loc.id
         while not self.at("}"):
             edges.append(self._edge())
@@ -334,17 +341,24 @@ class _Parser:
         invariant = None
         rates = []
         exit_rate = None
+        seen = set()
         if self.accept("{"):
             while not self.at("}"):
+                span = self.tok.span
                 if self.accept("inv"):
+                    _once(seen, "inv", span, "a location has at most one inv")
                     invariant = self.expression()
                     self.expect(";")
                 elif self.accept("rate"):
                     clock = self.ident("clock name")
+                    _once(seen, ("rate", clock), span,
+                          f"a location has at most one rate of {clock!r}")
                     self.expect("=")
                     rates.append((clock, self.expression()))
                     self.expect(";")
                 elif self.accept("exitrate"):
+                    _once(seen, "exitrate", span,
+                          "a location has at most one exitrate")
                     exit_rate = self.number()
                     self.expect(";")
                 else:
@@ -366,14 +380,16 @@ class _Parser:
         sync = None
         weight = 1.0
         updates = []
+        seen = set()
         while not self.at("}"):
+            span = self.tok.span
             if self.accept("guard"):
+                _once(seen, "guard", span, "an edge has at most one guard")
                 guard = self.expression()
                 self.expect(";")
             elif self.accept("sync"):
-                if sync is not None:
-                    raise ParseError("an edge has at most one sync action",
-                                     self.tok.span)
+                _once(seen, "sync", span,
+                      "an edge has at most one sync action")
                 chan = self.ident("channel name")
                 if self.accept("!"):
                     sync = Sync(chan, "emit")
@@ -384,6 +400,7 @@ class _Parser:
                                      self.tok.span, expected={"!", "?"})
                 self.expect(";")
             elif self.accept("weight"):
+                _once(seen, "weight", span, "an edge has at most one weight")
                 weight = self.number()
                 self.expect(";")
             elif self.accept("update"):
@@ -596,8 +613,12 @@ class _Parser:
         self.expect("(")
         params, spans = {}, {}
         while True:
-            spans.setdefault(self.tok.text, self.tok.span)
+            at = self.tok.span
             key = self.ident("parameter name")
+            if key in spans:
+                raise ParseError(
+                    f"constraint parameter {key!r} is given twice", at)
+            spans[key] = at
             self.expect("=")
             if key in ("m", "k"):
                 params[key] = self._integer(1, key)
@@ -633,6 +654,14 @@ class _Parser:
         except MonitorError as exc:
             raise ParseError(str(exc), span) from exc
         return constraint, bound
+
+
+def _once(seen: set, clause, span: SourceSpan, message: str):
+    """Records ``clause`` in ``seen``, the clauses of one location or edge;
+    a repeated one is rejected at its ``span``."""
+    if clause in seen:
+        raise ParseError(message, span)
+    seen.add(clause)
 
 
 def _finite(tok: Token) -> float:

@@ -79,19 +79,6 @@ class ObserverDecl:
 Query = object  # union of the dataclasses above
 
 
-def expressions(query) -> tuple:
-    """The state expressions ``query`` reads on its runs."""
-    if isinstance(query, (Estimate, Hypothesis)):
-        return (query.formula.state_expr,)
-    if isinstance(query, Compare):
-        return (query.formula1.state_expr, query.formula2.state_expr)
-    if isinstance(query, Expected):
-        return (query.expr,)
-    if isinstance(query, Simulate):
-        return query.exprs
-    return ()
-
-
 @dataclass(frozen=True)
 class NamedQuery:
     name: Optional[str]

@@ -35,7 +35,9 @@ later, and the chunks sent to workers, carry the mask of the live jobs
 and skip its judge. ``check`` registers every query with its pool before
 the first run, so its queries share; a constraint's observed model is a
 network of its own, and its stream serves that query alone; a library
-call is a one-query group. A query's ``wall_ms`` covers its judging and
+call is a one-query group. Registering a query checks every name it reads
+and every channel its constraint listens on, so a bad query fails before
+any run. A query's ``wall_ms`` covers its judging and
 statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
@@ -66,7 +68,7 @@ from typing import Callable, Optional
 from . import expr as E
 from . import monitors
 from .engine import CompiledNetwork, RngStream, RunConfig, run
-from .model import Model, Network, instantiate
+from .model import Model, Network, instantiate, resolver
 from .queries import (Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
 
@@ -291,22 +293,14 @@ class _Monitor:
 class _Job:
     """What one query reads of a stream's runs: the outcome of ``judge`` on
     each of the first ``n_runs`` runs to ``bound`` of ``model`` from stream
-    ``seed``. A traced judge's function is module-level, so that jobs
-    pickle."""
+    ``seed``. A traced judge's function is module-level, so that a stream's
+    runs pickle."""
 
     model: Model
     bound: float
     seed: int
-    run_config: RunConfig
     n_runs: int  # the most runs the query's rule reads
     judge: object  # _Sampled | _Traced
-
-
-def _job(model: Model, bound: float, seed: int, run_config, n_runs: int,
-         judge) -> _Job:
-    return _Job(model=model, bound=bound, seed=seed,
-                run_config=run_config or RunConfig(), n_runs=n_runs,
-                judge=judge)
 
 
 @dataclass
@@ -318,7 +312,7 @@ class _Runs:
     bound: float
     seed: int
     run_config: RunConfig
-    jobs: tuple  # (judge, n_runs)
+    jobs: list  # (judge, n_runs) by place, fixed at the stream's first run
 
 
 def _run_one(runs: _Runs, net: CompiledNetwork, index: int,
@@ -370,28 +364,19 @@ def _worker_chunk(indices, stream_key, model_key, blob, live):
 class _Stream:
     """The runs of one (model, bound, stream seed, run config): each run is
     simulated once and judged by every live job of the stream, and its
-    outcomes are cached, one tuple per run. The jobs are fixed at the first
-    run; a job is live until it has finished reading."""
+    outcomes are cached, one tuple per run. Jobs join until the first run
+    is cached or submitted; a job is live until it has finished reading."""
 
-    def __init__(self, model_key: int, model: Model):
-        self.model_key, self.model = model_key, model
-        self.jobs = []  # a job's place here is its place in each outcome tuple
+    def __init__(self, model_key: int, model: Model, runs: _Runs):
+        self.model_key, self.model, self.runs = model_key, model, runs
         self.finished = set()  # places of the jobs done reading
-        self.runs = None  # the _Runs, set at the first run
         self.ticket = None  # (stream key, model key, pickled model and runs)
         self.cache = []  # outcome tuples of runs 0 .. len - 1
         self.pending = deque()  # futures of the chunks past it, in order
-        self.submitted = 0  # runs cached or pending
-
-    def seal(self) -> _Runs:
-        if self.runs is None:
-            first = self.jobs[0]
-            self.runs = _Runs(first.bound, first.seed, first.run_config,
-                              tuple((j.judge, j.n_runs) for j in self.jobs))
-        return self.runs
+        self.submitted = 0  # runs cached or pending, at more than one worker
 
     def live(self) -> tuple:
-        return tuple(place for place in range(len(self.jobs))
+        return tuple(place for place in range(len(self.runs.jobs))
                      if place not in self.finished)
 
 
@@ -418,7 +403,7 @@ class RunPool:
         self._nets = {}  # model key -> compiled network, at one worker
         self._streams = {}  # stream key -> the stream jobs join
         self._registered = {}  # id(query) -> (query, its lanes)
-        self._sealed = 0  # streams sent to workers
+        self._sent = 0  # streams sent to workers
         self._executor = None
         if self.workers > 1:
             # the platform's default start method (fork on Linux): workers
@@ -440,10 +425,13 @@ class RunPool:
     def register(self, model, query, cfg: StatConfig, run_config=None,
                  name=None):
         """Joins ``query``'s jobs to their streams ahead of its evaluation
-        by ``evaluate_query`` with the same arguments."""
+        by ``evaluate_query`` with the same arguments. Building the jobs
+        checks the query: every name it reads and every channel its
+        constraint listens on, so a bad query fails here, before any run."""
         jobs, _ = _form(query)
-        lanes = [self._join(job) for job in
-                 jobs(_coerce_network(model), query, cfg, run_config, name)]
+        run_config = run_config or RunConfig()
+        lanes = [self._join(job, run_config) for job in
+                 jobs(_coerce_network(model), query, cfg, name)]
         self._registered[id(query)] = (query, lanes)
 
     def _lanes(self, model, query, cfg, run_config, name) -> list:
@@ -453,16 +441,17 @@ class RunPool:
             self.register(model, query, cfg, run_config, name)
         return self._registered.pop(id(query))[1]
 
-    def _join(self, job: _Job) -> tuple:
+    def _join(self, job: _Job, run_config: RunConfig) -> tuple:
         # the entry holds the model, so its id is not reused meanwhile
         mkey = self._models.setdefault(id(job.model),
                                        (len(self._models), job.model))[0]
-        key = (mkey, job.bound, job.seed, astuple(job.run_config))
+        key = (mkey, job.bound, job.seed, astuple(run_config))
         stream = self._streams.get(key)
-        if stream is None or stream.runs is not None:
-            stream = self._streams[key] = _Stream(mkey, job.model)
-        stream.jobs.append(job)
-        return stream, len(stream.jobs) - 1
+        if stream is None or stream.cache or stream.submitted:
+            stream = self._streams[key] = _Stream(
+                mkey, job.model, _Runs(job.bound, job.seed, run_config, []))
+        stream.runs.jobs.append((job.judge, job.n_runs))
+        return stream, len(stream.runs.jobs) - 1
 
     def outcomes(self, lane):
         """Yields one job's outcomes of its runs in run-index order, so
@@ -476,7 +465,7 @@ class RunPool:
         simulates each run once, and the chunks sent depend on what the
         rules read, never on timing."""
         stream, place = lane
-        total = stream.jobs[place].n_runs
+        _, total = stream.runs.jobs[place]
         try:
             for i in range(total):
                 if i >= len(stream.cache):
@@ -484,25 +473,24 @@ class RunPool:
                 yield stream.cache[i][place]
         finally:
             stream.finished.add(place)
-            if len(stream.finished) == len(stream.jobs):
+            if len(stream.finished) == len(stream.runs.jobs):
                 for future in stream.pending:
                     future.cancel()
 
     def _extend(self, stream: _Stream, total: int):
         """Caches the outcomes of at least the stream's next run."""
-        runs = stream.seal()
         if self._executor is None:
             net = self._nets.get(stream.model_key)
             if net is None:
                 net = self._nets[stream.model_key] = CompiledNetwork(
                     instantiate(stream.model))
-            stream.cache.append(_run_one(runs, net, len(stream.cache),
+            stream.cache.append(_run_one(stream.runs, net, len(stream.cache),
                                          stream.live()))
             return
         if stream.ticket is None:
-            self._sealed += 1
-            stream.ticket = (self._sealed, stream.model_key,
-                             pickle.dumps((stream.model, runs)))
+            self._sent += 1
+            stream.ticket = (self._sent, stream.model_key,
+                             pickle.dumps((stream.model, stream.runs)))
         live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.workers
                and stream.submitted < total):
@@ -533,9 +521,19 @@ def _coerce_network(network) -> Model:
     raise QueryError("expected a Model or Network")
 
 
+def _check_names(model: Model, *exprs):
+    """Raises ``ExprError`` unless every name ``exprs`` read is in the query
+    scope of ``model``."""
+    resolve = resolver(instantiate(model))
+    for e in exprs:
+        for name in E.names(e):
+            resolve(name)
+
+
 def _formula_job(model: Model, f: PathFormula, bound: float, seed: int,
-                 run_config, n_runs: int) -> _Job:
-    return _job(model, bound, seed, run_config, n_runs,
+                 n_runs: int) -> _Job:
+    _check_names(model, f.state_expr)
+    return _Job(model, bound, seed, n_runs,
                 _Sampled(f.op, E.to_text(f.state_expr)))
 
 
@@ -570,8 +568,8 @@ def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
 
 # --- the form table --------------------------------------------------------
 #
-# Two functions per query dataclass: its jobs, (model, query, cfg,
-# run_config, name) -> [_Job], which check the query before any run, and
+# Two functions per query dataclass: its jobs, (model, query, cfg, name)
+# -> [_Job], which check the query and the names it reads before any run, and
 # its rule, (query, cfg, streams) -> SmcResult, which reads one outcome
 # stream per job, with name, seed and wall_ms left to ``evaluate_query``.
 
@@ -580,8 +578,8 @@ def _estimate_runs(cfg: StatConfig) -> int:
     return min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
 
 
-def _estimate_jobs(model, q: Estimate, cfg, run_config, name) -> list:
-    return [_formula_job(model, q.formula, q.bound, cfg.seed, run_config,
+def _estimate_jobs(model, q: Estimate, cfg, name) -> list:
+    return [_formula_job(model, q.formula, q.bound, cfg.seed,
                          _estimate_runs(cfg))]
 
 
@@ -594,11 +592,10 @@ def _estimate(q: Estimate, cfg, streams) -> SmcResult:
                      n, cfg, {"successes": successes})
 
 
-def _hypothesis_jobs(model, q: Hypothesis, cfg, run_config, name) -> list:
+def _hypothesis_jobs(model, q: Hypothesis, cfg, name) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    return [_formula_job(model, q.formula, q.bound, cfg.seed, run_config,
-                         cfg.max_runs)]
+    return [_formula_job(model, q.formula, q.bound, cfg.seed, cfg.max_runs)]
 
 
 def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
@@ -608,14 +605,13 @@ def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
                      {"p0": q.p0, "successes": successes})
 
 
-def _compare_jobs(model, q: Compare, cfg, run_config, name) -> list:
+def _compare_jobs(model, q: Compare, cfg, name) -> list:
     """Independent run sets for the two formulas: the second stream has its
     own seed."""
     budget = _estimate_runs(cfg)
-    return [_formula_job(model, q.formula1, q.bound1, cfg.seed, run_config,
-                         budget),
+    return [_formula_job(model, q.formula1, q.bound1, cfg.seed, budget),
             _formula_job(model, q.formula2, q.bound2, cfg.seed + 0x9E3779B9,
-                         run_config, budget)]
+                         budget)]
 
 
 def _compare(q: Compare, cfg, streams) -> SmcResult:
@@ -644,12 +640,13 @@ def _compare(q: Compare, cfg, streams) -> SmcResult:
                               "discordant": discordant})
 
 
-def _expected_jobs(model, q: Expected, cfg, run_config, name) -> list:
+def _expected_jobs(model, q: Expected, cfg, name) -> list:
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
-    return [_job(model, q.bound, cfg.seed, run_config, q.n_runs,
+    _check_names(model, q.expr)
+    return [_Job(model, q.bound, cfg.seed, q.n_runs,
                  _Sampled(q.mode, E.to_text(q.expr)))]
 
 
@@ -670,11 +667,12 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
         details={"mode": q.mode, "values": values})
 
 
-def _simulate_jobs(model, q: Simulate, cfg, run_config, name) -> list:
+def _simulate_jobs(model, q: Simulate, cfg, name) -> list:
     if q.sample_step is not None and q.sample_step <= 0:
         raise QueryError("need sample_step > 0")
+    _check_names(model, *q.exprs)
     keys = tuple(E.to_text(e) for e in q.exprs)
-    return [_job(model, q.bound, cfg.seed, run_config, q.n_runs,
+    return [_Job(model, q.bound, cfg.seed, q.n_runs,
                  _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
 
 
@@ -687,14 +685,14 @@ def _simulate(q: Simulate, cfg, streams) -> SmcResult:
                      runs=q.n_runs, details={"trajectories": trajectories})
 
 
-def _constraint_jobs(model, q: ConstraintQuery, cfg, run_config,
-                     name) -> list:
-    """Runs of the model with the constraint's observer attached: a network
-    of its own, so its stream serves this query alone."""
+def _constraint_jobs(model, q: ConstraintQuery, cfg, name) -> list:
+    """Runs of the model with the constraint's observer attached, which
+    checks the constraint's channels: a network of its own, so its stream
+    serves this query alone."""
     c = q.constraint
     inst = f"_obs_{name or c.kind}"
     observed = monitors.attach_observer(model, c, inst)
-    return [_job(observed, q.bound, cfg.seed, run_config, cfg.max_runs,
+    return [_Job(observed, q.bound, cfg.seed, cfg.max_runs,
                  _Traced(_routes, (c, inst)))]
 
 

@@ -75,6 +75,14 @@ def test_to_text_roundtrip(text):
     assert parse_expression(E.to_text(e)) == e
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_to_text_rejects_a_non_finite_number(value):
+    """The language has no literal for it: ``inf`` would reparse as a
+    name."""
+    with pytest.raises(E.ExprError, match="no literal"):
+        E.to_text(E.Binary("<=", E.Name("x"), E.Num(value)))
+
+
 def test_names_walk():
     e = parse_expression("x + Comp.y * max(z, 1)")
     assert E.names(e) == {"x", "Comp.y", "z"}

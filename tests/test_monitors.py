@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stamc import expr as E
 from stamc import monitors as M
 from stamc.engine import RngStream, RunConfig, Trace, TraceEvent, run
 from stamc.model import instantiate
@@ -248,6 +249,30 @@ def test_a_constraint_without_upper_is_judged(task_text, form):
                                        bound=50.0):
         assert fail == any(not r.passed for r in verdict.records
                            if not r.incomplete)
+
+
+@pytest.mark.parametrize("upper", ["", ", upper=5"],
+                         ids=["no-upper", "upper"])
+@pytest.mark.parametrize("form", [
+    "execution(m=1, k=1, lower=1{}) on start=a, stop=b",
+    "execution(m=1, k=1, lower=1{}) on start=a, stop=b, preempt=c, resume=d",
+    "synchronization(m=1, k=1, tolerance=2{}) on e1=a, e2=b, e3=c",
+    "periodic(m=1, k=1, lower=1, jitter=0.5{}) on occurrence=a",
+    "periodic(m=1, k=1{}) on occurrence=a",
+    "endtoend(m=1, k=1, lower=1{}) on source=a, target=b",
+], ids=["execution", "preemptive", "synchronization", "periodic",
+        "periodic-no-lower", "endtoend"])
+def test_no_observer_holds_a_non_finite_number(form, upper):
+    """A bound that is not given is infinite, and a comparison with it is
+    left out of the observer's guards, so they print as text."""
+    c = parse_queries(f"constraint {form.format(upper)};")[0].query.constraint
+    tpl = M.build_observer(c)
+    exprs = [e.guard for e in tpl.edges if e.guard is not None]
+    exprs += [v for e in tpl.edges for _, v in e.updates]
+    exprs += [r for loc in tpl.locations for _, r in loc.rates]
+    nums = [n.value for e in exprs for n in E.walk(e) if isinstance(n, E.Num)]
+    assert nums and all(math.isfinite(v) for v in nums)
+    assert all(E.to_text(e) for e in exprs)
 
 
 SYNC_DRIVER = """

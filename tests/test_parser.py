@@ -245,6 +245,44 @@ def test_a_literal_too_large_for_a_float_is_rejected(parse, text, message):
     assert str(exc.value) == f"n.txt:1:{text.index(HUGE) + 1}: {message}"
 
 
+REPEATED = "clock x; broadcast chan c; template T() { %s } system T;"
+
+
+@pytest.mark.parametrize("parse, text, clause, message", [
+    (parse_queries, "constraint periodic(m=1, k=2, m=2, lower=1, upper=2)"
+     " on occurrence=c;", "m=2", "constraint parameter 'm' is given twice"),
+    (parse_model, REPEATED % "init loc a { inv x <= 2; inv x <= 3; }",
+     "inv x <= 3", "a location has at most one inv"),
+    (parse_model, REPEATED % "init loc a { exitrate 1; exitrate 2; }",
+     "exitrate 2", "a location has at most one exitrate"),
+    (parse_model, REPEATED % "init loc a; a -> a { guard x >= 1; guard x >= 2;"
+     " }", "guard x >= 2", "an edge has at most one guard"),
+    (parse_model, REPEATED % "init loc a; a -> a { weight 1; weight 2; }",
+     "weight 2", "an edge has at most one weight"),
+    (parse_model, REPEATED % "init loc a { rate x = 2; rate x = 3; }",
+     "rate x = 3", "a location has at most one rate of 'x'"),
+    (parse_model, REPEATED % "init loc a; init loc b;", "init loc b",
+     "a template has at most one init location"),
+    (parse_model, "template T() { init loc a; } system T; system T;",
+     "system T;", "a model has at most one system line"),
+], ids=["constraint-m", "inv", "exitrate", "guard", "weight", "rate", "init",
+        "system"])
+def test_a_repeated_clause_is_rejected(parse, text, clause, message):
+    """Where the parser kept the last of two, at the second one."""
+    with pytest.raises(ParseError) as exc:
+        parse(text, "r.txt")
+    assert str(exc.value) == f"r.txt:1:{text.rindex(clause) + 1}: {message}"
+
+
+def test_repeated_updates_and_rates_of_other_clocks_accumulate():
+    m = parse_model("clock x; clock y; template T() {"
+                    " init loc a { rate x = 2; rate y = 1; }"
+                    " a -> a { update x := 0; update y := 1; } } system T;")
+    [loc], [edge] = m.template("T").locations, m.template("T").edges
+    assert [clock for clock, _ in loc.rates] == ["x", "y"]
+    assert [name for name, _ in edge.updates] == ["x", "y"]
+
+
 def test_expected_bound_needs_an_operator():
     with pytest.raises(ParseError, match="expected '>='"):
         parse_queries("E[10; 5](max: x)")

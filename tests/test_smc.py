@@ -9,7 +9,7 @@ import scipy.stats
 
 from stamc import smc
 from stamc.engine import CompiledNetwork, RngStream, RunConfig, run
-from stamc.expr import to_text
+from stamc.expr import ExprError, to_text
 from stamc.model import instantiate
 from stamc.monitors import attach_observer, check_trace
 from stamc.parser import parse_expression, parse_model, parse_queries
@@ -357,6 +357,27 @@ def test_kept_chunks_simulate_no_run_twice(pools, workers):
     submitted = [i for chunk in executor.chunks for i in chunk]
     assert sorted(submitted) == list(range(len(submitted)))
     assert len(submitted) >= results[1].runs
+
+
+@pytest.mark.parametrize("text", [
+    "simulate 2 [<=10] {wvx}",
+    "E[<=10; 2](max: wvx)",
+    "Pr[<=10](<> wvx > 0)",
+    "Pr[<=10](<> wvx > 0) >= 0.5",
+    "Pr[<=10](<> wvl > 0) >= Pr[<=10](<> wvx > 0)",
+], ids=["simulate", "expected", "estimate", "hypothesis", "compare"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_bad_query_fails_when_it_registers(pools, monkeypatch, text,
+                                            workers):
+    """Before any run, in this process or in a worker."""
+    model = parse_model((MODELS / "av.sta").read_text())
+    runs = []
+    monkeypatch.setattr(smc, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ExprError, match="name 'wvx' undeclared"):
+        evaluate_query(model, query(text), StatConfig(workers=workers))
+    assert runs == []
+    assert all(pool.chunks == [] for pool in pools)
+    assert len(pools) == (workers > 1)
 
 
 def test_retired_job_judges_no_later_run():
