@@ -29,9 +29,20 @@ those closures' sources with every expression inlined:
   per step;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting reals and bools inline;
-- one advance kernel per rate plan (below) integrates its clock-reading
-  rates, by one midpoint step or by RK4 steps, then does its ``rate * dt``
-  stores, each rate checked to be finite.
+- a fire kernel per location fires one of its internal or emitting edges:
+  it tests each guard inline, blocks a binary emit unless exactly one
+  receiver is ready, takes the sample before the firing once an edge is
+  enabled, chooses by weight, applies the edge's updates inline and moves
+  the component; one receiver routine, ``_sync``, then fires the receive
+  edges, which the step table passes in;
+- a rate kernel per rate plan (below) copies the plan's rate template and
+  evaluates the rates that the template does not hold and that something
+  reads;
+- one advance kernel per rate plan integrates its clock-reading rates, by
+  one midpoint step or by RK4 steps, then does its ``rate * dt`` stores, a
+  literal rate written into the code and every other rate checked to be
+  finite;
+- a watch kernel per watch tuple builds a sample's dict of watched values.
 
 A location's kernels and its edges' are generated when the first step
 table (below) that holds the location is built.  Closures are cached by
@@ -45,25 +56,32 @@ changes ``L``.  It lists the committed components; the actors, which
 are the components with an internal or emitting edge or an invariant; the
 receive edges per channel; and the rate plan.  A component with neither
 draws no delay and caps none, so a step races only the actors, and a sync
-looks its receivers up by channel.  The rate plan splits the rates
-into clock-free rates, which advance their clock exactly by ``rate * dt``,
-and clock-reading rates, which are integrated jointly on float lists.  A
-delay reuses the rates its step evaluated for window search.  When the
-clock-reading rates are affine in clocks that all move at constant rates,
-they are linear in time over a delay and one midpoint step
+looks its receivers up by channel.  A step calls ``sample_delay`` once per
+actor, ``advance_time`` once per delay and one fire kernel per firing.
+The rate plan splits the rates into clock-free rates,
+which advance their clock exactly by ``rate * dt``, and clock-reading
+rates, which are integrated jointly on float lists.  Its rate template
+holds 1 for every unrated clock and the value of every literal rate; a
+clock-reading rate is evaluated per delay only if a guard or invariant of
+the configuration reads its clock, since the advance kernel evaluates it
+itself.  A delay reuses the rates its step evaluated for window search.
+When the clock-reading rates are affine in clocks that all move at
+constant rates, they are linear in time over a delay and one midpoint step
 ``y + f(dt / 2) * dt`` integrates them exactly (the plan is exact);
 otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
 probe, searching windows by a loop over the probe closures, applying
-updates through a staged list, and integrating with numpy arrays (the
+updates through a staged list, firing by a loop over the enabled edges and
+the ready receivers, and integrating with numpy arrays (the
 midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
 expression's source where its closure would have been called, which
 changes no float operation, and neither does unrolling RK4's four stages
-into straight-line code.  Runs are bit-identical to that
-straightforward form, which ``tests/test_engine.py`` keeps as its
+into straight-line code or writing a literal rate ``r`` as ``r * dt``
+(``dt`` alone for 1, which ``1.0 * dt`` equals bit for bit).  Runs are
+bit-identical to that straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
 Only runs through a stepped plan depend on ``h_max``.
 """
@@ -178,32 +196,142 @@ class RunConfig:
 # network per query, finds every kernel without writing or exec'ing it again.
 
 
-def _kernel(lines: list):
-    """The function ``_k`` that ``lines`` define."""
+def _kernel(lines: list, **names):
+    """The function ``_k`` that ``lines`` define, with ``names`` in scope."""
     scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "EngineError": EngineError,
-             "_coerce": CompiledNetwork._coerce}
+             "_coerce": CompiledNetwork._coerce, "_ready": _ready,
+             "_sync": _sync, **names}
     exec("\n".join(lines), scope)
     return scope["_k"]
 
 
-@functools.cache
-def _update_kernel(updates: tuple):
-    """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
-    there are none: every right-hand side is evaluated first, then stored,
-    with reals and clocks through ``float``, bools through ``bool`` and ints
-    through ``_coerce``."""
-    if not updates:
-        return None
-    lines = ["def _k(V, L):"]
-    lines += [f"    u{i} = {fn.source}"
-              for i, (_, fn, _) in enumerate(updates)]
+def _update_lines(updates: tuple) -> list:
+    """Lines applying ``updates``, ((slot, fn, vtype), ...): every right-hand
+    side is evaluated first, then stored, with reals and clocks through
+    ``float``, bools through ``bool`` and ints through ``_coerce``."""
+    lines = [f"u{i} = {fn.source}" for i, (_, fn, _) in enumerate(updates)]
     for i, (slot, _, vtype) in enumerate(updates):
         value = {"int": f"_coerce(u{i}, 'int')",
                  "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
-        lines.append(f"    V[{slot}] = {value}")
-    return _kernel(lines)
+        lines.append(f"V[{slot}] = {value}")
+    return lines
+
+
+@functools.cache
+def _update_kernel(updates: tuple):
+    """``(V, L)`` applying ``updates`` (:func:`_update_lines`), or None if
+    there are none."""
+    if not updates:
+        return None
+    return _kernel(["def _k(V, L):",
+                    *["    " + line for line in _update_lines(updates)]])
+
+
+def _ready(V, L, receivers, emitter: int) -> list:
+    """[(component, its enabled receive edges)] for each of ``receivers``,
+    [(component, its receive edges on one channel)], but the component at
+    index ``emitter``, that has at least one."""
+    ready = []
+    for cc, edges in receivers:
+        if cc.index == emitter:
+            continue
+        enabled = [e for e in edges if e.guard is None or e.guard(V, L)]
+        if enabled:
+            ready.append((cc, enabled))
+    return ready
+
+
+def _sync(V, L, receivers, emitter: int, rng, binary: bool) -> None:
+    """Fire the receive edges that an emit by the component at index
+    ``emitter`` synchronizes: each ready one of ``receivers``
+    (:func:`_ready`), read once the emitter has fired, takes one of its
+    enabled edges, chosen by weight, in component order; a binary emit
+    takes the first only.  A lone edge draws nothing."""
+    ready = _ready(V, L, receivers, emitter)
+    for cc, enabled in ready[:1] if binary else ready:
+        edge = enabled[0] if len(enabled) == 1 else enabled[
+            rng.weighted_choice([e.weight for e in enabled])]
+        if edge.update is not None:
+            edge.update(V, L)
+        L[cc.index] = edge.target
+
+
+@functools.cache
+def _fire_kernel(index: int, edges: tuple):
+    """``(V, L, receivers, rng, snap)`` firing one of the active edges of a
+    location of the component at index ``index``, or returning None if none
+    is enabled.  ``edges`` are ((guard, updates, label, target, weight,
+    channel, binary), ...); ``receivers`` maps each channel to its receive
+    edges in the current location configuration, as in :func:`_ready`.
+
+    An edge is enabled when its guard holds and, for a binary emit, exactly
+    one receiver is ready.  Once one is, ``snap()`` gives the sample before
+    the firing, and the kernel picks an enabled edge by weight (a lone one
+    draws nothing), applies its updates, moves the component to its target,
+    syncs its receivers through :func:`_sync` and returns ``(label,
+    channel, pre)``."""
+    def enabled(guard, binary):
+        tests = [] if guard is None else [f"({guard.source})"]
+        if binary is not None:
+            tests.append(f"len(_ready(V, L, receivers.get({binary!r}, ()), "
+                         f"{index})) == 1")
+        return " and ".join(tests)
+
+    def fire(guard, updates, label, target, weight, channel, binary):
+        lines = [*_update_lines(updates), f"L[{index}] = {target!r}"]
+        if channel is not None:
+            lines += [f"rs = receivers.get({channel!r})", "if rs:",
+                      f"    _sync(V, L, rs, {index}, rng, {binary is not None})"]
+        return lines + [f"return ({label!r}, {channel!r}, pre)"]
+
+    body = []
+    if not edges:
+        body.append("return None")
+    elif len(edges) == 1:
+        test = enabled(edges[0][0], edges[0][6])
+        if test:
+            body += [f"if not ({test}):", "    return None"]
+        body += ["pre = snap()", *fire(*edges[0])]
+    else:
+        body.append("e = []")
+        for i, edge in enumerate(edges):
+            test = enabled(edge[0], edge[6])
+            body += ([f"if {test}:", f"    e.append({i})"] if test
+                     else [f"e.append({i})"])
+        body += ["if not e:", "    return None", "pre = snap()",
+                 "i = e[0] if len(e) == 1 else "
+                 "e[rng.weighted_choice([W[j] for j in e])]"]
+        for i, edge in enumerate(edges[:-1]):
+            body += [f"if i == {i}:", *["    " + line for line in fire(*edge)]]
+        body += fire(*edges[-1])
+    return _kernel(["def _k(V, L, receivers, rng, snap):",
+                    *["    " + line for line in body]],
+                   W=tuple(edge[4] for edge in edges))
+
+
+@functools.cache
+def _rates_kernel(n: int, literals: tuple, evaluated: tuple):
+    """``(V, L)``: a new list of the rate at each of ``n`` slots, copied from
+    a template that holds each of ``literals``, ((slot, literal rate),
+    ...), and 1 elsewhere, with each of ``evaluated``, ((slot, rate fn),
+    ...), set to the rate's current value."""
+    template = [1.0] * n
+    for slot, lit in literals:
+        template[slot] = lit
+    return _kernel(["def _k(V, L):", "    R = T[:]",
+                    *[f"    R[{slot}] = float({fn.source})"
+                      for slot, fn in evaluated],
+                    "    return R"], T=template)
+
+
+@functools.cache
+def _watch_kernel(watch: tuple):
+    """``(V, L)``: a new dict of the ``watch`` values, ((key, fn), ...), at
+    the current state."""
+    items = ", ".join(f"{key!r}: {fn.source}" for key, fn in watch)
+    return _kernel(["def _k(V, L):", f"    return {{{items}}}"])
 
 
 @functools.cache
@@ -247,27 +375,37 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
                     stage_y: tuple, exact: bool):
     """``(V, L, R, dt, h_max)`` advancing every clock of a rate plan by
     ``dt``: the ``integrated`` clocks, ((slot, its rate, its key), ...),
-    jointly, then the ``advanced`` ones, ((slot, its key), ...), by
-    ``rate * dt``.  A stage of the integration moves the ``stage_const``
-    slots to the stage's time offset at their constant rates and sets the
-    ``stage_y`` slots, the integrated clocks that rates read, to the
-    stage's input, then evaluates every integrated rate.  An ``exact`` plan
-    takes one midpoint stage at ``dt / 2``; a stepped one takes
-    ``max(1, ceil(dt / h_max))`` RK4 steps of four stages."""
+    jointly, then the ``advanced`` ones, ((slot, its key, its literal
+    rate or None), ...), by ``rate * dt``.  A literal rate, 1 for an unrated
+    clock, is written into the code; any other constant rate is read from
+    ``R`` and checked to be finite.  A stage of the integration moves the
+    ``stage_const`` slots to the stage's time offset at their constant
+    rates and sets the ``stage_y`` slots, the integrated clocks that rates
+    read, to the stage's input, then evaluates every integrated rate.  An
+    ``exact`` plan takes one midpoint stage at ``dt / 2``; a stepped one
+    takes ``max(1, ceil(dt / h_max))`` RK4 steps of four stages."""
     def check(var, key):
         message = f"rate of {key!r} is not finite"
         return [f"if not isfinite({var}):",
                 f"    raise EngineError({message!r})"]
 
-    base = {slot: i for i, (slot, _) in enumerate(advanced)}
+    base = {slot: i for i, (slot, _, _) in enumerate(advanced)}
+    literal = {slot: lit for slot, _, lit in advanced}
     y = {slot: i for i, (slot, _, _) in enumerate(integrated)}
+
+    def moved(slot, by):
+        """The constant-rate clock at ``slot`` after ``by`` time units:
+        ``1.0 * by`` is ``by``, bit for bit."""
+        lit = literal[slot]
+        rate = f"R[{slot}] * " if lit is None else (
+            "" if lit == 1.0 else f"{lit!r} * ")
+        return f"b{base[slot]} + {rate}{by}"
 
     def stage(k, offset, step=None):
         """Lines setting ``{k}{i}`` to the rate of integrated clock i at
         time ``offset``, with the clock at ``y{i}``, or at
         ``y{i} + {name}{i} * {width}`` for ``step`` = (name, width)."""
-        lines = [f"V[{slot}] = b{base[slot]} + R[{slot}] * {offset}"
-                 for slot in stage_const]
+        lines = [f"V[{slot}] = {moved(slot, offset)}" for slot in stage_const]
         for slot in stage_y:
             i = y[slot]
             lines.append(f"V[{slot}] = y{i}" if step is None else
@@ -294,9 +432,12 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
               for i in y.values()],
             "t += h"]]
         body += [f"V[{slot}] = y{i}" for slot, i in y.items()]
-    for i, (slot, key) in enumerate(advanced):
-        body += [f"r = R[{slot}]", *check("r", key),
-                 f"V[{slot}] = b{i} + r * dt"]
+    for slot, key, lit in advanced:
+        if lit is None:
+            body += [f"r = R[{slot}]", *check("r", key),
+                     f"V[{slot}] = b{base[slot]} + r * dt"]
+        else:
+            body.append(f"V[{slot}] = {moved(slot, 'dt')}")
     return _kernel(["def _k(V, L, R, dt, h_max):",
                     *["    " + line for line in body or ["pass"]]])
 
@@ -306,43 +447,50 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
 
 class _CompiledEdge:
     __slots__ = ("label", "target", "guard", "guard_probe", "guard_atoms",
-                 "window", "sync", "binary", "weight", "updates", "update")
+                 "window", "channel", "binary", "weight", "updates", "update")
 
-    def __init__(self, label, target, guard, guard_probe, guard_atoms, sync,
-                 binary, weight, updates):
+    def __init__(self, label, target, guard, guard_probe, guard_atoms,
+                 channel, binary, weight, updates):
         self.label = label
         self.target = target
         self.guard = guard  # compiled or None
         self.guard_probe = guard_probe  # probe form of guard, or None
         self.guard_atoms = guard_atoms  # ((lhs - rhs fn, its probe), ...)
-        self.sync = sync
+        self.channel = channel  # channel synced on, or None
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
         self.updates = updates  # ((slot, fn, vtype), ...)
         # kernels, from the source location's lower(): the guard's window
-        # (None for no guard, a receive edge or a committed source) and
-        # the updates (None for none)
+        # (None for no guard, a receive edge or a committed source) and,
+        # for a receive edge, the updates (None for none; the source's fire
+        # kernel applies an internal or emitting edge's updates inline)
         self.window = self.update = None
 
 
 class _CompiledLocation:
-    __slots__ = ("id", "committed", "invariant", "inv_probe", "inv_atoms",
-                 "window", "rates", "affine", "exit_rate", "active",
-                 "receive", "lowered")
+    __slots__ = ("index", "id", "committed", "invariant", "inv_probe",
+                 "inv_atoms", "window", "rates", "affine", "exit_rate",
+                 "reads", "active", "receive", "fire", "lowered")
 
-    def __init__(self, id, committed, invariant, inv_probe, inv_atoms, rates,
-                 affine, exit_rate):
+    def __init__(self, index, id, committed, invariant, inv_probe, inv_atoms,
+                 rates, affine, exit_rate, reads):
+        self.index = index  # its component's slot in L
         self.id = id
         self.committed = committed
         self.invariant = invariant
         self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
         self.window = None  # when the invariant turns false, from lower()
-        self.rates = rates  # [(clock slot, fn, clock slots the rate reads)]
+        # [(clock slot, fn, clock slots the rate reads, literal rate or None)]
+        self.rates = rates
         self.affine = affine  # every rate is affine in clocks
         self.exit_rate = exit_rate
+        # clock slots that the invariant reads; CompiledNetwork adds those
+        # that the active edges' guards read
+        self.reads = reads
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
+        self.fire = None  # the fire kernel of the active edges, from lower()
         self.lowered = False
 
     def lower(self) -> None:
@@ -361,9 +509,12 @@ class _CompiledLocation:
                 if edge.guard is not None:
                     edge.window = _window_kernel(edge.guard, edge.guard_probe,
                                                  edge.guard_atoms, True)
-        for edge in self.active + [e for es in self.receive.values()
-                                   for e in es]:
-            edge.update = _update_kernel(edge.updates)
+        for edges in self.receive.values():
+            for edge in edges:
+                edge.update = _update_kernel(edge.updates)
+        self.fire = _fire_kernel(self.index, tuple(
+            (e.guard, e.updates, e.label, e.target, e.weight, e.channel,
+             e.binary) for e in self.active))
 
 
 class _RatePlan:
@@ -373,30 +524,46 @@ class _RatePlan:
     (validation rejects a clock that two components rate).  The plan is
     ``exact`` when the integrated rates read only constant-rate clocks and
     are affine in them: they are then linear in time over a delay.
-    ``advance`` is the plan's kernel."""
+    ``rates`` is the kernel of :meth:`Simulator._current_rates` and
+    ``advance`` the plan's advance kernel."""
 
-    __slots__ = ("rates", "exact", "advance")
+    __slots__ = ("exact", "rates", "advance")
 
-    def __init__(self, clock_slots, keys, locations):
-        rates = {}  # clock slot -> (fn, clock slots it reads)
+    def __init__(self, clock_slots, keys, locations, reads):
+        rates = {}  # clock slot -> (slot, fn, clock slots it reads, literal)
         for loc in locations:
-            for slot, fn, reads in loc.rates:
-                rates[slot] = (fn, reads)
-        self.rates = [(slot, fn) for slot, (fn, _) in rates.items()]
-        coupled = {slot: fn for slot, (fn, reads) in rates.items() if reads}
+            for rate in loc.rates:
+                rates[rate[0]] = rate
         # advanced by rate * dt: clock-free rates, then clocks at rate 1
-        advanced = ([slot for slot in rates if slot not in coupled]
-                    + [slot for slot in clock_slots if slot not in rates])
-        read = set()
-        for slot in coupled:
-            read |= rates[slot][1]
+        advanced = []  # (slot, key, literal rate or None)
+        coupled = {}  # slot -> its clock-reading rate
+        read = set()  # clocks that the coupled rates read
+        # evaluated per delay: the clock-free rates that are not literals,
+        # which advance their clocks, and the coupled rates of the clocks
+        # that a window probe reads
+        evaluated = []
+        for slot, fn, clocks, lit in rates.values():
+            if clocks:
+                coupled[slot] = fn
+                read |= clocks
+                if slot in reads:
+                    evaluated.append((slot, fn))
+            else:
+                advanced.append((slot, keys[slot], lit))
+                if lit is None:
+                    evaluated.append((slot, fn))
+        advanced += [(slot, keys[slot], 1.0) for slot in clock_slots
+                     if slot not in rates]
+        self.rates = _rates_kernel(len(keys), tuple(
+            (slot, lit) for slot, _, lit in advanced
+            if lit is not None and slot in rates), tuple(evaluated))
         # what the coupled rates read in a midpoint or RK4 stage: clocks that
         # advance at a constant rate, and integrated clocks
-        stage_const = tuple(slot for slot in advanced if slot in read)
+        stage_const = tuple(slot for slot, _, _ in advanced if slot in read)
         stage_y = tuple(slot for slot in coupled if slot in read)
         self.exact = not stage_y and all(loc.affine for loc in locations)
         self.advance = _advance_kernel(
-            tuple((slot, keys[slot]) for slot in advanced),
+            tuple(advanced),
             tuple((slot, fn, keys[slot]) for slot, fn in coupled.items()),
             stage_const, stage_y, self.exact)
 
@@ -421,11 +588,14 @@ class _StepTable:
                        if not loc.committed
                        and (loc.active or loc.invariant is not None)]
         self.receivers = {}  # channel -> [(component, its receive edges)]
+        reads = set()  # clocks that a guard or invariant reads
         for cc, loc in located:
+            reads |= loc.reads
             for ch, edges in loc.receive.items():
                 self.receivers.setdefault(ch, []).append((cc, edges))
         self.plan = _RatePlan(net.clock_slots, net.keys,
-                              [loc for _, loc in located if not loc.committed])
+                              [loc for _, loc in located if not loc.committed],
+                              reads)
 
 
 _BOOLEAN_OPS = ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "imply")
@@ -472,7 +642,7 @@ class CompiledNetwork:
                             for i, comp in enumerate(network.components)}
         self.components = []
         self._tables = {}  # location configuration -> _StepTable
-        self._watches = {}  # watch tuple -> compiled watch list
+        self._watches = {}  # watch tuple -> (compiled watch, its kernel)
         self.query_resolver = self._slotted(resolver(network))
 
         for index, comp in enumerate(network.components):
@@ -494,13 +664,16 @@ class CompiledNetwork:
                 for clk, rate_expr in loc.rates:
                     rates[self.slots[resolve(clk)[1]]] = (
                         E.compile_expr(rate_expr, slotted),
-                        clock_refs(rate_expr))
+                        clock_refs(rate_expr),
+                        float(rate_expr.value)
+                        if isinstance(rate_expr, E.Num) else None)
                 cc.locations[loc.id] = _CompiledLocation(
-                    loc.id, loc.kind == "committed",
+                    index, loc.id, loc.kind == "committed",
                     *self._compile_window(loc.invariant, slotted, clock_refs),
-                    [(slot, fn, reads) for slot, (fn, reads) in rates.items()],
+                    [(slot, *rate) for slot, rate in rates.items()],
                     all(_affine_rate(e, is_clock) for _, e in loc.rates),
-                    loc.exit_rate)
+                    loc.exit_rate,
+                    clock_refs(loc.invariant) if loc.invariant else frozenset())
 
             for i, edge in enumerate(comp.template.edges):
                 updates = []
@@ -510,18 +683,21 @@ class CompiledNetwork:
                                     E.compile_expr(rhs, slotted),
                                     self.var_types[key]))
                 sync = edge.sync
-                binary = (sync.channel if sync is not None
+                channel = sync.channel if sync is not None else None
+                binary = (channel if sync is not None
                           and sync.direction == "emit"
-                          and not broadcast.get(sync.channel, True) else None)
+                          and not broadcast.get(channel, True) else None)
                 ce = _CompiledEdge(
                     f"{edge.source}->{edge.target}#{i}", edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
-                    sync, binary, edge.weight, tuple(updates))
+                    channel, binary, edge.weight, tuple(updates))
                 source = cc.locations[edge.source]
                 if sync is not None and sync.direction == "receive":
-                    source.receive.setdefault(sync.channel, []).append(ce)
+                    source.receive.setdefault(channel, []).append(ce)
                 else:
                     source.active.append(ce)
+                    if edge.guard is not None:
+                        source.reads |= clock_refs(edge.guard)
             self.components.append(cc)
 
     def _slotted(self, resolve):
@@ -584,16 +760,19 @@ class CompiledNetwork:
         return float(value)
 
     def compile_watch(self, exprs):
-        """[(key text, compiled fn)] for query-scope watch expressions,
-        built once per watch tuple."""
+        """(((key text, compiled fn), ...), snapshot kernel) for query-scope
+        watch expressions, built once per watch tuple.  The kernel
+        (:func:`_watch_kernel`) is None when nothing is watched."""
         key = tuple(exprs)
         out = self._watches.get(key)
         if out is None:
             from .parser import parse_expression
-            out = self._watches[key] = [
+            watch = tuple(
                 (E.to_text(e), E.compile_expr(e, self.query_resolver))
                 for e in (parse_expression(x) if isinstance(x, str) else x
-                          for x in key)]
+                          for x in key))
+            out = self._watches[key] = (
+                watch, _watch_kernel(watch) if watch else None)
         return out
 
 
@@ -614,10 +793,9 @@ class Simulator:
         self.rng = rng
         self.config = config or RunConfig()
         self.state = net.initial_state()
-        self.watch = net.compile_watch(watch)
+        _, self.watch = net.compile_watch(watch)  # snapshot kernel or None
         self.monitor = monitor  # called with (V, L) at every sample point
-        self._receiving = {}  # receive edges per channel in this step
-        self._table = None  # step table of L; _fire drops it
+        self._table = None  # step table of L; a firing drops it
 
     def _step_table(self) -> _StepTable:
         table = self._table
@@ -628,13 +806,16 @@ class Simulator:
     # -- expression probing under linear clock extrapolation --
 
     def _current_rates(self, plan) -> list:
-        """Numeric rate per clock slot at the current state (linear probe
-        basis); 1 at every other slot."""
-        V, L = self.state.V, self.state.L
-        rates = [1.0] * len(V)
-        for slot, fn in plan.rates:
-            rates[slot] = float(fn(V, L))
-        return rates
+        """The rate per slot at the current state, the linear probe basis
+        of window search, from the plan's rate kernel.  A copy of the plan's
+        template fills every slot: 1 at each unrated clock and at each slot
+        that is not a clock, and its value at each clock with a literal
+        rate.  The kernel then evaluates the other clock-free rates, and
+        the clock-reading rates of the clocks that a guard or invariant of
+        the configuration reads.  The slot of any other clock-reading rate
+        keeps 1, unread: the advance kernel integrates such a clock by
+        evaluating its rate itself."""
+        return plan.rates(self.state.V, self.state.L)
 
     def _invariant_deadline(self, cc, loc, rates) -> float:
         """Latest delay the location invariant allows (inf if unbounded)."""
@@ -657,10 +838,12 @@ class Simulator:
         V, L = self.state.V, self.state.L
         starts = []
         for edge in loc.active:
-            if edge.binary is not None and self._emit_blocked(cc, edge):
-                # receiver locations are frozen until the next event, so
-                # skip it (clock-guarded receivers opening mid-sojourn are
-                # ignored)
+            if edge.binary is not None and len(_ready(
+                    V, L, self._step_table().receivers.get(edge.binary, ()),
+                    cc.index)) != 1:
+                # a binary emit needs exactly one ready receiver; receiver
+                # locations are frozen until the next event, so skip it
+                # (clock-guarded receivers opening mid-sojourn are ignored)
                 continue
             if edge.window is None:
                 starts.append(0.0)
@@ -697,72 +880,13 @@ class Simulator:
 
     # -- firing --
 
-    def _enabled_edges(self, cc, loc) -> list:
-        """The active edges of ``cc`` in ``loc`` that can fire now."""
-        V, L = self.state.V, self.state.L
-        enabled = []
-        for edge in loc.active:
-            if edge.guard is not None and not edge.guard(V, L):
-                continue
-            if edge.binary is not None and self._emit_blocked(cc, edge):
-                continue
-            enabled.append(edge)
-        return enabled
-
-    def _emit_blocked(self, cc, edge) -> bool:
-        """A binary emit needs exactly one ready receiver."""
-        return len(self._receivers(cc, edge.binary)) != 1
-
-    def _receivers(self, emitter, ch) -> list:
-        """[(component, its enabled receive edges on ``ch``)] for every
-        component but ``emitter`` with at least one, in the location
-        configuration the current step started in."""
-        V, L = self.state.V, self.state.L
-        receivers = []
-        for cc, edges in self._receiving.get(ch, ()):
-            if cc is emitter:
-                continue
-            enabled = [e for e in edges if e.guard is None or e.guard(V, L)]
-            if enabled:
-                receivers.append((cc, enabled))
-        return receivers
-
-    def _choose(self, enabled):
-        """One of the ``enabled`` edges, chosen by weight; a lone edge
-        draws nothing."""
-        if len(enabled) == 1:
-            return enabled[0]
-        return enabled[self.rng.weighted_choice([e.weight for e in enabled])]
-
-    def _fire_one_of(self, cc, enabled) -> TraceEvent:
-        """Fire one of ``cc``'s ``enabled`` edges, chosen by weight."""
-        pre = self._snapshot()
-        edge = self._choose(enabled)
-        ch = self._fire(cc, edge)
+    def _event(self, cc, fired) -> TraceEvent:
+        """The event of ``cc``'s firing; ``fired`` is what its location's
+        fire kernel returned, (label, channel, sample before)."""
+        self._table = None
         if self.config.check_invariants:
             self._check_invariants("after a firing")
-        return TraceEvent(self.state.time, cc.name, edge.label, ch, pre,
-                          self._snapshot())
-
-    def _fire(self, cc, edge) -> Optional[str]:
-        """Apply one edge plus any synchronized receivers; returns channel."""
-        V, L = self.state.V, self.state.L
-        self._table = None
-        if edge.update is not None:
-            edge.update(V, L)
-        L[cc.index] = edge.target
-        if edge.sync is None:
-            return None
-        ch = edge.sync.channel
-        receivers = self._receivers(cc, ch)
-        if edge.binary is not None:
-            receivers = receivers[:1]  # validated to be exactly one
-        for other, enabled in receivers:
-            chosen = self._choose(enabled)
-            if chosen.update is not None:
-                chosen.update(V, L)
-            L[other.index] = chosen.target
-        return ch
+        return TraceEvent(self.state.time, cc.name, *fired, self._snapshot())
 
     def _snapshot(self) -> dict:
         """The watched values at a sample point, after the monitor has seen
@@ -770,9 +894,9 @@ class Simulator:
         V, L = self.state.V, self.state.L
         if self.monitor is not None:
             self.monitor(V, L)
-        if not self.watch:
+        if self.watch is None:
             return _UNWATCHED
-        return {key: fn(V, L) for key, fn in self.watch}
+        return self.watch(V, L)
 
     def _check_invariants(self, when: str) -> None:
         """Raise unless every current invariant holds, or held 1e-9 time
@@ -804,12 +928,13 @@ class Simulator:
         """One network step.  Returns a TraceEvent, or a terminal string:
         "bound_reached" | "deadlock"."""
         table = self._step_table()
-        self._receiving = table.receivers
+        V, L = self.state.V, self.state.L
         if table.committed:
             for cc, loc in table.committed:
-                enabled = self._enabled_edges(cc, loc)
-                if enabled:
-                    return self._fire_one_of(cc, enabled)
+                fired = loc.fire(V, L, table.receivers, self.rng,
+                                 self._snapshot)
+                if fired is not None:
+                    return self._event(cc, fired)
             return "deadlock"
 
         rates = self._current_rates(table.plan)
@@ -836,17 +961,17 @@ class Simulator:
             return "deadlock"
 
         self._delay(delay, rates)
-        enabled = self._enabled_edges(cc, loc)
-        if not enabled:
+        fired = loc.fire(V, L, table.receivers, self.rng, self._snapshot)
+        if fired is None:
             # accumulated rounding can leave a boundary guard (window of
             # width zero) a few ulps short of its crossing; nudge once
             self.advance_time(1e-9, rates)
-            enabled = self._enabled_edges(cc, loc)
-        if not enabled:
+            fired = loc.fire(V, L, table.receivers, self.rng, self._snapshot)
+        if fired is None:
             raise EngineError(
                 f"{cc.name}: no edge enabled at its sampled delay "
                 "(guard window closed; engine defect or unsupported model)")
-        return self._fire_one_of(cc, enabled)
+        return self._event(cc, fired)
 
 
 def check_bound(bound: float) -> None:

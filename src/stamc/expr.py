@@ -120,8 +120,8 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
     """Python source of ``e``; a variable whose key is in ``clocks`` reads
     as ``(V[k] + R[k] * dt)``."""
     if isinstance(e, Num):
-        if math.isinf(e.value):  # repr gives the bare name inf
-            return "1e999" if e.value > 0 else "(-1e999)"
+        if not math.isfinite(e.value):  # no literal in the language
+            raise ExprError(f"no literal for the number {e.value!r}")
         return repr(e.value)
     if isinstance(e, BoolLit):
         return "True" if e.value else "False"

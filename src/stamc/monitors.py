@@ -46,6 +46,11 @@ class WhConstraint:
             raise MonitorError(f"unknown constraint kind {self.kind!r}")
         if not (1 <= self.m <= self.k):
             raise MonitorError("need 1 <= m <= k")
+        for name in ("lower", "tolerance", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise MonitorError(f"{name} must be finite")
+        if math.isnan(self.upper):  # an infinite upper bound is no bound
+            raise MonitorError("upper must be a number")
         if self.lower > self.upper:
             raise MonitorError("need lower <= upper")
         if self.tolerance < 0 or self.jitter < 0:

@@ -35,9 +35,9 @@ later, and the chunks sent to workers, carry the mask of the live jobs
 and skip its judge. ``check`` registers every query with its pool before
 the first run, so its queries share; a constraint's observed model is a
 network of its own, and its stream serves that query alone; a library
-call is a one-query group. Registering a query checks every name it reads
-and every channel its constraint listens on, so a bad query fails before
-any run. A query's ``wall_ms`` covers its judging and
+call is a one-query group. Registering a query checks every name it reads,
+against one query scope per model and pool, and every channel its
+constraint listens on, so a bad query fails before any run. A query's ``wall_ms`` covers its judging and
 statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
@@ -255,7 +255,7 @@ class _Monitor:
         self.extrema = []  # [(place, fn, is max)]
 
     def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
-        [(_, fn)] = net.compile_watch((judge.expr,))
+        [(_, fn)], _ = net.compile_watch((judge.expr,))
         if judge.op == "globally":
             self.always.append((place, fn))
             self.out[place] = True
@@ -400,6 +400,7 @@ class RunPool:
     def __init__(self, workers: int = 1):
         self.workers = max(1, workers)
         self._models = {}  # id(model) -> (model key, model)
+        self._scopes = {}  # id(model) -> (model, its query-scope resolver)
         self._nets = {}  # model key -> compiled network, at one worker
         self._streams = {}  # stream key -> the stream jobs join
         self._registered = {}  # id(query) -> (query, its lanes)
@@ -430,9 +431,19 @@ class RunPool:
         constraint listens on, so a bad query fails here, before any run."""
         jobs, _ = _form(query)
         run_config = run_config or RunConfig()
+        model = _coerce_network(model)
         lanes = [self._join(job, run_config) for job in
-                 jobs(_coerce_network(model), query, cfg, name)]
+                 jobs(model, self._scope(model), query, cfg, name)]
         self._registered[id(query)] = (query, lanes)
+
+    def _scope(self, model: Model):
+        """The query-scope resolver of ``model``, built once per model."""
+        # the entry holds the model, so its id is not reused meanwhile
+        entry = self._scopes.get(id(model))
+        if entry is None:
+            entry = self._scopes[id(model)] = (
+                model, resolver(instantiate(model)))
+        return entry[1]
 
     def _lanes(self, model, query, cfg, run_config, name) -> list:
         """(stream, place) of each of ``query``'s jobs, registered now if
@@ -521,18 +532,17 @@ def _coerce_network(network) -> Model:
     raise QueryError("expected a Model or Network")
 
 
-def _check_names(model: Model, *exprs):
+def _check_names(resolve, *exprs):
     """Raises ``ExprError`` unless every name ``exprs`` read is in the query
-    scope of ``model``."""
-    resolve = resolver(instantiate(model))
+    scope ``resolve``."""
     for e in exprs:
         for name in E.names(e):
             resolve(name)
 
 
-def _formula_job(model: Model, f: PathFormula, bound: float, seed: int,
-                 n_runs: int) -> _Job:
-    _check_names(model, f.state_expr)
+def _formula_job(model: Model, scope, f: PathFormula, bound: float,
+                 seed: int, n_runs: int) -> _Job:
+    _check_names(scope, f.state_expr)
     return _Job(model, bound, seed, n_runs,
                 _Sampled(f.op, E.to_text(f.state_expr)))
 
@@ -578,8 +588,8 @@ def _estimate_runs(cfg: StatConfig) -> int:
     return min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
 
 
-def _estimate_jobs(model, q: Estimate, cfg, name) -> list:
-    return [_formula_job(model, q.formula, q.bound, cfg.seed,
+def _estimate_jobs(model, scope, q: Estimate, cfg, name) -> list:
+    return [_formula_job(model, scope, q.formula, q.bound, cfg.seed,
                          _estimate_runs(cfg))]
 
 
@@ -592,10 +602,11 @@ def _estimate(q: Estimate, cfg, streams) -> SmcResult:
                      n, cfg, {"successes": successes})
 
 
-def _hypothesis_jobs(model, q: Hypothesis, cfg, name) -> list:
+def _hypothesis_jobs(model, scope, q: Hypothesis, cfg, name) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    return [_formula_job(model, q.formula, q.bound, cfg.seed, cfg.max_runs)]
+    return [_formula_job(model, scope, q.formula, q.bound, cfg.seed,
+                         cfg.max_runs)]
 
 
 def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
@@ -605,13 +616,14 @@ def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
                      {"p0": q.p0, "successes": successes})
 
 
-def _compare_jobs(model, q: Compare, cfg, name) -> list:
+def _compare_jobs(model, scope, q: Compare, cfg, name) -> list:
     """Independent run sets for the two formulas: the second stream has its
     own seed."""
     budget = _estimate_runs(cfg)
-    return [_formula_job(model, q.formula1, q.bound1, cfg.seed, budget),
-            _formula_job(model, q.formula2, q.bound2, cfg.seed + 0x9E3779B9,
-                         budget)]
+    return [_formula_job(model, scope, q.formula1, q.bound1, cfg.seed,
+                         budget),
+            _formula_job(model, scope, q.formula2, q.bound2,
+                         cfg.seed + 0x9E3779B9, budget)]
 
 
 def _compare(q: Compare, cfg, streams) -> SmcResult:
@@ -640,12 +652,12 @@ def _compare(q: Compare, cfg, streams) -> SmcResult:
                               "discordant": discordant})
 
 
-def _expected_jobs(model, q: Expected, cfg, name) -> list:
+def _expected_jobs(model, scope, q: Expected, cfg, name) -> list:
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
-    _check_names(model, q.expr)
+    _check_names(scope, q.expr)
     return [_Job(model, q.bound, cfg.seed, q.n_runs,
                  _Sampled(q.mode, E.to_text(q.expr)))]
 
@@ -667,10 +679,10 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
         details={"mode": q.mode, "values": values})
 
 
-def _simulate_jobs(model, q: Simulate, cfg, name) -> list:
+def _simulate_jobs(model, scope, q: Simulate, cfg, name) -> list:
     if q.sample_step is not None and q.sample_step <= 0:
         raise QueryError("need sample_step > 0")
-    _check_names(model, *q.exprs)
+    _check_names(scope, *q.exprs)
     keys = tuple(E.to_text(e) for e in q.exprs)
     return [_Job(model, q.bound, cfg.seed, q.n_runs,
                  _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
@@ -685,7 +697,7 @@ def _simulate(q: Simulate, cfg, streams) -> SmcResult:
                      runs=q.n_runs, details={"trajectories": trajectories})
 
 
-def _constraint_jobs(model, q: ConstraintQuery, cfg, name) -> list:
+def _constraint_jobs(model, scope, q: ConstraintQuery, cfg, name) -> list:
     """Runs of the model with the constraint's observer attached, which
     checks the constraint's channels: a network of its own, so its stream
     serves this query alone."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stamc import engine, monitors
+from stamc import expr as E
 from stamc.engine import EngineError, RngStream, RunConfig, run
 from stamc.model import instantiate
 from stamc.parser import parse_model, parse_queries
@@ -601,7 +602,7 @@ def _advance_reference(sim, dt, exact):
         loc = cc.locations[L[cc.index]]
         if loc.committed:
             continue
-        for key, fn, reads in loc.rates:
+        for key, fn, reads, _ in loc.rates:
             if reads:
                 var_rates[key] = fn
             else:
@@ -767,24 +768,34 @@ def test_window_kernels_match_the_loop_reference(name):
     assert found == {True, False}  # windows now, later and never
 
 
+def _staged(V, L, updates):
+    """Reference updates: every right-hand side evaluated, then each stored
+    through ``_coerce``."""
+    staged = [(slot, fn(V, L), vtype) for slot, fn, vtype in updates]
+    for slot, value, vtype in staged:
+        V[slot] = engine.CompiledNetwork._coerce(value, vtype)
+
+
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_update_kernels_match_the_staged_loop(name):
-    """Each edge's update kernel leaves V as evaluating every right-hand
-    side and then storing it through ``_coerce`` does."""
+    """Each receive edge's update kernel leaves V as evaluating every
+    right-hand side and then storing it through ``_coerce`` does.  An
+    internal or emitting edge has no update kernel: its location's fire
+    kernel applies its updates (see the fire kernels' test)."""
     compiled, states = _vehicle_states(name)
-    edges = [e for _, e in _edges(compiled) if e.updates]
+    receive = {id(e) for cc in compiled.components
+               for loc in cc.locations.values()
+               for es in loc.receive.values() for e in es}
+    edges = [e for _, e in _edges(compiled) if e.updates and id(e) in receive]
     assert len(edges) > 20
     assert all(e.update is None for _, e in _edges(compiled)
-               if not e.updates)
+               if not e.updates or id(e) not in receive)
     for V, L in states:
         sim = _at(compiled, V, L)
         for edge in edges:
             want = list(sim.state.V)
-            staged = [(slot, fn(want, sim.state.L), vtype)
-                      for slot, fn, vtype in edge.updates]
             try:
-                for slot, value, vtype in staged:
-                    want[slot] = engine.CompiledNetwork._coerce(value, vtype)
+                _staged(want, sim.state.L, edge.updates)
             except EngineError as exc:
                 with pytest.raises(EngineError, match=f"^{exc}$"):
                     edge.update(list(sim.state.V), sim.state.L)
@@ -792,6 +803,201 @@ def test_update_kernels_match_the_staged_loop(name):
             got = list(sim.state.V)
             edge.update(got, sim.state.L)
             assert _bits(got) == _bits(want)
+
+
+# The fire kernels' reference, a firing in loop form: scan the enabled
+# edges, choose one by weight, apply it, and sync each receiver found ready
+# after the emitter's updates.  ``receiving`` is the step table's receive
+# edges per channel.
+
+
+def _receivers(V, L, receiving, emitter, ch):
+    """[(component, its enabled receive edges on ``ch``)] for every
+    component but ``emitter`` with at least one."""
+    receivers = []
+    for cc, edges in receiving.get(ch, ()):
+        if cc is emitter:
+            continue
+        enabled = [e for e in edges if e.guard is None or e.guard(V, L)]
+        if enabled:
+            receivers.append((cc, enabled))
+    return receivers
+
+
+def _enabled_edges(V, L, receiving, cc, loc):
+    """The active edges of ``cc`` in ``loc`` that can fire now: a binary
+    emit needs exactly one ready receiver."""
+    enabled = []
+    for edge in loc.active:
+        if edge.guard is not None and not edge.guard(V, L):
+            continue
+        if edge.binary is not None and len(
+                _receivers(V, L, receiving, cc, edge.binary)) != 1:
+            continue
+        enabled.append(edge)
+    return enabled
+
+
+def _choose(rng, enabled):
+    """One of the ``enabled`` edges, chosen by weight; a lone edge draws
+    nothing."""
+    if len(enabled) == 1:
+        return enabled[0]
+    return enabled[rng.weighted_choice([e.weight for e in enabled])]
+
+
+def _fire(V, L, receiving, rng, cc, edge):
+    """Apply one edge plus any synchronized receivers; returns the channel
+    and the receivers."""
+    _staged(V, L, edge.updates)
+    L[cc.index] = edge.target
+    if edge.channel is None:
+        return None, []
+    receivers = _receivers(V, L, receiving, cc, edge.channel)
+    if edge.binary is not None:
+        receivers = receivers[:1]
+    for other, enabled in receivers:
+        chosen = _choose(rng, enabled)
+        _staged(V, L, chosen.updates)
+        L[other.index] = chosen.target
+    return edge.channel, receivers
+
+
+class _Recording(engine.Simulator):
+    """A simulator that keeps a copy of the state after every delay, where
+    a timed actor is about to fire."""
+
+    def advance_time(self, dt, rates):
+        super().advance_time(dt, rates)
+        self.states.append((list(self.state.V), list(self.state.L)))
+
+
+def _firing_states(compiled, n_runs, bound, every=1):
+    """[(V, L)] at the start of every step and after every delay of
+    ``n_runs`` runs, keeping one in ``every``."""
+    states = []
+    for i in range(n_runs):
+        sim = _Recording(compiled, RngStream(42, i), RunConfig(h_max=10.0))
+        sim.states = states
+        for _ in range(10 ** 4):
+            states.append((list(sim.state.V), list(sim.state.L)))
+            if isinstance(sim.step(bound), str):
+                break
+    return states[::every]
+
+
+def _compare_fire(compiled, V, L, seen):
+    """Fire each component of state (V, L) by its location's kernel and by
+    the loop form, on copies of the state and equal random streams."""
+    receiving = compiled.step_table(L).receivers
+    for cc in compiled.components:
+        loc = cc.locations[L[cc.index]]
+        want_V, want_L = list(V), list(L)
+        enabled = _enabled_edges(want_V, want_L, receiving, cc, loc)
+        got_V, got_L, snaps = list(V), list(L), []
+
+        def snap():
+            snaps.append((list(got_V), list(got_L)))
+            return "pre"
+
+        if not enabled:  # nothing fires, so nothing draws
+            assert loc.fire(got_V, got_L, receiving, None, snap) is None
+            assert (got_V, got_L, snaps) == (V, L, [])
+            continue
+        want_rng, got_rng = RngStream(7, len(seen)), RngStream(7, len(seen))
+        edge = _choose(want_rng, enabled)
+        channel, receivers = _fire(want_V, want_L, receiving, want_rng, cc,
+                                   edge)
+        got = loc.fire(got_V, got_L, receiving, got_rng, snap)
+        assert got == (edge.label, channel, "pre")
+        assert snaps == [(V, L)]  # the sample before, taken once
+        assert _bits(got_V) == _bits(want_V) and got_L == want_L
+        assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
+        seen.append((len(enabled) > 1, channel is not None,
+                     edge.binary is not None, bool(receivers),
+                     any(len(edges) > 1 for _, edges in receivers)))
+
+
+# A binary emit after a weighted committed choice; the receiver draws
+# between two enabled edges. Once `hits` reaches 40 a second receiver is
+# ready, which blocks the emit, and the run deadlocks in `pick`.
+BINARY = """
+int hits = 0;
+int side = 0;
+clock x;
+chan go;
+template Emit() {
+  init loc a { inv x <= 2; }
+  committed loc pick;
+  a -> pick { guard x >= 1; }
+  pick -> a { weight 3; sync go!; update side := 1, x := 0; }
+  pick -> a { weight 1; sync go!; update side := 2, x := 0; }
+}
+template Recv() {
+  init loc w;
+  w -> w { weight 1; sync go?; update hits := hits + side; }
+  w -> w { weight 4; sync go?; update hits := hits + 10 * side; }
+}
+template Late() {
+  init loc w;
+  loc done;
+  w -> done { guard hits >= 40; sync go?; }
+}
+system Emit, Recv, Late;
+"""
+
+# Weighted broadcasts with guarded and weighted receive edges, and an
+# emitter that listens on its own channel.
+BROADCAST = """
+int got = 0;
+clock x;
+broadcast chan go;
+template Emit() {
+  init loc a { inv x <= 1; }
+  a -> a { guard x >= 1; weight 2; sync go!; update x := 0; }
+  a -> a { guard x >= 1; sync go!; update x := 0, got := got + 5; }
+  a -> a { sync go?; update got := got + 100; }
+}
+template Recv() {
+  init loc w;
+  loc odd;
+  w -> odd { guard got % 2 == 0; weight 2; sync go?; update got := got + 1; }
+  w -> w { sync go?; update got := got + 2; }
+  odd -> w { guard got < 10; sync go?; update got := got + 3; }
+}
+system Emit, Recv, Recv;
+"""
+
+
+@pytest.mark.parametrize("name", ["av.sta", "binary", "broadcast"])
+def test_fire_kernels_match_the_loop_reference(name):
+    """Each location's fire kernel leaves V and L as the loop form does, bit
+    for bit, returns the same label and channel, and leaves the random
+    stream at the same next draw."""
+    if name == "av.sta":
+        compiled = engine.CompiledNetwork(
+            instantiate(parse_model((MODELS / name).read_text())))
+        states = _firing_states(compiled, 3, 1500, every=3)
+    else:
+        compiled = engine.CompiledNetwork(
+            net(BINARY if name == "binary" else BROADCAST))
+        states = _firing_states(compiled, 20, 40)
+    seen = []
+    for V, L in states:
+        _compare_fire(compiled, V, L, seen)
+    # the emitter's choice, a sync, a binary emit, a receiver, its choice
+    weighted, synced, binary, received, chosen = ({s[i] for s in seen}
+                                                  for i in range(5))
+    assert len(seen) > 100
+    assert True in weighted and True in synced and True in received
+    assert binary == ({True, False} if name == "binary" else {False})
+    assert chosen == ({False} if name == "av.sta" else {True, False})
+
+
+def test_a_blocked_binary_emit_deadlocks():
+    tr = run(net(BINARY), 1000, RngStream(42, 0), ["hits"])
+    assert tr.end_reason == "deadlock" and tr.final["hits"] >= 40
+    assert tr.locations == {"Emit": "pick", "Recv": "w", "Late": "w"}
 
 
 def test_an_edge_reads_every_right_hand_side_before_it_stores():
@@ -810,30 +1016,45 @@ system T;
     assert tr.events[0].watch == {"a": 2, "b": 1, "x": 3.0}
 
 
-def test_a_second_compile_execs_nothing():
+def test_a_second_compile_execs_nothing(monkeypatch):
     """Closures are cached by source and kernels by their generators'
     arguments: a second network of the same model shares every function
-    with the first."""
+    with the first, and compiling and running it writes no kernel and
+    evaluates no closure."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
-    a, b = engine.CompiledNetwork(network), engine.CompiledNetwork(network)
+    watch = ("(wvl + wvr) / 2", "energy.Con_en", "mode")
+    config = RunConfig(h_max=10.0)
+    a = engine.CompiledNetwork(network)
     # kernels wait for the first step table that holds their location
     assert not any(loc.lowered for cc in a.components
                    for loc in cc.locations.values())
+    run(a, 300, RngStream(42, 0), watch, config)
+    _edges(a)
+    written = []
+    kernel = engine._kernel
+    monkeypatch.setattr(engine, "_kernel",
+                        lambda *args, **kw: written.append(args)
+                        or kernel(*args, **kw))
+    evaluated = E._lambda.cache_info().misses
+    b = engine.CompiledNetwork(network)
+    run(b, 300, RngStream(42, 0), watch, config)
     pairs = list(zip(_edges(a), _edges(b)))
+    assert written == [] and E._lambda.cache_info().misses == evaluated
     assert len(pairs) > 30
     for (loc_a, ea), (loc_b, eb) in pairs:
         assert (ea.guard, ea.guard_probe, ea.window, ea.update) == \
             (eb.guard, eb.guard_probe, eb.window, eb.update)
-        assert (loc_a.invariant, loc_a.window, loc_a.rates) == \
-            (loc_b.invariant, loc_b.window, loc_b.rates)
+        assert (loc_a.invariant, loc_a.window, loc_a.rates, loc_a.fire) == \
+            (loc_b.invariant, loc_b.window, loc_b.rates, loc_b.fire)
+        assert loc_a.fire is not None
     assert a.components[0].locations is not b.components[0].locations
-    for _ in range(2):
-        for tr in (a, b):
-            run(tr, 300, RngStream(42, 0), config=RunConfig(h_max=10.0))
     assert len(a._tables) == len(b._tables) > 1
     for config, table in a._tables.items():
-        assert table.plan.advance is b._tables[config].plan.advance
-        assert table.plan.advance is not None
+        for name in ("advance", "rates"):
+            kernels = (getattr(table.plan, name),
+                       getattr(b._tables[config].plan, name))
+            assert kernels[0] is kernels[1] is not None
+    assert a.compile_watch(watch)[1] is b.compile_watch(watch)[1] is not None
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
@@ -850,6 +1071,61 @@ def _compare_advance(compiled, V, L, dt, h_max, exact):
     assert list(got) == list(want)
     assert _bits(got.values()) == _bits(want.values())
     assert sim.state.time == ref.state.time
+
+
+# A guard and an invariant that read a clock whose rate reads a clock, and
+# a clock-reading rate that nothing reads.
+READ_COUPLED = """
+clock t;
+clock e;
+clock z;
+template T() {
+  init loc a { rate e = t; rate z = 2 * t; inv e <= 8; }
+  loc b { rate e = 3; rate z = z - e; }
+  a -> b { guard e >= 8; }
+  b -> a { guard t >= 20; update t := 0, e := 0; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("name", ["av.sta", "read-coupled"])
+def test_rate_kernels_fill_every_slot_that_is_read(name):
+    """Against evaluating every rate of the configuration's locations that
+    are not committed: each slot of a clock-free rate, of an unrated clock
+    and of a clock that a guard or invariant reads holds the same value,
+    bit for bit; the slot of any other clock-reading rate holds 1."""
+    if name == "av.sta":
+        compiled, states = _vehicle_states(name)
+    else:
+        compiled = engine.CompiledNetwork(net(READ_COUPLED))
+        states = [({"t": t, "e": e, "z": z}, {"T": loc})
+                  for t in (0.0, 1.5, 7.25) for e in (0.0, 3.0)
+                  for z in (-1.0, 2.0) for loc in ("a", "b")]
+    unread = 0
+    for V, L in states:
+        sim = _at(compiled, V, L)
+        V, L = sim.state.V, sim.state.L
+        plan = compiled.step_table(L).plan
+        want, coupled, reads = [1.0] * len(V), set(), set()
+        for cc in compiled.components:
+            loc = cc.locations[L[cc.index]]
+            reads |= loc.reads
+            if loc.committed:
+                continue
+            for slot, fn, clocks, _ in loc.rates:
+                want[slot] = float(fn(V, L))
+                if clocks:
+                    coupled.add(slot)
+        got = sim._current_rates(plan)
+        assert got is not sim._current_rates(plan)  # a new list each time
+        for slot, value in enumerate(want):
+            if slot in coupled and slot not in reads:
+                assert got[slot] == 1.0
+                unread += 1
+            else:
+                assert _bits([got[slot]]) == _bits([value])
+    assert unread > 0
 
 
 @pytest.mark.parametrize("h_max", [10.0, 0.05])

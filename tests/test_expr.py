@@ -83,6 +83,17 @@ def test_to_text_rejects_a_non_finite_number(value):
         E.to_text(E.Binary("<=", E.Name("x"), E.Num(value)))
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_compile_rejects_a_non_finite_number(value):
+    """Nothing that validates or that a constraint's observer holds has
+    one, so compiling one is an error, not a stand-in literal."""
+    e = E.Binary("<=", E.Name("x"), E.Num(value))
+    with pytest.raises(E.ExprError, match="no literal"):
+        E.compile_expr(e, var_resolver)
+    with pytest.raises(E.ExprError, match="no literal"):
+        E.compile_probe(e, var_resolver, {"x"})
+
+
 def test_names_walk():
     e = parse_expression("x + Comp.y * max(z, 1)")
     assert E.names(e) == {"x", "Comp.y", "z"}

@@ -163,6 +163,23 @@ def test_constraint_validation():
         wh("endtoend", 1, 1, [("src", "s"), ("target", "t")])
     with pytest.raises(M.MonitorError, match="needs >= 2 events"):
         wh("synchronization", 1, 1, [("e1", "a")])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lower", math.inf), ("lower", -math.inf), ("lower", math.nan),
+    ("tolerance", math.inf), ("tolerance", math.nan),
+    ("jitter", math.inf), ("jitter", math.nan),
+    ("upper", math.nan),
+])
+def test_a_constraint_rejects_a_bound_that_is_not_a_finite_number(field,
+                                                                   value):
+    """What the parser rejects, a library caller cannot pass either; only
+    ``upper`` may be infinite, which means no upper bound."""
+    pair = [("e1", "a"), ("e2", "b")]
+    with pytest.raises(M.MonitorError, match=f"^{field} must be"):
+        wh("synchronization", 1, 1, pair, **{field: value})
+    c = wh("synchronization", 1, 1, pair, upper=math.inf)
+    assert c.upper == math.inf
     with pytest.raises(M.MonitorError, match="bound twice"):
         wh("synchronization", 1, 1, [("e1", "a"), ("e1", "b")])
 

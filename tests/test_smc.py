@@ -380,6 +380,25 @@ def test_a_bad_query_fails_when_it_registers(pools, monkeypatch, text,
     assert len(pools) == (workers > 1)
 
 
+def test_a_model_is_instantiated_once_to_check_the_names_of_its_queries(
+        monkeypatch):
+    """Both formulas of a compare, and every later query of the same
+    model, read one query scope."""
+    model = parse_model((MODELS / "av.sta").read_text())
+    built = []
+    monkeypatch.setattr(smc, "instantiate",
+                        lambda m: built.append(m) or instantiate(m))
+    cfg = StatConfig()
+    with smc.RunPool(1) as pool:
+        pool.register(model, query(
+            "Pr[<=10](<> wvl > 0) >= Pr[<=10](<> wvr > 0)"), cfg)
+        assert built == [model]
+        pool.register(model, query("E[<=10; 5](max: wvl)"), cfg)
+        other = parse_model((MODELS / "av.sta").read_text())
+        pool.register(other, query("Pr[<=10](<> wvl > 0)"), cfg)
+    assert built == [model, other]
+
+
 def test_retired_job_judges_no_later_run():
     coin = coin_model()
     cfg = StatConfig(seed=7, delta_indiff=0.1, epsilon=0.2)
