@@ -32,7 +32,7 @@ those closures' sources with every expression inlined:
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
-  enabled, chooses by weight, applies the edge's updates inline and moves
+  enabled, chooses by weight, calls the edge's update kernel and moves
   the component; one receiver routine, ``_sync``, then fires the receive
   edges, which the step table passes in;
 - a rate kernel per rate plan (below) copies the plan's rate template and
@@ -207,26 +207,22 @@ def _kernel(lines: list, **names):
     return scope["_k"]
 
 
-def _update_lines(updates: tuple) -> list:
-    """Lines applying ``updates``, ((slot, fn, vtype), ...): every right-hand
-    side is evaluated first, then stored, with reals and clocks through
-    ``float``, bools through ``bool`` and ints through ``_coerce``."""
-    lines = [f"u{i} = {fn.source}" for i, (_, fn, _) in enumerate(updates)]
+@functools.cache
+def _update_kernel(updates: tuple):
+    """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
+    there are none: every right-hand side is evaluated first, then stored,
+    with reals and clocks through ``float``, bools through ``bool`` and ints
+    through ``_coerce``."""
+    if not updates:
+        return None
+    lines = ["def _k(V, L):"]
+    lines += [f"    u{i} = {fn.source}"
+              for i, (_, fn, _) in enumerate(updates)]
     for i, (slot, _, vtype) in enumerate(updates):
         value = {"int": f"_coerce(u{i}, 'int')",
                  "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
-        lines.append(f"V[{slot}] = {value}")
-    return lines
-
-
-@functools.cache
-def _update_kernel(updates: tuple):
-    """``(V, L)`` applying ``updates`` (:func:`_update_lines`), or None if
-    there are none."""
-    if not updates:
-        return None
-    return _kernel(["def _k(V, L):",
-                    *["    " + line for line in _update_lines(updates)]])
+        lines.append(f"    V[{slot}] = {value}")
+    return _kernel(lines)
 
 
 def _ready(V, L, receivers, emitter: int) -> list:
@@ -269,9 +265,9 @@ def _fire_kernel(index: int, edges: tuple):
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready.  Once one is, ``snap()`` gives the sample before
     the firing, and the kernel picks an enabled edge by weight (a lone one
-    draws nothing), applies its updates, moves the component to its target,
-    syncs its receivers through :func:`_sync` and returns ``(label,
-    channel, pre)``."""
+    draws nothing), applies its updates by its update kernel, moves the
+    component to its target, syncs its receivers through :func:`_sync` and
+    returns ``(label, channel, pre)``."""
     def enabled(guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
@@ -279,8 +275,9 @@ def _fire_kernel(index: int, edges: tuple):
                          f"{index})) == 1")
         return " and ".join(tests)
 
-    def fire(guard, updates, label, target, weight, channel, binary):
-        lines = [*_update_lines(updates), f"L[{index}] = {target!r}"]
+    def fire(i, guard, updates, label, target, weight, channel, binary):
+        lines = [f"U{i}(V, L)"] if updates else []
+        lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
             lines += [f"rs = receivers.get({channel!r})", "if rs:",
                       f"    _sync(V, L, rs, {index}, rng, {binary is not None})"]
@@ -293,7 +290,7 @@ def _fire_kernel(index: int, edges: tuple):
         test = enabled(edges[0][0], edges[0][6])
         if test:
             body += [f"if not ({test}):", "    return None"]
-        body += ["pre = snap()", *fire(*edges[0])]
+        body += ["pre = snap()", *fire(0, *edges[0])]
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
@@ -304,11 +301,14 @@ def _fire_kernel(index: int, edges: tuple):
                  "i = e[0] if len(e) == 1 else "
                  "e[rng.weighted_choice([W[j] for j in e])]"]
         for i, edge in enumerate(edges[:-1]):
-            body += [f"if i == {i}:", *["    " + line for line in fire(*edge)]]
-        body += fire(*edges[-1])
+            body += [f"if i == {i}:",
+                     *["    " + line for line in fire(i, *edge)]]
+        body += fire(len(edges) - 1, *edges[-1])
     return _kernel(["def _k(V, L, receivers, rng, snap):",
                     *["    " + line for line in body]],
-                   W=tuple(edge[4] for edge in edges))
+                   W=tuple(edge[4] for edge in edges),
+                   **{f"U{i}": _update_kernel(edge[1])
+                      for i, edge in enumerate(edges) if edge[1]})
 
 
 @functools.cache
@@ -461,9 +461,8 @@ class _CompiledEdge:
         self.weight = weight
         self.updates = updates  # ((slot, fn, vtype), ...)
         # kernels, from the source location's lower(): the guard's window
-        # (None for no guard, a receive edge or a committed source) and,
-        # for a receive edge, the updates (None for none; the source's fire
-        # kernel applies an internal or emitting edge's updates inline)
+        # (None for no guard, a receive edge or a committed source) and
+        # the updates (None for none)
         self.window = self.update = None
 
 
@@ -509,9 +508,9 @@ class _CompiledLocation:
                 if edge.guard is not None:
                     edge.window = _window_kernel(edge.guard, edge.guard_probe,
                                                  edge.guard_atoms, True)
-        for edges in self.receive.values():
-            for edge in edges:
-                edge.update = _update_kernel(edge.updates)
+        for edge in self.active + [e for es in self.receive.values()
+                                   for e in es]:
+            edge.update = _update_kernel(edge.updates)
         self.fire = _fire_kernel(self.index, tuple(
             (e.guard, e.updates, e.label, e.target, e.weight, e.channel,
              e.binary) for e in self.active))
@@ -760,19 +759,16 @@ class CompiledNetwork:
         return float(value)
 
     def compile_watch(self, exprs):
-        """(((key text, compiled fn), ...), snapshot kernel) for query-scope
-        watch expressions, built once per watch tuple.  The kernel
-        (:func:`_watch_kernel`) is None when nothing is watched."""
+        """((key text, compiled fn), ...) for query-scope watch expressions,
+        built once per watch tuple."""
         key = tuple(exprs)
         out = self._watches.get(key)
         if out is None:
             from .parser import parse_expression
-            watch = tuple(
+            out = self._watches[key] = tuple(
                 (E.to_text(e), E.compile_expr(e, self.query_resolver))
                 for e in (parse_expression(x) if isinstance(x, str) else x
                           for x in key))
-            out = self._watches[key] = (
-                watch, _watch_kernel(watch) if watch else None)
         return out
 
 
@@ -793,7 +789,9 @@ class Simulator:
         self.rng = rng
         self.config = config or RunConfig()
         self.state = net.initial_state()
-        _, self.watch = net.compile_watch(watch)  # snapshot kernel or None
+        watch = net.compile_watch(watch)
+        # the snapshot kernel, or None
+        self.watch = _watch_kernel(watch) if watch else None
         self.monitor = monitor  # called with (V, L) at every sample point
         self._table = None  # step table of L; a firing drops it
 

@@ -255,7 +255,7 @@ class _Monitor:
         self.extrema = []  # [(place, fn, is max)]
 
     def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
-        [(_, fn)], _ = net.compile_watch((judge.expr,))
+        [(_, fn)] = net.compile_watch((judge.expr,))
         if judge.op == "globally":
             self.always.append((place, fn))
             self.out[place] = True

@@ -778,18 +778,13 @@ def _staged(V, L, updates):
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_update_kernels_match_the_staged_loop(name):
-    """Each receive edge's update kernel leaves V as evaluating every
-    right-hand side and then storing it through ``_coerce`` does.  An
-    internal or emitting edge has no update kernel: its location's fire
-    kernel applies its updates (see the fire kernels' test)."""
+    """Each edge's update kernel leaves V as evaluating every right-hand
+    side and then storing it through ``_coerce`` does."""
     compiled, states = _vehicle_states(name)
-    receive = {id(e) for cc in compiled.components
-               for loc in cc.locations.values()
-               for es in loc.receive.values() for e in es}
-    edges = [e for _, e in _edges(compiled) if e.updates and id(e) in receive]
+    edges = [e for _, e in _edges(compiled) if e.updates]
     assert len(edges) > 20
     assert all(e.update is None for _, e in _edges(compiled)
-               if not e.updates or id(e) not in receive)
+               if not e.updates)
     for V, L in states:
         sim = _at(compiled, V, L)
         for edge in edges:
@@ -886,6 +881,33 @@ def _firing_states(compiled, n_runs, bound, every=1):
     return states[::every]
 
 
+# Vehicle states that runs seldom or never reach, each as (component, its
+# location, values set): a wheel braked to a standstill while reporting, a
+# stop sign read in a turn, and a stop committed to.
+_SELDOM = [("WheelL", "send1", {"wvl": 0.0, "al": -1.0}),
+           ("WheelR", "send1", {"wvr": 0.0, "ar": -1.0}),
+           ("Ctrl", "dispatch", {"mode": 3, "dsign": 5}),
+           ("Ctrl", "commit_stop", {})]
+
+
+def _seldom_states(compiled, states, n=20):
+    """Each of ``_SELDOM`` whose location the model has, set in ``n`` of
+    ``states``."""
+    components = {cc.name: cc for cc in compiled.components}
+    seldom = [(components[name].index, loc, values)
+              for name, loc, values in _SELDOM
+              if loc in components[name].locations]
+    out = []
+    for V, L in states[::max(1, len(states) // n)]:
+        for index, loc, values in seldom:
+            V, L = list(V), list(L)
+            L[index] = loc
+            for key, value in values.items():
+                V[compiled.slots[key]] = value
+            out.append((V, L))
+    return out
+
+
 def _compare_fire(compiled, V, L, seen):
     """Fire each component of state (V, L) by its location's kernel and by
     the loop form, on copies of the state and equal random streams."""
@@ -915,7 +937,7 @@ def _compare_fire(compiled, V, L, seen):
         assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
         seen.append((len(enabled) > 1, channel is not None,
                      edge.binary is not None, bool(receivers),
-                     any(len(edges) > 1 for _, edges in receivers)))
+                     any(len(edges) > 1 for _, edges in receivers), edge))
 
 
 # A binary emit after a weighted committed choice; the receiver draws
@@ -969,15 +991,19 @@ system Emit, Recv, Recv;
 """
 
 
-@pytest.mark.parametrize("name", ["av.sta", "binary", "broadcast"])
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
+                                  "broadcast"])
 def test_fire_kernels_match_the_loop_reference(name):
     """Each location's fire kernel leaves V and L as the loop form does, bit
     for bit, returns the same label and channel, and leaves the random
-    stream at the same next draw."""
-    if name == "av.sta":
+    stream at the same next draw; every internal or emitting edge with
+    updates fires at least once."""
+    vehicle = name.endswith(".sta")
+    if vehicle:
         compiled = engine.CompiledNetwork(
             instantiate(parse_model((MODELS / name).read_text())))
         states = _firing_states(compiled, 3, 1500, every=3)
+        states += _seldom_states(compiled, states)
     else:
         compiled = engine.CompiledNetwork(
             net(BINARY if name == "binary" else BROADCAST))
@@ -986,12 +1012,25 @@ def test_fire_kernels_match_the_loop_reference(name):
     for V, L in states:
         _compare_fire(compiled, V, L, seen)
     # the emitter's choice, a sync, a binary emit, a receiver, its choice
-    weighted, synced, binary, received, chosen = ({s[i] for s in seen}
-                                                  for i in range(5))
+    # and the edge fired
+    weighted, synced, binary, received, chosen, fired = (
+        {s[i] for s in seen} for i in range(6))
     assert len(seen) > 100
     assert True in weighted and True in synced and True in received
     assert binary == ({True, False} if name == "binary" else {False})
-    assert chosen == ({False} if name == "av.sta" else {True, False})
+    assert chosen == ({False} if vehicle else {True, False})
+    updating = {e for cc in compiled.components
+                for loc in cc.locations.values() for e in loc.active
+                if e.updates}
+    assert len(updating) >= (20 if vehicle else 2)
+    assert updating <= fired
+    # the fire kernel applies an edge's updates by the edge's update kernel,
+    # which the staged-loop test checks, error messages included
+    for cc in compiled.components:
+        for loc in cc.locations.values():
+            for i, edge in enumerate(loc.active):
+                if edge.updates:
+                    assert loc.fire.__globals__[f"U{i}"] is edge.update
 
 
 def test_a_blocked_binary_emit_deadlocks():
@@ -1054,7 +1093,9 @@ def test_a_second_compile_execs_nothing(monkeypatch):
             kernels = (getattr(table.plan, name),
                        getattr(b._tables[config].plan, name))
             assert kernels[0] is kernels[1] is not None
-    assert a.compile_watch(watch)[1] is b.compile_watch(watch)[1] is not None
+    assert a.compile_watch(watch) == b.compile_watch(watch)
+    assert engine._watch_kernel(a.compile_watch(watch)) is \
+        engine._watch_kernel(b.compile_watch(watch))
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
