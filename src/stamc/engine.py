@@ -32,9 +32,9 @@ those closures' sources with every expression inlined:
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
-  enabled, chooses by weight, calls the edge's update kernel and moves
-  the component; one receiver routine, ``_sync``, then fires the receive
-  edges, which the step table passes in;
+  enabled, chooses by weight, reads which receive edges of the step table
+  are enabled, calls the edge's update kernel and moves the component; one
+  receiver routine, ``_sync``, then fires the receive edges it read;
 - a rate kernel per rate plan (below) copies the plan's rate template and
   evaluates the rates that the template does not hold and that something
   reads;
@@ -239,13 +239,11 @@ def _ready(V, L, receivers, emitter: int) -> list:
     return ready
 
 
-def _sync(V, L, receivers, emitter: int, rng, binary: bool) -> None:
-    """Fire the receive edges that an emit by the component at index
-    ``emitter`` synchronizes: each ready one of ``receivers``
-    (:func:`_ready`), read once the emitter has fired, takes one of its
-    enabled edges, chosen by weight, in component order; a binary emit
-    takes the first only.  A lone edge draws nothing."""
-    ready = _ready(V, L, receivers, emitter)
+def _sync(V, L, ready, rng, binary: bool) -> None:
+    """Fire the receive edges that an emit synchronizes: each of ``ready``
+    (:func:`_ready`, read in the state before the emitter fired) takes one
+    of its enabled edges, chosen by weight, in component order; a binary
+    emit takes the first only.  A lone edge draws nothing."""
     for cc, enabled in ready[:1] if binary else ready:
         edge = enabled[0] if len(enabled) == 1 else enabled[
             rng.weighted_choice([e.weight for e in enabled])]
@@ -265,9 +263,10 @@ def _fire_kernel(index: int, edges: tuple):
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready.  Once one is, ``snap()`` gives the sample before
     the firing, and the kernel picks an enabled edge by weight (a lone one
-    draws nothing), applies its updates by its update kernel, moves the
-    component to its target, syncs its receivers through :func:`_sync` and
-    returns ``(label, channel, pre)``."""
+    draws nothing), reads which receivers are ready, as UPPAAL does, before
+    it applies its updates by its update kernel, moves the component to its
+    target, syncs those receivers through :func:`_sync` and returns
+    ``(label, channel, pre)``."""
     def enabled(guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
@@ -276,11 +275,14 @@ def _fire_kernel(index: int, edges: tuple):
         return " and ".join(tests)
 
     def fire(i, guard, updates, label, target, weight, channel, binary):
-        lines = [f"U{i}(V, L)"] if updates else []
+        lines = [] if channel is None else [  # receivers read before firing
+            f"rs = {channel!r} in receivers and "
+            f"_ready(V, L, receivers[{channel!r}], {index})"]
+        lines += [f"U{i}(V, L)"] if updates else []
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
-            lines += [f"rs = receivers.get({channel!r})", "if rs:",
-                      f"    _sync(V, L, rs, {index}, rng, {binary is not None})"]
+            lines += ["if rs:",
+                      f"    _sync(V, L, rs, rng, {binary is not None})"]
         return lines + [f"return ({label!r}, {channel!r}, pre)"]
 
     body = []

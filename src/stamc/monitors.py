@@ -8,6 +8,14 @@ trace-checking oracle over the run's events (``measure_*`` +
 :func:`wh_judge`) and as an observer template (:func:`build_observer`) that
 composes with any network as a pure listener on those channels.  The two
 routes are checked against each other in the test suite.
+
+Every observer edge receives, and the edge that receives an occurrence's
+last event judges it, so an observed run has exactly the plain run's
+events.  An interval observer (execution, end-to-end) waits in `idle`,
+measures in `busy` (paused in `preempted`) and goes back to `idle` in band;
+a periodic one goes from `firstoccurrence` to `counting`, where each
+occurrence in band restarts its clock; a synchronization one stays in
+`collect`.  Out of band, each goes to `fail`, which no edge leaves.
 """
 
 from __future__ import annotations
@@ -258,114 +266,99 @@ def _out_band(clock: str, lo: float, hi: float) -> E.Expr:
 
 
 def build_observer(c: WhConstraint, name: str = "Observer") -> Template:
-    """Observer template with `success` and `fail` locations; no edge leaves
-    `fail`.
-
-    All edges are receive-only or internal committed judgments, so composing
-    the observer never alters the watched network's behavior (channels it
-    listens on must be broadcast).
-    """
+    """Observer template for ``c``: every edge receives on a channel ``c``
+    binds, and the edge that receives an occurrence's last event judges it,
+    so the observer takes no step of its own and never alters the network
+    it listens to (on broadcast channels).  No edge leaves `fail`."""
     if c.kind == "execution":
-        return _interval_observer(c, name, "execclk", "exec")
+        return _interval_observer(c, name, "execclk")
     if c.kind == "synchronization":
         return _synchronization_observer(c, name)
     if c.kind == "periodic":
         return _periodic_observer(c, name)
-    return _interval_observer(c, name, "dclk", "waiting")
+    return _interval_observer(c, name, "dclk")
 
 
-def _interval_observer(c: WhConstraint, name: str, clock: str,
-                       busy: str) -> Template:
+def _interval_observer(c: WhConstraint, name: str, clock: str) -> Template:
     """Judges each interval from the first to the second event of ``c``,
-    measured on ``clock`` while in location ``busy``; an execution's clock
-    holds from preempt to resume."""
+    measured on ``clock`` while in `busy`; an execution's clock holds from
+    preempt to resume, and in `idle` the last interval's length."""
     first, last = (Sync(c.channel(ev), "receive") for ev in c.events()[:2])
     held = lambda loc: Location(loc, rates=((clock, _num(0)),))
-    reset = ((clock, _num(0)),)
-    locs = [
-        held("idle"),
-        Location(busy, rates=((clock, _num(1)),)),
-        Location("finish", kind="committed"),
-        held("success"),
-        held("fail"),
-    ]
+    locs = [held("idle"), Location("busy", rates=((clock, _num(1)),)),
+            held("fail")]
     edges = [
-        Edge("idle", busy, sync=first, updates=reset),
-        Edge(busy, "finish", sync=last),
-        Edge("finish", "success", guard=_in_band(clock, c.lower, c.upper)),
-        Edge("finish", "fail", guard=_out_band(clock, c.lower, c.upper)),
-        Edge("success", busy, sync=first, updates=reset),
+        Edge("idle", "busy", sync=first, updates=((clock, _num(0)),)),
+        Edge("busy", "idle", sync=last,
+             guard=_in_band(clock, c.lower, c.upper)),
+        Edge("busy", "fail", sync=last,
+             guard=_out_band(clock, c.lower, c.upper)),
     ]
     if "preempt" in c.events():
-        locs.insert(2, held("preempted"))
+        locs.append(held("preempted"))
         edges += [
-            Edge(busy, "preempted", sync=Sync(c.channel("preempt"), "receive")),
-            Edge("preempted", busy, sync=Sync(c.channel("resume"), "receive")),
+            Edge("busy", "preempted", sync=Sync(c.channel("preempt"), "receive")),
+            Edge("preempted", "busy", sync=Sync(c.channel("resume"), "receive")),
         ]
     return Template(name=name, decls=(VarDecl(clock, "clock"),),
                     locations=tuple(locs), edges=tuple(edges), initial="idle")
 
 
 def _synchronization_observer(c: WhConstraint, name: str) -> Template:
+    """Collects one arrival per event into a group, measured on ``sclk``
+    from the group's first arrival; the last arrival judges the group."""
     chans = [c.channel(ev) for ev in c.events()]
     n = len(chans)
     decls = [VarDecl("sclk", "clock"), VarDecl("cnt", "int")]
     decls += [VarDecl(f"got{i}", "bool") for i in range(n)]
-    locs = (
-        Location("collect", rates=(("sclk", _num(1)),)),
-        Location("judge", kind="committed"),
-        Location("success", kind="committed"),
-        Location("fail"),
-    )
-    edges = []
-    for i, ch in enumerate(chans):
-        got = E.Name(f"got{i}")
-        not_got = E.Unary("!", got)
-        edges.append(Edge(  # first arrival of the round resets the window clock
-            "collect", "collect", sync=Sync(ch, "receive"),
-            guard=_cmp("==", E.Name("cnt"), _num(0)),
-            updates=(("sclk", _num(0)), (f"got{i}", E.BoolLit(True)),
-                     ("cnt", _num(1)))))
-        edges.append(Edge(
-            "collect", "collect", sync=Sync(ch, "receive"),
-            guard=_and(_and(_cmp(">", E.Name("cnt"), _num(0)),
-                            _cmp("<", E.Name("cnt"), _num(n - 1))), not_got),
-            updates=((f"got{i}", E.BoolLit(True)),
-                     ("cnt", E.Binary("+", E.Name("cnt"), _num(1))))))
-        edges.append(Edge(  # last arrival completes the group
-            "collect", "judge", sync=Sync(ch, "receive"),
-            guard=_and(_cmp("==", E.Name("cnt"), _num(n - 1)), not_got)))
-        edges.append(Edge(  # duplicate arrival within a round is ignored
-            "collect", "collect", sync=Sync(ch, "receive"), guard=got))
+    locs = (Location("collect", rates=(("sclk", _num(1)),)), Location("fail"))
     resets = tuple([("cnt", _num(0))] +
                    [(f"got{i}", E.BoolLit(False)) for i in range(n)])
-    edges.append(Edge("judge", "success",
-                      guard=_cmp("<=", E.Name("sclk"), _num(c.tolerance)),
-                      updates=resets))
-    edges.append(Edge("judge", "fail",
-                      guard=_cmp(">", E.Name("sclk"), _num(c.tolerance))))
-    edges.append(Edge("success", "collect"))
+    cnt, sclk, tol = E.Name("cnt"), E.Name("sclk"), _num(c.tolerance)
+    edges = []
+    for i, ch in enumerate(chans):
+        got, recv = E.Name(f"got{i}"), Sync(ch, "receive")
+        fresh = E.Unary("!", got)
+        last = _and(_cmp("==", cnt, _num(n - 1)), fresh)
+        edges += [
+            Edge(  # the group's first arrival resets the window clock
+                "collect", "collect", sync=recv,
+                guard=_cmp("==", cnt, _num(0)),
+                updates=(("sclk", _num(0)), (f"got{i}", E.BoolLit(True)),
+                         ("cnt", _num(1)))),
+            Edge(
+                "collect", "collect", sync=recv,
+                guard=_and(_and(_cmp(">", cnt, _num(0)),
+                                _cmp("<", cnt, _num(n - 1))), fresh),
+                updates=((f"got{i}", E.BoolLit(True)),
+                         ("cnt", E.Binary("+", cnt, _num(1))))),
+            # the last arrival judges the group
+            Edge("collect", "collect", sync=recv,
+                 guard=_and(last, _cmp("<=", sclk, tol)), updates=resets),
+            Edge("collect", "fail", sync=recv,
+                 guard=_and(last, _cmp(">", sclk, tol))),
+            # a duplicate arrival within a group is ignored
+            Edge("collect", "collect", sync=recv, guard=got),
+        ]
     return Template(name=name, decls=tuple(decls), locations=locs,
                     edges=tuple(edges), initial="collect")
 
 
 def _periodic_observer(c: WhConstraint, name: str) -> Template:
-    ch = c.channel("occurrence")
+    """Judges the gap between consecutive occurrences on ``pclk``."""
+    recv = Sync(c.channel("occurrence"), "receive")
     lo, hi = c.lower - c.jitter, c.upper + c.jitter
+    reset = (("pclk", _num(0)),)
     locs = (
         Location("firstoccurrence"),
         Location("counting", rates=(("pclk", _num(1)),)),
-        Location("judge", kind="committed"),
-        Location("success", kind="committed"),
         Location("fail"),
     )
     edges = (
-        Edge("firstoccurrence", "counting", sync=Sync(ch, "receive"),
-             updates=(("pclk", _num(0)),)),
-        Edge("counting", "judge", sync=Sync(ch, "receive")),
-        Edge("judge", "success", guard=_in_band("pclk", lo, hi)),
-        Edge("judge", "fail", guard=_out_band("pclk", lo, hi)),
-        Edge("success", "counting", updates=(("pclk", _num(0)),)),
+        Edge("firstoccurrence", "counting", sync=recv, updates=reset),
+        Edge("counting", "counting", sync=recv,
+             guard=_in_band("pclk", lo, hi), updates=reset),
+        Edge("counting", "fail", sync=recv, guard=_out_band("pclk", lo, hi)),
     )
     return Template(name=name, decls=(VarDecl("pclk", "clock"),),
                     locations=locs, edges=edges, initial="firstoccurrence")

@@ -219,6 +219,35 @@ system Emit, Recv;
     assert tr.final["got"] == 1
 
 
+@pytest.mark.parametrize("chan", ["chan", "broadcast chan"])
+def test_a_sync_reads_its_receivers_guards_before_the_emitters_updates(
+        chan):
+    """The emitter's update falsifies the receiver's guard; the receiver
+    was ready in the state before the sync, so it takes part, as in
+    UPPAAL."""
+    text = f"""
+int flag = 1;
+int got = 0;
+clock x;
+{chan} go;
+template A() {{
+  init loc s {{ inv x <= 2; }}
+  loc done;
+  s -> done {{ guard x >= 1; sync go!; update flag := 0; }}
+}}
+template B() {{
+  init loc w;
+  loc r;
+  w -> r {{ guard flag == 1; sync go?; update got := 1; }}
+}}
+system A, B;
+"""
+    tr = runs(text, 5, 1, watch=["got"])[0]
+    assert [e.channel for e in tr.events] == ["go"]
+    assert tr.locations == {"A": "done", "B": "r"}
+    assert tr.final["got"] == 1
+
+
 def test_location_rate_scales_clock():
     text = """
 clock e;
@@ -801,9 +830,10 @@ def test_update_kernels_match_the_staged_loop(name):
 
 
 # The fire kernels' reference, a firing in loop form: scan the enabled
-# edges, choose one by weight, apply it, and sync each receiver found ready
-# after the emitter's updates.  ``receiving`` is the step table's receive
-# edges per channel.
+# edges, choose one by weight, apply it, and sync each receiver that was
+# ready before the emitter's updates, since every guard of a sync reads the
+# state before it.  ``receiving`` is the step table's receive edges per
+# channel.
 
 
 def _receivers(V, L, receiving, emitter, ch):
@@ -844,11 +874,9 @@ def _choose(rng, enabled):
 def _fire(V, L, receiving, rng, cc, edge):
     """Apply one edge plus any synchronized receivers; returns the channel
     and the receivers."""
+    receivers = _receivers(V, L, receiving, cc, edge.channel)
     _staged(V, L, edge.updates)
     L[cc.index] = edge.target
-    if edge.channel is None:
-        return None, []
-    receivers = _receivers(V, L, receiving, cc, edge.channel)
     if edge.binary is not None:
         receivers = receivers[:1]
     for other, enabled in receivers:
@@ -1267,34 +1295,42 @@ def test_a_stepped_plan_names_a_rate_that_is_not_finite(decls, rates):
 
 
 def test_observers_do_not_perturb_trajectories():
-    """Attaching weakly-hard observers leaves every other component's
-    events and watched values unchanged, run by run."""
+    """Attaching weakly-hard observers leaves a run's events, watched
+    values and end unchanged, run by run: an observer only receives, so it
+    adds no event of its own.  Each observer's clock is reset at least once
+    in the 30 runs, so every observer follows the run."""
     model = parse_model((MODELS / "av.sta").read_text())
     queries = {q.name: q.query for q in
                parse_queries((MODELS / "requirements.q").read_text())}
     observed = monitors.attach_observer(
         model, queries["CamToReg"].constraint, "CamToReg")
-    observers = {"CamToReg"}
-    for name in ("R46", "R47", "R48", "R49", "R50"):
+    clocks = ["CamToReg.dclk"]
+    for name, clock in (("R46", "execclk"), ("R47", "execclk"),
+                        ("R48", "sclk"), ("R49", "pclk"), ("R50", "dclk")):
         observed = monitors.attach_observer(
             observed, queries[name].constraint, f"_obs_{name}")
-        observers.add(f"_obs_{name}")
+        clocks.append(f"_obs_{name}.{clock}")
     plain_net, observed_net = instantiate(model), instantiate(observed)
     watch = ["wvl", "wvr", "mode", "energy.Con_en", "(wvl + wvr) / 2"]
     config = RunConfig(h_max=10.0)
-    observer_events = set()
+
+    def watched(values):
+        return {key: values[key] for key in watch}
+
+    reset = set()
     for i in range(30):
         plain = run(plain_net, 3000, RngStream(42, i), watch, config)
-        seen = run(observed_net, 3000, RngStream(42, i), watch, config)
-        kept = [e for e in seen.events if e.component not in observers]
-        observer_events.update(e.component for e in seen.events
-                               if e.component in observers)
-        assert [(e.time, e.component, e.edge, e.watch_pre, e.watch)
-                for e in kept] == \
-            [(e.time, e.component, e.edge, e.watch_pre, e.watch)
+        seen = run(observed_net, 3000, RngStream(42, i), watch + clocks,
+                   config)
+        assert [(e.time, e.component, e.edge, e.channel, watched(e.watch_pre),
+                 watched(e.watch)) for e in seen.events] == \
+            [(e.time, e.component, e.edge, e.channel, e.watch_pre, e.watch)
              for e in plain.events]
-        assert (seen.end_time, seen.final) == (plain.end_time, plain.final)
-    assert observer_events == observers  # every observer moved
+        assert (seen.end_time, seen.end_reason, watched(seen.final)) == \
+            (plain.end_time, plain.end_reason, plain.final)
+        reset.update(key for e in seen.events for key in clocks
+                     if e.watch[key] < e.watch_pre[key])
+    assert reset == set(clocks)  # every observer's clock was reset
 
 
 def test_watching_more_expressions_changes_nothing_watched_before():

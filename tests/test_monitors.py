@@ -225,9 +225,14 @@ def observed_runs(model_text, c, n, bound=200.0, seed=5):
     wh("endtoend", 1, 1, [("source", "a"), ("target", "b")]),
 ], ids=["execution", "synchronization", "periodic", "endtoend"])
 def test_no_observer_edge_leaves_fail(c):
+    """No edge leaves `fail`, and the observer takes no step of its own:
+    it has no committed location, and every edge receives."""
     tpl = M.build_observer(c)
     assert any(loc.id == "fail" for loc in tpl.locations)
     assert all(edge.source != "fail" for edge in tpl.edges)
+    assert all(loc.kind != "committed" for loc in tpl.locations)
+    assert all(edge.sync is not None and edge.sync.direction == "receive"
+               for edge in tpl.edges)
 
 
 @pytest.mark.parametrize("c", [
@@ -364,6 +369,40 @@ def test_observer_is_pure_listener():
     for i in range(10):
         plain = run(instantiate(model), 100.0, RngStream(9, i))
         with_obs = run(instantiate(obs), 100.0, RngStream(9, i))
-        assert [(e.time, e.component, e.edge) for e in plain.events] == \
-               [(e.time, e.component, e.edge) for e in with_obs.events
-                if e.component != "Obs"]
+        assert [(e.time, e.component, e.edge, e.channel)
+                for e in with_obs.events] == \
+               [(e.time, e.component, e.edge, e.channel)
+                for e in plain.events]
+
+
+SAME_INSTANT = """
+clock x;
+broadcast chan start;
+broadcast chan stop;
+
+template Chain() {
+  init committed loc a;
+  committed loc b;
+  committed loc c;
+  loc d { inv x <= 10; }
+  loc e;
+  a -> b { sync start!; }
+  b -> c { sync stop!; }
+  c -> d { sync start!; update x := 0; }
+  d -> e { guard x >= 10; sync stop!; }
+}
+
+system Chain;
+"""
+
+
+def test_observer_receives_an_event_at_the_instant_it_judges():
+    """A committed chain emits start, stop and start at t = 0, then stop
+    at t = 10, out of band: the observer receives each event, so it fails
+    the run as the oracle does."""
+    c = wh("execution", 1, 1, [("start", "start"), ("stop", "stop")],
+           lower=0, upper=5)
+    (failed, verdict), = observed_runs(SAME_INSTANT, c, 1, bound=20.0)
+    assert [r.quantity for r in verdict.records] == [0.0, 10.0]
+    assert not verdict.wh_holds
+    assert failed
