@@ -35,10 +35,10 @@ those closures' sources with every expression inlined:
   enabled, chooses by weight, reads which receive edges of the step table
   are enabled, calls the edge's update kernel and moves the component; one
   receiver routine, ``_sync``, then fires the receive edges it read;
-- a rate kernel per rate plan (below) copies the plan's rate template and
-  evaluates the rates that the template does not hold and that something
-  reads;
-- one advance kernel per rate plan integrates its clock-reading rates, by
+- a rate kernel per step table (below) copies the table's rate template
+  and evaluates the rates that the template does not hold and that
+  something reads;
+- an advance kernel per step table integrates its clock-reading rates, by
   one midpoint step or by RK4 steps, then does its ``rate * dt`` stores, a
   literal rate written into the code and every other rate checked to be
   finite;
@@ -51,13 +51,14 @@ network of the same model, such as the one each ``E`` query or worker
 process compiles, evaluates and execs nothing.
 
 Each location configuration gets one step table, built the first time the
-network enters it; a simulator keeps the current one until a firing
-changes ``L``.  It lists the committed components; the actors, which
-are the components with an internal or emitting edge or an invariant; the
-receive edges per channel; and the rate plan.  A component with neither
-draws no delay and caps none, so a step races only the actors, and a sync
-looks its receivers up by channel.  A step calls ``sample_delay`` once per
-actor, ``advance_time`` once per delay and one fire kernel per firing.
+network enters it; a step looks it up once, by ``L``.  It lists the
+committed components, the actors (the components with an internal or
+emitting edge or an invariant) and the receive edges per channel, and it
+holds the configuration's rate plan as its rate and advance kernels.  A
+component that is not an actor draws no delay and caps none, so a step
+races only the actors, and a sync looks its receivers up by channel.  A
+step calls ``sample_delay`` once per actor, ``advance_time`` once per delay
+and one fire kernel per firing.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -239,12 +240,12 @@ def _ready(V, L, receivers, emitter: int) -> list:
     return ready
 
 
-def _sync(V, L, ready, rng, binary: bool) -> None:
+def _sync(V, L, ready, rng) -> None:
     """Fire the receive edges that an emit synchronizes: each of ``ready``
-    (:func:`_ready`, read in the state before the emitter fired) takes one
-    of its enabled edges, chosen by weight, in component order; a binary
-    emit takes the first only.  A lone edge draws nothing."""
-    for cc, enabled in ready[:1] if binary else ready:
+    (:func:`_ready`, read in the state before the emitter fired, and one
+    receiver for a binary emit) takes one of its enabled edges, chosen by
+    weight, in component order.  A lone edge draws nothing."""
+    for cc, enabled in ready:
         edge = enabled[0] if len(enabled) == 1 else enabled[
             rng.weighted_choice([e.weight for e in enabled])]
         if edge.update is not None:
@@ -261,42 +262,42 @@ def _fire_kernel(index: int, edges: tuple):
     edges in the current location configuration, as in :func:`_ready`.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
-    one receiver is ready.  Once one is, ``snap()`` gives the sample before
-    the firing, and the kernel picks an enabled edge by weight (a lone one
-    draws nothing), reads which receivers are ready, as UPPAAL does, before
-    it applies its updates by its update kernel, moves the component to its
-    target, syncs those receivers through :func:`_sync` and returns
-    ``(label, channel, pre)``."""
-    def enabled(guard, binary):
+    one receiver is ready; that test keeps the ready receiver as ``r{i}``
+    for edge i.  Once an edge is enabled, ``snap()`` gives the sample
+    before the firing, and the kernel picks an enabled edge by weight (a
+    lone one draws nothing), reads which receivers are ready, as UPPAAL
+    does, before it applies its updates by its update kernel, moves the
+    component to its target, syncs those receivers through :func:`_sync`
+    and returns ``(label, channel, pre)``."""
+    def enabled(i, guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
-            tests.append(f"len(_ready(V, L, receivers.get({binary!r}, ()), "
-                         f"{index})) == 1")
+            tests.append(f"len(r{i} := _ready(V, L, receivers.get("
+                         f"{binary!r}, ()), {index})) == 1")
         return " and ".join(tests)
 
     def fire(i, guard, updates, label, target, weight, channel, binary):
-        lines = [] if channel is None else [  # receivers read before firing
-            f"rs = {channel!r} in receivers and "
+        lines = [] if channel is None or binary is not None else [
+            f"r{i} = {channel!r} in receivers and "  # read before firing
             f"_ready(V, L, receivers[{channel!r}], {index})"]
         lines += [f"U{i}(V, L)"] if updates else []
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
-            lines += ["if rs:",
-                      f"    _sync(V, L, rs, rng, {binary is not None})"]
+            lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
         return lines + [f"return ({label!r}, {channel!r}, pre)"]
 
     body = []
     if not edges:
         body.append("return None")
     elif len(edges) == 1:
-        test = enabled(edges[0][0], edges[0][6])
+        test = enabled(0, edges[0][0], edges[0][6])
         if test:
             body += [f"if not ({test}):", "    return None"]
         body += ["pre = snap()", *fire(0, *edges[0])]
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
-            test = enabled(edge[0], edge[6])
+            test = enabled(i, edge[0], edge[6])
             body += ([f"if {test}:", f"    e.append({i})"] if test
                      else [f"e.append({i})"])
         body += ["if not e:", "    return None", "pre = snap()",
@@ -518,23 +519,54 @@ class _CompiledLocation:
              e.binary) for e in self.active))
 
 
-class _RatePlan:
-    """How clocks advance while the network sits in one location
-    configuration: the clocks that advance at a constant rate (a clock-free
-    rate, or 1), and the clock-reading rates that are integrated
-    (validation rejects a clock that two components rate).  The plan is
-    ``exact`` when the integrated rates read only constant-rate clocks and
-    are affine in them: they are then linear in time over a delay.
-    ``rates`` is the kernel of :meth:`Simulator._current_rates` and
-    ``advance`` the plan's advance kernel."""
+class _StepTable:
+    """What a step needs in one location configuration: the committed
+    components, the actors, the receive edges per channel and the rate
+    plan.  An actor is a component that can fire or whose invariant caps
+    the delay; one with neither draws nothing and caps nothing, so the
+    delay race leaves it out.  Components come as (component, location)
+    pairs, in component order.
 
-    __slots__ = ("exact", "rates", "advance")
+    The rate plan says how clocks advance in the configuration: the clocks
+    that advance at a constant rate (a clock-free rate, or 1), and the
+    clock-reading rates that are integrated (validation rejects a clock
+    that two components rate).  It is ``exact`` when the integrated rates
+    read only constant-rate clocks and are affine in them: they are then
+    linear in time over a delay.  ``advance`` is its advance kernel, and
+    ``rates`` its rate kernel, the linear probe basis of window search: a
+    copy of the template fills every slot, 1 at each unrated clock and at
+    each slot that is not a clock, and its value at each clock with a
+    literal rate; the kernel then evaluates the other clock-free rates, and
+    the clock-reading rates of the clocks that a guard or invariant of the
+    configuration reads.  The slot of any other clock-reading rate keeps 1,
+    unread: the advance kernel integrates such a clock by evaluating its
+    rate itself."""
 
-    def __init__(self, clock_slots, keys, locations, reads):
+    __slots__ = ("committed", "actors", "receivers", "exact", "rates",
+                 "advance")
+
+    def __init__(self, net, config):
+        located = [(cc, cc.locations[loc_id])
+                   for cc, loc_id in zip(net.components, config)]
+        for _, loc in located:
+            loc.lower()
+        self.committed = [(cc, loc) for cc, loc in located if loc.committed]
+        self.actors = [(cc, loc) for cc, loc in located
+                       if not loc.committed
+                       and (loc.active or loc.invariant is not None)]
+        self.receivers = {}  # channel -> [(component, its receive edges)]
+        reads = set()  # clocks that a guard or invariant reads
+        for cc, loc in located:
+            reads |= loc.reads
+            for ch, edges in loc.receive.items():
+                self.receivers.setdefault(ch, []).append((cc, edges))
+
+        timed = [loc for _, loc in located if not loc.committed]
         rates = {}  # clock slot -> (slot, fn, clock slots it reads, literal)
-        for loc in locations:
+        for loc in timed:
             for rate in loc.rates:
                 rates[rate[0]] = rate
+        keys = net.keys
         # advanced by rate * dt: clock-free rates, then clocks at rate 1
         advanced = []  # (slot, key, literal rate or None)
         coupled = {}  # slot -> its clock-reading rate
@@ -553,7 +585,7 @@ class _RatePlan:
                 advanced.append((slot, keys[slot], lit))
                 if lit is None:
                     evaluated.append((slot, fn))
-        advanced += [(slot, keys[slot], 1.0) for slot in clock_slots
+        advanced += [(slot, keys[slot], 1.0) for slot in net.clock_slots
                      if slot not in rates]
         self.rates = _rates_kernel(len(keys), tuple(
             (slot, lit) for slot, _, lit in advanced
@@ -562,41 +594,11 @@ class _RatePlan:
         # advance at a constant rate, and integrated clocks
         stage_const = tuple(slot for slot, _, _ in advanced if slot in read)
         stage_y = tuple(slot for slot in coupled if slot in read)
-        self.exact = not stage_y and all(loc.affine for loc in locations)
+        self.exact = not stage_y and all(loc.affine for loc in timed)
         self.advance = _advance_kernel(
             tuple(advanced),
             tuple((slot, fn, keys[slot]) for slot, fn in coupled.items()),
             stage_const, stage_y, self.exact)
-
-
-class _StepTable:
-    """What a step needs in one location configuration: the committed
-    components, the actors, the receive edges per channel and the rate
-    plan.  An actor is a component that can fire or whose invariant caps
-    the delay; one with neither draws nothing and caps nothing, so the
-    delay race leaves it out.  Components come as (component, location)
-    pairs, in component order."""
-
-    __slots__ = ("committed", "actors", "receivers", "plan")
-
-    def __init__(self, net, config):
-        located = [(cc, cc.locations[loc_id])
-                   for cc, loc_id in zip(net.components, config)]
-        for _, loc in located:
-            loc.lower()
-        self.committed = [(cc, loc) for cc, loc in located if loc.committed]
-        self.actors = [(cc, loc) for cc, loc in located
-                       if not loc.committed
-                       and (loc.active or loc.invariant is not None)]
-        self.receivers = {}  # channel -> [(component, its receive edges)]
-        reads = set()  # clocks that a guard or invariant reads
-        for cc, loc in located:
-            reads |= loc.reads
-            for ch, edges in loc.receive.items():
-                self.receivers.setdefault(ch, []).append((cc, edges))
-        self.plan = _RatePlan(net.clock_slots, net.keys,
-                              [loc for _, loc in located if not loc.committed],
-                              reads)
 
 
 _BOOLEAN_OPS = ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "imply")
@@ -740,11 +742,12 @@ class CompiledNetwork:
             table = self._tables[config] = _StepTable(self, config)
         return table
 
-    def initial_state(self) -> "State":
+    def initial_state(self) -> tuple:
+        """``(V, L)`` at the start of a run."""
         V = [None] * len(self.slots)
         for slot, value, vtype in self._init:
             V[slot] = self._coerce(value, vtype)
-        return State(V, [cc.initial for cc in self.components], 0.0)
+        return V, [cc.initial for cc in self.components]
 
     @staticmethod
     def _coerce(value, vtype):
@@ -774,58 +777,26 @@ class CompiledNetwork:
         return out
 
 
-@dataclass
-class State:
-    V: list  # value slot -> number
-    L: list  # component index -> location id
-    time: float
-
-
 # --- simulator -------------------------------------------------------------
 
 
 class Simulator:
+    """One run's state, ``V``, ``L`` and ``time``, and its steps."""
+
     def __init__(self, net: CompiledNetwork, rng: RngStream,
                  config: Optional[RunConfig] = None, watch=(), monitor=None):
         self.net = net
         self.rng = rng
         self.config = config or RunConfig()
-        self.state = net.initial_state()
+        self.V, self.L = net.initial_state()
+        self.time = 0.0
         watch = net.compile_watch(watch)
         # the snapshot kernel, or None
         self.watch = _watch_kernel(watch) if watch else None
         self.monitor = monitor  # called with (V, L) at every sample point
-        self._table = None  # step table of L; a firing drops it
-
-    def _step_table(self) -> _StepTable:
-        table = self._table
-        if table is None:
-            table = self._table = self.net.step_table(self.state.L)
-        return table
-
-    # -- expression probing under linear clock extrapolation --
-
-    def _current_rates(self, plan) -> list:
-        """The rate per slot at the current state, the linear probe basis
-        of window search, from the plan's rate kernel.  A copy of the plan's
-        template fills every slot: 1 at each unrated clock and at each slot
-        that is not a clock, and its value at each clock with a literal
-        rate.  The kernel then evaluates the other clock-free rates, and
-        the clock-reading rates of the clocks that a guard or invariant of
-        the configuration reads.  The slot of any other clock-reading rate
-        keeps 1, unread: the advance kernel integrates such a clock by
-        evaluating its rate itself."""
-        return plan.rates(self.state.V, self.state.L)
-
-    def _invariant_deadline(self, cc, loc, rates) -> float:
-        """Latest delay the location invariant allows (inf if unbounded)."""
-        if loc.window is None:
-            return INF
-        t = loc.window(self.state.V, self.state.L, rates, INF)
-        if t == 0.0:  # false now; any later closing time is past 1e-9
-            raise EngineError(
-                f"invariant of {cc.name} violated at entry (engine defect)")
-        return INF if t is None else t
+        # the step table of L at the last step, which sample_delay and
+        # advance_time read
+        self._table = net.step_table(self.L)
 
     def sample_delay(self, cc, loc, rates: list, deadline: float):
         """Sojourn delay for component ``cc`` in ``loc``, a location that is
@@ -833,13 +804,14 @@ class Simulator:
 
         Uniform[L, U] when the invariant bounds the sojourn, otherwise
         L + Exponential(exit-rate, default 1); U is ``deadline``, the
-        component's invariant deadline under ``rates``.
+        component's invariant deadline under ``rates``, the step table's
+        rates at the current state.
         """
-        V, L = self.state.V, self.state.L
+        V, L = self.V, self.L
         starts = []
         for edge in loc.active:
             if edge.binary is not None and len(_ready(
-                    V, L, self._step_table().receivers.get(edge.binary, ()),
+                    V, L, self._table.receivers.get(edge.binary, ()),
                     cc.index)) != 1:
                 # a binary emit needs exactly one ready receiver; receiver
                 # locations are frozen until the next event, so skip it
@@ -862,11 +834,12 @@ class Simulator:
 
     def advance_time(self, dt: float, rates: list) -> None:
         """Advance all clocks by dt under the current location rates, by the
-        rate plan's kernel.
+        step table's advance kernel.
 
-        ``rates`` are what :meth:`_current_rates` gave in this location
-        configuration, which a step evaluates once for window search and
-        passes on: a clock-free rate reads no clock, so no delay changes it.
+        ``rates`` are what the step table's rate kernel gave in this
+        location configuration, which a step evaluates once for window
+        search and passes on: a clock-free rate reads no clock, so no delay
+        changes it.
         """
         if dt < 0:
             if dt < -1e-6:
@@ -874,24 +847,22 @@ class Simulator:
             dt = 0.0  # rounding residue from a boundary nudge
         if dt == 0.0:
             return
-        self._step_table().plan.advance(self.state.V, self.state.L, rates, dt,
-                                        self.config.h_max)
-        self.state.time += dt
+        self._table.advance(self.V, self.L, rates, dt, self.config.h_max)
+        self.time += dt
 
     # -- firing --
 
     def _event(self, cc, fired) -> TraceEvent:
         """The event of ``cc``'s firing; ``fired`` is what its location's
         fire kernel returned, (label, channel, sample before)."""
-        self._table = None
         if self.config.check_invariants:
             self._check_invariants("after a firing")
-        return TraceEvent(self.state.time, cc.name, *fired, self._snapshot())
+        return TraceEvent(self.time, cc.name, *fired, self._snapshot())
 
     def _snapshot(self) -> dict:
         """The watched values at a sample point, after the monitor has seen
         the state; one shared empty dict when nothing is watched."""
-        V, L = self.state.V, self.state.L
+        V, L = self.V, self.L
         if self.monitor is not None:
             self.monitor(V, L)
         if self.watch is None:
@@ -903,21 +874,21 @@ class Simulator:
         units ago under the current rates: the window search probes 1e-9
         past each crossing, so a delay may end that far beyond a
         boundary."""
-        V, L = self.state.V, self.state.L
+        V, L = self.V, self.L
         rates = None
         for cc in self.net.components:
             loc = cc.locations[L[cc.index]]
             if loc.invariant is None or loc.invariant(V, L):
                 continue
             if rates is None:
-                rates = self._current_rates(self._step_table().plan)
+                rates = self.net.step_table(L).rates(V, L)
             if loc.inv_probe(V, L, rates, -1e-9):
                 continue
             tpl = self.net.network.components[cc.index].template
             inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
             raise EngineError(
                 f"invariant {E.to_text(inv)!r} of {cc.name}.{loc.id} "
-                f"violated {when} (t={self.state.time})")
+                f"violated {when} (t={self.time})")
 
     def _delay(self, dt: float, rates: list) -> None:
         self.advance_time(dt, rates)
@@ -927,8 +898,8 @@ class Simulator:
     def step(self, bound: float):
         """One network step.  Returns a TraceEvent, or a terminal string:
         "bound_reached" | "deadlock"."""
-        table = self._step_table()
-        V, L = self.state.V, self.state.L
+        V, L = self.V, self.L
+        table = self._table = self.net.step_table(L)
         if table.committed:
             for cc, loc in table.committed:
                 fired = loc.fire(V, L, table.receivers, self.rng,
@@ -937,18 +908,26 @@ class Simulator:
                     return self._event(cc, fired)
             return "deadlock"
 
-        rates = self._current_rates(table.plan)
+        rates = table.rates(V, L)
         best = None  # (delay, component, location)
         cap = INF  # invariant ceiling of actors that cannot fire
         for cc, loc in table.actors:
-            deadline = self._invariant_deadline(cc, loc, rates)
+            deadline = INF  # latest delay the invariant allows
+            if loc.window is not None:
+                deadline = loc.window(V, L, rates, INF)
+                if deadline == 0.0:  # false now; a later closing is past 1e-9
+                    raise EngineError(
+                        f"invariant of {cc.name}.{loc.id} violated at entry "
+                        f"(t={self.time})")
+                if deadline is None:
+                    deadline = INF
             delay = self.sample_delay(cc, loc, rates, deadline)
             if delay is None:
                 cap = min(cap, deadline)
             elif best is None or delay < best[0]:
                 best = (delay, cc, loc)
 
-        remaining = bound - self.state.time
+        remaining = bound - self.time
         if best is None:
             self._delay(min(remaining, cap), rates)
             return "bound_reached" if cap >= remaining else "deadlock"
@@ -1000,14 +979,14 @@ def run(network, bound: float, rng: RngStream, watch=(),
     for _ in range(sim.config.max_steps):
         result = sim.step(bound)
         if isinstance(result, str):  # "bound_reached" | "deadlock"
-            return Trace(initial, events, sim.state.time, result,
+            return Trace(initial, events, sim.time, result,
                          sim._snapshot(),
                          {cc.name: loc for cc, loc
-                          in zip(net.components, sim.state.L)})
+                          in zip(net.components, sim.L)})
         events.append(result)
     raise EngineError(
         "zeno/committed-loop: step ceiling "
-        f"({sim.config.max_steps}) exceeded at t={sim.state.time}")
+        f"({sim.config.max_steps}) exceeded at t={sim.time}")
 
 
 def trace_to_jsonl(trace: Trace) -> str:

@@ -91,7 +91,6 @@ class _Parser:
     def __init__(self, text: str, filename: str = "<input>"):
         self.tokens = lex(text, filename)
         self.i = 0
-        self._inline_name = None  # constraint name given inline, if any
 
     @property
     def tok(self) -> Token:
@@ -475,12 +474,9 @@ class _Parser:
                 and self.tok.text not in ("max", "min"):
             name = self.ident()
             self.expect(":")
-        query = self._query()
+        own_name, query = self._query()
         if name is None:
-            name = self._inline_name
-        self._inline_name = None
-        if name is None and isinstance(query, Q.ObserverDecl):
-            name = query.name
+            name = own_name
         expected = None
         if self.accept("expect"):
             expected = self.ident("verdict")
@@ -491,17 +487,20 @@ class _Parser:
         self.accept(";")
         return Q.NamedQuery(name, query, expected)
 
-    def _query(self):
+    def _query(self) -> tuple:
+        """(the name a constraint or observer gives itself, or None; the
+        query)."""
         if self.at("Pr"):
-            return self._pr_query()
+            return None, self._pr_query()
         if self.at("simulate"):
-            return self._simulate_query()
+            return None, self._simulate_query()
         if self.at("E"):
-            return self._expected_query()
+            return None, self._expected_query()
         if self.at("constraint"):
             return self._constraint_query()
         if self.at("observer"):
-            return self._observer_decl()
+            decl = self._observer_decl()
+            return decl.name, decl
         raise ParseError(f"expected a query, found {self.tok.text!r}",
                          self.tok.span,
                          expected={"Pr", "simulate", "E", "constraint",
@@ -585,16 +584,16 @@ class _Parser:
         self.expect(")")
         return Q.Expected(bound, n_runs, mode, e)
 
-    def _constraint_query(self) -> Q.ConstraintQuery:
+    def _constraint_query(self) -> tuple:
+        """(the inline name or None, the constraint query)."""
         # constraint [Name] execution(lower=10, upper=20, m=19, k=20,
         #   bound=3000) on start=sig_start, stop=sig_done;
         span = self.expect("constraint").span
-        kind = self.ident("constraint kind")
+        name, kind = None, self.ident("constraint kind")
         if self.tok.kind == "ident":
-            self._inline_name = kind
-            kind = self.ident("constraint kind")
+            name, kind = kind, self.ident("constraint kind")
         constraint, bound = self._constraint_tail(kind, span)
-        return Q.ConstraintQuery(constraint, bound)
+        return name, Q.ConstraintQuery(constraint, bound)
 
     def _observer_decl(self) -> Q.ObserverDecl:
         # observer Name endtoend(lower=10, upper=30, m=19, k=20)

@@ -35,10 +35,11 @@ later, and the chunks sent to workers, carry the mask of the live jobs
 and skip its judge. ``check`` registers every query with its pool before
 the first run, so its queries share; a constraint's observed model is a
 network of its own, and its stream serves that query alone; a library
-call is a one-query group. Registering a query checks every name it reads,
-against one query scope per model and pool, and every channel its
-constraint listens on, so a bad query fails before any run. A query's ``wall_ms`` covers its judging and
-statistics and the runs it was first to need.
+call is a one-query group. Registering a query checks every name it
+reads, against the query scope of the model's compiled network, which
+the pool builds once per model, and every channel its constraint listens
+on, so a bad query fails before any run. A query's ``wall_ms`` covers its
+judging and statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
 call, and a library call without one opens one for that call. At one
@@ -68,7 +69,7 @@ from typing import Callable, Optional
 from . import expr as E
 from . import monitors
 from .engine import CompiledNetwork, RngStream, RunConfig, run
-from .model import Model, Network, instantiate, resolver
+from .model import Model, Network, instantiate
 from .queries import (Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
 
@@ -391,7 +392,8 @@ class RunPool:
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, in chunks of ``CHUNK`` run indices, at most
     ``AHEAD`` chunks per worker and stream in flight. Every process
-    compiles each distinct model once.
+    compiles each distinct model once: this one the models it runs and
+    the models whose queries it checks, a worker the models it runs.
     """
 
     CHUNK = 4
@@ -400,8 +402,7 @@ class RunPool:
     def __init__(self, workers: int = 1):
         self.workers = max(1, workers)
         self._models = {}  # id(model) -> (model key, model)
-        self._scopes = {}  # id(model) -> (model, its query-scope resolver)
-        self._nets = {}  # model key -> compiled network, at one worker
+        self._nets = {}  # id(model) -> (model, its compiled network)
         self._streams = {}  # stream key -> the stream jobs join
         self._registered = {}  # id(query) -> (query, its lanes)
         self._sent = 0  # streams sent to workers
@@ -432,17 +433,18 @@ class RunPool:
         jobs, _ = _form(query)
         run_config = run_config or RunConfig()
         model = _coerce_network(model)
+        scope = self._net(model).query_resolver
         lanes = [self._join(job, run_config) for job in
-                 jobs(model, self._scope(model), query, cfg, name)]
+                 jobs(model, scope, query, cfg, name)]
         self._registered[id(query)] = (query, lanes)
 
-    def _scope(self, model: Model):
-        """The query-scope resolver of ``model``, built once per model."""
+    def _net(self, model: Model) -> CompiledNetwork:
+        """The compiled network of ``model``, built once per pool."""
         # the entry holds the model, so its id is not reused meanwhile
-        entry = self._scopes.get(id(model))
+        entry = self._nets.get(id(model))
         if entry is None:
-            entry = self._scopes[id(model)] = (
-                model, resolver(instantiate(model)))
+            entry = self._nets[id(model)] = (
+                model, CompiledNetwork(instantiate(model)))
         return entry[1]
 
     def _lanes(self, model, query, cfg, run_config, name) -> list:
@@ -491,12 +493,8 @@ class RunPool:
     def _extend(self, stream: _Stream, total: int):
         """Caches the outcomes of at least the stream's next run."""
         if self._executor is None:
-            net = self._nets.get(stream.model_key)
-            if net is None:
-                net = self._nets[stream.model_key] = CompiledNetwork(
-                    instantiate(stream.model))
-            stream.cache.append(_run_one(stream.runs, net, len(stream.cache),
-                                         stream.live()))
+            stream.cache.append(_run_one(stream.runs, self._net(stream.model),
+                                         len(stream.cache), stream.live()))
             return
         if stream.ticket is None:
             self._sent += 1

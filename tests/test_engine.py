@@ -9,7 +9,7 @@ import pytest
 from stamc import engine, monitors
 from stamc import expr as E
 from stamc.engine import EngineError, RngStream, RunConfig, run
-from stamc.model import instantiate
+from stamc.model import instantiate, validate_model
 from stamc.parser import parse_model, parse_queries
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -327,6 +327,23 @@ system T;
     assert tr.events and tr.events[0].time < 1e-6
 
 
+@pytest.mark.parametrize("text, where", [
+    ("clock x = 5; template T() { init loc a { inv x <= 1; } } system T;",
+     r"T\.a violated at entry \(t=0\.0\)$"),
+    ("clock x; template T() { init loc a; loc b { inv x <= 1; } "
+     "a -> b { update x := 5; } } system T;",
+     r"T\.b violated at entry \(t=\d"),
+], ids=["initial", "by-update"])
+def test_a_location_entered_with_its_invariant_false_stops_the_run(
+        text, where):
+    """A model that validates can enter a location whose invariant is
+    already false, at the start or by an edge's update; the step names the
+    location and the time."""
+    assert validate_model(parse_model(text)).errors == []
+    with pytest.raises(EngineError, match=where):
+        runs(text, 10, 1)
+
+
 def test_deadlock_reported():
     text = """
 clock x;
@@ -560,7 +577,7 @@ template T() {{
 system T;
 """
     compiled = engine.CompiledNetwork(net(text))
-    assert compiled.step_table(["a"]).plan.exact
+    assert compiled.step_table(["a"]).exact
     with pytest.raises(EngineError, match="^rate of 'e' is not finite$"):
         run(compiled, 10, RngStream(0, 0))
 
@@ -625,7 +642,7 @@ def _advanced_copy(V, rates, dt):
 def _advance_reference(sim, dt, exact):
     """Reference advance_time: dict rates and numpy arrays, integrated by
     one midpoint step if ``exact``, otherwise by RK4."""
-    V, L = sim.state.V, sim.state.L
+    V, L = sim.V, sim.L
     const_rates, var_rates = {}, {}
     for cc in sim.net.components:
         loc = cc.locations[L[cc.index]]
@@ -668,7 +685,7 @@ def _advance_reference(sim, dt, exact):
             V[k] = float(val)
     for key, r in const_rates.items():
         V[key] = base[key] + r * dt
-    sim.state.time += dt
+    sim.time += dt
 
 
 def _bits(values):
@@ -689,15 +706,16 @@ def _vehicle_states(name, n_runs=3, every=7, bound=1500):
             if isinstance(sim.step(bound), str):
                 break
             if n % every == 0:
-                states.append(_named(compiled, sim.state.V, sim.state.L))
+                states.append(_named(compiled, sim.V, sim.L))
     return compiled, states
 
 
 def _at(compiled, V, L):
     """A simulator at the named state (V, L)."""
     sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=10.0))
-    sim.state = engine.State([V[key] for key in compiled.keys],
-                             [L[cc.name] for cc in compiled.components], 0.0)
+    sim.V = [V[key] for key in compiled.keys]
+    sim.L = [L[cc.name] for cc in compiled.components]
+    sim._table = compiled.step_table(sim.L)
     return sim
 
 
@@ -719,8 +737,8 @@ def test_window_probes_match_dict_copy_reference(name):
     checked = 0
     for V, L in states:
         sim = _at(compiled, V, L)
-        slot_V, slot_L = sim.state.V, sim.state.L
-        rates = sim._current_rates(compiled.step_table(slot_L).plan)
+        slot_V, slot_L = sim.V, sim.L
+        rates = compiled.step_table(slot_L).rates(slot_V, slot_L)
         clock_rates = {key: r for key, r in
                        _named(compiled, rates, slot_L)[0].items()
                        if compiled.var_types[key] == "clock"}
@@ -786,8 +804,8 @@ def test_window_kernels_match_the_loop_reference(name):
     found = set()
     for V, L in states:
         sim = _at(compiled, V, L)
-        V, L = sim.state.V, sim.state.L
-        rates = sim._current_rates(compiled.step_table(L).plan)
+        V, L = sim.V, sim.L
+        rates = compiled.step_table(L).rates(V, L)
         for horizon in (math.inf, 0.0, 1e-9, 40.0):
             for pred, probe, atoms, kernel, want in windows:
                 got = kernel(V, L, rates, horizon)
@@ -817,15 +835,15 @@ def test_update_kernels_match_the_staged_loop(name):
     for V, L in states:
         sim = _at(compiled, V, L)
         for edge in edges:
-            want = list(sim.state.V)
+            want = list(sim.V)
             try:
-                _staged(want, sim.state.L, edge.updates)
+                _staged(want, sim.L, edge.updates)
             except EngineError as exc:
                 with pytest.raises(EngineError, match=f"^{exc}$"):
-                    edge.update(list(sim.state.V), sim.state.L)
+                    edge.update(list(sim.V), sim.L)
                 continue
-            got = list(sim.state.V)
-            edge.update(got, sim.state.L)
+            got = list(sim.V)
+            edge.update(got, sim.L)
             assert _bits(got) == _bits(want)
 
 
@@ -892,7 +910,7 @@ class _Recording(engine.Simulator):
 
     def advance_time(self, dt, rates):
         super().advance_time(dt, rates)
-        self.states.append((list(self.state.V), list(self.state.L)))
+        self.states.append((list(self.V), list(self.L)))
 
 
 def _firing_states(compiled, n_runs, bound, every=1):
@@ -903,7 +921,7 @@ def _firing_states(compiled, n_runs, bound, every=1):
         sim = _Recording(compiled, RngStream(42, i), RunConfig(h_max=10.0))
         sim.states = states
         for _ in range(10 ** 4):
-            states.append((list(sim.state.V), list(sim.state.L)))
+            states.append((list(sim.V), list(sim.L)))
             if isinstance(sim.step(bound), str):
                 break
     return states[::every]
@@ -1118,8 +1136,7 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     assert len(a._tables) == len(b._tables) > 1
     for config, table in a._tables.items():
         for name in ("advance", "rates"):
-            kernels = (getattr(table.plan, name),
-                       getattr(b._tables[config].plan, name))
+            kernels = (getattr(table, name), getattr(b._tables[config], name))
             assert kernels[0] is kernels[1] is not None
     assert a.compile_watch(watch) == b.compile_watch(watch)
     assert engine._watch_kernel(a.compile_watch(watch)) is \
@@ -1128,18 +1145,17 @@ def test_a_second_compile_execs_nothing(monkeypatch):
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
     ref = _at(compiled, V, L)
-    assert compiled.step_table(ref.state.L).plan.exact == exact
+    assert compiled.step_table(ref.L).exact == exact
     ref.config = RunConfig(h_max=h_max)
     _advance_reference(ref, dt, exact)
     sim = _at(compiled, V, L)
     sim.config = RunConfig(h_max=h_max)
-    sim.advance_time(dt, sim._current_rates(
-        compiled.step_table(sim.state.L).plan))
-    got = _named(compiled, sim.state.V, sim.state.L)[0]
-    want = _named(compiled, ref.state.V, ref.state.L)[0]
+    sim.advance_time(dt, compiled.step_table(sim.L).rates(sim.V, sim.L))
+    got = _named(compiled, sim.V, sim.L)[0]
+    want = _named(compiled, ref.V, ref.L)[0]
     assert list(got) == list(want)
     assert _bits(got.values()) == _bits(want.values())
-    assert sim.state.time == ref.state.time
+    assert sim.time == ref.time
 
 
 # A guard and an invariant that read a clock whose rate reads a clock, and
@@ -1174,8 +1190,8 @@ def test_rate_kernels_fill_every_slot_that_is_read(name):
     unread = 0
     for V, L in states:
         sim = _at(compiled, V, L)
-        V, L = sim.state.V, sim.state.L
-        plan = compiled.step_table(L).plan
+        V, L = sim.V, sim.L
+        table = compiled.step_table(L)
         want, coupled, reads = [1.0] * len(V), set(), set()
         for cc in compiled.components:
             loc = cc.locations[L[cc.index]]
@@ -1186,8 +1202,8 @@ def test_rate_kernels_fill_every_slot_that_is_read(name):
                 want[slot] = float(fn(V, L))
                 if clocks:
                     coupled.add(slot)
-        got = sim._current_rates(plan)
-        assert got is not sim._current_rates(plan)  # a new list each time
+        got = table.rates(V, L)
+        assert got is not table.rates(V, L)  # a new list each time
         for slot, value in enumerate(want):
             if slot in coupled and slot not in reads:
                 assert got[slot] == 1.0
@@ -1252,10 +1268,9 @@ def test_advance_time_matches_reference_on_coupled_clocks(text, h_max):
     or that are nonlinear in time or step in time, take the full
     four-stage RK4 path."""
     compiled = engine.CompiledNetwork(net(text))
-    state = compiled.initial_state()
+    V, L = compiled.initial_state()
     for dt in (0.3, 2.9, 7.0):
-        _compare_advance(compiled, *_named(compiled, state.V, state.L), dt,
-                         h_max, False)
+        _compare_advance(compiled, *_named(compiled, V, L), dt, h_max, False)
 
 
 def test_rate_that_steps_in_time_is_stepped():
@@ -1271,9 +1286,8 @@ system T;
 """
     compiled = engine.CompiledNetwork(net(text))
     sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
-    sim.advance_time(8.0, sim._current_rates(
-        compiled.step_table(sim.state.L).plan))
-    V, _ = _named(compiled, sim.state.V, sim.state.L)
+    sim.advance_time(8.0, compiled.step_table(sim.L).rates(sim.V, sim.L))
+    V, _ = _named(compiled, sim.V, sim.L)
     assert V["e"] == pytest.approx(5, abs=0.05)
 
 
@@ -1288,10 +1302,10 @@ def test_a_stepped_plan_names_a_rate_that_is_not_finite(decls, rates):
     compiled = engine.CompiledNetwork(net(
         f"{decls} template T() {{ init loc a {{ {rates} }} }} system T;"))
     sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
-    plan = compiled.step_table(sim.state.L).plan
-    assert not plan.exact
+    table = compiled.step_table(sim.L)
+    assert not table.exact
     with pytest.raises(EngineError, match=r"^rate of 'e' is not finite$"):
-        sim.advance_time(1.0, sim._current_rates(plan))
+        sim.advance_time(1.0, table.rates(sim.V, sim.L))
 
 
 def test_observers_do_not_perturb_trajectories():
