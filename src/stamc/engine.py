@@ -4,7 +4,8 @@ Executes one run of a compiled network up to a time bound: delay sampling
 (uniform on bounded sojourns, exponential otherwise), race resolution with
 deterministic tie-breaking, weighted edge choice, broadcast/binary
 synchronization and numeric clock integration under location-dependent
-rates.
+rates.  Time stops at the bound or at the first invariant that no firing
+relieves, where a run ends as a deadlock.
 
 Determinism contract: a run is a pure function of (model, master seed, run
 index).  Each run owns its RngStream and its mutable state; nothing is
@@ -257,9 +258,10 @@ def _sync(V, L, ready, rng) -> None:
 def _fire_kernel(index: int, edges: tuple):
     """``(V, L, receivers, rng, snap)`` firing one of the active edges of a
     location of the component at index ``index``, or returning None if none
-    is enabled.  ``edges`` are ((guard, updates, label, target, weight,
-    channel, binary), ...); ``receivers`` maps each channel to its receive
-    edges in the current location configuration, as in :func:`_ready`.
+    is enabled.  ``edges`` are ((guard, update kernel or None, label,
+    target, weight, channel, binary), ...); ``receivers`` maps each channel
+    to its receive edges in the current location configuration, as in
+    :func:`_ready`.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready; that test keeps the ready receiver as ``r{i}``
@@ -276,11 +278,11 @@ def _fire_kernel(index: int, edges: tuple):
                          f"{binary!r}, ()), {index})) == 1")
         return " and ".join(tests)
 
-    def fire(i, guard, updates, label, target, weight, channel, binary):
+    def fire(i, guard, update, label, target, weight, channel, binary):
         lines = [] if channel is None or binary is not None else [
             f"r{i} = {channel!r} in receivers and "  # read before firing
             f"_ready(V, L, receivers[{channel!r}], {index})"]
-        lines += [f"U{i}(V, L)"] if updates else []
+        lines += [f"U{i}(V, L)"] if update is not None else []
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
             lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
@@ -310,8 +312,8 @@ def _fire_kernel(index: int, edges: tuple):
     return _kernel(["def _k(V, L, receivers, rng, snap):",
                     *["    " + line for line in body]],
                    W=tuple(edge[4] for edge in edges),
-                   **{f"U{i}": _update_kernel(edge[1])
-                      for i, edge in enumerate(edges) if edge[1]})
+                   **{f"U{i}": edge[1] for i, edge in enumerate(edges)
+                      if edge[1] is not None})
 
 
 @functools.cache
@@ -515,7 +517,7 @@ class _CompiledLocation:
                                    for e in es]:
             edge.update = _update_kernel(edge.updates)
         self.fire = _fire_kernel(self.index, tuple(
-            (e.guard, e.updates, e.label, e.target, e.weight, e.channel,
+            (e.guard, e.update, e.label, e.target, e.weight, e.channel,
              e.binary) for e in self.active))
 
 
@@ -814,8 +816,8 @@ class Simulator:
                     V, L, self._table.receivers.get(edge.binary, ()),
                     cc.index)) != 1:
                 # a binary emit needs exactly one ready receiver; receiver
-                # locations are frozen until the next event, so skip it
-                # (clock-guarded receivers opening mid-sojourn are ignored)
+                # locations are frozen until the next event, and validation
+                # rejects a clock in a binary receiver's guard, so skip it
                 continue
             if edge.window is None:
                 starts.append(0.0)
@@ -852,13 +854,6 @@ class Simulator:
 
     # -- firing --
 
-    def _event(self, cc, fired) -> TraceEvent:
-        """The event of ``cc``'s firing; ``fired`` is what its location's
-        fire kernel returned, (label, channel, sample before)."""
-        if self.config.check_invariants:
-            self._check_invariants("after a firing")
-        return TraceEvent(self.time, cc.name, *fired, self._snapshot())
-
     def _snapshot(self) -> dict:
         """The watched values at a sample point, after the monitor has seen
         the state; one shared empty dict when nothing is watched."""
@@ -890,67 +885,68 @@ class Simulator:
                 f"invariant {E.to_text(inv)!r} of {cc.name}.{loc.id} "
                 f"violated {when} (t={self.time})")
 
-    def _delay(self, dt: float, rates: list) -> None:
-        self.advance_time(dt, rates)
-        if self.config.check_invariants:
-            self._check_invariants("at the end of a delay")
-
     def step(self, bound: float):
-        """One network step.  Returns a TraceEvent, or a terminal string:
-        "bound_reached" | "deadlock"."""
+        """One network step: a TraceEvent, or the end of the run,
+        "bound_reached" | "deadlock".  The first committed component that
+        can fire does so without delay; if none can, the run deadlocks.
+        Otherwise the actors race, and time stops at ``min(bound - time,
+        cap)``, ``cap`` being the earliest invariant deadline of an actor
+        that cannot fire: the winner fires unless its delay is past that
+        stop, where the run ends, deadlocked if ``cap`` is before the
+        bound."""
         V, L = self.V, self.L
         table = self._table = self.net.step_table(L)
+        fire_args = (V, L, table.receivers, self.rng, self._snapshot)
         if table.committed:
             for cc, loc in table.committed:
-                fired = loc.fire(V, L, table.receivers, self.rng,
-                                 self._snapshot)
+                fired = loc.fire(*fire_args)
                 if fired is not None:
-                    return self._event(cc, fired)
-            return "deadlock"
+                    break
+            else:
+                return "deadlock"
+        else:
+            rates = table.rates(V, L)
+            best = (INF, None, None)  # (delay, component, location)
+            cap = INF  # invariant ceiling of actors that cannot fire
+            for cc, loc in table.actors:
+                deadline = INF  # latest delay the invariant allows
+                if loc.window is not None:
+                    deadline = loc.window(V, L, rates, INF)
+                    if deadline == 0.0:  # false now; closings are >= 1e-9
+                        raise EngineError(
+                            f"invariant of {cc.name}.{loc.id} violated at "
+                            f"entry (t={self.time})")
+                    if deadline is None:
+                        deadline = INF
+                delay = self.sample_delay(cc, loc, rates, deadline)
+                if delay is None:
+                    cap = min(cap, deadline)
+                elif delay < best[0]:
+                    best = (delay, cc, loc)
 
-        rates = table.rates(V, L)
-        best = None  # (delay, component, location)
-        cap = INF  # invariant ceiling of actors that cannot fire
-        for cc, loc in table.actors:
-            deadline = INF  # latest delay the invariant allows
-            if loc.window is not None:
-                deadline = loc.window(V, L, rates, INF)
-                if deadline == 0.0:  # false now; a later closing is past 1e-9
-                    raise EngineError(
-                        f"invariant of {cc.name}.{loc.id} violated at entry "
-                        f"(t={self.time})")
-                if deadline is None:
-                    deadline = INF
-            delay = self.sample_delay(cc, loc, rates, deadline)
-            if delay is None:
-                cap = min(cap, deadline)
-            elif best is None or delay < best[0]:
-                best = (delay, cc, loc)
-
-        remaining = bound - self.time
-        if best is None:
-            self._delay(min(remaining, cap), rates)
-            return "bound_reached" if cap >= remaining else "deadlock"
-        delay, cc, loc = best
-        if delay > remaining:
-            self._delay(remaining, rates)
-            return "bound_reached"
-        if delay > cap:
-            self._delay(cap, rates)
-            return "deadlock"
-
-        self._delay(delay, rates)
-        fired = loc.fire(V, L, table.receivers, self.rng, self._snapshot)
-        if fired is None:
-            # accumulated rounding can leave a boundary guard (window of
-            # width zero) a few ulps short of its crossing; nudge once
-            self.advance_time(1e-9, rates)
-            fired = loc.fire(V, L, table.receivers, self.rng, self._snapshot)
-        if fired is None:
-            raise EngineError(
-                f"{cc.name}: no edge enabled at its sampled delay "
-                "(guard window closed; engine defect or unsupported model)")
-        return self._event(cc, fired)
+            remaining = bound - self.time
+            stop = cap if cap < remaining else remaining
+            delay, cc, loc = best
+            ends = delay > stop  # no winner, or it is past the bound or cap
+            self.advance_time(stop if ends else delay, rates)
+            if self.config.check_invariants:
+                self._check_invariants("at the end of a delay")
+            if ends:
+                return "bound_reached" if cap >= remaining else "deadlock"
+            fired = loc.fire(*fire_args)
+            if fired is None:
+                # accumulated rounding can leave a boundary guard (window of
+                # width zero) a few ulps short of its crossing; nudge once
+                self.advance_time(1e-9, rates)
+                fired = loc.fire(*fire_args)
+            if fired is None:
+                raise EngineError(
+                    f"{cc.name}: no edge enabled at its sampled delay "
+                    "(guard window closed; engine defect or unsupported "
+                    "model)")
+        if self.config.check_invariants:
+            self._check_invariants("after a firing")
+        return TraceEvent(self.time, cc.name, *fired, self._snapshot())
 
 
 def check_bound(bound: float) -> None:

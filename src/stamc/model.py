@@ -204,6 +204,7 @@ def validate_model(model: Model) -> ValidationReport:
     network = Network(model, tuple(placeholders + components))
     types = value_types(network)
     chan_names = {c.name for c in model.channels}
+    binary = {c.name for c in model.channels if not c.broadcast}
 
     tpl_names = set()
     for tpl in model.templates:
@@ -270,6 +271,15 @@ def validate_model(model: Model) -> ValidationReport:
                 if E.clock_degree(edge.guard, is_clock) == E.NONLINEAR:
                     err("nonlinear guard", where, "guard has nonlinear clock terms")
                 check_names(edge.guard, where)
+                # an emitter races with the delay it drew while its receiver
+                # was ready; a receiver's clock guard may open or close
+                # during that delay, which the race does not see
+                if (edge.sync is not None and edge.sync.direction == "receive"
+                        and edge.sync.channel in binary
+                        and any(map(is_clock, E.names(edge.guard)))):
+                    err("binary receive reads a clock", where,
+                        f"guard of a receive edge on binary channel "
+                        f"{edge.sync.channel!r} reads a clock")
             for name, rhs in edge.updates:
                 if "." in name or value_key(resolve, name) is None:
                     why = "undeclared"

@@ -41,11 +41,10 @@ class SourceSpan:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: SourceSpan, expected=()):
+    def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span.file}:{span.line}:{span.column}: {message}")
         self.message = message
         self.span = span
-        self.expected = frozenset(expected)
 
 
 _TOKEN_RE = re.compile(r"""
@@ -111,7 +110,7 @@ class _Parser:
     def expect(self, text: str) -> Token:
         if not self.at(text):
             raise ParseError(f"expected {text!r}, found {self.tok.text!r}",
-                             self.tok.span, expected={text})
+                             self.tok.span)
         tok = self.tok
         self.i += 1
         return tok
@@ -119,7 +118,7 @@ class _Parser:
     def ident(self, what: str = "identifier") -> str:
         if self.tok.kind != "ident":
             raise ParseError(f"expected {what}, found {self.tok.text!r}",
-                             self.tok.span, expected={what})
+                             self.tok.span)
         name = self.tok.text
         self.i += 1
         return name
@@ -130,8 +129,7 @@ class _Parser:
         neg = self.accept("-")
         tok = self.tok
         if tok.kind != "number":
-            raise ParseError(f"expected number, found {tok.text!r}",
-                             tok.span, expected={"number"})
+            raise ParseError(f"expected number, found {tok.text!r}", tok.span)
         v = _finite(tok) if finite else float(tok.text)
         self.i += 1
         return -v if neg else v
@@ -229,8 +227,7 @@ class _Parser:
             if self.accept("."):
                 name = f"{name}.{self.ident('member name')}"
             return E.Name(name)
-        raise ParseError(f"expected expression, found {tok.text!r}", tok.span,
-                         expected={"expression"})
+        raise ParseError(f"expected expression, found {tok.text!r}", tok.span)
 
     # --- declarations -----------------------------------------------------
 
@@ -282,12 +279,9 @@ class _Parser:
             else:
                 raise ParseError(
                     f"expected declaration, template or system, found {self.tok.text!r}",
-                    self.tok.span,
-                    expected={"template", "system", "int", "real", "bool",
-                              "clock", "chan", "broadcast"})
+                    self.tok.span)
         if system is None:
-            raise ParseError("missing system line", self.tok.span,
-                             expected={"system"})
+            raise ParseError("missing system line", self.tok.span)
         return Model(decls=tuple(decls), channels=tuple(channels),
                      templates=tuple(templates), system=system)
 
@@ -363,7 +357,7 @@ class _Parser:
                 else:
                     raise ParseError(
                         f"expected inv, rate or exitrate, found {self.tok.text!r}",
-                        self.tok.span, expected={"inv", "rate", "exitrate"})
+                        self.tok.span)
             self.expect("}")
         else:
             self.accept(";")
@@ -396,7 +390,7 @@ class _Parser:
                     sync = Sync(chan, "receive")
                 else:
                     raise ParseError("expected '!' or '?' after channel",
-                                     self.tok.span, expected={"!", "?"})
+                                     self.tok.span)
                 self.expect(";")
             elif self.accept("weight"):
                 _once(seen, "weight", span, "an edge has at most one weight")
@@ -413,8 +407,7 @@ class _Parser:
             else:
                 raise ParseError(
                     f"expected guard, sync, weight or update, found {self.tok.text!r}",
-                    self.tok.span,
-                    expected={"guard", "sync", "weight", "update"})
+                    self.tok.span)
         self.expect("}")
         return Edge(source, target, guard=guard, sync=sync, weight=weight,
                     updates=tuple(updates))
@@ -482,8 +475,7 @@ class _Parser:
             expected = self.ident("verdict")
             if expected not in ("valid", "invalid", "undecided"):
                 raise ParseError(f"unknown expected verdict {expected!r}",
-                                 self.tok.span,
-                                 expected={"valid", "invalid", "undecided"})
+                                 self.tok.span)
         self.accept(";")
         return Q.NamedQuery(name, query, expected)
 
@@ -502,9 +494,7 @@ class _Parser:
             decl = self._observer_decl()
             return decl.name, decl
         raise ParseError(f"expected a query, found {self.tok.text!r}",
-                         self.tok.span,
-                         expected={"Pr", "simulate", "E", "constraint",
-                                   "observer"})
+                         self.tok.span)
 
     def _bound(self, close: str = "]") -> float:
         """``[<=B`` then ``close``: ``]``, or ``;`` before E's run count."""
@@ -531,8 +521,7 @@ class _Parser:
         elif self.accept("<>"):
             f = Q.eventually(self.expression())
         else:
-            raise ParseError("expected '[]' or '<>'", self.tok.span,
-                             expected={"[]", "<>"})
+            raise ParseError("expected '[]' or '<>'", self.tok.span)
         self.expect(")")
         return f
 
@@ -577,8 +566,7 @@ class _Parser:
         elif self.accept("min"):
             mode = "min"
         else:
-            raise ParseError("expected 'max' or 'min'", self.tok.span,
-                             expected={"max", "min"})
+            raise ParseError("expected 'max' or 'min'", self.tok.span)
         self.expect(":")
         e = self.expression()
         self.expect(")")

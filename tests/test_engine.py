@@ -359,6 +359,44 @@ system T;
     assert tr.end_time == pytest.approx(1)
 
 
+_CAPPED = "template A() { init loc a { inv x <= %s; } }"
+
+
+@pytest.mark.parametrize("templates, bound, ends, at", [
+    ("template A() { init loc a { inv x <= 1; } loc b; "
+     "a -> b { guard x >= 1; } }", 10, "a->b#0", 1.0),
+    ("template A() { init loc a; a -> a { guard x >= 5; } }",
+     3, "bound_reached", 3.0),
+    (_CAPPED % 2 + " template B() { init loc b; "
+     "b -> b { guard y >= 5; update y := 0; } }", 100, "deadlock", 2.0),
+    (_CAPPED % 5 + " template B() { init loc b { exitrate 0.01; } "
+     "b -> b { update y := 0; } }", 10, "deadlock", 5.0),
+    ("template A() { init loc a; a -> a { guard x < 0; } }",
+     10, "bound_reached", 10.0),
+    (_CAPPED % 20, 10, "bound_reached", 10.0),
+    (_CAPPED % 4, 10, "deadlock", 4.0),
+], ids=["winner-fires", "winner-past-the-bound", "winner-past-a-cap",
+        "winner-past-a-cap-and-the-bound", "no-winner-no-cap",
+        "no-winner-cap-past-the-bound", "no-winner-cap"])
+def test_every_way_a_timed_step_ends(templates, bound, ends, at):
+    """Time stops at the bound or at the first invariant of an actor that
+    cannot fire, whichever comes first, and a race winner fires only if its
+    delay is not past that stop.  B's self-loop changes nothing that A's
+    end depends on, so the steps that fire it are passed over."""
+    system = "A, B" if "template B" in templates else "A"
+    text = f"clock x; clock y; {templates} system {system};"
+    assert validate_model(parse_model(text)).errors == []
+    network = engine.CompiledNetwork(net(text))
+    for i in range(20):
+        sim = engine.Simulator(network, RngStream(1, i))
+        result = sim.step(bound)
+        while getattr(result, "component", None) == "B":
+            result = sim.step(bound)
+        assert (result if isinstance(result, str) else result.edge) == ends
+        assert sim.time == pytest.approx(at)
+        assert sim.V[network.slots["x"]] <= at
+
+
 def test_zeno_loop_detected():
     text = """
 template T() {

@@ -251,3 +251,22 @@ system p = W, q = W;
 template W() { clock c; init loc a { rate c = 2; } }
 system p = W, q = W;
 """) == set()
+
+
+@pytest.mark.parametrize("guard", ["y >= 3", "y <= 1"])
+def test_a_clock_guard_on_a_binary_receive_is_rejected(guard):
+    """An emitter's delay is drawn while its receiver's guard holds or not
+    at the start of the sojourn: a receiver guard over ``y >= 3`` never
+    paired, and one over ``y <= 1`` closed before the emitter fired.  A
+    broadcast receiver never blocks its emitter, so it may read a clock."""
+    text = f"""
+chan c;
+clock y;
+template A() {{ init loc s; loc done; s -> done {{ sync c!; }} }}
+template B() {{ init loc w; loc got; w -> got {{ guard {guard}; sync c?; }} }}
+system A, B;
+"""
+    [issue] = validate_model(parse_model(text)).errors
+    assert (issue.code, issue.where) == ("binary receive reads a clock",
+                                         "B.edge[0] w->got")
+    assert codes("broadcast " + text.lstrip()) == set()
