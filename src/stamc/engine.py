@@ -24,18 +24,23 @@ current rates without copying ``V``.
 The per-event work runs in kernels, straight-line functions generated from
 those closures' sources with every expression inlined:
 
-- a window kernel per guard of an internal or emitting edge and per
-  invariant finds when the guard opens or the invariant closes, probing
-  each atom's crossing without a call per probe; an invariant is read once
-  per step;
+- a window kernel per invariant finds when it closes, probing each atom's
+  crossing without a call per probe; an invariant is read once per step;
+- a start kernel per location that is not committed finds when one of its
+  internal or emitting edges can first fire: it searches each guard's
+  window by the same generated lines as the window kernel, blocks a binary
+  emit unless exactly one receiver is ready, and keeps the earliest start;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting reals and bools inline;
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
-  enabled, chooses by weight, reads which receive edges of the step table
-  are enabled, calls the edge's update kernel and moves the component; one
-  receiver routine, ``_sync``, then fires the receive edges it read;
+  enabled, chooses by weight, reads which receivers are ready, calls the
+  edge's update kernel and moves the component; one receiver routine,
+  ``_sync``, then fires the receive edges it read;
+- a receive kernel per step table and channel tests every receive edge of
+  the configuration on the channel inline, skips the emitter, and lists
+  the ready receivers with their enabled edges;
 - a rate kernel per step table (below) copies the table's rate template
   and evaluates the rates that the template does not hold and that
   something reads;
@@ -45,21 +50,24 @@ those closures' sources with every expression inlined:
   finite;
 - a watch kernel per watch tuple builds a sample's dict of watched values.
 
-A location's kernels and its edges' are generated when the first step
-table (below) that holds the location is built.  Closures are cached by
-their source and kernels by their generators' arguments, so a second
-network of the same model, such as the one each ``E`` query or worker
-process compiles, evaluates and execs nothing.
+Each kernel is compiled under its own filename, such as ``<fire
+Ctrl.dispatch>`` or ``<receive go>``, so a profile tells them apart.  A
+location's kernels and its edges' are generated when the first step table
+(below) that holds the location is built, and a table's receive kernel for
+a channel when the table first tests or fires an emit on it.  Closures are
+cached by their source and kernels by their generators' arguments, so a
+second network of the same model, such as the one each ``E`` query or
+worker process compiles, evaluates and execs nothing.
 
 Each location configuration gets one step table, built the first time the
 network enters it; a step looks it up once, by ``L``.  It lists the
-committed components, the actors (the components with an internal or
-emitting edge or an invariant) and the receive edges per channel, and it
+committed components and the actors (the components with an internal or
+emitting edge or an invariant), holds the receive kernels by channel, and
 holds the configuration's rate plan as its rate and advance kernels.  A
 component that is not an actor draws no delay and caps none, so a step
-races only the actors, and a sync looks its receivers up by channel.  A
-step calls ``sample_delay`` once per actor, ``advance_time`` once per delay
-and one fire kernel per firing.
+races only the actors, and a sync reads its receivers from the channel's
+kernel.  A step calls ``sample_delay`` once per actor, ``advance_time`` once
+per delay and one fire kernel per firing.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -74,9 +82,10 @@ otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
-probe, searching windows by a loop over the probe closures, applying
-updates through a staged list, firing by a loop over the enabled edges and
-the ready receivers, and integrating with numpy arrays (the
+probe, searching windows by a loop over the probe closures, taking a
+delay's start as the least of the active edges' windows, applying updates
+through a staged list, firing by a loop over the enabled edges and the
+ready receivers, and integrating with numpy arrays (the
 midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
 expression's source where its closure would have been called, which
@@ -90,6 +99,7 @@ Only runs through a stepped plan depend on ``h_max``.
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -198,15 +208,28 @@ class RunConfig:
 # network per query, finds every kernel without writing or exec'ing it again.
 
 
-def _kernel(lines: list, **names):
-    """The function ``_k`` that ``lines`` define, with ``names`` in scope."""
+_NAMED = collections.Counter()  # kernel title -> kernels compiled under it
+
+
+def _kernel(title: str, lines: list, **names):
+    """The function ``_k`` that ``lines`` define, with ``names`` in scope.
+
+    It is compiled under its own filename, ``<title>``, or ``<title #n>`` for
+    the n-th kernel of one title, so that a profile, which keys a function
+    by (file, line, name), keeps one entry per kernel."""
+    _NAMED[title] += 1
+    count = _NAMED[title]
+    filename = f"<{title}>" if count == 1 else f"<{title} #{count}>"
     scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "EngineError": EngineError,
-             "_coerce": CompiledNetwork._coerce, "_ready": _ready,
-             "_sync": _sync, **names}
-    exec("\n".join(lines), scope)
+             "_coerce": CompiledNetwork._coerce, "_sync": _sync, **names}
+    exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
+
+
+def _indent(lines: list, by: int = 4) -> list:
+    return [" " * by + line for line in lines]
 
 
 @functools.cache
@@ -224,44 +247,67 @@ def _update_kernel(updates: tuple):
         value = {"int": f"_coerce(u{i}, 'int')",
                  "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
         lines.append(f"    V[{slot}] = {value}")
-    return _kernel(lines)
-
-
-def _ready(V, L, receivers, emitter: int) -> list:
-    """[(component, its enabled receive edges)] for each of ``receivers``,
-    [(component, its receive edges on one channel)], but the component at
-    index ``emitter``, that has at least one."""
-    ready = []
-    for cc, edges in receivers:
-        if cc.index == emitter:
-            continue
-        enabled = [e for e in edges if e.guard is None or e.guard(V, L)]
-        if enabled:
-            ready.append((cc, enabled))
-    return ready
+    return _kernel("update", lines)
 
 
 def _sync(V, L, ready, rng) -> None:
     """Fire the receive edges that an emit synchronizes: each of ``ready``
-    (:func:`_ready`, read in the state before the emitter fired, and one
-    receiver for a binary emit) takes one of its enabled edges, chosen by
-    weight, in component order.  A lone edge draws nothing."""
-    for cc, enabled in ready:
-        edge = enabled[0] if len(enabled) == 1 else enabled[
-            rng.weighted_choice([e.weight for e in enabled])]
-        if edge.update is not None:
-            edge.update(V, L)
-        L[cc.index] = edge.target
+    (a receive kernel's list, read in the state before the emitter fired,
+    and one receiver for a binary emit) takes one of its enabled edges,
+    chosen by weight, in component order.  A lone edge draws nothing."""
+    for index, enabled in ready:
+        update, target, _ = enabled[0] if len(enabled) == 1 else enabled[
+            rng.weighted_choice([weight for _, _, weight in enabled])]
+        if update is not None:
+            update(V, L)
+        L[index] = target
 
 
 @functools.cache
-def _fire_kernel(index: int, edges: tuple):
-    """``(V, L, receivers, rng, snap)`` firing one of the active edges of a
-    location of the component at index ``index``, or returning None if none
-    is enabled.  ``edges`` are ((guard, update kernel or None, label,
-    target, weight, channel, binary), ...); ``receivers`` maps each channel
-    to its receive edges in the current location configuration, as in
-    :func:`_ready`.
+def _receive_kernel(channel: str, receivers: tuple):
+    """``(V, L, emitter)``: the receivers that an emit on ``channel`` by the
+    component at index ``emitter`` synchronizes, as [(component index, its
+    enabled receive edges)], an edge as (update kernel or None, target,
+    weight).  ``receivers`` are ((component index, ((guard, update kernel
+    or None, target, weight), ...)), ...), the receive edges of one
+    location configuration in component order; each component but the
+    emitter that has an enabled one is listed, in that order."""
+    lines = ["def _k(V, L, emitter):", "    ready = []"]
+    edges = {}  # name in the kernel -> (update kernel, target, weight)
+    for i, (index, receive) in enumerate(receivers):
+        if len(receive) == 1:
+            guard, update, target, weight = receive[0]
+            edges[f"R{i}"] = (index, ((update, target, weight),))
+            body = [f"ready.append(R{i})"]
+            if guard is not None:
+                body = [f"if {guard.source}:", *_indent(body)]
+        else:
+            body = ["e = []"]
+            for j, (guard, update, target, weight) in enumerate(receive):
+                edges[f"E{i}_{j}"] = (update, target, weight)
+                body += ([f"e.append(E{i}_{j})"] if guard is None else
+                         [f"if {guard.source}:", f"    e.append(E{i}_{j})"])
+            body += ["if e:", f"    ready.append(({index}, e))"]
+        lines += [f"    if emitter != {index}:", *_indent(body, 8)]
+    return _kernel(f"receive {channel}", lines + ["    return ready"],
+                   **edges)
+
+
+def _ready_test(binary: str, index: int, keep: str) -> str:
+    """The test that a binary emit on channel ``binary`` by the component
+    at index ``index`` has exactly one ready receiver; the ready list is
+    kept as ``keep``."""
+    return (f"(k := receivers[{binary!r}]) is not None and "
+            f"len({keep} := k(V, L, {index})) == 1")
+
+
+@functools.cache
+def _fire_kernel(name: str, index: int, edges: tuple):
+    """``(V, L, receivers, rng, snap)`` firing one of the active edges of
+    location ``name`` of the component at index ``index``, or returning
+    None if none is enabled.  ``edges`` are ((guard, update kernel or None,
+    label, target, weight, channel, binary), ...); ``receivers`` are the
+    step table's receive kernels by channel.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready; that test keeps the ready receiver as ``r{i}``
@@ -274,14 +320,13 @@ def _fire_kernel(index: int, edges: tuple):
     def enabled(i, guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
-            tests.append(f"len(r{i} := _ready(V, L, receivers.get("
-                         f"{binary!r}, ()), {index})) == 1")
+            tests.append(_ready_test(binary, index, f"r{i}"))
         return " and ".join(tests)
 
     def fire(i, guard, update, label, target, weight, channel, binary):
         lines = [] if channel is None or binary is not None else [
-            f"r{i} = {channel!r} in receivers and "  # read before firing
-            f"_ready(V, L, receivers[{channel!r}], {index})"]
+            f"r{i} = (k := receivers[{channel!r}]) is not None and "
+            f"k(V, L, {index})"]  # read before firing
         lines += [f"U{i}(V, L)"] if update is not None else []
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
@@ -306,11 +351,10 @@ def _fire_kernel(index: int, edges: tuple):
                  "i = e[0] if len(e) == 1 else "
                  "e[rng.weighted_choice([W[j] for j in e])]"]
         for i, edge in enumerate(edges[:-1]):
-            body += [f"if i == {i}:",
-                     *["    " + line for line in fire(i, *edge)]]
+            body += [f"if i == {i}:", *_indent(fire(i, *edge))]
         body += fire(len(edges) - 1, *edges[-1])
-    return _kernel(["def _k(V, L, receivers, rng, snap):",
-                    *["    " + line for line in body]],
+    return _kernel(f"fire {name}",
+                   ["def _k(V, L, receivers, rng, snap):", *_indent(body)],
                    W=tuple(edge[4] for edge in edges),
                    **{f"U{i}": edge[1] for i, edge in enumerate(edges)
                       if edge[1] is not None})
@@ -325,10 +369,10 @@ def _rates_kernel(n: int, literals: tuple, evaluated: tuple):
     template = [1.0] * n
     for slot, lit in literals:
         template[slot] = lit
-    return _kernel(["def _k(V, L):", "    R = T[:]",
-                    *[f"    R[{slot}] = float({fn.source})"
-                      for slot, fn in evaluated],
-                    "    return R"], T=template)
+    return _kernel("rates", ["def _k(V, L):", "    R = T[:]",
+                             *[f"    R[{slot}] = float({fn.source})"
+                               for slot, fn in evaluated],
+                             "    return R"], T=template)
 
 
 @functools.cache
@@ -336,43 +380,83 @@ def _watch_kernel(watch: tuple):
     """``(V, L)``: a new dict of the ``watch`` values, ((key, fn), ...), at
     the current state."""
     items = ", ".join(f"{key!r}: {fn.source}" for key, fn in watch)
-    return _kernel(["def _k(V, L):", f"    return {{{items}}}"])
+    return _kernel("watch", ["def _k(V, L):", f"    return {{{items}}}"])
 
 
-@functools.cache
-def _window_kernel(pred, probe, atoms: tuple, want: bool):
-    """``(V, L, R, horizon)``: the earliest t in [0, horizon] at which the
-    guard or invariant ``pred`` has truth ``want`` under clock rates ``R``,
-    or None.
+def _window_lines(pred, probe, atoms: tuple, want: bool, found) -> list:
+    """Lines that find the earliest t in [0, horizon] at which the guard or
+    invariant ``pred`` has truth ``want`` under clock rates ``R``, and run
+    ``found(t)``'s lines there, t being ``0.0`` or the search loop's
+    variable ``t``, whose lines leave the loop; they run nothing if there
+    is none.
 
     Its atoms are affine in the clocks (validated), so truth can only flip
-    where an atom ``g0 + slope * t`` crosses 0: the kernel probes 1e-9 past
+    where an atom ``g0 + slope * t`` crosses 0: the lines probe 1e-9 past
     each such t, in increasing order.  1e-9 itself comes first, for an atom
     sitting at 0 with a nonzero slope, whose truth flips at once."""
     test = "" if want else "not "
-    lines = ["def _k(V, L, R, horizon):",
-             f"    if {test}({pred.source}):",
-             "        return 0.0",
-             "    if horizon <= 0:",
-             "        return None",
-             "    c = [1e-9]"]
+    search = ["c = [1e-9]"]
     for diff, diff_probe in atoms:
-        lines += [f"    g = float({diff.source})",
-                  "    dt = 1.0",
-                  f"    s = float({diff_probe.source}) - g",
-                  "    if s != 0.0:",
-                  "        t = -g / s",
-                  "        if 1e-9 < t <= horizon:",
-                  "            c.append(t)"]
+        search += [f"g = float({diff.source})",
+                   "dt = 1.0",
+                   f"s = float({diff_probe.source}) - g",
+                   "if s != 0.0:",
+                   "    t = -g / s",
+                   "    if 1e-9 < t <= horizon:",
+                   "        c.append(t)"]
     if len(atoms) > 1:  # [1e-9, t] is sorted: every crossing is past 1e-9
-        lines += ["    if len(c) > 2:",
-                  "        c.sort()"]
-    lines += ["    for t in c:",
-              "        dt = t + 1e-9",
-              f"        if {test}({probe.source}):",
-              "            return t",
-              "    return None"]
-    return _kernel(lines)
+        search += ["if len(c) > 2:",
+                   "    c.sort()"]
+    search += ["for t in c:",
+               "    dt = t + 1e-9",
+               f"    if {test}({probe.source}):",
+               *_indent(found("t"), 8)]
+    return [f"if {test}({pred.source}):", *_indent(found("0.0")),
+            "elif horizon > 0:", *_indent(search)]
+
+
+@functools.cache
+def _window_kernel(pred, probe, atoms: tuple):
+    """``(V, L, R, horizon)``: the earliest t in [0, horizon] at which the
+    invariant ``pred`` is false under clock rates ``R``, or None
+    (:func:`_window_lines`)."""
+    lines = _window_lines(pred, probe, atoms, False,
+                          lambda t: [f"return {t}"])
+    return _kernel("window", ["def _k(V, L, R, horizon):", *_indent(lines),
+                              "    return None"])
+
+
+@functools.cache
+def _start_kernel(name: str, index: int, edges: tuple):
+    """``(V, L, R, horizon, receivers)``: the earliest t in [0, horizon] at
+    which one of the active edges of location ``name`` of the component at
+    index ``index`` can fire under clock rates ``R``, or None.  ``edges``
+    are ((guard, its probe, its atoms, binary), ...); ``receivers`` are the
+    step table's receive kernels by channel.
+
+    Each edge is searched in order, by :func:`_window_lines`, and the
+    earliest start kept; an unguarded edge starts at 0.  A binary emit
+    takes part only if exactly one receiver is ready: receiver locations
+    are frozen until the next event, and validation rejects a clock in a
+    binary receiver's guard, so the test holds for the whole sojourn."""
+    lines = ["start = None"]
+    for i, (guard, probe, atoms, binary) in enumerate(edges):
+        def found(t, first=i == 0):
+            if t == "0.0":  # no start is earlier
+                return ["start = 0.0"]
+            return (["start = t"] if first else
+                    ["if start is None or t < start:", "    start = t"]
+                    ) + ["break"]
+
+        search = (found("0.0") if guard is None else
+                  _window_lines(guard, probe, atoms, True, found))
+        if binary is not None:
+            search = [f"if {_ready_test(binary, index, 'r')}:",
+                      *_indent(search)]
+        lines += search
+    return _kernel(f"start {name}",
+                   ["def _k(V, L, R, horizon, receivers):",
+                    *_indent(lines), "    return start"])
 
 
 @functools.cache
@@ -428,14 +512,14 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
     elif integrated:
         body += ["n = max(1, ceil(dt / h_max))", "h = dt / n",
                  "h2 = h / 2", "h6 = h / 6", "t = 0.0", "for _ in range(n):"]
-        body += ["    " + line for line in [
+        body += _indent([
             *stage("p", "t"),
             "o = t + h2", *stage("q", "o", ("p", "h2")),
             *stage("r", "o", ("q", "h2")),
             "o = t + h", *stage("s", "o", ("r", "h")),
             *[f"y{i} = y{i} + (((p{i} + 2 * q{i}) + 2 * r{i}) + s{i}) * h6"
               for i in y.values()],
-            "t += h"]]
+            "t += h"])
         body += [f"V[{slot}] = y{i}" for slot, i in y.items()]
     for slot, key, lit in advanced:
         if lit is None:
@@ -443,8 +527,8 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
                      f"V[{slot}] = b{base[slot]} + r * dt"]
         else:
             body.append(f"V[{slot}] = {moved(slot, 'dt')}")
-    return _kernel(["def _k(V, L, R, dt, h_max):",
-                    *["    " + line for line in body or ["pass"]]])
+    return _kernel("advance", ["def _k(V, L, R, dt, h_max):",
+                               *_indent(body or ["pass"])])
 
 
 # --- compilation -----------------------------------------------------------
@@ -452,7 +536,7 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
 
 class _CompiledEdge:
     __slots__ = ("label", "target", "guard", "guard_probe", "guard_atoms",
-                 "window", "channel", "binary", "weight", "updates", "update")
+                 "channel", "binary", "weight", "updates", "update")
 
     def __init__(self, label, target, guard, guard_probe, guard_atoms,
                  channel, binary, weight, updates):
@@ -465,21 +549,22 @@ class _CompiledEdge:
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
         self.updates = updates  # ((slot, fn, vtype), ...)
-        # kernels, from the source location's lower(): the guard's window
-        # (None for no guard, a receive edge or a committed source) and
-        # the updates (None for none)
-        self.window = self.update = None
+        # the update kernel, from the source location's lower(); None for
+        # no updates
+        self.update = None
 
 
 class _CompiledLocation:
-    __slots__ = ("index", "id", "committed", "invariant", "inv_probe",
-                 "inv_atoms", "window", "rates", "affine", "exit_rate",
-                 "reads", "active", "receive", "fire", "lowered")
+    __slots__ = ("index", "id", "name", "committed", "invariant",
+                 "inv_probe", "inv_atoms", "window", "rates", "affine",
+                 "exit_rate", "reads", "active", "receive", "start", "fire",
+                 "lowered")
 
-    def __init__(self, index, id, committed, invariant, inv_probe, inv_atoms,
-                 rates, affine, exit_rate, reads):
+    def __init__(self, index, id, name, committed, invariant, inv_probe,
+                 inv_atoms, rates, affine, exit_rate, reads):
         self.index = index  # its component's slot in L
         self.id = id
+        self.name = name  # "component.location", in kernel titles and errors
         self.committed = committed
         self.invariant = invariant
         self.inv_probe = inv_probe
@@ -494,7 +579,9 @@ class _CompiledLocation:
         self.reads = reads
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
-        self.fire = None  # the fire kernel of the active edges, from lower()
+        # from lower(): the start kernel of the active edges (None in a
+        # committed location) and their fire kernel
+        self.start = self.fire = None
         self.lowered = False
 
     def lower(self) -> None:
@@ -508,26 +595,50 @@ class _CompiledLocation:
         if not self.committed:
             if self.invariant is not None:
                 self.window = _window_kernel(self.invariant, self.inv_probe,
-                                             self.inv_atoms, False)
-            for edge in self.active:
-                if edge.guard is not None:
-                    edge.window = _window_kernel(edge.guard, edge.guard_probe,
-                                                 edge.guard_atoms, True)
+                                             self.inv_atoms)
+            self.start = _start_kernel(self.name, self.index, tuple(
+                (e.guard, e.guard_probe, e.guard_atoms, e.binary)
+                for e in self.active))
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
             edge.update = _update_kernel(edge.updates)
-        self.fire = _fire_kernel(self.index, tuple(
+        self.fire = _fire_kernel(self.name, self.index, tuple(
             (e.guard, e.update, e.label, e.target, e.weight, e.channel,
              e.binary) for e in self.active))
 
 
+class _Receivers(dict):
+    """Channel -> the receive kernel of one location configuration, built
+    on first use of the channel: None for a channel on which no component
+    of the configuration receives.  ``located`` are the configuration's
+    (component, location) pairs, in component order."""
+
+    __slots__ = ("located",)
+
+    def __init__(self, located):
+        super().__init__()
+        self.located = located
+
+    def __missing__(self, channel):
+        receivers = tuple(
+            (cc.index, tuple((e.guard, e.update, e.target, e.weight)
+                             for e in loc.receive[channel]))
+            for cc, loc in self.located if channel in loc.receive)
+        kernel = self[channel] = (_receive_kernel(channel, receivers)
+                                  if receivers else None)
+        return kernel
+
+
 class _StepTable:
     """What a step needs in one location configuration: the committed
-    components, the actors, the receive edges per channel and the rate
+    components, the actors, the receive kernels per channel and the rate
     plan.  An actor is a component that can fire or whose invariant caps
     the delay; one with neither draws nothing and caps nothing, so the
     delay race leaves it out.  Components come as (component, location)
-    pairs, in component order.
+    pairs, in component order.  ``receivers`` (:class:`_Receivers`) builds
+    a channel's receive kernel the first time an emit on it is tested or
+    fired: most tables are entered a few times, and a table rarely uses
+    every channel that it could.
 
     The rate plan says how clocks advance in the configuration: the clocks
     that advance at a constant rate (a clock-free rate, or 1), and the
@@ -556,12 +667,9 @@ class _StepTable:
         self.actors = [(cc, loc) for cc, loc in located
                        if not loc.committed
                        and (loc.active or loc.invariant is not None)]
-        self.receivers = {}  # channel -> [(component, its receive edges)]
-        reads = set()  # clocks that a guard or invariant reads
-        for cc, loc in located:
-            reads |= loc.reads
-            for ch, edges in loc.receive.items():
-                self.receivers.setdefault(ch, []).append((cc, edges))
+        self.receivers = _Receivers(located)
+        # clocks that a guard or invariant reads
+        reads = set().union(*(loc.reads for _, loc in located))
 
         timed = [loc for _, loc in located if not loc.committed]
         rates = {}  # clock slot -> (slot, fn, clock slots it reads, literal)
@@ -673,7 +781,8 @@ class CompiledNetwork:
                         float(rate_expr.value)
                         if isinstance(rate_expr, E.Num) else None)
                 cc.locations[loc.id] = _CompiledLocation(
-                    index, loc.id, loc.kind == "committed",
+                    index, loc.id, f"{comp.name}.{loc.id}",
+                    loc.kind == "committed",
                     *self._compile_window(loc.invariant, slotted, clock_refs),
                     [(slot, *rate) for slot, rate in rates.items()],
                     all(_affine_rate(e, is_clock) for _, e in loc.rates),
@@ -782,6 +891,22 @@ class CompiledNetwork:
 # --- simulator -------------------------------------------------------------
 
 
+def _sampler(V, L, watch, monitor):
+    """The call that takes a sample point of the state lists ``V`` and
+    ``L``: it calls ``monitor(V, L)``, if there is a monitor, and returns
+    the ``watch`` kernel's dict, or one shared empty dict when nothing is
+    watched."""
+    sample = (functools.partial(watch, V, L) if watch is not None
+              else lambda: _UNWATCHED)
+    if monitor is None:
+        return sample
+
+    def monitored():
+        monitor(V, L)
+        return sample()
+    return monitored
+
+
 class Simulator:
     """One run's state, ``V``, ``L`` and ``time``, and its steps."""
 
@@ -793,9 +918,10 @@ class Simulator:
         self.V, self.L = net.initial_state()
         self.time = 0.0
         watch = net.compile_watch(watch)
-        # the snapshot kernel, or None
-        self.watch = _watch_kernel(watch) if watch else None
-        self.monitor = monitor  # called with (V, L) at every sample point
+        # a sample point's watched values, after monitor(V, L), if any
+        self._snapshot = _sampler(self.V, self.L,
+                                  _watch_kernel(watch) if watch else None,
+                                  monitor)
         # the step table of L at the last step, which sample_delay and
         # advance_time read
         self._table = net.step_table(self.L)
@@ -807,30 +933,16 @@ class Simulator:
         Uniform[L, U] when the invariant bounds the sojourn, otherwise
         L + Exponential(exit-rate, default 1); U is ``deadline``, the
         component's invariant deadline under ``rates``, the step table's
-        rates at the current state.
+        rates at the current state, and L the earliest time at which an
+        active edge can fire, by the location's start kernel.
         """
-        V, L = self.V, self.L
-        starts = []
-        for edge in loc.active:
-            if edge.binary is not None and len(_ready(
-                    V, L, self._table.receivers.get(edge.binary, ()),
-                    cc.index)) != 1:
-                # a binary emit needs exactly one ready receiver; receiver
-                # locations are frozen until the next event, and validation
-                # rejects a clock in a binary receiver's guard, so skip it
-                continue
-            if edge.window is None:
-                starts.append(0.0)
-                continue
-            s = edge.window(V, L, rates, deadline)
-            if s is not None:
-                starts.append(s)
-        if not starts:
+        start = loc.start(self.V, self.L, rates, deadline,
+                          self._table.receivers)
+        if start is None:
             return None
-        Lb = min(starts)
         if deadline < INF:
-            return self.rng.uniform(Lb, deadline)
-        return Lb + self.rng.exponential(loc.exit_rate or 1.0)
+            return self.rng.uniform(start, deadline)
+        return start + self.rng.exponential(loc.exit_rate or 1.0)
 
     # -- integration --
 
@@ -854,16 +966,6 @@ class Simulator:
 
     # -- firing --
 
-    def _snapshot(self) -> dict:
-        """The watched values at a sample point, after the monitor has seen
-        the state; one shared empty dict when nothing is watched."""
-        V, L = self.V, self.L
-        if self.monitor is not None:
-            self.monitor(V, L)
-        if self.watch is None:
-            return _UNWATCHED
-        return self.watch(V, L)
-
     def _check_invariants(self, when: str) -> None:
         """Raise unless every current invariant holds, or held 1e-9 time
         units ago under the current rates: the window search probes 1e-9
@@ -882,7 +984,7 @@ class Simulator:
             tpl = self.net.network.components[cc.index].template
             inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
             raise EngineError(
-                f"invariant {E.to_text(inv)!r} of {cc.name}.{loc.id} "
+                f"invariant {E.to_text(inv)!r} of {loc.name} "
                 f"violated {when} (t={self.time})")
 
     def step(self, bound: float):
@@ -914,7 +1016,7 @@ class Simulator:
                     deadline = loc.window(V, L, rates, INF)
                     if deadline == 0.0:  # false now; closings are >= 1e-9
                         raise EngineError(
-                            f"invariant of {cc.name}.{loc.id} violated at "
+                            f"invariant of {loc.name} violated at "
                             f"entry (t={self.time})")
                     if deadline is None:
                         deadline = INF

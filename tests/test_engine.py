@@ -830,25 +830,25 @@ def _edges(compiled):
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_window_kernels_match_the_loop_reference(name):
-    """Each guard's kernel finds when it opens, and each invariant's when
-    it closes, as the loop over the probe closures does."""
+    """Each invariant's kernel finds when it closes as the loop over the
+    probe closures does; a location's start kernel searches its guards'
+    windows by the same lines (test_start_kernels_match_the_loop_reference)."""
     compiled, states = _vehicle_states(name)
-    windows = [(e.guard, e.guard_probe, e.guard_atoms, e.window, True)
-               for _, e in _edges(compiled) if e.window is not None]
-    windows += [(loc.invariant, loc.inv_probe, loc.inv_atoms, loc.window,
-                 False) for cc in compiled.components
-                for loc in cc.locations.values() if loc.window is not None]
-    assert len(windows) > 20
+    _edges(compiled)  # generates every location's kernels
+    windows = [(loc.invariant, loc.inv_probe, loc.inv_atoms, loc.window)
+               for cc in compiled.components
+               for loc in cc.locations.values() if loc.window is not None]
+    assert len(windows) > 10
     found = set()
     for V, L in states:
         sim = _at(compiled, V, L)
         V, L = sim.V, sim.L
         rates = compiled.step_table(L).rates(V, L)
         for horizon in (math.inf, 0.0, 1e-9, 40.0):
-            for pred, probe, atoms, kernel, want in windows:
+            for pred, probe, atoms, kernel in windows:
                 got = kernel(V, L, rates, horizon)
                 assert _bits([got]) == _bits([_earliest(
-                    pred, probe, atoms, V, L, rates, horizon, want)])
+                    pred, probe, atoms, V, L, rates, horizon, False)])
                 found.add(got is None or got > 0)
     assert found == {True, False}  # windows now, later and never
 
@@ -888,8 +888,18 @@ def test_update_kernels_match_the_staged_loop(name):
 # The fire kernels' reference, a firing in loop form: scan the enabled
 # edges, choose one by weight, apply it, and sync each receiver that was
 # ready before the emitter's updates, since every guard of a sync reads the
-# state before it.  ``receiving`` is the step table's receive edges per
-# channel.
+# state before it.  ``receiving`` is the receive edges per channel of a
+# location configuration (_receiving).
+
+
+def _receiving(compiled, L):
+    """{channel: [(component, its receive edges on it)]} in the location
+    configuration ``L``, in component order."""
+    receiving = {}
+    for cc in compiled.components:
+        for ch, edges in cc.locations[L[cc.index]].receive.items():
+            receiving.setdefault(ch, []).append((cc, edges))
+    return receiving
 
 
 def _receivers(V, L, receiving, emitter, ch):
@@ -993,9 +1003,11 @@ def _seldom_states(compiled, states, n=20):
 
 
 def _compare_fire(compiled, V, L, seen):
-    """Fire each component of state (V, L) by its location's kernel and by
-    the loop form, on copies of the state and equal random streams."""
-    receiving = compiled.step_table(L).receivers
+    """Fire each component of state (V, L) by its location's kernel, with
+    the step table's receive kernels, and by the loop form, on copies of
+    the state and equal random streams."""
+    receiving = _receiving(compiled, L)
+    kernels = compiled.step_table(L).receivers
     for cc in compiled.components:
         loc = cc.locations[L[cc.index]]
         want_V, want_L = list(V), list(L)
@@ -1007,14 +1019,14 @@ def _compare_fire(compiled, V, L, seen):
             return "pre"
 
         if not enabled:  # nothing fires, so nothing draws
-            assert loc.fire(got_V, got_L, receiving, None, snap) is None
+            assert loc.fire(got_V, got_L, kernels, None, snap) is None
             assert (got_V, got_L, snaps) == (V, L, [])
             continue
         want_rng, got_rng = RngStream(7, len(seen)), RngStream(7, len(seen))
         edge = _choose(want_rng, enabled)
         channel, receivers = _fire(want_V, want_L, receiving, want_rng, cc,
                                    edge)
-        got = loc.fire(got_V, got_L, receiving, got_rng, snap)
+        got = loc.fire(got_V, got_L, kernels, got_rng, snap)
         assert got == (edge.label, channel, "pre")
         assert snaps == [(V, L)]  # the sample before, taken once
         assert _bits(got_V) == _bits(want_V) and got_L == want_L
@@ -1074,24 +1086,76 @@ template Recv() {
 system Emit, Recv, Recv;
 """
 
+# Broadcasts on a channel that nobody receives until Recv has moved to w;
+# there the receiver draws between two enabled edges while `got` is even.
+QUIET = """
+int got = 0;
+clock x;
+clock y;
+broadcast chan go;
+template Emit() {
+  init loc a { inv x <= 1; }
+  a -> a { guard x >= 1; weight 2; sync go!; update x := 0, got := got + 1; }
+  a -> a { guard x >= 1; sync go!; update x := 0; }
+}
+template Recv() {
+  init loc idle { inv y <= 3; }
+  loc w;
+  idle -> w { guard y >= 2; }
+  w -> w { guard got % 2 == 0; sync go?; update got := got + 10; }
+  w -> w { weight 3; sync go?; update got := got + 100; }
+}
+system Emit, Recv;
+"""
+
+# A binary emit from a timed location, next to an internal edge: no
+# receiver is ready while `hits % 3` is 0, two while it is 1, and one, Recv,
+# while it is 2.
+TIMED_BINARY = """
+int hits = 0;
+clock x;
+chan go;
+template Emit() {
+  init loc a { inv x <= 2; }
+  a -> a { guard x >= 1; sync go!; update x := 0; }
+  a -> a { guard x >= 1.5; update x := 0, hits := hits + 1; }
+}
+template Recv() {
+  init loc w;
+  w -> w { guard hits % 3 != 0; sync go?; update hits := hits + 1; }
+}
+template Late() {
+  init loc w;
+  w -> w { guard hits % 3 == 1; sync go?; update hits := hits + 2; }
+}
+system Emit, Recv, Late;
+"""
+
+_SMALL = {"binary": BINARY, "broadcast": BROADCAST, "quiet": QUIET,
+          "timed-binary": TIMED_BINARY}
+
+
+def _kernel_states(name):
+    """(compiled network, [(V, L)] slot lists) at the start of every step
+    and after every delay of runs of a vehicle model or of ``_SMALL``."""
+    if name.endswith(".sta"):
+        compiled = engine.CompiledNetwork(
+            instantiate(parse_model((MODELS / name).read_text())))
+        states = _firing_states(compiled, 3, 1500, every=3)
+        return compiled, states + _seldom_states(compiled, states)
+    compiled = engine.CompiledNetwork(net(_SMALL[name]))
+    return compiled, _firing_states(compiled, 20, 40)
+
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
-                                  "broadcast"])
+                                  "broadcast", "quiet"])
 def test_fire_kernels_match_the_loop_reference(name):
     """Each location's fire kernel leaves V and L as the loop form does, bit
     for bit, returns the same label and channel, and leaves the random
     stream at the same next draw; every internal or emitting edge with
     updates fires at least once."""
     vehicle = name.endswith(".sta")
-    if vehicle:
-        compiled = engine.CompiledNetwork(
-            instantiate(parse_model((MODELS / name).read_text())))
-        states = _firing_states(compiled, 3, 1500, every=3)
-        states += _seldom_states(compiled, states)
-    else:
-        compiled = engine.CompiledNetwork(
-            net(BINARY if name == "binary" else BROADCAST))
-        states = _firing_states(compiled, 20, 40)
+    compiled, states = _kernel_states(name)
     seen = []
     for V, L in states:
         _compare_fire(compiled, V, L, seen)
@@ -1102,6 +1166,11 @@ def test_fire_kernels_match_the_loop_reference(name):
     assert len(seen) > 100
     assert True in weighted and True in synced and True in received
     assert binary == ({True, False} if name == "binary" else {False})
+    # a receive kernel is built when a table first uses its channel, and a
+    # channel that no component of the configuration receives on holds None
+    kernels = [k for table in compiled._tables.values()
+               for k in table.receivers.values()]
+    assert any(kernels) and (name != "quiet" or None in kernels)
     assert chosen == ({False} if vehicle else {True, False})
     updating = {e for cc in compiled.components
                 for loc in cc.locations.values() for e in loc.active
@@ -1115,6 +1184,52 @@ def test_fire_kernels_match_the_loop_reference(name):
             for i, edge in enumerate(loc.active):
                 if edge.updates:
                     assert loc.fire.__globals__[f"U{i}"] is edge.update
+
+
+def _start(V, L, rates, horizon, receiving, cc, loc):
+    """Reference start of an actor: the earliest window of its active edges
+    at ``horizon``, 0 for an unguarded one, skipping a binary emit that
+    does not have exactly one ready receiver; and whether one was
+    skipped."""
+    starts, gated = [], False
+    for edge in loc.active:
+        if edge.binary is not None and len(
+                _receivers(V, L, receiving, cc, edge.binary)) != 1:
+            gated = True
+            continue
+        start = 0.0 if edge.guard is None else _earliest(
+            edge.guard, edge.guard_probe, edge.guard_atoms, V, L, rates,
+            horizon, True)
+        if start is not None:
+            starts.append(start)
+    return (min(starts) if starts else None), gated
+
+
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
+                                  "broadcast", "timed-binary"])
+def test_start_kernels_match_the_loop_reference(name):
+    """Each location's start kernel finds when one of its active edges can
+    first fire as the loop over the edges' windows does, bit for bit."""
+    compiled, states = _kernel_states(name)
+    found, gated = set(), set()
+    for V, L in states:
+        table = compiled.step_table(L)
+        rates = table.rates(V, L)
+        receiving = _receiving(compiled, L)
+        for cc in compiled.components:
+            loc = cc.locations[L[cc.index]]
+            if loc.committed:
+                continue
+            for horizon in (math.inf, 0.0, 1e-9, 40.0):
+                want, skipped = _start(V, L, rates, horizon, receiving, cc,
+                                       loc)
+                got = loc.start(V, L, rates, horizon, table.receivers)
+                assert _bits([got]) == _bits([want])
+                found.add("never" if got is None else
+                          "later" if got > 0 else "now")
+                gated.add(skipped)
+    assert found == {"now", "later", "never"}
+    assert gated == ({True, False} if name == "timed-binary" else {False})
 
 
 def test_a_blocked_binary_emit_deadlocks():
@@ -1142,8 +1257,8 @@ system T;
 def test_a_second_compile_execs_nothing(monkeypatch):
     """Closures are cached by source and kernels by their generators'
     arguments: a second network of the same model shares every function
-    with the first, and compiling and running it writes no kernel and
-    evaluates no closure."""
+    with the first, its start and receive kernels among them, and compiling
+    and running it writes no kernel and evaluates no closure."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
     watch = ("(wvl + wvr) / 2", "energy.Con_en", "mode")
     config = RunConfig(h_max=10.0)
@@ -1165,20 +1280,46 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     assert written == [] and E._lambda.cache_info().misses == evaluated
     assert len(pairs) > 30
     for (loc_a, ea), (loc_b, eb) in pairs:
-        assert (ea.guard, ea.guard_probe, ea.window, ea.update) == \
-            (eb.guard, eb.guard_probe, eb.window, eb.update)
-        assert (loc_a.invariant, loc_a.window, loc_a.rates, loc_a.fire) == \
-            (loc_b.invariant, loc_b.window, loc_b.rates, loc_b.fire)
+        assert (ea.guard, ea.guard_probe, ea.update) == \
+            (eb.guard, eb.guard_probe, eb.update)
+        assert (loc_a.invariant, loc_a.window, loc_a.rates, loc_a.start,
+                loc_a.fire) == (loc_b.invariant, loc_b.window, loc_b.rates,
+                                loc_b.start, loc_b.fire)
         assert loc_a.fire is not None
+        assert (loc_a.start is None) == loc_a.committed
     assert a.components[0].locations is not b.components[0].locations
     assert len(a._tables) == len(b._tables) > 1
     for config, table in a._tables.items():
         for name in ("advance", "rates"):
             kernels = (getattr(table, name), getattr(b._tables[config], name))
             assert kernels[0] is kernels[1] is not None
+        # the same runs use the same channels of each table
+        assert table.receivers == b._tables[config].receivers
+    assert any(any(t.receivers.values()) for t in a._tables.values())
     assert a.compile_watch(watch) == b.compile_watch(watch)
     assert engine._watch_kernel(a.compile_watch(watch)) is \
         engine._watch_kernel(b.compile_watch(watch))
+
+
+def test_every_kernel_has_its_own_filename():
+    """A profile keys a function by (file, line, name), and every kernel is
+    ``_k`` at line 1: each kernel is compiled under its own filename."""
+    compiled = engine.CompiledNetwork(
+        instantiate(parse_model((MODELS / "av.sta").read_text())))
+    for i in range(3):
+        run(compiled, 300, RngStream(42, i), config=RunConfig(h_max=10.0))
+    kernels = {e.update for _, e in _edges(compiled)}
+    for cc in compiled.components:
+        for loc in cc.locations.values():
+            kernels |= {loc.window, loc.start, loc.fire}
+    for table in compiled._tables.values():
+        kernels |= {table.rates, table.advance, *table.receivers.values()}
+    kernels.discard(None)
+    names = [k.__code__.co_filename for k in kernels]
+    assert len(kernels) > 50 and len(set(names)) == len(names)
+    for kind in ("fire Ctrl.dispatch", "start Camera.wait", "receive ", "window",
+                 "update", "rates", "advance"):
+        assert any(name.startswith(f"<{kind}") for name in names), kind
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
