@@ -26,20 +26,20 @@ expressions, and a constraint reads the observer's final location and
 the events' channels.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
-run watches changes nothing in it. So the jobs of one (model, bound,
-stream seed, run config) share one run stream: each run is simulated
-once, every live job judges it, and only the outcomes are cached. A rule
-reads the cache first and has the stream simulate more runs only past its
-end. Once a job's rule has decided, the job is retired: runs simulated
-later, and the chunks sent to workers, carry the mask of the live jobs
-and skip its judge. ``check`` registers every query with its pool before
-the first run, so its queries share; a constraint's observed model is a
-network of its own, and its stream serves that query alone; a library
-call is a one-query group. Registering a query checks every name it
-reads, against the query scope of the model's compiled network, which
-the pool builds once per model, and every channel its constraint listens
-on, so a bad query fails before any run. A query's ``wall_ms`` covers its
-judging and statistics and the runs it was first to need.
+run watches changes nothing in it. So the jobs of one (model, bound, seed,
+run config) share one run stream: each run is simulated once, every live job
+judges it, and only the outcomes are cached. A rule reads the cache first
+and has the stream simulate more runs only past its end. Once a job's rule
+has decided, the job is retired: runs simulated later, and the chunks sent
+to workers, carry the mask of the live jobs and skip its judge. ``check``
+registers every query with its pool before the first run, so its queries
+share, ``compare``'s two formulas among them; a constraint's observed model
+is a network of its own, and its stream serves that query alone; a library
+call is a one-query group. Registering a query checks every name it reads,
+against the query scope of the model's compiled network, which the pool
+builds once per model, and every channel its constraint listens on, so a bad
+query fails before any run. A query's ``wall_ms`` covers its judging and
+statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
 call, and a library call without one opens one for that call. At one
@@ -293,13 +293,12 @@ class _Monitor:
 @dataclass
 class _Job:
     """What one query reads of a stream's runs: the outcome of ``judge`` on
-    each of the first ``n_runs`` runs to ``bound`` of ``model`` from stream
-    ``seed``. A traced judge's function is module-level, so that a stream's
-    runs pickle."""
+    each of the first ``n_runs`` runs to ``bound`` of ``model``, at the
+    check's seed. A traced judge's function is module-level, so that a
+    stream's runs pickle."""
 
     model: Model
     bound: float
-    seed: int
     n_runs: int  # the most runs the query's rule reads
     judge: object  # _Sampled | _Traced
 
@@ -363,7 +362,7 @@ def _worker_chunk(indices, stream_key, model_key, blob, live):
 
 
 class _Stream:
-    """The runs of one (model, bound, stream seed, run config): each run is
+    """The runs of one (model, bound, seed, run config): each run is
     simulated once and judged by every live job of the stream, and its
     outcomes are cached, one tuple per run. Jobs join until the first run
     is cached or submitted; a job is live until it has finished reading."""
@@ -384,9 +383,9 @@ class _Stream:
 class RunPool:
     """Where the runs of one check execute; all its queries share it.
 
-    The queries' jobs share one run stream per (model, bound, stream seed,
-    run config): each run is simulated once, judged by every live job of
-    its stream, and only the outcomes are cached. A job joins a stream
+    The queries' jobs share one run stream per (model, bound, seed, run
+    config): each run is simulated once, judged by every live job of its
+    stream, and only the outcomes are cached. A job joins a stream
     until the stream's first run, so ``check`` registers every query first.
 
     At one worker the runs execute in this process. Otherwise they go to
@@ -434,7 +433,7 @@ class RunPool:
         run_config = run_config or RunConfig()
         model = _coerce_network(model)
         scope = self._net(model).query_resolver
-        lanes = [self._join(job, run_config) for job in
+        lanes = [self._join(job, cfg.seed, run_config) for job in
                  jobs(model, scope, query, cfg, name)]
         self._registered[id(query)] = (query, lanes)
 
@@ -454,15 +453,15 @@ class RunPool:
             self.register(model, query, cfg, run_config, name)
         return self._registered.pop(id(query))[1]
 
-    def _join(self, job: _Job, run_config: RunConfig) -> tuple:
+    def _join(self, job: _Job, seed: int, run_config: RunConfig) -> tuple:
         # the entry holds the model, so its id is not reused meanwhile
         mkey = self._models.setdefault(id(job.model),
                                        (len(self._models), job.model))[0]
-        key = (mkey, job.bound, job.seed, astuple(run_config))
+        key = (mkey, job.bound, seed, astuple(run_config))
         stream = self._streams.get(key)
         if stream is None or stream.cache or stream.submitted:
             stream = self._streams[key] = _Stream(
-                mkey, job.model, _Runs(job.bound, job.seed, run_config, []))
+                mkey, job.model, _Runs(job.bound, seed, run_config, []))
         stream.runs.jobs.append((job.judge, job.n_runs))
         return stream, len(stream.runs.jobs) - 1
 
@@ -539,9 +538,9 @@ def _check_names(resolve, *exprs):
 
 
 def _formula_job(model: Model, scope, f: PathFormula, bound: float,
-                 seed: int, n_runs: int) -> _Job:
+                 n_runs: int) -> _Job:
     _check_names(scope, f.state_expr)
-    return _Job(model, bound, seed, n_runs,
+    return _Job(model, bound, n_runs,
                 _Sampled(f.op, E.to_text(f.state_expr)))
 
 
@@ -587,7 +586,7 @@ def _estimate_runs(cfg: StatConfig) -> int:
 
 
 def _estimate_jobs(model, scope, q: Estimate, cfg, name) -> list:
-    return [_formula_job(model, scope, q.formula, q.bound, cfg.seed,
+    return [_formula_job(model, scope, q.formula, q.bound,
                          _estimate_runs(cfg))]
 
 
@@ -603,8 +602,7 @@ def _estimate(q: Estimate, cfg, streams) -> SmcResult:
 def _hypothesis_jobs(model, scope, q: Hypothesis, cfg, name) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    return [_formula_job(model, scope, q.formula, q.bound, cfg.seed,
-                         cfg.max_runs)]
+    return [_formula_job(model, scope, q.formula, q.bound, cfg.max_runs)]
 
 
 def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
@@ -615,23 +613,25 @@ def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
 
 
 def _compare_jobs(model, scope, q: Compare, cfg, name) -> list:
-    """Independent run sets for the two formulas: the second stream has its
-    own seed."""
+    """Paired runs: both formulas read runs at the check's seed, so pair i
+    is the runs to ``bound1`` and to ``bound2`` from ``RngStream(seed, i)``.
+    When the bounds are equal, the two jobs join one stream and each run is
+    judged for both formulas."""
     budget = _estimate_runs(cfg)
-    return [_formula_job(model, scope, q.formula1, q.bound1, cfg.seed,
-                         budget),
-            _formula_job(model, scope, q.formula2, q.bound2,
-                         cfg.seed + 0x9E3779B9, budget)]
+    return [_formula_job(model, scope, q.formula1, q.bound1, budget),
+            _formula_job(model, scope, q.formula2, q.bound2, budget)]
 
 
 def _compare(q: Compare, cfg, streams) -> SmcResult:
-    """SPRT on discordant pairs of H0: p1 >= p2 (indifference delta).
-
-    Concordant pairs carry no sign information and are skipped.  If the
-    test is still open after the estimation run budget it falls back to
-    the indifference rule on the point estimates: valid when
-    p1_hat + delta >= p2_hat.
-    """
+    """SPRT on discordant pairs of H0: p1 >= p2 (indifference delta), which
+    is McNemar's paired design. With q10 = Pr[x1 and not x2] and q01 =
+    Pr[x2 and not x1], p1 - p2 = q10 - q01, so H0 holds exactly when a
+    discordant pair is (1, 0) with probability at least 1/2, whatever the
+    correlation inside a pair: the pairs need only be i.i.d. across runs.
+    Concordant pairs carry no sign information and are skipped. If the test
+    is still open after the estimation run budget it falls back to the
+    indifference rule on the point estimates: valid when
+    p1_hat + delta >= p2_hat."""
     pairs = []
     verdict, discordant, _ = _sprt(
         (x1 for x1, x2 in _kept(zip(*streams), pairs) if x1 != x2), 0.5, cfg)
@@ -656,7 +656,7 @@ def _expected_jobs(model, scope, q: Expected, cfg, name) -> list:
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
     _check_names(scope, q.expr)
-    return [_Job(model, q.bound, cfg.seed, q.n_runs,
+    return [_Job(model, q.bound, q.n_runs,
                  _Sampled(q.mode, E.to_text(q.expr)))]
 
 
@@ -682,7 +682,7 @@ def _simulate_jobs(model, scope, q: Simulate, cfg, name) -> list:
         raise QueryError("need sample_step > 0")
     _check_names(scope, *q.exprs)
     keys = tuple(E.to_text(e) for e in q.exprs)
-    return [_Job(model, q.bound, cfg.seed, q.n_runs,
+    return [_Job(model, q.bound, q.n_runs,
                  _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
 
 
@@ -702,8 +702,7 @@ def _constraint_jobs(model, scope, q: ConstraintQuery, cfg, name) -> list:
     c = q.constraint
     inst = f"_obs_{name or c.kind}"
     observed = monitors.attach_observer(model, c, inst)
-    return [_Job(observed, q.bound, cfg.seed, cfg.max_runs,
-                 _Traced(_routes, (c, inst)))]
+    return [_Job(observed, q.bound, cfg.max_runs, _Traced(_routes, (c, inst)))]
 
 
 def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:

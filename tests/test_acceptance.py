@@ -7,6 +7,7 @@ accuracy, determinism) with its runtime budget.
 """
 
 import json
+import math
 import pathlib
 import time
 
@@ -301,6 +302,32 @@ def test_statistics_guarantees():
                     decision = sprt.feed(bool(rng.random() < truth))
                 wrong += decision != right
             assert wrong / 500 <= 0.10
+
+
+def test_paired_compare_guarantees():
+    """``compare``'s rule on Bernoulli pairs, with no engine: at
+    |p1 - p2| = 2 delta it gives the wrong verdict in at most alpha of the
+    repeats, with the two outcomes of a pair anti-correlated, independent
+    or correlated."""
+    cfg = StatConfig(delta_indiff=0.05)
+    q = query("Pr[<=1](<> a == 1) >= Pr[<=1](<> b == 1)")
+    budget = chernoff_runs(cfg.alpha, cfg.epsilon)
+    rng = np.random.default_rng(2)
+    with timed(10):
+        for p1, p2, wrong in ((0.4, 0.5, "valid"), (0.5, 0.4, "invalid")):
+            sd = math.sqrt(p1 * (1 - p1) * p2 * (1 - p2))
+            for rho in (-0.5, 0.0, 0.5):
+                both = p1 * p2 + rho * sd
+                # Pr of the pairs (1, 1), (1, 0), (0, 1) and (0, 0)
+                probs = [both, p1 - both, p2 - both, 1 - p1 - p2 + both]
+                misses = 0
+                for _ in range(1000):
+                    kind = rng.choice(4, size=budget, p=probs)
+                    x1, x2 = kind <= 1, kind % 2 == 0
+                    res = smc._compare(q, cfg, [iter(x1.tolist()),
+                                                iter(x2.tolist())])
+                    misses += res.verdict == wrong
+                assert misses / 1000 <= cfg.alpha, (p1, p2, rho, misses)
 
 
 # --- 8: integrator accuracy ------------------------------------------------

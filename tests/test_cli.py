@@ -366,8 +366,10 @@ S: simulate 3 [<=50] {n, p};
 """
 
 
-def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
-                                       task_text):
+def counted_check(runner, tmp_path, monkeypatch, task_text, queries_text):
+    """A check of ``queries_text`` on the task model at seed 3 and one
+    worker: the rows by name, and (net, bound, seed, run index) of every
+    run simulated, in order."""
     runs = []
     real_run = smc.run
 
@@ -376,9 +378,9 @@ def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
         return real_run(net, bound, rng, *args, **kwargs)
 
     monkeypatch.setattr(smc, "run", counting_run)
-    model, queries = tmp_path / "task.sta", tmp_path / "one_bound.q"
+    model, queries = tmp_path / "task.sta", tmp_path / "counted.q"
     model.write_text(task_text)
-    queries.write_text(ONE_BOUND)
+    queries.write_text(queries_text)
     out = tmp_path / "o"
     res = runner.invoke(main, ["check", str(model), str(queries), "--seed",
                                "3", "--epsilon", "0.1", "--indifference",
@@ -387,12 +389,35 @@ def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
     assert len(runs) == len(set(runs))  # no run simulated twice
     rows = {r["name"]: r for r in
             json.loads((out / "results.json").read_text())["results"]}
-    # two streams: the seed's, which every query reads, and compare's own
-    first = [r for r in runs if r[2] == 3]
-    second = [r for r in runs if r[2] != 3]
-    assert len({r[:3] for r in first}) == len({r[:3] for r in second}) == 1
-    assert len(first) == max(r["runs"] for r in rows.values()) == 185
-    assert len(second) == rows["C"]["runs"]
+    return rows, runs
+
+
+def test_check_simulates_each_run_once(runner, tmp_path, monkeypatch,
+                                       task_text):
+    rows, runs = counted_check(runner, tmp_path, monkeypatch, task_text,
+                               ONE_BOUND)
+    # one stream, the seed's, which every query reads, compare's two
+    # formulas included: C's pairs are its first runs
+    [(_, bound, seed)] = {r[:3] for r in runs}
+    assert (bound, seed) == (50, 3)
+    assert [r[3] for r in runs] == list(range(185))
+    assert max(r["runs"] for r in rows.values()) == 185
+    assert rows["C"]["runs"] <= 185
+
+
+def test_compare_pairs_runs_of_one_seed(runner, tmp_path, monkeypatch,
+                                        task_text):
+    """Bounds that differ: pair i is the runs to 50 and to 30 from
+    ``RngStream(3, i)``."""
+    rows, runs = counted_check(
+        runner, tmp_path, monkeypatch, task_text,
+        "C: Pr[<=50](<> n >= 5) >= Pr[<=30](<> n >= 4);\n")
+    n = rows["C"]["runs"]
+    assert 0 < n < 100  # the SPRT decides before the budget
+    assert {r[2] for r in runs} == {3}
+    for bound in (50, 30):
+        assert [r[3] for r in runs if r[1] == bound] == list(range(n))
+    assert len(runs) == 2 * n
 
 
 def test_sequential_tests_are_evaluated_first(runner, small, tmp_path,

@@ -266,7 +266,8 @@ def test_library_calls_match_inline_at_two_workers(pools, task_text):
         inline = call(StatConfig(seed=7, delta_indiff=0.05, workers=1))
         pooled = call(StatConfig(seed=7, delta_indiff=0.05, workers=2))
         assert without_wall(pooled) == without_wall(inline)
-    # one pool per call, shared by compare's two streams, and closed
+    # one pool per call, in which compare's two formulas share one stream,
+    # and closed
     assert len(pools) == len(calls)
     assert all(pool.shut_down for pool in pools)
     assert all(pool.chunks for pool in pools)
