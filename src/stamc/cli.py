@@ -20,8 +20,7 @@ from .engine import EngineError, RunConfig, check_bound
 from .expr import ExprError
 from .model import validate_model
 from .parser import ParseError
-from .queries import (ConstraintQuery, Expected, Hypothesis, ObserverDecl,
-                      Simulate)
+from .queries import Expected, ObserverDecl, Simulate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -43,10 +42,10 @@ class RunManifest:
     indifference: float
     max_runs: int
     workers: int
-    bound_override: Optional[float] = None
-    sample_step: Optional[float] = None
-    h_max: float = 0.05
-    out: str = "."
+    bound_override: Optional[float]
+    sample_step: Optional[float]
+    h_max: float
+    out: str
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -81,22 +80,29 @@ def _stat_config(manifest: RunManifest) -> smc.StatConfig:
 
 
 def _stat_options(fn):
+    stat, run = smc.StatConfig, RunConfig  # the defaults
     for opt in reversed([
-        click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--alpha", type=float, default=0.05, show_default=True,
+        click.option("--seed", type=int, default=stat.seed,
+                     show_default=True),
+        click.option("--alpha", type=float, default=stat.alpha,
+                     show_default=True,
                      help="Significance level for intervals and tests."),
-        click.option("--epsilon", type=float, default=0.05, show_default=True,
+        click.option("--epsilon", type=float, default=stat.epsilon,
+                     show_default=True,
                      help="Half-width of estimation intervals."),
-        click.option("--indifference", type=float, default=0.01,
+        click.option("--indifference", type=float, default=stat.delta_indiff,
                      show_default=True,
                      help="Half-width of the test indifference region."),
-        click.option("--max-runs", type=int, default=10**6, show_default=True),
+        click.option("--max-runs", type=int, default=stat.max_runs,
+                     show_default=True),
         click.option("--bound-override", type=float, default=None,
                      help="Replace every query's time bound."),
         click.option("--sample-step", type=float, default=None,
                      help="Regular sampling grid for trajectory output."),
-        click.option("--workers", type=int, default=1, show_default=True),
-        click.option("--h-max", type=float, default=0.05, show_default=True,
+        click.option("--workers", type=int, default=stat.workers,
+                     show_default=True),
+        click.option("--h-max", type=float, default=run.h_max,
+                     show_default=True,
                      help="RK4 step ceiling, for clock rates that one "
                      "midpoint step cannot integrate exactly."),
         click.option("--out", type=click.Path(), default=".",
@@ -194,20 +200,8 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
             query = dataclasses.replace(query,
                                         sample_step=manifest.sample_step)
         queries.append((nq, query))
-    # one pool for every query: workers live, and compile each model once,
-    # for the whole call; the queries registered up front, each checked as
-    # it registers, share each run.
-    # A job judges every run simulated while it is live, so the sequential
-    # tests, which stop early, go first; the outputs keep file order.
-    results = [None] * len(queries)
-    with smc.RunPool(manifest.workers) as pool:
-        for nq, query in queries:
-            pool.register(model, query, cfg, run_config, nq.name)
-        for i in sorted(range(len(queries)), key=lambda i: not isinstance(
-                queries[i][1], (Hypothesis, ConstraintQuery))):
-            nq, query = queries[i]
-            results[i] = smc.evaluate_query(model, query, cfg, run_config,
-                                            name=nq.name, pool=pool)
+    results = smc.check(model, [(nq.name, query) for nq, query in queries],
+                        cfg, run_config)
     rows = [_outputs(nq, query, result, manifest, index)
             for index, ((nq, query), result)
             in enumerate(zip(queries, results))]

@@ -1,10 +1,11 @@
 """Statistical query evaluation over Monte Carlo engine runs.
 
-``evaluate_query`` is the one entry. It looks the query's dataclass up
-in the form table ``_FORMS``, whose rules answer the five query forms
-(probability estimation, hypothesis testing, probability comparison,
-expected extrema, multi-trajectory simulation) and the dual-route check
-of weakly-hard timing constraints, each with one ``SmcResult``.
+``check`` is the one entry: it evaluates a list of queries on one model,
+and ``evaluate_query`` is a check of one query. Each query's dataclass is
+looked up in the form table ``_FORMS``, whose rules answer the five query
+forms (probability estimation, hypothesis testing, probability comparison,
+expected extrema, multi-trajectory simulation) and the dual-route check of
+weakly-hard timing constraints, each with one ``SmcResult``.
 
 Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
@@ -26,44 +27,43 @@ expressions, and a constraint reads the observer's final location and
 the events' channels.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
-run watches changes nothing in it. So the jobs of one (model, bound, seed,
-run config) share one run stream: each run is simulated once, every live job
-judges it, and only the outcomes are cached. A rule reads the cache first
-and has the stream simulate more runs only past its end. Once a job's rule
-has decided, the job is retired: runs simulated later, and the chunks sent
-to workers, carry the mask of the live jobs and skip its judge. ``check``
-registers every query with its pool before the first run, so its queries
-share, ``compare``'s two formulas among them; a constraint's observed model
-is a network of its own, and its stream serves that query alone; a library
-call is a one-query group. Registering a query checks every name it reads,
-against the query scope of the model's compiled network, which the pool
-builds once per model, and every channel its constraint listens on, so a bad
-query fails before any run. A query's ``wall_ms`` covers its judging and
-statistics and the runs it was first to need.
+run watches changes nothing in it. So the jobs of one check that read runs
+to one bound of one model share one run stream: each run is simulated once,
+every live job judges it, and only the outcomes are cached. A rule reads the
+cache first and has the stream simulate more runs only past its end. Once a
+job's rule has decided, the job is retired: runs simulated later, and the
+chunks sent to workers, carry the mask of the live jobs and skip its judge.
+``check`` registers every query with its pool before the first run, so its
+queries share, ``compare``'s two formulas among them; a constraint's
+observed model is a network of its own, and its stream serves that query
+alone. Registering a query checks every name it reads, against the query
+scope of the model's compiled network, which the pool builds once per
+model, and every channel its constraint listens on, so a bad query fails
+before any run. A query's ``wall_ms`` covers its judging and statistics and
+the runs it was first to need.
 
-Concurrency: one ``RunPool`` serves a whole ``check`` or ``simulate``
-call, and a library call without one opens one for that call. At one
-worker the runs execute in this process. Otherwise they go to one process
-pool in chunks of 4 run indices, with at most 2 chunks per worker and
-stream in flight, and every process compiles each distinct model once.
-A stream yields outcomes strictly in run-index order, so verdicts and
-estimates do not depend on the worker count. When a rule decides, the
-chunks its reads sent ahead stay queued or running while another job of
-the stream has yet to finish reading, and are read by that job; once no
-job is left, they are cancelled and the outcomes of running ones
-dropped. So no run is simulated twice, and the chunks sent depend on
-what the rules read, never on timing.
+Concurrency: one ``RunPool`` serves a whole check. At one worker the runs
+execute in this process. Otherwise they go to one process pool, started at
+the first chunk with the model and runs of every stream of the check, so a
+chunk is just run indices, a stream index and the mask of the live jobs. A
+chunk holds 4 run indices, at most 2 chunks per worker and stream are in
+flight, and every worker compiles each distinct model once. A stream
+yields outcomes strictly in run-index order, so verdicts and estimates do
+not depend on the worker count. When a rule decides, the chunks its reads
+sent ahead stay queued or running while another job of the stream has yet
+to finish reading, and are read by that job; once no job is left, they are
+cancelled and the outcomes of running ones dropped. So no run is simulated
+twice, and the chunks sent depend on what the rules read, never on timing.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
-from dataclasses import astuple, dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import expr as E
@@ -94,7 +94,7 @@ class StatConfig:
             raise QueryError("need 0 < alpha < 1")
         if not 0 < self.epsilon < 0.5:
             raise QueryError("need 0 < epsilon < 0.5")
-        if self.delta_indiff <= 0:
+        if not (math.isfinite(self.delta_indiff) and self.delta_indiff > 0):
             raise QueryError("need delta_indiff > 0")
         if self.max_runs < 1:
             raise QueryError("need max_runs >= 1")
@@ -110,7 +110,7 @@ class SmcResult:
     runs: int
     histogram: Optional[tuple] = None  # (bin edges, counts)
     details: dict = field(default_factory=dict)
-    # set by evaluate_query
+    # set by check
     name: Optional[str] = None
     wall_ms: float = 0.0
     seed: int = 0
@@ -340,37 +340,38 @@ def _run_one(runs: _Runs, net: CompiledNetwork, index: int,
     return tuple(out)
 
 
-# In a worker process: stream key -> (its runs, compiled network), and model
-# key -> compiled network. A worker serves one pool, so the keys of one check.
-_W_STREAMS = {}
-_W_NETS = {}
+# In a worker process: (runs, compiled network) of each stream of the pool's
+# check, by stream index.
+_W_RUNS = ()
 
 
-def _worker_chunk(indices, stream_key, model_key, blob, live):
-    """Runs ``indices`` of a stream in a worker, judged by the ``live``
-    jobs. The stream's model and runs arrive pickled with every chunk and
-    are unpickled, and the model compiled, once."""
-    entry = _W_STREAMS.get(stream_key)
-    if entry is None:
-        model, runs = pickle.loads(blob)
-        net = _W_NETS.get(model_key)
-        if net is None:
-            net = _W_NETS[model_key] = CompiledNetwork(instantiate(model))
-        entry = _W_STREAMS[stream_key] = (runs, net)
-    runs, net = entry
+def _worker_start(streams):
+    """Starts a worker with ``streams``, the (model, runs) of every stream of
+    the check by stream index; each distinct model is compiled once."""
+    global _W_RUNS
+    nets = {}
+    for model, _ in streams:
+        if id(model) not in nets:
+            nets[id(model)] = CompiledNetwork(instantiate(model))
+    _W_RUNS = tuple((runs, nets[id(model)]) for model, runs in streams)
+
+
+def _worker_chunk(indices, stream, live):
+    """Runs ``indices`` of the stream at index ``stream`` in a worker, judged
+    by the ``live`` jobs."""
+    runs, net = _W_RUNS[stream]
     return [_run_one(runs, net, i, live) for i in indices]
 
 
 class _Stream:
-    """The runs of one (model, bound, seed, run config): each run is
-    simulated once and judged by every live job of the stream, and its
-    outcomes are cached, one tuple per run. Jobs join until the first run
-    is cached or submitted; a job is live until it has finished reading."""
+    """The runs to one bound of one model of a check: each run is simulated
+    once and judged by every live job of the stream, and its outcomes are
+    cached, one tuple per run. Every job joins before the check's first
+    run; a job is live until it has finished reading."""
 
-    def __init__(self, model_key: int, model: Model, runs: _Runs):
-        self.model_key, self.model, self.runs = model_key, model, runs
+    def __init__(self, index: int, model: Model, runs: _Runs):
+        self.index, self.model, self.runs = index, model, runs
         self.finished = set()  # places of the jobs done reading
-        self.ticket = None  # (stream key, model key, pickled model and runs)
         self.cache = []  # outcome tuples of runs 0 .. len - 1
         self.pending = deque()  # futures of the chunks past it, in order
         self.submitted = 0  # runs cached or pending, at more than one worker
@@ -381,35 +382,34 @@ class _Stream:
 
 
 class RunPool:
-    """Where the runs of one check execute; all its queries share it.
+    """Where the runs of one check execute, at ``cfg``'s seed and workers
+    and under ``run_config``.
 
-    The queries' jobs share one run stream per (model, bound, seed, run
-    config): each run is simulated once, judged by every live job of its
-    stream, and only the outcomes are cached. A job joins a stream
-    until the stream's first run, so ``check`` registers every query first.
+    ``register`` joins a query's jobs to the streams of the check, one per
+    (model, bound): each run is simulated once, judged by every live job of
+    its stream, and only the outcomes are cached. ``check`` registers every
+    query before the first run.
 
     At one worker the runs execute in this process. Otherwise they go to
-    one process pool, in chunks of ``CHUNK`` run indices, at most
-    ``AHEAD`` chunks per worker and stream in flight. Every process
-    compiles each distinct model once: this one the models it runs and
-    the models whose queries it checks, a worker the models it runs.
+    one process pool, started at the first chunk with every stream of the
+    check, in chunks of ``CHUNK`` run indices, at most ``AHEAD`` chunks per
+    worker and stream in flight; a chunk names its stream by index. Every
+    process compiles each distinct model once: this one the models it runs
+    and the models whose queries it checks, a worker every model of the
+    check.
     """
 
     CHUNK = 4
     AHEAD = 2
 
-    def __init__(self, workers: int = 1):
-        self.workers = max(1, workers)
-        self._models = {}  # id(model) -> (model key, model)
+    def __init__(self, cfg: StatConfig, run_config=None):
+        self.cfg = cfg
+        self.run_config = run_config or RunConfig()
         self._nets = {}  # id(model) -> (model, its compiled network)
-        self._streams = {}  # stream key -> the stream jobs join
-        self._registered = {}  # id(query) -> (query, its lanes)
-        self._sent = 0  # streams sent to workers
+        # (id(model), bound) -> its stream, which holds the model, so the
+        # id is not reused meanwhile
+        self._streams = {}
         self._executor = None
-        if self.workers > 1:
-            # the platform's default start method (fork on Linux): workers
-            # inherit the loaded modules and start at once
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
 
     def __enter__(self):
         return self
@@ -423,19 +423,15 @@ class RunPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def register(self, model, query, cfg: StatConfig, run_config=None,
-                 name=None):
-        """Joins ``query``'s jobs to their streams ahead of its evaluation
-        by ``evaluate_query`` with the same arguments. Building the jobs
-        checks the query: every name it reads and every channel its
-        constraint listens on, so a bad query fails here, before any run."""
+    def register(self, model: Model, query, name=None) -> list:
+        """Joins ``query``'s jobs to their streams: the (stream, place) of
+        each. Building the jobs checks the query: every name it reads and
+        every channel its constraint listens on, so a bad query fails here,
+        before any run."""
         jobs, _ = _form(query)
-        run_config = run_config or RunConfig()
-        model = _coerce_network(model)
         scope = self._net(model).query_resolver
-        lanes = [self._join(job, cfg.seed, run_config) for job in
-                 jobs(model, scope, query, cfg, name)]
-        self._registered[id(query)] = (query, lanes)
+        return [self._join(job) for job in
+                jobs(model, scope, query, self.cfg, name)]
 
     def _net(self, model: Model) -> CompiledNetwork:
         """The compiled network of ``model``, built once per pool."""
@@ -446,22 +442,13 @@ class RunPool:
                 model, CompiledNetwork(instantiate(model)))
         return entry[1]
 
-    def _lanes(self, model, query, cfg, run_config, name) -> list:
-        """(stream, place) of each of ``query``'s jobs, registered now if
-        they were not before."""
-        if id(query) not in self._registered:
-            self.register(model, query, cfg, run_config, name)
-        return self._registered.pop(id(query))[1]
-
-    def _join(self, job: _Job, seed: int, run_config: RunConfig) -> tuple:
-        # the entry holds the model, so its id is not reused meanwhile
-        mkey = self._models.setdefault(id(job.model),
-                                       (len(self._models), job.model))[0]
-        key = (mkey, job.bound, seed, astuple(run_config))
+    def _join(self, job: _Job) -> tuple:
+        key = (id(job.model), job.bound)
         stream = self._streams.get(key)
-        if stream is None or stream.cache or stream.submitted:
+        if stream is None:
             stream = self._streams[key] = _Stream(
-                mkey, job.model, _Runs(job.bound, seed, run_config, []))
+                len(self._streams), job.model,
+                _Runs(job.bound, self.cfg.seed, self.run_config, []))
         stream.runs.jobs.append((job.judge, job.n_runs))
         return stream, len(stream.runs.jobs) - 1
 
@@ -491,21 +478,24 @@ class RunPool:
 
     def _extend(self, stream: _Stream, total: int):
         """Caches the outcomes of at least the stream's next run."""
-        if self._executor is None:
+        if self.cfg.workers == 1:
             stream.cache.append(_run_one(stream.runs, self._net(stream.model),
                                          len(stream.cache), stream.live()))
             return
-        if stream.ticket is None:
-            self._sent += 1
-            stream.ticket = (self._sent, stream.model_key,
-                             pickle.dumps((stream.model, stream.runs)))
+        if self._executor is None:
+            # the platform's default start method (fork on Linux): workers
+            # inherit the loaded modules and start at once
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.cfg.workers, initializer=_worker_start,
+                initargs=(tuple((s.model, s.runs)
+                                for s in self._streams.values()),))
         live = stream.live()
-        while (len(stream.pending) < self.AHEAD * self.workers
+        while (len(stream.pending) < self.AHEAD * self.cfg.workers
                and stream.submitted < total):
             chunk = list(range(stream.submitted,
                                min(stream.submitted + self.CHUNK, total)))
             stream.pending.append(self._executor.submit(
-                _worker_chunk, chunk, *stream.ticket, live))
+                _worker_chunk, chunk, stream.index, live))
             stream.submitted = chunk[-1] + 1
         stream.cache.extend(stream.pending.popleft().result())
 
@@ -578,7 +568,7 @@ def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
 # Two functions per query dataclass: its jobs, (model, query, cfg, name)
 # -> [_Job], which check the query and the names it reads before any run, and
 # its rule, (query, cfg, streams) -> SmcResult, which reads one outcome
-# stream per job, with name, seed and wall_ms left to ``evaluate_query``.
+# stream per job, with name, seed and wall_ms left to ``check``.
 
 
 def _estimate_runs(cfg: StatConfig) -> int:
@@ -745,21 +735,33 @@ def _form(query) -> tuple:
     return form
 
 
-def evaluate_query(network, query, cfg: StatConfig, run_config=None,
-                   name=None, pool: Optional[RunPool] = None) -> SmcResult:
-    """Evaluate one query by its form's rule. Its runs come from ``pool``
-    when given (``check`` passes the one pool of the whole check, with
-    every query registered), else from a pool of ``cfg.workers`` opened
-    for this call."""
-    _, rule = _form(query)
+def check(network, queries, cfg: StatConfig, run_config=None) -> list:
+    """Evaluates ``queries``, ((name, query), ...), each by its form's rule,
+    with the runs of one pool: every query is registered, and so checked,
+    before the first run. The results are in the order given."""
     model = _coerce_network(network)
-    t0 = time.perf_counter()
-    with RunPool(cfg.workers) if pool is None else nullcontext(pool) as p:
-        lanes = p._lanes(model, query, cfg, run_config, name)
-        with _streams(p, lanes) as streams:
-            result = rule(query, cfg, streams)
-    result.wall_ms = (time.perf_counter() - t0) * 1e3
-    result.name, result.seed = name, cfg.seed
+    results = [None] * len(queries)
+    with RunPool(cfg, run_config) as pool:
+        lanes = [pool.register(model, query, name) for name, query in queries]
+        # A job judges every run simulated while it is live, so the
+        # sequential tests, which stop early, go first.
+        for i in sorted(range(len(queries)), key=lambda i: not isinstance(
+                queries[i][1], (Hypothesis, ConstraintQuery))):
+            name, query = queries[i]
+            _, rule = _form(query)
+            t0 = time.perf_counter()
+            with _streams(pool, lanes[i]) as streams:
+                result = rule(query, cfg, streams)
+            result.wall_ms = (time.perf_counter() - t0) * 1e3
+            result.name, result.seed = name, cfg.seed
+            results[i] = result
+    return results
+
+
+def evaluate_query(network, query, cfg: StatConfig, run_config=None,
+                   name=None) -> SmcResult:
+    """Evaluate one query: a check of that query alone."""
+    [result] = check(network, ((name, query),), cfg, run_config)
     return result
 
 

@@ -79,20 +79,22 @@ def unresolvable(request):
 @pytest.fixture
 def pools(monkeypatch):
     """Every process pool smc creates while the test runs, each with the
-    run-index chunks submitted to it, their futures and whether it was
-    shut down."""
+    run-index chunks submitted to it, every submit's arguments, their
+    futures and whether it was shut down."""
     created = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.chunks = []
+            self.args = []
             self.futures = []
             self.shut_down = False
             created.append(self)
 
         def submit(self, fn, /, *args, **kwargs):
             self.chunks.append(list(args[0]))
+            self.args.append(args)
             future = super().submit(fn, *args, **kwargs)
             self.futures.append(future)
             return future

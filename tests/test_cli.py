@@ -225,8 +225,14 @@ system T;
     (("--h-max", "nan"), "need h_max > 0"),
     (("--workers", "0"), "need workers >= 1"),
     (("--max-runs", "0"), "need max_runs >= 1"),
-], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0", "max-runs-0"])
-def test_check_rejects_bad_run_options(runner, tmp_path, option, message):
+    (("--indifference", "nan"), "need delta_indiff > 0"),
+    (("--indifference", "inf"), "need delta_indiff > 0"),
+], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0", "max-runs-0",
+        "indifference-nan", "indifference-inf"])
+def test_check_rejects_bad_run_options(runner, tmp_path, monkeypatch, option,
+                                       message):
+    runs = []
+    monkeypatch.setattr(smc, "run", lambda *args, **kwargs: runs.append(args))
     m = tmp_path / "stepped.sta"
     m.write_text(STEPPED)
     q = tmp_path / "suite.q"
@@ -235,6 +241,7 @@ def test_check_rejects_bad_run_options(runner, tmp_path, option, message):
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 3
     assert res.output == f"error: {message}\n"
+    assert runs == []
 
 
 def test_check_bound_override(runner, small, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import pathlib
 from concurrent.futures import wait
+from multiprocessing import get_context
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,9 @@ def test_stat_config_validation():
     for max_runs in (0, -1):
         with pytest.raises(smc.QueryError, match=r"need max_runs >= 1"):
             StatConfig(max_runs=max_runs)
+    for delta in (0, -0.01, math.nan, math.inf):
+        with pytest.raises(smc.QueryError, match=r"need delta_indiff > 0"):
+            StatConfig(delta_indiff=delta)
 
 
 def without_wall(result):
@@ -291,25 +295,31 @@ def test_decided_test_leaves_no_chunk_queued(pools, monkeypatch):
     # decides
     monkeypatch.setattr(smc.RunPool, "AHEAD", 8)
     cfg = StatConfig(seed=7, delta_indiff=0.02, epsilon=0.2, workers=2)
-    with smc.RunPool(2) as pool:
-        evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1) >= 0.25"),
-                       cfg, pool=pool)
+    jobs, rule = smc._FORMS[Estimate]
+
+    def after_the_test(q, cfg, streams):
+        # the test, evaluated first, has decided: each of its chunks is
+        # done, cancelled or already with a worker, and none is left queued
+        # to run ahead of the estimate's chunks
         [executor] = pools
         futures = list(executor.futures)
-        # each chunk is done, cancelled or already with a worker: none is
-        # left queued to run ahead of the next query's chunks
+        assert futures
         assert all(fut.done() or fut.running() for fut in futures)
         done, not_done = wait(futures, timeout=60)
         assert not not_done
-        second = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"),
-                                cfg, pool=pool)
-    inline = evaluate_query(coin_model(), query("Pr[<=5](<> heads == 1)"),
-                            replace(cfg, workers=1))
-    assert without_wall(second) == without_wall(inline)
+        return rule(q, cfg, streams)
+
+    monkeypatch.setitem(smc._FORMS, Estimate, (jobs, after_the_test))
+    # the estimate reads runs to another bound: a stream of its own
+    queries = [(None, query("Pr[<=6](<> heads == 1)")),
+               (None, query("Pr[<=5](<> heads == 1) >= 0.25"))]
+    pooled = smc.check(coin_model(), queries, cfg)
+    inline = smc.check(coin_model(), queries, replace(cfg, workers=1))
+    assert [without_wall(r) for r in pooled] == \
+        [without_wall(r) for r in inline]
 
 
-def test_registered_queries_share_runs_and_late_ones_start_afresh(
-        monkeypatch):
+def test_a_check_shares_each_run_among_its_queries(monkeypatch):
     coin = coin_model()
     cfg = StatConfig(seed=7, delta_indiff=0.05, epsilon=0.2)
     texts = ["Pr[<=5](<> heads == 1) >= 0.25", "Pr[<=5](<> heads == 1)",
@@ -324,16 +334,10 @@ def test_registered_queries_share_runs_and_late_ones_start_afresh(
         return real_run(net, bound, rng, *args, **kwargs)
 
     monkeypatch.setattr(smc, "run", counting_run)
-    with smc.RunPool(1) as pool:
-        shared = [query(t) for t in texts]
-        for q in shared[:2]:
-            pool.register(coin, q, cfg)
-        # the third joins after the stream's first run: a stream of its own
-        results = [without_wall(evaluate_query(coin, q, cfg, pool=pool))
-                   for q in shared]
+    results = [without_wall(r) for r in
+               smc.check(coin, [(None, query(t)) for t in texts], cfg)]
     assert results == alone
-    first = max(r.runs for r in results[:2])
-    assert runs == list(range(first)) + list(range(30))
+    assert runs == list(range(max(r.runs for r in results)))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -342,16 +346,11 @@ def test_kept_chunks_simulate_no_run_twice(pools, workers):
     # the chunks the test's reads had sent ahead
     coin = coin_model()
     cfg = StatConfig(seed=7, delta_indiff=0.1, epsilon=0.2, workers=workers)
-    texts = ["Pr[<=5](<> heads == 1) >= 0.25", "Pr[<=5](<> heads == 1)"]
-    inline = [without_wall(evaluate_query(coin, query(t),
-                                          replace(cfg, workers=1)))
-              for t in texts]
-    with smc.RunPool(workers) as pool:
-        shared = [query(t) for t in texts]
-        for q in shared:
-            pool.register(coin, q, cfg)
-        results = [without_wall(evaluate_query(coin, q, cfg, pool=pool))
-                   for q in shared]
+    queries = [(None, query("Pr[<=5](<> heads == 1) >= 0.25")),
+               (None, query("Pr[<=5](<> heads == 1)"))]
+    inline = [without_wall(r) for r in
+              smc.check(coin, queries, replace(cfg, workers=1))]
+    results = [without_wall(r) for r in smc.check(coin, queries, cfg)]
     assert results == inline
     assert results[0].runs < results[1].runs
     [executor] = pools
@@ -370,52 +369,88 @@ def test_kept_chunks_simulate_no_run_twice(pools, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_bad_query_fails_when_it_registers(pools, monkeypatch, text,
                                             workers):
-    """Before any run, in this process or in a worker."""
+    """Before any run of the check, in this process or in a worker, and
+    before a worker starts."""
     model = parse_model((MODELS / "av.sta").read_text())
     runs = []
     monkeypatch.setattr(smc, "run", lambda *args, **kwargs: runs.append(args))
     with pytest.raises(ExprError, match="name 'wvx' undeclared"):
-        evaluate_query(model, query(text), StatConfig(workers=workers))
+        smc.check(model, [(None, query("Pr[<=10](<> wvl > 0) >= 0.5")),
+                          (None, query(text))], StatConfig(workers=workers))
     assert runs == []
-    assert all(pool.chunks == [] for pool in pools)
-    assert len(pools) == (workers > 1)
+    assert pools == []
 
 
 def test_a_model_is_instantiated_once_to_check_the_names_of_its_queries(
         monkeypatch):
     """Both formulas of a compare, and every later query of the same
-    model, read one query scope."""
+    model, read one query scope, and the check's runs run on it."""
     model = parse_model((MODELS / "av.sta").read_text())
     built = []
     monkeypatch.setattr(smc, "instantiate",
                         lambda m: built.append(m) or instantiate(m))
-    cfg = StatConfig()
-    with smc.RunPool(1) as pool:
-        pool.register(model, query(
-            "Pr[<=10](<> wvl > 0) >= Pr[<=10](<> wvr > 0)"), cfg)
-        assert built == [model]
-        pool.register(model, query("E[<=10; 5](max: wvl)"), cfg)
-        other = parse_model((MODELS / "av.sta").read_text())
-        pool.register(other, query("Pr[<=10](<> wvl > 0)"), cfg)
-    assert built == [model, other]
+    smc.check(model, [
+        (None, query("Pr[<=10](<> wvl > 0) >= Pr[<=10](<> wvr > 0)")),
+        (None, query("E[<=10; 5](max: wvl)")),
+        (None, query("Pr[<=5](<> wvl > 0)"))], StatConfig(epsilon=0.3))
+    assert built == [model]
 
 
-def test_retired_job_judges_no_later_run():
+def test_retired_job_judges_no_later_run(monkeypatch):
     coin = coin_model()
     cfg = StatConfig(seed=7, delta_indiff=0.1, epsilon=0.2)
-    test, estimate = (query("Pr[<=5](<> heads == 1) >= 0.25"),
-                      query("Pr[<=5]([] done == 0)"))
-    with smc.RunPool(1) as pool:
-        pool.register(coin, test, cfg)
-        pool.register(coin, estimate, cfg)
-        decided = evaluate_query(coin, test, cfg, pool=pool).runs
-        read = evaluate_query(coin, estimate, cfg, pool=pool).runs
-        [stream] = pool._streams.values()
+    streams = []
+
+    class Recorded(smc._Stream):
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
+    monkeypatch.setattr(smc, "_Stream", Recorded)
+    decided, read = (r.runs for r in smc.check(coin, [
+        (None, query("Pr[<=5](<> heads == 1) >= 0.25")),
+        (None, query("Pr[<=5]([] done == 0)"))], cfg))
+    [stream] = streams
     assert decided < read == len(stream.cache)
     # the test's judge saw only the runs it read, the estimate's all
     assert all(out[0] is not None for out in stream.cache[:decided])
     assert all(out[0] is None for out in stream.cache[decided:])
     assert all(out[1] is not None for out in stream.cache)
+
+
+def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
+    """Under forkserver, a worker gets the check's streams by pickling, at
+    its start; a chunk carries no model."""
+    checks = [
+        (coin_model(), ["Pr[<=5](<> heads == 1) >= 0.25",
+                        "E[<=5; 10](max: heads)",
+                        "Pr[<=5](<> heads == 1) >= Pr[<=3](<> done == 1)"]),
+        # the constraint's observed network and the plain one: two models
+        (parse_model(task_text), [
+            "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
+            "on start=start, stop=stop;", "E[<=50; 10](max: n)"]),
+    ]
+    cfg = StatConfig(seed=7, delta_indiff=0.05, epsilon=0.2)
+    inline = [smc.check(model, [(None, query(t)) for t in texts], cfg)
+              for model, texts in checks]
+
+    class Forkserver(smc.ProcessPoolExecutor):  # the pools fixture's
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, mp_context=get_context("forkserver"),
+                             **kwargs)
+
+    monkeypatch.setattr(smc, "ProcessPoolExecutor", Forkserver)
+    pooled = [smc.check(model, [(None, query(t)) for t in texts],
+                        replace(cfg, workers=2)) for model, texts in checks]
+    assert [[without_wall(r) for r in rs] for rs in pooled] == \
+        [[without_wall(r) for r in rs] for rs in inline]
+    assert len(pools) == len(checks)
+    assert all(pool.shut_down for pool in pools)
+    for pool in pools:
+        assert pool._mp_context.get_start_method() == "forkserver"
+        assert pool.args
+        assert not any(isinstance(arg, bytes)
+                       for args in pool.args for arg in args)
 
 
 # --- the online monitors against the trace judges -------------------------
