@@ -56,8 +56,8 @@ location's kernels and its edges' are generated when the first step table
 (below) that holds the location is built, and a table's receive kernel for
 a channel when the table first tests or fires an emit on it.  Closures are
 cached by their source and kernels by their generators' arguments, so a
-second network of the same model, such as the one each ``E`` query or
-worker process compiles, evaluates and execs nothing.
+second network of the same model, such as the one each ``smc.check`` or a
+worker that unpickles a network compiles, evaluates and execs nothing.
 
 Each location configuration gets one step table, built the first time the
 network enters it; a step looks it up once, by ``L``.  It lists the
@@ -813,6 +813,11 @@ class CompiledNetwork:
                     if edge.guard is not None:
                         source.reads |= clock_refs(edge.guard)
             self.components.append(cc)
+
+    def __reduce__(self):
+        # closures and kernels do not pickle: a copy is compiled again from
+        # the network, once per pickle however often it is referenced
+        return (CompiledNetwork, (self.network,))
 
     def _slotted(self, resolve):
         """``resolve`` with each value key and component name replaced by

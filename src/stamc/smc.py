@@ -28,26 +28,28 @@ the events' channels.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one check that read runs
-to one bound of one model share one run stream: each run is simulated once,
-every live job judges it, and only the outcomes are cached. A rule reads the
-cache first and has the stream simulate more runs only past its end. Once a
-job's rule has decided, the job is retired: runs simulated later, and the
-chunks sent to workers, carry the mask of the live jobs and skip its judge.
-``check`` registers every query with its pool before the first run, so its
-queries share, ``compare``'s two formulas among them; a constraint's
-observed model is a network of its own, and its stream serves that query
-alone. Registering a query checks every name it reads, against the query
-scope of the model's compiled network, which the pool builds once per
-model, and every channel its constraint listens on, so a bad query fails
-before any run. A query's ``wall_ms`` covers its judging and statistics and
-the runs it was first to need.
+to one bound of one network share one run stream: each run is simulated
+once, every live job judges it, and only the outcomes are cached. A rule
+reads the cache first and has the stream simulate more runs only past its
+end. Once a job's rule has decided, the job is retired: runs simulated
+later, and the chunks sent to workers, carry the mask of the live jobs and
+skip its judge. ``check`` compiles the model once and registers every query
+on that compiled network before the first run, so its queries share,
+``compare``'s two formulas among them; a constraint compiles its observed
+model, a network of its own, and its stream serves that query alone.
+Registering a query checks every name it reads, against the compiled
+network's query scope, and every channel its constraint listens on, so a
+bad query fails before any run. A query's ``wall_ms`` covers its judging and
+statistics and the runs it was first to need.
 
 Concurrency: one ``RunPool`` serves a whole check. At one worker the runs
 execute in this process. Otherwise they go to one process pool, started at
-the first chunk with the model and runs of every stream of the check, so a
-chunk is just run indices, a stream index and the mask of the live jobs. A
-chunk holds 4 run indices, at most 2 chunks per worker and stream are in
-flight, and every worker compiles each distinct model once. A stream
+the first chunk with the runs of every stream of the check, compiled
+network included, so a chunk is just run indices, a stream index and the
+mask of the live jobs. A chunk holds 4 run indices and at most 2 chunks per
+worker and stream are in flight. A forked worker (the default on Linux
+before Python 3.14) runs the networks it inherits and compiles nothing;
+any other compiles each network once, as the streams unpickle. A stream
 yields outcomes strictly in run-index order, so verdicts and estimates do
 not depend on the worker count. When a rule decides, the chunks its reads
 sent ahead stay queued or running while another job of the stream has yet
@@ -100,6 +102,8 @@ class StatConfig:
             raise QueryError("need max_runs >= 1")
         if self.workers < 1:
             raise QueryError("need workers >= 1")
+        if self.seed < 0:
+            raise QueryError("need seed >= 0")
 
 
 @dataclass
@@ -293,11 +297,11 @@ class _Monitor:
 @dataclass
 class _Job:
     """What one query reads of a stream's runs: the outcome of ``judge`` on
-    each of the first ``n_runs`` runs to ``bound`` of ``model``, at the
+    each of the first ``n_runs`` runs to ``bound`` of ``net``, at the
     check's seed. A traced judge's function is module-level, so that a
     stream's runs pickle."""
 
-    model: Model
+    net: CompiledNetwork
     bound: float
     n_runs: int  # the most runs the query's rule reads
     judge: object  # _Sampled | _Traced
@@ -305,21 +309,23 @@ class _Job:
 
 @dataclass
 class _Runs:
-    """The runs of one stream as they execute: run i goes to ``bound`` from
-    ``RngStream(seed, i)``, and each live job judges it if i is below its
-    ``n_runs``."""
+    """The runs of one stream as they execute: run i of ``net`` goes to
+    ``bound`` from ``RngStream(seed, i)``, and each live job judges it if i
+    is below its ``n_runs``. Pickling it pickles ``net`` as its source
+    network, which is compiled again on unpickling."""
 
+    net: CompiledNetwork
     bound: float
     seed: int
     run_config: RunConfig
     jobs: list  # (judge, n_runs) by place, fixed at the stream's first run
 
 
-def _run_one(runs: _Runs, net: CompiledNetwork, index: int,
-             live: tuple) -> tuple:
+def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
     """One run's outcome per job; None where a job is retired or reads no
     more runs. Sampled judges watch the run as it runs; the trace, with the
     traced judges' expressions, is judged once it ends, and dropped."""
+    net = runs.net
     out = [None] * len(runs.jobs)
     monitor = _Monitor(out)
     traced, watch = [], []
@@ -340,37 +346,35 @@ def _run_one(runs: _Runs, net: CompiledNetwork, index: int,
     return tuple(out)
 
 
-# In a worker process: (runs, compiled network) of each stream of the pool's
-# check, by stream index.
+# In a worker process: the runs of each stream of the pool's check, by
+# stream index.
 _W_RUNS = ()
 
 
 def _worker_start(streams):
-    """Starts a worker with ``streams``, the (model, runs) of every stream of
-    the check by stream index; each distinct model is compiled once."""
+    """Starts a worker with ``streams``, the runs of every stream of the
+    check by stream index. A forked worker holds the check's compiled
+    networks already; any other gets each network compiled once, as the
+    streams unpickle."""
     global _W_RUNS
-    nets = {}
-    for model, _ in streams:
-        if id(model) not in nets:
-            nets[id(model)] = CompiledNetwork(instantiate(model))
-    _W_RUNS = tuple((runs, nets[id(model)]) for model, runs in streams)
+    _W_RUNS = streams
 
 
 def _worker_chunk(indices, stream, live):
     """Runs ``indices`` of the stream at index ``stream`` in a worker, judged
     by the ``live`` jobs."""
-    runs, net = _W_RUNS[stream]
-    return [_run_one(runs, net, i, live) for i in indices]
+    runs = _W_RUNS[stream]
+    return [_run_one(runs, i, live) for i in indices]
 
 
 class _Stream:
-    """The runs to one bound of one model of a check: each run is simulated
-    once and judged by every live job of the stream, and its outcomes are
-    cached, one tuple per run. Every job joins before the check's first
-    run; a job is live until it has finished reading."""
+    """The runs to one bound of one network of a check: each run is
+    simulated once and judged by every live job of the stream, and its
+    outcomes are cached, one tuple per run. Every job joins before the
+    check's first run; a job is live until it has finished reading."""
 
-    def __init__(self, index: int, model: Model, runs: _Runs):
-        self.index, self.model, self.runs = index, model, runs
+    def __init__(self, index: int, runs: _Runs):
+        self.index, self.runs = index, runs
         self.finished = set()  # places of the jobs done reading
         self.cache = []  # outcome tuples of runs 0 .. len - 1
         self.pending = deque()  # futures of the chunks past it, in order
@@ -386,17 +390,14 @@ class RunPool:
     and under ``run_config``.
 
     ``register`` joins a query's jobs to the streams of the check, one per
-    (model, bound): each run is simulated once, judged by every live job of
-    its stream, and only the outcomes are cached. ``check`` registers every
-    query before the first run.
+    (compiled network, bound): each run is simulated once, judged by every
+    live job of its stream, and only the outcomes are cached. ``check``
+    registers every query before the first run.
 
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, started at the first chunk with every stream of the
     check, in chunks of ``CHUNK`` run indices, at most ``AHEAD`` chunks per
-    worker and stream in flight; a chunk names its stream by index. Every
-    process compiles each distinct model once: this one the models it runs
-    and the models whose queries it checks, a worker every model of the
-    check.
+    worker and stream in flight; a chunk names its stream by index.
     """
 
     CHUNK = 4
@@ -405,9 +406,8 @@ class RunPool:
     def __init__(self, cfg: StatConfig, run_config=None):
         self.cfg = cfg
         self.run_config = run_config or RunConfig()
-        self._nets = {}  # id(model) -> (model, its compiled network)
-        # (id(model), bound) -> its stream, which holds the model, so the
-        # id is not reused meanwhile
+        # (id(net), bound) -> its stream, which holds the net, so the id is
+        # not reused meanwhile
         self._streams = {}
         self._executor = None
 
@@ -423,32 +423,21 @@ class RunPool:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
 
-    def register(self, model: Model, query, name=None) -> list:
-        """Joins ``query``'s jobs to their streams: the (stream, place) of
-        each. Building the jobs checks the query: every name it reads and
-        every channel its constraint listens on, so a bad query fails here,
-        before any run."""
+    def register(self, net: CompiledNetwork, query, name=None) -> list:
+        """Joins ``query``'s jobs on ``net`` to their streams: the (stream,
+        place) of each. Building the jobs checks the query: every name it
+        reads and every channel its constraint listens on, so a bad query
+        fails here, before any run."""
         jobs, _ = _form(query)
-        scope = self._net(model).query_resolver
-        return [self._join(job) for job in
-                jobs(model, scope, query, self.cfg, name)]
-
-    def _net(self, model: Model) -> CompiledNetwork:
-        """The compiled network of ``model``, built once per pool."""
-        # the entry holds the model, so its id is not reused meanwhile
-        entry = self._nets.get(id(model))
-        if entry is None:
-            entry = self._nets[id(model)] = (
-                model, CompiledNetwork(instantiate(model)))
-        return entry[1]
+        return [self._join(job) for job in jobs(net, query, self.cfg, name)]
 
     def _join(self, job: _Job) -> tuple:
-        key = (id(job.model), job.bound)
+        key = (id(job.net), job.bound)
         stream = self._streams.get(key)
         if stream is None:
             stream = self._streams[key] = _Stream(
-                len(self._streams), job.model,
-                _Runs(job.bound, self.cfg.seed, self.run_config, []))
+                len(self._streams),
+                _Runs(job.net, job.bound, self.cfg.seed, self.run_config, []))
         stream.runs.jobs.append((job.judge, job.n_runs))
         return stream, len(stream.runs.jobs) - 1
 
@@ -479,16 +468,15 @@ class RunPool:
     def _extend(self, stream: _Stream, total: int):
         """Caches the outcomes of at least the stream's next run."""
         if self.cfg.workers == 1:
-            stream.cache.append(_run_one(stream.runs, self._net(stream.model),
-                                         len(stream.cache), stream.live()))
+            stream.cache.append(_run_one(stream.runs, len(stream.cache),
+                                         stream.live()))
             return
         if self._executor is None:
             # the platform's default start method (fork on Linux): workers
             # inherit the loaded modules and start at once
             self._executor = ProcessPoolExecutor(
                 max_workers=self.cfg.workers, initializer=_worker_start,
-                initargs=(tuple((s.model, s.runs)
-                                for s in self._streams.values()),))
+                initargs=(tuple(s.runs for s in self._streams.values()),))
         live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.cfg.workers
                and stream.submitted < total):
@@ -527,10 +515,10 @@ def _check_names(resolve, *exprs):
             resolve(name)
 
 
-def _formula_job(model: Model, scope, f: PathFormula, bound: float,
+def _formula_job(net: CompiledNetwork, f: PathFormula, bound: float,
                  n_runs: int) -> _Job:
-    _check_names(scope, f.state_expr)
-    return _Job(model, bound, n_runs,
+    _check_names(net.query_resolver, f.state_expr)
+    return _Job(net, bound, n_runs,
                 _Sampled(f.op, E.to_text(f.state_expr)))
 
 
@@ -565,19 +553,19 @@ def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
 
 # --- the form table --------------------------------------------------------
 #
-# Two functions per query dataclass: its jobs, (model, query, cfg, name)
-# -> [_Job], which check the query and the names it reads before any run, and
-# its rule, (query, cfg, streams) -> SmcResult, which reads one outcome
-# stream per job, with name, seed and wall_ms left to ``check``.
+# Two functions per query dataclass: its jobs, (net, query, cfg, name)
+# -> [_Job] on the check's compiled network, which check the query and the
+# names it reads before any run, and its rule, (query, cfg, streams) ->
+# SmcResult, which reads one outcome stream per job, with name, seed and
+# wall_ms left to ``check``.
 
 
 def _estimate_runs(cfg: StatConfig) -> int:
     return min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
 
 
-def _estimate_jobs(model, scope, q: Estimate, cfg, name) -> list:
-    return [_formula_job(model, scope, q.formula, q.bound,
-                         _estimate_runs(cfg))]
+def _estimate_jobs(net, q: Estimate, cfg, name) -> list:
+    return [_formula_job(net, q.formula, q.bound, _estimate_runs(cfg))]
 
 
 def _estimate(q: Estimate, cfg, streams) -> SmcResult:
@@ -589,10 +577,10 @@ def _estimate(q: Estimate, cfg, streams) -> SmcResult:
                      n, cfg, {"successes": successes})
 
 
-def _hypothesis_jobs(model, scope, q: Hypothesis, cfg, name) -> list:
+def _hypothesis_jobs(net, q: Hypothesis, cfg, name) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
-    return [_formula_job(model, scope, q.formula, q.bound, cfg.max_runs)]
+    return [_formula_job(net, q.formula, q.bound, cfg.max_runs)]
 
 
 def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
@@ -602,14 +590,14 @@ def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
                      {"p0": q.p0, "successes": successes})
 
 
-def _compare_jobs(model, scope, q: Compare, cfg, name) -> list:
+def _compare_jobs(net, q: Compare, cfg, name) -> list:
     """Paired runs: both formulas read runs at the check's seed, so pair i
     is the runs to ``bound1`` and to ``bound2`` from ``RngStream(seed, i)``.
     When the bounds are equal, the two jobs join one stream and each run is
     judged for both formulas."""
     budget = _estimate_runs(cfg)
-    return [_formula_job(model, scope, q.formula1, q.bound1, budget),
-            _formula_job(model, scope, q.formula2, q.bound2, budget)]
+    return [_formula_job(net, q.formula1, q.bound1, budget),
+            _formula_job(net, q.formula2, q.bound2, budget)]
 
 
 def _compare(q: Compare, cfg, streams) -> SmcResult:
@@ -640,13 +628,13 @@ def _compare(q: Compare, cfg, streams) -> SmcResult:
                               "discordant": discordant})
 
 
-def _expected_jobs(model, scope, q: Expected, cfg, name) -> list:
+def _expected_jobs(net, q: Expected, cfg, name) -> list:
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
-    _check_names(scope, q.expr)
-    return [_Job(model, q.bound, q.n_runs,
+    _check_names(net.query_resolver, q.expr)
+    return [_Job(net, q.bound, q.n_runs,
                  _Sampled(q.mode, E.to_text(q.expr)))]
 
 
@@ -667,12 +655,13 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
         details={"mode": q.mode, "values": values})
 
 
-def _simulate_jobs(model, scope, q: Simulate, cfg, name) -> list:
-    if q.sample_step is not None and q.sample_step <= 0:
+def _simulate_jobs(net, q: Simulate, cfg, name) -> list:
+    step = q.sample_step
+    if step is not None and not (math.isfinite(step) and step > 0):
         raise QueryError("need sample_step > 0")
-    _check_names(scope, *q.exprs)
+    _check_names(net.query_resolver, *q.exprs)
     keys = tuple(E.to_text(e) for e in q.exprs)
-    return [_Job(model, q.bound, q.n_runs,
+    return [_Job(net, q.bound, q.n_runs,
                  _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
 
 
@@ -685,14 +674,15 @@ def _simulate(q: Simulate, cfg, streams) -> SmcResult:
                      runs=q.n_runs, details={"trajectories": trajectories})
 
 
-def _constraint_jobs(model, scope, q: ConstraintQuery, cfg, name) -> list:
+def _constraint_jobs(net, q: ConstraintQuery, cfg, name) -> list:
     """Runs of the model with the constraint's observer attached, which
-    checks the constraint's channels: a network of its own, so its stream
-    serves this query alone."""
+    checks the constraint's channels: a network of its own, compiled here,
+    so its stream serves this query alone."""
     c = q.constraint
     inst = f"_obs_{name or c.kind}"
-    observed = monitors.attach_observer(model, c, inst)
-    return [_Job(observed, q.bound, cfg.max_runs, _Traced(_routes, (c, inst)))]
+    observed = monitors.attach_observer(net.network.model, c, inst)
+    return [_Job(CompiledNetwork(instantiate(observed)), q.bound, cfg.max_runs,
+                 _Traced(_routes, (c, inst)))]
 
 
 def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:
@@ -739,10 +729,10 @@ def check(network, queries, cfg: StatConfig, run_config=None) -> list:
     """Evaluates ``queries``, ((name, query), ...), each by its form's rule,
     with the runs of one pool: every query is registered, and so checked,
     before the first run. The results are in the order given."""
-    model = _coerce_network(network)
+    net = CompiledNetwork(instantiate(_coerce_network(network)))
     results = [None] * len(queries)
     with RunPool(cfg, run_config) as pool:
-        lanes = [pool.register(model, query, name) for name, query in queries]
+        lanes = [pool.register(net, query, name) for name, query in queries]
         # A job judges every run simulated while it is live, so the
         # sequential tests, which stop early, go first.
         for i in sorted(range(len(queries)), key=lambda i: not isinstance(

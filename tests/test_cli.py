@@ -227,8 +227,9 @@ system T;
     (("--max-runs", "0"), "need max_runs >= 1"),
     (("--indifference", "nan"), "need delta_indiff > 0"),
     (("--indifference", "inf"), "need delta_indiff > 0"),
+    (("--seed", "-1"), "need seed >= 0"),
 ], ids=["h-max-0", "h-max-negative", "h-max-nan", "workers-0", "max-runs-0",
-        "indifference-nan", "indifference-inf"])
+        "indifference-nan", "indifference-inf", "seed-negative"])
 def test_check_rejects_bad_run_options(runner, tmp_path, monkeypatch, option,
                                        message):
     runs = []
@@ -309,6 +310,19 @@ def test_simulate_inline_query(runner, small, tmp_path):
     assert lines[0].startswith("# manifest: {")
     assert lines[1] == "run,t,heads,x"
     assert len(lines) > 6  # 2 runs, grid plus event rows
+
+
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_simulate_rejects_a_bad_sample_step_before_any_run(
+        runner, small, tmp_path, monkeypatch, step):
+    runs = []
+    monkeypatch.setattr(smc, "run", lambda *a, **k: runs.append(a))
+    res = runner.invoke(main, [
+        "simulate", small, "--query", "simulate 1 [<=3] {heads}",
+        "--sample-step", step, "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == "error: need sample_step > 0\n"
+    assert runs == []
 
 
 def test_simulate_requires_exactly_one_source(runner, small, tmp_path):

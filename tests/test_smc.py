@@ -1,4 +1,5 @@
 import math
+import os
 import pathlib
 from concurrent.futures import wait
 from multiprocessing import get_context
@@ -247,6 +248,8 @@ def test_stat_config_validation():
     for delta in (0, -0.01, math.nan, math.inf):
         with pytest.raises(smc.QueryError, match=r"need delta_indiff > 0"):
             StatConfig(delta_indiff=delta)
+    with pytest.raises(smc.QueryError, match=r"need seed >= 0"):
+        StatConfig(seed=-1)
 
 
 def without_wall(result):
@@ -453,6 +456,40 @@ def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
                        for args in pool.args for arg in args)
 
 
+def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
+                                        task_text):
+    """A check compiles each of its networks once, in this process: a forked
+    worker runs the compiled networks it inherits."""
+    compiled = tmp_path / "compiled"
+    init = CompiledNetwork.__init__
+
+    def recorded(self, network):
+        with open(compiled, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, network)
+
+    monkeypatch.setattr(CompiledNetwork, "__init__", recorded)
+    model = parse_model(task_text)
+    queries = [(None, query(t)) for t in (
+        "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
+        "on start=start, stop=stop;", "E[<=50; 10](max: n)")]
+    cfg = StatConfig(seed=7, delta_indiff=0.05)
+    inline = smc.check(model, queries, cfg)
+
+    class Fork(smc.ProcessPoolExecutor):  # the pools fixture's
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, mp_context=get_context("fork"), **kwargs)
+
+    monkeypatch.setattr(smc, "ProcessPoolExecutor", Fork)
+    pooled = smc.check(model, queries, replace(cfg, workers=2))
+    assert [without_wall(r) for r in pooled] == \
+        [without_wall(r) for r in inline]
+    [pool] = pools
+    assert pool.chunks
+    # the plain network and the constraint's observed one, per check
+    assert compiled.read_text().split() == [str(os.getpid())] * 4
+
+
 # --- the online monitors against the trace judges -------------------------
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
@@ -501,14 +538,15 @@ def test_monitors_match_the_trace_judges_on_vehicle_runs():
               + [smc._Traced(smc._routes, (c, inst))
                  for c, inst in constraints])
     bound, seed = 3000.0, 42
-    runs = smc._Runs(bound, seed, RunConfig(), tuple((j, 30) for j in judges))
     net = CompiledNetwork(instantiate(model))
+    runs = smc._Runs(net, bound, seed, RunConfig(),
+                     tuple((j, 30) for j in judges))
     watch = tuple(dict.fromkeys(
         [j.expr for j in judges if isinstance(j, smc._Sampled)]
         + [f"{inst}.fail" for _, inst in constraints]))
     seen = set()
     for i in range(30):
-        outcomes = smc._run_one(runs, net, i, tuple(range(len(judges))))
+        outcomes = smc._run_one(runs, i, tuple(range(len(judges))))
         trace = run(net, bound, RngStream(seed, i), watch=watch)
         want = [smc.evaluate_path_formula(trace, f, bound) for f in formulas]
         want += [reference_extremum(trace, to_text(parse_expression(e)), mode)
