@@ -183,13 +183,13 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
     run_config = RunConfig(h_max=manifest.h_max)
     if manifest.bound_override is not None:
         check_bound(manifest.bound_override)
-    os.makedirs(manifest.out, exist_ok=True)
     # observers first: later queries may reference their locations/clocks
     for nq in named:
         if isinstance(nq.query, ObserverDecl):
             model = monitors.attach_observer(model, nq.query.constraint,
                                              nq.query.name)
-    queries = []
+    queries = []  # (result name, named query, query)
+    first = {}  # result name -> the span of the query that took it
     for nq in named:
         if isinstance(nq.query, ObserverDecl):
             continue
@@ -199,18 +199,26 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
         if isinstance(query, Simulate) and manifest.sample_step is not None:
             query = dataclasses.replace(query,
                                         sample_step=manifest.sample_step)
-        queries.append((nq, query))
-    results = smc.check(model, [(nq.name, query) for nq, query in queries],
+        base = nq.name or f"q{len(queries)}"
+        if base in first:
+            raise ParseError(
+                f"result name {base!r} is taken by the query at "
+                f"{first[base].line}:{first[base].column}", nq.span)
+        first[base] = nq.span
+        queries.append((base, nq, query))
+    if simulate_only and not queries:
+        raise click.UsageError("no simulate query found")
+    os.makedirs(manifest.out, exist_ok=True)
+    results = smc.check(model, [(nq.name, query) for _, nq, query in queries],
                         cfg, run_config)
-    rows = [_outputs(nq, query, result, manifest, index)
-            for index, ((nq, query), result)
-            in enumerate(zip(queries, results))]
+    rows = [_outputs(base, nq, query, result, manifest)
+            for (base, nq, query), result in zip(queries, results)]
     return rows, any(row["match"] is False for row in rows)
 
 
-def _outputs(nq, query, result, manifest, index):
-    """Write one query's CSV outputs and return its row."""
-    base = nq.name or f"q{index}"
+def _outputs(base, nq, query, result, manifest):
+    """Write one query's CSV outputs, named after ``base``, and return its
+    row."""
     if isinstance(query, Simulate):
         csv = smc.trajectories_to_csv(result.details["trajectories"],
                                       query.exprs)
@@ -282,8 +290,6 @@ def simulate(model_path, query_path, query_text, **options):
         raise click.UsageError("give exactly one of QUERY_PATH or --query")
     _, rows, _ = _front_end(model_path, query_path, query_text, True,
                             **options)
-    if not rows:
-        raise click.UsageError("no simulate query found")
     _print_table(rows)
     sys.exit(EXIT_OK)
 

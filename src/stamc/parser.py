@@ -462,7 +462,7 @@ class _Parser:
         return out
 
     def _named_query(self) -> Q.NamedQuery:
-        name = None
+        span, name = self.tok.span, None
         if self.tok.kind == "ident" and self.peek().text == ":" \
                 and self.tok.text not in ("max", "min"):
             name = self.ident()
@@ -477,7 +477,7 @@ class _Parser:
                 raise ParseError(f"unknown expected verdict {expected!r}",
                                  self.tok.span)
         self.accept(";")
-        return Q.NamedQuery(name, query, expected)
+        return Q.NamedQuery(name, query, expected, span)
 
     def _query(self) -> tuple:
         """(the name a constraint or observer gives itself, or None; the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expr as E
@@ -84,3 +84,4 @@ class NamedQuery:
     name: Optional[str]
     query: Query
     expected: Optional[str] = None  # valid | invalid | undecided
+    span: object = field(default=None, compare=False)  # where it starts

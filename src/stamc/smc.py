@@ -33,14 +33,24 @@ once, every live job judges it, and only the outcomes are cached. A rule
 reads the cache first and has the stream simulate more runs only past its
 end. Once a job's rule has decided, the job is retired: runs simulated
 later, and the chunks sent to workers, carry the mask of the live jobs and
-skip its judge. ``check`` compiles the model once and registers every query
-on that compiled network before the first run, so its queries share,
-``compare``'s two formulas among them; a constraint compiles its observed
-model, a network of its own, and its stream serves that query alone.
-Registering a query checks every name it reads, against the compiled
-network's query scope, and every channel its constraint listens on, so a
-bad query fails before any run. A query's ``wall_ms`` covers its judging and
-statistics and the runs it was first to need.
+skip its judge. ``check`` registers every query on the model's compiled
+network before the first run, so its queries share, ``compare``'s two
+formulas among them; a constraint's observed model is a network of its
+own, and its stream serves that query alone. Registering a query checks
+every name it reads, against the compiled network's query scope, and every
+channel its constraint listens on, so a bad query fails before any run. A
+query's ``wall_ms`` covers its judging and statistics and the runs it was
+first to need.
+
+A model is compiled once per process: ``_compiled`` keeps the compiled
+networks of the last 16 models checked, keyed by the model's structure, so
+a later check of an equal model (the same object, a re-parsed file, or a
+constraint's observed model, which ``attach_observer`` rebuilds on every
+check) reuses its network, step tables and kernels. A step table and its
+kernels are pure functions of the location configuration, and ``h_max``
+is an argument of the advance kernel, never part of a table, so a warm
+network changes no run. The cache is process-wide state;
+``_compiled.cache_clear()`` empties it, as the tests do before each test.
 
 Concurrency: one ``RunPool`` serves a whole check. At one worker the runs
 execute in this process. Otherwise they go to one process pool, started at
@@ -60,6 +70,7 @@ twice, and the chunks sent depend on what the rules read, never on timing.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections import deque
@@ -507,6 +518,15 @@ def _coerce_network(network) -> Model:
     raise QueryError("expected a Model or Network")
 
 
+@functools.lru_cache(maxsize=16)
+def _compiled(model: Model) -> CompiledNetwork:
+    """The compiled network of ``model``, built once per process and model
+    structure: equal models share it, step tables and kernels included.
+    ``CompiledNetwork`` and ``instantiate`` are read through this module, so
+    a hook that replaces them sees each compile."""
+    return CompiledNetwork(instantiate(model))
+
+
 def _check_names(resolve, *exprs):
     """Raises ``ExprError`` unless every name ``exprs`` read is in the query
     scope ``resolve``."""
@@ -676,12 +696,12 @@ def _simulate(q: Simulate, cfg, streams) -> SmcResult:
 
 def _constraint_jobs(net, q: ConstraintQuery, cfg, name) -> list:
     """Runs of the model with the constraint's observer attached, which
-    checks the constraint's channels: a network of its own, compiled here,
-    so its stream serves this query alone."""
+    checks the constraint's channels: a network of its own, so its stream
+    serves this query alone."""
     c = q.constraint
     inst = f"_obs_{name or c.kind}"
     observed = monitors.attach_observer(net.network.model, c, inst)
-    return [_Job(CompiledNetwork(instantiate(observed)), q.bound, cfg.max_runs,
+    return [_Job(_compiled(observed), q.bound, cfg.max_runs,
                  _Traced(_routes, (c, inst)))]
 
 
@@ -729,7 +749,7 @@ def check(network, queries, cfg: StatConfig, run_config=None) -> list:
     """Evaluates ``queries``, ((name, query), ...), each by its form's rule,
     with the runs of one pool: every query is registered, and so checked,
     before the first run. The results are in the order given."""
-    net = CompiledNetwork(instantiate(_coerce_network(network)))
+    net = _compiled(_coerce_network(network))
     results = [None] * len(queries)
     with RunPool(cfg, run_config) as pool:
         lanes = [pool.register(net, query, name) for name, query in queries]

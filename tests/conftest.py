@@ -3,6 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from stamc import smc
+from stamc.engine import CompiledNetwork
 
 # a task that starts and stops on broadcast channels and counts its starts
 TASK = """
@@ -21,6 +22,23 @@ template Task() {
 
 system Task;
 """
+
+
+@pytest.fixture(autouse=True)
+def cold_networks():
+    """Each test starts with no compiled network cached, so a test that
+    counts compiles sees only its own."""
+    smc._compiled.cache_clear()
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The networks smc compiles while the test runs."""
+    built = []
+    monkeypatch.setattr(smc, "CompiledNetwork",
+                        lambda network: built.append(network)
+                        or CompiledNetwork(network))
+    return built
 
 
 @pytest.fixture

@@ -325,15 +325,40 @@ def test_simulate_rejects_a_bad_sample_step_before_any_run(
     assert runs == []
 
 
-def test_simulate_requires_exactly_one_source(runner, small, tmp_path):
+def test_simulate_requires_exactly_one_source(runner, small, tmp_path,
+                                              compiles):
     res = runner.invoke(main, ["simulate", small])
     assert res.exit_code != 0
     q = tmp_path / "suite.q"
     q.write_text("Pr[<=5](<> heads == 1)\n")
     res = runner.invoke(main, ["simulate", small, str(q),
                                "--out", str(tmp_path / "o")])
-    assert res.exit_code != 0
+    assert res.exit_code == 2
     assert "no simulate query" in res.output
+    # refused before anything is compiled or written
+    assert compiles == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "q1: E[<=5; 3](max: heads);\nE[<=5; 3](max: heads + 1000);\n",
+    "R1: Pr[<=5](<> heads == 1);\nR1: Pr[<=5](<> heads == 0);\n",
+], ids=["automatic", "explicit"])
+def test_check_rejects_a_repeated_result_name(runner, small, tmp_path,
+                                              compiles, text):
+    """Two rows of one name would be ambiguous, and the second query's CSV
+    would overwrite the first's: the repeat is refused, at its location,
+    before anything is compiled or written."""
+    q = tmp_path / "suite.q"
+    q.write_text(text)
+    res = runner.invoke(main, ["check", small, str(q),
+                               "--out", str(tmp_path / "o")])
+    name = text.split(":")[0]
+    assert res.exit_code == 3
+    assert res.output == (f"error: {q}:2:1: result name {name!r} is taken "
+                          "by the query at 1:1\n")
+    assert compiles == []
+    assert not (tmp_path / "o").exists()
 
 
 # one query of every form that runs a test or an estimate

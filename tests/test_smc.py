@@ -1,6 +1,8 @@
+import gc
 import math
 import os
 import pathlib
+import weakref
 from concurrent.futures import wait
 from multiprocessing import get_context
 from dataclasses import replace
@@ -19,6 +21,7 @@ from stamc.queries import (Compare, ConstraintQuery, Estimate, Expected,
                            Hypothesis, ObserverDecl)
 from stamc.smc import (Sprt, StatConfig, chernoff_runs, clopper_pearson,
                        evaluate_query)
+from test_engine import COUPLED
 
 # a biased coin: one weighted committed choice, then absorbing
 COIN = """
@@ -458,8 +461,8 @@ def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
 
 def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
                                         task_text):
-    """A check compiles each of its networks once, in this process: a forked
-    worker runs the compiled networks it inherits."""
+    """A process compiles each network once, for every check of its model:
+    a forked worker runs the compiled networks it inherits."""
     compiled = tmp_path / "compiled"
     init = CompiledNetwork.__init__
 
@@ -486,8 +489,88 @@ def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
         [without_wall(r) for r in inline]
     [pool] = pools
     assert pool.chunks
-    # the plain network and the constraint's observed one, per check
-    assert compiled.read_text().split() == [str(os.getpid())] * 4
+    # the plain network and the constraint's observed one, once: the
+    # second check reuses both
+    assert compiled.read_text().split() == [str(os.getpid())] * 2
+
+
+# --- the compiled-network cache --------------------------------------------
+
+AV_TEXT = (pathlib.Path(__file__).resolve().parent.parent
+           / "models" / "av.sta").read_text()
+CAM = "on start=cam_start, stop=cam_done"
+
+
+def test_a_model_is_compiled_once_per_process(compiles, task_text):
+    """Library calls on one model, or on an equal re-parsed one, share one
+    compiled network; so do a constraint's observed models, which each
+    check builds again."""
+    cfg = StatConfig(seed=3, epsilon=0.3)
+    model = parse_model(AV_TEXT)
+    evaluate_query(model, query("E[<=10; 3](max: wvl)"), cfg)
+    evaluate_query(model, query("Pr[<=10](<> wvl > 0)"), cfg)
+    assert len(compiles) == 1
+    evaluate_query(parse_model(AV_TEXT), query("E[<=20; 3](max: wvr)"), cfg)
+    assert len(compiles) == 1
+    task = parse_model(task_text)
+    constraint = query("constraint execution(m=3, k=4, bound=50, lower=1, "
+                       "upper=5) on start=start, stop=stop;")
+    first, second = (evaluate_query(task, constraint, cfg, name="K")
+                     for _ in range(2))
+    assert without_wall(first) == without_wall(second)
+    # the task network and its observed network
+    assert len(compiles) == 3
+
+
+@pytest.mark.parametrize("text,checked,warming", [
+    pytest.param(AV_TEXT, [
+        "Pr[<=200](<> wvl > 105)",
+        "Pr[<=200](<> wvl > 10) >= 0.5",
+        "E[<=200; 5](max: wvl)",
+        "simulate 2 [<=100] {wvl, wvr}",
+        f"constraint execution(m=19, k=20, bound=200, lower=0, upper=5) {CAM}",
+    ], [
+        "Pr[<=400]([] wvr <= 60)",
+        "E[<=150; 4](min: wvl - wvr)",
+        f"constraint execution(m=19, k=20, bound=300, lower=0, upper=5) {CAM}",
+    ], id="av"),
+    pytest.param(COUPLED, [
+        "E[<=5; 3](max: w)",
+        "Pr[<=5](<> x < 0)",
+        "simulate 1 [<=3] {x, y, w}",
+    ], ["E[<=8; 2](min: x)"], id="coupled"),
+])
+def test_a_warm_network_changes_no_result(text, checked, warming):
+    """A check on a network that other queries, another bound and another
+    ``h_max`` have warmed gives the results of one on a cold network."""
+    model = parse_model(text)
+    cfg = StatConfig(seed=11, epsilon=0.2, delta_indiff=0.05, max_runs=40)
+    # unnamed, so both constraints observe through one observed model
+    named = [(None, query(t)) for t in checked]
+    fine = RunConfig(h_max=0.05)
+    cold = smc.check(model, named, cfg, fine)
+    smc.check(model, [(None, query(t)) for t in warming],
+              replace(cfg, seed=5), RunConfig(h_max=0.5))
+    warm = smc.check(parse_model(text), named, cfg, fine)
+    # every network was compiled by the cold check
+    assert smc._compiled.cache_info().misses == \
+        1 + any("constraint" in t for t in checked)
+    assert [without_wall(r) for r in warm] == [without_wall(r) for r in cold]
+
+
+def test_the_cache_frees_its_oldest_network():
+    """Past ``maxsize`` models, the network of the model checked first is
+    dropped, with the step tables its runs built."""
+    models = [parse_model(COIN.replace("weight 3", f"weight {w}"))
+              for w in range(1, smc._compiled.cache_parameters()["maxsize"]
+                             + 2)]
+    evaluate_query(models[0], query("Pr[<=5](<> heads == 1)"),
+                   StatConfig(epsilon=0.3))
+    oldest = weakref.ref(smc._compiled(models[0]))
+    for m in models[1:]:
+        smc._compiled(m)
+    gc.collect()
+    assert oldest() is None
 
 
 # --- the online monitors against the trace judges -------------------------
