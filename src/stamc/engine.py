@@ -24,14 +24,16 @@ current rates without copying ``V``.
 The per-event work runs in kernels, straight-line functions generated from
 those closures' sources with every expression inlined:
 
-- a window kernel per invariant finds when it closes, probing each atom's
-  crossing without a call per probe; an invariant is read once per step;
-- a start kernel per location that is not committed finds when one of its
-  internal or emitting edges can first fire: it searches each guard's
-  window by the same generated lines as the window kernel, blocks a binary
-  emit unless exactly one receiver is ready, and keeps the earliest start;
+- a delay kernel per location that is not committed and has an internal
+  or emitting edge or an invariant draws the location's delay: it finds
+  when the invariant closes, probing each atom's crossing without a call
+  per probe, then when one of the edges can first fire, searching each
+  guard's window by the same generated lines, blocking a binary emit
+  unless exactly one receiver is ready and keeping the earliest start, and
+  draws the delay from the run's generator inline;
 - an update kernel per edge evaluates every right-hand side, then stores
-  them, converting reals and bools inline;
+  them, converting reals and bools inline and storing an int in range as
+  it is;
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
@@ -66,8 +68,9 @@ emitting edge or an invariant), holds the receive kernels by channel, and
 holds the configuration's rate plan as its rate and advance kernels.  A
 component that is not an actor draws no delay and caps none, so a step
 races only the actors, and a sync reads its receivers from the channel's
-kernel.  A step calls ``sample_delay`` once per actor, ``advance_time`` once
-per delay and one fire kernel per firing.
+kernel.  The simulator calls ``sample_delay`` once per timed step, which
+calls each actor's delay kernel, ``advance_time`` once per delay and one
+fire kernel per firing.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -83,7 +86,8 @@ otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
 probe, searching windows by a loop over the probe closures, taking a
-delay's start as the least of the active edges' windows, applying updates
+delay's start as the least of the active edges' windows, drawing the delay
+by ``RngStream.uniform`` or ``RngStream.exponential``, applying updates
 through a staged list, firing by a loop over the enabled edges and the
 ready receivers, and integrating with numpy arrays (the
 midpoint step above, or RK4 as ``y + k * (h / 2)``, then
@@ -138,6 +142,11 @@ class RngStream:
 
     def exponential(self, rate: float) -> float:
         return self._gen.exponential(1.0 / rate)
+
+    def draws(self) -> tuple:
+        """``(random, exponential)``: the generator's draws of a float in
+        [0, 1) and of an exponential by its scale, for a delay kernel."""
+        return self._gen.random, self._gen.exponential
 
     def weighted_choice(self, weights) -> int:
         if len(weights) == 1:
@@ -221,9 +230,10 @@ def _kernel(title: str, lines: list, **names):
     count = _NAMED[title]
     filename = f"<{title}>" if count == 1 else f"<{title} #{count}>"
     scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
-             "len": len, "range": range, "ceil": math.ceil,
-             "isfinite": math.isfinite, "EngineError": EngineError,
-             "_coerce": CompiledNetwork._coerce, "_sync": _sync, **names}
+             "int": int, "type": type, "len": len, "range": range,
+             "ceil": math.ceil, "isfinite": math.isfinite, "INF": INF,
+             "EngineError": EngineError, "_coerce": CompiledNetwork._coerce,
+             "_sync": _sync, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
 
@@ -236,16 +246,20 @@ def _indent(lines: list, by: int = 4) -> list:
 def _update_kernel(updates: tuple):
     """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
     there are none: every right-hand side is evaluated first, then stored,
-    with reals and clocks through ``float``, bools through ``bool`` and ints
-    through ``_coerce``."""
+    with reals and clocks through ``float`` and bools through ``bool``.  An
+    int in 64-bit range is stored as it is, and any other value for an int
+    goes through ``_coerce``, which converts it or says why it cannot."""
     if not updates:
         return None
     lines = ["def _k(V, L):"]
     lines += [f"    u{i} = {fn.source}"
               for i, (_, fn, _) in enumerate(updates)]
+    top = RunConfig._INT_MAX
     for i, (slot, _, vtype) in enumerate(updates):
-        value = {"int": f"_coerce(u{i}, 'int')",
-                 "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
+        u = f"u{i}"
+        value = {"int": f"{u} if type({u}) is int and -{top} <= {u} <= {top}"
+                        f" else _coerce({u}, 'int')",
+                 "bool": f"bool({u})"}.get(vtype, f"float({u})")
         lines.append(f"    V[{slot}] = {value}")
     return _kernel("update", lines)
 
@@ -383,18 +397,21 @@ def _watch_kernel(watch: tuple):
     return _kernel("watch", ["def _k(V, L):", f"    return {{{items}}}"])
 
 
-def _window_lines(pred, probe, atoms: tuple, want: bool, found) -> list:
+def _window_lines(pred, probe, atoms: tuple, want: bool, found,
+                  horizon: Optional[str] = None) -> list:
     """Lines that find the earliest t in [0, horizon] at which the guard or
     invariant ``pred`` has truth ``want`` under clock rates ``R``, and run
     ``found(t)``'s lines there, t being ``0.0`` or the search loop's
     variable ``t``, whose lines leave the loop; they run nothing if there
-    is none.
+    is none.  ``horizon`` names a variable that holds a horizon > 0, or is
+    None for no horizon.
 
     Its atoms are affine in the clocks (validated), so truth can only flip
     where an atom ``g0 + slope * t`` crosses 0: the lines probe 1e-9 past
     each such t, in increasing order.  1e-9 itself comes first, for an atom
     sitting at 0 with a nonzero slope, whose truth flips at once."""
     test = "" if want else "not "
+    within = "1e-9 < t" + ("" if horizon is None else f" <= {horizon}")
     search = ["c = [1e-9]"]
     for diff, diff_probe in atoms:
         search += [f"g = float({diff.source})",
@@ -402,7 +419,7 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found) -> list:
                    f"s = float({diff_probe.source}) - g",
                    "if s != 0.0:",
                    "    t = -g / s",
-                   "    if 1e-9 < t <= horizon:",
+                   f"    if {within}:",
                    "        c.append(t)"]
     if len(atoms) > 1:  # [1e-9, t] is sorted: every crossing is past 1e-9
         search += ["if len(c) > 2:",
@@ -412,34 +429,47 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found) -> list:
                f"    if {test}({probe.source}):",
                *_indent(found("t"), 8)]
     return [f"if {test}({pred.source}):", *_indent(found("0.0")),
-            "elif horizon > 0:", *_indent(search)]
+            "else:", *_indent(search)]
 
 
 @functools.cache
-def _window_kernel(pred, probe, atoms: tuple):
-    """``(V, L, R, horizon)``: the earliest t in [0, horizon] at which the
-    invariant ``pred`` is false under clock rates ``R``, or None
-    (:func:`_window_lines`)."""
-    lines = _window_lines(pred, probe, atoms, False,
-                          lambda t: [f"return {t}"])
-    return _kernel("window", ["def _k(V, L, R, horizon):", *_indent(lines),
-                              "    return None"])
+def _delay_kernel(name: str, index: int, invariant, inv_probe,
+                  inv_atoms: tuple, edges: tuple, scale: float):
+    """``(V, L, R, receivers, random, exponential, time)``: the sojourn
+    delay that location ``name`` of the component at index ``index`` draws
+    under clock rates ``R``, or None if none of its active edges can fire
+    before its invariant closes, and the invariant's deadline, the earliest
+    time at which ``invariant`` (with its probe and atoms) is false, or
+    ``INF``.  ``edges`` are ((guard, its probe, its atoms, binary), ...);
+    ``receivers`` are the step table's receive kernels by channel.
 
+    The deadline is searched by :func:`_window_lines`; an invariant that
+    is false already raises, with the time ``time``.  Then the start, the
+    earliest time at which an active edge can fire, is searched in edge
+    order by the same lines up to the deadline, and the earliest kept; an
+    unguarded edge starts at 0, and if it is not a binary emit, no other
+    edge is searched.  A binary emit takes part only if exactly
+    one receiver is ready: receiver locations are frozen until the next
+    event, and validation rejects a clock in a binary receiver's guard, so
+    the test holds for the whole sojourn.
 
-@functools.cache
-def _start_kernel(name: str, index: int, edges: tuple):
-    """``(V, L, R, horizon, receivers)``: the earliest t in [0, horizon] at
-    which one of the active edges of location ``name`` of the component at
-    index ``index`` can fire under clock rates ``R``, or None.  ``edges``
-    are ((guard, its probe, its atoms, binary), ...); ``receivers`` are the
-    step table's receive kernels by channel.
-
-    Each edge is searched in order, by :func:`_window_lines`, and the
-    earliest start kept; an unguarded edge starts at 0.  A binary emit
-    takes part only if exactly one receiver is ready: receiver locations
-    are frozen until the next event, and validation rejects a clock in a
-    binary receiver's guard, so the test holds for the whole sojourn."""
-    lines = ["start = None"]
+    The delay is Uniform[start, deadline] when the deadline is finite, and
+    start + Exponential(exit rate) otherwise, ``scale`` being 1 / exit
+    rate.  ``random`` and ``exponential`` are the run's generator's draws
+    (:meth:`RngStream.draws`), called with the same float operations as
+    :meth:`RngStream.uniform` and :meth:`RngStream.exponential`."""
+    lines = []
+    if invariant is not None:
+        message = f"invariant of {name} violated at entry (t={{time}})"
+        lines += ["deadline = INF", *_window_lines(
+            invariant, inv_probe, inv_atoms, False,
+            lambda t: ([f"raise EngineError(f{message!r})"] if t == "0.0"
+                       else ["deadline = t", "break"]))]
+    horizon = "deadline" if invariant is not None else None
+    lines.append("start = None")
+    if any(guard is None and binary is None
+           for guard, _, _, binary in edges):
+        edges = ((None, None, (), None),)  # one can fire at once
     for i, (guard, probe, atoms, binary) in enumerate(edges):
         def found(t, first=i == 0):
             if t == "0.0":  # no start is earlier
@@ -449,14 +479,24 @@ def _start_kernel(name: str, index: int, edges: tuple):
                     ) + ["break"]
 
         search = (found("0.0") if guard is None else
-                  _window_lines(guard, probe, atoms, True, found))
+                  _window_lines(guard, probe, atoms, True, found, horizon))
         if binary is not None:
             search = [f"if {_ready_test(binary, index, 'r')}:",
                       *_indent(search)]
         lines += search
-    return _kernel(f"start {name}",
-                   ["def _k(V, L, R, horizon, receivers):",
-                    *_indent(lines), "    return start"])
+    if invariant is None:
+        lines += ["if start is None:", "    return None, INF",
+                  "return start + exponential(S), INF"]
+    else:
+        lines += ["if start is None:", "    return None, deadline",
+                  "if deadline < INF:",
+                  "    return (start if deadline <= start else",
+                  "            start + (deadline - start) * random()),"
+                  " deadline",
+                  "return start + exponential(S), deadline"]
+    return _kernel(f"delay {name}",
+                   ["def _k(V, L, R, receivers, random, exponential, time):",
+                    *_indent(lines)], S=scale)
 
 
 @functools.cache
@@ -556,9 +596,8 @@ class _CompiledEdge:
 
 class _CompiledLocation:
     __slots__ = ("index", "id", "name", "committed", "invariant",
-                 "inv_probe", "inv_atoms", "window", "rates", "affine",
-                 "exit_rate", "reads", "active", "receive", "start", "fire",
-                 "lowered")
+                 "inv_probe", "inv_atoms", "rates", "affine", "exit_rate",
+                 "reads", "active", "receive", "delay", "fire", "lowered")
 
     def __init__(self, index, id, name, committed, invariant, inv_probe,
                  inv_atoms, rates, affine, exit_rate, reads):
@@ -569,7 +608,6 @@ class _CompiledLocation:
         self.invariant = invariant
         self.inv_probe = inv_probe
         self.inv_atoms = inv_atoms
-        self.window = None  # when the invariant turns false, from lower()
         # [(clock slot, fn, clock slots the rate reads, literal rate or None)]
         self.rates = rates
         self.affine = affine  # every rate is affine in clocks
@@ -579,9 +617,10 @@ class _CompiledLocation:
         self.reads = reads
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
-        # from lower(): the start kernel of the active edges (None in a
-        # committed location) and their fire kernel
-        self.start = self.fire = None
+        # from lower(): the delay kernel (None unless the location is
+        # timed and has an active edge or an invariant) and the fire kernel
+        # of the active edges
+        self.delay = self.fire = None
         self.lowered = False
 
     def lower(self) -> None:
@@ -592,13 +631,13 @@ class _CompiledLocation:
         if self.lowered:
             return
         self.lowered = True
-        if not self.committed:
-            if self.invariant is not None:
-                self.window = _window_kernel(self.invariant, self.inv_probe,
-                                             self.inv_atoms)
-            self.start = _start_kernel(self.name, self.index, tuple(
-                (e.guard, e.guard_probe, e.guard_atoms, e.binary)
-                for e in self.active))
+        if not self.committed and (self.active
+                                   or self.invariant is not None):
+            self.delay = _delay_kernel(
+                self.name, self.index, self.invariant, self.inv_probe,
+                self.inv_atoms, tuple(
+                    (e.guard, e.guard_probe, e.guard_atoms, e.binary)
+                    for e in self.active), 1.0 / (self.exit_rate or 1.0))
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
             edge.update = _update_kernel(edge.updates)
@@ -632,13 +671,14 @@ class _Receivers(dict):
 class _StepTable:
     """What a step needs in one location configuration: the committed
     components, the actors, the receive kernels per channel and the rate
-    plan.  An actor is a component that can fire or whose invariant caps
-    the delay; one with neither draws nothing and caps nothing, so the
-    delay race leaves it out.  Components come as (component, location)
-    pairs, in component order.  ``receivers`` (:class:`_Receivers`) builds
-    a channel's receive kernel the first time an emit on it is tested or
-    fired: most tables are entered a few times, and a table rarely uses
-    every channel that it could.
+    plan.  An actor is a component whose location has a delay kernel: it
+    can fire or its invariant caps the delay.  One that can do neither
+    draws nothing and caps nothing, so the delay race leaves it out.
+    Components come as (component, location) pairs, in component order.
+    ``receivers`` (:class:`_Receivers`) builds a channel's receive kernel
+    the first time an emit on it is tested or fired: most tables are
+    entered a few times, and a table rarely uses every channel that it
+    could.
 
     The rate plan says how clocks advance in the configuration: the clocks
     that advance at a constant rate (a clock-free rate, or 1), and the
@@ -665,8 +705,7 @@ class _StepTable:
             loc.lower()
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
         self.actors = [(cc, loc) for cc, loc in located
-                       if not loc.committed
-                       and (loc.active or loc.invariant is not None)]
+                       if loc.delay is not None]
         self.receivers = _Receivers(located)
         # clocks that a guard or invariant reads
         reads = set().union(*(loc.reads for _, loc in located))
@@ -868,6 +907,9 @@ class CompiledNetwork:
     @staticmethod
     def _coerce(value, vtype):
         if vtype == "int":
+            if isinstance(value, float) and not math.isfinite(value):
+                raise EngineError(
+                    f"non-finite value {value!r} assigned to an int variable")
             iv = int(value)
             if iv != value:
                 raise EngineError(
@@ -927,27 +969,35 @@ class Simulator:
         self._snapshot = _sampler(self.V, self.L,
                                   _watch_kernel(watch) if watch else None,
                                   monitor)
-        # the step table of L at the last step, which sample_delay and
-        # advance_time read
+        self._draws = rng.draws()  # for the delay kernels
+        # the step table of L at the last step, which advance_time reads
         self._table = net.step_table(self.L)
 
-    def sample_delay(self, cc, loc, rates: list, deadline: float):
-        """Sojourn delay for component ``cc`` in ``loc``, a location that is
-        not committed, or None if it cannot act.
+    def sample_delay(self, table: _StepTable, rates: list) -> tuple:
+        """The race of a timed step in ``table``, the step table of the
+        current state: ``(delay, winner, cap)``.
 
-        Uniform[L, U] when the invariant bounds the sojourn, otherwise
-        L + Exponential(exit-rate, default 1); U is ``deadline``, the
-        component's invariant deadline under ``rates``, the step table's
-        rates at the current state, and L the earliest time at which an
-        active edge can fire, by the location's start kernel.
+        Each actor's delay kernel draws its delay, Uniform[L, U] when its
+        invariant bounds the sojourn, otherwise L + Exponential(exit-rate,
+        default 1), U being the invariant's deadline under ``rates``, the
+        step table's rates at the current state, and L the earliest time at
+        which an active edge can fire.  ``delay`` is the least delay drawn,
+        by the first actor in component order that drew it, ``winner``;
+        INF and None if no actor can fire.  ``cap`` is the earliest
+        deadline of an actor that cannot fire, or INF.
         """
-        start = loc.start(self.V, self.L, rates, deadline,
-                          self._table.receivers)
-        if start is None:
-            return None
-        if deadline < INF:
-            return self.rng.uniform(start, deadline)
-        return start + self.rng.exponential(loc.exit_rate or 1.0)
+        V, L, receivers, time = self.V, self.L, table.receivers, self.time
+        random, exponential = self._draws
+        best, winner, cap = INF, None, INF
+        for actor in table.actors:
+            delay, deadline = actor[1].delay(V, L, rates, receivers, random,
+                                             exponential, time)
+            if delay is None:
+                if deadline < cap:
+                    cap = deadline
+            elif delay < best:
+                best, winner = delay, actor
+        return best, winner, cap
 
     # -- integration --
 
@@ -1013,33 +1063,16 @@ class Simulator:
                 return "deadlock"
         else:
             rates = table.rates(V, L)
-            best = (INF, None, None)  # (delay, component, location)
-            cap = INF  # invariant ceiling of actors that cannot fire
-            for cc, loc in table.actors:
-                deadline = INF  # latest delay the invariant allows
-                if loc.window is not None:
-                    deadline = loc.window(V, L, rates, INF)
-                    if deadline == 0.0:  # false now; closings are >= 1e-9
-                        raise EngineError(
-                            f"invariant of {loc.name} violated at "
-                            f"entry (t={self.time})")
-                    if deadline is None:
-                        deadline = INF
-                delay = self.sample_delay(cc, loc, rates, deadline)
-                if delay is None:
-                    cap = min(cap, deadline)
-                elif delay < best[0]:
-                    best = (delay, cc, loc)
-
+            delay, winner, cap = self.sample_delay(table, rates)
             remaining = bound - self.time
             stop = cap if cap < remaining else remaining
-            delay, cc, loc = best
             ends = delay > stop  # no winner, or it is past the bound or cap
             self.advance_time(stop if ends else delay, rates)
             if self.config.check_invariants:
                 self._check_invariants("at the end of a delay")
             if ends:
                 return "bound_reached" if cap >= remaining else "deadlock"
+            cc, loc = winner
             fired = loc.fire(*fire_args)
             if fired is None:
                 # accumulated rounding can leave a boundary guard (window of
@@ -1078,15 +1111,19 @@ def run(network, bound: float, rng: RngStream, watch=(),
            else CompiledNetwork(network))
     sim = Simulator(net, rng, config, watch, monitor)
     events = []
-    initial = sim._snapshot()
-    for _ in range(sim.config.max_steps):
-        result = sim.step(bound)
-        if isinstance(result, str):  # "bound_reached" | "deadlock"
-            return Trace(initial, events, sim.time, result,
-                         sim._snapshot(),
-                         {cc.name: loc for cc, loc
-                          in zip(net.components, sim.L)})
-        events.append(result)
+    try:
+        initial = sim._snapshot()
+        for _ in range(sim.config.max_steps):
+            result = sim.step(bound)
+            if isinstance(result, str):  # "bound_reached" | "deadlock"
+                return Trace(initial, events, sim.time, result,
+                             sim._snapshot(),
+                             {cc.name: loc for cc, loc
+                              in zip(net.components, sim.L)})
+            events.append(result)
+    except ArithmeticError as exc:  # x / 0, n % 0, an overflowing power
+        raise EngineError(f"arithmetic error at t={sim.time}: "
+                          f"{type(exc).__name__}: {exc}") from None
     raise EngineError(
         "zeno/committed-loop: step ceiling "
         f"({sim.config.max_steps}) exceeded at t={sim.time}")

@@ -513,6 +513,24 @@ def test_check_engine_error_in_a_worker_exits_3(runner, tmp_path, pools):
     assert pool.shut_down
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("update", [
+    "heads := x / 0", "heads := heads % 0",
+    "heads := x" + " * 1000000000" * 40], ids=["divide", "modulo", "overflow"])
+def test_check_an_arithmetic_fault_in_a_run_exits_3(runner, tmp_path,
+                                                     update, workers):
+    m = tmp_path / "fault.sta"
+    m.write_text(SMALL.replace("update heads := 1;", f"update {update};"))
+    q = tmp_path / "suite.q"
+    q.write_text("Q1: Pr[<=5](<> heads == 1) >= 0.1;\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert [line for line in res.output.splitlines()
+            if line.startswith("error:")] == [res.output.strip()]
+    assert "Traceback" not in res.output
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import; only the statistics
     # that need it load it

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -449,23 +450,28 @@ system Emit""" + ", Listen" * n + ";\n"
 
 def test_inert_components_cost_no_delay_sampling(monkeypatch):
     """Components that can neither fire on their own nor cap a delay stay
-    out of the delay race: eight listeners add no ``sample_delay`` call
-    and change none of the emitter's events."""
+    out of the delay race: no listener is an actor of a step table, and
+    eight listeners add no ``sample_delay`` call and change none of the
+    emitter's events."""
     calls = []
     sample_delay = engine.Simulator.sample_delay
     monkeypatch.setattr(
         engine.Simulator, "sample_delay",
-        lambda self, *args: calls.append(args[0].name)
+        lambda self, *args: calls.append(self.time)
         or sample_delay(self, *args))
     seen = {}
     for n in (0, 8):
         calls.clear()
-        tr = runs(_listened(n), 100, 1, watch=["heard"])[0]
+        compiled = engine.CompiledNetwork(net(_listened(n)))
+        tr = run(compiled, 100, RngStream(0, 0), watch=["heard"])
+        assert tr.final["heard"] == n * len(tr.events)
+        assert [[cc.name for cc, _ in table.actors]
+                for table in compiled._tables.values()] == \
+            [["Emit"]] * len(compiled._tables)
         seen[n] = (list(calls), [(e.time, e.component, e.edge, e.channel)
                                  for e in tr.events])
-        assert tr.final["heard"] == n * len(tr.events)
-    assert seen[0] == seen[8]
-    assert set(seen[8][0]) == {"Emit"} and len(seen[8][0]) > 30
+    assert len(compiled._tables) == 2  # the listeners idle, then woken
+    assert seen[0] == seen[8] and len(seen[8][0]) > 30
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -493,6 +499,64 @@ system T;
 """
     with pytest.raises(EngineError, match="int"):
         runs(text, 10, 1, watch=["k"])
+
+
+class _Source:
+    """A stand-in for a compiled closure: kernels read only its source."""
+
+    def __init__(self, source):
+        self.source = source
+
+
+@pytest.mark.parametrize("value", [
+    3, 2 ** 63 - 1, -2 ** 63 + 1, 2 ** 63, -2 ** 63, 10 ** 400, True, 2.0,
+    -0.0, 2.5, 1e19, math.inf, -math.inf, math.nan])
+def test_an_int_store_stores_what_coerce_does(value):
+    """An update kernel stores an int in 64-bit range as it is and hands
+    any other value to ``_coerce``: it stores what ``_coerce`` returns, or
+    raises its error."""
+    kernel = engine._update_kernel(((0, _Source("V[1]"), "int"),))
+    V = [None, value]
+    try:
+        want = engine.CompiledNetwork._coerce(value, "int")
+    except EngineError as exc:
+        with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
+            kernel(V, [])
+        assert not isinstance(value, float) or math.isfinite(value) or \
+            str(exc) == f"non-finite value {value!r} assigned to an int " \
+            "variable"
+        return
+    kernel(V, [])
+    assert type(V[0]) is int and V[0] == want
+
+
+_FAULTY = """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 1; }
+  loc b;
+  a -> b { guard x >= 1; update %s; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("update,message", [
+    ("n := x / 0",
+     "arithmetic error at t=1.0: ZeroDivisionError: float division by zero"),
+    ("n := n % 0", "arithmetic error at t=1.0: ZeroDivisionError: "),
+    ("n := x" + " * 1000000000" * 40,
+     "non-finite value inf assigned to an int variable"),
+], ids=["divide", "modulo", "overflow"])
+def test_an_arithmetic_fault_in_a_run_is_an_engine_error(update, message):
+    """A division or remainder by zero, or an int update that overflows to
+    a non-finite value, ends the run with an EngineError that says what
+    and when, although validation accepts the model."""
+    text = _FAULTY % update
+    assert validate_model(parse_model(text)).ok
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}"):
+        runs(text, 10, 1)
 
 
 def test_watch_accepts_expressions_and_locations():
@@ -828,29 +892,58 @@ def _edges(compiled):
                                    for e in es]]
 
 
+def _no_draw():
+    raise AssertionError("a delay kernel drew where no draw was due")
+
+
+def _delay(loc, V, L, rates, receivers, time=0.0):
+    """``loc``'s delay kernel with draws of 0: (its start or None, its
+    deadline)."""
+    return loc.delay(V, L, rates, receivers, lambda: 0.0, lambda scale: 0.0,
+                     time)
+
+
+def _deadline(loc, V, L, rates):
+    """Reference deadline of an invariant: when the loop over its probe
+    closures finds it false, INF for never or for no invariant."""
+    if loc.invariant is None:
+        return math.inf
+    t = _earliest(loc.invariant, loc.inv_probe, loc.inv_atoms, V, L, rates,
+                  math.inf, False)
+    return math.inf if t is None else t
+
+
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_window_kernels_match_the_loop_reference(name):
-    """Each invariant's kernel finds when it closes as the loop over the
-    probe closures does; a location's start kernel searches its guards'
-    windows by the same lines (test_start_kernels_match_the_loop_reference)."""
+    """Each delay kernel finds when its location's invariant closes as the
+    loop over the probe closures does, and says the invariant is violated
+    where it is false already; it searches its guards' windows by the same
+    lines (test_start_kernels_match_the_loop_reference)."""
     compiled, states = _vehicle_states(name)
     _edges(compiled)  # generates every location's kernels
-    windows = [(loc.invariant, loc.inv_probe, loc.inv_atoms, loc.window)
-               for cc in compiled.components
-               for loc in cc.locations.values() if loc.window is not None]
-    assert len(windows) > 10
+    invariant = [loc for cc in compiled.components
+                 for loc in cc.locations.values()
+                 if loc.invariant is not None and loc.delay is not None]
+    assert len(invariant) > 10
     found = set()
     for V, L in states:
         sim = _at(compiled, V, L)
         V, L = sim.V, sim.L
-        rates = compiled.step_table(L).rates(V, L)
-        for horizon in (math.inf, 0.0, 1e-9, 40.0):
-            for pred, probe, atoms, kernel in windows:
-                got = kernel(V, L, rates, horizon)
-                assert _bits([got]) == _bits([_earliest(
-                    pred, probe, atoms, V, L, rates, horizon, False)])
-                found.add(got is None or got > 0)
-    assert found == {True, False}  # windows now, later and never
+        table = compiled.step_table(L)
+        rates = table.rates(V, L)
+        for loc in invariant:
+            want = _deadline(loc, V, L, rates)
+            if want == 0.0:
+                with pytest.raises(EngineError, match=(
+                        rf"^invariant of {loc.name} violated at entry "
+                        r"\(t=2\.5\)$")):
+                    _delay(loc, V, L, rates, table.receivers, 2.5)
+            else:
+                _, got = _delay(loc, V, L, rates, table.receivers)
+                assert _bits([got]) == _bits([want])
+            found.add("now" if want == 0.0 else
+                      "never" if want == math.inf else "later")
+    assert found == {"now", "later", "never"}
 
 
 def _staged(V, L, updates):
@@ -1208,8 +1301,11 @@ def _start(V, L, rates, horizon, receiving, cc, loc):
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
                                   "broadcast", "timed-binary"])
 def test_start_kernels_match_the_loop_reference(name):
-    """Each location's start kernel finds when one of its active edges can
-    first fire as the loop over the edges' windows does, bit for bit."""
+    """Each delay kernel finds when one of its location's active edges can
+    first fire before the invariant's deadline as the loop over the edges'
+    windows does, bit for bit: with draws of 0 its delay is that start.  A
+    location has a delay kernel exactly when it is timed and has an active
+    edge or an invariant."""
     compiled, states = _kernel_states(name)
     found, gated = set(), set()
     for V, L in states:
@@ -1218,18 +1314,70 @@ def test_start_kernels_match_the_loop_reference(name):
         receiving = _receiving(compiled, L)
         for cc in compiled.components:
             loc = cc.locations[L[cc.index]]
-            if loc.committed:
+            assert (loc.delay is None) == (
+                loc.committed or not loc.active and loc.invariant is None)
+            if loc.delay is None:
                 continue
-            for horizon in (math.inf, 0.0, 1e-9, 40.0):
-                want, skipped = _start(V, L, rates, horizon, receiving, cc,
-                                       loc)
-                got = loc.start(V, L, rates, horizon, table.receivers)
-                assert _bits([got]) == _bits([want])
-                found.add("never" if got is None else
-                          "later" if got > 0 else "now")
-                gated.add(skipped)
-    assert found == {"now", "later", "never"}
+            deadline = _deadline(loc, V, L, rates)
+            if deadline == 0.0:  # test_window_kernels_match_the_loop_...
+                continue
+            want, skipped = _start(V, L, rates, deadline, receiving, cc, loc)
+            got = _delay(loc, V, L, rates, table.receivers)
+            assert _bits(got) == _bits([want, deadline])
+            found.add("never" if want is None else
+                      "later" if want > 0 else "now")
+            gated.add(skipped)
+    # an actor that cannot fire before its deadline caps the delay
+    assert found == ({"now", "later", "never"} if name.endswith(".sta")
+                     else {"now", "later"})
     assert gated == ({True, False} if name == "timed-binary" else {False})
+
+
+# Each way a delay kernel draws: a bounded sojourn, a start at or past its
+# deadline, an invariant that never closes, and no invariant, without and
+# with an exit rate.
+DRAWS = {
+    "bounded": "init loc a { inv x <= 2; } a -> a { guard x >= 1; "
+               "update x := 0; }",
+    "closed": "init loc a { inv x <= 2; } a -> a { guard x >= 2; "
+              "update x := 0; }",
+    "never-closes": "init loc a { rate x = 0; inv x <= 5; } "
+                    "a -> a { update y := y + 1; }",
+    "unbounded": "init loc a; a -> a { guard x >= 1; update x := 0; }",
+    "exitrate": "init loc a { exitrate 3.5; } a -> a { guard x >= 1; "
+                "update x := 0; }",
+}
+
+
+@pytest.mark.parametrize("name", list(DRAWS))
+def test_delay_kernels_draw_as_the_rng_stream(name):
+    """A delay kernel draws with the run's generator what
+    ``RngStream.uniform`` or ``RngStream.exponential`` draws on a twin
+    stream, bit for bit, and leaves the generator where they leave it."""
+    compiled = engine.CompiledNetwork(net(
+        "clock x; int y = 0; template T() { " + DRAWS[name] +
+        " } system T;"))
+    sim = engine.Simulator(compiled, RngStream(7, 3))
+    twin = RngStream(7, 3)
+    table = compiled.step_table(sim.L)
+    (_, loc), = table.actors
+    for x in (0.0, 0.5, 1.0, 1.5):
+        sim.V[compiled.slots["x"]] = x
+        rates = table.rates(sim.V, sim.L)
+        start, deadline = _delay(loc, sim.V, sim.L, rates, table.receivers)
+        assert deadline == {"bounded": 2.0 - x, "closed": 2.0 - x}.get(
+            name, math.inf)
+        for _ in range(20):
+            got = loc.delay(sim.V, sim.L, rates, table.receivers,
+                            *sim.rng.draws(), 0.0)
+            want = (twin.uniform(start, deadline) if deadline < math.inf
+                    else start + twin.exponential(loc.exit_rate or 1.0))
+            assert _bits(got) == _bits([want, deadline])
+        if name == "closed":
+            assert start == deadline  # so a draw is skipped
+            assert loc.delay(sim.V, sim.L, rates, table.receivers, _no_draw,
+                             _no_draw, 0.0) == (start, deadline)
+    assert sim.rng.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)
 
 
 def test_a_blocked_binary_emit_deadlocks():
@@ -1257,7 +1405,7 @@ system T;
 def test_a_second_compile_execs_nothing(monkeypatch):
     """Closures are cached by source and kernels by their generators'
     arguments: a second network of the same model shares every function
-    with the first, its start and receive kernels among them, and compiling
+    with the first, its delay and receive kernels among them, and compiling
     and running it writes no kernel and evaluates no closure."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
     watch = ("(wvl + wvr) / 2", "energy.Con_en", "mode")
@@ -1282,11 +1430,11 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     for (loc_a, ea), (loc_b, eb) in pairs:
         assert (ea.guard, ea.guard_probe, ea.update) == \
             (eb.guard, eb.guard_probe, eb.update)
-        assert (loc_a.invariant, loc_a.window, loc_a.rates, loc_a.start,
-                loc_a.fire) == (loc_b.invariant, loc_b.window, loc_b.rates,
-                                loc_b.start, loc_b.fire)
+        assert (loc_a.invariant, loc_a.rates, loc_a.delay, loc_a.fire) == \
+            (loc_b.invariant, loc_b.rates, loc_b.delay, loc_b.fire)
         assert loc_a.fire is not None
-        assert (loc_a.start is None) == loc_a.committed
+        assert (loc_a.delay is None) == (
+            loc_a.committed or not loc_a.active and loc_a.invariant is None)
     assert a.components[0].locations is not b.components[0].locations
     assert len(a._tables) == len(b._tables) > 1
     for config, table in a._tables.items():
@@ -1311,13 +1459,13 @@ def test_every_kernel_has_its_own_filename():
     kernels = {e.update for _, e in _edges(compiled)}
     for cc in compiled.components:
         for loc in cc.locations.values():
-            kernels |= {loc.window, loc.start, loc.fire}
+            kernels |= {loc.delay, loc.fire}
     for table in compiled._tables.values():
         kernels |= {table.rates, table.advance, *table.receivers.values()}
     kernels.discard(None)
     names = [k.__code__.co_filename for k in kernels]
     assert len(kernels) > 50 and len(set(names)) == len(names)
-    for kind in ("fire Ctrl.dispatch", "start Camera.wait", "receive ", "window",
+    for kind in ("fire Ctrl.dispatch", "delay Camera.wait", "receive ",
                  "update", "rates", "advance"):
         assert any(name.startswith(f"<{kind}") for name in names), kind
 
