@@ -30,10 +30,9 @@ those closures' sources with every expression inlined:
   per probe, then when one of the edges can first fire, searching each
   guard's window by the same generated lines, blocking a binary emit
   unless exactly one receiver is ready and keeping the earliest start, and
-  draws the delay from the run's generator inline;
+  draws the delay from the run's ``RngStream``;
 - an update kernel per edge evaluates every right-hand side, then stores
-  them, converting reals and bools inline and storing an int in range as
-  it is;
+  them, converting reals and bools inline;
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
@@ -143,11 +142,6 @@ class RngStream:
     def exponential(self, rate: float) -> float:
         return self._gen.exponential(1.0 / rate)
 
-    def draws(self) -> tuple:
-        """``(random, exponential)``: the generator's draws of a float in
-        [0, 1) and of an exponential by its scale, for a delay kernel."""
-        return self._gen.random, self._gen.exponential
-
     def weighted_choice(self, weights) -> int:
         if len(weights) == 1:
             return 0
@@ -230,10 +224,9 @@ def _kernel(title: str, lines: list, **names):
     count = _NAMED[title]
     filename = f"<{title}>" if count == 1 else f"<{title} #{count}>"
     scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
-             "int": int, "type": type, "len": len, "range": range,
-             "ceil": math.ceil, "isfinite": math.isfinite, "INF": INF,
-             "EngineError": EngineError, "_coerce": CompiledNetwork._coerce,
-             "_sync": _sync, **names}
+             "len": len, "range": range, "ceil": math.ceil,
+             "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
+             "_coerce": CompiledNetwork._coerce, "_sync": _sync, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
 
@@ -246,20 +239,16 @@ def _indent(lines: list, by: int = 4) -> list:
 def _update_kernel(updates: tuple):
     """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
     there are none: every right-hand side is evaluated first, then stored,
-    with reals and clocks through ``float`` and bools through ``bool``.  An
-    int in 64-bit range is stored as it is, and any other value for an int
-    goes through ``_coerce``, which converts it or says why it cannot."""
+    with reals and clocks through ``float``, bools through ``bool`` and ints
+    through ``_coerce``."""
     if not updates:
         return None
     lines = ["def _k(V, L):"]
     lines += [f"    u{i} = {fn.source}"
               for i, (_, fn, _) in enumerate(updates)]
-    top = RunConfig._INT_MAX
     for i, (slot, _, vtype) in enumerate(updates):
-        u = f"u{i}"
-        value = {"int": f"{u} if type({u}) is int and -{top} <= {u} <= {top}"
-                        f" else _coerce({u}, 'int')",
-                 "bool": f"bool({u})"}.get(vtype, f"float({u})")
+        value = {"int": f"_coerce(u{i}, 'int')",
+                 "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
         lines.append(f"    V[{slot}] = {value}")
     return _kernel("update", lines)
 
@@ -434,30 +423,27 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
 
 @functools.cache
 def _delay_kernel(name: str, index: int, invariant, inv_probe,
-                  inv_atoms: tuple, edges: tuple, scale: float):
-    """``(V, L, R, receivers, random, exponential, time)``: the sojourn
-    delay that location ``name`` of the component at index ``index`` draws
-    under clock rates ``R``, or None if none of its active edges can fire
-    before its invariant closes, and the invariant's deadline, the earliest
-    time at which ``invariant`` (with its probe and atoms) is false, or
-    ``INF``.  ``edges`` are ((guard, its probe, its atoms, binary), ...);
+                  inv_atoms: tuple, edges: tuple, rate: float):
+    """``(V, L, R, receivers, rng, time)``: the sojourn delay that location
+    ``name`` of the component at index ``index`` draws under clock rates
+    ``R``, or None if none of its active edges can fire before its
+    invariant closes, and the invariant's deadline, the earliest time at
+    which ``invariant`` (with its probe and atoms) is false, or ``INF``.
+    ``edges`` are ((guard, its probe, its atoms, binary), ...);
     ``receivers`` are the step table's receive kernels by channel.
 
     The deadline is searched by :func:`_window_lines`; an invariant that
     is false already raises, with the time ``time``.  Then the start, the
     earliest time at which an active edge can fire, is searched in edge
     order by the same lines up to the deadline, and the earliest kept; an
-    unguarded edge starts at 0, and if it is not a binary emit, no other
-    edge is searched.  A binary emit takes part only if exactly
+    unguarded edge starts at 0.  A binary emit takes part only if exactly
     one receiver is ready: receiver locations are frozen until the next
     event, and validation rejects a clock in a binary receiver's guard, so
     the test holds for the whole sojourn.
 
-    The delay is Uniform[start, deadline] when the deadline is finite, and
-    start + Exponential(exit rate) otherwise, ``scale`` being 1 / exit
-    rate.  ``random`` and ``exponential`` are the run's generator's draws
-    (:meth:`RngStream.draws`), called with the same float operations as
-    :meth:`RngStream.uniform` and :meth:`RngStream.exponential`."""
+    The delay is ``rng.uniform(start, deadline)`` when the deadline is
+    finite, and ``start + rng.exponential(rate)`` otherwise, ``rate`` being
+    the exit rate, 1 by default."""
     lines = []
     if invariant is not None:
         message = f"invariant of {name} violated at entry (t={{time}})"
@@ -467,9 +453,6 @@ def _delay_kernel(name: str, index: int, invariant, inv_probe,
                        else ["deadline = t", "break"]))]
     horizon = "deadline" if invariant is not None else None
     lines.append("start = None")
-    if any(guard is None and binary is None
-           for guard, _, _, binary in edges):
-        edges = ((None, None, (), None),)  # one can fire at once
     for i, (guard, probe, atoms, binary) in enumerate(edges):
         def found(t, first=i == 0):
             if t == "0.0":  # no start is earlier
@@ -486,17 +469,15 @@ def _delay_kernel(name: str, index: int, invariant, inv_probe,
         lines += search
     if invariant is None:
         lines += ["if start is None:", "    return None, INF",
-                  "return start + exponential(S), INF"]
+                  "return start + rng.exponential(RATE), INF"]
     else:
         lines += ["if start is None:", "    return None, deadline",
                   "if deadline < INF:",
-                  "    return (start if deadline <= start else",
-                  "            start + (deadline - start) * random()),"
-                  " deadline",
-                  "return start + exponential(S), deadline"]
+                  "    return rng.uniform(start, deadline), deadline",
+                  "return start + rng.exponential(RATE), deadline"]
     return _kernel(f"delay {name}",
-                   ["def _k(V, L, R, receivers, random, exponential, time):",
-                    *_indent(lines)], S=scale)
+                   ["def _k(V, L, R, receivers, rng, time):",
+                    *_indent(lines)], RATE=rate)
 
 
 @functools.cache
@@ -637,7 +618,7 @@ class _CompiledLocation:
                 self.name, self.index, self.invariant, self.inv_probe,
                 self.inv_atoms, tuple(
                     (e.guard, e.guard_probe, e.guard_atoms, e.binary)
-                    for e in self.active), 1.0 / (self.exit_rate or 1.0))
+                    for e in self.active), self.exit_rate or 1.0)
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
             edge.update = _update_kernel(edge.updates)
@@ -969,7 +950,6 @@ class Simulator:
         self._snapshot = _sampler(self.V, self.L,
                                   _watch_kernel(watch) if watch else None,
                                   monitor)
-        self._draws = rng.draws()  # for the delay kernels
         # the step table of L at the last step, which advance_time reads
         self._table = net.step_table(self.L)
 
@@ -986,12 +966,12 @@ class Simulator:
         INF and None if no actor can fire.  ``cap`` is the earliest
         deadline of an actor that cannot fire, or INF.
         """
-        V, L, receivers, time = self.V, self.L, table.receivers, self.time
-        random, exponential = self._draws
+        V, L, receivers, rng = self.V, self.L, table.receivers, self.rng
+        time = self.time
         best, winner, cap = INF, None, INF
         for actor in table.actors:
-            delay, deadline = actor[1].delay(V, L, rates, receivers, random,
-                                             exponential, time)
+            delay, deadline = actor[1].delay(V, L, rates, receivers, rng,
+                                             time)
             if delay is None:
                 if deadline < cap:
                     cap = deadline

@@ -501,35 +501,6 @@ system T;
         runs(text, 10, 1, watch=["k"])
 
 
-class _Source:
-    """A stand-in for a compiled closure: kernels read only its source."""
-
-    def __init__(self, source):
-        self.source = source
-
-
-@pytest.mark.parametrize("value", [
-    3, 2 ** 63 - 1, -2 ** 63 + 1, 2 ** 63, -2 ** 63, 10 ** 400, True, 2.0,
-    -0.0, 2.5, 1e19, math.inf, -math.inf, math.nan])
-def test_an_int_store_stores_what_coerce_does(value):
-    """An update kernel stores an int in 64-bit range as it is and hands
-    any other value to ``_coerce``: it stores what ``_coerce`` returns, or
-    raises its error."""
-    kernel = engine._update_kernel(((0, _Source("V[1]"), "int"),))
-    V = [None, value]
-    try:
-        want = engine.CompiledNetwork._coerce(value, "int")
-    except EngineError as exc:
-        with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
-            kernel(V, [])
-        assert not isinstance(value, float) or math.isfinite(value) or \
-            str(exc) == f"non-finite value {value!r} assigned to an int " \
-            "variable"
-        return
-    kernel(V, [])
-    assert type(V[0]) is int and V[0] == want
-
-
 _FAULTY = """
 int n = 0;
 clock x;
@@ -892,15 +863,20 @@ def _edges(compiled):
                                    for e in es]]
 
 
-def _no_draw():
-    raise AssertionError("a delay kernel drew where no draw was due")
+class _ZeroDraws:
+    """A stand-in for a run's RngStream whose draws are 0."""
+
+    def uniform(self, lo, hi):
+        return lo
+
+    def exponential(self, rate):
+        return 0.0
 
 
 def _delay(loc, V, L, rates, receivers, time=0.0):
     """``loc``'s delay kernel with draws of 0: (its start or None, its
     deadline)."""
-    return loc.delay(V, L, rates, receivers, lambda: 0.0, lambda scale: 0.0,
-                     time)
+    return loc.delay(V, L, rates, receivers, _ZeroDraws(), time)
 
 
 def _deadline(loc, V, L, rates):
@@ -1331,53 +1307,6 @@ def test_start_kernels_match_the_loop_reference(name):
     assert found == ({"now", "later", "never"} if name.endswith(".sta")
                      else {"now", "later"})
     assert gated == ({True, False} if name == "timed-binary" else {False})
-
-
-# Each way a delay kernel draws: a bounded sojourn, a start at or past its
-# deadline, an invariant that never closes, and no invariant, without and
-# with an exit rate.
-DRAWS = {
-    "bounded": "init loc a { inv x <= 2; } a -> a { guard x >= 1; "
-               "update x := 0; }",
-    "closed": "init loc a { inv x <= 2; } a -> a { guard x >= 2; "
-              "update x := 0; }",
-    "never-closes": "init loc a { rate x = 0; inv x <= 5; } "
-                    "a -> a { update y := y + 1; }",
-    "unbounded": "init loc a; a -> a { guard x >= 1; update x := 0; }",
-    "exitrate": "init loc a { exitrate 3.5; } a -> a { guard x >= 1; "
-                "update x := 0; }",
-}
-
-
-@pytest.mark.parametrize("name", list(DRAWS))
-def test_delay_kernels_draw_as_the_rng_stream(name):
-    """A delay kernel draws with the run's generator what
-    ``RngStream.uniform`` or ``RngStream.exponential`` draws on a twin
-    stream, bit for bit, and leaves the generator where they leave it."""
-    compiled = engine.CompiledNetwork(net(
-        "clock x; int y = 0; template T() { " + DRAWS[name] +
-        " } system T;"))
-    sim = engine.Simulator(compiled, RngStream(7, 3))
-    twin = RngStream(7, 3)
-    table = compiled.step_table(sim.L)
-    (_, loc), = table.actors
-    for x in (0.0, 0.5, 1.0, 1.5):
-        sim.V[compiled.slots["x"]] = x
-        rates = table.rates(sim.V, sim.L)
-        start, deadline = _delay(loc, sim.V, sim.L, rates, table.receivers)
-        assert deadline == {"bounded": 2.0 - x, "closed": 2.0 - x}.get(
-            name, math.inf)
-        for _ in range(20):
-            got = loc.delay(sim.V, sim.L, rates, table.receivers,
-                            *sim.rng.draws(), 0.0)
-            want = (twin.uniform(start, deadline) if deadline < math.inf
-                    else start + twin.exponential(loc.exit_rate or 1.0))
-            assert _bits(got) == _bits([want, deadline])
-        if name == "closed":
-            assert start == deadline  # so a draw is skipped
-            assert loc.delay(sim.V, sim.L, rates, table.receivers, _no_draw,
-                             _no_draw, 0.0) == (start, deadline)
-    assert sim.rng.uniform(0.0, 1.0) == twin.uniform(0.0, 1.0)
 
 
 def test_a_blocked_binary_emit_deadlocks():
