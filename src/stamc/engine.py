@@ -924,14 +924,17 @@ def _sampler(V, L, watch, monitor):
     ``L``: it calls ``monitor(V, L)``, if there is a monitor, and returns
     the ``watch`` kernel's dict, or one shared empty dict when nothing is
     watched."""
-    sample = (functools.partial(watch, V, L) if watch is not None
-              else lambda: _UNWATCHED)
     if monitor is None:
-        return sample
-
-    def monitored():
-        monitor(V, L)
-        return sample()
+        return (functools.partial(watch, V, L) if watch is not None
+                else lambda: _UNWATCHED)
+    if watch is None:
+        def monitored():
+            monitor(V, L)
+            return _UNWATCHED
+    else:
+        def monitored():
+            monitor(V, L)
+            return watch(V, L)
     return monitored
 
 

@@ -18,13 +18,17 @@ SPRT loop serves hypothesis tests, both routes of a constraint and the
 discordant pairs of ``compare``; extrema and trajectories are listed.
 Path formulas and extrema are judged while the run runs: ``engine.run``
 calls one ``_Monitor`` per run at its sample points (the start, before
-and after each event, and the end), which evaluates each formula's
-compiled predicate until it decides (``<>`` once true, ``[]`` once false)
-and keeps a running maximum or minimum. Nothing is recorded for them, so
-such a run builds no snapshot dict. Trajectories and constraints are
-judged on the trace once the run ends: a ``simulate`` job watches its
-expressions, and a constraint reads the observer's final location and
-the events' channels.
+and after each event, and the end). It calls one kernel generated for its
+open judges, which evaluates each open formula's predicate inline, stores
+a formula's decision (``<>`` once true, ``[]`` once false) and each
+running maximum or minimum in the outcomes, and says whether a formula
+decided; only then is the kernel swapped for that of the judges still
+open. Kernels are compiled through ``engine._kernel`` under the filename
+``<monitor>`` and cached on the open judges, so a run stream's runs share
+them. Nothing is recorded for sampled judges, so such a run builds no
+snapshot dict. Trajectories and constraints are judged on the trace once
+the run ends: a ``simulate`` job watches its expressions, and a
+constraint reads the observer's final location and the events' channels.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one check that read runs
@@ -81,7 +85,7 @@ from typing import Callable, Optional
 
 from . import expr as E
 from . import monitors
-from .engine import CompiledNetwork, RngStream, RunConfig, run
+from .engine import CompiledNetwork, RngStream, RunConfig, _kernel, run
 from .model import Model, Network, instantiate
 from .queries import (Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
@@ -254,52 +258,76 @@ class _Traced:
     watch: tuple = ()
 
 
+@functools.cache
+def _monitor_kernel(always: tuple, eventually: tuple, extrema: tuple):
+    """``(V, L, out)``: one sample point of the open judges, which returns
+    whether a formula decided. ``always``, ((place, predicate), ...), are
+    the ``[]`` formulas still true, each set False in ``out`` at its first
+    false sample; ``eventually`` the ``<>`` formulas not yet true, each set
+    True at its first true sample; ``extrema``, ((place, fn, is max),
+    ...), keep the running maximum or minimum of ``float(fn)`` in ``out``,
+    None until the first sample."""
+    lines = ["def _k(V, L, out):", "    decided = False"]
+    for place, fn in always:
+        lines += [f"    if not ({fn.source}):",
+                  f"        out[{place}] = False", "        decided = True"]
+    for place, fn in eventually:
+        lines += [f"    if {fn.source}:",
+                  f"        out[{place}] = True", "        decided = True"]
+    for place, fn, is_max in extrema:
+        lines += [f"    v = float({fn.source})", f"    best = out[{place}]",
+                  f"    if best is None or v {'>' if is_max else '<'} best:",
+                  f"        out[{place}] = v"]
+    return _kernel("monitor", lines + ["    return decided"])
+
+
 class _Monitor:
     """The sampled judges of one run, called at its sample points, with
     their outcomes in ``out`` by job place.
 
-    A path formula leaves its list at its first sample of the wanted truth:
-    ``<>`` once true, ``[]`` once false. Its lists are rebuilt only then,
-    so a sample costs one call per judge still open."""
+    One generated kernel (``_monitor_kernel``) judges the open judges at a
+    sample point. A path formula decides at its first sample of the wanted
+    truth, ``<>`` once true and ``[]`` once false, and only then is the
+    kernel replaced by that of the judges still open, so a run that
+    decides no formula makes one kernel call per sample point."""
 
-    __slots__ = ("out", "always", "eventually", "extrema")
+    __slots__ = ("out", "always", "eventually", "extrema", "kernel")
 
     def __init__(self, out: list):
         self.out = out
-        self.always = []  # [(place, predicate)] of [] formulas still true
-        self.eventually = []  # [(place, predicate)] of <> formulas not yet
-        self.extrema = []  # [(place, fn, is max)]
+        self.always = ()  # ((place, predicate), ...) of [] still true
+        self.eventually = ()  # ((place, predicate), ...) of <> not yet true
+        self.extrema = ()  # ((place, fn, is max), ...)
+        self.kernel = None
 
     def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
         [(_, fn)] = net.compile_watch((judge.expr,))
         if judge.op == "globally":
-            self.always.append((place, fn))
+            self.always += ((place, fn),)
             self.out[place] = True
         elif judge.op == "eventually":
-            self.eventually.append((place, fn))
+            self.eventually += ((place, fn),)
             self.out[place] = False
         else:
-            self.extrema.append((place, fn, judge.op == "max"))
+            self.extrema += ((place, fn, judge.op == "max"),)
 
-    def __bool__(self):
-        return bool(self.always or self.eventually or self.extrema)
+    def sampler(self):
+        """The call at each sample point once every judge is added, or None
+        if there is no judge."""
+        if not (self.always or self.eventually or self.extrema):
+            return None
+        self.kernel = _monitor_kernel(self.always, self.eventually,
+                                      self.extrema)
+        return self.sample
 
     def sample(self, V, L):
-        out = self.out
-        for place, fn in self.always:
-            if not fn(V, L):
-                out[place] = False
-                self.always = [e for e in self.always if e[0] != place]
-        for place, fn in self.eventually:
-            if fn(V, L):
-                out[place] = True
-                self.eventually = [e for e in self.eventually
-                                   if e[0] != place]
-        for place, fn, is_max in self.extrema:
-            v = float(fn(V, L))
-            best = out[place]
-            if best is None or (v > best if is_max else v < best):
-                out[place] = v
+        if self.kernel(V, L, self.out):
+            out = self.out
+            self.always = tuple(e for e in self.always if out[e[0]])
+            self.eventually = tuple(e for e in self.eventually
+                                    if not out[e[0]])
+            self.kernel = _monitor_kernel(self.always, self.eventually,
+                                          self.extrema)
 
 
 # --- shared run streams ----------------------------------------------------
@@ -351,7 +379,7 @@ def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
             watch += judge.watch
     trace = run(net, runs.bound, RngStream(runs.seed, index),
                 watch=tuple(dict.fromkeys(watch)), config=runs.run_config,
-                monitor=monitor.sample if monitor else None)
+                monitor=monitor.sampler())
     for place, judge in traced:
         out[place] = judge.fn(trace, *judge.args)
     return tuple(out)

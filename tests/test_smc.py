@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stamc import smc
+from stamc import engine, smc
 from stamc.engine import CompiledNetwork, RngStream, RunConfig, run
 from stamc.expr import ExprError, to_text
 from stamc.model import instantiate
@@ -641,3 +641,167 @@ def test_monitors_match_the_trace_judges_on_vehicle_runs():
     # every formula added above decided both ways
     assert all((k, x) in seen for k in range(len(formulas) - 2, len(formulas))
                for x in (True, False))
+
+
+# --- the monitor kernels against the loop form ----------------------------
+
+
+class LoopMonitor:
+    """The monitor kernels' reference: the sampled judges of one run in
+    loop form, which call every open formula's predicate and every
+    extremum's function at each sample point. A path formula leaves its
+    list at its first sample of the wanted truth: ``<>`` once true, ``[]``
+    once false."""
+
+    def __init__(self, out: list):
+        self.out = out
+        self.always = []  # [(place, predicate)] of [] formulas still true
+        self.eventually = []  # [(place, predicate)] of <> formulas not yet
+        self.extrema = []  # [(place, fn, is max)]
+
+    def add(self, place, judge, net):
+        [(_, fn)] = net.compile_watch((judge.expr,))
+        if judge.op == "globally":
+            self.always.append((place, fn))
+            self.out[place] = True
+        elif judge.op == "eventually":
+            self.eventually.append((place, fn))
+            self.out[place] = False
+        else:
+            self.extrema.append((place, fn, judge.op == "max"))
+
+    def sampler(self):
+        if self.always or self.eventually or self.extrema:
+            return self.sample
+        return None
+
+    def sample(self, V, L):
+        out = self.out
+        for place, fn in self.always:
+            if not fn(V, L):
+                out[place] = False
+                self.always = [e for e in self.always if e[0] != place]
+        for place, fn in self.eventually:
+            if fn(V, L):
+                out[place] = True
+                self.eventually = [e for e in self.eventually
+                                   if e[0] != place]
+        for place, fn, is_max in self.extrema:
+            v = float(fn(V, L))
+            best = out[place]
+            if best is None or (v > best if is_max else v < best):
+                out[place] = v
+
+
+def sampled(*judges):
+    """``_Sampled`` judges of ((op, expression text), ...)."""
+    return [smc._Sampled(op, to_text(parse_expression(e))) for op, e in judges]
+
+
+def test_monitor_kernels_match_the_loop_reference(monkeypatch):
+    """Every sampled judge of the requirement suite, on its main network
+    (the vehicle with the declared observer), plus formulas that decide
+    both ways: the kernels' outcomes equal the loop form's on 100 runs."""
+    model = parse_model((MODELS / "av.sta").read_text())
+    named = parse_queries((MODELS / "requirements.q").read_text())
+    for nq in named:
+        if isinstance(nq.query, ObserverDecl):
+            model = attach_observer(model, nq.query.constraint, nq.name)
+    net = CompiledNetwork(instantiate(model))
+    judges = []
+    for nq in named:
+        if isinstance(nq.query, (Estimate, Hypothesis, Compare, Expected)):
+            jobs, _ = smc._form(nq.query)
+            judges += [job.judge
+                       for job in jobs(net, nq.query, StatConfig(), nq.name)]
+    assert len(judges) == 31
+    # two formulas that decide both ways on these runs, and extrema
+    judges += sampled(
+        ("eventually", "wvl > 100"), ("globally", "wvl <= 100"),
+        ("max", "energy.braking_en"), ("min", "energy.braking_en"),
+        ("max", "wvl - wvr"), ("min", "wvl - wvr"))
+    n = 100
+    runs = smc._Runs(net, 3000.0, 42, RunConfig(),
+                     tuple((j, n) for j in judges))
+    live = tuple(range(len(judges)))
+    kernels = [smc._run_one(runs, i, live) for i in range(n)]
+    monkeypatch.setattr(smc, "_Monitor", LoopMonitor)
+    assert kernels == [smc._run_one(runs, i, live) for i in range(n)]
+    for place in (31, 32):
+        assert {outcomes[place] for outcomes in kernels} == {True, False}
+
+
+def coin_monitor(*judges):
+    """The coin network and a monitor of ``judges``, ((op, expression
+    text), ...), at places 0, 1, ..."""
+    net = CompiledNetwork(instantiate(coin_model()))
+    monitor = smc._Monitor([None] * len(judges))
+    for place, judge in enumerate(sampled(*judges)):
+        monitor.add(place, judge, net)
+    return net, monitor
+
+
+def test_formulas_that_decide_at_the_initial_sample():
+    """A ``<>`` formula true at the start and a ``[]`` formula false there
+    decide at the first sample point, and leave a kernel of the extremum
+    alone."""
+    net, monitor = coin_monitor(("eventually", "done == 0"),
+                                ("globally", "done == 1"), ("max", "x"))
+    sample = monitor.sampler()
+    assert monitor.out == [False, True, None]
+    sample(*net.initial_state())
+    assert monitor.out == [True, False, 0.0]
+    assert monitor.always == monitor.eventually == ()
+    assert monitor.kernel is smc._monitor_kernel((), (), monitor.extrema)
+
+
+@pytest.mark.parametrize("extremum", [(), (("min", "x"),)])
+@pytest.mark.parametrize("formulas", [
+    (("eventually", "done == 1"), ("globally", "x <= 0.5")),
+    (("eventually", "done == 1"),), (("globally", "x <= 0.5"),)])
+def test_a_run_in_which_every_formula_decides(formulas, extremum):
+    """Every formula decides before the bound, so the last kernel holds the
+    extrema alone, or nothing."""
+    net, monitor = coin_monitor(*formulas, *extremum)
+    run(net, 5, RngStream(3, 0), monitor=monitor.sampler())
+    assert monitor.out[:len(formulas)] == [op == "eventually"
+                                           for op, _ in formulas]
+    assert monitor.always == monitor.eventually == ()
+    assert len(monitor.extrema) == len(extremum)
+    assert monitor.kernel is smc._monitor_kernel((), (), monitor.extrema)
+
+
+def test_a_monitor_of_extrema_alone():
+    """Extrema of a clock, an int and a bool: each a float, and each the
+    maximum or minimum over the sample points of a trace that watches
+    it."""
+    judges = (("max", "x"), ("min", "x"), ("max", "heads"),
+              ("min", "heads + 2 * done"), ("max", "done == 1"),
+              ("min", "done == 0"))
+    keys = [to_text(parse_expression(e)) for _, e in judges]
+    for i in range(20):
+        net, monitor = coin_monitor(*judges)
+        run(net, 5, RngStream(11, i), monitor=monitor.sampler())
+        trace = run(net, 5, RngStream(11, i), watch=keys)
+        assert monitor.out == [reference_extremum(trace, key, mode)
+                               for (mode, _), key in zip(judges, keys)]
+        assert all(type(v) is float for v in monitor.out)
+
+
+def test_a_second_check_compiles_no_monitor_kernel():
+    """A check of the same queries on a newly compiled network of the same
+    model finds every monitor kernel its runs need."""
+    queries = [(None, query(text)) for text in (
+        "Pr[<=5](<> heads == 1)", "Pr[<=5]([] x <= 3) >= 0.5",
+        "E[<=5; 20](min: x)")]
+    smc._monitor_kernel.cache_clear()
+    before = engine._NAMED["monitor"]
+    first = smc.check(coin_model(), queries, StatConfig(seed=3))
+    compiled = engine._NAMED["monitor"]
+    assert compiled > before
+    smc._compiled.cache_clear()
+    second = smc.check(coin_model(), queries, StatConfig(seed=3))
+    assert engine._NAMED["monitor"] == compiled
+    for a, b in zip(first, second):
+        a.wall_ms = b.wall_ms = 0.0
+    assert first == second
