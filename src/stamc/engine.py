@@ -226,6 +226,7 @@ def _kernel(title: str, lines: list, **names):
     scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
+             "ArithmeticError": ArithmeticError,
              "_coerce": CompiledNetwork._coerce, "_sync": _sync, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
@@ -253,16 +254,31 @@ def _update_kernel(updates: tuple):
     return _kernel("update", lines)
 
 
+def _updating(call: str, where: str) -> list:
+    """Lines making ``call``, an edge's update, that name the edge,
+    ``where``, on the ArithmeticError or EngineError it raises, as its
+    ``edge``, for :func:`run`'s message.  From Python 3.11 a try that
+    catches nothing costs nothing."""
+    return ["try:", f"    {call}",
+            "except (ArithmeticError, EngineError) as exc:",
+            f"    exc.edge = {where!r}", "    raise"]
+
+
 def _sync(V, L, ready, rng) -> None:
     """Fire the receive edges that an emit synchronizes: each of ``ready``
     (a receive kernel's list, read in the state before the emitter fired,
     and one receiver for a binary emit) takes one of its enabled edges,
-    chosen by weight, in component order.  A lone edge draws nothing."""
+    chosen by weight, in component order.  A lone edge draws nothing.  An
+    update's fault names its edge, as :func:`_updating` does."""
     for index, enabled in ready:
-        update, target, _ = enabled[0] if len(enabled) == 1 else enabled[
-            rng.weighted_choice([weight for _, _, weight in enabled])]
+        update, target, _, where = enabled[0] if len(enabled) == 1 else \
+            enabled[rng.weighted_choice([edge[2] for edge in enabled])]
         if update is not None:
-            update(V, L)
+            try:
+                update(V, L)
+            except (ArithmeticError, EngineError) as exc:
+                exc.edge = where
+                raise
         L[index] = target
 
 
@@ -271,23 +287,24 @@ def _receive_kernel(channel: str, receivers: tuple):
     """``(V, L, emitter)``: the receivers that an emit on ``channel`` by the
     component at index ``emitter`` synchronizes, as [(component index, its
     enabled receive edges)], an edge as (update kernel or None, target,
-    weight).  ``receivers`` are ((component index, ((guard, update kernel
-    or None, target, weight), ...)), ...), the receive edges of one
-    location configuration in component order; each component but the
-    emitter that has an enabled one is listed, in that order."""
+    weight, the edge in error messages).  ``receivers`` are ((component
+    index, ((guard, update kernel or None, target, weight, the edge in
+    error messages), ...)), ...), the receive edges of one location
+    configuration in component order; each component but the emitter that
+    has an enabled one is listed, in that order."""
     lines = ["def _k(V, L, emitter):", "    ready = []"]
-    edges = {}  # name in the kernel -> (update kernel, target, weight)
+    edges = {}  # name in the kernel -> (update kernel, target, weight, edge)
     for i, (index, receive) in enumerate(receivers):
         if len(receive) == 1:
-            guard, update, target, weight = receive[0]
-            edges[f"R{i}"] = (index, ((update, target, weight),))
+            guard, *edge = receive[0]
+            edges[f"R{i}"] = (index, (tuple(edge),))
             body = [f"ready.append(R{i})"]
             if guard is not None:
                 body = [f"if {guard.source}:", *_indent(body)]
         else:
             body = ["e = []"]
-            for j, (guard, update, target, weight) in enumerate(receive):
-                edges[f"E{i}_{j}"] = (update, target, weight)
+            for j, (guard, *edge) in enumerate(receive):
+                edges[f"E{i}_{j}"] = tuple(edge)
                 body += ([f"e.append(E{i}_{j})"] if guard is None else
                          [f"if {guard.source}:", f"    e.append(E{i}_{j})"])
             body += ["if e:", f"    ready.append(({index}, e))"]
@@ -309,8 +326,8 @@ def _fire_kernel(name: str, index: int, edges: tuple):
     """``(V, L, receivers, rng, snap)`` firing one of the active edges of
     location ``name`` of the component at index ``index``, or returning
     None if none is enabled.  ``edges`` are ((guard, update kernel or None,
-    label, target, weight, channel, binary), ...); ``receivers`` are the
-    step table's receive kernels by channel.
+    label, target, weight, channel, binary, the edge in error messages),
+    ...); ``receivers`` are the step table's receive kernels by channel.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready; that test keeps the ready receiver as ``r{i}``
@@ -319,18 +336,21 @@ def _fire_kernel(name: str, index: int, edges: tuple):
     lone one draws nothing), reads which receivers are ready, as UPPAAL
     does, before it applies its updates by its update kernel, moves the
     component to its target, syncs those receivers through :func:`_sync`
-    and returns ``(label, channel, pre)``."""
+    and returns ``(label, channel, pre)``.  An update's fault names its
+    edge (:func:`_updating`)."""
     def enabled(i, guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
             tests.append(_ready_test(binary, index, f"r{i}"))
         return " and ".join(tests)
 
-    def fire(i, guard, update, label, target, weight, channel, binary):
+    def fire(i, guard, update, label, target, weight, channel, binary,
+             where):
         lines = [] if channel is None or binary is not None else [
             f"r{i} = (k := receivers[{channel!r}]) is not None and "
             f"k(V, L, {index})"]  # read before firing
-        lines += [f"U{i}(V, L)"] if update is not None else []
+        lines += (_updating(f"U{i}(V, L)", where) if update is not None
+                  else [])
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
             lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
@@ -556,12 +576,14 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
 
 
 class _CompiledEdge:
-    __slots__ = ("label", "target", "guard", "guard_probe", "guard_atoms",
-                 "channel", "binary", "weight", "updates", "update")
+    __slots__ = ("label", "where", "target", "guard", "guard_probe",
+                 "guard_atoms", "channel", "binary", "weight", "updates",
+                 "update")
 
-    def __init__(self, label, target, guard, guard_probe, guard_atoms,
-                 channel, binary, weight, updates):
+    def __init__(self, label, component, target, guard, guard_probe,
+                 guard_atoms, channel, binary, weight, updates):
         self.label = label
+        self.where = f"edge {label} of {component}"  # in error messages
         self.target = target
         self.guard = guard  # compiled or None
         self.guard_probe = guard_probe  # probe form of guard, or None
@@ -624,7 +646,7 @@ class _CompiledLocation:
             edge.update = _update_kernel(edge.updates)
         self.fire = _fire_kernel(self.name, self.index, tuple(
             (e.guard, e.update, e.label, e.target, e.weight, e.channel,
-             e.binary) for e in self.active))
+             e.binary, e.where) for e in self.active))
 
 
 class _Receivers(dict):
@@ -641,8 +663,8 @@ class _Receivers(dict):
 
     def __missing__(self, channel):
         receivers = tuple(
-            (cc.index, tuple((e.guard, e.update, e.target, e.weight)
-                             for e in loc.receive[channel]))
+            (cc.index, tuple((e.guard, e.update, e.target, e.weight,
+                              e.where) for e in loc.receive[channel]))
             for cc, loc in self.located if channel in loc.receive)
         kernel = self[channel] = (_receive_kernel(channel, receivers)
                                   if receivers else None)
@@ -775,6 +797,9 @@ class CompiledNetwork:
                             for i, comp in enumerate(network.components)}
         self.components = []
         self._tables = {}  # location configuration -> _StepTable
+        # configurations whose step tables copies of this network built in
+        # other processes; smc builds their tables before it forks workers
+        self.reached = set()
         self._watches = {}  # watch tuple -> (compiled watch, its kernel)
         self.query_resolver = self._slotted(resolver(network))
 
@@ -822,7 +847,8 @@ class CompiledNetwork:
                           and sync.direction == "emit"
                           and not broadcast.get(channel, True) else None)
                 ce = _CompiledEdge(
-                    f"{edge.source}->{edge.target}#{i}", edge.target,
+                    f"{edge.source}->{edge.target}#{i}", comp.name,
+                    edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
                     channel, binary, edge.weight, tuple(updates))
                 source = cc.locations[edge.source]
@@ -1104,9 +1130,17 @@ def run(network, bound: float, rng: RngStream, watch=(),
                              {cc.name: loc for cc, loc
                               in zip(net.components, sim.L)})
             events.append(result)
-    except ArithmeticError as exc:  # x / 0, n % 0, an overflowing power
-        raise EngineError(f"arithmetic error at t={sim.time}: "
-                          f"{type(exc).__name__}: {exc}") from None
+    except (ArithmeticError, EngineError) as exc:
+        edge = getattr(exc, "edge", None)  # set by _updating and _sync
+        if isinstance(exc, ArithmeticError):  # x / 0, n % 0, a power
+            message = (f"arithmetic error at t={sim.time}: "
+                       f"{type(exc).__name__}: {exc}")
+        elif edge is not None:  # an update's store, such as an int's
+            message = f"{exc} at t={sim.time}"
+        else:
+            raise
+        where = "" if edge is None else f", in the update of {edge}"
+        raise EngineError(message + where) from None
     raise EngineError(
         "zeno/committed-loop: step ceiling "
         f"({sim.config.max_steps}) exceeded at t={sim.time}")

@@ -63,13 +63,21 @@ network included, so a chunk is just run indices, a stream index and the
 mask of the live jobs. A chunk holds 4 run indices and at most 2 chunks per
 worker and stream are in flight. A forked worker (the default on Linux
 before Python 3.14) runs the networks it inherits and compiles nothing;
-any other compiles each network once, as the streams unpickle. A stream
-yields outcomes strictly in run-index order, so verdicts and estimates do
-not depend on the worker count. When a rule decides, the chunks its reads
-sent ahead stay queued or running while another job of the stream has yet
-to finish reading, and are read by that job; once no job is left, they are
-cancelled and the outcomes of running ones dropped. So no run is simulated
-twice, and the chunks sent depend on what the rules read, never on timing.
+any other compiles each network once, as the streams unpickle. A chunk
+also returns the location configurations whose step tables its runs
+built, and the stream's network keeps them as ``reached``. A pool whose
+workers fork first builds here the table of every reached configuration
+that its networks lack, so in a process that checks more than once, a
+forked worker starts with the table of every configuration that earlier
+workers reported and builds only the new ones. A worker started by
+``forkserver`` or ``spawn`` unpickles fresh networks and builds its own,
+so the pool builds none for it. A stream yields outcomes strictly in
+run-index order, so verdicts and estimates do not depend on the worker
+count. When a rule decides, the chunks its reads sent ahead stay queued
+or running while another job of the stream has yet to finish reading, and
+are read by that job; once no job is left, they are cancelled and the
+outcomes of running ones dropped. So no run is simulated twice, and the
+chunks sent depend on what the rules read, never on timing.
 """
 
 from __future__ import annotations
@@ -401,9 +409,12 @@ def _worker_start(streams):
 
 def _worker_chunk(indices, stream, live):
     """Runs ``indices`` of the stream at index ``stream`` in a worker, judged
-    by the ``live`` jobs."""
+    by the ``live`` jobs: their outcomes, and the location configurations
+    whose step tables the runs built in the stream's network."""
     runs = _W_RUNS[stream]
-    return [_run_one(runs, i, live) for i in indices]
+    before = len(runs.net._tables)
+    outcomes = [_run_one(runs, i, live) for i in indices]
+    return outcomes, list(runs.net._tables)[before:]
 
 
 class _Stream:
@@ -512,10 +523,18 @@ class RunPool:
             return
         if self._executor is None:
             # the platform's default start method (fork on Linux): workers
-            # inherit the loaded modules and start at once
+            # inherit the loaded modules and start at once, at the first
+            # submit
+            streams = tuple(s.runs for s in self._streams.values())
             self._executor = ProcessPoolExecutor(
                 max_workers=self.cfg.workers, initializer=_worker_start,
-                initargs=(tuple(s.runs for s in self._streams.values()),))
+                initargs=(streams,))
+            if self._executor._mp_context.get_start_method() == "fork":
+                # forked workers inherit the step tables that the workers
+                # of earlier pools built, instead of building them again
+                for runs in streams:
+                    for config in runs.net.reached:
+                        runs.net.step_table(config)
         live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.cfg.workers
                and stream.submitted < total):
@@ -524,7 +543,9 @@ class RunPool:
             stream.pending.append(self._executor.submit(
                 _worker_chunk, chunk, stream.index, live))
             stream.submitted = chunk[-1] + 1
-        stream.cache.extend(stream.pending.popleft().result())
+        outcomes, reached = stream.pending.popleft().result()
+        stream.cache.extend(outcomes)
+        stream.runs.net.reached.update(reached)
 
 
 @contextmanager

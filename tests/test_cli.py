@@ -531,6 +531,45 @@ def test_check_an_arithmetic_fault_in_a_run_exits_3(runner, tmp_path,
     assert "Traceback" not in res.output
 
 
+# an emitter and a broadcast receiver that synchronize on `go` at t = 1
+SYNCED = """
+int n = 0;
+clock x;
+broadcast chan go;
+template E() {
+  init loc a { inv x <= 1; }
+  loc b;
+  a -> b { guard x >= 1; sync go!; update n := %s; }
+}
+template R() { init loc w; w -> w { sync go?; update n := %s; } }
+system E, R;
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("emit,receive,message", [
+    ("x / 0", "n + 1", "arithmetic error at t=1.0: ZeroDivisionError: float "
+     "division by zero, in the update of edge a->b#0 of E"),
+    ("n + 1", "n % 0", "arithmetic error at t=1.0: ZeroDivisionError: float "
+     "modulo, in the update of edge w->w#0 of R"),
+    ("n + 1", "x" + " * 1000000000" * 40, "non-finite value inf assigned to "
+     "an int variable at t=1.0, in the update of edge w->w#0 of R"),
+], ids=["emitter", "receiver", "receiver-store"])
+def test_check_names_the_edge_whose_update_faults(runner, tmp_path, emit,
+                                                  receive, message, workers):
+    """A fault in an emitter's update, or in a broadcast receiver's, ends
+    the check with exit 3 and one error line that names the component and
+    the edge whose update raised."""
+    m = tmp_path / "synced.sta"
+    m.write_text(SYNCED % (emit, receive))
+    q = tmp_path / "suite.q"
+    q.write_text("Q1: Pr[<=5](<> n == 1) >= 0.1;\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert res.output.strip() == f"error: {message}"
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import; only the statistics
     # that need it load it

@@ -494,6 +494,58 @@ def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
     assert compiled.read_text().split() == [str(os.getpid())] * 2
 
 
+def test_forked_workers_inherit_the_tables_earlier_workers_built(
+        pools, monkeypatch, tmp_path, task_text):
+    """A forked pool starts with the step table of every configuration that
+    the workers of earlier checks reported, so the second of two checks
+    builds its tables in this process, before its workers fork, and they
+    build none; a forkserver pool's workers unpickle fresh networks, so
+    this process builds no table for them."""
+    built = tmp_path / "built"
+    init = engine._StepTable.__init__
+
+    def recorded(self, net, config):
+        with open(built, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, net, config)
+
+    monkeypatch.setattr(engine._StepTable, "__init__", recorded)
+    model = parse_model(task_text)
+    queries = [(None, query(t)) for t in (
+        "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
+        "on start=start, stop=stop;", "E[<=50; 10](max: n)")]
+    cfg = StatConfig(seed=7, delta_indiff=0.05)
+    base = smc.ProcessPoolExecutor  # the pools fixture's
+
+    def checked(method):
+        """The rows of a two-worker check whose pool starts its workers by
+        ``method``, and the pid of each table built meanwhile."""
+        class Pool(base):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=get_context(method),
+                                 **kwargs)
+
+        monkeypatch.setattr(smc, "ProcessPoolExecutor", Pool)
+        built.write_text("")
+        rows = smc.check(model, queries, replace(cfg, workers=2))
+        return [without_wall(r) for r in rows], built.read_text().split()
+
+    here = str(os.getpid())
+    first, first_built = checked("fork")
+    assert first_built and here not in first_built
+    second, second_built = checked("fork")
+    assert set(second_built) == {here}
+    assert second == first
+    # fresh networks, whose workers report what they built
+    smc._compiled.cache_clear()
+    for _ in range(2):
+        rows, served_built = checked("forkserver")
+        assert rows == first and served_built == []
+    assert smc._compiled(model).reached
+    assert [without_wall(r) for r in smc.check(model, queries, cfg)] == first
+    assert len(pools) == 4 and all(pool.chunks for pool in pools)
+
+
 # --- the compiled-network cache --------------------------------------------
 
 AV_TEXT = (pathlib.Path(__file__).resolve().parent.parent
