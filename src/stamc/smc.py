@@ -65,11 +65,15 @@ worker and stream are in flight. A forked worker (the default on Linux
 before Python 3.14) runs the networks it inherits and compiles nothing;
 any other compiles each network once, as the streams unpickle. A chunk
 also returns the location configurations whose step tables its runs
-built, and the stream's network keeps them as ``reached``. A pool whose
-workers fork first builds here the table of every reached configuration
-that its networks lack, so in a process that checks more than once, a
-forked worker starts with the table of every configuration that earlier
-workers reported and builds only the new ones. A worker started by
+built, and the stream's network keeps them as ``reached``: those of the
+chunks read, and, when the pool closes, those of the chunks that ran but
+were never read. A pool whose workers fork first builds here the table of
+every reached configuration that its networks lack, so in a process that
+checks more than once (a library caller's loop of ``check`` or
+``evaluate_query`` calls, a test session), a forked worker starts with the
+table of every configuration that earlier workers reported and builds only
+the new ones. A single ``stamc check`` makes one pool and reaches nothing
+before it starts, so it builds nothing here. A worker started by
 ``forkserver`` or ``spawn`` unpickles fresh networks and builds its own,
 so the pool builds none for it. A stream yields outcomes strictly in
 run-index order, so verdicts and estimates do not depend on the worker
@@ -89,6 +93,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing import get_context
 from typing import Callable, Optional
 
 from . import expr as E
@@ -468,10 +473,16 @@ class RunPool:
         self.close()
 
     def close(self):
-        """Cancel queued chunks and wait for the running ones."""
+        """Cancel queued chunks and wait for the running ones. A chunk
+        that ran but was never read adds the configurations it reports to
+        its network's ``reached``, as a read one does."""
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
+            for stream in self._streams.values():
+                for future in stream.pending:
+                    if not future.cancelled() and future.exception() is None:
+                        stream.runs.net.reached.update(future.result()[1])
 
     def register(self, net: CompiledNetwork, query, name=None) -> list:
         """Joins ``query``'s jobs on ``net`` to their streams: the (stream,
@@ -526,10 +537,11 @@ class RunPool:
             # inherit the loaded modules and start at once, at the first
             # submit
             streams = tuple(s.runs for s in self._streams.values())
+            context = get_context()
             self._executor = ProcessPoolExecutor(
-                max_workers=self.cfg.workers, initializer=_worker_start,
-                initargs=(streams,))
-            if self._executor._mp_context.get_start_method() == "fork":
+                max_workers=self.cfg.workers, mp_context=context,
+                initializer=_worker_start, initargs=(streams,))
+            if context.get_start_method() == "fork":
                 # forked workers inherit the step tables that the workers
                 # of earlier pools built, instead of building them again
                 for runs in streams:

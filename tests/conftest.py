@@ -96,14 +96,15 @@ def unresolvable(request):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Every process pool smc creates while the test runs, each with the
-    run-index chunks submitted to it, every submit's arguments, their
-    futures and whether it was shut down."""
+    """Every process pool smc creates while the test runs, each with its
+    multiprocessing context, the run-index chunks submitted to it, every
+    submit's arguments, their futures and whether it was shut down."""
     created = []
 
     class CountingPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.context = kwargs.get("mp_context")
             self.chunks = []
             self.args = []
             self.futures = []

@@ -440,12 +440,8 @@ def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
     inline = [smc.check(model, [(None, query(t)) for t in texts], cfg)
               for model, texts in checks]
 
-    class Forkserver(smc.ProcessPoolExecutor):  # the pools fixture's
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, mp_context=get_context("forkserver"),
-                             **kwargs)
-
-    monkeypatch.setattr(smc, "ProcessPoolExecutor", Forkserver)
+    monkeypatch.setattr(smc, "get_context",
+                        lambda: get_context("forkserver"))
     pooled = [smc.check(model, [(None, query(t)) for t in texts],
                         replace(cfg, workers=2)) for model, texts in checks]
     assert [[without_wall(r) for r in rs] for rs in pooled] == \
@@ -453,7 +449,7 @@ def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
     assert len(pools) == len(checks)
     assert all(pool.shut_down for pool in pools)
     for pool in pools:
-        assert pool._mp_context.get_start_method() == "forkserver"
+        assert pool.context.get_start_method() == "forkserver"
         assert pool.args
         assert not any(isinstance(arg, bytes)
                        for args in pool.args for arg in args)
@@ -479,11 +475,7 @@ def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
     cfg = StatConfig(seed=7, delta_indiff=0.05)
     inline = smc.check(model, queries, cfg)
 
-    class Fork(smc.ProcessPoolExecutor):  # the pools fixture's
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, mp_context=get_context("fork"), **kwargs)
-
-    monkeypatch.setattr(smc, "ProcessPoolExecutor", Fork)
+    monkeypatch.setattr(smc, "get_context", lambda: get_context("fork"))
     pooled = smc.check(model, queries, replace(cfg, workers=2))
     assert [without_wall(r) for r in pooled] == \
         [without_wall(r) for r in inline]
@@ -515,17 +507,11 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
         "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
         "on start=start, stop=stop;", "E[<=50; 10](max: n)")]
     cfg = StatConfig(seed=7, delta_indiff=0.05)
-    base = smc.ProcessPoolExecutor  # the pools fixture's
 
     def checked(method):
         """The rows of a two-worker check whose pool starts its workers by
         ``method``, and the pid of each table built meanwhile."""
-        class Pool(base):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, mp_context=get_context(method),
-                                 **kwargs)
-
-        monkeypatch.setattr(smc, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(smc, "get_context", lambda: get_context(method))
         built.write_text("")
         rows = smc.check(model, queries, replace(cfg, workers=2))
         return [without_wall(r) for r in rows], built.read_text().split()
@@ -544,6 +530,55 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
     assert smc._compiled(model).reached
     assert [without_wall(r) for r in smc.check(model, queries, cfg)] == first
     assert len(pools) == 4 and all(pool.chunks for pool in pools)
+
+
+# a committed pick of one of eight absorbing locations: runs reach
+# different location configurations
+SPREAD = """
+int done = 0;
+clock x;
+
+template S() {
+  init loc wait { inv x <= 1; }
+  committed loc pick;
+  %s
+  wait -> pick { guard x >= 1; }
+  %s
+}
+
+system S;
+""" % (" ".join(f"loc r{k};" for k in range(8)),
+       " ".join(f"pick -> r{k} {{ update done := 1; }}" for k in range(8)))
+
+
+def test_chunks_run_but_never_read_report_their_tables(pools, monkeypatch,
+                                                       tmp_path):
+    """A test that decides in its first chunk leaves chunks that ran but
+    were never read; the pool keeps the configurations those built too, so
+    the network's reached set is every table its forked workers built."""
+    monkeypatch.setattr(smc.RunPool, "AHEAD", 8)
+    monkeypatch.setattr(smc, "get_context", lambda: get_context("fork"))
+    built = tmp_path / "built"
+    init = engine._StepTable.__init__
+
+    def recorded(self, net, config):
+        with open(built, "a") as fh:
+            fh.write(f"{os.getpid()} {' '.join(config)}\n")
+        init(self, net, config)
+
+    monkeypatch.setattr(engine._StepTable, "__init__", recorded)
+    model = parse_model(SPREAD)
+    res = evaluate_query(model, query("Pr[<=5](<> done == 1) >= 0.1"),
+                         StatConfig(seed=7, delta_indiff=0.05, workers=2))
+    [pool] = pools
+    ran = [fut for fut in pool.futures if not fut.cancelled()]
+    assert res.runs <= smc.RunPool.CHUNK < len(ran) * smc.RunPool.CHUNK
+    lines = [line.split() for line in built.read_text().splitlines()]
+    assert lines and all(pid != str(os.getpid()) for pid, *_ in lines)
+    reached = {tuple(config) for _, *config in lines}
+    # more than the read chunk's four runs could reach
+    assert len(reached) > 2 + smc.RunPool.CHUNK
+    assert smc._compiled(model).reached == reached
 
 
 # --- the compiled-network cache --------------------------------------------
