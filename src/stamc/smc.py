@@ -9,7 +9,12 @@ weakly-hard timing constraints, each with one ``SmcResult``.
 
 Statistics: Chernoff-Hoeffding run count for estimation, Clopper-Pearson
 exact confidence intervals, Wald SPRT with an indifference region for
-hypothesis tests.  Every result records the seed that reproduces it.
+hypothesis tests, and a Student-t interval for an expected extremum.
+Every result records the seed that reproduces it. Both intervals' quantiles
+invert the regularized incomplete beta I_x(a, b), computed here from its
+continued fraction (Press et al., Numerical Recipes, 6.4) and inverted by
+Newton steps inside a bisection bracket; they agree with scipy's to 1e-12,
+which the tests check, and the checker loads no scipy.
 
 Run path: a query is one or two jobs, each with a judge that turns a run
 into an outcome, and a decision rule over the jobs' outcome streams,
@@ -88,6 +93,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -154,15 +160,122 @@ def chernoff_runs(alpha: float, epsilon: float) -> int:
 
 
 def clopper_pearson(successes: int, n: int, alpha: float) -> tuple:
-    """Exact binomial confidence interval at level 1 - alpha."""
-    if n <= 0:
-        raise QueryError("need n > 0")
-    import scipy.stats  # here, not at module level: it takes most of a second
-    lo = 0.0 if successes == 0 else float(
-        scipy.stats.beta.ppf(alpha / 2, successes, n - successes + 1))
-    hi = 1.0 if successes == n else float(
-        scipy.stats.beta.ppf(1 - alpha / 2, successes + 1, n - successes))
+    """Exact binomial confidence interval at level 1 - alpha (Clopper and
+    Pearson, Biometrika 1934): the alpha/2 quantile of Beta(k, n - k + 1)
+    and the 1 - alpha/2 quantile of Beta(k + 1, n - k)."""
+    if not isinstance(n, numbers.Integral) or n <= 0:
+        raise QueryError("need an integer n > 0")
+    if not isinstance(successes, numbers.Integral) or not 0 <= successes <= n:
+        raise QueryError("need an integer 0 <= successes <= n")
+    if not 0 < alpha < 1:
+        raise QueryError("need 0 < alpha < 1")
+    k = successes
+    lo = 0.0 if k == 0 else _ibeta_inv(alpha / 2, k, n - k + 1)[0]
+    hi = 1.0 if k == n else _ibeta_inv(alpha / 2, n - k, k + 1)[1]
     return (lo, hi)
+
+
+def _t_quantile(alpha: float, nu: int) -> float:
+    """t with Pr[|T| > t] = alpha for Student's T with nu degrees of
+    freedom: that probability is I_x(nu/2, 1/2) at x = nu / (nu + t^2)."""
+    x, y = _ibeta_inv(alpha, nu / 2, 0.5)
+    return math.sqrt(nu * y / x) if x else math.inf  # x underflows
+
+
+# Both quantiles invert the regularized incomplete beta I_x(a, b), whose
+# continued fraction and inverse are below, for a, b >= 1/2.
+
+_LOG_SQRT_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _stirling(z: float) -> float:
+    """lgamma(z) less Stirling's (z - 1/2) log z - z + log sqrt(2 pi)."""
+    if z < 16:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _LOG_SQRT_2PI
+    w = 1 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680
+                                                           - w / 1188)))) / z
+
+
+def _ibeta(x: float, a: float, b: float) -> tuple:
+    """(I_x(a, b), 1 - I_x(a, b), the Beta(a, b) density at x) for
+    0 < x <= 1/2. The continued fraction gives I_x(a, b) below x = (a + 1)
+    / (a + b + 2) and 1 - I_x(a, b) above it, where each converges fast;
+    the other is 1 minus it. The front factor x^a (1-x)^b / B(a, b) is
+    taken relative to the mean a/(a+b), with the Gamma functions' Stirling
+    terms cancelled by hand: from three plain lgamma, the t quantile at
+    nu = 10^5 was off by 6e-11 of itself."""
+    s = a + b
+    p0, q0 = a / s, b / s
+    log_x = (math.log(x / p0) if x < p0 / 2 else math.log1p((x - p0) / p0))
+    front = math.exp(a * log_x + b * math.log1p((p0 - x) / q0)
+                     + 0.5 * math.log(a * q0) - _LOG_SQRT_2PI
+                     + _stirling(s) - _stirling(a) - _stirling(b))
+    density = front / (x * (1 - x))
+    if x * (s + 2) < a + 1:
+        i = front / _beta_fraction(x, 1 - x, a, b)
+        return i, 1 - i, density
+    j = front / _beta_fraction(1 - x, x, b, a)
+    return 1 - j, j, density
+
+
+def _beta_fraction(x: float, y: float, a: float, b: float) -> float:
+    """F with I_x(a, b) = x^a y^b / (B(a, b) F), y = 1 - x, by the modified
+    Lentz method (Press et al., Numerical Recipes, 6.4). It is the even part
+    of their fraction, as DiDonato and Morris write it (ACM TOMS 18, 1992),
+    which reads 1 - x only as y: exact for x close to 1, given y."""
+    tiny = 1e-300
+    f = a * (a * y - b * x + 1) / (a + 1) or tiny
+    c, d, m = f, 0.0, 0
+    while True:
+        m += 1
+        t = a + 2 * m - 1
+        an = (a + m - 1) * (a + b + m - 1) * m * (b - m) * x * x / (t * t)
+        bn = (m + m * (b - m) * x / t
+              + (a + m) * (a * y - b * x + 1 + m * (2 - x)) / (t + 2))
+        d = 1 / (bn + an * d or tiny)
+        c = bn + an / c or tiny
+        f *= c * d
+        if abs(c * d - 1) <= 1e-15:
+            return f
+
+
+def _ibeta_inv(p: float, a: float, b: float) -> tuple:
+    """(x, 1 - x) with I_x(a, b) = p. Of x and 1 - x, the one below 1/2 is
+    solved for, so each keeps its relative precision: ``u`` is x, or 1 - x
+    with I_u(b, a) = 1 - p. Newton steps on log(I_u / p), or on log((1 -
+    p) / (1 - I_u)) when 1 - p is the smaller, start from the mean and are
+    kept inside a bisection bracket. A tail's log is near linear in u, so a
+    far start costs a few steps; 400 steps are enough for bisection alone
+    to reach the smallest float."""
+    q = 1 - p
+    swap = p > _ibeta(0.5, a, b)[0]
+    if swap:
+        p, q, a, b = q, p, b, a
+    lower = p <= q
+    lo, hi, u = 0.0, 0.5, min(0.5, a / (a + b))
+    for _ in range(400):
+        i, j, density = _ibeta(u, a, b)
+        tail, target = (i, p) if lower else (j, q)
+        h = math.log(tail / target) if tail else -math.inf
+        if not lower:
+            h = -h  # so that h grows with u
+        if h < 0:
+            lo = u
+        else:
+            hi = u
+        step = h * tail / density if density else math.nan
+        if abs(step) <= 1e-15 * u:
+            u -= step
+            break
+        if hi - lo <= 1e-15 * u:
+            break
+        u -= step
+        if not lo < u < hi:
+            u = (lo + hi) / 2 if lo else hi / 16
+        if not u:  # the root is below the smallest float
+            break
+    return (1 - u, u) if swap else (u, 1 - u)
 
 
 class Sprt:
@@ -723,11 +836,10 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
     [outcomes] = streams
     values = list(outcomes)
     import numpy as np
-    import scipy.stats
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     se = float(arr.std(ddof=1) / math.sqrt(q.n_runs))
-    t_crit = float(scipy.stats.t.ppf(1 - cfg.alpha / 2, q.n_runs - 1))
+    t_crit = _t_quantile(cfg.alpha, q.n_runs - 1)
     counts, edges = np.histogram(arr, bins=HISTOGRAM_BINS)
     return SmcResult(
         verdict="estimate-only", p_hat=mean,

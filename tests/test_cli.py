@@ -570,15 +570,33 @@ def test_check_names_the_edge_whose_update_faults(runner, tmp_path, emit,
     assert res.output.strip() == f"error: {message}"
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import; only the statistics
-    # that need it load it
+# a check in a fresh process, which then prints the scipy modules it loaded
+CHECK_THEN_LIST_SCIPY = """
+import sys
+from stamc.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded(tmp_path, task_text):
+    # the statistics need no scipy: a check of every query form, a
+    # constraint included, loads no scipy module at all
+    model, queries = tmp_path / "task.sta", tmp_path / "every.q"
+    model.write_text(task_text)
+    queries.write_text("P: Pr[<=50](<> n >= 4);\n" + MIXED)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, stamc.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+        [sys.executable, "-c", CHECK_THEN_LIST_SCIPY, "check", str(model),
+         str(queries), "--epsilon", "0.1", "--indifference", "0.05",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    rows = json.loads((tmp_path / "o" / "results.json").read_text())
+    assert [r["name"] for r in rows["results"]] == list("PHCESK")
+    assert res.stdout.splitlines()[-1] == "[]"

@@ -81,6 +81,45 @@ def test_clopper_pearson_contains_point_estimate():
     assert hi == pytest.approx(scipy.stats.beta.ppf(0.975, 31, 70))
 
 
+# the reference grid: run counts from 1 to 10^6, successes at both ends and
+# in between, and levels from far in the tail to past the median
+CP_RUNS = (1, 2, 3, 10, 35, 47, 140, 738, 10 ** 4, 10 ** 6)
+LEVELS = (1e-9, 1e-3, 0.05, 0.2, 0.5, 0.9)
+
+
+def test_clopper_pearson_matches_scipy():
+    # scipy is the reference only: the upper bound is its isf at alpha/2,
+    # since ppf at 1 - alpha/2 first rounds alpha/2 to the spacing near 1
+    for n in CP_RUNS:
+        for k in {k for k in (0, 1, 2, n // 3, n // 2, n - 2, n - 1, n)
+                  if 0 <= k <= n}:
+            for alpha in LEVELS:
+                lo, hi = clopper_pearson(k, n, alpha)
+                ref_lo = scipy.stats.beta.ppf(alpha / 2, k, n - k + 1) \
+                    if k else 0.0
+                ref_hi = scipy.stats.beta.isf(alpha / 2, k + 1, n - k) \
+                    if k < n else 1.0
+                assert abs(lo - ref_lo) <= 1e-12, (k, n, alpha, lo, ref_lo)
+                assert abs(hi - ref_hi) <= 1e-12, (k, n, alpha, hi, ref_hi)
+
+
+def test_t_quantile_matches_scipy():
+    for nu in (1, 2, 3, 4, 9, 24, 99, 10 ** 3, 10 ** 5):
+        for alpha in LEVELS:
+            t = smc._t_quantile(alpha, nu)
+            ref = scipy.stats.t.isf(alpha / 2, nu)
+            assert t == pytest.approx(ref, rel=1e-12), (nu, alpha)
+
+
+@pytest.mark.parametrize("successes, n, alpha", [
+    (5, 3, 0.05), (-1, 3, 0.05), (1.5, 3, 0.05), (1, 3, 1.5), (1, 3, 0.0),
+    (1, 3, 1.0), (1, 3, math.nan), (0, 0, 0.05), (1, 3.0, 0.05)])
+def test_clopper_pearson_rejects_what_is_not_an_interval(successes, n,
+                                                          alpha):
+    with pytest.raises(smc.QueryError):
+        clopper_pearson(successes, n, alpha)
+
+
 def test_sprt_decides_clear_cases():
     s = Sprt(0.5, 0.01, 0.05, 0.05)
     decision = None
