@@ -97,6 +97,10 @@ into straight-line code or writing a literal rate ``r`` as ``r * dt``
 (``dt`` alone for 1, which ``1.0 * dt`` equals bit for bit).  Runs are
 bit-identical to that straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
+``RngStream`` serves uniforms and weighted choices from the bit generator's
+words, one at a time after an exponential and in blocks otherwise, and
+rewinds a block's unread words by ``PCG64.advance`` before an exponential,
+so each draw is the one a plain ``numpy.random.Generator`` makes.
 Only runs through a stepped plan depend on ``h_max``.
 """
 
@@ -123,36 +127,95 @@ class EngineError(Exception):
     pass
 
 
+_BLOCK = 64  # doubles per block, and single words after an exponential
+
+
 @dataclass
 class RngStream:
-    """Replayable random stream: (seed, run index) fully determine the run."""
+    """Replayable random stream: (seed, run index) fully determine the run.
+
+    Run i of seed s draws from ``PCG64(SeedSequence((s, i)))`` exactly what
+    a ``numpy.random.Generator`` on that bit generator would: a uniform is
+    ``lo + (hi - lo) * random()`` (no draw if ``hi <= lo``), an exponential
+    ``exponential(1 / rate)``, and a weighted choice compares one
+    ``random()`` times the total weight with the running sums.
+
+    ``random()`` is ``(w >> 11) * 2**-53`` of the bit generator's next
+    64-bit word ``w``, so uniforms and weighted choices need no
+    ``random()`` call each.  They read doubles from blocks of ``_BLOCK``
+    that ``Generator.random(_BLOCK)`` fills, the first one at a stream's
+    first draw.  An exponential gives a block's unread doubles back to the
+    bit generator with ``PCG64.advance(-unread)``, then calls
+    ``Generator.exponential``.  A rewind costs about three draws, so the
+    first ``_streak`` draws after an exponential read single words from
+    ``PCG64.random_raw()`` instead, and a stream whose exponentials come
+    between a few uniforms never fills a block; ``_streak`` is 64 and
+    doubles whenever a block is given back mostly unread.  Long streaks of
+    uniforms read nearly every draw from a block."""
 
     master_seed: int
     run_index: int
 
     def __post_init__(self):
         ss = np.random.SeedSequence((self.master_seed, self.run_index))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._bits = np.random.PCG64(ss)
+        self._gen = np.random.Generator(self._bits)
+        self._raw = self._bits.random_raw
+        self._block = []  # a block's unread doubles, the next one last
+        self._streak = _BLOCK  # single words after each exponential
+        self._singles = 0  # single words left before the next block
 
     def uniform(self, lo: float, hi: float) -> float:
         if hi <= lo:
             return lo
-        return lo + (hi - lo) * self._gen.random()
+        # _unit(), inlined: a uniform is the engine's commonest draw
+        block = self._block
+        if block:
+            return lo + (hi - lo) * block.pop()
+        if self._singles:
+            self._singles -= 1
+            return lo + (hi - lo) * ((self._raw() >> 11) * 2.0 ** -53)
+        return lo + (hi - lo) * self._fill()
 
     def exponential(self, rate: float) -> float:
+        block = self._block
+        if block:
+            # under a quarter read: about what its fill and rewind cost
+            if len(block) > _BLOCK * 3 // 4:
+                self._streak *= 2
+            self._bits.advance(-len(block))
+            self._block = []
+        self._singles = self._streak
         return self._gen.exponential(1.0 / rate)
 
     def weighted_choice(self, weights) -> int:
         if len(weights) == 1:
             return 0
         total = sum(weights)
-        u = self._gen.random() * total
+        u = self._unit() * total
         acc = 0.0
         for i, w in enumerate(weights):
             acc += w
             if u < acc:
                 return i
         return len(weights) - 1
+
+    def _unit(self) -> float:
+        """The stream's next ``random()``."""
+        if self._block:
+            return self._block.pop()
+        if self._singles:
+            self._singles -= 1
+            return (self._raw() >> 11) * 2.0 ** -53
+        return self._fill()
+
+    def _fill(self) -> float:
+        """The first double of a new block; the rest wait in ``_block``."""
+        block = self._gen.random(_BLOCK).tolist()
+        block.reverse()
+        first = block.pop()
+        self._block = block
+        return first
 
 
 @dataclass(slots=True)

@@ -132,6 +132,9 @@ class StatConfig:
             raise QueryError("need 0 < epsilon < 0.5")
         if not (math.isfinite(self.delta_indiff) and self.delta_indiff > 0):
             raise QueryError("need delta_indiff > 0")
+        for name in ("max_runs", "workers", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise QueryError(f"need an integer {name}")
         if self.max_runs < 1:
             raise QueryError("need max_runs >= 1")
         if self.workers < 1:

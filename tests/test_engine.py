@@ -36,6 +36,66 @@ def test_rng_streams_are_independent_and_stable():
     assert xs != [c.uniform(0, 1) for _ in range(5)]
 
 
+def _numpy_draws(seed, index, script):
+    """The draws of ``script`` from a plain numpy Generator on run
+    ``index`` of ``seed``: ``u`` a uniform on [1, 3.5), ``z`` and ``r``
+    uniforms on an empty and a reversed interval, ``e`` an exponential of
+    rate 0.7, ``w`` a weighted choice among [2, 0.5, 1]."""
+    gen = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence((seed, index))))
+    out = []
+    for op in script:
+        if op == "u":
+            out.append(1.0 + (3.5 - 1.0) * gen.random())
+        elif op in "zr":
+            out.append(2.0)
+        elif op == "e":
+            out.append(gen.exponential(1 / 0.7))
+        else:
+            u = gen.random() * 3.5
+            out.append(0 if u < 2 else 1 if u < 2.5 else 2)
+    return out
+
+
+def _stream_draws(seed, index, script):
+    rng = RngStream(seed, index)
+    draw = {"u": lambda: rng.uniform(1.0, 3.5),
+            "z": lambda: rng.uniform(2.0, 2.0),
+            "r": lambda: rng.uniform(2.0, 1.0),
+            "e": lambda: rng.exponential(0.7),
+            "w": lambda: rng.weighted_choice([2, 0.5, 1])}
+    return [draw[op]() for op in script]
+
+
+def test_rng_stream_draws_what_a_numpy_generator_draws():
+    """Uniforms, exponentials and weighted choices of ``RngStream(s, i)``
+    equal a plain ``Generator(PCG64(SeedSequence((s, i))))``'s, whether
+    they come from a block, a single word or a block given back by a
+    rewind: on bursts, on streaks around the single-word limit and the
+    block edge, and on random mixes."""
+    block = engine._BLOCK
+    scripts = ["uuue" * 40, "ue" * 80, "ueeeuu" * 20, "e" * 5 + "u" * 300,
+               "zrzue" * 20 + "z" * 200 + "e"]
+    for n in (1, 2, block - 2, block - 1, block, block + 1, block + 2,
+              2 * block - 1, 2 * block, 2 * block + 1, 3 * block + 5):
+        scripts += [("u" * n + "e") * 6, "e" + ("u" * n + "e") * 3,
+                    ("u" * (n - 1) + "we") * 4, "u" * n + "ee" + "u" * n]
+    # a block given back mostly unread doubles the single words after
+    # each exponential; streaks then cross the new limit and edge
+    scripts.append(("u" * (block + 1) + "e") * 3 + ("u" * (4 * block + 3)
+                                                     + "e") * 3)
+    rand = np.random.default_rng(29)
+    for _ in range(300):
+        p_e = rand.choice([0.5, 0.2, 0.05, 0.01, 0.002])
+        ops = rand.choice(list("uezrw"), size=int(rand.integers(1, 700)),
+                          p=[0.85 - p_e, p_e, 0.03, 0.02, 0.1])
+        scripts.append("".join(ops))
+    for k, script in enumerate(scripts):
+        seed, index = k % 7, k
+        assert _stream_draws(seed, index, script) == \
+            _numpy_draws(seed, index, script), script
+
+
 def test_weighted_choice_frequencies():
     rng = RngStream(3, 0)
     picks = [rng.weighted_choice([3, 1]) for _ in range(4000)]
@@ -1650,3 +1710,43 @@ def test_vehicle_runs_match_the_pinned_digest():
                                e.watch_pre, e.watch)).encode())
             h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
     assert h.hexdigest() == RUN_DIGEST
+
+
+UUE = """
+clock x;
+clock y;
+template A() {
+  init loc a { inv x <= 2; }
+  a -> a { guard x >= 1; update x := 0; }
+}
+template B() {
+  init loc b { inv y <= 2; }
+  b -> b { guard y >= 1; update y := 0; }
+}
+template C() {
+  init loc c { exitrate 1; }
+  c -> c { }
+}
+system A, B, C;
+"""
+
+# Pinned at the commit before RngStream served draws from blocks of PCG64
+# output; like RUN_DIGEST, never regenerate it to make a change pass.
+UUE_DIGEST = ("5c9f3d99a5c12b40d7199be2de53439f"
+              "63aab009a7e9efe60d535e341e5c50e5")
+
+
+def test_runs_that_mix_uniforms_and_exponentials_match_the_pinned_digest():
+    """Every timed step of ``UUE`` draws two uniforms, then an exponential.
+    A run's first uniforms come from a block, whose rest its first
+    exponential gives back to the bit generator, and its later ones from
+    single words: the events, watched values and ends of 20 runs hash to
+    one constant."""
+    network = instantiate(parse_model(UUE))
+    h = hashlib.sha256()
+    for i in range(20):
+        tr = run(network, 50, RngStream(7, i), ["x", "y"])
+        for e in tr.events:
+            h.update(repr((e.time, e.component, e.edge, e.watch)).encode())
+        h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
+    assert h.hexdigest() == UUE_DIGEST

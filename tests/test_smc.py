@@ -292,6 +292,12 @@ def test_stat_config_validation():
             StatConfig(delta_indiff=delta)
     with pytest.raises(smc.QueryError, match=r"need seed >= 0"):
         StatConfig(seed=-1)
+    # a non-integral count or seed would fail only once the runs start
+    for name in ("seed", "workers", "max_runs"):
+        for value in (1.5, 2.0, "3"):
+            with pytest.raises(smc.QueryError, match=f"need an integer {name}"):
+                StatConfig(**{name: value})
+    assert StatConfig(seed=np.int64(3)).seed == 3
 
 
 def without_wall(result):
