@@ -54,22 +54,22 @@ those closures' sources with every expression inlined:
 Each kernel is compiled under its own filename, such as ``<fire
 Ctrl.dispatch>`` or ``<receive go>``, so a profile tells them apart.  A
 location's kernels and its edges' are generated when the first step table
-(below) that holds the location is built, and a table's receive kernel for
-a channel when the table first tests or fires an emit on it.  Closures are
-cached by their source and kernels by their generators' arguments, so a
-second network of the same model, such as the one each ``smc.check`` or a
-worker that unpickles a network compiles, evaluates and execs nothing.
+(below) that holds the location is built, and a table's receive kernels
+with the table.  Closures are cached by their source and kernels by their
+generators' arguments, so a second network of the same model, such as the
+one each ``smc.check`` or a worker that unpickles a network compiles,
+evaluates and execs nothing.
 
 Each location configuration gets one step table, built the first time the
 network enters it; a step looks it up once, by ``L``.  It lists the
 committed components and the actors (the components with an internal or
-emitting edge or an invariant), holds the receive kernels by channel, and
-holds the configuration's rate plan as its rate and advance kernels.  A
-component that is not an actor draws no delay and caps none, so a step
-races only the actors, and a sync reads its receivers from the channel's
-kernel.  The simulator calls ``sample_delay`` once per timed step, which
-calls each actor's delay kernel, ``advance_time`` once per delay and one
-fire kernel per firing.
+emitting edge or an invariant), holds a receive kernel for each channel
+that one of its active edges emits on, and holds the configuration's rate
+plan as its rate and advance kernels.  A component that is not an actor
+draws no delay and caps none, so a step races only the actors, and a sync
+reads its receivers from the channel's kernel.  The simulator calls
+``sample_delay`` once per timed step, which calls each actor's delay
+kernel, ``advance_time`` once per delay and one fire kernel per firing.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -110,6 +110,7 @@ import collections
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -168,7 +169,6 @@ class RngStream:
     def uniform(self, lo: float, hi: float) -> float:
         if hi <= lo:
             return lo
-        # _unit(), inlined: a uniform is the engine's commonest draw
         block = self._block
         if block:
             return lo + (hi - lo) * block.pop()
@@ -192,22 +192,13 @@ class RngStream:
         if len(weights) == 1:
             return 0
         total = sum(weights)
-        u = self._unit() * total
+        u = self.uniform(0.0, total)
         acc = 0.0
         for i, w in enumerate(weights):
             acc += w
             if u < acc:
                 return i
         return len(weights) - 1
-
-    def _unit(self) -> float:
-        """The stream's next ``random()``."""
-        if self._block:
-            return self._block.pop()
-        if self._singles:
-            self._singles -= 1
-            return (self._raw() >> 11) * 2.0 ** -53
-        return self._fill()
 
     def _fill(self) -> float:
         """The first double of a new block; the rest wait in ``_block``."""
@@ -253,14 +244,14 @@ class RunConfig:
     # exactly never read it
     h_max: float = 0.05
     max_steps: int = 10 ** 6  # zeno / committed-loop ceiling
-    # re-check every invariant after each delay and each firing
-    check_invariants: bool = False
 
     _INT_MAX = 2 ** 63 - 1
 
     def __post_init__(self):
         if not (math.isfinite(self.h_max) and self.h_max > 0):
             raise EngineError("need h_max > 0")
+        if not isinstance(self.max_steps, numbers.Integral):
+            raise EngineError("need an integer max_steps")
         if self.max_steps < 1:
             raise EngineError("need max_steps >= 1")
 
@@ -714,28 +705,6 @@ class _CompiledLocation:
              e.binary, e.where) for e in self.active))
 
 
-class _Receivers(dict):
-    """Channel -> the receive kernel of one location configuration, built
-    on first use of the channel: None for a channel on which no component
-    of the configuration receives.  ``located`` are the configuration's
-    (component, location) pairs, in component order."""
-
-    __slots__ = ("located",)
-
-    def __init__(self, located):
-        super().__init__()
-        self.located = located
-
-    def __missing__(self, channel):
-        receivers = tuple(
-            (cc.index, tuple((e.guard, e.update, e.target, e.weight,
-                              e.where) for e in loc.receive[channel]))
-            for cc, loc in self.located if channel in loc.receive)
-        kernel = self[channel] = (_receive_kernel(channel, receivers)
-                                  if receivers else None)
-        return kernel
-
-
 class _StepTable:
     """What a step needs in one location configuration: the committed
     components, the actors, the receive kernels per channel and the rate
@@ -743,10 +712,9 @@ class _StepTable:
     can fire or its invariant caps the delay.  One that can do neither
     draws nothing and caps nothing, so the delay race leaves it out.
     Components come as (component, location) pairs, in component order.
-    ``receivers`` (:class:`_Receivers`) builds a channel's receive kernel
-    the first time an emit on it is tested or fired: most tables are
-    entered a few times, and a table rarely uses every channel that it
-    could.
+    ``receivers`` maps each channel that an active edge of the
+    configuration emits on to its receive kernel, or to None where no
+    component of the configuration receives on it.
 
     The rate plan says how clocks advance in the configuration: the clocks
     that advance at a constant rate (a clock-free rate, or 1), and the
@@ -774,7 +742,15 @@ class _StepTable:
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
         self.actors = [(cc, loc) for cc, loc in located
                        if loc.delay is not None]
-        self.receivers = _Receivers(located)
+        self.receivers = {}
+        for channel in dict.fromkeys(e.channel for _, loc in located
+                                     for e in loc.active if e.channel):
+            receiving = tuple(
+                (cc.index, tuple((e.guard, e.update, e.target, e.weight,
+                                  e.where) for e in loc.receive[channel]))
+                for cc, loc in located if channel in loc.receive)
+            self.receivers[channel] = (_receive_kernel(channel, receiving)
+                                       if receiving else None)
         # clocks that a guard or invariant reads
         reads = set().union(*(loc.reads for _, loc in located))
 
@@ -1095,27 +1071,6 @@ class Simulator:
 
     # -- firing --
 
-    def _check_invariants(self, when: str) -> None:
-        """Raise unless every current invariant holds, or held 1e-9 time
-        units ago under the current rates: the window search probes 1e-9
-        past each crossing, so a delay may end that far beyond a
-        boundary."""
-        V, L = self.V, self.L
-        rates = None
-        for cc in self.net.components:
-            loc = cc.locations[L[cc.index]]
-            if loc.invariant is None or loc.invariant(V, L):
-                continue
-            if rates is None:
-                rates = self.net.step_table(L).rates(V, L)
-            if loc.inv_probe(V, L, rates, -1e-9):
-                continue
-            tpl = self.net.network.components[cc.index].template
-            inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
-            raise EngineError(
-                f"invariant {E.to_text(inv)!r} of {loc.name} "
-                f"violated {when} (t={self.time})")
-
     def step(self, bound: float):
         """One network step: a TraceEvent, or the end of the run,
         "bound_reached" | "deadlock".  The first committed component that
@@ -1142,8 +1097,6 @@ class Simulator:
             stop = cap if cap < remaining else remaining
             ends = delay > stop  # no winner, or it is past the bound or cap
             self.advance_time(stop if ends else delay, rates)
-            if self.config.check_invariants:
-                self._check_invariants("at the end of a delay")
             if ends:
                 return "bound_reached" if cap >= remaining else "deadlock"
             cc, loc = winner
@@ -1158,8 +1111,6 @@ class Simulator:
                     f"{cc.name}: no edge enabled at its sampled delay "
                     "(guard window closed; engine defect or unsupported "
                     "model)")
-        if self.config.check_invariants:
-            self._check_invariants("after a firing")
         return TraceEvent(self.time, cc.name, *fired, self._snapshot())
 
 

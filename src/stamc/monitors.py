@@ -21,6 +21,7 @@ occurrence in band restarts its clock; a synchronization one stays in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,8 +53,7 @@ class WhConstraint:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise MonitorError(f"unknown constraint kind {self.kind!r}")
-        if not (1 <= self.m <= self.k):
-            raise MonitorError("need 1 <= m <= k")
+        _check_window(self.m, self.k)
         for name in ("lower", "tolerance", "jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise MonitorError(f"{name} must be finite")
@@ -199,6 +199,14 @@ _MEASURES = {
 }
 
 
+def _check_window(m, k) -> None:
+    """m and k are integers with 1 <= m <= k."""
+    if not all(isinstance(n, numbers.Integral) for n in (m, k)):
+        raise MonitorError("need integers m and k")
+    if not (1 <= m <= k):
+        raise MonitorError("need 1 <= m <= k")
+
+
 def wh_judge(records, m: int, k: int):
     """True iff every window of k consecutive complete records has >= m passes.
 
@@ -206,8 +214,7 @@ def wh_judge(records, m: int, k: int):
     records hold.  Returns (holds, first violating window start index or
     None).
     """
-    if not (1 <= m <= k):
-        raise MonitorError("need 1 <= m <= k")
+    _check_window(m, k)
     passes = [r.passed for r in records if not r.incomplete]
     n = len(passes)
     if n < k:

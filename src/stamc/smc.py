@@ -826,6 +826,8 @@ def _compare(q: Compare, cfg, streams) -> SmcResult:
 
 
 def _expected_jobs(net, q: Expected, cfg, name) -> list:
+    if not isinstance(q.n_runs, numbers.Integral):
+        raise QueryError("need an integer n_runs")
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
     if q.mode not in ("max", "min"):
@@ -852,6 +854,10 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
 
 
 def _simulate_jobs(net, q: Simulate, cfg, name) -> list:
+    if not isinstance(q.n_runs, numbers.Integral):
+        raise QueryError("need an integer n_runs")
+    if q.n_runs < 1:
+        raise QueryError("need n_runs >= 1")
     step = q.sample_step
     if step is not None and not (math.isfinite(step) and step > 0):
         raise QueryError("need sample_step > 0")

@@ -540,6 +540,8 @@ def test_inert_components_cost_no_delay_sampling(monkeypatch):
     ("h_max", math.nan, "need h_max > 0"),
     ("h_max", math.inf, "need h_max > 0"),
     ("max_steps", 0, "need max_steps >= 1"),
+    ("max_steps", 2.5, "need an integer max_steps"),
+    ("max_steps", 1e6, "need an integer max_steps"),
 ])
 def test_run_config_rejects_bad_limits(field, value, message):
     with pytest.raises(EngineError, match=message):
@@ -715,6 +717,50 @@ system T;
         run(compiled, 10, RngStream(0, 0))
 
 
+class _Checking(engine.Simulator):
+    """A simulator that checks every invariant at the end of the delay a
+    timed step ends with, before any 1e-9 nudge, and after each firing.
+    An invariant passes if it holds, or held 1e-9 time units ago under the
+    current rates: the window search probes 1e-9 past each crossing, so a
+    delay may end that far beyond a boundary."""
+
+    def step(self, bound):
+        self._delayed = False
+        result = super().step(bound)
+        if not isinstance(result, str):
+            self._check("after a firing")
+        return result
+
+    def advance_time(self, dt, rates):
+        super().advance_time(dt, rates)
+        if not self._delayed:  # the step's delay, not a nudge after it
+            self._delayed = True
+            self._check("at the end of a delay")
+
+    def _check(self, when):
+        V, L = self.V, self.L
+        for cc in self.net.components:
+            loc = cc.locations[L[cc.index]]
+            if loc.invariant is None or loc.invariant(V, L):
+                continue
+            rates = self.net.step_table(L).rates(V, L)
+            if loc.inv_probe(V, L, rates, -1e-9):
+                continue
+            tpl = self.net.network.components[cc.index].template
+            inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
+            raise EngineError(f"invariant {E.to_text(inv)!r} of {loc.name} "
+                              f"violated {when} (t={self.time})")
+
+
+def _checked_run(network, bound, rng, config=None):
+    """Run ``network`` to ``bound`` on a :class:`_Checking` simulator."""
+    sim = _Checking(engine.CompiledNetwork(network), rng, config)
+    for _ in range(sim.config.max_steps):
+        if isinstance(sim.step(bound), str):
+            return sim
+    raise AssertionError("step ceiling exceeded")
+
+
 def test_check_invariants_covers_the_final_delay():
     """A clock whose rate reads a clock outruns the window search, which
     extrapolates the current rate in a straight line: e reaches about 50
@@ -730,19 +776,24 @@ template T() {
 }
 system T;
 """
-    with pytest.raises(EngineError, match=r"invariant 'e <= 8' of T\.a"):
-        runs(text, 10, 1, check_invariants=True)
+    assert runs(text, 10, 1)[0].end_reason == "bound_reached"
+    with pytest.raises(EngineError, match=r"invariant 'e <= 8' of T\.a "
+                       r"violated at the end of a delay"):
+        _checked_run(net(text), 10, RngStream(0, 0))
 
 
 def test_check_invariants_accepts_the_vehicle_runs():
     """The window search may end a delay up to 1e-9 time units past an
     invariant boundary (a braking wheel ends some delays at a speed of
     about -8e-9 under `inv wvr >= 0`); the check allows that, so vehicle
-    runs pass it."""
+    runs pass it, and it changes none of them."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
-    config = RunConfig(h_max=10.0, check_invariants=True)
+    config = RunConfig(h_max=10.0)
     for i in range(4):
-        run(network, 3000, RngStream(42, i), config=config)
+        sim = _checked_run(network, 3000, RngStream(42, i), config)
+        trace = run(network, 3000, RngStream(42, i), config=config)
+        assert sim.time == trace.end_time
+        assert sim.L == list(trace.locations.values())
 
 
 # --- bit-identity of the compiled hot path ---------------------------------
@@ -1295,8 +1346,8 @@ def test_fire_kernels_match_the_loop_reference(name):
     assert len(seen) > 100
     assert True in weighted and True in synced and True in received
     assert binary == ({True, False} if name == "binary" else {False})
-    # a receive kernel is built when a table first uses its channel, and a
-    # channel that no component of the configuration receives on holds None
+    # a table holds a receive kernel for each channel it emits on, and None
+    # for a channel that no component of the configuration receives on
     kernels = [k for table in compiled._tables.values()
                for k in table.receivers.values()]
     assert any(kernels) and (name != "quiet" or None in kernels)
@@ -1313,6 +1364,22 @@ def test_fire_kernels_match_the_loop_reference(name):
             for i, edge in enumerate(loc.active):
                 if edge.updates:
                     assert loc.fire.__globals__[f"U{i}"] is edge.update
+
+
+def test_a_table_holds_every_channel_its_actors_emit_on():
+    """A step table of QUIET, as soon as it is built, maps go, which Emit
+    broadcasts on in every configuration, to a receive kernel when Recv is
+    at w, and to None when Recv idles and nobody receives; it holds no
+    other channel."""
+    compiled = engine.CompiledNetwork(net(QUIET))
+    assert compiled.step_table(["a", "idle"]).receivers == {"go": None}
+    [kernel] = compiled.step_table(["a", "w"]).receivers.values()
+    assert kernel.__code__.co_filename.startswith("<receive go")
+    # Recv, at index 1, has both edges enabled while got is even
+    V, L = compiled.initial_state()
+    L[1] = "w"
+    assert [(index, len(edges)) for index, edges in kernel(V, L, 0)] == \
+        [(1, 2)]
 
 
 def _start(V, L, rates, horizon, receiving, cc, loc):

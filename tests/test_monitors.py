@@ -65,6 +65,10 @@ def test_wh_judge_ignores_incomplete_records():
 def test_wh_judge_bad_parameters():
     with pytest.raises(M.MonitorError):
         M.wh_judge([], 5, 4)
+    # a window of 2.5 records would fail only once 3 records are judged
+    for m, k in ((1, 2.5), (1.0, 2), (1.5, 2.5)):
+        with pytest.raises(M.MonitorError, match="need integers m and k"):
+            M.wh_judge(rec(True, True, True), m, k)
 
 
 # --- oracles ---------------------------------------------------------------
@@ -165,6 +169,10 @@ def test_constraint_validation():
         wh("synchronization", 1, 1, [("e1", "a")])
     with pytest.raises(M.MonitorError, match="bound twice"):
         wh("synchronization", 1, 1, [("e1", "a"), ("e1", "b")])
+    # m / k = 0.6 would be tested at p0 = 0.6 on nonsense windows
+    for m, k in ((1.5, 2.5), (1, 2.0), (2.0, 3)):
+        with pytest.raises(M.MonitorError, match="need integers m and k"):
+            wh("periodic", m, k, [("occurrence", "tick")], lower=1, upper=2)
 
 
 @pytest.mark.parametrize("field,value", [

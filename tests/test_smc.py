@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import os
@@ -18,7 +19,7 @@ from stamc.model import instantiate
 from stamc.monitors import attach_observer, check_trace
 from stamc.parser import parse_expression, parse_model, parse_queries
 from stamc.queries import (Compare, ConstraintQuery, Estimate, Expected,
-                           Hypothesis, ObserverDecl)
+                           Hypothesis, ObserverDecl, Simulate)
 from stamc.smc import (Sprt, StatConfig, chernoff_runs, clopper_pearson,
                        evaluate_query)
 from test_engine import COUPLED
@@ -218,6 +219,23 @@ def test_expected_value_needs_two_runs():
         evaluate_query(parse_model(RAMP),
                        Expected(20.0, 1, "max", parse_expression("e")),
                        StatConfig())
+
+
+@pytest.mark.parametrize("q,message", [
+    (Expected(100.0, 2.5, "max", parse_expression("e")), "an integer n_runs"),
+    (Expected(100.0, 3.0, "min", parse_expression("e")), "an integer n_runs"),
+    (Simulate(1.5, 10.0, (parse_expression("e"),)), "an integer n_runs"),
+    (Simulate(2.0, 10.0, (parse_expression("e"),)), "an integer n_runs"),
+    (Simulate(0, 10.0, (parse_expression("e"),)), r"n_runs >= 1"),
+    (Simulate(-3, 10.0, (parse_expression("e"),)), r"n_runs >= 1"),
+], ids=["expected-2.5", "expected-3.0", "simulate-1.5", "simulate-2.0",
+        "simulate-0", "simulate-negative"])
+def test_a_bad_run_count_is_rejected(q, message):
+    """The parser rejects these counts; a direct query fails before it
+    runs, instead of with a TypeError from the runs or with a result of
+    -3 runs."""
+    with pytest.raises(smc.QueryError, match=f"need {message}"):
+        evaluate_query(parse_model(RAMP), q, StatConfig())
 
 
 def test_simulate_grid_and_events():
@@ -535,18 +553,30 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
         pools, monkeypatch, tmp_path, task_text):
     """A forked pool starts with the step table of every configuration that
     the workers of earlier checks reported, so the second of two checks
-    builds its tables in this process, before its workers fork, and they
-    build none; a forkserver pool's workers unpickle fresh networks, so
-    this process builds no table for them."""
+    builds its tables, receive kernels included, in this process, before
+    its workers fork, and they build none and compile no receive kernel; a
+    forkserver pool's workers unpickle fresh networks, so this process
+    builds no table for them."""
     built = tmp_path / "built"
+    compiled = tmp_path / "compiled"
     init = engine._StepTable.__init__
+    kernel = engine._kernel
 
     def recorded(self, net, config):
         with open(built, "a") as fh:
             fh.write(f"{os.getpid()}\n")
         init(self, net, config)
 
+    def titled(title, *args, **kw):
+        with open(compiled, "a") as fh:
+            fh.write(f"{os.getpid()} {title}\n")
+        return kernel(title, *args, **kw)
+
     monkeypatch.setattr(engine._StepTable, "__init__", recorded)
+    monkeypatch.setattr(engine, "_kernel", titled)
+    # no receive kernel of an earlier test is cached
+    monkeypatch.setattr(engine, "_receive_kernel", functools.cache(
+        engine._receive_kernel.__wrapped__))
     model = parse_model(task_text)
     queries = [(None, query(t)) for t in (
         "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
@@ -555,22 +585,28 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
 
     def checked(method):
         """The rows of a two-worker check whose pool starts its workers by
-        ``method``, and the pid of each table built meanwhile."""
+        ``method``, the pid of each table built meanwhile, and the pids
+        that compiled a receive kernel."""
         monkeypatch.setattr(smc, "get_context", lambda: get_context(method))
         built.write_text("")
+        compiled.write_text("")
         rows = smc.check(model, queries, replace(cfg, workers=2))
-        return [without_wall(r) for r in rows], built.read_text().split()
+        received = {line.split()[0] for line in compiled.read_text()
+                    .splitlines() if " receive " in line}
+        return ([without_wall(r) for r in rows], built.read_text().split(),
+                received)
 
     here = str(os.getpid())
-    first, first_built = checked("fork")
+    first, first_built, first_received = checked("fork")
     assert first_built and here not in first_built
-    second, second_built = checked("fork")
-    assert set(second_built) == {here}
+    assert first_received and here not in first_received
+    second, second_built, second_received = checked("fork")
+    assert set(second_built) == second_received == {here}
     assert second == first
     # fresh networks, whose workers report what they built
     smc._compiled.cache_clear()
     for _ in range(2):
-        rows, served_built = checked("forkserver")
+        rows, served_built, _ = checked("forkserver")
         assert rows == first and served_built == []
     assert smc._compiled(model).reached
     assert [without_wall(r) for r in smc.check(model, queries, cfg)] == first
