@@ -5,9 +5,12 @@ kind reads is bound to one, and an event occurs whenever a component emits
 on its channel.  Each of the four constraint kinds (execution,
 synchronization, periodic, end-to-end) is available twice: as a pure
 trace-checking oracle over the run's events (``measure_*`` +
-:func:`wh_judge`) and as an observer template (:func:`build_observer`) that
-composes with any network as a pure listener on those channels.  The two
-routes are checked against each other in the test suite.
+:func:`wh_judge`) and as an observer template (:func:`build_observer`), a
+pure listener on those channels.  :func:`observer_failed` replays the
+observer over a finished run's events, which is how a check judges a
+constraint; :func:`attach_observer` composes it with a network instead, for
+a declared observer that queries read and as the replay's reference.  The
+two routes are checked against each other in the test suite.
 
 Every observer edge receives, and the edge that receives an occurrence's
 last event judges it, so an observed run has exactly the plain run's
@@ -20,6 +23,7 @@ occurrence in band restarts its clock; a synchronization one stays in
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -371,10 +375,9 @@ def _periodic_observer(c: WhConstraint, name: str) -> Template:
                     locations=locs, edges=edges, initial="firstoccurrence")
 
 
-def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
-    """New model with the observer template instantiated at the end. Raises
-    unless every channel ``c`` reads is a declared broadcast channel of
-    ``model``: an observer must only listen."""
+def check_channels(model: Model, c: WhConstraint) -> None:
+    """Raises unless every channel ``c`` reads is a declared broadcast
+    channel of ``model``: an observer must only listen."""
     broadcast = {ch.name: ch.broadcast for ch in model.channels}
     for event in c.events():
         ch = c.channel(event)
@@ -384,7 +387,22 @@ def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
             raise MonitorError(
                 f"observer on binary channel {ch!r} would perturb the network; "
                 "declare it broadcast")
-    tpl = build_observer(c, name=f"{inst_name}T")
+
+
+def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
+    """New model with the observer template, ``{inst_name}T``, instantiated
+    at the end as ``inst_name``. Raises if ``check_channels`` does, or if
+    either name is taken: a second component of one name would leave a
+    query that reads it judging one of the two."""
+    check_channels(model, c)
+    tpl_name = f"{inst_name}T"
+    if any(inst.name == inst_name for inst in model.system):
+        raise MonitorError(f"cannot attach observer {inst_name!r}: the "
+                           "instance name is taken")
+    if any(tpl.name == tpl_name for tpl in model.templates):
+        raise MonitorError(f"cannot attach observer {inst_name!r}: its "
+                           f"template name {tpl_name!r} is taken")
+    tpl = build_observer(c, name=tpl_name)
     return Model(
         decls=model.decls,
         channels=model.channels,
@@ -393,8 +411,80 @@ def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
     )
 
 
-def observer_failed(trace, inst_name: str) -> bool:
-    """Whether the observer instance reached its `fail` location.  No edge
-    leaves `fail`, so a run reached it if and only if it ends there; the
-    trace need watch nothing."""
-    return trace.locations.get(inst_name) == "fail"
+# --- observer replay ---------------------------------------------------------
+#
+# An observer that ``build_observer`` makes is a pure listener: every edge
+# receives on a broadcast channel, no location has an invariant or an exit
+# rate, and its clocks run at rate 0 or 1. So its path in a run is a
+# function of the times of the events on its channels, and it can be
+# replayed over a finished run's events instead of being composed into the
+# network.
+
+_STORE = {"int": int, "bool": bool}  # a local's type -> its store; else float
+
+
+@functools.cache
+def compile_observer(c: WhConstraint) -> tuple:
+    """The observer of ``c`` compiled for replay: (initial location, initial
+    values of its locals by slot, {location: ((clock slot, rate), ...) of
+    its moving clocks}, {location: {channel: ((guard or None, updates,
+    target), ...)}}), an update as (slot, fn, store). Guards and updates
+    read the locals as ``V[slot]``."""
+    tpl = build_observer(c)
+    slots = {d.name: i for i, d in enumerate(tpl.decls)}
+
+    def resolve(name: str):
+        return ("var", slots[name])
+
+    rates, edges = {}, {}
+    for loc in tpl.locations:
+        given = {clk: float(rate.value) for clk, rate in loc.rates}
+        rates[loc.id] = tuple(
+            (slots[d.name], given.get(d.name, 1.0)) for d in tpl.decls
+            if d.type == "clock" and given.get(d.name, 1.0) != 0.0)
+        edges[loc.id] = {}
+    for edge in tpl.edges:
+        guard = (E.compile_expr(edge.guard, resolve)
+                 if edge.guard is not None else None)
+        updates = tuple((slots[name], E.compile_expr(rhs, resolve),
+                         _STORE.get(tpl.decls[slots[name]].type, float))
+                        for name, rhs in edge.updates)
+        edges[edge.source].setdefault(edge.sync.channel, []).append(
+            (guard, updates, edge.target))
+    values = tuple(_STORE.get(d.type, float)(d.init) for d in tpl.decls)
+    return tpl.initial, values, rates, {
+        loc: {ch: tuple(out) for ch, out in by_channel.items()}
+        for loc, by_channel in edges.items()}
+
+
+def observer_failed(trace, c: WhConstraint) -> bool:
+    """Whether the observer of ``c`` reaches `fail` on ``trace``'s run, by
+    replaying it over the run's events: at each event on a channel that its
+    location receives on, its clocks advance by the time since the last
+    such event at the location's rate, and its first enabled edge on the
+    channel fires, its updates all evaluated before any is stored. No edge
+    leaves `fail`, so the replay stops there. Its clocks sum event-time
+    differences where a composed observer's sum the run's delays, so the
+    two can differ in the last bits."""
+    location, values, rates, edges = compile_observer(c)
+    V = list(values)
+    here, moving, last = edges[location], rates[location], 0.0
+    for ev in trace.events:
+        taken = here.get(ev.channel)
+        if taken is None:
+            continue
+        dt, last = ev.time - last, ev.time
+        for slot, rate in moving:
+            V[slot] += rate * dt
+        for guard, updates, target in taken:
+            if guard is None or guard(V, None):
+                stored = [(slot, store(fn(V, None)))
+                          for slot, fn, store in updates]
+                for slot, value in stored:
+                    V[slot] = value
+                location = target
+                here, moving = edges[location], rates[location]
+                break
+        if not here:
+            break
+    return location == "fail"

@@ -33,7 +33,8 @@ open. Kernels are compiled through ``engine._kernel`` under the filename
 them. Nothing is recorded for sampled judges, so such a run builds no
 snapshot dict. Trajectories and constraints are judged on the trace once
 the run ends: a ``simulate`` job watches its expressions, and a
-constraint reads the observer's final location and the events' channels.
+constraint replays its observer over the run's events
+(``monitors.observer_failed``) and runs the trace oracle on them.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one check that read runs
@@ -44,8 +45,10 @@ end. Once a job's rule has decided, the job is retired: runs simulated
 later, and the chunks sent to workers, carry the mask of the live jobs and
 skip its judge. ``check`` registers every query on the model's compiled
 network before the first run, so its queries share, ``compare``'s two
-formulas among them; a constraint's observed model is a network of its
-own, and its stream serves that query alone. Registering a query checks
+formulas and the constraints among them. A constraint's observer is a pure
+listener: it only receives on broadcast channels and never races, so its
+path is a function of the run's events, and it is replayed over them
+instead of composed into a network of its own. Registering a query checks
 every name it reads, against the compiled network's query scope, and every
 channel its constraint listens on, so a bad query fails before any run. A
 query's ``wall_ms`` covers its judging and statistics and the runs it was
@@ -53,9 +56,8 @@ first to need.
 
 A model is compiled once per process: ``_compiled`` keeps the compiled
 networks of the last 16 models checked, keyed by the model's structure, so
-a later check of an equal model (the same object, a re-parsed file, or a
-constraint's observed model, which ``attach_observer`` rebuilds on every
-check) reuses its network, step tables and kernels. A step table and its
+a later check of an equal model (the same object or a re-parsed file)
+reuses its network, step tables and kernels. A step table and its
 kernels are pure functions of the location configuration, and ``h_max``
 is an argument of the advance kernel, never part of a table, so a warm
 network changes no run. The cache is process-wide state;
@@ -78,10 +80,13 @@ checks more than once (a library caller's loop of ``check`` or
 ``evaluate_query`` calls, a test session), a forked worker starts with the
 table of every configuration that earlier workers reported and builds only
 the new ones. A single ``stamc check`` makes one pool and reaches nothing
-before it starts, so it builds nothing here. A worker started by
+before it starts, so it builds no table here. The pool also builds here
+what each stream's first run compiles before it starts, its sampled
+judges' watches and their monitor kernel, which every worker's first run
+of the stream would otherwise compile again. A worker started by
 ``forkserver`` or ``spawn`` unpickles fresh networks and builds its own,
-so the pool builds none for it. A stream yields outcomes strictly in
-run-index order, so verdicts and estimates do not depend on the worker
+so the pool builds none of this for it. A stream yields outcomes strictly
+in run-index order, so verdicts and estimates do not depend on the worker
 count. When a rule decides, the chunks its reads sent ahead stay queued
 or running while another job of the stream has yet to finish reading, and
 are read by that job; once no job is left, they are cancelled and the
@@ -360,10 +365,10 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
     return rows
 
 
-def _routes(trace, c: monitors.WhConstraint, inst: str) -> tuple:
-    """(observer route holds, trace oracle holds) on one run; the observer
-    is asked first."""
-    failed = monitors.observer_failed(trace, inst)
+def _routes(trace, c: monitors.WhConstraint) -> tuple:
+    """(observer route holds, trace oracle holds) on one run: the
+    constraint's observer, replayed over the run's events, is asked first."""
+    failed = monitors.observer_failed(trace, c)
     return (not failed, monitors.check_trace(trace, c).wh_holds)
 
 
@@ -489,26 +494,33 @@ class _Runs:
     jobs: list  # (judge, n_runs) by place, fixed at the stream's first run
 
 
-def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
-    """One run's outcome per job; None where a job is retired or reads no
-    more runs. Sampled judges watch the run as it runs; the trace, with the
-    traced judges' expressions, is judged once it ends, and dropped."""
-    net = runs.net
-    out = [None] * len(runs.jobs)
-    monitor = _Monitor(out)
+def _judges(runs: _Runs, index: int, live: tuple) -> tuple:
+    """(monitor of the sampled judges, [(place, traced judge)], watch of
+    the traced judges) of run ``index``: the ``live`` jobs that read it.
+    The monitor's ``out`` holds the outcomes by job place."""
+    monitor = _Monitor([None] * len(runs.jobs))
     traced, watch = [], []
     for place in live:
         judge, n_runs = runs.jobs[place]
         if index >= n_runs:
             continue
         if isinstance(judge, _Sampled):
-            monitor.add(place, judge, net)
+            monitor.add(place, judge, runs.net)
         else:
             traced.append((place, judge))
             watch += judge.watch
-    trace = run(net, runs.bound, RngStream(runs.seed, index),
-                watch=tuple(dict.fromkeys(watch)), config=runs.run_config,
+    return monitor, traced, tuple(dict.fromkeys(watch))
+
+
+def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
+    """One run's outcome per job; None where a job is retired or reads no
+    more runs. Sampled judges watch the run as it runs; the trace, with the
+    traced judges' expressions, is judged once it ends, and dropped."""
+    monitor, traced, watch = _judges(runs, index, live)
+    trace = run(runs.net, runs.bound, RngStream(runs.seed, index),
+                watch=watch, config=runs.run_config,
                 monitor=monitor.sampler())
+    out = monitor.out
     for place, judge in traced:
         out[place] = judge.fn(trace, *judge.args)
     return tuple(out)
@@ -600,13 +612,13 @@ class RunPool:
                     if not future.cancelled() and future.exception() is None:
                         stream.runs.net.reached.update(future.result()[1])
 
-    def register(self, net: CompiledNetwork, query, name=None) -> list:
+    def register(self, net: CompiledNetwork, query) -> list:
         """Joins ``query``'s jobs on ``net`` to their streams: the (stream,
         place) of each. Building the jobs checks the query: every name it
         reads and every channel its constraint listens on, so a bad query
         fails here, before any run."""
         jobs, _ = _form(query)
-        return [self._join(job) for job in jobs(net, query, self.cfg, name)]
+        return [self._join(job) for job in jobs(net, query, self.cfg)]
 
     def _join(self, job: _Job) -> tuple:
         key = (id(job.net), job.bound)
@@ -659,10 +671,13 @@ class RunPool:
                 initializer=_worker_start, initargs=(streams,))
             if context.get_start_method() == "fork":
                 # forked workers inherit the step tables that the workers
-                # of earlier pools built, instead of building them again
-                for runs in streams:
-                    for config in runs.net.reached:
-                        runs.net.step_table(config)
+                # of earlier pools built, and the compiled watches and
+                # opening monitor kernel of each stream's first run,
+                # instead of building them again
+                for s in self._streams.values():
+                    for config in s.runs.net.reached:
+                        s.runs.net.step_table(config)
+                    _judges(s.runs, 0, s.live())[0].sampler()
         live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.cfg.workers
                and stream.submitted < total):
@@ -750,18 +765,18 @@ def _binomial(verdict: str, successes: int, n: int, cfg: StatConfig,
 
 # --- the form table --------------------------------------------------------
 #
-# Two functions per query dataclass: its jobs, (net, query, cfg, name)
-# -> [_Job] on the check's compiled network, which check the query and the
-# names it reads before any run, and its rule, (query, cfg, streams) ->
-# SmcResult, which reads one outcome stream per job, with name, seed and
-# wall_ms left to ``check``.
+# Two functions per query dataclass: its jobs, (net, query, cfg) -> [_Job]
+# on the check's compiled network, which check the query and the names it
+# reads before any run, and its rule, (query, cfg, streams) -> SmcResult,
+# which reads one outcome stream per job, with name, seed and wall_ms left
+# to ``check``.
 
 
 def _estimate_runs(cfg: StatConfig) -> int:
     return min(chernoff_runs(cfg.alpha, cfg.epsilon), cfg.max_runs)
 
 
-def _estimate_jobs(net, q: Estimate, cfg, name) -> list:
+def _estimate_jobs(net, q: Estimate, cfg) -> list:
     return [_formula_job(net, q.formula, q.bound, _estimate_runs(cfg))]
 
 
@@ -774,7 +789,7 @@ def _estimate(q: Estimate, cfg, streams) -> SmcResult:
                      n, cfg, {"successes": successes})
 
 
-def _hypothesis_jobs(net, q: Hypothesis, cfg, name) -> list:
+def _hypothesis_jobs(net, q: Hypothesis, cfg) -> list:
     if not 0 < q.p0 < 1:
         raise QueryError("need 0 < p0 < 1")
     return [_formula_job(net, q.formula, q.bound, cfg.max_runs)]
@@ -787,7 +802,7 @@ def _hypothesis(q: Hypothesis, cfg, streams) -> SmcResult:
                      {"p0": q.p0, "successes": successes})
 
 
-def _compare_jobs(net, q: Compare, cfg, name) -> list:
+def _compare_jobs(net, q: Compare, cfg) -> list:
     """Paired runs: both formulas read runs at the check's seed, so pair i
     is the runs to ``bound1`` and to ``bound2`` from ``RngStream(seed, i)``.
     When the bounds are equal, the two jobs join one stream and each run is
@@ -825,7 +840,7 @@ def _compare(q: Compare, cfg, streams) -> SmcResult:
                               "discordant": discordant})
 
 
-def _expected_jobs(net, q: Expected, cfg, name) -> list:
+def _expected_jobs(net, q: Expected, cfg) -> list:
     if not isinstance(q.n_runs, numbers.Integral):
         raise QueryError("need an integer n_runs")
     if q.n_runs < 2:
@@ -853,7 +868,7 @@ def _expected(q: Expected, cfg, streams) -> SmcResult:
         details={"mode": q.mode, "values": values})
 
 
-def _simulate_jobs(net, q: Simulate, cfg, name) -> list:
+def _simulate_jobs(net, q: Simulate, cfg) -> list:
     if not isinstance(q.n_runs, numbers.Integral):
         raise QueryError("need an integer n_runs")
     if q.n_runs < 1:
@@ -876,15 +891,16 @@ def _simulate(q: Simulate, cfg, streams) -> SmcResult:
                      runs=q.n_runs, details={"trajectories": trajectories})
 
 
-def _constraint_jobs(net, q: ConstraintQuery, cfg, name) -> list:
-    """Runs of the model with the constraint's observer attached, which
-    checks the constraint's channels: a network of its own, so its stream
-    serves this query alone."""
+def _constraint_jobs(net, q: ConstraintQuery, cfg) -> list:
+    """Runs of the check's own network to the query's bound, the stream
+    that every other query on that bound reads, each judged by the
+    constraint's observer, replayed over the run's events, and by the
+    trace oracle. The constraint's channels are checked, and its observer
+    compiled, here: before any run, and before workers fork."""
     c = q.constraint
-    inst = f"_obs_{name or c.kind}"
-    observed = monitors.attach_observer(net.network.model, c, inst)
-    return [_Job(_compiled(observed), q.bound, cfg.max_runs,
-                 _Traced(_routes, (c, inst)))]
+    monitors.check_channels(net.network.model, c)
+    monitors.compile_observer(c)
+    return [_Job(net, q.bound, cfg.max_runs, _Traced(_routes, (c,)))]
 
 
 def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:
@@ -934,7 +950,7 @@ def check(network, queries, cfg: StatConfig, run_config=None) -> list:
     net = _compiled(_coerce_network(network))
     results = [None] * len(queries)
     with RunPool(cfg, run_config) as pool:
-        lanes = [pool.register(net, query, name) for name, query in queries]
+        lanes = [pool.register(net, query) for _, query in queries]
         # A job judges every run simulated while it is live, so the
         # sequential tests, which stop early, go first.
         for i in sorted(range(len(queries)), key=lambda i: not isinstance(

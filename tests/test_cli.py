@@ -206,6 +206,35 @@ def test_check_fails_a_bad_later_query_before_any_run(
     assert runs == []
 
 
+def test_check_rejects_an_observer_named_after_a_component(runner,
+                                                           tmp_path):
+    """A second component named Camera would leave a query on Camera
+    reading one of the two: Pr[<=300](<> Camera.shoot) read 0.0."""
+    q = tmp_path / "suite.q"
+    q.write_text("observer Camera endtoend(m=19, k=20, lower=10, upper=30) "
+                 "on source=cam_start, target=sign_ready;\n"
+                 "Pr[<=300](<> Camera.shoot);\n")
+    res = runner.invoke(main, ["check", str(MODELS / "av.sta"), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == ("error: cannot attach observer 'Camera': the "
+                          "instance name is taken\n")
+
+
+def test_check_rejects_two_observers_of_one_name(runner, tmp_path):
+    model = tmp_path / "ticker.sta"
+    model.write_text(TICKER)
+    q = tmp_path / "suite.q"
+    declared = ("observer Obs periodic(m=1, k=1, lower=1, upper=2) "
+                "on occurrence=tick;\n")
+    q.write_text(declared * 2 + "Pr[<=10](<> Obs.fail);\n")
+    res = runner.invoke(main, ["check", str(model), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == ("error: cannot attach observer 'Obs': the "
+                          "instance name is taken\n")
+
+
 # a rate that steps in time, so only RK4 integrates it
 STEPPED = """
 clock u;

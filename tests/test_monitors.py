@@ -218,9 +218,11 @@ def observed_runs(model_text, c, n, bound=200.0, seed=5):
     for i in range(n):
         tr = run(instantiate(obs), bound, RngStream(seed, i),
                  watch=["Obs.fail"])
-        failed = M.observer_failed(tr, "Obs")
-        # it reads the final location; the snapshots say the same
+        # no edge leaves fail, so the final location says whether the run
+        # reached it; the snapshots and the replay say the same
+        failed = tr.locations["Obs"] == "fail"
         assert failed == any(snap["Obs.fail"] for _, snap in tr.samples())
+        assert failed == M.observer_failed(tr, c)
         out.append((failed, M.check_trace(tr, c)))
     return out
 
@@ -365,6 +367,21 @@ system T;
 """)
     c = wh("periodic", 1, 1, [("occurrence", "go")], lower=1, upper=2)
     with pytest.raises(M.MonitorError, match="broadcast"):
+        M.attach_observer(model, c, "Obs")
+
+
+def test_attach_observer_rejects_a_taken_instance_name():
+    model = parse_model(DRIVER)
+    c = wh("periodic", 1, 1, [("occurrence", "start")], lower=1, upper=2)
+    with pytest.raises(M.MonitorError, match="'Task': the instance name"):
+        M.attach_observer(model, c, "Task")
+
+
+def test_attach_observer_rejects_a_taken_template_name():
+    """The observer Obs would be an instance of the template ObsT."""
+    model = parse_model(DRIVER.replace("Task", "ObsT"))
+    c = wh("periodic", 1, 1, [("occurrence", "start")], lower=1, upper=2)
+    with pytest.raises(M.MonitorError, match="template name 'ObsT'"):
         M.attach_observer(model, c, "Obs")
 
 

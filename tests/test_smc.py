@@ -494,10 +494,12 @@ def test_workers_start_from_pickled_streams(pools, monkeypatch, task_text):
         (coin_model(), ["Pr[<=5](<> heads == 1) >= 0.25",
                         "E[<=5; 10](max: heads)",
                         "Pr[<=5](<> heads == 1) >= Pr[<=3](<> done == 1)"]),
-        # the constraint's observed network and the plain one: two models
+        # a constraint and an extremum share the runs to 50; runs to 30
+        # are a second stream
         (parse_model(task_text), [
             "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
-            "on start=start, stop=stop;", "E[<=50; 10](max: n)"]),
+            "on start=start, stop=stop;", "E[<=50; 10](max: n)",
+            "E[<=30; 10](min: n)"]),
     ]
     cfg = StatConfig(seed=7, delta_indiff=0.05, epsilon=0.2)
     inline = [smc.check(model, [(None, query(t)) for t in texts], cfg)
@@ -544,9 +546,9 @@ def test_forked_workers_compile_nothing(pools, monkeypatch, tmp_path,
         [without_wall(r) for r in inline]
     [pool] = pools
     assert pool.chunks
-    # the plain network and the constraint's observed one, once: the
-    # second check reuses both
-    assert compiled.read_text().split() == [str(os.getpid())] * 2
+    # the one network, once: the constraint judges the runs of the
+    # check's network, and the second check reuses it
+    assert compiled.read_text().split() == [str(os.getpid())]
 
 
 def test_forked_workers_inherit_the_tables_earlier_workers_built(
@@ -556,7 +558,8 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
     builds its tables, receive kernels included, in this process, before
     its workers fork, and they build none and compile no receive kernel; a
     forkserver pool's workers unpickle fresh networks, so this process
-    builds no table for them."""
+    builds no table for them. Every forked pool's first runs find their
+    monitor kernel built in this process."""
     built = tmp_path / "built"
     compiled = tmp_path / "compiled"
     init = engine._StepTable.__init__
@@ -574,13 +577,19 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
 
     monkeypatch.setattr(engine._StepTable, "__init__", recorded)
     monkeypatch.setattr(engine, "_kernel", titled)
-    # no receive kernel of an earlier test is cached
+    # no receive or monitor kernel of an earlier test is cached
     monkeypatch.setattr(engine, "_receive_kernel", functools.cache(
         engine._receive_kernel.__wrapped__))
-    model = parse_model(task_text)
-    queries = [(None, query(t)) for t in (
-        "constraint execution(m=3, k=4, bound=50, lower=1, upper=5) "
-        "on start=start, stop=stop;", "E[<=50; 10](max: n)")]
+    monkeypatch.setattr(smc, "_kernel", titled)
+    monkeypatch.setattr(smc, "_monitor_kernel", functools.cache(
+        smc._monitor_kernel.__wrapped__))
+    constraint = query("constraint execution(m=3, k=4, bound=50, lower=1, "
+                       "upper=5) on start=start, stop=stop;")
+    # the task has no receiver, so no receive kernel; a declared observer
+    # receives on both its channels
+    model = attach_observer(parse_model(task_text), constraint.constraint,
+                            "Obs")
+    queries = [(None, constraint), (None, query("E[<=50; 10](max: n)"))]
     cfg = StatConfig(seed=7, delta_indiff=0.05)
 
     def checked(method):
@@ -600,6 +609,9 @@ def test_forked_workers_inherit_the_tables_earlier_workers_built(
     first, first_built, first_received = checked("fork")
     assert first_built and here not in first_built
     assert first_received and here not in first_received
+    # the extremum's kernel, the one monitor kernel of the check's runs
+    assert [line.split()[0] for line in compiled.read_text().splitlines()
+            if line.endswith(" monitor")] == [here]
     second, second_built, second_received = checked("fork")
     assert set(second_built) == second_received == {here}
     assert second == first
@@ -671,8 +683,8 @@ CAM = "on start=cam_start, stop=cam_done"
 
 def test_a_model_is_compiled_once_per_process(compiles, task_text):
     """Library calls on one model, or on an equal re-parsed one, share one
-    compiled network; so do a constraint's observed models, which each
-    check builds again."""
+    compiled network; a constraint judges the runs of that network and
+    compiles none of its own."""
     cfg = StatConfig(seed=3, epsilon=0.3)
     model = parse_model(AV_TEXT)
     evaluate_query(model, query("E[<=10; 3](max: wvl)"), cfg)
@@ -686,8 +698,8 @@ def test_a_model_is_compiled_once_per_process(compiles, task_text):
     first, second = (evaluate_query(task, constraint, cfg, name="K")
                      for _ in range(2))
     assert without_wall(first) == without_wall(second)
-    # the task network and its observed network
-    assert len(compiles) == 3
+    # the task network
+    assert len(compiles) == 2
 
 
 @pytest.mark.parametrize("text,checked,warming", [
@@ -713,16 +725,15 @@ def test_a_warm_network_changes_no_result(text, checked, warming):
     ``h_max`` have warmed gives the results of one on a cold network."""
     model = parse_model(text)
     cfg = StatConfig(seed=11, epsilon=0.2, delta_indiff=0.05, max_runs=40)
-    # unnamed, so both constraints observe through one observed model
     named = [(None, query(t)) for t in checked]
     fine = RunConfig(h_max=0.05)
     cold = smc.check(model, named, cfg, fine)
     smc.check(model, [(None, query(t)) for t in warming],
               replace(cfg, seed=5), RunConfig(h_max=0.5))
     warm = smc.check(parse_model(text), named, cfg, fine)
-    # every network was compiled by the cold check
-    assert smc._compiled.cache_info().misses == \
-        1 + any("constraint" in t for t in checked)
+    # the one network, compiled by the cold check: a constraint judges
+    # the check's runs
+    assert smc._compiled.cache_info().misses == 1
     assert [without_wall(r) for r in warm] == [without_wall(r) for r in cold]
 
 
@@ -764,6 +775,9 @@ def reference_observer_failed(trace, inst):
 
 
 def test_monitors_match_the_trace_judges_on_vehicle_runs():
+    """The judges of a check's runs, against the trace judges on the same
+    runs of a network that composes each constraint's observer: a
+    constraint's replayed observer against the composed one's ``fail``."""
     model = parse_model((MODELS / "av.sta").read_text())
     named = parse_queries((MODELS / "requirements.q").read_text())
     formulas, constraints = [], []
@@ -772,8 +786,7 @@ def test_monitors_match_the_trace_judges_on_vehicle_runs():
         if isinstance(q, ObserverDecl):
             model = attach_observer(model, q.constraint, nq.name)
         elif isinstance(q, ConstraintQuery):
-            model = attach_observer(model, q.constraint, f"_obs_{nq.name}")
-            constraints.append((q.constraint, f"_obs_{nq.name}"))
+            constraints.append((q.constraint, f"{nq.name}Obs"))
         elif isinstance(q, (Estimate, Hypothesis)):
             formulas.append(q.formula)
         elif isinstance(q, Compare):
@@ -786,10 +799,13 @@ def test_monitors_match_the_trace_judges_on_vehicle_runs():
     judges = ([smc._Sampled(f.op, to_text(f.state_expr)) for f in formulas]
               + [smc._Sampled(mode, to_text(parse_expression(e)))
                  for mode, e in extrema]
-              + [smc._Traced(smc._routes, (c, inst))
-                 for c, inst in constraints])
+              + [smc._Traced(smc._routes, (c,)) for c, _ in constraints])
     bound, seed = 3000.0, 42
     net = CompiledNetwork(instantiate(model))
+    composed = model
+    for c, inst in constraints:
+        composed = attach_observer(composed, c, inst)
+    reference = CompiledNetwork(instantiate(composed))
     runs = smc._Runs(net, bound, seed, RunConfig(),
                      tuple((j, 30) for j in judges))
     watch = tuple(dict.fromkeys(
@@ -798,7 +814,7 @@ def test_monitors_match_the_trace_judges_on_vehicle_runs():
     seen = set()
     for i in range(30):
         outcomes = smc._run_one(runs, i, tuple(range(len(judges))))
-        trace = run(net, bound, RngStream(seed, i), watch=watch)
+        trace = run(reference, bound, RngStream(seed, i), watch=watch)
         want = [smc.evaluate_path_formula(trace, f, bound) for f in formulas]
         want += [reference_extremum(trace, to_text(parse_expression(e)), mode)
                  for mode, e in extrema]
@@ -881,7 +897,7 @@ def test_monitor_kernels_match_the_loop_reference(monkeypatch):
         if isinstance(nq.query, (Estimate, Hypothesis, Compare, Expected)):
             jobs, _ = smc._form(nq.query)
             judges += [job.judge
-                       for job in jobs(net, nq.query, StatConfig(), nq.name)]
+                       for job in jobs(net, nq.query, StatConfig())]
     assert len(judges) == 31
     # two formulas that decide both ways on these runs, and extrema
     judges += sampled(
