@@ -24,21 +24,25 @@ current rates without copying ``V``.
 The per-event work runs in kernels, straight-line functions generated from
 those closures' sources with every expression inlined:
 
-- a delay kernel per location that is not committed and has an internal
-  or emitting edge or an invariant draws the location's delay: it finds
-  when the invariant closes, probing each atom's crossing without a call
-  per probe, then when one of the edges can first fire, searching each
-  guard's window by the same generated lines, blocking a binary emit
-  unless exactly one receiver is ready and keeping the earliest start, and
-  draws the delay from the run's ``RngStream``;
+- a race kernel per step table (below) that is timed runs the race of a
+  step: for each actor in component order, it finds when the actor's
+  invariant closes, probing each atom's crossing without a call per probe,
+  then when one of its edges can first fire, searching each guard's window
+  by the same generated lines, blocking a binary emit unless exactly one
+  receiver is ready and keeping the earliest start, and draws the actor's
+  delay from the run's ``RngStream``; it keeps the least delay and the
+  earliest deadline of an actor that cannot fire;
 - an update kernel per edge evaluates every right-hand side, then stores
-  them, converting reals and bools inline;
+  them, converting reals and bools inline, and an int through ``_coerce``
+  unless it is an integral literal or a lone int variable, which need no
+  conversion;
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
-  enabled, chooses by weight, reads which receivers are ready, calls the
-  edge's update kernel and moves the component; one receiver routine,
-  ``_sync``, then fires the receive edges it read;
+  enabled (a committed step's is the last sample point, taken again),
+  chooses by weight, reads which receivers are ready, calls the edge's
+  update kernel and moves the component; one receiver routine, ``_sync``,
+  then fires the receive edges it read;
 - a receive kernel per step table and channel tests every receive edge of
   the configuration on the channel inline, skips the emitter, and lists
   the ready receivers with their enabled edges;
@@ -52,24 +56,33 @@ those closures' sources with every expression inlined:
 - a watch kernel per watch tuple builds a sample's dict of watched values.
 
 Each kernel is compiled under its own filename, such as ``<fire
-Ctrl.dispatch>`` or ``<receive go>``, so a profile tells them apart.  A
-location's kernels and its edges' are generated when the first step table
-(below) that holds the location is built, and a table's receive kernels
-with the table.  Closures are cached by their source and kernels by their
-generators' arguments, so a second network of the same model, such as the
-one each ``smc.check`` or a worker that unpickles a network compiles,
-evaluates and execs nothing.
+Ctrl.dispatch>``, ``<race Camera.wait WheelL.idle>`` or ``<receive go>``,
+so a profile tells them apart.  A location's kernels and its edges' are
+generated when the first step table (below) that holds the location is
+built, and a table's race and receive kernels with the table.  Closures
+are cached by their source and kernels by their generators' arguments (a
+race kernel by its actors' parts, never by location objects), so a second
+network of the same model, such as the one each ``smc.check`` or a worker
+that unpickles a network compiles, evaluates and execs nothing.
 
 Each location configuration gets one step table, built the first time the
 network enters it; a step looks it up once, by ``L``.  It lists the
-committed components and the actors (the components with an internal or
-emitting edge or an invariant), holds a receive kernel for each channel
-that one of its active edges emits on, and holds the configuration's rate
-plan as its rate and advance kernels.  A component that is not an actor
-draws no delay and caps none, so a step races only the actors, and a sync
-reads its receivers from the channel's kernel.  The simulator calls
-``sample_delay`` once per timed step, which calls each actor's delay
-kernel, ``advance_time`` once per delay and one fire kernel per firing.
+committed components and the actors (the timed components with an
+internal or emitting edge or an invariant), holds the actors' race kernel
+when no component is committed, a receive kernel for each channel that
+one of its active edges emits on, and the configuration's rate plan as its
+rate and advance kernels.  A component that is not an actor draws no delay
+and caps none, so a step races only the actors, and a sync reads its
+receivers from the channel's kernel.  The simulator calls ``sample_delay``
+once per timed step, which makes one race kernel call, ``advance_time``
+once per delay and one fire kernel per firing.
+
+A run's sample points are its start, the state before each timed event
+and after each event, and its end.  Each takes the watched values and
+calls the run's monitor, if any, which the simulator calls directly when
+nothing is watched.  Before a committed event no time has passed since the
+last sample point, so its firing reads that sample again.  A run's first
+state is a copy of its network's, coerced from the declarations once.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -85,9 +98,10 @@ otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
 probe, searching windows by a loop over the probe closures, taking a
-delay's start as the least of the active edges' windows, drawing the delay
-by ``RngStream.uniform`` or ``RngStream.exponential``, applying updates
-through a staged list, firing by a loop over the enabled edges and the
+delay's start as the least of the active edges' windows, drawing each
+actor's delay by ``RngStream.uniform`` or ``RngStream.exponential`` in a
+loop over the actors, applying updates through a staged list that converts
+each stored value, firing by a loop over the enabled edges and the
 ready receivers, and integrating with numpy arrays (the
 midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
@@ -111,6 +125,7 @@ import functools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -291,19 +306,22 @@ def _indent(lines: list, by: int = 4) -> list:
 
 
 @functools.cache
-def _update_kernel(updates: tuple):
-    """``(V, L)`` applying ``updates``, ((slot, fn, vtype), ...), or None if
-    there are none: every right-hand side is evaluated first, then stored,
-    with reals and clocks through ``float``, bools through ``bool`` and ints
-    through ``_coerce``."""
-    if not updates:
+def _update_kernel(stores: tuple):
+    """``(V, L)`` applying ``stores``, ((slot, fn, store), ...), or None if
+    there are none: every right-hand side is evaluated first, then stored
+    as its ``store`` says (:func:`_store`): through ``float``, ``bool`` or
+    ``_coerce``, as it is, or, for an int literal, as that constant, which
+    is not evaluated at all."""
+    if not stores:
         return None
     lines = ["def _k(V, L):"]
     lines += [f"    u{i} = {fn.source}"
-              for i, (_, fn, _) in enumerate(updates)]
-    for i, (slot, _, vtype) in enumerate(updates):
-        value = {"int": f"_coerce(u{i}, 'int')",
-                 "bool": f"bool(u{i})"}.get(vtype, f"float(u{i})")
+              for i, (_, fn, store) in enumerate(stores)
+              if not isinstance(store, int)]
+    for i, (slot, _, store) in enumerate(stores):
+        value = repr(store) if isinstance(store, int) else {
+            "int": f"_coerce(u{i}, 'int')", "bool": f"bool(u{i})",
+            "as is": f"u{i}"}.get(store, f"float(u{i})")
         lines.append(f"    V[{slot}] = {value}")
     return _kernel("update", lines)
 
@@ -497,29 +515,24 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
             "else:", *_indent(search)]
 
 
-@functools.cache
-def _delay_kernel(name: str, index: int, invariant, inv_probe,
-                  inv_atoms: tuple, edges: tuple, rate: float):
-    """``(V, L, R, receivers, rng, time)``: the sojourn delay that location
-    ``name`` of the component at index ``index`` draws under clock rates
-    ``R``, or None if none of its active edges can fire before its
-    invariant closes, and the invariant's deadline, the earliest time at
-    which ``invariant`` (with its probe and atoms) is false, or ``INF``.
-    ``edges`` are ((guard, its probe, its atoms, binary), ...);
-    ``receivers`` are the step table's receive kernels by channel.
+def _sojourn_lines(name: str, index: int, invariant, inv_probe,
+                   inv_atoms: tuple, edges: tuple) -> list:
+    """Lines that find the sojourn of location ``name`` of the component
+    at index ``index`` under clock rates ``R``: ``start``, the earliest
+    time at which one of its active edges can fire, or None if none can
+    before its invariant closes, and, if it has an invariant, ``deadline``,
+    the earliest time at which ``invariant`` (with its probe and atoms) is
+    false, or ``INF``.  ``edges`` are ((guard, its probe, its atoms,
+    binary), ...); ``receivers`` are the step table's receive kernels by
+    channel.
 
     The deadline is searched by :func:`_window_lines`; an invariant that
-    is false already raises, with the time ``time``.  Then the start, the
-    earliest time at which an active edge can fire, is searched in edge
-    order by the same lines up to the deadline, and the earliest kept; an
-    unguarded edge starts at 0.  A binary emit takes part only if exactly
-    one receiver is ready: receiver locations are frozen until the next
-    event, and validation rejects a clock in a binary receiver's guard, so
-    the test holds for the whole sojourn.
-
-    The delay is ``rng.uniform(start, deadline)`` when the deadline is
-    finite, and ``start + rng.exponential(rate)`` otherwise, ``rate`` being
-    the exit rate, 1 by default."""
+    is false already raises, with the time ``time``.  Then the start is
+    searched in edge order by the same lines up to the deadline, and the
+    earliest kept; an unguarded edge starts at 0.  A binary emit takes
+    part only if exactly one receiver is ready: receiver locations are
+    frozen until the next event, and validation rejects a clock in a
+    binary receiver's guard, so the test holds for the whole sojourn."""
     lines = []
     if invariant is not None:
         message = f"invariant of {name} violated at entry (t={{time}})"
@@ -543,17 +556,46 @@ def _delay_kernel(name: str, index: int, invariant, inv_probe,
             search = [f"if {_ready_test(binary, index, 'r')}:",
                       *_indent(search)]
         lines += search
-    if invariant is None:
-        lines += ["if start is None:", "    return None, INF",
-                  "return start + rng.exponential(RATE), INF"]
-    else:
-        lines += ["if start is None:", "    return None, deadline",
-                  "if deadline < INF:",
-                  "    return rng.uniform(start, deadline), deadline",
-                  "return start + rng.exponential(RATE), deadline"]
-    return _kernel(f"delay {name}",
-                   ["def _k(V, L, R, receivers, rng, time):",
-                    *_indent(lines)], RATE=rate)
+    return lines
+
+
+@functools.cache
+def _race_kernel(actors: tuple):
+    """``(V, L, R, receivers, rng, time, located)``: the race of a timed
+    step, ``(delay, winner, cap)``, among ``actors``, ((the arguments of
+    :func:`_sojourn_lines`, exit rate), ...) of the actors of a step table
+    in component order; ``located`` are the table's (component, location)
+    pairs of those actors, and ``receivers`` its receive kernels by
+    channel.
+
+    Each actor's lines find its start and deadline, and it draws its delay
+    at once, before the next actor's search: ``rng.uniform(start,
+    deadline)`` when the deadline is finite, and ``start +
+    rng.exponential(rate)`` otherwise, ``rate`` being its exit rate.  An
+    actor that cannot fire draws nothing.  ``delay`` is the least delay
+    drawn, by the first actor in component order that drew it, whose
+    pair is ``winner``; INF and None if no actor can fire.  ``cap`` is the
+    earliest deadline of an actor that cannot fire, or INF."""
+    lines = ["best = cap = INF", "winner = None"]
+    for j, (sojourn, rate) in enumerate(actors):
+        keep = ["if d < best:", "    best = d", f"    winner = located[{j}]"]
+        exponential = f"d = start + rng.exponential({rate!r})"
+        lines += _sojourn_lines(*sojourn)
+        if sojourn[2] is None:  # no invariant
+            lines += ["if start is not None:", f"    {exponential}",
+                      *_indent(keep)]
+        else:
+            lines += ["if start is None:",
+                      "    if deadline < cap:", "        cap = deadline",
+                      "else:",
+                      "    if deadline < INF:",
+                      "        d = rng.uniform(start, deadline)",
+                      "    else:", f"        {exponential}",
+                      *_indent(keep)]
+    names = " ".join(sojourn[0] for sojourn, _ in actors)
+    return _kernel(f"race {names}".rstrip(), [
+        "def _k(V, L, R, receivers, rng, time, located):",
+        *_indent(lines + ["return best, winner, cap"])])
 
 
 @functools.cache
@@ -634,10 +676,10 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
 class _CompiledEdge:
     __slots__ = ("label", "where", "target", "guard", "guard_probe",
                  "guard_atoms", "channel", "binary", "weight", "updates",
-                 "update")
+                 "stores", "update")
 
     def __init__(self, label, component, target, guard, guard_probe,
-                 guard_atoms, channel, binary, weight, updates):
+                 guard_atoms, channel, binary, weight, updates, stores):
         self.label = label
         self.where = f"edge {label} of {component}"  # in error messages
         self.target = target
@@ -648,6 +690,7 @@ class _CompiledEdge:
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
         self.updates = updates  # ((slot, fn, vtype), ...)
+        self.stores = stores  # ((slot, fn, how _update_kernel stores), ...)
         # the update kernel, from the source location's lower(); None for
         # no updates
         self.update = None
@@ -656,7 +699,7 @@ class _CompiledEdge:
 class _CompiledLocation:
     __slots__ = ("index", "id", "name", "committed", "invariant",
                  "inv_probe", "inv_atoms", "rates", "affine", "exit_rate",
-                 "reads", "active", "receive", "delay", "fire", "lowered")
+                 "reads", "active", "receive", "race", "fire", "lowered")
 
     def __init__(self, index, id, name, committed, invariant, inv_probe,
                  inv_atoms, rates, affine, exit_rate, reads):
@@ -676,30 +719,31 @@ class _CompiledLocation:
         self.reads = reads
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
-        # from lower(): the delay kernel (None unless the location is
-        # timed and has an active edge or an invariant) and the fire kernel
-        # of the active edges
-        self.delay = self.fire = None
+        # from lower(): its part in a race kernel, (the arguments of
+        # _sojourn_lines, exit rate), or None unless the location is timed
+        # and has an active edge or an invariant, and the fire kernel of the
+        # active edges
+        self.race = self.fire = None
         self.lowered = False
 
     def lower(self) -> None:
         """Generate the kernels of this location and of its outgoing edges,
-        once.  The first step table that holds the location asks for them,
-        as it asks for its rate plan's, so a network generates none for a
-        location it never enters."""
+        and its part in a race kernel, once.  The first step table that
+        holds the location asks for them, as it asks for its rate plan's,
+        so a network generates none for a location it never enters."""
         if self.lowered:
             return
         self.lowered = True
         if not self.committed and (self.active
                                    or self.invariant is not None):
-            self.delay = _delay_kernel(
-                self.name, self.index, self.invariant, self.inv_probe,
-                self.inv_atoms, tuple(
-                    (e.guard, e.guard_probe, e.guard_atoms, e.binary)
-                    for e in self.active), self.exit_rate or 1.0)
+            self.race = ((self.name, self.index, self.invariant,
+                          self.inv_probe, self.inv_atoms, tuple(
+                              (e.guard, e.guard_probe, e.guard_atoms,
+                               e.binary) for e in self.active)),
+                         self.exit_rate or 1.0)
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
-            edge.update = _update_kernel(edge.updates)
+            edge.update = _update_kernel(edge.stores)
         self.fire = _fire_kernel(self.name, self.index, tuple(
             (e.guard, e.update, e.label, e.target, e.weight, e.channel,
              e.binary, e.where) for e in self.active))
@@ -707,11 +751,14 @@ class _CompiledLocation:
 
 class _StepTable:
     """What a step needs in one location configuration: the committed
-    components, the actors, the receive kernels per channel and the rate
-    plan.  An actor is a component whose location has a delay kernel: it
-    can fire or its invariant caps the delay.  One that can do neither
-    draws nothing and caps nothing, so the delay race leaves it out.
-    Components come as (component, location) pairs, in component order.
+    components, the actors, the race kernel, the receive kernels per
+    channel and the rate plan.  An actor is a component whose location
+    takes part in a race (``race`` is not None): it can fire or its
+    invariant caps the delay.  One that can do neither draws nothing and
+    caps nothing, so the race leaves it out.  ``race`` is the race kernel
+    of the actors when no component is committed, for the step is timed,
+    and None otherwise.  Components come as (component, location) pairs,
+    in component order.
     ``receivers`` maps each channel that an active edge of the
     configuration emits on to its receive kernel, or to None where no
     component of the configuration receives on it.
@@ -731,8 +778,8 @@ class _StepTable:
     unread: the advance kernel integrates such a clock by evaluating its
     rate itself."""
 
-    __slots__ = ("committed", "actors", "receivers", "exact", "rates",
-                 "advance")
+    __slots__ = ("committed", "actors", "race", "receivers", "exact",
+                 "rates", "advance")
 
     def __init__(self, net, config):
         located = [(cc, cc.locations[loc_id])
@@ -741,7 +788,9 @@ class _StepTable:
             loc.lower()
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
         self.actors = [(cc, loc) for cc, loc in located
-                       if loc.delay is not None]
+                       if loc.race is not None]
+        self.race = None if self.committed else _race_kernel(
+            tuple(loc.race for _, loc in self.actors))
         self.receivers = {}
         for channel in dict.fromkeys(e.channel for _, loc in located
                                      for e in loc.active if e.channel):
@@ -808,6 +857,27 @@ def _affine_rate(e, is_clock) -> bool:
         for n in E.walk(e))
 
 
+def _store(rhs, vtype: str, type_of):
+    """How an update kernel stores ``rhs`` in a slot of type ``vtype``
+    (:func:`_update_kernel`): "float", "bool", or, for an int, "int"
+    through ``_coerce``, except where no conversion is needed.  An integral
+    literal in the 64-bit range, or its negation, is stored as that int,
+    and a lone int variable (``type_of`` its name is "int"), which holds an
+    int already, as it is."""
+    if vtype != "int":
+        return "bool" if vtype == "bool" else "float"
+    negated = isinstance(rhs, E.Unary) and rhs.op == "-"
+    literal = rhs.operand if negated else rhs
+    if isinstance(literal, E.Num):
+        value = -literal.value if negated else literal.value
+        if (math.isfinite(value) and value == int(value)
+                and abs(value) <= RunConfig._INT_MAX):
+            return int(value)
+    elif isinstance(rhs, E.Name) and type_of(rhs.name) == "int":
+        return "as is"
+    return "int"
+
+
 class _CompiledComponent:
     __slots__ = ("name", "index", "initial", "locations")
 
@@ -834,6 +904,8 @@ class CompiledNetwork:
                             in self.var_types.items() if vtype == "clock"]
         self._init = [(self.slots[d.name], d.init, d.type)
                       for d in model.decls]
+        # V and L at the start of a run, from the first run on
+        self._V0 = self._L0 = None
         self._comp_slots = {comp.name: i
                             for i, comp in enumerate(network.components)}
         self.components = []
@@ -851,8 +923,11 @@ class CompiledNetwork:
             self._init += [(self.slots[f"{comp.name}.{d.name}"], d.init,
                             d.type) for d in comp.template.decls]
 
+            def type_of(name: str) -> Optional[str]:
+                return self.var_types.get(value_key(resolve, name))
+
             def is_clock(name: str) -> bool:
-                return self.var_types.get(value_key(resolve, name)) == "clock"
+                return type_of(name) == "clock"
 
             def clock_refs(e) -> frozenset:
                 return frozenset(self.slots[value_key(resolve, n)]
@@ -876,12 +951,13 @@ class CompiledNetwork:
                     clock_refs(loc.invariant) if loc.invariant else frozenset())
 
             for i, edge in enumerate(comp.template.edges):
-                updates = []
+                updates, stores = [], []
                 for name, rhs in edge.updates:
                     key = resolve(name)[1]
-                    updates.append((self.slots[key],
-                                    E.compile_expr(rhs, slotted),
-                                    self.var_types[key]))
+                    slot, vtype = self.slots[key], self.var_types[key]
+                    fn = E.compile_expr(rhs, slotted)
+                    updates.append((slot, fn, vtype))
+                    stores.append((slot, fn, _store(rhs, vtype, type_of)))
                 sync = edge.sync
                 channel = sync.channel if sync is not None else None
                 binary = (channel if sync is not None
@@ -891,7 +967,8 @@ class CompiledNetwork:
                     f"{edge.source}->{edge.target}#{i}", comp.name,
                     edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
-                    channel, binary, edge.weight, tuple(updates))
+                    channel, binary, edge.weight, tuple(updates),
+                    tuple(stores))
                 source = cc.locations[edge.source]
                 if sync is not None and sync.direction == "receive":
                     source.receive.setdefault(channel, []).append(ce)
@@ -946,11 +1023,15 @@ class CompiledNetwork:
         return table
 
     def initial_state(self) -> tuple:
-        """``(V, L)`` at the start of a run."""
-        V = [None] * len(self.slots)
-        for slot, value, vtype in self._init:
-            V[slot] = self._coerce(value, vtype)
-        return V, [cc.initial for cc in self.components]
+        """``(V, L)`` at the start of a run: copies of templates that the
+        network's first run coerces from the declarations, so an invalid
+        initial value fails every run at its start."""
+        if self._V0 is None:
+            V = [None] * len(self.slots)
+            for slot, value, vtype in self._init:
+                V[slot] = self._coerce(value, vtype)
+            self._V0, self._L0 = V, [cc.initial for cc in self.components]
+        return self._V0[:], self._L0[:]
 
     @staticmethod
     def _coerce(value, vtype):
@@ -990,18 +1071,17 @@ def _sampler(V, L, watch, monitor):
     """The call that takes a sample point of the state lists ``V`` and
     ``L``: it calls ``monitor(V, L)``, if there is a monitor, and returns
     the ``watch`` kernel's dict, or one shared empty dict when nothing is
-    watched."""
+    watched.  A monitor alone is called directly, and what it returns is
+    the sample: it returns that shared dict, ``_UNWATCHED``."""
     if monitor is None:
         return (functools.partial(watch, V, L) if watch is not None
                 else lambda: _UNWATCHED)
     if watch is None:
-        def monitored():
-            monitor(V, L)
-            return _UNWATCHED
-    else:
-        def monitored():
-            monitor(V, L)
-            return watch(V, L)
+        return functools.partial(monitor, V, L)
+
+    def monitored():
+        monitor(V, L)
+        return watch(V, L)
     return monitored
 
 
@@ -1020,6 +1100,10 @@ class Simulator:
         self._snapshot = _sampler(self.V, self.L,
                                   _watch_kernel(watch) if watch else None,
                                   monitor)
+        # the last sample point, which run sets to the initial one: the
+        # sample before a committed step, taken again by _recall
+        self._last = [None]
+        self._recall = functools.partial(operator.getitem, self._last, 0)
         # the step table of L at the last step, which advance_time reads
         self._table = net.step_table(self.L)
 
@@ -1027,27 +1111,17 @@ class Simulator:
         """The race of a timed step in ``table``, the step table of the
         current state: ``(delay, winner, cap)``.
 
-        Each actor's delay kernel draws its delay, Uniform[L, U] when its
-        invariant bounds the sojourn, otherwise L + Exponential(exit-rate,
-        default 1), U being the invariant's deadline under ``rates``, the
-        step table's rates at the current state, and L the earliest time at
-        which an active edge can fire.  ``delay`` is the least delay drawn,
-        by the first actor in component order that drew it, ``winner``;
-        INF and None if no actor can fire.  ``cap`` is the earliest
-        deadline of an actor that cannot fire, or INF.
+        The table's race kernel draws each actor's delay, Uniform[L, U] when
+        its invariant bounds the sojourn, otherwise L + Exponential(exit
+        rate, default 1), U being the invariant's deadline under ``rates``,
+        the step table's rates at the current state, and L the earliest
+        time at which an active edge can fire.  ``delay`` is the least
+        delay drawn, by the first actor in component order that drew it,
+        ``winner``; INF and None if no actor can fire.  ``cap`` is the
+        earliest deadline of an actor that cannot fire, or INF.
         """
-        V, L, receivers, rng = self.V, self.L, table.receivers, self.rng
-        time = self.time
-        best, winner, cap = INF, None, INF
-        for actor in table.actors:
-            delay, deadline = actor[1].delay(V, L, rates, receivers, rng,
-                                             time)
-            if delay is None:
-                if deadline < cap:
-                    cap = deadline
-            elif delay < best:
-                best, winner = delay, actor
-        return best, winner, cap
+        return table.race(self.V, self.L, rates, table.receivers, self.rng,
+                          self.time, table.actors)
 
     # -- integration --
 
@@ -1079,11 +1153,15 @@ class Simulator:
         cap)``, ``cap`` being the earliest invariant deadline of an actor
         that cannot fire: the winner fires unless its delay is past that
         stop, where the run ends, deadlocked if ``cap`` is before the
-        bound."""
+        bound.
+
+        A committed step takes no sample before its firing: no time has
+        passed since the last sample point, so the state is that sample's,
+        and the firing reads it again."""
         V, L = self.V, self.L
         table = self._table = self.net.step_table(L)
-        fire_args = (V, L, table.receivers, self.rng, self._snapshot)
         if table.committed:
+            fire_args = (V, L, table.receivers, self.rng, self._recall)
             for cc, loc in table.committed:
                 fired = loc.fire(*fire_args)
                 if fired is not None:
@@ -1099,6 +1177,7 @@ class Simulator:
             self.advance_time(stop if ends else delay, rates)
             if ends:
                 return "bound_reached" if cap >= remaining else "deadlock"
+            fire_args = (V, L, table.receivers, self.rng, self._snapshot)
             cc, loc = winner
             fired = loc.fire(*fire_args)
             if fired is None:
@@ -1111,7 +1190,8 @@ class Simulator:
                     f"{cc.name}: no edge enabled at its sampled delay "
                     "(guard window closed; engine defect or unsupported "
                     "model)")
-        return TraceEvent(self.time, cc.name, *fired, self._snapshot())
+        post = self._last[0] = self._snapshot()
+        return TraceEvent(self.time, cc.name, *fired, post)
 
 
 def check_bound(bound: float) -> None:
@@ -1125,10 +1205,13 @@ def run(network, bound: float, rng: RngStream, watch=(),
     """Simulate one run up to the bound; final partial delay is applied so
     watched expressions are sampled exactly at the bound.
 
-    The sample points are the start, before and after each event, and the
-    end.  ``watch`` records expressions there in the trace's dicts;
-    ``monitor``, a callable, is called with the state lists ``(V, L)``
-    there, and records nothing in the trace."""
+    The sample points are the start, before each timed event and after
+    each event, and the end; the sample before a committed event is the
+    one after the event before it, or the start, taken once.  ``watch``
+    records expressions there in the trace's dicts; ``monitor``, a
+    callable, is called with the state lists ``(V, L)`` there, and records
+    nothing in the trace: when nothing is watched, it returns the shared
+    empty dict ``_UNWATCHED``, the trace's dict of every sample."""
     check_bound(bound)
     if isinstance(network, Model):
         network = instantiate(network)
@@ -1137,7 +1220,7 @@ def run(network, bound: float, rng: RngStream, watch=(),
     sim = Simulator(net, rng, config, watch, monitor)
     events = []
     try:
-        initial = sim._snapshot()
+        initial = sim._last[0] = sim._snapshot()
         for _ in range(sim.config.max_steps):
             result = sim.step(bound)
             if isinstance(result, str):  # "bound_reached" | "deadlock"

@@ -20,21 +20,23 @@ Run path: a query is one or two jobs, each with a judge that turns a run
 into an outcome, and a decision rule over the jobs' outcome streams,
 ``RunPool.outcomes``. Estimation counts a fixed number of outcomes; one
 SPRT loop serves hypothesis tests, both routes of a constraint and the
-discordant pairs of ``compare``; extrema and trajectories are listed.
-Path formulas and extrema are judged while the run runs: ``engine.run``
-calls one ``_Monitor`` per run at its sample points (the start, before
-and after each event, and the end). It calls one kernel generated for its
-open judges, which evaluates each open formula's predicate inline, stores
-a formula's decision (``<>`` once true, ``[]`` once false) and each
-running maximum or minimum in the outcomes, and says whether a formula
-decided; only then is the kernel swapped for that of the judges still
-open. Kernels are compiled through ``engine._kernel`` under the filename
-``<monitor>`` and cached on the open judges, so a run stream's runs share
-them. Nothing is recorded for sampled judges, so such a run builds no
+discordant pairs of ``compare``; extrema and trajectories are listed. Path
+formulas and extrema are judged while the run runs: ``engine.run`` calls
+one kernel, generated for the run's sampled judges and bound to its
+outcomes by ``_Monitor``, at the run's sample points (the start, before
+each timed event and after each event, and the end), with no Python frame
+in between. It evaluates each formula's predicate inline until the formula
+decides (``<>`` once true, ``[]`` once false), skipping it from then on by
+a test of its outcome, and keeps each running maximum or minimum in the
+outcomes; a run keeps its one kernel to its end, and ``_Monitor.decided``
+tells from the outcomes alone whether every formula has decided. Kernels
+are compiled through ``engine._kernel`` under the filename ``<monitor>``
+and cached on the judges, so the runs that a stream's live jobs judge
+share one. Nothing is recorded for sampled judges, so such a run builds no
 snapshot dict. Trajectories and constraints are judged on the trace once
-the run ends: a ``simulate`` job watches its expressions, and a
-constraint replays its observer over the run's events
-(``monitors.observer_failed``) and runs the trace oracle on them.
+the run ends: a ``simulate`` job watches its expressions, and a constraint
+replays its observer over the run's events (``monitors.observer_failed``)
+and runs the trace oracle on them.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one check that read runs
@@ -57,11 +59,13 @@ first to need.
 A model is compiled once per process: ``_compiled`` keeps the compiled
 networks of the last 16 models checked, keyed by the model's structure, so
 a later check of an equal model (the same object or a re-parsed file)
-reuses its network, step tables and kernels. A step table and its
-kernels are pure functions of the location configuration, and ``h_max``
-is an argument of the advance kernel, never part of a table, so a warm
-network changes no run. The cache is process-wide state;
-``_compiled.cache_clear()`` empties it, as the tests do before each test.
+reuses its network, step tables and kernels. A model hashes its structure
+once, so a check of the same object finds its network without walking it.
+A step table and its kernels are pure functions of the location
+configuration, and ``h_max`` is an argument of the advance kernel, never
+part of a table, so a warm network changes no run. The cache is
+process-wide state; ``_compiled.cache_clear()`` empties it, as the tests
+do before each test.
 
 Concurrency: one ``RunPool`` serves a whole check. At one worker the runs
 execute in this process. Otherwise they go to one process pool, started at
@@ -83,7 +87,9 @@ the new ones. A single ``stamc check`` makes one pool and reaches nothing
 before it starts, so it builds no table here. The pool also builds here
 what each stream's first run compiles before it starts, its sampled
 judges' watches and their monitor kernel, which every worker's first run
-of the stream would otherwise compile again. A worker started by
+of the stream would otherwise compile again; a worker compiles a monitor
+kernel only for a set of live jobs that it meets after the fork, once a
+job has retired or read all its runs. A worker started by
 ``forkserver`` or ``spawn`` unpickles fresh networks and builds its own,
 so the pool builds none of this for it. A stream yields outcomes strictly
 in run-index order, so verdicts and estimates do not depend on the worker
@@ -109,7 +115,8 @@ from typing import Callable, Optional
 
 from . import expr as E
 from . import monitors
-from .engine import CompiledNetwork, RngStream, RunConfig, _kernel, run
+from .engine import (_UNWATCHED, CompiledNetwork, RngStream, RunConfig,
+                     _kernel, run)
 from .model import Model, Network, instantiate
 from .queries import (Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
@@ -394,36 +401,40 @@ class _Traced:
 
 @functools.cache
 def _monitor_kernel(always: tuple, eventually: tuple, extrema: tuple):
-    """``(V, L, out)``: one sample point of the open judges, which returns
-    whether a formula decided. ``always``, ((place, predicate), ...), are
-    the ``[]`` formulas still true, each set False in ``out`` at its first
-    false sample; ``eventually`` the ``<>`` formulas not yet true, each set
-    True at its first true sample; ``extrema``, ((place, fn, is max),
-    ...), keep the running maximum or minimum of ``float(fn)`` in ``out``,
-    None until the first sample."""
-    lines = ["def _k(V, L, out):", "    decided = False"]
+    """``(out, V, L)``: one sample point of a run's sampled judges, which
+    returns the engine's shared empty dict, the sample of a run that
+    watches nothing. ``always``, ((place, predicate), ...), are the ``[]``
+    formulas, each set False in ``out`` at its first false sample;
+    ``eventually`` the ``<>`` formulas, each set True at its first true
+    sample; ``extrema``, ((place, fn, is max), ...), keep the running
+    maximum or minimum of ``float(fn)`` in ``out``, None until the first
+    sample. A formula that has decided is skipped by a test of its own
+    outcome, so its predicate is evaluated no more."""
+    lines = ["def _k(out, V, L):"]
     for place, fn in always:
-        lines += [f"    if not ({fn.source}):",
-                  f"        out[{place}] = False", "        decided = True"]
+        lines += [f"    if out[{place}] and not ({fn.source}):",
+                  f"        out[{place}] = False"]
     for place, fn in eventually:
-        lines += [f"    if {fn.source}:",
-                  f"        out[{place}] = True", "        decided = True"]
+        lines += [f"    if not out[{place}] and ({fn.source}):",
+                  f"        out[{place}] = True"]
     for place, fn, is_max in extrema:
         lines += [f"    v = float({fn.source})", f"    best = out[{place}]",
                   f"    if best is None or v {'>' if is_max else '<'} best:",
                   f"        out[{place}] = v"]
-    return _kernel("monitor", lines + ["    return decided"])
+    return _kernel("monitor", lines + ["    return UNWATCHED"],
+                   UNWATCHED=_UNWATCHED)
 
 
 class _Monitor:
     """The sampled judges of one run, called at its sample points, with
     their outcomes in ``out`` by job place.
 
-    One generated kernel (``_monitor_kernel``) judges the open judges at a
-    sample point. A path formula decides at its first sample of the wanted
-    truth, ``<>`` once true and ``[]`` once false, and only then is the
-    kernel replaced by that of the judges still open, so a run that
-    decides no formula makes one kernel call per sample point."""
+    One generated kernel (``_monitor_kernel``) judges them at every sample
+    point of the run, bound to ``out`` so that the engine calls it with no
+    frame in between. A path formula decides at its first sample of the
+    wanted truth, ``<>`` once true and ``[]`` once false; from then on the
+    kernel skips it by a test of its outcome, and ``decided`` reads the
+    outcomes alone."""
 
     __slots__ = ("out", "always", "eventually", "extrema", "kernel")
 
@@ -446,22 +457,22 @@ class _Monitor:
             self.extrema += ((place, fn, judge.op == "max"),)
 
     def sampler(self):
-        """The call at each sample point once every judge is added, or None
-        if there is no judge."""
+        """The call ``(V, L)`` at each sample point once every judge is
+        added, the kernel with ``out`` bound, or None if there is no
+        judge."""
         if not (self.always or self.eventually or self.extrema):
             return None
         self.kernel = _monitor_kernel(self.always, self.eventually,
                                       self.extrema)
-        return self.sample
+        return functools.partial(self.kernel, self.out)
 
-    def sample(self, V, L):
-        if self.kernel(V, L, self.out):
-            out = self.out
-            self.always = tuple(e for e in self.always if out[e[0]])
-            self.eventually = tuple(e for e in self.eventually
-                                    if not out[e[0]])
-            self.kernel = _monitor_kernel(self.always, self.eventually,
-                                          self.extrema)
+    def decided(self) -> bool:
+        """Whether every path formula has decided: no ``[]`` formula is
+        true and no ``<>`` formula false any more. It reads one outcome per
+        formula and calls no predicate."""
+        out = self.out
+        return (not any(out[place] for place, _ in self.always)
+                and all(out[place] for place, _ in self.eventually))
 
 
 # --- shared run streams ----------------------------------------------------

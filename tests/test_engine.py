@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -665,8 +666,10 @@ system T;
     network = engine.CompiledNetwork(net(text))
     k, x = network.slots["k"], network.slots["x"]
     seen = []
+    # a monitor of a run that watches nothing returns the shared empty dict
     monitored = run(network, 7, RngStream(0, 0),
-                    monitor=lambda V, L: seen.append((V[k], V[x], L[0])))
+                    monitor=lambda V, L: seen.append((V[k], V[x], L[0]))
+                    or engine._UNWATCHED)
     watched = run(network, 7, RngStream(0, 0), watch=["k", "x", "T.b"])
     assert seen == [(s["k"], s["x"], "b" if s["T.b"] else "a")
                     for _, s in watched.samples()]
@@ -676,6 +679,53 @@ system T;
         [e.time for e in watched.events]
     assert all(snap == {} for _, snap in monitored.samples())
     assert monitored.locations == watched.locations == {"T": "a"}
+
+
+# Starts committed; a timed step to b, then a committed one back to a or
+# on to c, and a committed step from c.
+COMMITTED = """
+int n = 0;
+clock x;
+template T() {
+  init committed loc go;
+  loc a { inv x <= 1; }
+  committed loc b;
+  committed loc c;
+  go -> a { update n := 1; }
+  a -> b { guard x >= 1; update x := 0, n := n + 1; }
+  b -> a { weight 3; update n := n + 10; }
+  b -> c { }
+  c -> a { update n := n * 2; }
+}
+system T;
+"""
+
+
+def test_a_committed_step_samples_only_after_it_fires():
+    """No time passes before a committed step, so the sample before it is
+    the last sample point, the run's start or the sample after the event
+    before, and the monitor is not called again: a run's monitor calls are
+    2 + events + timed events."""
+    compiled = engine.CompiledNetwork(net(COMMITTED))
+    committed = {"go", "b", "c"}
+    seen = set()
+    for i in range(10):
+        calls = []
+        tr = run(compiled, 6, RngStream(5, i), watch=["n", "x"],
+                 monitor=lambda V, L: calls.append(list(V)))
+        before = tr.initial
+        timed = 0
+        for ev in tr.events:
+            if ev.edge.split("->")[0] in committed:
+                assert ev.watch_pre is before
+            else:
+                assert ev.watch_pre is not before
+                timed += 1
+            seen.add(ev.edge.split("#")[0])
+            before = ev.watch
+        assert len(calls) == 2 + len(tr.events) + timed
+        assert tr.events[0].edge == "go->a#0"
+    assert seen == {"go->a", "a->b", "b->a", "b->c", "c->a"}
 
 
 def test_trace_to_jsonl_roundtrips():
@@ -974,20 +1024,22 @@ def _edges(compiled):
                                    for e in es]]
 
 
-class _ZeroDraws:
-    """A stand-in for a run's RngStream whose draws are 0."""
+@functools.cache
+def _sojourn_kernel(sojourn):
+    """``(V, L, R, receivers, time)``: (start or None, deadline) of an
+    actor, by the lines that a race kernel runs for it
+    (``engine._sojourn_lines``)."""
+    deadline = "INF" if sojourn[2] is None else "deadline"
+    return engine._kernel("sojourn", [
+        "def _k(V, L, R, receivers, time):",
+        *engine._indent(engine._sojourn_lines(*sojourn)),
+        f"    return start, {deadline}"])
 
-    def uniform(self, lo, hi):
-        return lo
 
-    def exponential(self, rate):
-        return 0.0
-
-
-def _delay(loc, V, L, rates, receivers, time=0.0):
-    """``loc``'s delay kernel with draws of 0: (its start or None, its
-    deadline)."""
-    return loc.delay(V, L, rates, receivers, _ZeroDraws(), time)
+def _sojourn(loc, V, L, rates, receivers, time=0.0):
+    """``loc``'s sojourn as a race kernel finds it: (its start or None,
+    its deadline)."""
+    return _sojourn_kernel(loc.race[0])(V, L, rates, receivers, time)
 
 
 def _deadline(loc, V, L, rates):
@@ -1002,15 +1054,16 @@ def _deadline(loc, V, L, rates):
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_window_kernels_match_the_loop_reference(name):
-    """Each delay kernel finds when its location's invariant closes as the
-    loop over the probe closures does, and says the invariant is violated
-    where it is false already; it searches its guards' windows by the same
-    lines (test_start_kernels_match_the_loop_reference)."""
+    """A race kernel's lines for an actor find when its location's
+    invariant closes as the loop over the probe closures does, and say the
+    invariant is violated where it is false already; they search its
+    guards' windows by the same lines
+    (test_start_kernels_match_the_loop_reference)."""
     compiled, states = _vehicle_states(name)
     _edges(compiled)  # generates every location's kernels
     invariant = [loc for cc in compiled.components
                  for loc in cc.locations.values()
-                 if loc.invariant is not None and loc.delay is not None]
+                 if loc.invariant is not None and loc.race is not None]
     assert len(invariant) > 10
     found = set()
     for V, L in states:
@@ -1024,9 +1077,9 @@ def test_window_kernels_match_the_loop_reference(name):
                 with pytest.raises(EngineError, match=(
                         rf"^invariant of {loc.name} violated at entry "
                         r"\(t=2\.5\)$")):
-                    _delay(loc, V, L, rates, table.receivers, 2.5)
+                    _sojourn(loc, V, L, rates, table.receivers, 2.5)
             else:
-                _, got = _delay(loc, V, L, rates, table.receivers)
+                _, got = _sojourn(loc, V, L, rates, table.receivers)
                 assert _bits([got]) == _bits([want])
             found.add("now" if want == 0.0 else
                       "never" if want == math.inf else "later")
@@ -1063,6 +1116,29 @@ def test_update_kernels_match_the_staged_loop(name):
             got = list(sim.V)
             edge.update(got, sim.L)
             assert _bits(got) == _bits(want)
+
+
+def test_vehicle_int_updates_store_without_conversion():
+    """Every int update of the vehicle stores an integral literal or a lone
+    int variable: its update kernel calls no ``_coerce`` and stores an
+    ``int``.  An int store of any other form still converts."""
+    compiled, states = _vehicle_states("av.sta")
+    edges = [e for _, e in _edges(compiled)
+             if any(vtype == "int" for _, _, vtype in e.updates)]
+    assert sum(vtype == "int" for e in edges
+               for _, _, vtype in e.updates) > 20
+    for edge in edges:
+        assert "_coerce" not in edge.update.__code__.co_names
+    for V, L in states[::10]:
+        sim = _at(compiled, V, L)
+        for edge in edges:
+            got = list(sim.V)
+            edge.update(got, sim.L)
+            assert all(type(got[slot]) is int
+                       for slot, _, vtype in edge.updates if vtype == "int")
+    [edge] = [e for _, e in _edges(engine.CompiledNetwork(net(_FAULTY % (
+        "n := n + 1"))))]
+    assert "_coerce" in edge.update.__code__.co_names
 
 
 # The fire kernels' reference, a firing in loop form: scan the enabled
@@ -1311,8 +1387,29 @@ template Late() {
 system Emit, Recv, Late;
 """
 
+# A cannot fire before its invariant closes, so it caps every delay; B and
+# C start at the same time, so draws of their least time tie.
+CAPPED = """
+clock x;
+clock y;
+clock z;
+template A() {
+  init loc a { inv x <= 2; }
+  a -> a { guard x >= 3; update x := 0; }
+}
+template B() {
+  init loc b { inv y <= 3; }
+  b -> b { guard y >= 1; update y := 0; }
+}
+template C() {
+  init loc c { inv z <= 3; }
+  c -> c { guard z >= 1; update z := 0; }
+}
+system A, B, C;
+"""
+
 _SMALL = {"binary": BINARY, "broadcast": BROADCAST, "quiet": QUIET,
-          "timed-binary": TIMED_BINARY}
+          "timed-binary": TIMED_BINARY, "capped": CAPPED}
 
 
 def _kernel_states(name):
@@ -1404,11 +1501,11 @@ def _start(V, L, rates, horizon, receiving, cc, loc):
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
                                   "broadcast", "timed-binary"])
 def test_start_kernels_match_the_loop_reference(name):
-    """Each delay kernel finds when one of its location's active edges can
-    first fire before the invariant's deadline as the loop over the edges'
-    windows does, bit for bit: with draws of 0 its delay is that start.  A
-    location has a delay kernel exactly when it is timed and has an active
-    edge or an invariant."""
+    """A race kernel's lines for an actor find when one of its location's
+    active edges can first fire before the invariant's deadline as the
+    loop over the edges' windows does, bit for bit.  A location takes part
+    in races exactly when it is timed and has an active edge or an
+    invariant."""
     compiled, states = _kernel_states(name)
     found, gated = set(), set()
     for V, L in states:
@@ -1417,15 +1514,15 @@ def test_start_kernels_match_the_loop_reference(name):
         receiving = _receiving(compiled, L)
         for cc in compiled.components:
             loc = cc.locations[L[cc.index]]
-            assert (loc.delay is None) == (
+            assert (loc.race is None) == (
                 loc.committed or not loc.active and loc.invariant is None)
-            if loc.delay is None:
+            if loc.race is None:
                 continue
             deadline = _deadline(loc, V, L, rates)
             if deadline == 0.0:  # test_window_kernels_match_the_loop_...
                 continue
             want, skipped = _start(V, L, rates, deadline, receiving, cc, loc)
-            got = _delay(loc, V, L, rates, table.receivers)
+            got = _sojourn(loc, V, L, rates, table.receivers)
             assert _bits(got) == _bits([want, deadline])
             found.add("never" if want is None else
                       "later" if want > 0 else "now")
@@ -1434,6 +1531,91 @@ def test_start_kernels_match_the_loop_reference(name):
     assert found == ({"now", "later", "never"} if name.endswith(".sta")
                      else {"now", "later"})
     assert gated == ({True, False} if name == "timed-binary" else {False})
+
+
+class _Draws:
+    """A stand-in for a run's RngStream that records each draw and draws
+    ``lo`` from a uniform and 0 from an exponential, so that actors which
+    can fire at once tie."""
+
+    def __init__(self):
+        self.calls = []
+
+    def uniform(self, lo, hi):
+        self.calls.append(("uniform", lo, hi))
+        return lo
+
+    def exponential(self, rate):
+        self.calls.append(("exponential", rate))
+        return 0.0
+
+
+def _race(table, V, L, rates, rng):
+    """Reference race of a timed step: each actor in turn finds its
+    sojourn and draws its delay; the least delay is kept by the first
+    actor that drew it, and ``cap`` is the earliest deadline of an actor
+    that cannot fire."""
+    best, winner, cap = math.inf, None, math.inf
+    for actor in table.actors:
+        loc = actor[1]
+        start, deadline = _sojourn(loc, V, L, rates, table.receivers)
+        if start is None:
+            if deadline < cap:
+                cap = deadline
+            continue
+        delay = (rng.uniform(start, deadline) if deadline < math.inf
+                 else start + rng.exponential(loc.race[1]))
+        if delay < best:
+            best, winner = delay, actor
+    return best, winner, cap
+
+
+@pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
+                                  "timed-binary", "capped"])
+def test_race_kernels_match_the_per_actor_loop(name):
+    """A step table's race kernel draws what the loop over its actors
+    draws, in the same order, and keeps the same winner and cap, bit for
+    bit: with draws that tie, the first actor in component order wins.
+    Where an actor's invariant is false already, both raise, after the
+    same draws."""
+    compiled, states = _kernel_states(name)
+    raced = ties = capped = violated = 0
+    for n, (V, L) in enumerate(states):
+        table = compiled.step_table(L)
+        if table.race is None:  # a committed step races nobody
+            continue
+        rates = table.rates(V, L)
+        want_rng, got_rng = _Draws(), _Draws()
+        try:
+            want = _race(table, V, L, rates, want_rng)
+        except EngineError as exc:
+            with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
+                table.race(V, L, rates, table.receivers, got_rng, 0.0,
+                           table.actors)
+            assert got_rng.calls == want_rng.calls
+            violated += 1
+            continue
+        got = table.race(V, L, rates, table.receivers, got_rng, 0.0,
+                         table.actors)
+        assert got_rng.calls == want_rng.calls
+        assert _bits([got[0], got[2]]) == _bits([want[0], want[2]])
+        assert got[1] is want[1]
+        drawn = [call[1] for call in want_rng.calls if call[0] == "uniform"]
+        ties += drawn.count(want[0]) > 1
+        capped += want[2] < math.inf
+        want_rng, got_rng = RngStream(7, n), RngStream(7, n)
+        want = _race(table, V, L, rates, want_rng)
+        got = table.race(V, L, rates, table.receivers, got_rng, 0.0,
+                         table.actors)
+        assert _bits([got[0], got[2]]) == _bits([want[0], want[2]])
+        assert got[1] is want[1]
+        assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
+        raced += 1
+    assert raced > 20
+    if name.endswith(".sta"):  # _SELDOM holds a wheel whose invariant fails
+        assert ties and violated
+    if name == "capped":  # A caps every delay, and B and C tie
+        assert ties and capped
 
 
 def test_a_blocked_binary_emit_deadlocks():
@@ -1461,7 +1643,7 @@ system T;
 def test_a_second_compile_execs_nothing(monkeypatch):
     """Closures are cached by source and kernels by their generators'
     arguments: a second network of the same model shares every function
-    with the first, its delay and receive kernels among them, and compiling
+    with the first, its race and receive kernels among them, and compiling
     and running it writes no kernel and evaluates no closure."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
     watch = ("(wvl + wvr) / 2", "energy.Con_en", "mode")
@@ -1486,10 +1668,10 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     for (loc_a, ea), (loc_b, eb) in pairs:
         assert (ea.guard, ea.guard_probe, ea.update) == \
             (eb.guard, eb.guard_probe, eb.update)
-        assert (loc_a.invariant, loc_a.rates, loc_a.delay, loc_a.fire) == \
-            (loc_b.invariant, loc_b.rates, loc_b.delay, loc_b.fire)
+        assert (loc_a.invariant, loc_a.rates, loc_a.race, loc_a.fire) == \
+            (loc_b.invariant, loc_b.rates, loc_b.race, loc_b.fire)
         assert loc_a.fire is not None
-        assert (loc_a.delay is None) == (
+        assert (loc_a.race is None) == (
             loc_a.committed or not loc_a.active and loc_a.invariant is None)
     assert a.components[0].locations is not b.components[0].locations
     assert len(a._tables) == len(b._tables) > 1
@@ -1497,6 +1679,9 @@ def test_a_second_compile_execs_nothing(monkeypatch):
         for name in ("advance", "rates"):
             kernels = (getattr(table, name), getattr(b._tables[config], name))
             assert kernels[0] is kernels[1] is not None
+        # a timed step's table holds a race kernel, built with the table
+        assert table.race is b._tables[config].race
+        assert (table.race is None) == bool(table.committed)
         # the same runs use the same channels of each table
         assert table.receivers == b._tables[config].receivers
     assert any(any(t.receivers.values()) for t in a._tables.values())
@@ -1515,15 +1700,19 @@ def test_every_kernel_has_its_own_filename():
     kernels = {e.update for _, e in _edges(compiled)}
     for cc in compiled.components:
         for loc in cc.locations.values():
-            kernels |= {loc.delay, loc.fire}
+            kernels.add(loc.fire)
     for table in compiled._tables.values():
-        kernels |= {table.rates, table.advance, *table.receivers.values()}
+        kernels |= {table.race, table.rates, table.advance,
+                    *table.receivers.values()}
     kernels.discard(None)
     names = [k.__code__.co_filename for k in kernels]
     assert len(kernels) > 50 and len(set(names)) == len(names)
-    for kind in ("fire Ctrl.dispatch", "delay Camera.wait", "receive ",
-                 "update", "rates", "advance"):
+    for kind in ("fire Ctrl.dispatch", "race ", "receive ", "update",
+                 "rates", "advance"):
         assert any(name.startswith(f"<{kind}") for name in names), kind
+    # a race kernel is titled by its actors' locations
+    assert any(name.startswith("<race ") and "Camera.wait" in name
+               for name in names)
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):

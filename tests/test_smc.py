@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import pathlib
+import pickle
 import weakref
 from concurrent.futures import wait
 from multiprocessing import get_context
@@ -15,7 +16,7 @@ import scipy.stats
 from stamc import engine, smc
 from stamc.engine import CompiledNetwork, RngStream, RunConfig, run
 from stamc.expr import ExprError, to_text
-from stamc.model import instantiate
+from stamc.model import Template, instantiate
 from stamc.monitors import attach_observer, check_trace
 from stamc.parser import parse_expression, parse_model, parse_queries
 from stamc.queries import (Compare, ConstraintQuery, Estimate, Expected,
@@ -927,16 +928,23 @@ def coin_monitor(*judges):
 
 def test_formulas_that_decide_at_the_initial_sample():
     """A ``<>`` formula true at the start and a ``[]`` formula false there
-    decide at the first sample point, and leave a kernel of the extremum
-    alone."""
+    decide at the first sample point. The kernel stays, and skips them by
+    their outcomes: a state where both predicates flip changes neither,
+    while the extremum goes on."""
     net, monitor = coin_monitor(("eventually", "done == 0"),
                                 ("globally", "done == 1"), ("max", "x"))
     sample = monitor.sampler()
+    kernel = monitor.kernel
     assert monitor.out == [False, True, None]
-    sample(*net.initial_state())
+    assert not monitor.decided()
+    V, L = net.initial_state()
+    sample(V, L)
     assert monitor.out == [True, False, 0.0]
-    assert monitor.always == monitor.eventually == ()
-    assert monitor.kernel is smc._monitor_kernel((), (), monitor.extrema)
+    assert monitor.decided()
+    V[net.slots["done"]], V[net.slots["x"]] = 1, 2.5
+    sample(V, L)
+    assert monitor.out == [True, False, 2.5]
+    assert monitor.kernel is kernel
 
 
 @pytest.mark.parametrize("extremum", [(), (("min", "x"),)])
@@ -944,15 +952,20 @@ def test_formulas_that_decide_at_the_initial_sample():
     (("eventually", "done == 1"), ("globally", "x <= 0.5")),
     (("eventually", "done == 1"),), (("globally", "x <= 0.5"),)])
 def test_a_run_in_which_every_formula_decides(formulas, extremum):
-    """Every formula decides before the bound, so the last kernel holds the
-    extrema alone, or nothing."""
+    """Every formula decides before the bound, and the run keeps the one
+    kernel of its judges: none is compiled while it runs."""
     net, monitor = coin_monitor(*formulas, *extremum)
-    run(net, 5, RngStream(3, 0), monitor=monitor.sampler())
+    sample = monitor.sampler()
+    assert not monitor.decided()
+    compiled = engine._NAMED["monitor"]
+    run(net, 5, RngStream(3, 0), monitor=sample)
+    assert engine._NAMED["monitor"] == compiled
     assert monitor.out[:len(formulas)] == [op == "eventually"
                                            for op, _ in formulas]
-    assert monitor.always == monitor.eventually == ()
+    assert monitor.decided()
+    assert monitor.kernel is smc._monitor_kernel(
+        monitor.always, monitor.eventually, monitor.extrema)
     assert len(monitor.extrema) == len(extremum)
-    assert monitor.kernel is smc._monitor_kernel((), (), monitor.extrema)
 
 
 def test_a_monitor_of_extrema_alone():
@@ -989,3 +1002,62 @@ def test_a_second_check_compiles_no_monitor_kernel():
     for a, b in zip(first, second):
         a.wall_ms = b.wall_ms = 0.0
     assert first == second
+
+
+def test_forked_workers_compile_no_monitor_kernel(pools, monkeypatch,
+                                                  tmp_path):
+    """A run keeps one monitor kernel however its formulas decide, and a
+    forked pool's workers find the kernel of each stream's opening judges
+    built before the fork: while the live jobs stay the same, as in a
+    check of estimates alone, no worker compiles one. The ``[]`` formula
+    fails in every run, the ``<>`` one in some."""
+    compiled = tmp_path / "compiled"
+    kernel = smc._kernel
+
+    def titled(title, *args, **kw):
+        with open(compiled, "a") as fh:
+            fh.write(f"{os.getpid()} {title}\n")
+        return kernel(title, *args, **kw)
+
+    monkeypatch.setattr(smc, "_kernel", titled)
+    monkeypatch.setattr(smc, "_monitor_kernel", functools.cache(
+        smc._monitor_kernel.__wrapped__))
+    monkeypatch.setattr(smc, "get_context", lambda: get_context("fork"))
+    cfg = StatConfig(seed=3, epsilon=0.2)
+    # every job reads the same runs
+    n = chernoff_runs(cfg.alpha, cfg.epsilon)
+    queries = [(None, query(text)) for text in (
+        "Pr[<=5](<> heads == 1)", "Pr[<=5]([] x <= 3)",
+        f"E[<=5; {n}](max: x)")]
+    pooled = smc.check(coin_model(), queries, replace(cfg, workers=2))
+    [pool] = pools
+    assert len(pool.chunks) > 4
+    # the one kernel of every run, built in this process before the fork
+    assert compiled.read_text().split() == [str(os.getpid()), "monitor"]
+    inline = smc.check(coin_model(), queries, cfg)
+    assert [without_wall(r) for r in pooled] == \
+        [without_wall(r) for r in inline]
+    assert [r.p_hat for r in inline[:2]] == [pytest.approx(0.3, abs=0.2), 0.0]
+
+
+def test_a_model_hashes_its_structure_once(monkeypatch):
+    """``_compiled`` keys networks by the model's structure: an equal,
+    re-parsed model finds the network, and each model object walks its
+    structure for a hash once; a pickled copy, hashed in another process,
+    carries no hash."""
+    walked = []
+    template_hash = Template.__hash__
+    monkeypatch.setattr(Template, "__hash__",
+                        lambda self: walked.append(self.name)
+                        or template_hash(self))
+    model = parse_model(AV_TEXT)
+    net = smc._compiled(model)
+    assert len(walked) == len(model.templates)
+    for _ in range(3):
+        assert smc._compiled(model) is net
+    again = parse_model(AV_TEXT)
+    assert smc._compiled(again) is net
+    assert len(walked) == 2 * len(model.templates)
+    assert hash(again) == hash(model)
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy == model and "_hash" not in vars(copy)
