@@ -73,14 +73,18 @@ when no component is committed, a receive kernel for each channel that
 one of its active edges emits on, and the configuration's rate plan as its
 rate and advance kernels.  A component that is not an actor draws no delay
 and caps none, so a step races only the actors, and a sync reads its
-receivers from the channel's kernel.  The simulator calls ``sample_delay``
-once per timed step, which makes one race kernel call, ``advance_time``
-once per delay and one fire kernel per firing.
+receivers from the channel's kernel.  :func:`run` takes its steps in its
+own frame: a timed step calls the table's rate, race and advance kernels
+and the winner's fire kernel directly, and a committed step the fire
+kernels of its committed components.  ``Simulator.step`` takes the same
+steps one call at a time, through ``sample_delay`` and ``advance_time``:
+it is the stepwise reference that the tests drive and extend, and ``run``
+calls none of the three.
 
 A run's sample points are its start, the state before each timed event
 and after each event, and its end.  Each takes the watched values and
-calls the run's monitor, if any, which the simulator calls directly when
-nothing is watched.  Before a committed event no time has passed since the
+calls the run's monitor, if any, which a run calls directly when nothing
+is watched.  Before a committed event no time has passed since the
 last sample point, so its firing reads that sample again.  A run's first
 state is a copy of its network's, coerced from the declarations once.
 The rate plan splits the rates into clock-free rates,
@@ -484,33 +488,44 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
                   horizon: Optional[str] = None) -> list:
     """Lines that find the earliest t in [0, horizon] at which the guard or
     invariant ``pred`` has truth ``want`` under clock rates ``R``, and run
-    ``found(t)``'s lines there, t being ``0.0`` or the search loop's
-    variable ``t``, whose lines leave the loop; they run nothing if there
-    is none.  ``horizon`` names a variable that holds a horizon > 0, or is
-    None for no horizon.
+    ``found(t)``'s lines there, t being ``0.0``, ``1e-9`` or the variable
+    ``t``; they run nothing if there is none.  ``horizon`` names a variable
+    that holds a horizon > 0, or is None for no horizon.
 
     Its atoms are affine in the clocks (validated), so truth can only flip
     where an atom ``g0 + slope * t`` crosses 0: the lines probe 1e-9 past
     each such t, in increasing order.  1e-9 itself comes first, for an atom
-    sitting at 0 with a nonzero slope, whose truth flips at once."""
+    sitting at 0 with a nonzero slope, whose truth flips at once.  With at
+    most one atom there is at most one crossing past 1e-9, so the lines
+    probe 1e-9, then that crossing, in straight-line code; more atoms list
+    their crossings, sort them and probe them in a loop."""
     test = "" if want else "not "
     within = "1e-9 < t" + ("" if horizon is None else f" <= {horizon}")
-    search = ["c = [1e-9]"]
-    for diff, diff_probe in atoms:
-        search += [f"g = float({diff.source})",
-                   "dt = 1.0",
-                   f"s = float({diff_probe.source}) - g",
-                   "if s != 0.0:",
-                   "    t = -g / s",
-                   f"    if {within}:",
-                   "        c.append(t)"]
-    if len(atoms) > 1:  # [1e-9, t] is sorted: every crossing is past 1e-9
-        search += ["if len(c) > 2:",
-                   "    c.sort()"]
-    search += ["for t in c:",
-               "    dt = t + 1e-9",
-               f"    if {test}({probe.source}):",
-               *_indent(found("t"), 8)]
+    probed = f"{test}({probe.source})"
+
+    def slope(diff, diff_probe):
+        """Lines setting ``g`` to an atom's value and ``s`` to its slope."""
+        return [f"g = float({diff.source})", "dt = 1.0",
+                f"s = float({diff_probe.source}) - g"]
+
+    crossed = ["t = -g / s", f"if {within}:"]  # t: where the atom is 0
+    if len(atoms) < 2:
+        search = [line for atom in atoms for line in slope(*atom)]
+        search += ["dt = 1e-9 + 1e-9", f"if {probed}:",
+                   *_indent(found("1e-9"))]
+        if atoms:
+            search += ["elif s != 0.0:", *_indent(crossed),
+                       "        dt = t + 1e-9", f"        if {probed}:",
+                       *_indent(found("t"), 12)]
+    else:
+        search = ["c = [1e-9]"]
+        for atom in atoms:
+            search += [*slope(*atom), "if s != 0.0:", *_indent(crossed),
+                       "        c.append(t)"]
+        # [1e-9, t] is sorted: every crossing is past 1e-9
+        search += ["if len(c) > 2:", "    c.sort()",
+                   "for t in c:", "    dt = t + 1e-9", f"    if {probed}:",
+                   *_indent(found("t") + ["break"], 8)]
     return [f"if {test}({pred.source}):", *_indent(found("0.0")),
             "else:", *_indent(search)]
 
@@ -539,16 +554,14 @@ def _sojourn_lines(name: str, index: int, invariant, inv_probe,
         lines += ["deadline = INF", *_window_lines(
             invariant, inv_probe, inv_atoms, False,
             lambda t: ([f"raise EngineError(f{message!r})"] if t == "0.0"
-                       else ["deadline = t", "break"]))]
+                       else [f"deadline = {t}"]))]
     horizon = "deadline" if invariant is not None else None
     lines.append("start = None")
     for i, (guard, probe, atoms, binary) in enumerate(edges):
         def found(t, first=i == 0):
-            if t == "0.0":  # no start is earlier
-                return ["start = 0.0"]
-            return (["start = t"] if first else
-                    ["if start is None or t < start:", "    start = t"]
-                    ) + ["break"]
+            if t == "0.0" or first:  # no start is earlier
+                return [f"start = {t}"]
+            return [f"if start is None or {t} < start:", f"    start = {t}"]
 
         search = (found("0.0") if guard is None else
                   _window_lines(guard, probe, atoms, True, found, horizon))
@@ -1086,7 +1099,10 @@ def _sampler(V, L, watch, monitor):
 
 
 class Simulator:
-    """One run's state, ``V``, ``L`` and ``time``, and its steps."""
+    """One run's state, ``V``, ``L`` and ``time``, and its steps, one call
+    each: the stepwise form of :func:`run`'s loop, which the tests drive
+    and extend.  ``run`` takes its state and sampler from here, and none of
+    the steps."""
 
     def __init__(self, net: CompiledNetwork, rng: RngStream,
                  config: Optional[RunConfig] = None, watch=(), monitor=None):
@@ -1100,8 +1116,8 @@ class Simulator:
         self._snapshot = _sampler(self.V, self.L,
                                   _watch_kernel(watch) if watch else None,
                                   monitor)
-        # the last sample point, which run sets to the initial one: the
-        # sample before a committed step, taken again by _recall
+        # the last sample point, which the caller sets to the initial one:
+        # the sample before a committed step, taken again by _recall
         self._last = [None]
         self._recall = functools.partial(operator.getitem, self._last, 0)
         # the step table of L at the last step, which advance_time reads
@@ -1218,31 +1234,72 @@ def run(network, bound: float, rng: RngStream, watch=(),
     net = (network if isinstance(network, CompiledNetwork)
            else CompiledNetwork(network))
     sim = Simulator(net, rng, config, watch, monitor)
+    V, L, time, config = sim.V, sim.L, sim.time, sim.config
+    snapshot, last, recall = sim._snapshot, sim._last, sim._recall
+    tables, h_max = net._tables, config.h_max
     events = []
+    # Simulator.step's loop, with sample_delay and advance_time inlined
     try:
-        initial = sim._last[0] = sim._snapshot()
-        for _ in range(sim.config.max_steps):
-            result = sim.step(bound)
-            if isinstance(result, str):  # "bound_reached" | "deadlock"
-                return Trace(initial, events, sim.time, result,
-                             sim._snapshot(),
-                             {cc.name: loc for cc, loc
-                              in zip(net.components, sim.L)})
-            events.append(result)
+        initial = last[0] = snapshot()
+        for _ in range(config.max_steps):
+            table = tables.get(tuple(L)) or net.step_table(L)
+            receivers = table.receivers
+            if table.committed:
+                for cc, loc in table.committed:
+                    fired = loc.fire(V, L, receivers, rng, recall)
+                    if fired is not None:
+                        break
+                else:
+                    end = "deadlock"
+                    break
+            else:
+                rates = table.rates(V, L)
+                delay, winner, cap = table.race(V, L, rates, receivers, rng,
+                                                time, table.actors)
+                remaining = bound - time
+                stop = cap if cap < remaining else remaining
+                ends = delay > stop  # no winner, or past the bound or cap
+                dt = stop if ends else delay
+                if dt < 0:
+                    if dt < -1e-6:
+                        raise EngineError("negative dt")
+                    dt = 0.0  # rounding residue from a boundary nudge
+                if dt != 0.0:
+                    table.advance(V, L, rates, dt, h_max)
+                    time += dt
+                if ends:
+                    end = "bound_reached" if cap >= remaining else "deadlock"
+                    break
+                cc, loc = winner
+                fired = loc.fire(V, L, receivers, rng, snapshot)
+                if fired is None:  # a boundary guard a few ulps short
+                    table.advance(V, L, rates, 1e-9, h_max)
+                    time += 1e-9
+                    fired = loc.fire(V, L, receivers, rng, snapshot)
+                if fired is None:
+                    raise EngineError(
+                        f"{cc.name}: no edge enabled at its sampled delay "
+                        "(guard window closed; engine defect or unsupported "
+                        "model)")
+            post = last[0] = snapshot()
+            events.append(TraceEvent(time, cc.name, *fired, post))
+        else:
+            raise EngineError(
+                "zeno/committed-loop: step ceiling "
+                f"({config.max_steps}) exceeded at t={time}")
+        return Trace(initial, events, time, end, snapshot(),
+                     {cc.name: loc for cc, loc in zip(net.components, L)})
     except (ArithmeticError, EngineError) as exc:
         edge = getattr(exc, "edge", None)  # set by _updating and _sync
         if isinstance(exc, ArithmeticError):  # x / 0, n % 0, a power
-            message = (f"arithmetic error at t={sim.time}: "
+            message = (f"arithmetic error at t={time}: "
                        f"{type(exc).__name__}: {exc}")
         elif edge is not None:  # an update's store, such as an int's
-            message = f"{exc} at t={sim.time}"
+            message = f"{exc} at t={time}"
         else:
             raise
         where = "" if edge is None else f", in the update of {edge}"
         raise EngineError(message + where) from None
-    raise EngineError(
-        "zeno/committed-loop: step ceiling "
-        f"({sim.config.max_steps}) exceeded at t={sim.time}")
 
 
 def trace_to_jsonl(trace: Trace) -> str:

@@ -422,31 +422,44 @@ system T;
 
 
 _CAPPED = "template A() { init loc a { inv x <= %s; } }"
+# CI's time-lock model: A's invariant caps every delay, and B's self-loop
+# races past it
+_TIME_LOCK = (_CAPPED % 5 + " template B() { init loc b { exitrate 0.01; } "
+              "b -> b { update y := 0; } }")
+# (templates, bound, how the first step of A ends, at what time)
+_TIMED_ENDS = {
+    "winner-fires": ("template A() { init loc a { inv x <= 1; } loc b; "
+                     "a -> b { guard x >= 1; } }", 10, "a->b#0", 1.0),
+    "winner-past-the-bound": (
+        "template A() { init loc a; a -> a { guard x >= 5; } }",
+        3, "bound_reached", 3.0),
+    "winner-past-a-cap": (
+        _CAPPED % 2 + " template B() { init loc b; "
+        "b -> b { guard y >= 5; update y := 0; } }", 100, "deadlock", 2.0),
+    "winner-past-a-cap-and-the-bound": (_TIME_LOCK, 10, "deadlock", 5.0),
+    "no-winner-no-cap": (
+        "template A() { init loc a; a -> a { guard x < 0; } }",
+        10, "bound_reached", 10.0),
+    "no-winner-cap-past-the-bound": (_CAPPED % 20, 10, "bound_reached",
+                                     10.0),
+    "no-winner-cap": (_CAPPED % 4, 10, "deadlock", 4.0),
+}
 
 
-@pytest.mark.parametrize("templates, bound, ends, at", [
-    ("template A() { init loc a { inv x <= 1; } loc b; "
-     "a -> b { guard x >= 1; } }", 10, "a->b#0", 1.0),
-    ("template A() { init loc a; a -> a { guard x >= 5; } }",
-     3, "bound_reached", 3.0),
-    (_CAPPED % 2 + " template B() { init loc b; "
-     "b -> b { guard y >= 5; update y := 0; } }", 100, "deadlock", 2.0),
-    (_CAPPED % 5 + " template B() { init loc b { exitrate 0.01; } "
-     "b -> b { update y := 0; } }", 10, "deadlock", 5.0),
-    ("template A() { init loc a; a -> a { guard x < 0; } }",
-     10, "bound_reached", 10.0),
-    (_CAPPED % 20, 10, "bound_reached", 10.0),
-    (_CAPPED % 4, 10, "deadlock", 4.0),
-], ids=["winner-fires", "winner-past-the-bound", "winner-past-a-cap",
-        "winner-past-a-cap-and-the-bound", "no-winner-no-cap",
-        "no-winner-cap-past-the-bound", "no-winner-cap"])
+def _timed(templates):
+    """The model of ``templates`` A and maybe B over clocks x and y."""
+    system = "A, B" if "template B" in templates else "A"
+    return f"clock x; clock y; {templates} system {system};"
+
+
+@pytest.mark.parametrize("templates, bound, ends, at",
+                         list(_TIMED_ENDS.values()), ids=list(_TIMED_ENDS))
 def test_every_way_a_timed_step_ends(templates, bound, ends, at):
     """Time stops at the bound or at the first invariant of an actor that
     cannot fire, whichever comes first, and a race winner fires only if its
     delay is not past that stop.  B's self-loop changes nothing that A's
     end depends on, so the steps that fire it are passed over."""
-    system = "A, B" if "template B" in templates else "A"
-    text = f"clock x; clock y; {templates} system {system};"
+    text = _timed(templates)
     assert validate_model(parse_model(text)).errors == []
     network = engine.CompiledNetwork(net(text))
     for i in range(20):
@@ -459,8 +472,7 @@ def test_every_way_a_timed_step_ends(templates, bound, ends, at):
         assert sim.V[network.slots["x"]] <= at
 
 
-def test_zeno_loop_detected():
-    text = """
+_ZENO = """
 template T() {
   committed loc a;
   committed loc b;
@@ -471,8 +483,11 @@ template T() {
 }
 system T;
 """
+
+
+def test_zeno_loop_detected():
     with pytest.raises(EngineError, match="zeno|committed"):
-        runs(text, 10, 1, max_steps=10_000)
+        runs(_ZENO, 10, 1, max_steps=10_000)
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1.0])
@@ -512,14 +527,17 @@ system Emit""" + ", Listen" * n + ";\n"
 def test_inert_components_cost_no_delay_sampling(monkeypatch):
     """Components that can neither fire on their own nor cap a delay stay
     out of the delay race: no listener is an actor of a step table, and
-    eight listeners add no ``sample_delay`` call and change none of the
-    emitter's events."""
+    eight listeners add no race kernel call and change none of the
+    emitter's events.  Each table built gets a race kernel that records
+    the time of each call, its argument after ``rng``."""
     calls = []
-    sample_delay = engine.Simulator.sample_delay
-    monkeypatch.setattr(
-        engine.Simulator, "sample_delay",
-        lambda self, *args: calls.append(self.time)
-        or sample_delay(self, *args))
+    race_kernel = engine._race_kernel
+
+    def counted(actors):
+        race = race_kernel(actors)
+        return lambda *args: calls.append(args[5]) or race(*args)
+
+    monkeypatch.setattr(engine, "_race_kernel", counted)
     seen = {}
     for n in (0, 8):
         calls.clear()
@@ -591,6 +609,124 @@ def test_an_arithmetic_fault_in_a_run_is_an_engine_error(update, message):
     assert validate_model(parse_model(text)).ok
     with pytest.raises(EngineError, match=f"^{re.escape(message)}"):
         runs(text, 10, 1)
+
+
+# Each delay after the first ends at x = 0.1 + 3 * 0.3, one ulp short of
+# the guard's boundary 1, so each firing after it takes the 1e-9 nudge.
+_NUDGED = """
+clock x;
+template T() {
+  init loc a { inv x <= 1; rate x = 3; }
+  a -> a { guard x >= 1; update x := 0.1; }
+}
+system T;
+"""
+
+
+def _stepwise_run(net, bound, rng, watch=(), config=None, monitor=None):
+    """Reference run of the compiled network ``net``: ``Simulator.step``
+    called until the run ends, with the trace, end and error texts that
+    ``engine.run`` gives."""
+    sim = engine.Simulator(net, rng, config, watch, monitor)
+    events = []
+    try:
+        initial = sim._last[0] = sim._snapshot()
+        for _ in range(sim.config.max_steps):
+            result = sim.step(bound)
+            if isinstance(result, str):
+                return engine.Trace(initial, events, sim.time, result,
+                                    sim._snapshot(),
+                                    {cc.name: loc for cc, loc
+                                     in zip(net.components, sim.L)})
+            events.append(result)
+    except (ArithmeticError, EngineError) as exc:
+        edge = getattr(exc, "edge", None)
+        if isinstance(exc, ArithmeticError):
+            message = (f"arithmetic error at t={sim.time}: "
+                       f"{type(exc).__name__}: {exc}")
+        elif edge is not None:
+            message = f"{exc} at t={sim.time}"
+        else:
+            raise
+        where = "" if edge is None else f", in the update of {edge}"
+        raise EngineError(message + where) from None
+    raise EngineError("zeno/committed-loop: step ceiling "
+                      f"({sim.config.max_steps}) exceeded at t={sim.time}")
+
+
+def _both_ways(compiled, bound, rng_args, watch=(), config=None):
+    """One run by ``engine.run`` and by the stepwise reference, each as a
+    list: the repr of each event's time, component, edge, channel and
+    samples, and of the start's sample, the end time and reason, the final
+    sample and the locations, then, without a watch, the state lists that
+    a monitor saw at each sample point; and the run's end reason."""
+    out = []
+    for simulate in (run, _stepwise_run):
+        calls = []
+
+        def monitor(V, L):
+            calls.append((list(V), list(L)))
+            return engine._UNWATCHED
+
+        tr = simulate(compiled, bound, RngStream(*rng_args), watch, config,
+                      monitor=None if watch else monitor)
+        out.append([*map(repr, (
+            *[(e.time, e.component, e.edge, e.channel, e.watch_pre, e.watch)
+              for e in tr.events],
+            (tr.initial, tr.end_time, tr.end_reason, tr.final,
+             tr.locations))), *calls])
+    return (*out, tr.end_reason)
+
+
+def _assert_same(got, want):
+    """``got == want``, naming the first item that differs."""
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    assert len(got) == len(want) == first, (first, got[first:first + 1],
+                                            want[first:first + 1])
+
+
+def test_run_takes_the_steps_of_the_stepwise_reference():
+    """``engine.run`` steps in its own frame; ``Simulator.step`` takes the
+    same steps one call at a time.  Both give the same runs, event by
+    event and bit for bit, with a watch and with a monitor, on vehicle
+    runs and on models that end each way a step can end, take the 1e-9
+    nudge or end 5e-10 past the bound after one, and both fail with the
+    same text."""
+    vehicle = engine.CompiledNetwork(
+        instantiate(parse_model((MODELS / "av.sta").read_text())))
+    config = RunConfig(h_max=10.0)
+    ends = set()
+    for watch in (["(wvl + wvr) / 2", "energy.Con_en", "mode"], []):
+        for i in range(20):
+            got, want, _ = _both_ways(vehicle, 3000, (42, i), watch,
+                                      config)
+            _assert_same(got, want)
+    models = [(_timed(templates), bound, ["x", "y"])
+              for templates, bound, _, _ in _TIMED_ENDS.values()]
+    models += [(_listened(8), 100, ["heard"]),
+               (_timed(_TIME_LOCK), 10, ["x", "y"]),
+               (COMMITTED, 6, ["n", "x"]), (_NUDGED, 5, ["x"])]
+    nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1].time
+    models.append((_NUDGED, nudged - 5e-10, ["x"]))
+    for text, bound, watch in models:
+        network = engine.CompiledNetwork(net(text))
+        for i in range(20):
+            for seen in (watch, []):
+                got, want, end = _both_ways(network, bound, (0, i), seen)
+                _assert_same(got, want)
+                ends.add(end)
+    assert ends == {"bound_reached", "deadlock"}
+    for text, cfg in ((_ZENO, RunConfig(max_steps=1000)),
+                      (_FAULTY % "n := x / 0", None)):
+        texts = []
+        for simulate in (run, _stepwise_run):
+            with pytest.raises(EngineError) as exc:
+                simulate(engine.CompiledNetwork(net(text)), 10,
+                         RngStream(0, 0), config=cfg)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
+    assert texts[0].endswith(", in the update of edge a->b#0 of T")
 
 
 def test_watch_accepts_expressions_and_locations():
@@ -1084,6 +1220,64 @@ def test_window_kernels_match_the_loop_reference(name):
             found.add("now" if want == 0.0 else
                       "never" if want == math.inf else "later")
     assert found == {"now", "later", "never"}
+
+
+# the predicates of the rows below, as the guards of one location's edges
+_PREDICATES = ("x <= 5", "x > 5", "x >= 5", "x >= 2 && y <= 7")
+_WINDOWS = ("clock x; clock y; template T() { init loc a; "
+            + " ".join(f"a -> a {{ guard {p}; }}" for p in _PREDICATES)
+            + " } system T;")
+
+
+@pytest.mark.parametrize("pred, want, x, y, rates, horizon, t", [
+    # a guard's start: the earliest t with the predicate true
+    ("x > 5", True, 5.0, 0.0, (1.0, 1.0), None, 1e-9),
+    ("x >= 5", True, 3.0, 0.0, (0.0, 1.0), None, None),
+    ("x >= 5", True, 5.0 - 4e-10, 0.0, (1.0, 1.0), None, 1e-9),
+    ("x >= 5", True, 0.0, 0.0, (1.0, 1.0), 4.0, None),
+    ("x >= 5", True, 0.0, 0.0, (1.0, 1.0), 5.0, 5.0),
+    # an invariant's deadline: the earliest t with the predicate false
+    ("x <= 5", False, 5.0, 0.0, (1.0, 1.0), None, 1e-9),
+    ("x <= 5", False, 3.0, 0.0, (0.0, 1.0), None, None),
+    ("x <= 5", False, 5.0 - 4e-10, 0.0, (1.0, 1.0), None, 1e-9),
+    ("x <= 5", False, 0.0, 0.0, (1.0, 1.0), 4.0, None),
+    ("x <= 5", False, 0.0, 0.0, (1.0, 1.0), 5.0, 5.0),
+    # two atoms, whose crossings 2 and 1.75 the loop sorts
+    ("x >= 2 && y <= 7", False, 3.0, 0.0, (1.0, 4.0), None, 1.75),
+    ("x >= 2 && y <= 7", True, 0.0, 0.0, (1.0, 0.5), None, 2.0),
+], ids=["start-at-0-with-a-slope", "start-zero-slope",
+        "start-crossing-before-1e-9", "start-crossing-past-the-horizon",
+        "start-crossing-at-the-horizon", "deadline-at-0-with-a-slope",
+        "deadline-zero-slope", "deadline-crossing-before-1e-9",
+        "deadline-crossing-past-the-horizon",
+        "deadline-crossing-at-the-horizon", "deadline-two-atoms",
+        "start-two-atoms"])
+def test_one_atom_windows_match_the_loop_reference(pred, want, x, y, rates,
+                                                   horizon, t):
+    """A one-atom predicate's window search is straight-line code: it
+    probes 1e-9, then the atom's one crossing if the horizon admits it
+    (``<=``).  It finds what the loop reference finds, bit for bit, for a
+    guard's start and an invariant's deadline, as the search over two
+    atoms does, which keeps its loop."""
+    compiled = engine.CompiledNetwork(net(_WINDOWS))
+    edge = compiled.components[0].locations["a"].active[
+        _PREDICATES.index(pred)]
+    V, L = [0.0, 0.0], ["a"]
+    V[compiled.slots["x"]], V[compiled.slots["y"]] = x, y
+    R = [0.0, 0.0]
+    R[compiled.slots["x"]], R[compiled.slots["y"]] = rates
+    lines = engine._window_lines(
+        edge.guard, edge.guard_probe, edge.guard_atoms, want,
+        lambda t: [f"return {t}"], None if horizon is None else "h")
+    looped = {line.strip() for line in lines} >= {"c.sort()", "for t in c:"}
+    assert looped == (len(edge.guard_atoms) > 1)
+    search = engine._kernel("window", ["def _k(V, L, R, h):",
+                                       *engine._indent(lines),
+                                       "    return None"])
+    got = search(V, L, R, horizon)
+    want_t = _earliest(edge.guard, edge.guard_probe, edge.guard_atoms, V, L,
+                       R, math.inf if horizon is None else horizon, want)
+    assert _bits([got]) == _bits([want_t]) == _bits([t])
 
 
 def _staged(V, L, updates):
