@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O error, 3 parse or
-engine or query failure, 4 expected-verdict mismatch.
+Exit codes: 0 success, 1 a model that does not parse or validate, 2 I/O
+error, 3 query parse, engine or query failure, 4 expected-verdict mismatch.
 """
 
 from __future__ import annotations
@@ -72,6 +72,24 @@ def _issue(issue) -> str:
     return f"error: {issue.code}: {issue.where}: {issue.message}"
 
 
+def _load_model(path: str, err: bool):
+    """The model at ``path``, read, parsed and validated, with each issue
+    printed (to stderr if ``err``). Exits 2 if it cannot be read, and 1 if
+    it does not parse or validate."""
+    try:
+        model = parser.parse_model(_read(path), path)
+    except _IoFailure as exc:
+        sys.exit(_fail(EXIT_IO, str(exc)))
+    except ParseError as exc:
+        sys.exit(_fail(EXIT_VALIDATION, str(exc)))
+    report = validate_model(model)
+    if not report.ok:
+        for issue in report.errors:
+            click.echo(_issue(issue), err=err)
+        sys.exit(EXIT_VALIDATION)
+    return model
+
+
 def _stat_config(manifest: RunManifest) -> smc.StatConfig:
     return smc.StatConfig(alpha=manifest.alpha, epsilon=manifest.epsilon,
                           delta_indiff=manifest.indifference,
@@ -121,22 +139,10 @@ def main():
 @click.argument("model_path", type=click.Path())
 def validate(model_path):
     """Parse and validate a model file."""
-    try:
-        text = _read(model_path)
-    except _IoFailure as exc:
-        sys.exit(_fail(EXIT_IO, str(exc)))
-    try:
-        model = parser.parse_model(text, model_path)
-    except ParseError as exc:
-        sys.exit(_fail(EXIT_VALIDATION, str(exc)))
-    report = validate_model(model)
-    for issue in report.errors:
-        click.echo(_issue(issue))
-    if report.ok:
-        click.echo(f"{model_path}: ok ({len(model.templates)} templates, "
-                   f"{len(model.system)} components)")
-        sys.exit(EXIT_OK)
-    sys.exit(EXIT_VALIDATION)
+    model = _load_model(model_path, err=False)
+    click.echo(f"{model_path}: ok ({len(model.templates)} templates, "
+               f"{len(model.system)} components)")
+    sys.exit(EXIT_OK)
 
 
 def _apply_bound(query, bound):
@@ -233,22 +239,16 @@ def _outputs(base, nq, query, result, manifest):
 
 def _front_end(model_path, query_path, query_text, simulate_only,
                **options):
-    """Read, parse and validate the model and the queries, then run them:
+    """Load the model, read and parse the queries, then run them:
     (manifest, rows, mismatch). Exits with the matching code on failure."""
     manifest = RunManifest(model=model_path, queries=query_path, **options)
+    model = _load_model(model_path, err=True)
     try:
-        model_text = _read(model_path)
         if query_text is None:
             query_text = _read(query_path)
     except _IoFailure as exc:
         sys.exit(_fail(EXIT_IO, str(exc)))
     try:
-        model = parser.parse_model(model_text, model_path)
-        report = validate_model(model)
-        if not report.ok:
-            for issue in report.errors:
-                click.echo(_issue(issue), err=True)
-            sys.exit(EXIT_VALIDATION)
         named = parser.parse_queries(query_text, query_path or "<query>")
         rows, mismatch = _run_suite(model, named, manifest, simulate_only)
     except (ParseError, EngineError, ExprError, smc.QueryError,

@@ -7,7 +7,8 @@ synchronization, periodic, end-to-end) is available twice: as a pure
 trace-checking oracle over the run's events (``measure_*`` +
 :func:`wh_judge`) and as an observer template (:func:`build_observer`), a
 pure listener on those channels.  :func:`observer_failed` replays the
-observer over a finished run's events, which is how a check judges a
+observer, compiled by the engine as the one component of a network of its
+own, over a finished run's events, which is how a check judges a
 constraint; :func:`attach_observer` composes it with a network instead, for
 a declared observer that queries read and as the replay's reference.  The
 two routes are checked against each other in the test suite.
@@ -30,7 +31,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as E
-from .model import Edge, Instantiation, Location, Model, Sync, Template, VarDecl
+from .engine import CompiledNetwork
+from .model import (ChanDecl, Edge, Instantiation, Location, Model, Sync,
+                    Template, VarDecl, instantiate)
 
 KINDS = ("execution", "synchronization", "periodic", "endtoend")
 
@@ -418,43 +421,34 @@ def attach_observer(model: Model, c: WhConstraint, inst_name: str) -> Model:
 # rate, and its clocks run at rate 0 or 1. So its path in a run is a
 # function of the times of the events on its channels, and it can be
 # replayed over a finished run's events instead of being composed into the
-# network.
-
-_STORE = {"int": int, "bool": bool}  # a local's type -> its store; else float
+# network. The engine compiles it, as the one component of a network that
+# declares only its channels, so its guards and updates are the ones a
+# composed observer evaluates.
 
 
 @functools.cache
 def compile_observer(c: WhConstraint) -> tuple:
     """The observer of ``c`` compiled for replay: (initial location, initial
     values of its locals by slot, {location: ((clock slot, rate), ...) of
-    its moving clocks}, {location: {channel: ((guard or None, updates,
-    target), ...)}}), an update as (slot, fn, store). Guards and updates
-    read the locals as ``V[slot]``."""
-    tpl = build_observer(c)
-    slots = {d.name: i for i, d in enumerate(tpl.decls)}
-
-    def resolve(name: str):
-        return ("var", slots[name])
-
+    its moving clocks}, {location: {channel: ((guard or None, update kernel
+    or None, target), ...)}}). Guards and update kernels read the locals as
+    ``V[slot]`` and no location."""
+    channels = tuple(ChanDecl(ch, broadcast=True)
+                     for ch in dict.fromkeys(map(c.channel, c.events())))
+    net = CompiledNetwork(instantiate(
+        attach_observer(Model(channels=channels), c, "Obs")))
+    [component] = net.components
     rates, edges = {}, {}
-    for loc in tpl.locations:
-        given = {clk: float(rate.value) for clk, rate in loc.rates}
-        rates[loc.id] = tuple(
-            (slots[d.name], given.get(d.name, 1.0)) for d in tpl.decls
-            if d.type == "clock" and given.get(d.name, 1.0) != 0.0)
-        edges[loc.id] = {}
-    for edge in tpl.edges:
-        guard = (E.compile_expr(edge.guard, resolve)
-                 if edge.guard is not None else None)
-        updates = tuple((slots[name], E.compile_expr(rhs, resolve),
-                         _STORE.get(tpl.decls[slots[name]].type, float))
-                        for name, rhs in edge.updates)
-        edges[edge.source].setdefault(edge.sync.channel, []).append(
-            (guard, updates, edge.target))
-    values = tuple(_STORE.get(d.type, float)(d.init) for d in tpl.decls)
-    return tpl.initial, values, rates, {
-        loc: {ch: tuple(out) for ch, out in by_channel.items()}
-        for loc, by_channel in edges.items()}
+    for loc in component.locations.values():
+        loc.lower()  # the receive edges' update kernels
+        given = {slot: lit for slot, _, _, lit in loc.rates}
+        rates[loc.id] = tuple((slot, given.get(slot, 1.0))
+                              for slot in net.clock_slots
+                              if given.get(slot, 1.0) != 0.0)
+        edges[loc.id] = {ch: tuple((e.guard, e.update, e.target) for e in out)
+                         for ch, out in loc.receive.items()}
+    values, _ = net.initial_state()
+    return component.initial, tuple(values), rates, edges
 
 
 def observer_failed(trace, c: WhConstraint) -> bool:
@@ -462,10 +456,11 @@ def observer_failed(trace, c: WhConstraint) -> bool:
     replaying it over the run's events: at each event on a channel that its
     location receives on, its clocks advance by the time since the last
     such event at the location's rate, and its first enabled edge on the
-    channel fires, its updates all evaluated before any is stored. No edge
-    leaves `fail`, so the replay stops there. Its clocks sum event-time
-    differences where a composed observer's sum the run's delays, so the
-    two can differ in the last bits."""
+    channel fires through its update kernel, which evaluates every
+    right-hand side before it stores any. No edge leaves `fail`, so the
+    replay stops there. Its clocks sum event-time differences where a
+    composed observer's sum the run's delays, so the two can differ in the
+    last bits."""
     location, values, rates, edges = compile_observer(c)
     V = list(values)
     here, moving, last = edges[location], rates[location], 0.0
@@ -476,12 +471,10 @@ def observer_failed(trace, c: WhConstraint) -> bool:
         dt, last = ev.time - last, ev.time
         for slot, rate in moving:
             V[slot] += rate * dt
-        for guard, updates, target in taken:
+        for guard, update, target in taken:
             if guard is None or guard(V, None):
-                stored = [(slot, store(fn(V, None)))
-                          for slot, fn, store in updates]
-                for slot, value in stored:
-                    V[slot] = value
+                if update is not None:
+                    update(V, None)
                 location = target
                 here, moving = edges[location], rates[location]
                 break

@@ -40,21 +40,21 @@ and runs the trace oracle on them.
 
 Sharing: a run is a pure function of (model, seed, run index), and what a
 run watches changes nothing in it. So the jobs of one check that read runs
-to one bound of one network share one run stream: each run is simulated
-once, every live job judges it, and only the outcomes are cached. A rule
-reads the cache first and has the stream simulate more runs only past its
-end. Once a job's rule has decided, the job is retired: runs simulated
-later, and the chunks sent to workers, carry the mask of the live jobs and
-skip its judge. ``check`` registers every query on the model's compiled
-network before the first run, so its queries share, ``compare``'s two
-formulas and the constraints among them. A constraint's observer is a pure
-listener: it only receives on broadcast channels and never races, so its
-path is a function of the run's events, and it is replayed over them
-instead of composed into a network of its own. Registering a query checks
-every name it reads, against the compiled network's query scope, and every
-channel its constraint listens on, so a bad query fails before any run. A
-query's ``wall_ms`` covers its judging and statistics and the runs it was
-first to need.
+to one bound share one run stream: each run is simulated once, every live
+job judges it, and only the outcomes are cached. A rule reads the cache
+first and has the stream simulate more runs only past its end. Once a job's
+rule has decided, the job is retired: runs simulated later, and the chunks
+sent to workers, carry the mask of the live jobs and skip its judge.
+``check`` registers every query on the model's compiled network before the
+first run, so its queries share, ``compare``'s two formulas and the
+constraints among them. A constraint's observer is a pure listener: it only
+receives on broadcast channels and never races, so its path is a function
+of the run's events, and it is replayed over them instead of composed into
+a network of its own. Registering a query checks every name it reads,
+against the compiled network's query scope, and every channel its
+constraint listens on, so a bad query fails before any run. A query's
+``wall_ms`` covers its judging and statistics and the runs it was first to
+need.
 
 A model is compiled once per process: ``_compiled`` keeps the compiled
 networks of the last 16 models checked, keyed by the model's structure, so
@@ -73,31 +73,31 @@ the first chunk with the runs of every stream of the check, compiled
 network included, so a chunk is just run indices, a stream index and the
 mask of the live jobs. A chunk holds 4 run indices and at most 2 chunks per
 worker and stream are in flight. A forked worker (the default on Linux
-before Python 3.14) runs the networks it inherits and compiles nothing;
-any other compiles each network once, as the streams unpickle. A chunk
-also returns the location configurations whose step tables its runs
-built, and the stream's network keeps them as ``reached``: those of the
-chunks read, and, when the pool closes, those of the chunks that ran but
-were never read. A pool whose workers fork first builds here the table of
-every reached configuration that its networks lack, so in a process that
-checks more than once (a library caller's loop of ``check`` or
-``evaluate_query`` calls, a test session), a forked worker starts with the
-table of every configuration that earlier workers reported and builds only
-the new ones. A single ``stamc check`` makes one pool and reaches nothing
-before it starts, so it builds no table here. The pool also builds here
-what each stream's first run compiles before it starts, its sampled
-judges' watches and their monitor kernel, which every worker's first run
-of the stream would otherwise compile again; a worker compiles a monitor
-kernel only for a set of live jobs that it meets after the fork, once a
-job has retired or read all its runs. A worker started by
-``forkserver`` or ``spawn`` unpickles fresh networks and builds its own,
-so the pool builds none of this for it. A stream yields outcomes strictly
-in run-index order, so verdicts and estimates do not depend on the worker
-count. When a rule decides, the chunks its reads sent ahead stay queued
-or running while another job of the stream has yet to finish reading, and
-are read by that job; once no job is left, they are cancelled and the
-outcomes of running ones dropped. So no run is simulated twice, and the
-chunks sent depend on what the rules read, never on timing.
+before Python 3.14) runs the network it inherits and compiles nothing; any
+other compiles it once, as the streams unpickle. A chunk also returns the
+location configurations whose step tables its runs built, and the check's
+network keeps them as ``reached``: those of the chunks read, and, when the
+pool closes, those of the chunks that ran but were never read. A pool whose
+workers fork first builds here the table of every reached configuration
+that its network lacks, so in a process that checks more than once (a
+library caller's loop of ``check`` or ``evaluate_query`` calls, a test
+session), a forked worker starts with the table of every configuration that
+earlier workers reported and builds only the new ones. A single ``stamc
+check`` makes one pool and reaches nothing before it starts, so it builds
+no table here. The pool also builds here what each stream's first run
+compiles before it starts, its sampled judges' watches and their monitor
+kernel, which every worker's first run of the stream would otherwise
+compile again; a worker compiles a monitor kernel only for a set of live
+jobs that it meets after the fork, once a job has retired or read all its
+runs. A worker started by ``forkserver`` or ``spawn`` unpickles a fresh
+network and builds its own, so the pool builds none of this for it. A
+stream yields outcomes strictly in run-index order, so verdicts and
+estimates do not depend on the worker count. When a rule decides, the
+chunks its reads sent ahead stay queued or running while another job of the
+stream has yet to finish reading, and are read by that job; once no job is
+left, they are cancelled and the outcomes of running ones dropped. So no
+run is simulated twice, and the chunks sent depend on what the rules read,
+never on timing.
 """
 
 from __future__ import annotations
@@ -481,11 +481,10 @@ class _Monitor:
 @dataclass
 class _Job:
     """What one query reads of a stream's runs: the outcome of ``judge`` on
-    each of the first ``n_runs`` runs to ``bound`` of ``net``, at the
-    check's seed. A traced judge's function is module-level, so that a
-    stream's runs pickle."""
+    each of the first ``n_runs`` runs of the check's network to ``bound``,
+    at the check's seed. A traced judge's function is module-level, so that
+    a stream's runs pickle."""
 
-    net: CompiledNetwork
     bound: float
     n_runs: int  # the most runs the query's rule reads
     judge: object  # _Sampled | _Traced
@@ -545,8 +544,8 @@ _W_RUNS = ()
 def _worker_start(streams):
     """Starts a worker with ``streams``, the runs of every stream of the
     check by stream index. A forked worker holds the check's compiled
-    networks already; any other gets each network compiled once, as the
-    streams unpickle."""
+    network already; any other gets it compiled once, as the streams
+    unpickle."""
     global _W_RUNS
     _W_RUNS = streams
 
@@ -554,7 +553,7 @@ def _worker_start(streams):
 def _worker_chunk(indices, stream, live):
     """Runs ``indices`` of the stream at index ``stream`` in a worker, judged
     by the ``live`` jobs: their outcomes, and the location configurations
-    whose step tables the runs built in the stream's network."""
+    whose step tables the runs built in the check's network."""
     runs = _W_RUNS[stream]
     before = len(runs.net._tables)
     outcomes = [_run_one(runs, i, live) for i in indices]
@@ -562,10 +561,10 @@ def _worker_chunk(indices, stream, live):
 
 
 class _Stream:
-    """The runs to one bound of one network of a check: each run is
-    simulated once and judged by every live job of the stream, and its
-    outcomes are cached, one tuple per run. Every job joins before the
-    check's first run; a job is live until it has finished reading."""
+    """The runs to one bound of a check's network: each run is simulated
+    once and judged by every live job of the stream, and its outcomes are
+    cached, one tuple per run. Every job joins before the check's first
+    run; a job is live until it has finished reading."""
 
     def __init__(self, index: int, runs: _Runs):
         self.index, self.runs = index, runs
@@ -580,13 +579,13 @@ class _Stream:
 
 
 class RunPool:
-    """Where the runs of one check execute, at ``cfg``'s seed and workers
-    and under ``run_config``.
+    """Where the runs of one check of ``net``, its compiled network,
+    execute, at ``cfg``'s seed and workers and under ``run_config``.
 
     ``register`` joins a query's jobs to the streams of the check, one per
-    (compiled network, bound): each run is simulated once, judged by every
-    live job of its stream, and only the outcomes are cached. ``check``
-    registers every query before the first run.
+    bound: each run is simulated once, judged by every live job of its
+    stream, and only the outcomes are cached. ``check`` registers every
+    query before the first run.
 
     At one worker the runs execute in this process. Otherwise they go to
     one process pool, started at the first chunk with every stream of the
@@ -597,12 +596,11 @@ class RunPool:
     CHUNK = 4
     AHEAD = 2
 
-    def __init__(self, cfg: StatConfig, run_config=None):
-        self.cfg = cfg
+    def __init__(self, net: CompiledNetwork, cfg: StatConfig,
+                 run_config=None):
+        self.net, self.cfg = net, cfg
         self.run_config = run_config or RunConfig()
-        # (id(net), bound) -> its stream, which holds the net, so the id is
-        # not reused meanwhile
-        self._streams = {}
+        self._streams = {}  # bound -> its stream
         self._executor = None
 
     def __enter__(self):
@@ -614,30 +612,30 @@ class RunPool:
     def close(self):
         """Cancel queued chunks and wait for the running ones. A chunk
         that ran but was never read adds the configurations it reports to
-        its network's ``reached``, as a read one does."""
+        the network's ``reached``, as a read one does."""
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
             for stream in self._streams.values():
                 for future in stream.pending:
                     if not future.cancelled() and future.exception() is None:
-                        stream.runs.net.reached.update(future.result()[1])
+                        self.net.reached.update(future.result()[1])
 
-    def register(self, net: CompiledNetwork, query) -> list:
-        """Joins ``query``'s jobs on ``net`` to their streams: the (stream,
-        place) of each. Building the jobs checks the query: every name it
-        reads and every channel its constraint listens on, so a bad query
-        fails here, before any run."""
+    def register(self, query) -> list:
+        """Joins ``query``'s jobs to their streams: the (stream, place) of
+        each. Building the jobs checks the query: every name it reads and
+        every channel its constraint listens on, so a bad query fails here,
+        before any run."""
         jobs, _ = _form(query)
-        return [self._join(job) for job in jobs(net, query, self.cfg)]
+        return [self._join(job) for job in jobs(self.net, query, self.cfg)]
 
     def _join(self, job: _Job) -> tuple:
-        key = (id(job.net), job.bound)
-        stream = self._streams.get(key)
+        stream = self._streams.get(job.bound)
         if stream is None:
-            stream = self._streams[key] = _Stream(
+            stream = self._streams[job.bound] = _Stream(
                 len(self._streams),
-                _Runs(job.net, job.bound, self.cfg.seed, self.run_config, []))
+                _Runs(self.net, job.bound, self.cfg.seed, self.run_config,
+                      []))
         stream.runs.jobs.append((job.judge, job.n_runs))
         return stream, len(stream.runs.jobs) - 1
 
@@ -685,9 +683,9 @@ class RunPool:
                 # of earlier pools built, and the compiled watches and
                 # opening monitor kernel of each stream's first run,
                 # instead of building them again
+                for config in self.net.reached:
+                    self.net.step_table(config)
                 for s in self._streams.values():
-                    for config in s.runs.net.reached:
-                        s.runs.net.step_table(config)
                     _judges(s.runs, 0, s.live())[0].sampler()
         live = stream.live()
         while (len(stream.pending) < self.AHEAD * self.cfg.workers
@@ -699,7 +697,7 @@ class RunPool:
             stream.submitted = chunk[-1] + 1
         outcomes, reached = stream.pending.popleft().result()
         stream.cache.extend(outcomes)
-        stream.runs.net.reached.update(reached)
+        self.net.reached.update(reached)
 
 
 @contextmanager
@@ -741,8 +739,7 @@ def _check_names(resolve, *exprs):
 def _formula_job(net: CompiledNetwork, f: PathFormula, bound: float,
                  n_runs: int) -> _Job:
     _check_names(net.query_resolver, f.state_expr)
-    return _Job(net, bound, n_runs,
-                _Sampled(f.op, E.to_text(f.state_expr)))
+    return _Job(bound, n_runs, _Sampled(f.op, E.to_text(f.state_expr)))
 
 
 def _sprt(outcomes, p0: float, cfg: StatConfig) -> tuple:
@@ -859,8 +856,7 @@ def _expected_jobs(net, q: Expected, cfg) -> list:
     if q.mode not in ("max", "min"):
         raise QueryError("mode is max or min")
     _check_names(net.query_resolver, q.expr)
-    return [_Job(net, q.bound, q.n_runs,
-                 _Sampled(q.mode, E.to_text(q.expr)))]
+    return [_Job(q.bound, q.n_runs, _Sampled(q.mode, E.to_text(q.expr)))]
 
 
 def _expected(q: Expected, cfg, streams) -> SmcResult:
@@ -889,7 +885,7 @@ def _simulate_jobs(net, q: Simulate, cfg) -> list:
         raise QueryError("need sample_step > 0")
     _check_names(net.query_resolver, *q.exprs)
     keys = tuple(E.to_text(e) for e in q.exprs)
-    return [_Job(net, q.bound, q.n_runs,
+    return [_Job(q.bound, q.n_runs,
                  _Traced(_trajectory, (keys, q.bound, q.sample_step), keys))]
 
 
@@ -911,7 +907,7 @@ def _constraint_jobs(net, q: ConstraintQuery, cfg) -> list:
     c = q.constraint
     monitors.check_channels(net.network.model, c)
     monitors.compile_observer(c)
-    return [_Job(net, q.bound, cfg.max_runs, _Traced(_routes, (c,)))]
+    return [_Job(q.bound, cfg.max_runs, _Traced(_routes, (c,)))]
 
 
 def _constraint(q: ConstraintQuery, cfg, streams) -> SmcResult:
@@ -960,8 +956,8 @@ def check(network, queries, cfg: StatConfig, run_config=None) -> list:
     before the first run. The results are in the order given."""
     net = _compiled(_coerce_network(network))
     results = [None] * len(queries)
-    with RunPool(cfg, run_config) as pool:
-        lanes = [pool.register(net, query) for _, query in queries]
+    with RunPool(net, cfg, run_config) as pool:
+        lanes = [pool.register(query) for _, query in queries]
         # A job judges every run simulated while it is live, so the
         # sequential tests, which stop early, go first.
         for i in sorted(range(len(queries)), key=lambda i: not isinstance(

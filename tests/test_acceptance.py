@@ -249,6 +249,38 @@ template EmitB() {
 system Kick, EmitA, EmitB;
 """
 
+# three emitters: each group's second arrival counts up with cnt := cnt + 1
+TRIPLE = PAIR.replace("system Kick, EmitA, EmitB;", """clock d3;
+broadcast chan c;
+template EmitC() {
+  init loc w;
+  loc armed { inv d3 <= 2; }
+  w -> armed { sync kick?; update d3 := 0; }
+  armed -> w { sync c!; }
+}
+system Kick, EmitA, EmitB, EmitC;""")
+
+# a task that is preempted and resumed, its execution clock w held meanwhile
+PREEMPTED = """
+clock p;
+clock w;
+clock q;
+broadcast chan start;
+broadcast chan stop;
+broadcast chan preempt;
+broadcast chan resume;
+template Task() {
+  init loc idle { inv p <= 10; }
+  loc work { inv w <= 4; }
+  loc held { inv q <= 2; rate w = 0; }
+  idle -> work { guard p >= 8; sync start!; update w := 0; }
+  work -> held { sync preempt!; update q := 0; }
+  held -> work { sync resume!; }
+  work -> idle { guard w >= 1; sync stop!; update p := 0; }
+}
+system Task;
+"""
+
 
 @pytest.mark.parametrize("text,constraint", [
     (TASK, WhConstraint("execution", 1, 1,
@@ -263,7 +295,15 @@ system Kick, EmitA, EmitB;
     (TASK, WhConstraint("endtoend", 1, 1,
                         (("source", "start"), ("target", "stop")),
                         lower=0, upper=5.7)),
-], ids=["execution", "synchronization", "periodic", "endtoend"])
+    (TRIPLE, WhConstraint("synchronization", 1, 1,
+                          (("e1", "a"), ("e2", "b"), ("e3", "c")),
+                          tolerance=1.8)),
+    (PREEMPTED, WhConstraint("execution", 1, 1,
+                             (("start", "start"), ("stop", "stop"),
+                              ("preempt", "preempt"), ("resume", "resume")),
+                             lower=1.2, upper=3.95)),
+], ids=["execution", "synchronization", "periodic", "endtoend",
+        "synchronization-of-three", "preemptive-execution"])
 def test_observer_equals_trace_oracle_on_1000_runs(text, constraint):
     """The composed observer, its replay over the run's events and the
     trace oracle agree run by run."""

@@ -70,6 +70,29 @@ def test_validate_parse_error(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_check_and_simulate_exit_1_on_a_model_that_does_not_parse(
+        runner, tmp_path):
+    """The three commands load a model alike: one that does not parse exits
+    1 with the one error line that ``validate`` prints."""
+    p = tmp_path / "junk.sta"
+    p.write_text("template {")
+    q = tmp_path / "e.q"
+    q.write_text("E[<=5; 3](max: x);\n")
+
+    def errors(res):
+        return [line for line in res.output.splitlines()
+                if line.startswith("error:")]
+
+    [error] = errors(runner.invoke(main, ["validate", str(p)]))
+    out = tmp_path / "out"
+    for args in (["check", str(p), str(q)],
+                 ["simulate", str(p), "--query", "simulate 1 [<=5] {x}"]):
+        res = runner.invoke(main, args + ["--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert errors(res) == [error]
+    assert not out.exists()
+
+
 def test_check_writes_results_json(runner, small, tmp_path):
     q = tmp_path / "suite.q"
     q.write_text('Q1: Pr[<=5](<> heads == 1) >= 0.1 expect valid;\n'
