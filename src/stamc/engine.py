@@ -136,8 +136,8 @@ from typing import Optional
 import numpy as np
 
 from . import expr as E
-from .model import (Model, Network, instantiate, resolver, value_key,
-                    value_types)
+from .model import (INT_MAX, Model, Network, instantiate, is_int, resolver,
+                    value_key, value_types)
 
 INF = math.inf
 _UNWATCHED = {}  # the samples of a run that watches nothing; never written
@@ -264,8 +264,6 @@ class RunConfig:
     h_max: float = 0.05
     max_steps: int = 10 ** 6  # zeno / committed-loop ceiling
 
-    _INT_MAX = 2 ** 63 - 1
-
     def __post_init__(self):
         if not (math.isfinite(self.h_max) and self.h_max > 0):
             raise EngineError("need h_max > 0")
@@ -296,7 +294,7 @@ def _kernel(title: str, lines: list, **names):
     _NAMED[title] += 1
     count = _NAMED[title]
     filename = f"<{title}>" if count == 1 else f"<{title} #{count}>"
-    scope = {"__builtins__": {}, **E._FUNCS, "float": float, "bool": bool,
+    scope = {"__builtins__": {}, **E.FUNCS, "float": float, "bool": bool,
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
              "ArithmeticError": ArithmeticError,
@@ -688,11 +686,11 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
 
 class _CompiledEdge:
     __slots__ = ("label", "where", "target", "guard", "guard_probe",
-                 "guard_atoms", "channel", "binary", "weight", "updates",
-                 "stores", "update")
+                 "guard_atoms", "channel", "binary", "weight", "stores",
+                 "update")
 
     def __init__(self, label, component, target, guard, guard_probe,
-                 guard_atoms, channel, binary, weight, updates, stores):
+                 guard_atoms, channel, binary, weight, stores):
         self.label = label
         self.where = f"edge {label} of {component}"  # in error messages
         self.target = target
@@ -702,7 +700,6 @@ class _CompiledEdge:
         self.channel = channel  # channel synced on, or None
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
-        self.updates = updates  # ((slot, fn, vtype), ...)
         self.stores = stores  # ((slot, fn, how _update_kernel stores), ...)
         # the update kernel, from the source location's lower(); None for
         # no updates
@@ -856,7 +853,7 @@ class _StepTable:
             stage_const, stage_y, self.exact)
 
 
-_BOOLEAN_OPS = ("==", "!=", "<=", ">=", "<", ">", "&&", "||", "imply")
+_BOOLEAN_OPS = E.COMPARISONS | E.LOGICAL
 
 
 def _affine_rate(e, is_clock) -> bool:
@@ -883,8 +880,7 @@ def _store(rhs, vtype: str, type_of):
     literal = rhs.operand if negated else rhs
     if isinstance(literal, E.Num):
         value = -literal.value if negated else literal.value
-        if (math.isfinite(value) and value == int(value)
-                and abs(value) <= RunConfig._INT_MAX):
+        if is_int(value):
             return int(value)
     elif isinstance(rhs, E.Name) and type_of(rhs.name) == "int":
         return "as is"
@@ -964,13 +960,12 @@ class CompiledNetwork:
                     clock_refs(loc.invariant) if loc.invariant else frozenset())
 
             for i, edge in enumerate(comp.template.edges):
-                updates, stores = [], []
+                stores = []
                 for name, rhs in edge.updates:
                     key = resolve(name)[1]
-                    slot, vtype = self.slots[key], self.var_types[key]
-                    fn = E.compile_expr(rhs, slotted)
-                    updates.append((slot, fn, vtype))
-                    stores.append((slot, fn, _store(rhs, vtype, type_of)))
+                    stores.append((self.slots[key],
+                                   E.compile_expr(rhs, slotted),
+                                   _store(rhs, self.var_types[key], type_of)))
                 sync = edge.sync
                 channel = sync.channel if sync is not None else None
                 binary = (channel if sync is not None
@@ -980,8 +975,7 @@ class CompiledNetwork:
                     f"{edge.source}->{edge.target}#{i}", comp.name,
                     edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
-                    channel, binary, edge.weight, tuple(updates),
-                    tuple(stores))
+                    channel, binary, edge.weight, tuple(stores))
                 source = cc.locations[edge.source]
                 if sync is not None and sync.direction == "receive":
                     source.receive.setdefault(channel, []).append(ce)
@@ -1056,7 +1050,7 @@ class CompiledNetwork:
             if iv != value:
                 raise EngineError(
                     f"non-integer value {value!r} assigned to an int variable")
-            if abs(iv) > RunConfig._INT_MAX:
+            if abs(iv) > INT_MAX:
                 raise EngineError(f"int value {iv} out of 64-bit range")
             return iv
         if vtype == "bool":

@@ -57,7 +57,7 @@ class Unary:
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # || && imply == != <= >= < > + - * / %
+    op: str  # one of LOGICAL, COMPARISONS or + - * / %
     left: "Expr"
     right: "Expr"
 
@@ -71,29 +71,20 @@ class Cond:
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # abs, min, max
+    func: str  # a key of FUNCS
     args: tuple
 
 
 Expr = Union[Num, BoolLit, Name, Unary, Binary, Cond, Call]
 
-_FUNCS = {"abs": abs, "min": min, "max": max}
+# The language's vocabulary: the parser, the analyses below and the engine
+# read these, and spell none of them out again.
+COMPARISONS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
+LOGICAL = frozenset(("||", "&&", "imply"))
+FUNCS = {"abs": abs, "min": min, "max": max}
 
-_PY_OP = {
-    "||": "or",
-    "&&": "and",
-    "==": "==",
-    "!=": "!=",
-    "<=": "<=",
-    ">=": ">=",
-    "<": "<",
-    ">": ">",
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "/",
-    "%": "%",
-}
+# Python's spelling of each binary operator but imply, where it differs
+_PY_OP = {"||": "or", "&&": "and"}
 
 
 def walk(e: Expr) -> Iterator[Expr]:
@@ -146,7 +137,7 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
         b = _py(e.right, resolver, clocks)
         if e.op == "imply":
             return f"((not {a}) or {b})"
-        return f"({a} {_PY_OP[e.op]} {b})"
+        return f"({a} {_PY_OP.get(e.op, e.op)} {b})"
     if isinstance(e, Cond):
         return (
             f"({_py(e.then, resolver, clocks)} if "
@@ -163,7 +154,7 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
 def _lambda(params: str, src: str) -> Callable:
     """``lambda params: src``, evaluated once per distinct (params, src):
     a second network with the same expressions compiles nothing."""
-    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **_FUNCS})
+    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **FUNCS})
     fn.source = src  # type: ignore[attr-defined]
     return fn
 
@@ -246,10 +237,9 @@ def clock_degree(e: Expr, is_clock: Callable[[str], bool]) -> int:
             if b == CONST:
                 return a if e.op == "/" else (NONLINEAR if a != CONST else CONST)
             return NONLINEAR
-        if e.op in ("==", "!=", "<=", ">=", "<", ">"):
-            # comparison atoms: affine operands are acceptable
-            return NONLINEAR if NONLINEAR in (a, b) else CONST
-        if e.op in ("||", "&&", "imply"):
+        if e.op in COMPARISONS or e.op in LOGICAL:
+            # comparisons and their connectives: affine operands are
+            # acceptable
             return NONLINEAR if NONLINEAR in (a, b) else CONST
         raise ExprError(f"unknown operator {e.op}")
     if isinstance(e, Cond):
@@ -272,6 +262,6 @@ def comparison_atoms(e: Expr) -> list:
     """All comparison subexpressions (the breakpoint generators of a guard)."""
     out = []
     for node in walk(e):
-        if isinstance(node, Binary) and node.op in ("==", "!=", "<=", ">=", "<", ">"):
+        if isinstance(node, Binary) and node.op in COMPARISONS:
             out.append(node)
     return out

@@ -14,6 +14,7 @@ from typing import Optional
 from . import expr as E
 
 VAR_TYPES = ("int", "real", "bool", "clock")
+INT_MAX = 2 ** 63 - 1  # the largest magnitude an int variable holds
 
 
 class ModelError(Exception):
@@ -23,7 +24,7 @@ class ModelError(Exception):
 @dataclass(frozen=True)
 class VarDecl:
     name: str
-    type: str  # int | real | bool | clock
+    type: str  # one of VAR_TYPES
     init: float = 0.0
 
 
@@ -195,6 +196,12 @@ def _finite_positive(x: float) -> bool:
     return math.isfinite(x) and x > 0
 
 
+def is_int(x: float) -> bool:
+    """Whether an int variable can hold ``x``: an integer in the 64-bit
+    range."""
+    return math.isfinite(x) and x == int(x) and abs(x) <= INT_MAX
+
+
 def validate_model(model: Model) -> ValidationReport:
     """Collect every structural violation; pure and idempotent.
 
@@ -222,11 +229,28 @@ def validate_model(model: Model) -> ValidationReport:
     chan_names = {c.name for c in model.channels}
     binary = {c.name for c in model.channels if not c.broadcast}
 
+    def check_int(value, where, what):
+        if not is_int(value):
+            err("bad int value", where,
+                f"{what} is {value!r}, not an integer in the 64-bit range")
+
+    for d in model.decls:
+        if d.type == "int":
+            check_int(d.init, d.name, f"the initial value of int {d.name!r}")
+
     tpl_names = set()
     for tpl in model.templates:
         if tpl.name in tpl_names:
             err("duplicate template", tpl.name, f"template {tpl.name!r} declared twice")
         tpl_names.add(tpl.name)
+        for name, ptype in tpl.params:
+            if ptype not in VAR_TYPES:
+                err("unknown type", tpl.name,
+                    f"parameter {name!r} has unknown type {ptype!r}")
+        for d in tpl.decls:
+            if d.type == "int":
+                check_int(d.init, f"{tpl.name}.{d.name}",
+                          f"the initial value of int {d.name!r}")
 
         resolve = resolver(network, next(c for c in network.components
                                          if c.template is tpl))
@@ -330,6 +354,9 @@ def validate_model(model: Model) -> ValidationReport:
             rep.errors.append(Issue(
                 "arity mismatch", inst.name,
                 f"{inst.template} takes {len(tpl.params)} argument(s), got {len(inst.args)}"))
+        for (name, ptype), arg in zip(tpl.params, inst.args):
+            if ptype == "int":
+                check_int(arg, inst.name, f"int parameter {name!r}")
         if inst.name in seen_inst:
             rep.errors.append(Issue("duplicate instance", inst.name,
                                     f"instance name {inst.name!r} not unique"))

@@ -3,32 +3,80 @@
 The model grammar:
 
     model    := decl* template+ system
-    decl     := ("int"|"real"|"bool"|"clock") ident ("=" literal)? ";"
+    decl     := vtype ident ("=" literal)? ";"
               | ("chan" | "broadcast" "chan") ident ";"
-    template := "template" ident "(" params? ")" "{" decl* location+ edge* "}"
+    vtype    := int | real | bool | clock          (model.VAR_TYPES)
+    template := "template" ident "(" (param ("," param)*)? ")"
+                "{" decl* location+ edge* "}"
+    param    := ident ":" vtype
     location := ("init")? ("committed")? "loc" ident
                 ("{" ("inv" expr ";")? ("rate" ident "=" expr ";")*
                      ("exitrate" number ";")? "}")? (";")?
     edge     := ident "->" ident "{" ("guard" expr ";")? ("sync" ident ("!"|"?") ";")?
-                ("weight" number ";")? ("update" assign ("," assign)* ";")? "}"
-    system   := "system" inst ("," inst)* ";"
-    inst     := [ident "="] ident ["(" literal ("," literal)* ")"]
+                ("weight" number ";")? ("update" assign ("," assign)* ";")* "}"
+    assign   := ident ":=" expr
 
-Queries are the five statistical forms plus `constraint` lines for
-weakly-hard timing monitors; `//` comments run to end of line everywhere.
+A location's and an edge's clauses come in any order, each at most once,
+but ``rate`` once per clock and ``update`` any number of times, its
+assignments accumulating.
+    system   := "system" inst ("," inst)* ";"
+    inst     := [ident "="] ident ["(" (literal ("," literal)*)? ")"]
+    literal  := "true" | "false" | "-"? number
+
+The expression grammar, loosest level first; :mod:`stamc.expr` defines
+the comparison set, the logical set and the function names:
+
+    expr     := imply ("?" expr ":" expr)?       nests right
+    imply    := or ("imply" imply)?              nests right
+    or       := and ("||" and)*                  nests left
+    and      := cmp ("&&" cmp)*                  nests left
+    cmp      := add (cmpop add)?                 one comparison: a < b < c
+                                                 is rejected
+    cmpop    := == | != | <= | >= | < | >        (expr.COMPARISONS)
+    add      := mul (("+"|"-") mul)*             nests left
+    mul      := unary (("*"|"/"|"%") unary)*     nests left
+    unary    := ("!"|"-") unary | primary
+    primary  := number | "true" | "false" | "(" expr ")"
+              | func "(" expr ("," expr)* ")" | ident ("." ident)?
+    func     := abs | min | max                  (expr.FUNCS)
+
+``Comp.member`` names a location, a local or a parameter of component
+``Comp`` (``model.resolver``).  The query grammar, one query per line or
+``;``:
+
+    query    := (ident ":")? form ("expect" verdict)? (";")?
+    form     := "Pr" bound path                              estimate
+              | "Pr" bound path ">=" number                  hypothesis
+              | "Pr" bound path ">=" "Pr" bound path         compare
+              | "E" "[" ("<="|">=") number ";" number "]"
+                "(" ("max"|"min") ":" expr ")"             expected extremum
+              | "simulate" number bound "{" expr ("," expr)* "}"
+              | "constraint" ident? kind "(" cparam ("," cparam)* ")" "on"
+                binding ("," binding)*                      weakly-hard
+              | "observer" ident kind "(" cparam ("," cparam)* ")" "on"
+                binding ("," binding)*
+    bound    := "[" ("<="|">=") number "]"
+    path     := "(" ("[]"|"<>") expr ")"
+    cparam   := ident "=" number          (m, k, bound, lower, upper,
+                                           tolerance, jitter)
+    binding  := ident "=" ident           (event = channel)
+    verdict  := valid | invalid | undecided
+
+``//`` comments run to end of line everywhere.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from . import expr as E
 from . import queries as Q
-from .model import (ChanDecl, Edge, Instantiation, Location, Model, Sync,
-                    Template, VarDecl)
+from .model import (VAR_TYPES, ChanDecl, Edge, Instantiation, Location,
+                    Model, Sync, Template, VarDecl)
 from .monitors import MonitorError, WhConstraint
 
 
@@ -84,6 +132,13 @@ def lex(text: str, filename: str = "<input>") -> list:
         pos = m.end()
     tokens.append(Token("eof", "", SourceSpan(filename, line, col, 0)))
     return tokens
+
+
+_DECL_WORDS = (*VAR_TYPES, "chan", "broadcast")
+_DIRECTIONS = {"!": "emit", "?": "receive"}  # of a sync action
+# a constraint's parameters: WhConstraint's numbers, and the time bound
+_CONSTRAINT_PARAMS = frozenset(("m", "k", "bound", "lower", "upper",
+                                "tolerance", "jitter"))
 
 
 class _Parser:
@@ -152,52 +207,48 @@ class _Parser:
         return e
 
     def _or(self) -> E.Expr:
-        e = self._and()
-        while self.accept("||"):
-            e = E.Binary("||", e, self._and())
-        return e
+        return self._chain(("||",), self._and)
 
     def _and(self) -> E.Expr:
-        e = self._cmp()
-        while self.accept("&&"):
-            e = E.Binary("&&", e, self._cmp())
-        return e
+        return self._chain(("&&",), self._cmp)
 
     def _cmp(self) -> E.Expr:
         e = self._add()
-        for op in ("<=", ">=", "==", "!=", "<", ">"):
-            if self.accept(op):
-                return E.Binary(op, e, self._add())
+        op = self.tok.text
+        if op in E.COMPARISONS:
+            self.i += 1
+            return E.Binary(op, e, self._add())
         return e
 
     def _add(self) -> E.Expr:
-        e = self._mul()
-        while True:
-            if self.accept("+"):
-                e = E.Binary("+", e, self._mul())
-            elif self.accept("-"):
-                e = E.Binary("-", e, self._mul())
-            else:
-                return e
+        return self._chain(("+", "-"), self._mul)
 
     def _mul(self) -> E.Expr:
-        e = self._unary()
-        while True:
-            if self.accept("*"):
-                e = E.Binary("*", e, self._unary())
-            elif self.accept("/"):
-                e = E.Binary("/", e, self._unary())
-            elif self.accept("%"):
-                e = E.Binary("%", e, self._unary())
-            else:
-                return e
+        return self._chain(("*", "/", "%"), self._unary)
+
+    def _chain(self, ops: tuple, operand) -> E.Expr:
+        """``operand (op operand)*`` for ``op`` in ``ops``, nested left."""
+        e = operand()
+        op = self.tok.text
+        while op in ops:
+            self.i += 1
+            e = E.Binary(op, e, operand())
+            op = self.tok.text
+        return e
 
     def _unary(self) -> E.Expr:
-        if self.accept("!"):
-            return E.Unary("!", self._unary())
-        if self.accept("-"):
-            return E.Unary("-", self._unary())
+        op = self.tok.text
+        if op == "!" or op == "-":
+            self.i += 1
+            return E.Unary(op, self._unary())
         return self._primary()
+
+    def _list(self, item) -> list:
+        """``item ("," item)*``: the items of a comma-separated list."""
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        return items
 
     def _primary(self) -> E.Expr:
         tok = self.tok
@@ -217,13 +268,11 @@ class _Parser:
                 self.i += 1
                 return E.BoolLit(False)
             name = self.ident()
-            if tok.text in ("abs", "min", "max") and self.at("("):
+            if name in E.FUNCS and self.at("("):
                 self.i += 1
-                args = [self.expression()]
-                while self.accept(","):
-                    args.append(self.expression())
+                args = tuple(self._list(self.expression))
                 self.expect(")")
-                return E.Call(name, tuple(args))
+                return E.Call(name, args)
             if self.accept("."):
                 name = f"{name}.{self.ident('member name')}"
             return E.Name(name)
@@ -232,8 +281,7 @@ class _Parser:
     # --- declarations -----------------------------------------------------
 
     def _at_decl(self) -> bool:
-        return self.tok.text in ("int", "real", "bool", "clock", "chan",
-                                 "broadcast")
+        return self.tok.text in _DECL_WORDS
 
     def declaration(self):
         if self.accept("broadcast"):
@@ -289,15 +337,7 @@ class _Parser:
         self.expect("template")
         name = self.ident("template name")
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                pname = self.ident("parameter name")
-                self.expect(":")
-                ptype = self.ident("parameter type")
-                params.append((pname, ptype))
-                if not self.accept(","):
-                    break
+        params = [] if self.at(")") else self._list(self._param)
         self.expect(")")
         self.expect("{")
         decls, locations, edges = [], [], []
@@ -323,6 +363,11 @@ class _Parser:
         return Template(name=name, params=tuple(params), decls=tuple(decls),
                         locations=tuple(locations), edges=tuple(edges),
                         initial=initial)
+
+    def _param(self) -> tuple:
+        name = self.ident("parameter name")
+        self.expect(":")
+        return name, self.ident("parameter type")
 
     def _location(self):
         is_init = self.accept("init")
@@ -384,25 +429,19 @@ class _Parser:
                 _once(seen, "sync", span,
                       "an edge has at most one sync action")
                 chan = self.ident("channel name")
-                if self.accept("!"):
-                    sync = Sync(chan, "emit")
-                elif self.accept("?"):
-                    sync = Sync(chan, "receive")
-                else:
+                direction = _DIRECTIONS.get(self.tok.text)
+                if direction is None:
                     raise ParseError("expected '!' or '?' after channel",
                                      self.tok.span)
+                self.i += 1
+                sync = Sync(chan, direction)
                 self.expect(";")
             elif self.accept("weight"):
                 _once(seen, "weight", span, "an edge has at most one weight")
                 weight = self.number()
                 self.expect(";")
             elif self.accept("update"):
-                while True:
-                    name = self.ident("update target")
-                    self.expect(":=")
-                    updates.append((name, self.expression()))
-                    if not self.accept(","):
-                        break
+                updates += self._list(self._assign)
                 self.expect(";")
             else:
                 raise ParseError(
@@ -412,46 +451,36 @@ class _Parser:
         return Edge(source, target, guard=guard, sync=sync, weight=weight,
                     updates=tuple(updates))
 
+    def _assign(self) -> tuple:
+        name = self.ident("update target")
+        self.expect(":=")
+        return name, self.expression()
+
     def _system(self) -> tuple:
         self.expect("system")
-        insts = []
-        raw = []
-        while True:
-            first = self.ident("template or instance name")
-            if self.accept("="):
-                inst_name = first
-                tpl = self.ident("template name")
-            else:
-                inst_name = None
-                tpl = first
-            args = []
-            if self.accept("("):
-                if not self.at(")"):
-                    while True:
-                        args.append(self._literal())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-            raw.append((inst_name, tpl, tuple(args)))
-            if not self.accept(","):
-                break
+        raw = self._list(self._instance)
         self.expect(";")
         # bare instantiations: use the template name, numbered when repeated
-        tpl_counts = {}
-        for inst_name, tpl, _ in raw:
-            if inst_name is None:
-                tpl_counts[tpl] = tpl_counts.get(tpl, 0) + 1
-        seen = {}
-        for inst_name, tpl, args in raw:
-            if inst_name is None:
-                if tpl_counts[tpl] > 1:
-                    idx = seen.get(tpl, 0)
-                    seen[tpl] = idx + 1
-                    inst_name = f"{tpl}{idx}"
-                else:
-                    inst_name = tpl
-            insts.append(Instantiation(inst_name, tpl, args))
+        bare = Counter(tpl for name, tpl, _ in raw if name is None)
+        numbered, insts = Counter(), []
+        for name, tpl, args in raw:
+            if name is None and bare[tpl] > 1:
+                name = f"{tpl}{numbered[tpl]}"
+                numbered[tpl] += 1
+            insts.append(Instantiation(name or tpl, tpl, args))
         return tuple(insts)
+
+    def _instance(self) -> tuple:
+        """(instance name or None, template name, argument literals)."""
+        first = self.ident("template or instance name")
+        inst_name, tpl = None, first
+        if self.accept("="):
+            inst_name, tpl = first, self.ident("template name")
+        args = ()
+        if self.accept("("):
+            args = () if self.at(")") else tuple(self._list(self._literal))
+            self.expect(")")
+        return inst_name, tpl, args
 
     # --- queries ----------------------------------------------------------
 
@@ -464,7 +493,7 @@ class _Parser:
     def _named_query(self) -> Q.NamedQuery:
         span, name = self.tok.span, None
         if self.tok.kind == "ident" and self.peek().text == ":" \
-                and self.tok.text not in ("max", "min"):
+                and self.tok.text not in Q.EXTREMA:
             name = self.ident()
             self.expect(":")
         own_name, query = self._query()
@@ -549,11 +578,9 @@ class _Parser:
         n_runs = self._integer(1)
         bound = self._bound()
         self.expect("{")
-        exprs = [self.expression()]
-        while self.accept(","):
-            exprs.append(self.expression())
+        exprs = tuple(self._list(self.expression))
         self.expect("}")
-        return Q.Simulate(n_runs, bound, tuple(exprs))
+        return Q.Simulate(n_runs, bound, exprs)
 
     def _expected_query(self) -> Q.Expected:
         self.expect("E")
@@ -561,12 +588,10 @@ class _Parser:
         n_runs = self._integer(2)  # a sample variance needs two runs
         self.expect("]")
         self.expect("(")
-        if self.accept("max"):
-            mode = "max"
-        elif self.accept("min"):
-            mode = "min"
-        else:
+        mode = self.tok.text
+        if mode not in Q.EXTREMA:
             raise ParseError("expected 'max' or 'min'", self.tok.span)
+        self.i += 1
         self.expect(":")
         e = self.expression()
         self.expect(")")
@@ -595,11 +620,12 @@ class _Parser:
     def _constraint_tail(self, kind: str, span: SourceSpan):
         """``(parameters) on bindings`` of the constraint at ``span``, which
         locates the constraint's own checks."""
-        if kind == "end" or kind == "endtoend":
+        if kind == "end":
             kind = "endtoend"
         self.expect("(")
         params, spans = {}, {}
-        while True:
+
+        def param():
             at = self.tok.span
             key = self.ident("parameter name")
             if key in spans:
@@ -607,40 +633,34 @@ class _Parser:
                     f"constraint parameter {key!r} is given twice", at)
             spans[key] = at
             self.expect("=")
+            at = self.tok.span
             if key in ("m", "k"):
                 params[key] = self._integer(1, key)
             elif key == "bound":
-                at = self.tok.span
                 params[key] = _checked_bound(self.number(), at)
             else:
                 params[key] = self.number(finite=True)
-            if not self.accept(","):
-                break
+
+        self._list(param)
         self.expect(")")
         self.expect("on")
-        bindings = []
-        while True:
-            event = self.ident("event name")
-            self.expect("=")
-            bindings.append((event, self.ident("channel name")))
-            if not self.accept(","):
-                break
+        bindings = tuple(self._list(self._binding))
+        unknown = [key for key in params if key not in _CONSTRAINT_PARAMS]
+        if unknown:
+            raise ParseError(f"unknown constraint parameter(s) {sorted(unknown)}",
+                             spans[unknown[0]])
         bound = params.pop("bound", 3000.0)
-        kwargs = {}
-        for key in ("lower", "upper", "tolerance", "jitter"):
-            if key in params:
-                kwargs[key] = params.pop(key)
-        m = params.pop("m", 1)
-        k = params.pop("k", 1)
-        if params:
-            raise ParseError(f"unknown constraint parameter(s) {sorted(params)}",
-                             spans[next(iter(params))])
         try:
-            constraint = WhConstraint(kind=kind, m=m, k=k,
-                                      bindings=tuple(bindings), **kwargs)
+            constraint = WhConstraint(kind=kind, bindings=bindings,
+                                      **{"m": 1, "k": 1, **params})
         except MonitorError as exc:
             raise ParseError(str(exc), span) from exc
         return constraint, bound
+
+    def _binding(self) -> tuple:
+        event = self.ident("event name")
+        self.expect("=")
+        return event, self.ident("channel name")
 
 
 def _once(seen: set, clause, span: SourceSpan, message: str):

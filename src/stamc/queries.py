@@ -51,11 +51,14 @@ class Compare:
     bound2: float
 
 
+EXTREMA = ("max", "min")  # the modes of an Expected query
+
+
 @dataclass(frozen=True)
 class Expected:
     bound: float
     n_runs: int
-    mode: str  # "max" | "min"
+    mode: str  # one of EXTREMA
     expr: E.Expr
 
 

@@ -115,10 +115,10 @@ from typing import Callable, Optional
 
 from . import expr as E
 from . import monitors
-from .engine import (_UNWATCHED, CompiledNetwork, RngStream, RunConfig,
-                     _kernel, run)
+from .engine import (_UNWATCHED, CompiledNetwork, EngineError, RngStream,
+                     RunConfig, _kernel, run)
 from .model import Model, Network, instantiate
-from .queries import (Compare, ConstraintQuery, Estimate, Expected,
+from .queries import (EXTREMA, Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
 
 HISTOGRAM_BINS = 20  # bins of an expected-extremum query's value histogram
@@ -525,15 +525,54 @@ def _judges(runs: _Runs, index: int, live: tuple) -> tuple:
 def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
     """One run's outcome per job; None where a job is retired or reads no
     more runs. Sampled judges watch the run as it runs; the trace, with the
-    traced judges' expressions, is judged once it ends, and dropped."""
+    traced judges' expressions, is judged once it ends, and dropped. A run
+    that faults raises its ``EngineError``, naming the query expression at
+    fault, if one is (``_named``)."""
     monitor, traced, watch = _judges(runs, index, live)
-    trace = run(runs.net, runs.bound, RngStream(runs.seed, index),
-                watch=watch, config=runs.run_config,
-                monitor=monitor.sampler())
+    try:
+        trace = run(runs.net, runs.bound, RngStream(runs.seed, index),
+                    watch=watch, config=runs.run_config,
+                    monitor=monitor.sampler())
+    except EngineError as exc:
+        raise _named(exc, runs, index, live) from None
     out = monitor.out
     for place, judge in traced:
         out[place] = judge.fn(trace, *judge.args)
     return tuple(out)
+
+
+def _named(exc: EngineError, runs: _Runs, index: int, live: tuple):
+    """``exc``, the error that ended run ``index``, naming the query
+    expression that raised it, if one did. Only this error path runs the
+    run again: with no judge, which ends as ``exc`` did if the model
+    itself faults, then with each expression of the ``live`` jobs alone,
+    until one ends as ``exc`` did."""
+    def ends_alike(judge=None, watch=()) -> bool:
+        monitor = _Monitor([None])
+        if judge is not None:
+            monitor.add(0, judge, runs.net)
+        try:
+            run(runs.net, runs.bound, RngStream(runs.seed, index),
+                watch=watch, config=runs.run_config,
+                monitor=monitor.sampler())
+        except EngineError as again:
+            return str(again) == str(exc)
+        return False
+
+    alone = []  # (expression text, sampled judge or None, watch)
+    for place in live:
+        judge, n_runs = runs.jobs[place]
+        if index >= n_runs:
+            continue
+        if isinstance(judge, _Sampled):
+            alone.append((judge.expr, judge, ()))
+        else:
+            alone += [(text, None, (text,)) for text in judge.watch]
+    if alone and not ends_alike():
+        for text, judge, watch in alone:
+            if ends_alike(judge, watch):
+                return EngineError(f"{exc}, in the query expression {text!r}")
+    return exc
 
 
 # In a worker process: the runs of each stream of the pool's check, by
@@ -853,7 +892,7 @@ def _expected_jobs(net, q: Expected, cfg) -> list:
         raise QueryError("need an integer n_runs")
     if q.n_runs < 2:
         raise QueryError("need n_runs >= 2")
-    if q.mode not in ("max", "min"):
+    if q.mode not in EXTREMA:
         raise QueryError("mode is max or min")
     _check_names(net.query_resolver, q.expr)
     return [_Job(q.bound, q.n_runs, _Sampled(q.mode, E.to_text(q.expr)))]

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -620,6 +621,57 @@ def test_check_names_the_edge_whose_update_faults(runner, tmp_path, emit,
                                str(workers), "--out", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
     assert res.output.strip() == f"error: {message}"
+
+
+# n reaches 1 at the first firing and 2 at the second
+COUNTING = """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 2; }
+  a -> a { guard x >= 1; update x := 0, n := n + 1; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("queries,text", [
+    ("Pr[<=10](<> n >= 3) >= 0.5;\nE[<=10; 5](max: n / (n - 2));\n",
+     "n / (n - 2)"),
+    ("Pr[<=10]([] 1 / (n - 2) > -5);\n", "(1 / (n - 2)) > (-5)"),
+    ("E[<=10; 5](max: n);\nsimulate 2 [<=5] {n, 1 / (n - 1)}\n",
+     "1 / (n - 1)"),
+], ids=["extremum", "path-formula", "simulate"])
+def test_check_names_the_query_expression_that_faults(runner, tmp_path,
+                                                      queries, text,
+                                                      workers):
+    """A query expression that divides by zero during a run ends the check
+    with exit 3 and one error line that names it, among the expressions of
+    every query that reads the run."""
+    m = tmp_path / "counting.sta"
+    m.write_text(COUNTING)
+    q = tmp_path / "suite.q"
+    q.write_text(queries)
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert re.fullmatch(
+        r"error: arithmetic error at t=[0-9.]+: ZeroDivisionError: float "
+        rf"division by zero, in the query expression {re.escape(repr(text))}",
+        res.output.strip()), res.output
+
+
+def test_a_fault_of_the_model_names_no_query_expression(runner, tmp_path):
+    m = tmp_path / "guard.sta"
+    m.write_text(COUNTING.replace("guard x >= 1", "guard x / n >= 1"))
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=10; 5](max: n / (n - 2));\n")
+    res = runner.invoke(main, ["check", str(m), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert res.output.strip() == ("error: arithmetic error at t=0.0: "
+                                  "ZeroDivisionError: float division by zero")
 
 
 # a check in a fresh process, which then prints the scipy modules it loaded

@@ -1280,10 +1280,18 @@ def test_one_atom_windows_match_the_loop_reference(pred, want, x, y, rates,
     assert _bits([got]) == _bits([want_t]) == _bits([t])
 
 
-def _staged(V, L, updates):
-    """Reference updates: every right-hand side evaluated, then each stored
-    through ``_coerce``."""
-    staged = [(slot, fn(V, L), vtype) for slot, fn, vtype in updates]
+def _typed(compiled, edge) -> list:
+    """[(slot, right-hand side, the slot's value type)] of ``edge``'s
+    updates."""
+    return [(slot, fn, compiled.var_types[compiled.keys[slot]])
+            for slot, fn, _ in edge.stores]
+
+
+def _staged(compiled, V, L, edge):
+    """Reference updates of ``edge``: every right-hand side evaluated, then
+    each stored through ``_coerce``."""
+    staged = [(slot, fn(V, L), vtype)
+              for slot, fn, vtype in _typed(compiled, edge)]
     for slot, value, vtype in staged:
         V[slot] = engine.CompiledNetwork._coerce(value, vtype)
 
@@ -1293,16 +1301,16 @@ def test_update_kernels_match_the_staged_loop(name):
     """Each edge's update kernel leaves V as evaluating every right-hand
     side and then storing it through ``_coerce`` does."""
     compiled, states = _vehicle_states(name)
-    edges = [e for _, e in _edges(compiled) if e.updates]
+    edges = [e for _, e in _edges(compiled) if e.stores]
     assert len(edges) > 20
     assert all(e.update is None for _, e in _edges(compiled)
-               if not e.updates)
+               if not e.stores)
     for V, L in states:
         sim = _at(compiled, V, L)
         for edge in edges:
             want = list(sim.V)
             try:
-                _staged(want, sim.L, edge.updates)
+                _staged(compiled, want, sim.L, edge)
             except EngineError as exc:
                 with pytest.raises(EngineError, match=f"^{exc}$"):
                     edge.update(list(sim.V), sim.L)
@@ -1318,9 +1326,9 @@ def test_vehicle_int_updates_store_without_conversion():
     ``int``.  An int store of any other form still converts."""
     compiled, states = _vehicle_states("av.sta")
     edges = [e for _, e in _edges(compiled)
-             if any(vtype == "int" for _, _, vtype in e.updates)]
+             if any(vtype == "int" for _, _, vtype in _typed(compiled, e))]
     assert sum(vtype == "int" for e in edges
-               for _, _, vtype in e.updates) > 20
+               for _, _, vtype in _typed(compiled, e)) > 20
     for edge in edges:
         assert "_coerce" not in edge.update.__code__.co_names
     for V, L in states[::10]:
@@ -1329,7 +1337,8 @@ def test_vehicle_int_updates_store_without_conversion():
             got = list(sim.V)
             edge.update(got, sim.L)
             assert all(type(got[slot]) is int
-                       for slot, _, vtype in edge.updates if vtype == "int")
+                       for slot, _, vtype in _typed(compiled, edge)
+                       if vtype == "int")
     [edge] = [e for _, e in _edges(engine.CompiledNetwork(net(_FAULTY % (
         "n := n + 1"))))]
     assert "_coerce" in edge.update.__code__.co_names
@@ -1387,17 +1396,17 @@ def _choose(rng, enabled):
     return enabled[rng.weighted_choice([e.weight for e in enabled])]
 
 
-def _fire(V, L, receiving, rng, cc, edge):
+def _fire(compiled, V, L, receiving, rng, cc, edge):
     """Apply one edge plus any synchronized receivers; returns the channel
     and the receivers."""
     receivers = _receivers(V, L, receiving, cc, edge.channel)
-    _staged(V, L, edge.updates)
+    _staged(compiled, V, L, edge)
     L[cc.index] = edge.target
     if edge.binary is not None:
         receivers = receivers[:1]
     for other, enabled in receivers:
         chosen = _choose(rng, enabled)
-        _staged(V, L, chosen.updates)
+        _staged(compiled, V, L, chosen)
         L[other.index] = chosen.target
     return edge.channel, receivers
 
@@ -1474,8 +1483,8 @@ def _compare_fire(compiled, V, L, seen):
             continue
         want_rng, got_rng = RngStream(7, len(seen)), RngStream(7, len(seen))
         edge = _choose(want_rng, enabled)
-        channel, receivers = _fire(want_V, want_L, receiving, want_rng, cc,
-                                   edge)
+        channel, receivers = _fire(compiled, want_V, want_L, receiving,
+                                   want_rng, cc, edge)
         got = loc.fire(got_V, got_L, kernels, got_rng, snap)
         assert got == (edge.label, channel, "pre")
         assert snaps == [(V, L)]  # the sample before, taken once
@@ -1645,7 +1654,7 @@ def test_fire_kernels_match_the_loop_reference(name):
     assert chosen == ({False} if vehicle else {True, False})
     updating = {e for cc in compiled.components
                 for loc in cc.locations.values() for e in loc.active
-                if e.updates}
+                if e.stores}
     assert len(updating) >= (20 if vehicle else 2)
     assert updating <= fired
     # the fire kernel applies an edge's updates by the edge's update kernel,
@@ -1653,7 +1662,7 @@ def test_fire_kernels_match_the_loop_reference(name):
     for cc in compiled.components:
         for loc in cc.locations.values():
             for i, edge in enumerate(loc.active):
-                if edge.updates:
+                if edge.stores:
                     assert loc.fire.__globals__[f"U{i}"] is edge.update
 
 

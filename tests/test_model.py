@@ -270,3 +270,35 @@ system A, B;
     assert (issue.code, issue.where) == ("binary receive reads a clock",
                                          "B.edge[0] w->got")
     assert codes("broadcast " + text.lstrip()) == set()
+
+
+@pytest.mark.parametrize("text, issue", [
+    ("int n = 2.5; template T() { init loc a; } system T;",
+     ("bad int value", "n", "the initial value of int 'n' is 2.5, not an "
+      "integer in the 64-bit range")),
+    ("int n = 99999999999999999999; template T() { init loc a; } system T;",
+     ("bad int value", "n", "the initial value of int 'n' is 1e+20, not an "
+      "integer in the 64-bit range")),
+    ("template T() { int n = -0.5; init loc a; } system T;",
+     ("bad int value", "T.n", "the initial value of int 'n' is -0.5, not an "
+      "integer in the 64-bit range")),
+    ("template T(n: int) { init loc a; } system T(1.5);",
+     ("bad int value", "T", "int parameter 'n' is 1.5, not an integer in "
+      "the 64-bit range")),
+    ("template T(n: banana) { init loc a; } system T(1);",
+     ("unknown type", "T", "parameter 'n' has unknown type 'banana'")),
+], ids=["fraction", "out-of-range", "local-fraction", "int-argument",
+        "unknown-parameter-type"])
+def test_a_value_its_declared_type_cannot_hold_is_rejected(text, issue):
+    """Each of these validated once and then failed every run at its start,
+    or at the first store of the parameter into an int."""
+    [got] = validate_model(parse_model(text)).errors
+    assert (got.code, got.where, got.message) == issue
+
+
+def test_int_values_at_the_edge_of_the_64_bit_range_validate():
+    # a literal reads as a float: the largest below 2 ** 63 is 2 ** 63 - 1024
+    text = ("int lo = -9223372036854774784; int one = true; real r = 2.5;"
+            " template T(n: int, x: real) { init loc a; }"
+            " system T(9223372036854774784, 0.5);")
+    assert validate_model(parse_model(text)).ok

@@ -345,3 +345,83 @@ QUERY_TEXTS = [
 def test_query_file_without_semicolons():
     suite = "\n".join(t.rstrip(";") for t in QUERY_TEXTS)
     assert len(parse_queries(suite)) == len(QUERY_TEXTS)
+
+
+# --- grammar shape ---------------------------------------------------------
+
+a, b, c, d = (E.Name(n) for n in "abcd")
+
+
+@pytest.mark.parametrize("text, tree", [
+    ("a - b - c", E.Binary("-", E.Binary("-", a, b), c)),
+    ("a / b * c % d",
+     E.Binary("%", E.Binary("*", E.Binary("/", a, b), c), d)),
+    ("a || b && c", E.Binary("||", a, E.Binary("&&", b, c))),
+    ("p imply q imply r", E.Binary("imply", E.Name("p"), E.Binary(
+        "imply", E.Name("q"), E.Name("r")))),
+    ("!a && b", E.Binary("&&", E.Unary("!", a), b)),
+    ("-x * y", E.Binary("*", E.Unary("-", E.Name("x")), E.Name("y"))),
+    ("x > 0 ? y : z > 0 ? u : v", E.Cond(
+        E.Binary(">", E.Name("x"), E.Num(0.0)), E.Name("y"),
+        E.Cond(E.Binary(">", E.Name("z"), E.Num(0.0)), E.Name("u"),
+               E.Name("v")))),
+    ("min(a, b, c)", E.Call("min", (a, b, c))),
+    ("A.b", E.Name("A.b")),
+], ids=["minus-left", "mul-left", "and-binds-tighter", "imply-right",
+        "not-binds-tighter", "negation-binds-tighter", "cond-right", "call",
+        "member"])
+def test_expression_grammar_shape(text, tree):
+    """Each binary operator level nests as the module docstring says."""
+    assert parse_expression(text) == tree
+
+
+def _error(parse, text) -> tuple:
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    span = exc.value.span
+    return exc.value.message, (span.line, span.column, span.length)
+
+
+_MODEL_END = " { init loc a; } system T;"
+
+
+@pytest.mark.parametrize("parse, text, message, span", [
+    (parse_expression, "a < b < c", "trailing input '<'", (1, 7, 1)),
+    (parse_expression, "max(1,)", "expected expression, found ')'",
+     (1, 7, 1)),
+    (parse_expression, "f(1,)", "trailing input '('", (1, 2, 1)),
+    (parse_model, "template T(a: int,)" + _MODEL_END,
+     "expected parameter name, found ')'", (1, 19, 1)),
+    (parse_model, "int x; template T() { init loc a;"
+     " a -> a { update x := 1,; } } system T;",
+     "expected update target, found ';'", (1, 58, 1)),
+    (parse_model, "template T(a: int) { init loc a; } system T(1,);",
+     "expected number, found ')'", (1, 47, 1)),
+    (parse_model, "template T() { init loc a; } system T,;",
+     "expected template or instance name, found ';'", (1, 39, 1)),
+    (parse_queries, "simulate 1 [<=5] {x,}", "expected expression, found '}'",
+     (1, 21, 1)),
+    (parse_queries, "constraint periodic(m=1, k=2,) on occurrence=c;",
+     "expected parameter name, found ')'", (1, 30, 1)),
+    (parse_queries, "constraint periodic(m=1, k=2) on occurrence=c,;",
+     "expected event name, found ';'", (1, 47, 1)),
+    (parse_queries,
+     "constraint periodic(m=1, k=2, foo=3, bar=1) on occurrence=c;",
+     "unknown constraint parameter(s) ['bar', 'foo']", (1, 31, 3)),
+    (parse_queries, "constraint periodic(m=1, k=2, m=2) on occurrence=c;",
+     "constraint parameter 'm' is given twice", (1, 31, 1)),
+    (parse_queries, "constraint periodic(m=1, m=abc) on occurrence=c;",
+     "constraint parameter 'm' is given twice", (1, 26, 1)),
+    (parse_queries, "constraint periodic(m=1, k=1, foo=2) on occurrence=c,;",
+     "expected event name, found ';'", (1, 54, 1)),
+], ids=["chained-comparison", "call-comma", "not-a-function", "param-comma",
+        "update-comma", "argument-comma", "instance-comma", "simulate-comma",
+        "constraint-parameter-comma", "binding-comma", "unknown-parameters",
+        "repeated-parameter", "repeated-before-its-value",
+        "bindings-before-unknown-parameters"])
+def test_grammar_errors_keep_their_message_and_span(parse, text, message,
+                                                     span):
+    """A chained comparison, a trailing comma in each comma list, and an
+    unknown or repeated constraint parameter are each rejected with one
+    message at one span."""
+    assert _error(parse, text) == (message, span)
