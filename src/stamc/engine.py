@@ -42,7 +42,10 @@ those closures' sources with every expression inlined:
   enabled (a committed step's is the last sample point, taken again),
   chooses by weight, reads which receivers are ready, calls the edge's
   update kernel and moves the component; one receiver routine, ``_sync``,
-  then fires the receive edges it read;
+  then fires the receive edges it read, and the kernel takes the sample
+  after the firing and returns the whole event, a plain tuple
+  ``(time, component, edge, channel, watch_pre, watch)``
+  (:data:`TraceEvent`), which the run appends as it is;
 - a receive kernel per step table and channel tests every receive edge of
   the configuration on the channel inline, skips the emitter, and lists
   the ready receivers with their enabled edges;
@@ -82,11 +85,12 @@ it is the stepwise reference that the tests drive and extend, and ``run``
 calls none of the three.
 
 A run's sample points are its start, the state before each timed event
-and after each event, and its end.  Each takes the watched values and
-calls the run's monitor, if any, which a run calls directly when nothing
-is watched.  Before a committed event no time has passed since the
-last sample point, so its firing reads that sample again.  A run's first
-state is a copy of its network's, coerced from the declarations once.
+and after each event, and its end; an event's two are taken by the fire
+kernel that fires it.  Each takes the watched values and calls the run's
+monitor, if any, which a run calls directly when nothing is watched.
+Before a committed event no time has passed since the last sample point,
+so its firing reads that sample again.  A run's first state is a copy of
+its network's, coerced from the declarations once.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
 rates, which are integrated jointly on float lists.  Its rate template
@@ -228,18 +232,26 @@ class RngStream:
         return first
 
 
-@dataclass(slots=True)
-class TraceEvent:
-    time: float
-    component: str
-    edge: str
-    channel: Optional[str]
-    watch_pre: dict  # watched values after the delay, before edge updates
-    watch: dict  # watched values after edge updates (incl. receivers)
+TraceEvent = collections.namedtuple(
+    "TraceEvent", "time component edge channel watch_pre watch")
+TraceEvent.__doc__ = """The shape of an event of a trace, a plain 6-tuple
+``(time, component, edge, channel, watch_pre, watch)``: the time it fired,
+the firing component's name, the edge's label, the channel it emitted on or
+None, the sample before it (after the delay, before any update) and the
+sample after it (after the updates of the emitter and every receiver).
+
+A fire kernel builds each event as a plain tuple, which equals the
+``TraceEvent`` of the same values; nothing on the run path constructs a
+``TraceEvent``.  Readers unpack an event or index it; hand-made traces, in
+the tests, build one by name."""
 
 
 @dataclass
 class Trace:
+    """One run: the sample at its start, its events, each a
+    :data:`TraceEvent`-shaped tuple, its end time and reason, the sample at
+    its end and each component's location there."""
+
     initial: dict  # watched values at t = 0
     events: list
     end_time: float
@@ -251,9 +263,9 @@ class Trace:
     def samples(self):
         """Time-ordered (t, watch-dict) pairs covering the whole run."""
         yield 0.0, self.initial
-        for ev in self.events:
-            yield ev.time, ev.watch_pre
-            yield ev.time, ev.watch
+        for time, _, _, _, pre, post in self.events:
+            yield time, pre
+            yield time, post
         yield self.end_time, self.final
 
 
@@ -398,22 +410,25 @@ def _ready_test(binary: str, index: int, keep: str) -> str:
 
 
 @functools.cache
-def _fire_kernel(name: str, index: int, edges: tuple):
-    """``(V, L, receivers, rng, snap)`` firing one of the active edges of
-    location ``name`` of the component at index ``index``, or returning
-    None if none is enabled.  ``edges`` are ((guard, update kernel or None,
-    label, target, weight, channel, binary, the edge in error messages),
-    ...); ``receivers`` are the step table's receive kernels by channel.
+def _fire_kernel(component: str, name: str, index: int, edges: tuple):
+    """``(V, L, receivers, rng, presnap, snap, time)`` firing one of the
+    active edges of location ``name`` of ``component``, the component at
+    index ``index``, at ``time``: it returns the event, or None if no edge
+    is enabled.  ``edges`` are ((guard, update kernel or None, label,
+    target, weight, channel, binary, the edge in error messages), ...);
+    ``receivers`` are the step table's receive kernels by channel.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready; that test keeps the ready receiver as ``r{i}``
-    for edge i.  Once an edge is enabled, ``snap()`` gives the sample
+    for edge i.  Once an edge is enabled, ``presnap()`` gives the sample
     before the firing, and the kernel picks an enabled edge by weight (a
     lone one draws nothing), reads which receivers are ready, as UPPAAL
     does, before it applies its updates by its update kernel, moves the
-    component to its target, syncs those receivers through :func:`_sync`
-    and returns ``(label, channel, pre)``.  An update's fault names its
-    edge (:func:`_updating`)."""
+    component to its target and syncs those receivers through
+    :func:`_sync`.  Then ``snap()`` gives the sample after the firing, and
+    the kernel returns the event, ``(time, component, label, channel, pre,
+    post)`` (:data:`TraceEvent`).  An update's fault names its edge
+    (:func:`_updating`)."""
     def enabled(i, guard, binary):
         tests = [] if guard is None else [f"({guard.source})"]
         if binary is not None:
@@ -430,7 +445,8 @@ def _fire_kernel(name: str, index: int, edges: tuple):
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
             lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
-        return lines + [f"return ({label!r}, {channel!r}, pre)"]
+        return lines + [f"return (time, {component!r}, {label!r}, "
+                        f"{channel!r}, pre, snap())"]
 
     body = []
     if not edges:
@@ -439,21 +455,22 @@ def _fire_kernel(name: str, index: int, edges: tuple):
         test = enabled(0, edges[0][0], edges[0][6])
         if test:
             body += [f"if not ({test}):", "    return None"]
-        body += ["pre = snap()", *fire(0, *edges[0])]
+        body += ["pre = presnap()", *fire(0, *edges[0])]
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
             test = enabled(i, edge[0], edge[6])
             body += ([f"if {test}:", f"    e.append({i})"] if test
                      else [f"e.append({i})"])
-        body += ["if not e:", "    return None", "pre = snap()",
+        body += ["if not e:", "    return None", "pre = presnap()",
                  "i = e[0] if len(e) == 1 else "
                  "e[rng.weighted_choice([W[j] for j in e])]"]
         for i, edge in enumerate(edges[:-1]):
             body += [f"if i == {i}:", *_indent(fire(i, *edge))]
         body += fire(len(edges) - 1, *edges[-1])
     return _kernel(f"fire {name}",
-                   ["def _k(V, L, receivers, rng, snap):", *_indent(body)],
+                   ["def _k(V, L, receivers, rng, presnap, snap, time):",
+                    *_indent(body)],
                    W=tuple(edge[4] for edge in edges),
                    **{f"U{i}": edge[1] for i, edge in enumerate(edges)
                       if edge[1] is not None})
@@ -707,12 +724,14 @@ class _CompiledEdge:
 
 
 class _CompiledLocation:
-    __slots__ = ("index", "id", "name", "committed", "invariant",
-                 "inv_probe", "inv_atoms", "rates", "affine", "exit_rate",
-                 "reads", "active", "receive", "race", "fire", "lowered")
+    __slots__ = ("component", "index", "id", "name", "committed",
+                 "invariant", "inv_probe", "inv_atoms", "rates", "affine",
+                 "exit_rate", "reads", "active", "receive", "race", "fire",
+                 "lowered")
 
-    def __init__(self, index, id, name, committed, invariant, inv_probe,
-                 inv_atoms, rates, affine, exit_rate, reads):
+    def __init__(self, component, index, id, name, committed, invariant,
+                 inv_probe, inv_atoms, rates, affine, exit_rate, reads):
+        self.component = component  # its component's name, in its events
         self.index = index  # its component's slot in L
         self.id = id
         self.name = name  # "component.location", in kernel titles and errors
@@ -754,9 +773,10 @@ class _CompiledLocation:
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
             edge.update = _update_kernel(edge.stores)
-        self.fire = _fire_kernel(self.name, self.index, tuple(
-            (e.guard, e.update, e.label, e.target, e.weight, e.channel,
-             e.binary, e.where) for e in self.active))
+        self.fire = _fire_kernel(
+            self.component, self.name, self.index,
+            tuple((e.guard, e.update, e.label, e.target, e.weight, e.channel,
+                   e.binary, e.where) for e in self.active))
 
 
 class _StepTable:
@@ -951,7 +971,7 @@ class CompiledNetwork:
                         float(rate_expr.value)
                         if isinstance(rate_expr, E.Num) else None)
                 cc.locations[loc.id] = _CompiledLocation(
-                    index, loc.id, f"{comp.name}.{loc.id}",
+                    comp.name, index, loc.id, f"{comp.name}.{loc.id}",
                     loc.kind == "committed",
                     *self._compile_window(loc.invariant, slotted, clock_refs),
                     [(slot, *rate) for slot, rate in rates.items()],
@@ -1156,23 +1176,25 @@ class Simulator:
     # -- firing --
 
     def step(self, bound: float):
-        """One network step: a TraceEvent, or the end of the run,
-        "bound_reached" | "deadlock".  The first committed component that
-        can fire does so without delay; if none can, the run deadlocks.
-        Otherwise the actors race, and time stops at ``min(bound - time,
-        cap)``, ``cap`` being the earliest invariant deadline of an actor
-        that cannot fire: the winner fires unless its delay is past that
-        stop, where the run ends, deadlocked if ``cap`` is before the
-        bound.
+        """One network step: the event, the fire kernel's tuple
+        (:data:`TraceEvent`), or the end of the run, "bound_reached" |
+        "deadlock".  The first committed component that can fire does so
+        without delay; if none can, the run deadlocks.  Otherwise the
+        actors race, and time stops at ``min(bound - time, cap)``, ``cap``
+        being the earliest invariant deadline of an actor that cannot fire:
+        the winner fires unless its delay is past that stop, where the run
+        ends, deadlocked if ``cap`` is before the bound.
 
         A committed step takes no sample before its firing: no time has
         passed since the last sample point, so the state is that sample's,
-        and the firing reads it again."""
-        V, L = self.V, self.L
+        and the firing reads it again, by ``_recall``.  The event's sample
+        after the firing becomes the last sample point."""
+        V, L, snapshot = self.V, self.L, self._snapshot
         table = self._table = self.net.step_table(L)
         if table.committed:
-            fire_args = (V, L, table.receivers, self.rng, self._recall)
-            for cc, loc in table.committed:
+            fire_args = (V, L, table.receivers, self.rng, self._recall,
+                         snapshot, self.time)
+            for _, loc in table.committed:
                 fired = loc.fire(*fire_args)
                 if fired is not None:
                     break
@@ -1187,21 +1209,21 @@ class Simulator:
             self.advance_time(stop if ends else delay, rates)
             if ends:
                 return "bound_reached" if cap >= remaining else "deadlock"
-            fire_args = (V, L, table.receivers, self.rng, self._snapshot)
+            fire_args = (V, L, table.receivers, self.rng, snapshot, snapshot)
             cc, loc = winner
-            fired = loc.fire(*fire_args)
+            fired = loc.fire(*fire_args, self.time)
             if fired is None:
                 # accumulated rounding can leave a boundary guard (window of
                 # width zero) a few ulps short of its crossing; nudge once
                 self.advance_time(1e-9, rates)
-                fired = loc.fire(*fire_args)
+                fired = loc.fire(*fire_args, self.time)
             if fired is None:
                 raise EngineError(
                     f"{cc.name}: no edge enabled at its sampled delay "
                     "(guard window closed; engine defect or unsupported "
                     "model)")
-        post = self._last[0] = self._snapshot()
-        return TraceEvent(self.time, cc.name, *fired, post)
+        self._last[0] = fired[5]
+        return fired
 
 
 def check_bound(bound: float) -> None:
@@ -1221,7 +1243,13 @@ def run(network, bound: float, rng: RngStream, watch=(),
     records expressions there in the trace's dicts; ``monitor``, a
     callable, is called with the state lists ``(V, L)`` there, and records
     nothing in the trace: when nothing is watched, it returns the shared
-    empty dict ``_UNWATCHED``, the trace's dict of every sample."""
+    empty dict ``_UNWATCHED``, the trace's dict of every sample.
+
+    Each event is the tuple that the fire kernel which fired it returns
+    (:data:`TraceEvent`), taking both of its samples: a timed step passes
+    ``snapshot`` as the sample before, and a committed step ``recall``,
+    the last sample point again.  The loop keeps the event's sample after
+    as the last sample point and appends the event as it is."""
     check_bound(bound)
     if isinstance(network, Model):
         network = instantiate(network)
@@ -1239,8 +1267,9 @@ def run(network, bound: float, rng: RngStream, watch=(),
             table = tables.get(tuple(L)) or net.step_table(L)
             receivers = table.receivers
             if table.committed:
-                for cc, loc in table.committed:
-                    fired = loc.fire(V, L, receivers, rng, recall)
+                for _, loc in table.committed:
+                    fired = loc.fire(V, L, receivers, rng, recall, snapshot,
+                                     time)
                     if fired is not None:
                         break
                 else:
@@ -1265,18 +1294,20 @@ def run(network, bound: float, rng: RngStream, watch=(),
                     end = "bound_reached" if cap >= remaining else "deadlock"
                     break
                 cc, loc = winner
-                fired = loc.fire(V, L, receivers, rng, snapshot)
+                fired = loc.fire(V, L, receivers, rng, snapshot, snapshot,
+                                 time)
                 if fired is None:  # a boundary guard a few ulps short
                     table.advance(V, L, rates, 1e-9, h_max)
                     time += 1e-9
-                    fired = loc.fire(V, L, receivers, rng, snapshot)
+                    fired = loc.fire(V, L, receivers, rng, snapshot,
+                                     snapshot, time)
                 if fired is None:
                     raise EngineError(
                         f"{cc.name}: no edge enabled at its sampled delay "
                         "(guard window closed; engine defect or unsupported "
                         "model)")
-            post = last[0] = snapshot()
-            events.append(TraceEvent(time, cc.name, *fired, post))
+            last[0] = fired[5]
+            events.append(fired)
         else:
             raise EngineError(
                 "zeno/committed-loop: step ceiling "
@@ -1298,7 +1329,7 @@ def run(network, bound: float, rng: RngStream, watch=(),
 
 def trace_to_jsonl(trace: Trace) -> str:
     lines = []
-    for ev in trace.events:
-        lines.append(json.dumps({"t": ev.time, "comp": ev.component,
-                                 "edge": ev.edge, "watch": ev.watch}))
+    for time, component, edge, _, _, watch in trace.events:
+        lines.append(json.dumps({"t": time, "comp": component,
+                                 "edge": edge, "watch": watch}))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -82,6 +82,8 @@ Expr = Union[Num, BoolLit, Name, Unary, Binary, Cond, Call]
 COMPARISONS = frozenset(("==", "!=", "<=", ">=", "<", ">"))
 LOGICAL = frozenset(("||", "&&", "imply"))
 FUNCS = {"abs": abs, "min": min, "max": max}
+# the argument counts each of FUNCS takes: (least, most), most None for any
+ARITY = {"abs": (1, 1), "min": (2, None), "max": (2, None)}
 
 # Python's spelling of each binary operator but imply, where it differs
 _PY_OP = {"||": "or", "&&": "and"}
@@ -105,6 +107,20 @@ def walk(e: Expr) -> Iterator[Expr]:
 
 def names(e: Expr) -> set:
     return {n.name for n in walk(e) if isinstance(n, Name)}
+
+
+def bad_calls(e: Expr) -> Iterator[str]:
+    """A message for each call in ``e`` whose function does not take its
+    number of arguments (``ARITY``)."""
+    for n in walk(e):
+        if isinstance(n, Call):
+            least, most = ARITY[n.func]
+            given = len(n.args)
+            if given < least or (most is not None and given > most):
+                takes = (f"{least} argument" if most == least == 1 else
+                         f"{least} or more arguments")
+                yield (f"{n.func} takes {takes}, not {given}, in "
+                       f"{to_text(n)!r}")
 
 
 def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:

@@ -257,6 +257,8 @@ def validate_model(model: Model) -> ValidationReport:
         is_clock = lambda name: types.get(value_key(resolve, name)) == "clock"
 
         def check_names(e, where):
+            for message in E.bad_calls(e):
+                err("bad call", where, message)
             for name in E.names(e):
                 try:
                     resolve(name)

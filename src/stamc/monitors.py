@@ -117,7 +117,7 @@ class MonitorVerdict:
 
 def event_times(trace, channel: str) -> list:
     """Occurrence times of events on ``channel``, in trace order."""
-    return [ev.time for ev in trace.events if ev.channel == channel]
+    return [time for time, _, _, on, _, _ in trace.events if on == channel]
 
 
 # --- oracles ---------------------------------------------------------------
@@ -126,8 +126,8 @@ def event_times(trace, channel: str) -> list:
 def measure_execution(trace, c: WhConstraint) -> list:
     """Per start..stop pair: duration minus preempted intervals."""
     chans = [(name, c.channel(name)) for name in c.events()]
-    tagged = [(name, ev.time) for ev in trace.events
-              for name, ch in chans if ev.channel == ch]
+    tagged = [(name, time) for time, _, _, on, _, _ in trace.events
+              for name, ch in chans if on == ch]
     records = []
     open_t = None
     preempt_t = None
@@ -464,11 +464,11 @@ def observer_failed(trace, c: WhConstraint) -> bool:
     location, values, rates, edges = compile_observer(c)
     V = list(values)
     here, moving, last = edges[location], rates[location], 0.0
-    for ev in trace.events:
-        taken = here.get(ev.channel)
+    for time, _, _, channel, _, _ in trace.events:
+        taken = here.get(channel)
         if taken is None:
             continue
-        dt, last = ev.time - last, ev.time
+        dt, last = time - last, time
         for slot, rate in moving:
             V[slot] += rate * dt
         for guard, update, target in taken:

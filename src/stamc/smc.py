@@ -768,9 +768,12 @@ def _compiled(model: Model) -> CompiledNetwork:
 
 
 def _check_names(resolve, *exprs):
-    """Raises ``ExprError`` unless every name ``exprs`` read is in the query
-    scope ``resolve``."""
+    """Raises ``ExprError`` unless every call in ``exprs`` takes its number
+    of arguments and every name they read is in the query scope
+    ``resolve``."""
     for e in exprs:
+        for message in E.bad_calls(e):
+            raise E.ExprError(message)
         for name in E.names(e):
             resolve(name)
 

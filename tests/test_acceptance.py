@@ -92,9 +92,9 @@ def test_sign_distribution():
         net = instantiate(parse_model(sign_driver_source(CFG)))
         tr = run(net, float(n_fires), RngStream(42, 0))
         counts = {}
-        for e in tr.events:
-            if e.component == "SignSource" and e.edge.startswith("choose"):
-                counts[e.edge] = counts.get(e.edge, 0) + 1
+        for _, component, edge, _, _, _ in tr.events:
+            if component == "SignSource" and edge.startswith("choose"):
+                counts[edge] = counts.get(edge, 0) + 1
     total = sum(counts.values())
     assert total >= n_fires
     freqs = {edge: c / total for edge, c in counts.items()}

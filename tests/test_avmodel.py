@@ -116,7 +116,7 @@ def test_model_runs_and_stays_sane():
     net = instantiate(shipped_model())
     tr = run(net, 600.0, RngStream(0, 0), watch=["wvl", "wvr", "mode"])
     assert tr.end_reason == "bound_reached"
-    assert any(e.channel == "cam_start" for e in tr.events)
+    assert any(channel == "cam_start" for _, _, _, channel, _, _ in tr.events)
     for _, snap in tr.samples():
         assert snap["wvl"] >= -1e-9
         assert snap["wvr"] >= -1e-9

@@ -188,6 +188,50 @@ def test_check_query_naming_an_undeclared_value_exits_3(
     assert res.output == "error: name 'foo' undeclared\n"
 
 
+_BAD_CALL = """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 2; }
+  a -> a { %s }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("edge, issue", [
+    ("guard x >= 1 && min(n) >= 0;",
+     "min takes 2 or more arguments, not 1, in 'min(n)'"),
+    ("guard x >= 1; update n := abs(n, 1);",
+     "abs takes 1 argument, not 2, in 'abs(n, 1)'"),
+], ids=["min", "abs"])
+def test_a_call_of_the_wrong_arity_fails_validation_and_check(
+        runner, tmp_path, edge, issue):
+    """Both exit 1 on the validation error, and check runs nothing."""
+    m = tmp_path / "call.sta"
+    m.write_text(_BAD_CALL % edge)
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=5](<> n == 1) >= 0.5;\n")
+    line = f"error: bad call: T.edge[0] a->a: {issue}\n"
+    res = runner.invoke(main, ["validate", str(m)])
+    assert (res.exit_code, res.output) == (1, line)
+    res = runner.invoke(main, ["check", str(m), str(q),
+                               "--out", str(tmp_path / "o")])
+    assert (res.exit_code, res.output) == (1, line)
+    assert isinstance(res.exception, SystemExit)
+
+
+def test_check_query_with_a_call_of_the_wrong_arity_exits_3(
+        runner, small, tmp_path):
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=10; 3](max: max(heads));\n")
+    res = runner.invoke(main, ["check", small, str(q),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3
+    assert res.output == ("error: max takes 2 or more arguments, not 1, "
+                          "in 'max(heads)'\n")
+
+
 # a ticker on a broadcast channel, next to an unused binary channel
 TICKER = """
 clock p;

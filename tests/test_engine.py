@@ -113,8 +113,8 @@ template T() {
 system T;
 """
     t1, t2 = runs(text, 50, 1)[0], runs(text, 50, 1)[0]
-    assert [(e.time, e.edge) for e in t1.events] == \
-           [(e.time, e.edge) for e in t2.events]
+    assert [(time, edge) for time, _, edge, _, _, _ in t1.events] == \
+           [(time, edge) for time, _, edge, _, _, _ in t2.events]
 
 
 def test_bounded_sojourn_uniform_window():
@@ -129,7 +129,7 @@ system T;
 """
     gaps = []
     for tr in runs(text, 200, 5):
-        times = [e.time for e in tr.events]
+        times = [e[0] for e in tr.events]
         gaps += [b - a for a, b in zip([0.0] + times, times)]
     assert all(2 - 1e-9 <= g <= 5 + 1e-9 for g in gaps)
     assert np.std(gaps) > 0.3  # actually random, not stuck at an endpoint
@@ -147,7 +147,7 @@ system T;
 """
     gaps = []
     for tr in runs(text, 400, 3, seed=11):
-        times = [e.time for e in tr.events]
+        times = [e[0] for e in tr.events]
         gaps += [b - a for a, b in zip([0.0] + times, times)]
     assert all(g >= 1 - 1e-9 for g in gaps)
     shifted = [g - 1 for g in gaps]
@@ -167,7 +167,8 @@ template T() {
 system T;
 """
     tr = runs(text, 30, 1, watch=["k"])[0]
-    fire_times = [e.time for e in tr.events if e.edge.startswith("b->a")]
+    fire_times = [time for time, _, edge, _, _, _ in tr.events
+                  if edge.startswith("b->a")]
     assert fire_times == pytest.approx([3 * i for i in range(1, 11)])
     assert tr.final["k"] == 10
 
@@ -190,9 +191,10 @@ template B() {
 system A, B;
 """
     tr = runs(text, 5, 1)[0]
-    a_events = [e for e in tr.events if e.component == "A"]
-    assert len(a_events) == 2
-    assert a_events[0].time == a_events[1].time
+    a_times = [time for time, component, _, _, _, _ in tr.events
+               if component == "A"]
+    assert len(a_times) == 2
+    assert a_times[0] == a_times[1]
 
 
 def test_broadcast_reaches_all_receivers():
@@ -233,7 +235,7 @@ template Recv() {
 system Emit, Recv;
 """
     tr = runs(text, 10, 1)[0]
-    assert any(e.channel == "go" for e in tr.events)
+    assert any(e[3] == "go" for e in tr.events)
     assert tr.final == {}
 
 
@@ -305,7 +307,7 @@ template B() {{
 system A, B;
 """
     tr = runs(text, 5, 1, watch=["got"])[0]
-    assert [e.channel for e in tr.events] == ["go"]
+    assert [e[3] for e in tr.events] == ["go"]
     assert tr.locations == {"A": "done", "B": "r"}
     assert tr.final["got"] == 1
 
@@ -370,7 +372,7 @@ system T;
 """
     tr = runs(text, 10, 1)[0]
     assert len(tr.events) == 1
-    assert 0 <= tr.events[0].time <= 2
+    assert 0 <= tr.events[0][0] <= 2
 
 
 def test_negative_rate_invariant_deadline_at_zero():
@@ -386,7 +388,7 @@ template T() {
 system T;
 """
     tr = runs(text, 10, 1, watch=["v"])[0]
-    assert tr.events and tr.events[0].time < 1e-6
+    assert tr.events and tr.events[0][0] < 1e-6
 
 
 @pytest.mark.parametrize("text, where", [
@@ -465,9 +467,9 @@ def test_every_way_a_timed_step_ends(templates, bound, ends, at):
     for i in range(20):
         sim = engine.Simulator(network, RngStream(1, i))
         result = sim.step(bound)
-        while getattr(result, "component", None) == "B":
+        while not isinstance(result, str) and result[1] == "B":
             result = sim.step(bound)
-        assert (result if isinstance(result, str) else result.edge) == ends
+        assert (result if isinstance(result, str) else result[2]) == ends
         assert sim.time == pytest.approx(at)
         assert sim.V[network.slots["x"]] <= at
 
@@ -547,8 +549,7 @@ def test_inert_components_cost_no_delay_sampling(monkeypatch):
         assert [[cc.name for cc, _ in table.actors]
                 for table in compiled._tables.values()] == \
             [["Emit"]] * len(compiled._tables)
-        seen[n] = (list(calls), [(e.time, e.component, e.edge, e.channel)
-                                 for e in tr.events])
+        seen[n] = (list(calls), [e[:4] for e in tr.events])
     assert len(compiled._tables) == 2  # the listeners idle, then woken
     assert seen[0] == seen[8] and len(seen[8][0]) > 30
 
@@ -671,8 +672,7 @@ def _both_ways(compiled, bound, rng_args, watch=(), config=None):
         tr = simulate(compiled, bound, RngStream(*rng_args), watch, config,
                       monitor=None if watch else monitor)
         out.append([*map(repr, (
-            *[(e.time, e.component, e.edge, e.channel, e.watch_pre, e.watch)
-              for e in tr.events],
+            *tr.events,
             (tr.initial, tr.end_time, tr.end_reason, tr.final,
              tr.locations))), *calls])
     return (*out, tr.end_reason)
@@ -707,7 +707,7 @@ def test_run_takes_the_steps_of_the_stepwise_reference():
     models += [(_listened(8), 100, ["heard"]),
                (_timed(_TIME_LOCK), 10, ["x", "y"]),
                (COMMITTED, 6, ["n", "x"]), (_NUDGED, 5, ["x"])]
-    nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1].time
+    nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1][0]
     models.append((_NUDGED, nudged - 5e-10, ["x"]))
     for text, bound, watch in models:
         network = engine.CompiledNetwork(net(text))
@@ -741,7 +741,7 @@ system T;
 """
     tr = runs(text, 10, 1, watch=["T.b", "x * 2"])[0]
     assert tr.final["T.b"] is True
-    event_snap = tr.events[0].watch
+    event_snap = tr.events[0][5]
     assert event_snap["x * 2"] == pytest.approx(2)
 
 
@@ -811,8 +811,8 @@ system T;
                     for _, s in watched.samples()]
     assert len(seen) == 2 * len(monitored.events) + 2
     # a monitor changes nothing in the run, and the trace watches nothing
-    assert [e.time for e in monitored.events] == \
-        [e.time for e in watched.events]
+    assert [e[0] for e in monitored.events] == \
+        [e[0] for e in watched.events]
     assert all(snap == {} for _, snap in monitored.samples())
     assert monitored.locations == watched.locations == {"T": "a"}
 
@@ -851,17 +851,80 @@ def test_a_committed_step_samples_only_after_it_fires():
                  monitor=lambda V, L: calls.append(list(V)))
         before = tr.initial
         timed = 0
-        for ev in tr.events:
-            if ev.edge.split("->")[0] in committed:
-                assert ev.watch_pre is before
+        for _, _, edge, _, pre, post in tr.events:
+            if edge.split("->")[0] in committed:
+                assert pre is before
             else:
-                assert ev.watch_pre is not before
+                assert pre is not before
                 timed += 1
-            seen.add(ev.edge.split("#")[0])
-            before = ev.watch
+            seen.add(edge.split("#")[0])
+            before = post
         assert len(calls) == 2 + len(tr.events) + timed
-        assert tr.events[0].edge == "go->a#0"
+        assert tr.events[0][2] == "go->a#0"
     assert seen == {"go->a", "a->b", "b->a", "b->c", "c->a"}
+
+
+# A run that starts committed, as in the CI's committed.sta, and a
+# broadcast emitted from a committed location to two receivers, which
+# update the emitter's count.
+_STARTS_COMMITTED = """
+int n = 0;
+clock x;
+template T() {
+  init committed loc go;
+  loc a { inv x <= 2; }
+  go -> a { update n := 1; }
+  a -> a { guard x >= 1; update x := 0, n := n + 1; }
+}
+system T;
+"""
+_BROADCAST = """
+int sent = 0;
+int got = 0;
+clock x;
+broadcast chan go;
+template Emit() {
+  init loc a { inv x <= 1; }
+  committed loc b;
+  a -> b { guard x >= 1; update x := 0; }
+  b -> a { sync go!; update sent := sent + 1; }
+}
+template Recv() {
+  init loc w;
+  w -> w { sync go?; update got := got + sent; }
+}
+system Emit, r1 = Recv(), r2 = Recv();
+"""
+
+
+@pytest.mark.parametrize("text, committed, watch", [
+    (_STARTS_COMMITTED, "go", ["n", "x"]),
+    (_BROADCAST, "b", ["sent", "got", "x"]),
+], ids=["starts-committed", "broadcast"])
+def test_an_event_takes_both_of_its_samples_in_its_fire_kernel(
+        text, committed, watch):
+    """The sample before a committed event is the last sample point's dict
+    itself, and before a timed event a fresh one; the sample after is
+    taken once every receiver has synced, so it holds their updates.  The
+    stepwise simulator returns the same events."""
+    compiled = engine.CompiledNetwork(net(text))
+    for i in range(5):
+        tr = run(compiled, 12, RngStream(3, i), watch)
+        before, kinds = tr.initial, set()
+        for _, _, edge, channel, pre, post in tr.events:
+            if edge.startswith(f"{committed}->"):
+                assert pre is before
+            else:
+                assert pre is not before and pre["x"] > before["x"]
+            kinds.add(pre is before)
+            if channel == "go":  # each receiver adds the count it read
+                assert post["got"] == pre["got"] + 2 * post["sent"]
+            before = post
+        assert kinds == {True, False}
+        sim = engine.Simulator(compiled, RngStream(3, i), watch=watch)
+        sim._last[0] = sim._snapshot()
+        stepped = [sim.step(12) for _ in tr.events]
+        assert stepped == tr.events and sim._last[0] is stepped[-1][5]
 
 
 def test_trace_to_jsonl_roundtrips():
@@ -1473,21 +1536,25 @@ def _compare_fire(compiled, V, L, seen):
         enabled = _enabled_edges(want_V, want_L, receiving, cc, loc)
         got_V, got_L, snaps = list(V), list(L), []
 
-        def snap():
-            snaps.append((list(got_V), list(got_L)))
-            return "pre"
+        def sampler(name):
+            def take():
+                snaps.append((name, list(got_V), list(got_L)))
+                return name
+            return take
 
+        samplers = (sampler("pre"), sampler("post"), 1.5)
         if not enabled:  # nothing fires, so nothing draws
-            assert loc.fire(got_V, got_L, kernels, None, snap) is None
+            assert loc.fire(got_V, got_L, kernels, None, *samplers) is None
             assert (got_V, got_L, snaps) == (V, L, [])
             continue
         want_rng, got_rng = RngStream(7, len(seen)), RngStream(7, len(seen))
         edge = _choose(want_rng, enabled)
         channel, receivers = _fire(compiled, want_V, want_L, receiving,
                                    want_rng, cc, edge)
-        got = loc.fire(got_V, got_L, kernels, got_rng, snap)
-        assert got == (edge.label, channel, "pre")
-        assert snaps == [(V, L)]  # the sample before, taken once
+        got = loc.fire(got_V, got_L, kernels, got_rng, *samplers)
+        assert got == (1.5, cc.name, edge.label, channel, "pre", "post")
+        # the sample before, taken once, and the one after every receiver
+        assert snaps == [("pre", V, L), ("post", got_V, got_L)]
         assert _bits(got_V) == _bits(want_V) and got_L == want_L
         assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
         seen.append((len(enabled) > 1, channel is not None,
@@ -1840,7 +1907,7 @@ template T() {
 system T;
 """
     tr = runs(text, 5, 1, watch=["a", "b", "x"])[0]
-    assert tr.events[0].watch == {"a": 2, "b": 1, "x": 3.0}
+    assert tr.events[0][5] == {"a": 2, "b": 1, "x": 3.0}
 
 
 def test_a_second_compile_execs_nothing(monkeypatch):
@@ -2111,14 +2178,12 @@ def test_observers_do_not_perturb_trajectories():
         plain = run(plain_net, 3000, RngStream(42, i), watch, config)
         seen = run(observed_net, 3000, RngStream(42, i), watch + clocks,
                    config)
-        assert [(e.time, e.component, e.edge, e.channel, watched(e.watch_pre),
-                 watched(e.watch)) for e in seen.events] == \
-            [(e.time, e.component, e.edge, e.channel, e.watch_pre, e.watch)
-             for e in plain.events]
+        assert [(*head, watched(pre), watched(post))
+                for *head, pre, post in seen.events] == plain.events
         assert (seen.end_time, seen.end_reason, watched(seen.final)) == \
             (plain.end_time, plain.end_reason, plain.final)
-        reset.update(key for e in seen.events for key in clocks
-                     if e.watch[key] < e.watch_pre[key])
+        reset.update(key for *_, pre, post in seen.events for key in clocks
+                     if post[key] < pre[key])
     assert reset == set(clocks)  # every observer's clock was reset
 
 
@@ -2133,9 +2198,9 @@ def test_watching_more_expressions_changes_nothing_watched_before():
     config = RunConfig(h_max=10.0)
 
     def seen(trace, keys):
-        return ([(e.time, e.component, e.edge, e.channel,
-                  {k: e.watch_pre[k] for k in keys},
-                  {k: e.watch[k] for k in keys}) for e in trace.events],
+        return ([(*head, {k: pre[k] for k in keys},
+                  {k: post[k] for k in keys})
+                 for *head, pre, post in trace.events],
                 {k: trace.initial[k] for k in keys},
                 {k: trace.final[k] for k in keys},
                 trace.end_time, trace.end_reason)
@@ -2165,8 +2230,7 @@ def test_vehicle_runs_match_the_pinned_digest():
         for i in range(n):
             tr = run(network, 3000, RngStream(42, i), watch, config)
             for e in tr.events:
-                h.update(repr((e.time, e.component, e.edge, e.channel,
-                               e.watch_pre, e.watch)).encode())
+                h.update(repr(tuple(e)).encode())
             h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
     assert h.hexdigest() == RUN_DIGEST
 
@@ -2205,7 +2269,36 @@ def test_runs_that_mix_uniforms_and_exponentials_match_the_pinned_digest():
     h = hashlib.sha256()
     for i in range(20):
         tr = run(network, 50, RngStream(7, i), ["x", "y"])
-        for e in tr.events:
-            h.update(repr((e.time, e.component, e.edge, e.watch)).encode())
+        for time, component, edge, _, _, watch in tr.events:
+            h.update(repr((time, component, edge, watch)).encode())
         h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
     assert h.hexdigest() == UUE_DIGEST
+
+
+# Pinned at the commit before events became plain tuples built by the fire
+# kernels; like RUN_DIGEST, never regenerate it to make a change pass.
+READER_DIGEST = ("ed1a6b460d0c8d66f2d71bb76b2365bb"
+                 "fb670d226295b2b3fd834187fe1c4160")
+
+
+def test_trace_readers_match_the_pinned_digest():
+    """What every reader of a trace makes of 10 ``av.sta`` runs, its JSON
+    lines, its samples, and for each of R46-R50's constraints the trace
+    oracle's records and verdict and the observer replay's, hash to one
+    pinned constant."""
+    suite = {q.name: q.query for q in parse_queries(
+        (MODELS / "requirements.q").read_text(), "requirements.q")}
+    constraints = [suite[f"R{i}"].constraint for i in range(46, 51)]
+    network = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    watch = ["(wvl + wvr) / 2", "energy.Con_en", "mode"]
+    h = hashlib.sha256()
+    for i in range(10):
+        tr = run(network, 3000, RngStream(42, i), watch, RunConfig(h_max=10.0))
+        h.update(engine.trace_to_jsonl(tr).encode())
+        h.update(repr(list(tr.samples())).encode())
+        for c in constraints:
+            verdict = monitors.check_trace(tr, c)
+            h.update(repr((verdict.records, verdict.wh_holds,
+                           verdict.first_violating_window,
+                           monitors.observer_failed(tr, c))).encode())
+    assert h.hexdigest() == READER_DIGEST

@@ -178,6 +178,41 @@ def test_names_resolve_as_the_engine_compiles_them(unresolvable):
     assert code in codes(text)
 
 
+_CALLS = """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv %s; }
+  a -> a { guard %s; update n := %s; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("invariant, guard, update, issues", [
+    ("x <= 2", "x >= 1 && min(n) >= 0", "n + 1",
+     [("T.edge[0] a->a",
+       "min takes 2 or more arguments, not 1, in 'min(n)'")]),
+    ("x <= 2", "x >= 1", "abs(n, 1)",
+     [("T.edge[0] a->a", "abs takes 1 argument, not 2, in 'abs(n, 1)'")]),
+    ("x <= max(2)", "x >= 1", "abs(n, n, 1)",
+     [("T.a", "max takes 2 or more arguments, not 1, in 'max(2)'"),
+      ("T.edge[0] a->a", "abs takes 1 argument, not 3, in 'abs(n, n, 1)'")]),
+], ids=["min-in-guard", "abs-in-update", "max-in-invariant"])
+def test_a_call_of_the_wrong_arity_is_a_bad_call(invariant, guard, update,
+                                                 issues):
+    """``abs`` takes one argument and ``min`` and ``max`` two or more; a
+    call with any other count fails validation, before any run."""
+    rep = validate_model(parse_model(_CALLS % (invariant, guard, update)))
+    assert [(i.code, i.where, i.message) for i in rep.errors] == [
+        ("bad call", *issue) for issue in issues]
+
+
+def test_calls_of_every_arity_they_take_validate():
+    assert validate_model(parse_model(_CALLS % (
+        "x <= max(2, n, 3)", "x >= min(1, abs(n))", "max(n, 1)"))).ok
+
+
 def test_update_target_names_the_shadowed_local():
     [issue] = validate_model(parse_model("""
 template A(n: int) {

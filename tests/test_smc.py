@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import pickle
+import re
 import weakref
 from concurrent.futures import wait
 from multiprocessing import get_context
@@ -447,6 +448,25 @@ def test_a_bad_query_fails_when_it_registers(pools, monkeypatch, text,
     with pytest.raises(ExprError, match="name 'wvx' undeclared"):
         smc.check(model, [(None, query("Pr[<=10](<> wvl > 0) >= 0.5")),
                           (None, query(text))], StatConfig(workers=workers))
+    assert runs == []
+    assert pools == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("E[<=10; 2](max: abs(wvl, 1))",
+     "abs takes 1 argument, not 2, in 'abs(wvl, 1)'"),
+    ("Pr[<=10](<> min(wvl) > 0) >= 0.5",
+     "min takes 2 or more arguments, not 1, in 'min(wvl)'"),
+], ids=["expected", "hypothesis"])
+def test_a_query_call_of_the_wrong_arity_fails_when_it_registers(
+        pools, monkeypatch, text, message):
+    """As a query that names an undeclared value does: before any run."""
+    model = parse_model((MODELS / "av.sta").read_text())
+    runs = []
+    monkeypatch.setattr(smc, "run", lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ExprError, match=f"^{re.escape(message)}$"):
+        smc.check(model, [(None, query("Pr[<=10](<> wvl > 0) >= 0.5")),
+                          (None, query(text))], StatConfig(workers=2))
     assert runs == []
     assert pools == []
 
