@@ -19,23 +19,34 @@ integer slots, such as ``V[3] > 2 and L[2] == 'idle'``
 atoms also get a probe closure ``lambda V, L, R, dt``
 (:func:`stamc.expr.compile_probe`) that reads each clock as
 ``V[3] + R[3] * dt``: window search evaluates them ``dt`` ahead under the
-current rates without copying ``V``.
+current rates without copying ``V``.  A rate and a clock atom return a
+float, through ``float()`` only where :func:`stamc.expr.is_float` does not
+say that the expression is one already.
 
 The per-event work runs in kernels, straight-line functions generated from
 those closures' sources with every expression inlined:
 
-- a race kernel per step table (below) that is timed runs the race of a
-  step: for each actor in component order, it finds when the actor's
-  invariant closes, probing each atom's crossing without a call per probe,
-  then when one of its edges can first fire, searching each guard's window
-  by the same generated lines, blocking a binary emit unless exactly one
-  receiver is ready and keeping the earliest start, and draws the actor's
-  delay from the run's ``RngStream``; it keeps the least delay and the
-  earliest deadline of an actor that cannot fire;
+- a step kernel per step table (below) that is timed takes a timed step up
+  to its firing in one call.  It evaluates the configuration's rates that
+  are not literals into locals, then runs the race: for each actor in
+  component order, it finds when the actor's invariant closes, probing
+  each atom's crossing without a call per probe, then when one of its
+  edges can first fire, searching each guard's window by the same
+  generated lines (none if an edge has no guard and is not a binary emit:
+  it starts at 0), blocking a binary emit unless exactly one receiver is
+  ready and keeping the earliest start, and draws the actor's delay from
+  the run's ``RngStream``; it keeps the least delay and the earliest
+  deadline of an actor that cannot fire.  Each probe has its clock's rate
+  written in, ``V[3] + dt`` at rate 1, ``V[3] + 0.5 * dt`` at a literal
+  rate and ``V[3] + r3 * dt`` at an evaluated one.  Then it stops time at
+  the bound or at that deadline and calls the rate plan's advance kernel,
+  which integrates the clock-reading rates, by one midpoint step or by
+  RK4 steps, then does its ``rate * dt`` stores, a literal rate written
+  into the code and every other rate checked to be finite;
 - an update kernel per edge evaluates every right-hand side, then stores
-  them, converting reals and bools inline, and an int through ``_coerce``
-  unless it is an integral literal or a lone int variable, which need no
-  conversion;
+  them, converting inline only what may need it: a literal is stored as
+  its constant, a real or clock as it is where it is a float already, and
+  an int through ``_coerce`` unless it is a lone int variable;
 - a fire kernel per location fires one of its internal or emitting edges:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
@@ -49,40 +60,40 @@ those closures' sources with every expression inlined:
 - a receive kernel per step table and channel tests every receive edge of
   the configuration on the channel inline, skips the emitter, and lists
   the ready receivers with their enabled edges;
-- a rate kernel per step table (below) copies the table's rate template
-  and evaluates the rates that the template does not hold and that
-  something reads;
-- an advance kernel per step table integrates its clock-reading rates, by
-  one midpoint step or by RK4 steps, then does its ``rate * dt`` stores, a
-  literal rate written into the code and every other rate checked to be
-  finite;
 - a watch kernel per watch tuple builds a sample's dict of watched values.
 
+A guard, invariant, rate or update that faults names itself on the error
+path only: the kernels wrap each in a ``try`` (:func:`_naming`) that sets
+the exception's ``where``, such as ``the guard of edge a->b#0 of T``, and
+:func:`run` ends its message with it.
+
 Each kernel is compiled under its own filename, such as ``<fire
-Ctrl.dispatch>``, ``<race Camera.wait WheelL.idle>`` or ``<receive go>``,
+Ctrl.dispatch>``, ``<step Camera.wait WheelL.idle>`` or ``<receive go>``,
 so a profile tells them apart.  A location's kernels and its edges' are
 generated when the first step table (below) that holds the location is
-built, and a table's race and receive kernels with the table.  Closures
+built, and a table's step and receive kernels with the table.  Closures
 are cached by their source and kernels by their generators' arguments (a
-race kernel by its actors' parts, never by location objects), so a second
-network of the same model, such as the one each ``smc.check`` or a worker
-that unpickles a network compiles, evaluates and execs nothing.
+step kernel by its actors' parts and its rate plan, never by location
+objects), so a second network of the same model, such as the one each
+``smc.check`` or a worker that unpickles a network compiles, evaluates and
+execs nothing.
 
 Each location configuration gets one step table, built the first time the
 network enters it; a step looks it up once, by ``L``.  It lists the
 committed components and the actors (the timed components with an
-internal or emitting edge or an invariant), holds the actors' race kernel
-when no component is committed, a receive kernel for each channel that
-one of its active edges emits on, and the configuration's rate plan as its
-rate and advance kernels.  A component that is not an actor draws no delay
-and caps none, so a step races only the actors, and a sync reads its
+internal or emitting edge or an invariant), holds the step kernel when no
+component is committed, and a receive kernel for each channel that one of
+its active edges emits on.  A component that is not an actor draws no
+delay and caps none, so a step races only the actors, and a sync reads its
 receivers from the channel's kernel.  :func:`run` takes its steps in its
-own frame: a timed step calls the table's rate, race and advance kernels
-and the winner's fire kernel directly, and a committed step the fire
-kernels of its committed components.  ``Simulator.step`` takes the same
-steps one call at a time, through ``sample_delay`` and ``advance_time``:
-it is the stepwise reference that the tests drive and extend, and ``run``
-calls none of the three.
+own frame: a timed step calls the table's step kernel and the winner's
+fire kernel directly, and a committed step the fire kernels of its
+committed components.  ``Simulator.step`` takes the same steps one call at
+a time, through ``sample_delay`` and ``advance_time``, which drive the
+table's reference kernels, a rate, a race and an advance kernel generated
+from the step kernel's own lines on first use: it is the stepwise
+reference that the tests drive and extend, and ``run`` calls none of
+them.
 
 A run's sample points are its start, the state before each timed event
 and after each event, and its end; an event's two are taken by the fire
@@ -93,11 +104,10 @@ so its firing reads that sample again.  A run's first state is a copy of
 its network's, coerced from the declarations once.
 The rate plan splits the rates into clock-free rates,
 which advance their clock exactly by ``rate * dt``, and clock-reading
-rates, which are integrated jointly on float lists.  Its rate template
-holds 1 for every unrated clock and the value of every literal rate; a
-clock-reading rate is evaluated per delay only if a guard or invariant of
-the configuration reads its clock, since the advance kernel evaluates it
-itself.  A delay reuses the rates its step evaluated for window search.
+rates, which are integrated jointly on float locals.  A clock-reading rate
+is evaluated per delay only if a guard or invariant of the configuration
+reads its clock, since the advance kernel evaluates it itself.  A delay
+reuses the rates its step evaluated for window search.
 When the clock-reading rates are affine in clocks that all move at
 constant rates, they are linear in time over a delay and one midpoint step
 ``y + f(dt / 2) * dt`` integrates them exactly (the plan is exact);
@@ -115,8 +125,10 @@ midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
 expression's source where its closure would have been called, which
 changes no float operation, and neither does unrolling RK4's four stages
-into straight-line code or writing a literal rate ``r`` as ``r * dt``
-(``dt`` alone for 1, which ``1.0 * dt`` equals bit for bit).  Runs are
+into straight-line code, writing a literal rate ``r`` as ``r * dt``
+(``dt`` alone for 1, which ``1.0 * dt`` equals bit for bit), reading an
+evaluated rate from a local instead of a list, or leaving out the
+``float()`` of a value that is a float already.  Runs are
 bit-identical to that straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
 ``RngStream`` serves uniforms and weighted choices from the bit generator's
@@ -134,6 +146,7 @@ import json
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -319,37 +332,39 @@ def _indent(lines: list, by: int = 4) -> list:
     return [" " * by + line for line in lines]
 
 
+def _naming(lines: list, where: str, errors: str = "ArithmeticError") -> list:
+    """``lines`` in a try that names ``where``, such as ``the guard of edge
+    a->b#0 of T``, on the ``errors`` they raise, as the exception's
+    ``where``, for :func:`run`'s message.  From Python 3.11 a try that
+    catches nothing costs nothing; on 3.10 each one pays one more pair of
+    opcodes (SETUP_FINALLY, POP_BLOCK), a cost measured on no benchmark so
+    far, all of them taken on 3.11."""
+    return ["try:", *_indent(lines), f"except {errors} as exc:",
+            f"    exc.where = {where!r}", "    raise"]
+
+
+# how an update kernel stores a right-hand side u (_store), but a literal,
+# which it stores as its constant's source
+_STORES = {"float": "float({})", "bool": "bool({})",
+           "int": "_coerce({}, 'int')", "as is": "{}"}
+
+
 @functools.cache
 def _update_kernel(stores: tuple):
     """``(V, L)`` applying ``stores``, ((slot, fn, store), ...), or None if
     there are none: every right-hand side is evaluated first, then stored
     as its ``store`` says (:func:`_store`): through ``float``, ``bool`` or
-    ``_coerce``, as it is, or, for an int literal, as that constant, which
-    is not evaluated at all."""
+    ``_coerce``, as it is, or, for a literal, as its constant, which is not
+    evaluated at all."""
     if not stores:
         return None
     lines = ["def _k(V, L):"]
     lines += [f"    u{i} = {fn.source}"
-              for i, (_, fn, store) in enumerate(stores)
-              if not isinstance(store, int)]
+              for i, (_, fn, store) in enumerate(stores) if store in _STORES]
     for i, (slot, _, store) in enumerate(stores):
-        value = repr(store) if isinstance(store, int) else {
-            "int": f"_coerce(u{i}, 'int')", "bool": f"bool(u{i})",
-            "as is": f"u{i}"}.get(store, f"float(u{i})")
+        value = _STORES[store].format(f"u{i}") if store in _STORES else store
         lines.append(f"    V[{slot}] = {value}")
     return _kernel("update", lines)
-
-
-def _updating(call: str, where: str) -> list:
-    """Lines making ``call``, an edge's update, that name the edge,
-    ``where``, on the ArithmeticError or EngineError it raises, as its
-    ``edge``, for :func:`run`'s message.  From Python 3.11 a try that
-    catches nothing costs nothing; on 3.10 each update it wraps pays one
-    more pair of opcodes (SETUP_FINALLY, POP_BLOCK), a cost measured on
-    no benchmark so far, all of them taken on 3.11."""
-    return ["try:", f"    {call}",
-            "except (ArithmeticError, EngineError) as exc:",
-            f"    exc.edge = {where!r}", "    raise"]
 
 
 def _sync(V, L, ready, rng) -> None:
@@ -357,7 +372,7 @@ def _sync(V, L, ready, rng) -> None:
     (a receive kernel's list, read in the state before the emitter fired,
     and one receiver for a binary emit) takes one of its enabled edges,
     chosen by weight, in component order.  A lone edge draws nothing.  An
-    update's fault names its edge, as :func:`_updating` does."""
+    update's fault names its edge, as :func:`_naming` does."""
     for index, enabled in ready:
         update, target, _, where = enabled[0] if len(enabled) == 1 else \
             enabled[rng.weighted_choice([edge[2] for edge in enabled])]
@@ -365,7 +380,7 @@ def _sync(V, L, ready, rng) -> None:
             try:
                 update(V, L)
             except (ArithmeticError, EngineError) as exc:
-                exc.edge = where
+                exc.where = f"the update of {where}"
                 raise
         L[index] = target
 
@@ -379,7 +394,8 @@ def _receive_kernel(channel: str, receivers: tuple):
     index, ((guard, update kernel or None, target, weight, the edge in
     error messages), ...)), ...), the receive edges of one location
     configuration in component order; each component but the emitter that
-    has an enabled one is listed, in that order."""
+    has an enabled one is listed, in that order.  A guard's fault names its
+    edge."""
     lines = ["def _k(V, L, emitter):", "    ready = []"]
     edges = {}  # name in the kernel -> (update kernel, target, weight, edge)
     for i, (index, receive) in enumerate(receivers):
@@ -388,13 +404,16 @@ def _receive_kernel(channel: str, receivers: tuple):
             edges[f"R{i}"] = (index, (tuple(edge),))
             body = [f"ready.append(R{i})"]
             if guard is not None:
-                body = [f"if {guard.source}:", *_indent(body)]
+                body = _naming([f"if {guard.source}:", *_indent(body)],
+                               f"the guard of {edge[-1]}")
         else:
             body = ["e = []"]
             for j, (guard, *edge) in enumerate(receive):
                 edges[f"E{i}_{j}"] = tuple(edge)
                 body += ([f"e.append(E{i}_{j})"] if guard is None else
-                         [f"if {guard.source}:", f"    e.append(E{i}_{j})"])
+                         _naming([f"if {guard.source}:",
+                                  f"    e.append(E{i}_{j})"],
+                                 f"the guard of {edge[-1]}"))
             body += ["if e:", f"    ready.append(({index}, e))"]
         lines += [f"    if emitter != {index}:", *_indent(body, 8)]
     return _kernel(f"receive {channel}", lines + ["    return ready"],
@@ -427,21 +446,16 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
     component to its target and syncs those receivers through
     :func:`_sync`.  Then ``snap()`` gives the sample after the firing, and
     the kernel returns the event, ``(time, component, label, channel, pre,
-    post)`` (:data:`TraceEvent`).  An update's fault names its edge
-    (:func:`_updating`)."""
-    def enabled(i, guard, binary):
-        tests = [] if guard is None else [f"({guard.source})"]
-        if binary is not None:
-            tests.append(_ready_test(binary, index, f"r{i}"))
-        return " and ".join(tests)
-
+    post)`` (:data:`TraceEvent`).  A guard's or an update's fault names its
+    edge (:func:`_naming`)."""
     def fire(i, guard, update, label, target, weight, channel, binary,
              where):
         lines = [] if channel is None or binary is not None else [
             f"r{i} = (k := receivers[{channel!r}]) is not None and "
             f"k(V, L, {index})"]  # read before firing
-        lines += (_updating(f"U{i}(V, L)", where) if update is not None
-                  else [])
+        lines += (_naming([f"U{i}(V, L)"], f"the update of {where}",
+                          "(ArithmeticError, EngineError)")
+                  if update is not None else [])
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
             lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
@@ -452,16 +466,32 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
     if not edges:
         body.append("return None")
     elif len(edges) == 1:
-        test = enabled(0, edges[0][0], edges[0][6])
-        if test:
-            body += [f"if not ({test}):", "    return None"]
+        guard, binary, where = edges[0][0], edges[0][6], edges[0][7]
+        if guard is not None:
+            body += _naming([f"if not ({guard.source}):", "    return None"],
+                            f"the guard of {where}")
+        if binary is not None:
+            body += [f"if not ({_ready_test(binary, index, 'r0')}):",
+                     "    return None"]
         body += ["pre = presnap()", *fire(0, *edges[0])]
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
-            test = enabled(i, edge[0], edge[6])
-            body += ([f"if {test}:", f"    e.append({i})"] if test
-                     else [f"e.append({i})"])
+            guard, binary, where = edge[0], edge[6], edge[7]
+            append = [f"e.append({i})"]
+            if binary is not None:
+                ready = _ready_test(binary, index, f"r{i}")
+                if guard is None:
+                    body += [f"if {ready}:", *_indent(append)]
+                else:  # the guard alone is named on a fault
+                    body += [*_naming([f"g = {guard.source}"],
+                                      f"the guard of {where}"),
+                             f"if g and {ready}:", *_indent(append)]
+            elif guard is not None:
+                body += _naming([f"if {guard.source}:", *_indent(append)],
+                                f"the guard of {where}")
+            else:
+                body += append
         body += ["if not e:", "    return None", "pre = presnap()",
                  "i = e[0] if len(e) == 1 else "
                  "e[rng.weighted_choice([W[j] for j in e])]"]
@@ -477,21 +507,6 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
 
 
 @functools.cache
-def _rates_kernel(n: int, literals: tuple, evaluated: tuple):
-    """``(V, L)``: a new list of the rate at each of ``n`` slots, copied from
-    a template that holds each of ``literals``, ((slot, literal rate),
-    ...), and 1 elsewhere, with each of ``evaluated``, ((slot, rate fn),
-    ...), set to the rate's current value."""
-    template = [1.0] * n
-    for slot, lit in literals:
-        template[slot] = lit
-    return _kernel("rates", ["def _k(V, L):", "    R = T[:]",
-                             *[f"    R[{slot}] = float({fn.source})"
-                               for slot, fn in evaluated],
-                             "    return R"], T=template)
-
-
-@functools.cache
 def _watch_kernel(watch: tuple):
     """``(V, L)``: a new dict of the ``watch`` values, ((key, fn), ...), at
     the current state."""
@@ -500,12 +515,14 @@ def _watch_kernel(watch: tuple):
 
 
 def _window_lines(pred, probe, atoms: tuple, want: bool, found,
-                  horizon: Optional[str] = None) -> list:
+                  horizon: Optional[str] = None, rated=None) -> list:
     """Lines that find the earliest t in [0, horizon] at which the guard or
-    invariant ``pred`` has truth ``want`` under clock rates ``R``, and run
+    invariant ``pred`` has truth ``want`` under the clock rates, and run
     ``found(t)``'s lines there, t being ``0.0``, ``1e-9`` or the variable
     ``t``; they run nothing if there is none.  ``horizon`` names a variable
-    that holds a horizon > 0, or is None for no horizon.
+    that holds a horizon > 0, or is None for no horizon.  A probe reads the
+    rates from the list ``R``, or as ``rated``, a function of a probe's
+    source, writes them in (:func:`_rated`).
 
     Its atoms are affine in the clocks (validated), so truth can only flip
     where an atom ``g0 + slope * t`` crosses 0: the lines probe 1e-9 past
@@ -513,15 +530,18 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
     sitting at 0 with a nonzero slope, whose truth flips at once.  With at
     most one atom there is at most one crossing past 1e-9, so the lines
     probe 1e-9, then that crossing, in straight-line code; more atoms list
-    their crossings, sort them and probe them in a loop."""
+    their crossings, sort them and probe them in a loop.  An atom's value
+    and its probe are floats (compiled through ``float()`` where
+    :func:`stamc.expr.is_float` does not say they are)."""
+    rated = rated or (lambda source: source)
     test = "" if want else "not "
     within = "1e-9 < t" + ("" if horizon is None else f" <= {horizon}")
-    probed = f"{test}({probe.source})"
+    probed = f"{test}({rated(probe.source)})"
 
     def slope(diff, diff_probe):
         """Lines setting ``g`` to an atom's value and ``s`` to its slope."""
-        return [f"g = float({diff.source})", "dt = 1.0",
-                f"s = float({diff_probe.source}) - g"]
+        return [f"g = {diff.source}", "dt = 1.0",
+                f"s = {rated(diff_probe.source)} - g"]
 
     crossed = ["t = -g / s", f"if {within}:"]  # t: where the atom is 0
     if len(atoms) < 2:
@@ -546,40 +566,49 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
 
 
 def _sojourn_lines(name: str, index: int, invariant, inv_probe,
-                   inv_atoms: tuple, edges: tuple) -> list:
+                   inv_atoms: tuple, edges: tuple, rated=None) -> list:
     """Lines that find the sojourn of location ``name`` of the component
-    at index ``index`` under clock rates ``R``: ``start``, the earliest
+    at index ``index`` under the clock rates (read as
+    :func:`_window_lines` says, by ``rated``): ``start``, the earliest
     time at which one of its active edges can fire, or None if none can
     before its invariant closes, and, if it has an invariant, ``deadline``,
     the earliest time at which ``invariant`` (with its probe and atoms) is
     false, or ``INF``.  ``edges`` are ((guard, its probe, its atoms,
-    binary), ...); ``receivers`` are the step table's receive kernels by
-    channel.
+    binary, the edge in error messages), ...); ``receivers`` are the step
+    table's receive kernels by channel.
 
     The deadline is searched by :func:`_window_lines`; an invariant that
-    is false already raises, with the time ``time``.  Then the start is
-    searched in edge order by the same lines up to the deadline, and the
-    earliest kept; an unguarded edge starts at 0.  A binary emit takes
-    part only if exactly one receiver is ready: receiver locations are
-    frozen until the next event, and validation rejects a clock in a
-    binary receiver's guard, so the test holds for the whole sojourn."""
+    is false already raises, with the time ``time``.  An edge with no guard
+    that is not a binary emit starts at 0, which no edge can beat, so then
+    no edge is searched.  Otherwise the start is searched in edge order by
+    the same lines up to the deadline, and the earliest kept; an unguarded
+    binary emit starts at 0.  A binary emit takes part only if exactly one
+    receiver is ready: receiver locations are frozen until the next event,
+    and validation rejects a clock in a binary receiver's guard, so the
+    test holds for the whole sojourn.  A fault of the invariant or of a
+    guard names it (:func:`_naming`)."""
     lines = []
     if invariant is not None:
         message = f"invariant of {name} violated at entry (t={{time}})"
-        lines += ["deadline = INF", *_window_lines(
+        lines += _naming(["deadline = INF", *_window_lines(
             invariant, inv_probe, inv_atoms, False,
             lambda t: ([f"raise EngineError(f{message!r})"] if t == "0.0"
-                       else [f"deadline = {t}"]))]
+                       else [f"deadline = {t}"]), None, rated)],
+            f"the invariant of {name}")
+    if any(guard is None and binary is None
+           for guard, _, _, binary, _ in edges):
+        return lines + ["start = 0.0"]
     horizon = "deadline" if invariant is not None else None
     lines.append("start = None")
-    for i, (guard, probe, atoms, binary) in enumerate(edges):
+    for i, (guard, probe, atoms, binary, where) in enumerate(edges):
         def found(t, first=i == 0):
             if t == "0.0" or first:  # no start is earlier
                 return [f"start = {t}"]
             return [f"if start is None or {t} < start:", f"    start = {t}"]
 
-        search = (found("0.0") if guard is None else
-                  _window_lines(guard, probe, atoms, True, found, horizon))
+        search = (found("0.0") if guard is None else _naming(
+            _window_lines(guard, probe, atoms, True, found, horizon, rated),
+            f"the guard of {where}"))
         if binary is not None:
             search = [f"if {_ready_test(binary, index, 'r')}:",
                       *_indent(search)]
@@ -587,28 +616,25 @@ def _sojourn_lines(name: str, index: int, invariant, inv_probe,
     return lines
 
 
-@functools.cache
-def _race_kernel(actors: tuple):
-    """``(V, L, R, receivers, rng, time, located)``: the race of a timed
-    step, ``(delay, winner, cap)``, among ``actors``, ((the arguments of
-    :func:`_sojourn_lines`, exit rate), ...) of the actors of a step table
-    in component order; ``located`` are the table's (component, location)
-    pairs of those actors, and ``receivers`` its receive kernels by
-    channel.
+def _race_lines(actors: tuple, rated) -> list:
+    """Lines that run the race of a timed step among ``actors``, ((the
+    arguments of :func:`_sojourn_lines`, exit rate), ...) of the actors of
+    a step table in component order, whose (component, location) pairs are
+    ``located``: they set ``best``, ``winner`` and ``cap``.
 
     Each actor's lines find its start and deadline, and it draws its delay
     at once, before the next actor's search: ``rng.uniform(start,
     deadline)`` when the deadline is finite, and ``start +
     rng.exponential(rate)`` otherwise, ``rate`` being its exit rate.  An
-    actor that cannot fire draws nothing.  ``delay`` is the least delay
-    drawn, by the first actor in component order that drew it, whose
-    pair is ``winner``; INF and None if no actor can fire.  ``cap`` is the
+    actor that cannot fire draws nothing.  ``best`` is the least delay
+    drawn, by the first actor in component order that drew it, whose pair
+    is ``winner``; INF and None if no actor can fire.  ``cap`` is the
     earliest deadline of an actor that cannot fire, or INF."""
     lines = ["best = cap = INF", "winner = None"]
     for j, (sojourn, rate) in enumerate(actors):
         keep = ["if d < best:", "    best = d", f"    winner = located[{j}]"]
         exponential = f"d = start + rng.exponential({rate!r})"
-        lines += _sojourn_lines(*sojourn)
+        lines += _sojourn_lines(*sojourn, rated)
         if sojourn[2] is None:  # no invariant
             lines += ["if start is not None:", f"    {exponential}",
                       *_indent(keep)]
@@ -620,24 +646,80 @@ def _race_kernel(actors: tuple):
                       "        d = rng.uniform(start, deadline)",
                       "    else:", f"        {exponential}",
                       *_indent(keep)]
-    names = " ".join(sojourn[0] for sojourn, _ in actors)
-    return _kernel(f"race {names}".rstrip(), [
-        "def _k(V, L, R, receivers, rng, time, located):",
-        *_indent(lines + ["return best, winner, cap"])])
+    return lines
 
 
-@functools.cache
-def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
-                    stage_y: tuple, exact: bool):
-    """``(V, L, R, dt, h_max)`` advancing every clock of a rate plan by
-    ``dt``: the ``integrated`` clocks, ((slot, its rate, its key), ...),
-    jointly, then the ``advanced`` ones, ((slot, its key, its literal
-    rate or None), ...), by ``rate * dt``.  A literal rate, 1 for an unrated
-    clock, is written into the code; any other constant rate is read from
-    ``R`` and checked to be finite.  A stage of the integration moves the
-    ``stage_const`` slots to the stage's time offset at their constant
-    rates and sets the ``stage_y`` slots, the integrated clocks that rates
-    read, to the stage's input, then evaluates every integrated rate.  An
+_Clocks = collections.namedtuple("_Clocks", (
+    "advanced", "integrated", "stage_const", "stage_y", "exact"))
+_Clocks.__doc__ = """How the clocks of a location configuration advance
+over a delay: ``advanced``, ((slot, key, literal rate or None), ...), the
+clocks that advance by ``rate * dt``, None for a clock-free rate that is
+not a literal; ``integrated``, ((slot, rate fn, key, where), ...), the
+clock-reading rates; the slots that an integration stage sets,
+``stage_const`` and ``stage_y`` (:func:`_advance_lines`); and whether one
+midpoint step integrates them ``exact``ly."""
+
+_RatePlan = collections.namedtuple("_RatePlan", (
+    "size", "fixed", "probed", "clocks"))
+_RatePlan.__doc__ = """The rates of a location configuration
+(:class:`_StepTable`), in the terms of the kernels that it generates:
+``size`` slots of ``V``; ``fixed``, ((slot, rate fn, where), ...), the
+clock-free rates that are not literals, in ``clocks.advanced`` order;
+``probed``, ((slot, rate fn, where), ...), the clock-reading rates whose
+clock a guard or invariant reads; and ``clocks``, how they advance
+(:data:`_Clocks`).  ``where`` names a rate in error messages, as ``the
+rate of x in T.a``; a rate fn returns a float."""
+
+# the clock terms of a probe's source, V[k] + R[k] * dt
+_PROBE_TERM = re.compile(r"R\[(\d+)\] \* dt")
+
+
+def _times(slot: int, lit, by: str) -> str:
+    """The rate of the clock at ``slot`` times ``by``: ``by`` alone at rate
+    1, which ``1.0 * by`` equals bit for bit, a literal rate ``lit``
+    written in, and a rate that is not a literal (``lit`` None) read from
+    the local ``r{slot}``."""
+    if lit == 1.0:
+        return by
+    return f"{f'r{slot}' if lit is None else repr(lit)} * {by}"
+
+
+def _rated(plan: _RatePlan):
+    """A function that writes the rates of ``plan`` into the source of a
+    probe: each clock's ``V[k] + R[k] * dt`` reads ``V[k] + dt`` at rate 1,
+    ``V[k] + 0.5 * dt`` at a literal rate 0.5, and ``V[k] + r{k} * dt``
+    where the local ``r{k}`` holds an evaluated rate, each bit-identical to
+    reading the rate from ``R``.  A clock-reading rate that no probe reads
+    reads 1, as the rate kernel's list holds it."""
+    rates = {slot: lit for slot, _, lit in plan.clocks.advanced}
+    probed = {slot for slot, _, _ in plan.probed}
+    rates.update((slot, None if slot in probed else 1.0)
+                 for slot, *_ in plan.clocks.integrated)
+
+    def term(match):
+        slot = int(match.group(1))
+        return _times(slot, rates[slot], "dt")
+    return lambda source: _PROBE_TERM.sub(term, source)
+
+
+def _rate_lines(rates: tuple) -> list:
+    """Lines setting the local ``r{slot}`` to the value of each of
+    ``rates``, ((slot, rate fn, where), ...), naming ``where`` on a
+    fault."""
+    return [line for slot, fn, where in rates
+            for line in _naming([f"r{slot} = {fn.source}"], where)]
+
+
+def _advance_lines(clocks: _Clocks) -> list:
+    """Lines advancing every clock of ``clocks`` by ``dt``, with ``h_max``
+    in scope and each clock-free rate that is not a literal in the local
+    ``r{slot}``: the ``integrated`` clocks jointly, then the ``advanced``
+    ones by ``rate * dt``.  A literal rate, 1 for an unrated clock, is
+    written into the code; any other is checked to be finite.  A stage of
+    the integration moves the ``stage_const`` slots to the stage's time
+    offset at their constant rates and sets the ``stage_y`` slots, the
+    integrated clocks that rates read, to the stage's input, then evaluates
+    every integrated rate, checked to be finite and named on a fault.  An
     ``exact`` plan takes one midpoint stage at ``dt / 2``; a stepped one
     takes ``max(1, ceil(dt / h_max))`` RK4 steps of four stages."""
     def check(var, key):
@@ -645,38 +727,35 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
         return [f"if not isfinite({var}):",
                 f"    raise EngineError({message!r})"]
 
-    base = {slot: i for i, (slot, _, _) in enumerate(advanced)}
-    literal = {slot: lit for slot, _, lit in advanced}
-    y = {slot: i for i, (slot, _, _) in enumerate(integrated)}
+    base = {slot: i for i, (slot, _, _) in enumerate(clocks.advanced)}
+    literal = {slot: lit for slot, _, lit in clocks.advanced}
+    y = {slot: i for i, (slot, *_) in enumerate(clocks.integrated)}
 
     def moved(slot, by):
-        """The constant-rate clock at ``slot`` after ``by`` time units:
-        ``1.0 * by`` is ``by``, bit for bit."""
-        lit = literal[slot]
-        rate = f"R[{slot}] * " if lit is None else (
-            "" if lit == 1.0 else f"{lit!r} * ")
-        return f"b{base[slot]} + {rate}{by}"
+        """The constant-rate clock at ``slot`` after ``by`` time units."""
+        return f"b{base[slot]} + {_times(slot, literal[slot], by)}"
 
     def stage(k, offset, step=None):
         """Lines setting ``{k}{i}`` to the rate of integrated clock i at
         time ``offset``, with the clock at ``y{i}``, or at
         ``y{i} + {name}{i} * {width}`` for ``step`` = (name, width)."""
-        lines = [f"V[{slot}] = {moved(slot, offset)}" for slot in stage_const]
-        for slot in stage_y:
+        lines = [f"V[{slot}] = {moved(slot, offset)}"
+                 for slot in clocks.stage_const]
+        for slot in clocks.stage_y:
             i = y[slot]
             lines.append(f"V[{slot}] = y{i}" if step is None else
                          f"V[{slot}] = y{i} + {step[0]}{i} * {step[1]}")
-        for i, (_, fn, key) in enumerate(integrated):
-            lines.append(f"{k}{i} = float({fn.source})")
+        for i, (_, fn, key, where) in enumerate(clocks.integrated):
+            lines += _naming([f"{k}{i} = {fn.source}"], where)
             lines += check(f"{k}{i}", key)
         return lines
 
     body = [f"b{i} = V[{slot}]" for slot, i in base.items()]
     body += [f"y{i} = V[{slot}]" for slot, i in y.items()]
-    if integrated and exact:
+    if clocks.integrated and clocks.exact:
         body += ["h = dt / 2", *stage("k", "h")]
         body += [f"V[{slot}] = y{i} + k{i} * dt" for slot, i in y.items()]
-    elif integrated:
+    elif clocks.integrated:
         body += ["n = max(1, ceil(dt / h_max))", "h = dt / n",
                  "h2 = h / 2", "h6 = h / 6", "t = 0.0", "for _ in range(n):"]
         body += _indent([
@@ -688,14 +767,121 @@ def _advance_kernel(advanced: tuple, integrated: tuple, stage_const: tuple,
               for i in y.values()],
             "t += h"])
         body += [f"V[{slot}] = y{i}" for slot, i in y.items()]
-    for slot, key, lit in advanced:
+    for slot, key, lit in clocks.advanced:
         if lit is None:
-            body += [f"r = R[{slot}]", *check("r", key),
-                     f"V[{slot}] = b{base[slot]} + r * dt"]
-        else:
-            body.append(f"V[{slot}] = {moved(slot, 'dt')}")
-    return _kernel("advance", ["def _k(V, L, R, dt, h_max):",
-                               *_indent(body or ["pass"])])
+            body += check(f"r{slot}", key)
+        body.append(f"V[{slot}] = {moved(slot, 'dt')}")
+    return body
+
+
+def _fixed(clocks: _Clocks, form: str = "r{}") -> str:
+    """The clock-free rates of ``clocks`` that are not literals, as an
+    advance kernel takes them, after its other arguments: each as ``form``
+    of its slot, the local ``r{slot}`` by default."""
+    return "".join(", " + form.format(slot)
+                   for slot, _, lit in clocks.advanced if lit is None)
+
+
+@functools.cache
+def _advance_kernel(clocks: _Clocks):
+    """``(V, L, dt, h_max, r{slot}, ...)`` advancing every clock of
+    ``clocks`` by ``dt`` (:func:`_advance_lines`), given the clock-free
+    rates that are not literals; None if there is no clock."""
+    lines = _advance_lines(clocks)
+    if not lines:
+        return None
+    return _kernel("advance", [f"def _k(V, L, dt, h_max{_fixed(clocks)}):",
+                               *_indent(lines)])
+
+
+@functools.cache
+def _step_kernel(actors: tuple, plan: _RatePlan):
+    """``(V, L, receivers, rng, time, located, remaining, h_max)``: one
+    timed step of a step table up to its fire, ``(time after the delay,
+    winner, end)``.  ``actors`` and ``located`` are the table's actors, as
+    :func:`_race_lines` takes them, ``plan`` its rate plan, ``receivers``
+    its receive kernels by channel, and ``remaining`` the time left to the
+    bound.
+
+    The kernel evaluates the ``fixed`` rates, then the ``probed`` ones,
+    into locals, runs the race, whose probes read those locals and the
+    literal rates (:func:`_rated`), and stops time at ``stop = min(cap,
+    remaining)``: the delay is ``stop`` and ``end`` "bound_reached" (or
+    "deadlock", if ``cap`` is before the bound) when no winner drew a
+    delay up to it, and otherwise the winner's delay and ``end`` None.  A
+    rounding residue of a boundary nudge below 0 delays 0.  Then the plan's
+    advance kernel, one per plan, moves the clocks by the delay.  With
+    ``located`` None, the kernel takes the 1e-9 nudge instead of a race:
+    the ``fixed`` rates read no clock, so they are those of the step's
+    start, and the advance evaluates every other rate it reads itself."""
+    race = [*_rate_lines(plan.probed), *_race_lines(actors, _rated(plan)),
+            "stop = cap if cap < remaining else remaining",
+            "if best > stop:  # no winner, or past the bound or cap",
+            "    dt = stop",
+            "    end = 'bound_reached' if cap >= remaining else 'deadlock'",
+            "else:", "    dt = best", "    end = None",
+            "if dt < 0:",
+            "    if dt < -1e-6:", "        raise EngineError('negative dt')",
+            "    dt = 0.0  # rounding residue from a boundary nudge"]
+    body = [*_rate_lines(plan.fixed),
+            "if located is None:  # the nudge",
+            "    dt = 1e-9", "    winner = end = None",
+            "else:", *_indent(race)]
+    advance = _advance_kernel(plan.clocks)
+    if advance is not None:
+        body += ["if dt != 0.0:",
+                 f"    A(V, L, dt, h_max{_fixed(plan.clocks)})"]
+    names = " ".join(sojourn[0] for sojourn, _ in actors)
+    return _kernel(f"step {names}".rstrip(), [
+        "def _k(V, L, receivers, rng, time, located, remaining, h_max):",
+        *_indent(body + ["return time + dt, winner, end"])], A=advance)
+
+
+# The reference kernels, which the stepwise Simulator drives: the step
+# kernel's rates, race and advance, each a kernel of its own, generated by
+# the same line generators when a step first asks for them.
+
+
+@functools.cache
+def _rates_kernel(plan: _RatePlan):
+    """``(V, L)``: a new list of the rate at each slot of ``plan``, copied
+    from a template that holds each literal rate and 1 elsewhere, with each
+    ``fixed`` and ``probed`` rate set to its current value."""
+    template = [1.0] * plan.size
+    for slot, _, lit in plan.clocks.advanced:
+        if lit is not None:
+            template[slot] = lit
+    evaluated = plan.fixed + plan.probed
+    return _kernel("rates", ["def _k(V, L):", "    R = T[:]",
+                             *_indent(_rate_lines(evaluated)),
+                             *[f"    R[{slot}] = r{slot}"
+                               for slot, _, _ in evaluated],
+                             "    return R"], T=template)
+
+
+@functools.cache
+def _race_kernel(actors: tuple, plan: _RatePlan):
+    """``(V, L, R, receivers, rng, time, located)``: the race of a timed
+    step, ``(delay, winner, cap)``, by :func:`_race_lines`, under the rates
+    ``R`` that the rate kernel of ``plan`` gives."""
+    names = " ".join(sojourn[0] for sojourn, _ in actors)
+    return _kernel(f"race {names}".rstrip(), [
+        "def _k(V, L, R, receivers, rng, time, located):",
+        *_indent([f"r{slot} = R[{slot}]"
+                  for slot, _, _ in plan.fixed + plan.probed]),
+        *_indent(_race_lines(actors, _rated(plan))),
+        "    return best, winner, cap"])
+
+
+@functools.cache
+def _advance_reference(clocks: _Clocks):
+    """``(V, L, R, dt, h_max)`` advancing every clock of ``clocks`` by
+    ``dt`` by its advance kernel, under the rates ``R`` that a rate kernel
+    gives."""
+    advance = _advance_kernel(clocks)
+    return _kernel("advance R", [
+        "def _k(V, L, R, dt, h_max):", "    pass" if advance is None else
+        f"    A(V, L, dt, h_max{_fixed(clocks, 'R[{}]')})"], A=advance)
 
 
 # --- compilation -----------------------------------------------------------
@@ -748,7 +934,7 @@ class _CompiledLocation:
         self.reads = reads
         self.active = []  # outgoing edges that are internal or emit
         self.receive = {}  # channel -> outgoing receive edges
-        # from lower(): its part in a race kernel, (the arguments of
+        # from lower(): its part in a step kernel's race, (the arguments of
         # _sojourn_lines, exit rate), or None unless the location is timed
         # and has an active edge or an invariant, and the fire kernel of the
         # active edges
@@ -757,7 +943,7 @@ class _CompiledLocation:
 
     def lower(self) -> None:
         """Generate the kernels of this location and of its outgoing edges,
-        and its part in a race kernel, once.  The first step table that
+        and its part in a step kernel's race, once.  The first step table that
         holds the location asks for them, as it asks for its rate plan's,
         so a network generates none for a location it never enters."""
         if self.lowered:
@@ -768,7 +954,7 @@ class _CompiledLocation:
             self.race = ((self.name, self.index, self.invariant,
                           self.inv_probe, self.inv_atoms, tuple(
                               (e.guard, e.guard_probe, e.guard_atoms,
-                               e.binary) for e in self.active)),
+                               e.binary, e.where) for e in self.active)),
                          self.exit_rate or 1.0)
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
@@ -781,35 +967,39 @@ class _CompiledLocation:
 
 class _StepTable:
     """What a step needs in one location configuration: the committed
-    components, the actors, the race kernel, the receive kernels per
+    components, the actors, the step kernel, the receive kernels per
     channel and the rate plan.  An actor is a component whose location
     takes part in a race (``race`` is not None): it can fire or its
     invariant caps the delay.  One that can do neither draws nothing and
-    caps nothing, so the race leaves it out.  ``race`` is the race kernel
-    of the actors when no component is committed, for the step is timed,
-    and None otherwise.  Components come as (component, location) pairs,
-    in component order.
-    ``receivers`` maps each channel that an active edge of the
+    caps nothing, so the race leaves it out.  ``step`` is the step kernel
+    of the actors and the rate plan (:func:`_step_kernel`) when no
+    component is committed, for the step is timed, and None otherwise: it
+    evaluates the rates, runs the race and advances the clocks in one
+    call.  Components come as (component, location) pairs, in component
+    order.  ``receivers`` maps each channel that an active edge of the
     configuration emits on to its receive kernel, or to None where no
     component of the configuration receives on it.
 
-    The rate plan says how clocks advance in the configuration: the clocks
-    that advance at a constant rate (a clock-free rate, or 1), and the
-    clock-reading rates that are integrated (validation rejects a clock
-    that two components rate).  It is ``exact`` when the integrated rates
-    read only constant-rate clocks and are affine in them: they are then
-    linear in time over a delay.  ``advance`` is its advance kernel, and
-    ``rates`` its rate kernel, the linear probe basis of window search: a
-    copy of the template fills every slot, 1 at each unrated clock and at
-    each slot that is not a clock, and its value at each clock with a
-    literal rate; the kernel then evaluates the other clock-free rates, and
-    the clock-reading rates of the clocks that a guard or invariant of the
-    configuration reads.  The slot of any other clock-reading rate keeps 1,
-    unread: the advance kernel integrates such a clock by evaluating its
-    rate itself."""
+    The rate plan (:data:`_RatePlan`) says how clocks advance in the
+    configuration: the clocks that advance at a constant rate (a
+    clock-free rate, or 1), and the clock-reading rates that are
+    integrated (validation rejects a clock that two components rate).  It
+    is ``exact`` when the integrated rates read only constant-rate clocks
+    and are affine in them: they are then linear in time over a delay.
+    The step kernel evaluates the clock-free rates that are not literals,
+    and the clock-reading rates of the clocks that a guard or invariant of
+    the configuration reads, the linear probe basis of window search; the
+    advance integrates any other clock-reading rate by evaluating it.
 
-    __slots__ = ("committed", "actors", "race", "receivers", "exact",
-                 "rates", "advance")
+    ``rates``, ``race`` and ``advance`` are the reference kernels that
+    ``Simulator`` drives, one for each part of the step kernel, generated
+    by the same line generators on first use: ``rates`` gives a new list of
+    the rate at each slot, 1 at each unrated clock, at each slot that is
+    not a clock and at any clock-reading rate that no probe reads, and
+    ``race`` and ``advance`` read the rates from that list."""
+
+    __slots__ = ("committed", "actors", "step", "receivers", "exact",
+                 "_parts", "_plan", "_race", "_rates", "_advance")
 
     def __init__(self, net, config):
         located = [(cc, cc.locations[loc_id])
@@ -819,8 +1009,6 @@ class _StepTable:
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
         self.actors = [(cc, loc) for cc, loc in located
                        if loc.race is not None]
-        self.race = None if self.committed else _race_kernel(
-            tuple(loc.race for _, loc in self.actors))
         self.receivers = {}
         for channel in dict.fromkeys(e.channel for _, loc in located
                                      for e in loc.active if e.channel):
@@ -834,43 +1022,63 @@ class _StepTable:
         reads = set().union(*(loc.reads for _, loc in located))
 
         timed = [loc for _, loc in located if not loc.committed]
-        rates = {}  # clock slot -> (slot, fn, clock slots it reads, literal)
-        for loc in timed:
-            for rate in loc.rates:
-                rates[rate[0]] = rate
         keys = net.keys
+        rates = {}  # clock slot -> (fn, clock slots it reads, literal, where)
+        for loc in timed:
+            for slot, fn, clocks, lit in loc.rates:
+                rates[slot] = (fn, clocks, lit,
+                               f"the rate of {keys[slot]} in {loc.name}")
         # advanced by rate * dt: clock-free rates, then clocks at rate 1
         advanced = []  # (slot, key, literal rate or None)
-        coupled = {}  # slot -> its clock-reading rate
+        coupled = {}  # slot -> its clock-reading rate and where
         read = set()  # clocks that the coupled rates read
         # evaluated per delay: the clock-free rates that are not literals,
         # which advance their clocks, and the coupled rates of the clocks
         # that a window probe reads
-        evaluated = []
-        for slot, fn, clocks, lit in rates.values():
+        fixed, probed = [], []
+        for slot, (fn, clocks, lit, where) in rates.items():
             if clocks:
-                coupled[slot] = fn
+                coupled[slot] = fn, where
                 read |= clocks
                 if slot in reads:
-                    evaluated.append((slot, fn))
+                    probed.append((slot, fn, where))
             else:
                 advanced.append((slot, keys[slot], lit))
                 if lit is None:
-                    evaluated.append((slot, fn))
+                    fixed.append((slot, fn, where))
         advanced += [(slot, keys[slot], 1.0) for slot in net.clock_slots
                      if slot not in rates]
-        self.rates = _rates_kernel(len(keys), tuple(
-            (slot, lit) for slot, _, lit in advanced
-            if lit is not None and slot in rates), tuple(evaluated))
         # what the coupled rates read in a midpoint or RK4 stage: clocks that
         # advance at a constant rate, and integrated clocks
-        stage_const = tuple(slot for slot, _, _ in advanced if slot in read)
         stage_y = tuple(slot for slot in coupled if slot in read)
         self.exact = not stage_y and all(loc.affine for loc in timed)
-        self.advance = _advance_kernel(
-            tuple(advanced),
-            tuple((slot, fn, keys[slot]) for slot, fn in coupled.items()),
-            stage_const, stage_y, self.exact)
+        self._plan = _RatePlan(len(keys), tuple(fixed), tuple(probed), _Clocks(
+            tuple(advanced), tuple((slot, fn, keys[slot], where)
+                                   for slot, (fn, where) in coupled.items()),
+            tuple(slot for slot, _, _ in advanced if slot in read), stage_y,
+            self.exact))
+        self._parts = tuple(loc.race for _, loc in self.actors)
+        self.step = (None if self.committed else
+                     _step_kernel(self._parts, self._plan))
+        self._race = self._rates = self._advance = None
+
+    @property
+    def rates(self):
+        if self._rates is None:
+            self._rates = _rates_kernel(self._plan)
+        return self._rates
+
+    @property
+    def race(self):
+        if self._race is None and not self.committed:
+            self._race = _race_kernel(self._parts, self._plan)
+        return self._race
+
+    @property
+    def advance(self):
+        if self._advance is None:
+            self._advance = _advance_reference(self._plan.clocks)
+        return self._advance
 
 
 _BOOLEAN_OPS = E.COMPARISONS | E.LOGICAL
@@ -887,22 +1095,36 @@ def _affine_rate(e, is_clock) -> bool:
         for n in E.walk(e))
 
 
-def _store(rhs, vtype: str, type_of):
-    """How an update kernel stores ``rhs`` in a slot of type ``vtype``
-    (:func:`_update_kernel`): "float", "bool", or, for an int, "int"
-    through ``_coerce``, except where no conversion is needed.  An integral
-    literal in the 64-bit range, or its negation, is stored as that int,
-    and a lone int variable (``type_of`` its name is "int"), which holds an
-    int already, as it is."""
-    if vtype != "int":
-        return "bool" if vtype == "bool" else "float"
+def _literal(rhs):
+    """The value of ``rhs`` if it is a number literal or its negation, else
+    None."""
     negated = isinstance(rhs, E.Unary) and rhs.op == "-"
     literal = rhs.operand if negated else rhs
     if isinstance(literal, E.Num):
-        value = -literal.value if negated else literal.value
-        if is_int(value):
-            return int(value)
-    elif isinstance(rhs, E.Name) and type_of(rhs.name) == "int":
+        return -literal.value if negated else literal.value
+    return None
+
+
+def _store(rhs, vtype: str, type_of, is_float) -> str:
+    """How an update kernel stores ``rhs`` in a slot of type ``vtype``
+    (:func:`_update_kernel`), a key of ``_STORES``: "bool"; for a real or a
+    clock, "float", unless ``is_float(rhs)`` says it is a float already,
+    which is stored "as is"; for an int, "int" through ``_coerce``, except
+    where no conversion is needed.  A number literal, or its negation, is
+    stored as its constant, the source of a float for a real or a clock,
+    and of an int for an int if it is integral and in the 64-bit range.  A
+    lone int variable (``type_of`` its name is "int"), which holds an int
+    already, is stored as it is."""
+    value = _literal(rhs)
+    if vtype == "bool":
+        return "bool"
+    if vtype != "int":
+        if value is not None:
+            return repr(float(value))
+        return "as is" if is_float(rhs) else "float"
+    if value is not None:
+        return repr(int(value)) if is_int(value) else "int"
+    if isinstance(rhs, E.Name) and type_of(rhs.name) == "int":
         return "as is"
     return "int"
 
@@ -931,6 +1153,10 @@ class CompiledNetwork:
         self.slots = {key: i for i, key in enumerate(self.keys)}
         self.clock_slots = [self.slots[key] for key, vtype
                             in self.var_types.items() if vtype == "clock"]
+        # the slots that hold a float: reals and clocks
+        self.float_slots = frozenset(
+            self.slots[key] for key, vtype in self.var_types.items()
+            if vtype in ("real", "clock"))
         self._init = [(self.slots[d.name], d.init, d.type)
                       for d in model.decls]
         # V and L at the start of a run, from the first run on
@@ -942,7 +1168,8 @@ class CompiledNetwork:
         # configurations whose step tables copies of this network built in
         # other processes; smc builds their tables before it forks workers
         self.reached = set()
-        self._watches = {}  # watch tuple -> (compiled watch, its kernel)
+        self._watches = {}  # watch tuple -> its compiled watch
+        self._floats = {}  # expression -> compiled to a float
         self.query_resolver = self._slotted(resolver(network))
 
         for index, comp in enumerate(network.components):
@@ -962,11 +1189,14 @@ class CompiledNetwork:
                 return frozenset(self.slots[value_key(resolve, n)]
                                  for n in E.names(e) if is_clock(n))
 
+            def is_float(e) -> bool:
+                return E.is_float(e, slotted, self.float_slots)
+
             for loc in comp.template.locations:
                 rates = {}
                 for clk, rate_expr in loc.rates:
                     rates[self.slots[resolve(clk)[1]]] = (
-                        E.compile_expr(rate_expr, slotted),
+                        E.compile_expr(rate_expr, slotted, self.float_slots),
                         clock_refs(rate_expr),
                         float(rate_expr.value)
                         if isinstance(rate_expr, E.Num) else None)
@@ -985,7 +1215,8 @@ class CompiledNetwork:
                     key = resolve(name)[1]
                     stores.append((self.slots[key],
                                    E.compile_expr(rhs, slotted),
-                                   _store(rhs, self.var_types[key], type_of)))
+                                   _store(rhs, self.var_types[key], type_of,
+                                          is_float)))
                 sync = edge.sync
                 channel = sync.channel if sync is not None else None
                 binary = (channel if sync is not None
@@ -1028,7 +1259,7 @@ class CompiledNetwork:
     def _compile_window(self, boolean_expr, resolve, clock_refs):
         """(predicate, its probe, ((lhs - rhs, its probe), ...) for each
         clock-bearing atom) of a guard or invariant; (None, None, ()) for
-        an absent one."""
+        an absent one.  An atom and its probe return floats."""
         if boolean_expr is None:
             return None, None, ()
         clocks = frozenset(self.clock_slots)
@@ -1036,8 +1267,9 @@ class CompiledNetwork:
         for atom in E.comparison_atoms(boolean_expr):
             if clock_refs(atom.left) or clock_refs(atom.right):
                 diff = E.Binary("-", atom.left, atom.right)
-                atoms.append((E.compile_expr(diff, resolve),
-                              E.compile_probe(diff, resolve, clocks)))
+                atoms.append((
+                    E.compile_expr(diff, resolve, self.float_slots),
+                    E.compile_probe(diff, resolve, clocks, self.float_slots)))
         return (E.compile_expr(boolean_expr, resolve),
                 E.compile_probe(boolean_expr, resolve, clocks), tuple(atoms))
 
@@ -1090,6 +1322,19 @@ class CompiledNetwork:
                           for x in key))
         return out
 
+    def compile_float(self, expr):
+        """The query-scope expression ``expr``, text or AST, compiled to
+        return a float, through ``float()`` only where
+        :func:`stamc.expr.is_float` does not say it is one; built once per
+        expression."""
+        fn = self._floats.get(expr)
+        if fn is None:
+            from .parser import parse_expression
+            e = parse_expression(expr) if isinstance(expr, str) else expr
+            fn = self._floats[expr] = E.compile_expr(
+                e, self.query_resolver, self.float_slots)
+        return fn
+
 
 # --- simulator -------------------------------------------------------------
 
@@ -1115,8 +1360,9 @@ def _sampler(V, L, watch, monitor):
 class Simulator:
     """One run's state, ``V``, ``L`` and ``time``, and its steps, one call
     each: the stepwise form of :func:`run`'s loop, which the tests drive
-    and extend.  ``run`` takes its state and sampler from here, and none of
-    the steps."""
+    and extend.  A timed step calls the step table's reference rate, race
+    and advance kernels where ``run`` calls its step kernel.  ``run`` takes
+    its state and sampler from here, and none of the steps."""
 
     def __init__(self, net: CompiledNetwork, rng: RngStream,
                  config: Optional[RunConfig] = None, watch=(), monitor=None):
@@ -1141,7 +1387,8 @@ class Simulator:
         """The race of a timed step in ``table``, the step table of the
         current state: ``(delay, winner, cap)``.
 
-        The table's race kernel draws each actor's delay, Uniform[L, U] when
+        The table's reference race kernel, which runs the step kernel's
+        race lines, draws each actor's delay, Uniform[L, U] when
         its invariant bounds the sojourn, otherwise L + Exponential(exit
         rate, default 1), U being the invariant's deadline under ``rates``,
         the step table's rates at the current state, and L the earliest
@@ -1157,10 +1404,11 @@ class Simulator:
 
     def advance_time(self, dt: float, rates: list) -> None:
         """Advance all clocks by dt under the current location rates, by the
-        step table's advance kernel.
+        step table's reference advance kernel, which calls the advance
+        kernel that the step kernel calls.
 
-        ``rates`` are what the step table's rate kernel gave in this
-        location configuration, which a step evaluates once for window
+        ``rates`` are what the step table's reference rate kernel gave in
+        this location configuration, which a step evaluates once for window
         search and passes on: a clock-free rate reads no clock, so no delay
         changes it.
         """
@@ -1260,7 +1508,7 @@ def run(network, bound: float, rng: RngStream, watch=(),
     snapshot, last, recall = sim._snapshot, sim._last, sim._recall
     tables, h_max = net._tables, config.h_max
     events = []
-    # Simulator.step's loop, with sample_delay and advance_time inlined
+    # Simulator.step's loop, a timed step by one call of the step kernel
     try:
         initial = last[0] = snapshot()
         for _ in range(config.max_steps):
@@ -1276,29 +1524,17 @@ def run(network, bound: float, rng: RngStream, watch=(),
                     end = "deadlock"
                     break
             else:
-                rates = table.rates(V, L)
-                delay, winner, cap = table.race(V, L, rates, receivers, rng,
-                                                time, table.actors)
-                remaining = bound - time
-                stop = cap if cap < remaining else remaining
-                ends = delay > stop  # no winner, or past the bound or cap
-                dt = stop if ends else delay
-                if dt < 0:
-                    if dt < -1e-6:
-                        raise EngineError("negative dt")
-                    dt = 0.0  # rounding residue from a boundary nudge
-                if dt != 0.0:
-                    table.advance(V, L, rates, dt, h_max)
-                    time += dt
-                if ends:
-                    end = "bound_reached" if cap >= remaining else "deadlock"
+                time, winner, end = table.step(V, L, receivers, rng, time,
+                                               table.actors, bound - time,
+                                               h_max)
+                if end is not None:
                     break
                 cc, loc = winner
                 fired = loc.fire(V, L, receivers, rng, snapshot, snapshot,
                                  time)
                 if fired is None:  # a boundary guard a few ulps short
-                    table.advance(V, L, rates, 1e-9, h_max)
-                    time += 1e-9
+                    time = table.step(V, L, receivers, rng, time, None, 0.0,
+                                      h_max)[0]
                     fired = loc.fire(V, L, receivers, rng, snapshot,
                                      snapshot, time)
                 if fired is None:
@@ -1315,16 +1551,18 @@ def run(network, bound: float, rng: RngStream, watch=(),
         return Trace(initial, events, time, end, snapshot(),
                      {cc.name: loc for cc, loc in zip(net.components, L)})
     except (ArithmeticError, EngineError) as exc:
-        edge = getattr(exc, "edge", None)  # set by _updating and _sync
-        if isinstance(exc, ArithmeticError):  # x / 0, n % 0, a power
+        # the guard, invariant, rate or update at fault, set by _naming
+        # and _sync
+        where = getattr(exc, "where", None)
+        if isinstance(exc, ArithmeticError):  # x / 0, n % 0, an overflow
             message = (f"arithmetic error at t={time}: "
                        f"{type(exc).__name__}: {exc}")
-        elif edge is not None:  # an update's store, such as an int's
+        elif where is not None:  # an update's store, such as an int's
             message = f"{exc} at t={time}"
         else:
             raise
-        where = "" if edge is None else f", in the update of {edge}"
-        raise EngineError(message + where) from None
+        raise EngineError(
+            message + ("" if where is None else f", in {where}")) from None
 
 
 def trace_to_jsonl(trace: Trace) -> str:

@@ -17,6 +17,10 @@ copying ``V``.
 Each function is evaluated once per distinct (parameters, source), cached
 on those two strings, and carries its source as ``fn.source``, from
 which :mod:`stamc.engine` builds its kernels.
+
+:func:`is_float` says when an expression always evaluates to a Python
+float; a compiled form that must return a float wraps its source in
+``float()`` only where it does not.
 """
 
 from __future__ import annotations
@@ -166,24 +170,67 @@ def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
     raise ExprError(f"unknown node {e!r}")
 
 
+def is_float(e: Expr, resolver: Resolver, floats) -> bool:
+    """Whether ``e`` always evaluates to a Python float, where the
+    variables whose keys are in ``floats`` hold floats: a float ``Num`` or
+    constant, or such a variable; a ``/``; a ``+``, ``-``, ``*`` or ``%``
+    with a float operand, or the negation of a float; a conditional whose
+    two branches are floats; ``abs`` of a float, and ``min`` or ``max`` of
+    floats only.  Anything else may be an int or a bool, such as ``n % 2``
+    of an int ``n``, or an operand that ``&&`` returns."""
+    if isinstance(e, Num):
+        return isinstance(e.value, float)
+    if isinstance(e, Name):
+        kind, *rest = resolver(e.name)
+        if kind == "var":
+            return rest[0] in floats
+        return kind == "const" and isinstance(rest[0], float)
+    if isinstance(e, Unary):
+        return e.op == "-" and is_float(e.operand, resolver, floats)
+    if isinstance(e, Binary):
+        return e.op == "/" or e.op in ("+", "-", "*", "%") and (
+            is_float(e.left, resolver, floats)
+            or is_float(e.right, resolver, floats))
+    if isinstance(e, Cond):
+        return (is_float(e.then, resolver, floats)
+                and is_float(e.other, resolver, floats))
+    if isinstance(e, Call):
+        return ((e.func != "abs" or len(e.args) == 1)
+                and all(is_float(a, resolver, floats) for a in e.args))
+    return False
+
+
 @functools.cache
 def _lambda(params: str, src: str) -> Callable:
     """``lambda params: src``, evaluated once per distinct (params, src):
     a second network with the same expressions compiles nothing."""
-    fn = eval(f"lambda {params}: {src}", {"__builtins__": {}, **FUNCS})
+    fn = eval(f"lambda {params}: {src}",
+              {"__builtins__": {}, "float": float, **FUNCS})
     fn.source = src  # type: ignore[attr-defined]
     return fn
 
 
-def compile_expr(e: Expr, resolver: Resolver) -> Callable:
-    """Compile to ``f(V, L) -> value``."""
-    return _lambda("V, L", _py(e, resolver))
+def _floated(e: Expr, resolver: Resolver, floats, src: str) -> str:
+    """``src``, the source of ``e``, as a float: through ``float()``
+    unless ``floats`` is None or ``e`` is a float already."""
+    if floats is None or is_float(e, resolver, floats):
+        return src
+    return f"float({src})"
 
 
-def compile_probe(e: Expr, resolver: Resolver, clocks) -> Callable:
+def compile_expr(e: Expr, resolver: Resolver, floats=None) -> Callable:
+    """Compile to ``f(V, L) -> value``; given ``floats``, the keys of the
+    variables that hold floats, to ``f(V, L) -> float``."""
+    return _lambda("V, L", _floated(e, resolver, floats, _py(e, resolver)))
+
+
+def compile_probe(e: Expr, resolver: Resolver, clocks,
+                  floats=None) -> Callable:
     """Compile to ``f(V, L, R, dt) -> value``: ``e`` after ``dt`` time units
-    in which every clock key in ``clocks`` advances at rate ``R[key]``."""
-    return _lambda("V, L, R, dt", _py(e, resolver, frozenset(clocks)))
+    in which every clock key in ``clocks`` advances at rate ``R[key]``;
+    given ``floats``, to a float, as :func:`compile_expr` does."""
+    return _lambda("V, L, R, dt", _floated(
+        e, resolver, floats, _py(e, resolver, frozenset(clocks))))
 
 
 def to_text(e: Expr) -> str:

@@ -407,8 +407,8 @@ def _monitor_kernel(always: tuple, eventually: tuple, extrema: tuple):
     formulas, each set False in ``out`` at its first false sample;
     ``eventually`` the ``<>`` formulas, each set True at its first true
     sample; ``extrema``, ((place, fn, is max), ...), keep the running
-    maximum or minimum of ``float(fn)`` in ``out``, None until the first
-    sample. A formula that has decided is skipped by a test of its own
+    maximum or minimum of ``fn``, which returns a float, in ``out``, None
+    until the first sample. A formula that has decided is skipped by a test of its own
     outcome, so its predicate is evaluated no more."""
     lines = ["def _k(out, V, L):"]
     for place, fn in always:
@@ -418,7 +418,7 @@ def _monitor_kernel(always: tuple, eventually: tuple, extrema: tuple):
         lines += [f"    if not out[{place}] and ({fn.source}):",
                   f"        out[{place}] = True"]
     for place, fn, is_max in extrema:
-        lines += [f"    v = float({fn.source})", f"    best = out[{place}]",
+        lines += [f"    v = {fn.source}", f"    best = out[{place}]",
                   f"    if best is None or v {'>' if is_max else '<'} best:",
                   f"        out[{place}] = v"]
     return _kernel("monitor", lines + ["    return UNWATCHED"],
@@ -446,15 +446,17 @@ class _Monitor:
         self.kernel = None
 
     def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
+        if judge.op in EXTREMA:
+            self.extrema += ((place, net.compile_float(judge.expr),
+                              judge.op == "max"),)
+            return
         [(_, fn)] = net.compile_watch((judge.expr,))
         if judge.op == "globally":
             self.always += ((place, fn),)
             self.out[place] = True
-        elif judge.op == "eventually":
+        else:
             self.eventually += ((place, fn),)
             self.out[place] = False
-        else:
-            self.extrema += ((place, fn, judge.op == "max"),)
 
     def sampler(self):
         """The call ``(V, L)`` at each sample point once every judge is

@@ -714,8 +714,10 @@ def test_a_fault_of_the_model_names_no_query_expression(runner, tmp_path):
     res = runner.invoke(main, ["check", str(m), str(q),
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == 3, res.output
+    # the model's guard at fault, not the query's expression
     assert res.output.strip() == ("error: arithmetic error at t=0.0: "
-                                  "ZeroDivisionError: float division by zero")
+                                  "ZeroDivisionError: float division by "
+                                  "zero, in the guard of edge a->a#0 of T")
 
 
 # a check in a fresh process, which then prints the scipy modules it loaded

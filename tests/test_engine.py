@@ -529,17 +529,17 @@ system Emit""" + ", Listen" * n + ";\n"
 def test_inert_components_cost_no_delay_sampling(monkeypatch):
     """Components that can neither fire on their own nor cap a delay stay
     out of the delay race: no listener is an actor of a step table, and
-    eight listeners add no race kernel call and change none of the
-    emitter's events.  Each table built gets a race kernel that records
+    eight listeners add no step kernel call and change none of the
+    emitter's events.  Each table built gets a step kernel that records
     the time of each call, its argument after ``rng``."""
     calls = []
-    race_kernel = engine._race_kernel
+    step_kernel = engine._step_kernel
 
-    def counted(actors):
-        race = race_kernel(actors)
-        return lambda *args: calls.append(args[5]) or race(*args)
+    def counted(actors, plan):
+        step = step_kernel(actors, plan)
+        return lambda *args: calls.append(args[4]) or step(*args)
 
-    monkeypatch.setattr(engine, "_race_kernel", counted)
+    monkeypatch.setattr(engine, "_step_kernel", counted)
     seen = {}
     for n in (0, 8):
         calls.clear()
@@ -624,6 +624,16 @@ system T;
 """
 
 
+# _NUDGED with x's rate evaluated, from an int variable and through a
+# clock: each takes _NUDGED's steps, so each of its firings after the first
+# takes the nudge too, under the rate that the step evaluated
+_NUDGED_EVALUATED = [
+    _NUDGED.replace("clock x;", "int k = 3; clock x;").replace(
+        "rate x = 3;", "rate x = k;"),
+    _NUDGED.replace("clock x;", "clock x; clock y;").replace(
+        "rate x = 3;", "rate x = 3 + 0 * y;")]
+
+
 def _stepwise_run(net, bound, rng, watch=(), config=None, monitor=None):
     """Reference run of the compiled network ``net``: ``Simulator.step``
     called until the run ends, with the trace, end and error texts that
@@ -641,16 +651,16 @@ def _stepwise_run(net, bound, rng, watch=(), config=None, monitor=None):
                                      in zip(net.components, sim.L)})
             events.append(result)
     except (ArithmeticError, EngineError) as exc:
-        edge = getattr(exc, "edge", None)
+        where = getattr(exc, "where", None)
         if isinstance(exc, ArithmeticError):
             message = (f"arithmetic error at t={sim.time}: "
                        f"{type(exc).__name__}: {exc}")
-        elif edge is not None:
+        elif where is not None:
             message = f"{exc} at t={sim.time}"
         else:
             raise
-        where = "" if edge is None else f", in the update of {edge}"
-        raise EngineError(message + where) from None
+        raise EngineError(
+            message + ("" if where is None else f", in {where}")) from None
     raise EngineError("zeno/committed-loop: step ceiling "
                       f"({sim.config.max_steps}) exceeded at t={sim.time}")
 
@@ -691,8 +701,8 @@ def test_run_takes_the_steps_of_the_stepwise_reference():
     same steps one call at a time.  Both give the same runs, event by
     event and bit for bit, with a watch and with a monitor, on vehicle
     runs and on models that end each way a step can end, take the 1e-9
-    nudge or end 5e-10 past the bound after one, and both fail with the
-    same text."""
+    nudge, under a literal or an evaluated rate, or end 5e-10 past the
+    bound after one, and both fail with the same text."""
     vehicle = engine.CompiledNetwork(
         instantiate(parse_model((MODELS / "av.sta").read_text())))
     config = RunConfig(h_max=10.0)
@@ -709,6 +719,14 @@ def test_run_takes_the_steps_of_the_stepwise_reference():
                (COMMITTED, 6, ["n", "x"]), (_NUDGED, 5, ["x"])]
     nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1][0]
     models.append((_NUDGED, nudged - 5e-10, ["x"]))
+    times = [e[0] for e in run(net(_NUDGED), 5, RngStream(0, 0)).events]
+    for text in _NUDGED_EVALUATED:
+        evaluated = engine.CompiledNetwork(net(text))
+        plan = evaluated.step_table(["a"])._plan
+        assert len(plan.fixed + plan.probed) == 1
+        assert [e[0] for e in run(evaluated, 5, RngStream(0, 0)).events] \
+            == times
+        models.append((text, 5, ["x"]))
     for text, bound, watch in models:
         network = engine.CompiledNetwork(net(text))
         for i in range(20):
@@ -1888,6 +1906,311 @@ def test_race_kernels_match_the_per_actor_loop(name):
         assert ties and capped
 
 
+# A location whose unguarded edge comes after a guarded one can fire at
+# once, so its guard's window is not searched.  An unguarded binary emit can
+# fire at once only while its one receiver is ready, so A's guard's window
+# in FREE_BINARY is searched, and used while B is not ready.
+FREE_AFTER_GUARD = """
+int n = 0;
+clock x;
+template A() {
+  init loc a { inv x <= 3; }
+  a -> a { guard x >= 2; update x := 0; }
+  a -> a { update n := n + 1; }
+}
+system A;
+"""
+
+FREE_BINARY = """
+int n = 0;
+clock x;
+chan go;
+template A() {
+  init loc a { inv x <= 3; }
+  a -> a { sync go!; update x := 0; }
+  a -> a { guard x >= 2; update x := 0, n := n + 1; }
+}
+template B() {
+  init loc w;
+  w -> w { guard n % 2 == 1; sync go?; update n := n + 1; }
+}
+system A, B;
+"""
+
+
+def _timed_states(compiled, n_runs, bound, config=None):
+    """{configuration: [(V, L, time)]}: the state at the start of the
+    first 3 timed steps in each configuration that ``n_runs`` stepwise
+    runs reach."""
+    states = {}
+    for i in range(n_runs):
+        sim = engine.Simulator(compiled, RngStream(42, i), config)
+        for _ in range(10 ** 4):
+            if not compiled.step_table(sim.L).committed:
+                seen = states.setdefault(tuple(sim.L), [])
+                if len(seen) < 3:
+                    seen.append((list(sim.V), list(sim.L), sim.time))
+            if isinstance(sim.step(bound), str):
+                break
+    return states
+
+
+def _reference_step(table, V, L, rng, time, remaining, h_max):
+    """A timed step up to its fire by the reference kernels, as
+    ``Simulator.step`` takes it: (time after the delay, winner, end), and
+    the rates of the step's start."""
+    rates = table.rates(V, L)
+    delay, winner, cap = table.race(V, L, rates, table.receivers, rng, time,
+                                    table.actors)
+    stop = cap if cap < remaining else remaining
+    ends = delay > stop
+    dt = stop if ends else delay
+    if dt < 0:
+        dt = 0.0
+    if dt != 0.0:
+        table.advance(V, L, rates, dt, h_max)
+    end = ("bound_reached" if cap >= remaining else "deadlock") if ends \
+        else None
+    return (time + dt, winner, end), rates
+
+
+@pytest.mark.parametrize("name", ["av.sta", "timed-ends", "free"])
+def test_step_kernels_match_the_reference_kernels(name):
+    """Each timed table's step kernel takes a step as the reference
+    kernels that ``Simulator`` drives do, bit for bit: the rate kernel,
+    then the race kernel's delay, winner and cap, which give the time after
+    the delay, the winner and the end, with the same draws, then the
+    advance kernel's V.  With ``located`` None it advances 1e-9 under the
+    rates of the step's start, as the reference nudge does.  This covers
+    every timed table that 40 vehicle runs reach, every table of the
+    _TIMED_ENDS models and both edge cases of an unguarded edge, at the
+    bound and at a bound half a time unit ahead, where steps end."""
+    h_max = 10.0 if name == "av.sta" else 0.05
+    if name == "av.sta":
+        compiled = engine.CompiledNetwork(
+            instantiate(parse_model((MODELS / name).read_text())))
+        cases = [(compiled, _timed_states(compiled, 40, 3000,
+                                          RunConfig(h_max=h_max)), 3000)]
+    else:
+        texts = ([(_timed(templates), bound)
+                  for templates, bound, _, _ in _TIMED_ENDS.values()]
+                 if name == "timed-ends" else
+                 [(FREE_AFTER_GUARD, 20), (FREE_BINARY, 20)])
+        cases = []
+        for text, bound in texts:
+            compiled = engine.CompiledNetwork(net(text))
+            cases.append((compiled, _timed_states(compiled, 20, bound),
+                          bound))
+    ends, nudged = set(), 0
+    for compiled, states, bound in cases:
+        timed = {config for config, table in compiled._tables.items()
+                 if not table.committed}
+        assert set(states) == timed
+        for n, (V, L, time) in enumerate(
+                state for seen in states.values() for state in seen):
+            table = compiled.step_table(L)
+            for remaining in (bound - time, 0.5):
+                want_V, want_rng = list(V), RngStream(7, n)
+                want, rates = _reference_step(table, want_V, L, want_rng,
+                                              time, remaining, h_max)
+                got_V, got_rng = list(V), RngStream(7, n)
+                got = table.step(got_V, L, table.receivers, got_rng, time,
+                                 table.actors, remaining, h_max)
+                assert _bits([got[0]]) == _bits([want[0]])
+                assert got[1] is want[1] and got[2] == want[2]
+                assert _bits(got_V) == _bits(want_V)
+                assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
+                ends.add(got[2])
+                if got[2] is None:  # a nudge after the delay
+                    table.advance(want_V, L, rates, 1e-9, h_max)
+                    after = table.step(got_V, L, table.receivers, None,
+                                       got[0], None, 0.0, h_max)
+                    assert after == (got[0] + 1e-9, None, None)
+                    assert _bits(got_V) == _bits(want_V)
+                    nudged += 1
+    assert nudged
+    assert ends == ({None, "bound_reached", "deadlock"}
+                    if name == "timed-ends" else {None, "bound_reached"})
+
+
+def test_an_unguarded_edge_that_is_no_binary_emit_drops_the_search():
+    """FREE_AFTER_GUARD's location starts its sojourn at 0 with no window
+    search of its guarded edge, and FREE_BINARY's keeps its guard's search
+    beside the ready test of its unguarded binary emit; at the states that
+    runs reach, each start and deadline is the loop reference's."""
+    for text, searched in ((FREE_AFTER_GUARD, False), (FREE_BINARY, True)):
+        compiled = engine.CompiledNetwork(net(text))
+        [cc, *_] = compiled.components
+        loc = cc.locations["a"]
+        loc.lower()
+        lines = engine._sojourn_lines(*loc.race[0])
+        assert (lines[-1] == "start = 0.0") is not searched
+        assert any("the guard of edge a->a#" in line
+                   for line in lines) is searched
+        starts = set()
+        for seen in _timed_states(compiled, 20, 20).values():
+            for V, L, _ in seen:
+                rates = compiled.step_table(L).rates(V, L)
+                deadline = _deadline(loc, V, L, rates)
+                want, _ = _start(V, L, rates, deadline,
+                                 _receiving(compiled, L), cc, loc)
+                got = _sojourn(loc, V, L, rates,
+                               compiled.step_table(L).receivers)
+                assert _bits(got) == _bits([want, deadline])
+                starts.add(want > 0)
+        assert starts == ({True, False} if searched else {False})
+
+
+def test_a_run_compiles_one_step_kernel_per_timed_table(monkeypatch):
+    """``engine.run`` compiles the step kernel of each timed table that it
+    reaches and the advance kernel of each of their clock plans, and none
+    of the rate, race and reference advance kernels that ``Simulator``
+    drives; a stepwise run compiles those on first use."""
+    for generator in (engine._step_kernel, engine._advance_kernel,
+                      engine._rates_kernel, engine._race_kernel,
+                      engine._advance_reference):
+        generator.cache_clear()
+    titles = []
+    kernel = engine._kernel
+    monkeypatch.setattr(engine, "_kernel", lambda title, *args, **kw:
+                        titles.append(title) or kernel(title, *args, **kw))
+    compiled = engine.CompiledNetwork(
+        instantiate(parse_model((MODELS / "av.sta").read_text())))
+    config = RunConfig(h_max=10.0)
+    for i in range(10):
+        run(compiled, 3000, RngStream(42, i), config=config)
+    tables = compiled._tables.values()
+    timed = [table for table in tables if not table.committed]
+    assert len(timed) > 10 and any(table.committed for table in tables)
+    assert all((table.step is None) == bool(table.committed)
+               for table in tables)
+    kinds = [title.split()[0] for title in titles]
+    assert kinds.count("step") == len({table.step for table in timed})
+    assert kinds.count("advance") == len({table._plan.clocks
+                                          for table in timed})
+    assert {"rates", "race"}.isdisjoint(kinds) and "advance R" not in titles
+    sim = engine.Simulator(compiled, RngStream(42, 0), config)
+    for _ in range(20):
+        sim.step(3000)
+    assert {"rates", "race"} <= set(kinds + [t.split()[0] for t in titles])
+    assert "advance R" in titles
+
+
+# reals and clocks that updates and rates set from int, bool and float
+# expressions (a number literal is a float, so n % 2 is one), and a
+# location rate that reads a bool and an int
+FLOAT_STORES = """
+int n = 3;
+bool b = true;
+real r = 1;
+real s = 0;
+clock x;
+clock y;
+clock z;
+template T(p: int) {
+  init loc a { inv x <= 2; rate y = n; rate z = n % n; }
+  loc c { inv x <= 3; rate y = b ? s : n; }
+  a -> c { guard x >= 1; update r := n / 2, s := max(r, n), y := b ? r : n,
+           z := n % n, x := p; }
+  c -> a { guard x >= 2.5; update r := -n, s := abs(n), y := min(r, n),
+           x := 1, z := n, n := n + 1, b := !b; }
+}
+system t = T(2);
+"""
+
+
+def test_every_real_and_clock_slot_holds_a_float():
+    """Wherever a store or a rate leaves out ``float()``, the value is a
+    float already: at every sample point of vehicle runs and of runs of
+    FLOAT_STORES, every real and clock slot holds a Python float, and every
+    int slot an int."""
+    vehicle = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    for network, n_runs, bound in ((vehicle, 10, 3000),
+                                   (net(FLOAT_STORES), 10, 30)):
+        compiled = engine.CompiledNetwork(network)
+        typed = {vtype: [compiled.slots[key] for key, t
+                         in compiled.var_types.items() if t == vtype]
+                 for vtype in ("real", "clock", "int")}
+        assert all(typed.values())
+        seen = []
+
+        def monitor(V, L):
+            seen.append(len(V))
+            assert all(type(V[slot]) is float
+                       for slot in typed["real"] + typed["clock"]), V
+            assert all(type(V[slot]) is int for slot in typed["int"]), V
+            return engine._UNWATCHED
+
+        for i in range(n_runs):
+            run(compiled, bound, RngStream(42, i), config=RunConfig(
+                h_max=10.0), monitor=monitor)
+        assert len(seen) > 100
+
+
+def _fault(template, decls="int n = 0; clock x;", system="system T;"):
+    return f"{decls} template T() {{ {template} }} {system}"
+
+
+# models whose guard, invariant or rate divides by n = 0 at its first
+# step, and what the error names
+_NAMED_FAULTS = {
+    "guard": (_fault("init loc a { inv x <= 2; } "
+                     "a -> a { guard x / n >= 1; update x := 0; }"),
+              "the guard of edge a->a#0 of T"),
+    "invariant": (_fault("init loc a { inv x / n <= 2; } "
+                         "a -> a { guard x >= 1; update x := 0; }"),
+                  "the invariant of T.a"),
+    "rate": (_fault("init loc a { inv x <= 2; rate y = 1 / n; } "
+                    "a -> a { guard x >= 1; update x := 0; }",
+                    "int n = 0; clock x; clock y;"),
+             "the rate of y in T.a"),
+    "probed-rate": (_fault("init loc a { inv x <= 2; rate e = x / n; } "
+                           "a -> a { guard e >= 1; update x := 0; }",
+                           "int n = 0; clock x; clock e;"),
+                    "the rate of e in T.a"),
+    "integrated-rate": (_fault("init loc a { inv x <= 2; rate e = x / n; } "
+                               "a -> a { guard x >= 1; update x := 0; }",
+                               "int n = 0; clock x; clock e;"),
+                        "the rate of e in T.a"),
+    "committed-guard": (_fault("init committed loc go; loc a; "
+                               "go -> a { guard 1 / n > 0; }"),
+                        "the guard of edge go->a#0 of T"),
+    "binary-guard": (_fault("init committed loc go; loc a; "
+                            "go -> a { guard 1 / n > 0; sync c!; } "
+                            "go -> a { }",
+                            "int n = 0; clock x; chan c;",
+                            "template R() { init loc w; w -> w { sync c?; } }"
+                            " system T, R;"),
+                     "the guard of edge go->a#0 of T"),
+    "receive-guard": (_fault("init loc a { inv x <= 2; } "
+                             "a -> a { guard x >= 1; sync c!; update x := 0; }",
+                             "int n = 0; clock x; broadcast chan c;",
+                             "template R() { init loc w; "
+                             "w -> w { guard 1 / n > 0; sync c?; } }"
+                             " system T, R;"),
+                      "the guard of edge w->w#0 of R"),
+}
+
+
+@pytest.mark.parametrize("text, where", list(_NAMED_FAULTS.values()),
+                         ids=list(_NAMED_FAULTS))
+def test_a_fault_names_its_guard_invariant_or_rate(text, where):
+    """A guard, invariant or rate that faults ends the run with an error
+    that names it, the same text from ``engine.run`` and from the stepwise
+    reference, although validation accepts the model."""
+    assert validate_model(parse_model(text)).ok
+    texts = []
+    for simulate in (run, _stepwise_run):
+        with pytest.raises(EngineError) as exc:
+            simulate(engine.CompiledNetwork(net(text)), 10, RngStream(0, 0))
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("arithmetic error at t=")
+    assert texts[0].endswith(f"ZeroDivisionError: division by zero, "
+                             f"in {where}") or texts[0].endswith(
+        f"ZeroDivisionError: float division by zero, in {where}")
+
+
 def test_a_blocked_binary_emit_deadlocks():
     tr = run(net(BINARY), 1000, RngStream(42, 0), ["hits"])
     assert tr.end_reason == "deadlock" and tr.final["hits"] >= 40
@@ -1913,7 +2236,7 @@ system T;
 def test_a_second_compile_execs_nothing(monkeypatch):
     """Closures are cached by source and kernels by their generators'
     arguments: a second network of the same model shares every function
-    with the first, its race and receive kernels among them, and compiling
+    with the first, its step and receive kernels among them, and compiling
     and running it writes no kernel and evaluates no closure."""
     network = instantiate(parse_model((MODELS / "av.sta").read_text()))
     watch = ("(wvl + wvr) / 2", "energy.Con_en", "mode")
@@ -1949,9 +2272,10 @@ def test_a_second_compile_execs_nothing(monkeypatch):
         for name in ("advance", "rates"):
             kernels = (getattr(table, name), getattr(b._tables[config], name))
             assert kernels[0] is kernels[1] is not None
-        # a timed step's table holds a race kernel, built with the table
+        # a timed step's table holds a step kernel, built with the table
+        assert table.step is b._tables[config].step
+        assert (table.step is None) == bool(table.committed)
         assert table.race is b._tables[config].race
-        assert (table.race is None) == bool(table.committed)
         # the same runs use the same channels of each table
         assert table.receivers == b._tables[config].receivers
     assert any(any(t.receivers.values()) for t in a._tables.values())
@@ -1972,17 +2296,22 @@ def test_every_kernel_has_its_own_filename():
         for loc in cc.locations.values():
             kernels.add(loc.fire)
     for table in compiled._tables.values():
-        kernels |= {table.race, table.rates, table.advance,
+        kernels |= {table.step, table.race, table.rates, table.advance,
                     *table.receivers.values()}
+        if table.step is not None:
+            kernels.add(table.step.__globals__["A"])  # its advance kernel
     kernels.discard(None)
     names = [k.__code__.co_filename for k in kernels]
     assert len(kernels) > 50 and len(set(names)) == len(names)
-    for kind in ("fire Ctrl.dispatch", "race ", "receive ", "update",
-                 "rates", "advance"):
+    for kind in ("fire Ctrl.dispatch", "step ", "race ", "receive ", "update",
+                 "rates", "advance R"):
         assert any(name.startswith(f"<{kind}") for name in names), kind
-    # a race kernel is titled by its actors' locations
-    assert any(name.startswith("<race ") and "Camera.wait" in name
+    assert any(name.startswith("<advance") and "advance R" not in name
                for name in names)
+    # a step and a race kernel are titled by their actors' locations
+    for kind in ("step", "race"):
+        assert any(name.startswith(f"<{kind} ") and "Camera.wait" in name
+                   for name in names)
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):

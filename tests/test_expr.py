@@ -135,3 +135,76 @@ def test_probe_reads_clocks_advanced_by_rate_times_dt():
         for dt in (0.0, 1e-9, 0.3, 2.0):
             ahead = dict(V, x=V["x"] + R["x"] * dt, y=V["y"] + R["y"] * dt)
             assert probe(V, {}, R, dt) == plain(ahead, {})
+
+
+# n is an int, b a bool and x a real variable, p an int and q a float
+# parameter, and T.a a location
+_TYPED = {"p": ("const", 2), "q": ("const", 0.5), "T.a": ("loc", "T", "a")}
+
+
+def _typed_resolver(name):
+    return _TYPED.get(name, ("var", name))
+
+
+def _int_literals(e):
+    """``e`` with each integral number literal an int, as a parser that
+    reads int literals as ints would give it."""
+    if isinstance(e, E.Num):
+        return E.Num(int(e.value)) if e.value.is_integer() else e
+    if isinstance(e, E.Unary):
+        return E.Unary(e.op, _int_literals(e.operand))
+    if isinstance(e, E.Binary):
+        return E.Binary(e.op, _int_literals(e.left), _int_literals(e.right))
+    if isinstance(e, E.Cond):
+        return E.Cond(*map(_int_literals, (e.test, e.then, e.other)))
+    if isinstance(e, E.Call):
+        return E.Call(e.func, tuple(map(_int_literals, e.args)))
+    return e
+
+
+# (expression, its integral literals as ints, whether it is always a float)
+_FLOAT_RULE = [
+    ("1.5", False, True), ("2", True, False), ("2", False, True),
+    ("true", False, False), ("x", False, True), ("n", False, False),
+    ("b", False, False), ("p", False, False), ("q", False, True),
+    ("T.a", False, False),
+    ("-x", False, True), ("-n", False, False), ("-2", True, False),
+    ("!b", False, False),
+    ("n + 2", True, False), ("n + 2", False, True), ("n - x", False, True),
+    ("b + n", False, False), ("n * n", False, False), ("n * q", False, True),
+    ("n * p", False, False), ("n / 2", True, True), ("n / p", False, True),
+    ("b / 2", True, True), ("n % 2", True, False), ("n % 2", False, True),
+    ("x % 2", True, True),
+    ("x < n", False, False), ("n == 2", True, False),
+    ("x && n", False, False), ("x || x", False, False),
+    ("b imply b", False, False),
+    ("b ? x : n", False, False), ("b ? x : q", False, True),
+    ("b ? x : 1", True, False), ("b ? n : 1", False, False),
+    ("abs(x)", False, True), ("abs(n)", False, False),
+    ("max(x, n)", False, False), ("max(x, q)", False, True),
+    ("min(x, x, 2)", True, False), ("min(x, 2)", False, True),
+]
+
+
+@pytest.mark.parametrize("text, ints, floating", _FLOAT_RULE)
+def test_the_float_rule_holds_on_every_node_kind(text, ints, floating):
+    """``is_float`` on a table of every node kind, over int, bool and
+    float leaves: where it says float, the value is a Python float at
+    every state tried, and an expression compiled to a float returns one
+    with ``float()`` only where the rule does not say so."""
+    e = parse_expression(text)
+    if ints:
+        e = _int_literals(e)
+    assert E.is_float(e, _typed_resolver, {"x"}) is floating
+    plain = E.compile_expr(e, _typed_resolver)
+    as_float = E.compile_expr(e, _typed_resolver, {"x"})
+    assert as_float.source.startswith("float(") is not floating
+    for n in (3, -2):
+        for b in (True, False):
+            for x in (2.5, -0.0):
+                V, L = {"n": n, "b": b, "x": x}, {"T": "a"}
+                value = plain(V, L)
+                if floating:
+                    assert type(value) is float, (V, value)
+                assert type(as_float(V, L)) is float
+                assert repr(as_float(V, L)) == repr(float(value))

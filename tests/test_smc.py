@@ -906,7 +906,8 @@ def sampled(*judges):
 def test_monitor_kernels_match_the_loop_reference(monkeypatch):
     """Every sampled judge of the requirement suite, on its main network
     (the vehicle with the declared observer), plus formulas that decide
-    both ways: the kernels' outcomes equal the loop form's on 100 runs."""
+    both ways: the kernels' outcomes equal the loop form's on 100 runs,
+    and every extremum, of an int expression too, is a float."""
     model = parse_model((MODELS / "av.sta").read_text())
     named = parse_queries((MODELS / "requirements.q").read_text())
     for nq in named:
@@ -924,7 +925,7 @@ def test_monitor_kernels_match_the_loop_reference(monkeypatch):
     judges += sampled(
         ("eventually", "wvl > 100"), ("globally", "wvl <= 100"),
         ("max", "energy.braking_en"), ("min", "energy.braking_en"),
-        ("max", "wvl - wvr"), ("min", "wvl - wvr"))
+        ("max", "wvl - wvr"), ("min", "wvl - wvr"), ("max", "mode"))
     n = 100
     runs = smc._Runs(net, 3000.0, 42, RunConfig(),
                      tuple((j, n) for j in judges))
@@ -934,6 +935,10 @@ def test_monitor_kernels_match_the_loop_reference(monkeypatch):
     assert kernels == [smc._run_one(runs, i, live) for i in range(n)]
     for place in (31, 32):
         assert {outcomes[place] for outcomes in kernels} == {True, False}
+    extrema = [place for place, judge in enumerate(judges)
+               if judge.op in ("max", "min")]
+    assert all(type(outcomes[place]) is float
+               for outcomes in kernels for place in extrema)
 
 
 def coin_monitor(*judges):
