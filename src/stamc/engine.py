@@ -34,15 +34,20 @@ those closures' sources with every expression inlined:
   edges can first fire, searching each guard's window by the same
   generated lines (none if an edge has no guard and is not a binary emit:
   it starts at 0), blocking a binary emit unless exactly one receiver is
-  ready and keeping the earliest start, and draws the actor's delay from
-  the run's ``RngStream``; it keeps the least delay and the earliest
-  deadline of an actor that cannot fire.  Each probe has its clock's rate
-  written in, ``V[3] + dt`` at rate 1, ``V[3] + 0.5 * dt`` at a literal
-  rate and ``V[3] + r3 * dt`` at an evaluated one.  Then it stops time at
-  the bound or at that deadline and calls the rate plan's advance kernel,
-  which integrates the clock-reading rates, by one midpoint step or by
-  RK4 steps, then does its ``rate * dt`` stores, a literal rate written
-  into the code and every other rate checked to be finite;
+  ready and keeping the earliest start.  A guard false at 0 is searched
+  past 0 only while the clock-free conjuncts of its top-level ``&&``
+  chain hold, which no delay changes, and never if it reads no clock, so
+  ``n > 0 && x / n >= 1`` is false at ``n = 0``, as C's ``&&`` makes it,
+  instead of dividing by zero in its atom.  Each actor draws its delay
+  from the run's ``RngStream``, and the kernel keeps the least delay and
+  the earliest deadline of an actor that cannot fire.  Each probe has its
+  clock's rate written in, ``V[3] + dt`` at rate 1, ``V[3] + 0.5 * dt``
+  at a literal rate and ``V[3] + r3 * dt`` at an evaluated one.  Then it
+  stops time at the bound or at that deadline and calls the rate plan's
+  advance kernel, which integrates the clock-reading rates, by one
+  midpoint step or by RK4 steps, then does its ``rate * dt`` stores, a
+  literal rate written into the code and every other rate checked to be
+  finite;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting inline only what may need it: a literal is stored as
   its constant, a real or clock as it is where it is a float already, and
@@ -51,10 +56,11 @@ those closures' sources with every expression inlined:
   it tests each guard inline, blocks a binary emit unless exactly one
   receiver is ready, takes the sample before the firing once an edge is
   enabled (a committed step's is the last sample point, taken again),
-  chooses by weight, reads which receivers are ready, calls the edge's
-  update kernel and moves the component; one receiver routine, ``_sync``,
-  then fires the receive edges it read, and the kernel takes the sample
-  after the firing and returns the whole event, a plain tuple
+  chooses by weight (by one uniform draw against running sums written
+  in, where every edge is always enabled), reads which receivers are
+  ready, calls the edge's update kernel and moves the component; its own
+  lines then fire the receive edges it read, and the kernel takes the
+  sample after the firing and returns the whole event, a plain tuple
   ``(time, component, edge, channel, watch_pre, watch)``
   (:data:`TraceEvent`), which the run appends as it is;
 - a receive kernel per step table and channel tests every receive edge of
@@ -88,12 +94,12 @@ delay and caps none, so a step races only the actors, and a sync reads its
 receivers from the channel's kernel.  :func:`run` takes its steps in its
 own frame: a timed step calls the table's step kernel and the winner's
 fire kernel directly, and a committed step the fire kernels of its
-committed components.  ``Simulator.step`` takes the same steps one call at
-a time, through ``sample_delay`` and ``advance_time``, which drive the
-table's reference kernels, a rate, a race and an advance kernel generated
-from the step kernel's own lines on first use: it is the stepwise
-reference that the tests drive and extend, and ``run`` calls none of
-them.
+committed components, the table's ``fires``.  ``Simulator.step`` takes
+the same steps one call at a time, through ``sample_delay`` and
+``advance_time``, which drive the table's reference kernels, a rate, a
+race and an advance kernel generated from the step kernel's own lines on
+first use: it is the stepwise reference that the tests drive and extend,
+and ``run`` calls none of them.
 
 A run's sample points are its start, the state before each timed event
 and after each event, and its end; an event's two are taken by the fire
@@ -115,21 +121,27 @@ otherwise the kernel takes ``max(1, ceil(dt / h_max))`` RK4 steps.
 
 Bit-identity contract: the hot path performs the same float operations, in
 the same order, and draws the same random numbers, as copying ``V`` per
-probe, searching windows by a loop over the probe closures, taking a
-delay's start as the least of the active edges' windows, drawing each
-actor's delay by ``RngStream.uniform`` or ``RngStream.exponential`` in a
-loop over the actors, applying updates through a staged list that converts
-each stored value, firing by a loop over the enabled edges and the
-ready receivers, and integrating with numpy arrays (the
-midpoint step above, or RK4 as ``y + k * (h / 2)``, then
+probe, searching every guard's window by a loop over the probe closures
+that sorts the crossings, taking a delay's start as the least of the
+active edges' windows, drawing each actor's delay by ``RngStream.uniform``
+or ``RngStream.exponential`` in a loop over the actors, applying updates
+through a staged list that converts each stored value, firing by a loop
+over the enabled edges and the ready receivers, and integrating with numpy
+arrays (the midpoint step above, or RK4 as ``y + k * (h / 2)``, then
 ``((k1 + 2 * k2) + 2 * k3) + k4`` times ``h / 6``).  A kernel inlines an
 expression's source where its closure would have been called, which
 changes no float operation, and neither does unrolling RK4's four stages
 into straight-line code, writing a literal rate ``r`` as ``r * dt``
 (``dt`` alone for 1, which ``1.0 * dt`` equals bit for bit), reading an
 evaluated rate from a local instead of a list, or leaving out the
-``float()`` of a value that is a float already.  Runs are
-bit-identical to that straightforward form, which ``tests/test_engine.py`` keeps as its
+``float()`` of a value that is a float already.  Nor does probing one or
+two atoms' crossings in straight-line code, two ordered by one
+comparison, skipping the search of a guard that a false clock-free
+conjunct keeps false throughout the delay (it would find nothing; only a
+fault in its atoms, such as ``x / n`` at ``n = 0``, is gone), or choosing
+among always-enabled edges by the running sums that ``weighted_choice``
+would compute, written in.  Runs are bit-identical to that
+straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
 ``RngStream`` serves uniforms and weighted choices from the bit generator's
 words, one at a time after an exponential and in blocks otherwise, and
@@ -323,7 +335,7 @@ def _kernel(title: str, lines: list, **names):
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
              "ArithmeticError": ArithmeticError,
-             "_coerce": CompiledNetwork._coerce, "_sync": _sync, **names}
+             "_coerce": CompiledNetwork._coerce, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
 
@@ -367,22 +379,35 @@ def _update_kernel(stores: tuple):
     return _kernel("update", lines)
 
 
-def _sync(V, L, ready, rng) -> None:
-    """Fire the receive edges that an emit synchronizes: each of ``ready``
-    (a receive kernel's list, read in the state before the emitter fired,
-    and one receiver for a binary emit) takes one of its enabled edges,
-    chosen by weight, in component order.  A lone edge draws nothing.  An
-    update's fault names its edge, as :func:`_naming` does."""
-    for index, enabled in ready:
-        update, target, _, where = enabled[0] if len(enabled) == 1 else \
-            enabled[rng.weighted_choice([edge[2] for edge in enabled])]
-        if update is not None:
-            try:
-                update(V, L)
-            except (ArithmeticError, EngineError) as exc:
-                exc.where = f"the update of {where}"
-                raise
-        L[index] = target
+def _sync_lines(ready: str) -> list:
+    """Lines that fire the receive edges that an emit synchronizes: each
+    receiver of the list ``ready`` names (a receive kernel's list, read in
+    the state before the emitter fired, and one receiver for a binary emit)
+    takes one of its enabled edges, chosen by weight, in component order.
+    A lone edge draws nothing.  An update's fault names its edge, as
+    :func:`_naming` does."""
+    return [f"for j, es in {ready}:",
+            "    up, to, _, w = es[0] if len(es) == 1 else "
+            "es[rng.weighted_choice([x[2] for x in es])]",
+            "    if up is not None:",
+            "        try:", "            up(V, L)",
+            "        except (ArithmeticError, EngineError) as exc:",
+            "            exc.where = 'the update of ' + w",
+            "            raise",
+            "    L[j] = to"]
+
+
+def _running_sums(weights: list) -> tuple:
+    """``(total, running sums)`` of ``weights``, as
+    ``RngStream.weighted_choice`` computes them: ``sum(weights)``, which
+    from Python 3.12 is compensated, and ``acc += w`` from 0.0.  An index
+    is the first whose running sum exceeds ``rng.uniform(0.0, total)``,
+    and the last if none does."""
+    sums, acc = [], 0.0
+    for w in weights:
+        acc += w
+        sums.append(acc)
+    return sum(weights), sums
 
 
 @functools.cache
@@ -443,11 +468,18 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
     before the firing, and the kernel picks an enabled edge by weight (a
     lone one draws nothing), reads which receivers are ready, as UPPAAL
     does, before it applies its updates by its update kernel, moves the
-    component to its target and syncs those receivers through
-    :func:`_sync`.  Then ``snap()`` gives the sample after the firing, and
-    the kernel returns the event, ``(time, component, label, channel, pre,
-    post)`` (:data:`TraceEvent`).  A guard's or an update's fault names its
-    edge (:func:`_naming`)."""
+    component to its target and syncs those receivers by the lines of
+    :func:`_sync_lines`.  Then ``snap()`` gives the sample after the
+    firing, and the kernel returns the event, ``(time, component, label,
+    channel, pre, post)`` (:data:`TraceEvent`).  A guard's or an update's
+    fault names its edge (:func:`_naming`).
+
+    Where several edges have neither a guard nor a binary emit, every one
+    is enabled, so the kernel chooses as ``RngStream.weighted_choice``
+    does with their weights written in: it draws ``u =
+    rng.uniform(0.0, total)`` and fires the first edge whose running sum
+    exceeds ``u``, the last if none does (:func:`_running_sums`).  Other
+    edge sets list the enabled edges and call ``weighted_choice``."""
     def fire(i, guard, update, label, target, weight, channel, binary,
              where):
         lines = [] if channel is None or binary is not None else [
@@ -458,7 +490,7 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
                   if update is not None else [])
         lines.append(f"L[{index}] = {target!r}")
         if channel is not None:
-            lines += [f"if r{i}:", f"    _sync(V, L, r{i}, rng)"]
+            lines += [f"if r{i}:", *_indent(_sync_lines(f"r{i}"))]
         return lines + [f"return (time, {component!r}, {label!r}, "
                         f"{channel!r}, pre, snap())"]
 
@@ -474,6 +506,12 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
             body += [f"if not ({_ready_test(binary, index, 'r0')}):",
                      "    return None"]
         body += ["pre = presnap()", *fire(0, *edges[0])]
+    elif all(edge[0] is None and edge[6] is None for edge in edges):
+        total, sums = _running_sums([edge[4] for edge in edges])
+        body += ["pre = presnap()", f"u = rng.uniform(0.0, {total!r})"]
+        for i, (edge, acc) in enumerate(zip(edges[:-1], sums)):
+            body += [f"if u < {acc!r}:", *_indent(fire(i, *edge))]
+        body += fire(len(edges) - 1, *edges[-1])
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
@@ -515,24 +553,29 @@ def _watch_kernel(watch: tuple):
 
 
 def _window_lines(pred, probe, atoms: tuple, want: bool, found,
-                  horizon: Optional[str] = None, rated=None) -> list:
+                  horizon: Optional[str] = None, rated=None,
+                  gate=None) -> list:
     """Lines that find the earliest t in [0, horizon] at which the guard or
     invariant ``pred`` has truth ``want`` under the clock rates, and run
-    ``found(t)``'s lines there, t being ``0.0``, ``1e-9`` or the variable
-    ``t``; they run nothing if there is none.  ``horizon`` names a variable
-    that holds a horizon > 0, or is None for no horizon.  A probe reads the
+    ``found(t)``'s lines there, t being ``0.0``, ``1e-9`` or a variable;
+    they run nothing if there is none.  ``horizon`` names a variable that
+    holds a horizon > 0, or is None for no horizon.  A probe reads the
     rates from the list ``R``, or as ``rated``, a function of a probe's
-    source, writes them in (:func:`_rated`).
+    source, writes them in (:func:`_rated`).  ``gate`` is a guard's
+    (:meth:`CompiledNetwork._compile_gate`): where ``pred`` is false at 0,
+    the lines search past 0 only if it holds, and not at all if it is
+    False; None searches unconditionally.
 
     Its atoms are affine in the clocks (validated), so truth can only flip
     where an atom ``g0 + slope * t`` crosses 0: the lines probe 1e-9 past
     each such t, in increasing order.  1e-9 itself comes first, for an atom
     sitting at 0 with a nonzero slope, whose truth flips at once.  With at
-    most one atom there is at most one crossing past 1e-9, so the lines
-    probe 1e-9, then that crossing, in straight-line code; more atoms list
-    their crossings, sort them and probe them in a loop.  An atom's value
-    and its probe are floats (compiled through ``float()`` where
-    :func:`stamc.expr.is_float` does not say they are)."""
+    most two atoms the lines are straight-line code: they probe 1e-9, then
+    the crossings past it, one atom's ``t``, or two atoms' ``c0`` and
+    ``c1``, ordered by one comparison, 0.0 standing for no crossing; more
+    atoms list their crossings, sort them and probe them in a loop.  An
+    atom's value and its probe are floats (compiled through ``float()``
+    where :func:`stamc.expr.is_float` does not say they are)."""
     rated = rated or (lambda source: source)
     test = "" if want else "not "
     within = "1e-9 < t" + ("" if horizon is None else f" <= {horizon}")
@@ -543,15 +586,26 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
         return [f"g = {diff.source}", "dt = 1.0",
                 f"s = {rated(diff_probe.source)} - g"]
 
+    def at(t):
+        """Lines probing 1e-9 past ``t``, running ``found(t)`` if true."""
+        return [f"dt = {t} + 1e-9", f"if {probed}:", *_indent(found(t))]
+
     crossed = ["t = -g / s", f"if {within}:"]  # t: where the atom is 0
     if len(atoms) < 2:
         search = [line for atom in atoms for line in slope(*atom)]
-        search += ["dt = 1e-9 + 1e-9", f"if {probed}:",
-                   *_indent(found("1e-9"))]
+        search += at("1e-9")
         if atoms:
             search += ["elif s != 0.0:", *_indent(crossed),
-                       "        dt = t + 1e-9", f"        if {probed}:",
-                       *_indent(found("t"), 12)]
+                       *_indent(at("t"), 8)]
+    elif len(atoms) == 2:
+        search = ["c0 = c1 = 0.0"]
+        for i, atom in enumerate(atoms):
+            search += [*slope(*atom), "if s != 0.0:", *_indent(crossed),
+                       f"        c{i} = t"]
+        # a missing crossing, 0.0, sorts first: c0 is set only if c1 is
+        search += ["if c1 < c0:", "    c0, c1 = c1, c0", *at("1e-9"),
+                   "elif c0:", *_indent(at("c0")), "    else:",
+                   *_indent(at("c1"), 8), "elif c1:", *_indent(at("c1"))]
     else:
         search = ["c = [1e-9]"]
         for atom in atoms:
@@ -561,8 +615,11 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
         search += ["if len(c) > 2:", "    c.sort()",
                    "for t in c:", "    dt = t + 1e-9", f"    if {probed}:",
                    *_indent(found("t") + ["break"], 8)]
-    return [f"if {test}({pred.source}):", *_indent(found("0.0")),
-            "else:", *_indent(search)]
+    lines = [f"if {test}({pred.source}):", *_indent(found("0.0"))]
+    if gate is False:
+        return lines
+    return lines + [("else:" if gate is None else f"elif {gate.source}:"),
+                    *_indent(search)]
 
 
 def _sojourn_lines(name: str, index: int, invariant, inv_probe,
@@ -573,15 +630,16 @@ def _sojourn_lines(name: str, index: int, invariant, inv_probe,
     time at which one of its active edges can fire, or None if none can
     before its invariant closes, and, if it has an invariant, ``deadline``,
     the earliest time at which ``invariant`` (with its probe and atoms) is
-    false, or ``INF``.  ``edges`` are ((guard, its probe, its atoms,
-    binary, the edge in error messages), ...); ``receivers`` are the step
-    table's receive kernels by channel.
+    false, or ``INF``.  ``edges`` are ((guard, its probe, its atoms, its
+    gate, binary, the edge in error messages), ...); ``receivers`` are the
+    step table's receive kernels by channel.
 
     The deadline is searched by :func:`_window_lines`; an invariant that
     is false already raises, with the time ``time``.  An edge with no guard
     that is not a binary emit starts at 0, which no edge can beat, so then
     no edge is searched.  Otherwise the start is searched in edge order by
-    the same lines up to the deadline, and the earliest kept; an unguarded
+    the same lines up to the deadline, each past 0 only where its gate
+    lets it (:func:`_window_lines`), and the earliest kept; an unguarded
     binary emit starts at 0.  A binary emit takes part only if exactly one
     receiver is ready: receiver locations are frozen until the next event,
     and validation rejects a clock in a binary receiver's guard, so the
@@ -596,19 +654,19 @@ def _sojourn_lines(name: str, index: int, invariant, inv_probe,
                        else [f"deadline = {t}"]), None, rated)],
             f"the invariant of {name}")
     if any(guard is None and binary is None
-           for guard, _, _, binary, _ in edges):
+           for guard, _, _, _, binary, _ in edges):
         return lines + ["start = 0.0"]
     horizon = "deadline" if invariant is not None else None
     lines.append("start = None")
-    for i, (guard, probe, atoms, binary, where) in enumerate(edges):
+    for i, (guard, probe, atoms, gate, binary, where) in enumerate(edges):
         def found(t, first=i == 0):
             if t == "0.0" or first:  # no start is earlier
                 return [f"start = {t}"]
             return [f"if start is None or {t} < start:", f"    start = {t}"]
 
         search = (found("0.0") if guard is None else _naming(
-            _window_lines(guard, probe, atoms, True, found, horizon, rated),
-            f"the guard of {where}"))
+            _window_lines(guard, probe, atoms, True, found, horizon, rated,
+                          gate), f"the guard of {where}"))
         if binary is not None:
             search = [f"if {_ready_test(binary, index, 'r')}:",
                       *_indent(search)]
@@ -889,17 +947,19 @@ def _advance_reference(clocks: _Clocks):
 
 class _CompiledEdge:
     __slots__ = ("label", "where", "target", "guard", "guard_probe",
-                 "guard_atoms", "channel", "binary", "weight", "stores",
-                 "update")
+                 "guard_atoms", "guard_gate", "channel", "binary", "weight",
+                 "stores", "update")
 
     def __init__(self, label, component, target, guard, guard_probe,
-                 guard_atoms, channel, binary, weight, stores):
+                 guard_atoms, guard_gate, channel, binary, weight, stores):
         self.label = label
         self.where = f"edge {label} of {component}"  # in error messages
         self.target = target
         self.guard = guard  # compiled or None
         self.guard_probe = guard_probe  # probe form of guard, or None
         self.guard_atoms = guard_atoms  # ((lhs - rhs fn, its probe), ...)
+        # what must hold for a window past 0 (CompiledNetwork._compile_gate)
+        self.guard_gate = guard_gate
         self.channel = channel  # channel synced on, or None
         self.binary = binary  # channel of a binary emit, else None
         self.weight = weight
@@ -954,7 +1014,8 @@ class _CompiledLocation:
             self.race = ((self.name, self.index, self.invariant,
                           self.inv_probe, self.inv_atoms, tuple(
                               (e.guard, e.guard_probe, e.guard_atoms,
-                               e.binary, e.where) for e in self.active)),
+                               e.guard_gate, e.binary, e.where)
+                              for e in self.active)),
                          self.exit_rate or 1.0)
         for edge in self.active + [e for es in self.receive.values()
                                    for e in es]:
@@ -967,18 +1028,19 @@ class _CompiledLocation:
 
 class _StepTable:
     """What a step needs in one location configuration: the committed
-    components, the actors, the step kernel, the receive kernels per
-    channel and the rate plan.  An actor is a component whose location
-    takes part in a race (``race`` is not None): it can fire or its
-    invariant caps the delay.  One that can do neither draws nothing and
-    caps nothing, so the race leaves it out.  ``step`` is the step kernel
-    of the actors and the rate plan (:func:`_step_kernel`) when no
-    component is committed, for the step is timed, and None otherwise: it
-    evaluates the rates, runs the race and advances the clocks in one
-    call.  Components come as (component, location) pairs, in component
-    order.  ``receivers`` maps each channel that an active edge of the
-    configuration emits on to its receive kernel, or to None where no
-    component of the configuration receives on it.
+    components and their fire kernels, ``fires``, in component order, the
+    actors, the step kernel, the receive kernels per channel and the rate
+    plan.  An actor is a component whose location takes part in a race
+    (``race`` is not None): it can fire or its invariant caps the delay.
+    One that can do neither draws nothing and caps nothing, so the race
+    leaves it out.  ``step`` is the step kernel of the actors and the rate
+    plan (:func:`_step_kernel`) when no component is committed, for the
+    step is timed, and None otherwise: it evaluates the rates, runs the
+    race and advances the clocks in one call.  Components come as
+    (component, location) pairs, in component order.  ``receivers`` maps
+    each channel that an active edge of the configuration emits on to its
+    receive kernel, or to None where no component of the configuration
+    receives on it.
 
     The rate plan (:data:`_RatePlan`) says how clocks advance in the
     configuration: the clocks that advance at a constant rate (a
@@ -998,8 +1060,8 @@ class _StepTable:
     not a clock and at any clock-reading rate that no probe reads, and
     ``race`` and ``advance`` read the rates from that list."""
 
-    __slots__ = ("committed", "actors", "step", "receivers", "exact",
-                 "_parts", "_plan", "_race", "_rates", "_advance")
+    __slots__ = ("committed", "fires", "actors", "step", "receivers",
+                 "exact", "_parts", "_plan", "_race", "_rates", "_advance")
 
     def __init__(self, net, config):
         located = [(cc, cc.locations[loc_id])
@@ -1007,6 +1069,7 @@ class _StepTable:
         for _, loc in located:
             loc.lower()
         self.committed = [(cc, loc) for cc, loc in located if loc.committed]
+        self.fires = tuple(loc.fire for _, loc in self.committed)
         self.actors = [(cc, loc) for cc, loc in located
                        if loc.race is not None]
         self.receivers = {}
@@ -1093,6 +1156,13 @@ def _affine_rate(e, is_clock) -> bool:
          or (isinstance(n, E.Unary) and n.op == "!"))
         and any(is_clock(name) for name in E.names(n))
         for n in E.walk(e))
+
+
+def _conjuncts(e) -> list:
+    """The operands of ``e``'s top-level ``&&`` chain, in order."""
+    if isinstance(e, E.Binary) and e.op == "&&":
+        return _conjuncts(e.left) + _conjuncts(e.right)
+    return [e]
 
 
 def _literal(rhs):
@@ -1226,6 +1296,7 @@ class CompiledNetwork:
                     f"{edge.source}->{edge.target}#{i}", comp.name,
                     edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
+                    self._compile_gate(edge.guard, slotted, clock_refs),
                     channel, binary, edge.weight, tuple(stores))
                 source = cc.locations[edge.source]
                 if sync is not None and sync.direction == "receive":
@@ -1272,6 +1343,40 @@ class CompiledNetwork:
                     E.compile_probe(diff, resolve, clocks, self.float_slots)))
         return (E.compile_expr(boolean_expr, resolve),
                 E.compile_probe(boolean_expr, resolve, clocks), tuple(atoms))
+
+    @staticmethod
+    def _compile_gate(guard, resolve, clock_refs):
+        """What must hold for ``guard``, false at the start of a delay, to
+        turn true during it (:func:`_window_lines`): False if it reads no
+        clock, for then no delay changes it; else, compiled, the clock-free
+        conjuncts of its top-level ``&&`` chain, which no delay changes
+        either, in their order, or None if there is none.
+
+        A conjunct joins only if the gate cannot fault where the guard
+        does not: if the guard's test at 0 has evaluated it already, for no
+        clock-reading conjunct comes before it, or if it holds no
+        arithmetic operator, which alone can fault.  So
+        ``n > 0 && x / n >= 1`` searches no window while ``n`` is 0, as
+        C's ``&&`` evaluates nothing past a false operand, and
+        ``x >= 9 && 1 / n > 0`` does search, faulting only where
+        ``x >= 9`` holds."""
+        if guard is None:
+            return None
+        if not clock_refs(guard):
+            return False
+        gate = []
+        prefix = True  # no clock-reading conjunct so far
+        for conjunct in _conjuncts(guard):
+            if clock_refs(conjunct):
+                prefix = False
+            elif prefix or not any(
+                    isinstance(n, E.Binary) and n.op not in _BOOLEAN_OPS
+                    for n in E.walk(conjunct)):
+                gate.append(conjunct)
+        if not gate:
+            return None
+        return E.compile_expr(functools.reduce(
+            lambda a, b: E.Binary("&&", a, b), gate), resolve)
 
     def step_table(self, L) -> _StepTable:
         """The step table of location configuration ``L``, built once."""
@@ -1439,11 +1544,11 @@ class Simulator:
         after the firing becomes the last sample point."""
         V, L, snapshot = self.V, self.L, self._snapshot
         table = self._table = self.net.step_table(L)
-        if table.committed:
+        if table.fires:
             fire_args = (V, L, table.receivers, self.rng, self._recall,
                          snapshot, self.time)
-            for _, loc in table.committed:
-                fired = loc.fire(*fire_args)
+            for fire in table.fires:
+                fired = fire(*fire_args)
                 if fired is not None:
                     break
             else:
@@ -1514,10 +1619,9 @@ def run(network, bound: float, rng: RngStream, watch=(),
         for _ in range(config.max_steps):
             table = tables.get(tuple(L)) or net.step_table(L)
             receivers = table.receivers
-            if table.committed:
-                for _, loc in table.committed:
-                    fired = loc.fire(V, L, receivers, rng, recall, snapshot,
-                                     time)
+            if table.fires:
+                for fire in table.fires:
+                    fired = fire(V, L, receivers, rng, recall, snapshot, time)
                     if fired is not None:
                         break
                 else:
@@ -1551,8 +1655,8 @@ def run(network, bound: float, rng: RngStream, watch=(),
         return Trace(initial, events, time, end, snapshot(),
                      {cc.name: loc for cc, loc in zip(net.components, L)})
     except (ArithmeticError, EngineError) as exc:
-        # the guard, invariant, rate or update at fault, set by _naming
-        # and _sync
+        # the guard, invariant, rate or update at fault, set by the lines
+        # of _naming and _sync_lines
         where = getattr(exc, "where", None)
         if isinstance(exc, ArithmeticError):  # x / 0, n % 0, an overflow
             message = (f"arithmetic error at t={time}: "

@@ -720,6 +720,39 @@ def test_a_fault_of_the_model_names_no_query_expression(runner, tmp_path):
                                   "zero, in the guard of edge a->a#0 of T")
 
 
+# a guard whose clock atom divides by n, which its first conjunct keeps
+# nonzero: as C's && evaluates nothing past a false operand, the guard is
+# false while n is 0, and the other edge fires
+SHORT_CIRCUIT = """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 5; }
+  a -> a { guard n > 0 && x / n >= 1; update x := 0; }
+  a -> a { guard x >= 2; update x := 0; }
+}
+system T;
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_guard_false_by_its_first_conjunct_searches_no_window(
+        runner, tmp_path, workers):
+    """The window search of a guard whose clock-free conjunct is false
+    evaluates none of its clock atoms, so ``x / n`` at n = 0 faults
+    nowhere and the check exits 0."""
+    m = tmp_path / "short.sta"
+    m.write_text(SHORT_CIRCUIT)
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=10; 5](max: x);\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    [row] = json.loads((tmp_path / "o" / "results.json").read_text())[
+        "results"]
+    assert row["runs"] == 5 and 2.0 <= row["p_hat"] <= 5.0, row
+
+
 # a check in a fresh process, which then prints the scipy modules it loaded
 CHECK_THEN_LIST_SCIPY = """
 import sys

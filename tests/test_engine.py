@@ -1304,8 +1304,11 @@ def test_window_kernels_match_the_loop_reference(name):
 
 
 # the predicates of the rows below, as the guards of one location's edges
-_PREDICATES = ("x <= 5", "x > 5", "x >= 5", "x >= 2 && y <= 7")
-_WINDOWS = ("clock x; clock y; template T() { init loc a; "
+_PREDICATES = ("x <= 5", "x > 5", "x >= 5", "x >= 2 && y <= 7",
+               "x >= 2 && y <= 7 && x <= 9", "x >= 2 && n > 0",
+               "m > 0 && x >= 2", "n > 0", "m > 0")
+_WINDOWS = ("int n = 0; int m = 1; clock x; clock y; "
+            "template T() { init loc a; "
             + " ".join(f"a -> a {{ guard {p}; }}" for p in _PREDICATES)
             + " } system T;")
 
@@ -1323,35 +1326,53 @@ _WINDOWS = ("clock x; clock y; template T() { init loc a; "
     ("x <= 5", False, 5.0 - 4e-10, 0.0, (1.0, 1.0), None, 1e-9),
     ("x <= 5", False, 0.0, 0.0, (1.0, 1.0), 4.0, None),
     ("x <= 5", False, 0.0, 0.0, (1.0, 1.0), 5.0, 5.0),
-    # two atoms, whose crossings 2 and 1.75 the loop sorts
+    # two atoms, whose crossings 2 and 1.75 the lines order
     ("x >= 2 && y <= 7", False, 3.0, 0.0, (1.0, 4.0), None, 1.75),
     ("x >= 2 && y <= 7", True, 0.0, 0.0, (1.0, 0.5), None, 2.0),
+    # two atoms, of which only the second crosses, or neither
+    ("x >= 2 && y <= 7", True, 3.0, 9.0, (0.0, -1.0), None, 2.0),
+    ("x >= 2 && y <= 7", True, 0.0, 9.0, (0.0, 0.0), None, None),
+    # three atoms, whose crossings 2, 14 and 9 or 1.75 and 6 the loop sorts
+    ("x >= 2 && y <= 7 && x <= 9", True, 0.0, 0.0, (1.0, 0.5), None, 2.0),
+    ("x >= 2 && y <= 7 && x <= 9", False, 3.0, 0.0, (1.0, 4.0), None, 1.75),
+    # gated: a false clock-free conjunct, n > 0, shuts the window; a true
+    # one, m > 0, opens it
+    ("x >= 2 && n > 0", True, 0.0, 0.0, (1.0, 1.0), None, None),
+    ("m > 0 && x >= 2", True, 0.0, 0.0, (1.0, 1.0), None, 2.0),
+    # no clock atom: the test at 0 alone
+    ("n > 0", True, 0.0, 0.0, (1.0, 1.0), None, None),
+    ("m > 0", True, 0.0, 0.0, (1.0, 1.0), None, 0.0),
 ], ids=["start-at-0-with-a-slope", "start-zero-slope",
         "start-crossing-before-1e-9", "start-crossing-past-the-horizon",
         "start-crossing-at-the-horizon", "deadline-at-0-with-a-slope",
         "deadline-zero-slope", "deadline-crossing-before-1e-9",
         "deadline-crossing-past-the-horizon",
         "deadline-crossing-at-the-horizon", "deadline-two-atoms",
-        "start-two-atoms"])
+        "start-two-atoms", "start-two-atoms-second-crosses",
+        "start-two-atoms-neither-crosses", "start-three-atoms",
+        "deadline-three-atoms", "gate-shut", "gate-open", "no-clock-false",
+        "no-clock-true"])
 def test_one_atom_windows_match_the_loop_reference(pred, want, x, y, rates,
                                                    horizon, t):
-    """A one-atom predicate's window search is straight-line code: it
-    probes 1e-9, then the atom's one crossing if the horizon admits it
-    (``<=``).  It finds what the loop reference finds, bit for bit, for a
-    guard's start and an invariant's deadline, as the search over two
-    atoms does, which keeps its loop."""
+    """A window search over at most two atoms is straight-line code: it
+    probes 1e-9, then each crossing that the horizon admits (``<=``), in
+    increasing order.  It finds what the loop reference finds, bit for bit,
+    for a guard's start and an invariant's deadline, as the search over
+    three atoms does, which keeps its loop.  A guard's search past 0 is
+    gated by its clock-free conjuncts, and a guard that reads no clock has
+    none; each finds what the reference finds."""
     compiled = engine.CompiledNetwork(net(_WINDOWS))
     edge = compiled.components[0].locations["a"].active[
         _PREDICATES.index(pred)]
-    V, L = [0.0, 0.0], ["a"]
+    (V, L), R = compiled.initial_state(), [0.0] * len(compiled.keys)
     V[compiled.slots["x"]], V[compiled.slots["y"]] = x, y
-    R = [0.0, 0.0]
     R[compiled.slots["x"]], R[compiled.slots["y"]] = rates
     lines = engine._window_lines(
         edge.guard, edge.guard_probe, edge.guard_atoms, want,
-        lambda t: [f"return {t}"], None if horizon is None else "h")
+        lambda t: [f"return {t}"], None if horizon is None else "h",
+        gate=edge.guard_gate)
     looped = {line.strip() for line in lines} >= {"c.sort()", "for t in c:"}
-    assert looped == (len(edge.guard_atoms) > 1)
+    assert looped == (len(edge.guard_atoms) > 2)
     search = engine._kernel("window", ["def _k(V, L, R, h):",
                                        *engine._indent(lines),
                                        "    return None"])
@@ -1749,6 +1770,69 @@ def test_fire_kernels_match_the_loop_reference(name):
             for i, edge in enumerate(loc.active):
                 if edge.stores:
                     assert loc.fire.__globals__[f"U{i}"] is edge.update
+
+
+# weights whose running sums round: 0.1 + 0.2 is 0.30000000000000004
+_WEIGHTS = (0.1, 0.2, 0.3, 0.4)
+
+
+class _Uniform(RngStream):
+    """A stream whose uniform on [0, the weights' ``sum()``) is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, lo, hi):
+        assert (lo, hi) == (0.0, sum(_WEIGHTS))
+        return self.u
+
+
+def test_a_choice_among_always_enabled_edges_is_weighted_choice():
+    """A location whose edges have neither a guard nor a binary emit fires
+    by its running sums written in: the same index as
+    ``RngStream.weighted_choice`` for every stream, leaving the stream at
+    the same next draw, and for uniforms on and beside each running sum.
+    Its total is ``sum()``, as weighted_choice's is: from Python 3.12 a
+    compensated sum, which need not be the last running sum.  A location
+    with a guarded or a binary-emit edge keeps weighted_choice's list."""
+    edges = " ".join(f"a -> a {{ weight {w}; }}" for w in _WEIGHTS)
+    compiled = engine.CompiledNetwork(net(
+        f"template T() {{ init loc a; {edges} }} system T;"))
+    V, L = compiled.initial_state()
+    receivers = compiled.step_table(L).receivers
+    fire = compiled.components[0].locations["a"].fire
+    assert "uniform" in fire.__code__.co_names
+    assert "weighted_choice" not in fire.__code__.co_names
+    sums = [0.1, 0.30000000000000004, 0.6000000000000001, 1.0]
+    assert engine._running_sums(list(_WEIGHTS)) == (sum(_WEIGHTS), sums)
+
+    def label(rng):
+        return fire(V, L, receivers, rng, dict, dict, 0.0)[2]
+
+    picks = set()
+    for i in range(400):
+        got_rng, want_rng = RngStream(5, i), RngStream(5, i)
+        got = label(got_rng)
+        assert got == f"a->a#{want_rng.weighted_choice(list(_WEIGHTS))}"
+        assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
+        picks.add(got)
+    assert len(picks) == 4
+    # each running sum, and the doubles on either side of it
+    us = [0.0, *(u for acc in sums for u in (
+        math.nextafter(acc, 0.0), acc, math.nextafter(acc, 2.0)))]
+    want = [_Uniform(u).weighted_choice(list(_WEIGHTS)) for u in us]
+    assert [label(_Uniform(u)) for u in us] == [f"a->a#{i}" for i in want]
+    assert set(want) == {0, 1, 2, 3}
+
+    for other in ("guard x >= 0;", "sync c!;"):
+        compiled = engine.CompiledNetwork(net(
+            f"clock x; chan c; template T() {{ init loc a; "
+            f"a -> a {{ {other} }} {edges} }} "
+            f"template R() {{ init loc w; w -> w {{ sync c?; }} }} "
+            f"system T, R;"))
+        compiled.step_table(compiled.initial_state()[1])
+        fire = compiled.components[0].locations["a"].fire
+        assert "weighted_choice" in fire.__code__.co_names
 
 
 def test_a_table_holds_every_channel_its_actors_emit_on():
@@ -2209,6 +2293,33 @@ def test_a_fault_names_its_guard_invariant_or_rate(text, where):
     assert texts[0].endswith(f"ZeroDivisionError: division by zero, "
                              f"in {where}") or texts[0].endswith(
         f"ZeroDivisionError: float division by zero, in {where}")
+
+
+@pytest.mark.parametrize("inv, fault", [(5, False), (10, True)])
+def test_a_guard_gate_evaluates_nothing_that_the_guard_would_not(inv,
+                                                                 fault):
+    """``1 / n > 0`` comes after a clock conjunct and divides, so it stays
+    out of the guard's gate: as in C, it is evaluated only where ``x >= 9``
+    holds.  Under ``inv x <= 5`` that is never, and the run reaches its
+    bound; under ``inv x <= 10`` the window search probes past 9, where the
+    guard faults and names itself, in ``engine.run`` as in the stepwise
+    reference.  ``n > 0 && x / n >= 1``, whose first conjunct is the gate,
+    searches nothing while n is 0, so it never divides."""
+    for guard in ("x >= 9 && 1 / n > 0", "n > 0 && x / n >= 1"):
+        text = _fault(f"init loc a {{ inv x <= {inv}; }} "
+                      f"a -> a {{ guard {guard}; update x := 0; }} "
+                      "a -> a { guard x >= 2; update x := 0; }")
+        for simulate in (run, _stepwise_run):
+            compiled = engine.CompiledNetwork(net(text))
+            if fault and guard.startswith("x"):
+                with pytest.raises(EngineError, match=(
+                        r"division by zero, in the guard of edge a->a#0 "
+                        r"of T$")):
+                    simulate(compiled, 50, RngStream(0, 0))
+            else:
+                trace = simulate(compiled, 50, RngStream(0, 0))
+                assert trace.end_reason == "bound_reached"
+                assert {e[2] for e in trace.events} == {"a->a#1"}
 
 
 def test_a_blocked_binary_emit_deadlocks():
