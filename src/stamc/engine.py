@@ -23,6 +23,11 @@ current rates without copying ``V``.  A rate and a clock atom return a
 float, through ``float()`` only where :func:`stamc.expr.is_float` does not
 say that the expression is one already.
 
+A comparison of an int or bool slot with an integral literal writes the
+literal as an int, ``V[7] == 5``, not ``V[7] == 5.0``
+(:func:`stamc.expr.compile_expr`'s ``ints``), which takes CPython's int
+compare fast path.
+
 The per-event work runs in kernels, straight-line functions generated from
 those closures' sources with every expression inlined:
 
@@ -47,7 +52,12 @@ those closures' sources with every expression inlined:
   advance kernel, which integrates the clock-reading rates, by one
   midpoint step or by RK4 steps, then does its ``rate * dt`` stores, a
   literal rate written into the code and every other rate checked to be
-  finite;
+  finite.  It leaves ``V`` untouched until those stores, which read it
+  directly (``V[15] = V[15] + dt``): a stage holds the clocks that the
+  rates read in locals (``m13 = V[13] + r13 * h``), loads each other slot
+  they read once, computes a float subexpression that several rates share
+  once, such as ``m13 + m14``, and tests its rates to be finite by one
+  test of their sum;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting inline only what may need it: a literal is stored as
   its constant, a real or clock as it is where it is a float already, and
@@ -66,7 +76,8 @@ those closures' sources with every expression inlined:
 - a receive kernel per step table and channel tests every receive edge of
   the configuration on the channel inline, skips the emitter, and lists
   the ready receivers with their enabled edges;
-- a watch kernel per watch tuple builds a sample's dict of watched values.
+- a watch kernel per watch tuple binds a sampler to a run's ``V`` and
+  ``L``, once per run, which builds a sample's dict of watched values.
 
 A guard, invariant, rate or update that faults names itself on the error
 path only: the kernels wrap each in a ``try`` (:func:`_naming`) that sets
@@ -138,9 +149,22 @@ evaluated rate from a local instead of a list, or leaving out the
 two atoms' crossings in straight-line code, two ordered by one
 comparison, skipping the search of a guard that a false clock-free
 conjunct keeps false throughout the delay (it would find nothing; only a
-fault in its atoms, such as ``x / n`` at ``n = 0``, is gone), or choosing
-among always-enabled edges by the running sums that ``weighted_choice``
-would compute, written in.  Runs are bit-identical to that
+fault in its atoms, such as ``x / n`` at ``n = 0``, is gone), dropping
+from a search an atom whose divisor is zero (its truth flips nowhere, and
+the probes fault wherever the predicate does), or choosing among
+always-enabled edges by the running sums that ``weighted_choice`` would
+compute, written in.  Nor does writing an integral literal that a
+comparison holds against an int or bool slot as an int: Python compares
+an int with a float exactly, and those slots hold only ints and bools
+(``_coerce``, :func:`_store`).  Nor, in an advance, does holding a
+stage's clocks in locals and each other slot that its rates read in a
+local loaded once, instead of writing them into ``V`` and reading them
+back, computing a float subexpression that several rates share once (an
+operation on floats cannot raise, so no fault moves either), or testing
+a stage's rates to be finite by one test of their sum that falls back to
+a test of each rate in order only where the sum is not finite, so finite
+rates whose sum overflows pass, and a rate that faults names an earlier
+rate of its stage that is not finite first.  Runs are bit-identical to that
 straightforward form, which ``tests/test_engine.py`` keeps as its
 reference for every kind of kernel, next to a digest of 30 vehicle runs.
 ``RngStream`` serves uniforms and weighted choices from the bit generator's
@@ -152,6 +176,7 @@ Only runs through a stepped plan depend on ``h_max``.
 
 from __future__ import annotations
 
+import ast
 import collections
 import functools
 import json
@@ -334,7 +359,7 @@ def _kernel(title: str, lines: list, **names):
     scope = {"__builtins__": {}, **E.FUNCS, "float": float, "bool": bool,
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
-             "ArithmeticError": ArithmeticError,
+             "ArithmeticError": ArithmeticError, "_nonfinite": _nonfinite,
              "_coerce": CompiledNetwork._coerce, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
@@ -344,15 +369,18 @@ def _indent(lines: list, by: int = 4) -> list:
     return [" " * by + line for line in lines]
 
 
-def _naming(lines: list, where: str, errors: str = "ArithmeticError") -> list:
+def _naming(lines: list, where: str, errors: str = "ArithmeticError",
+            check=None) -> list:
     """``lines`` in a try that names ``where``, such as ``the guard of edge
     a->b#0 of T``, on the ``errors`` they raise, as the exception's
-    ``where``, for :func:`run`'s message.  From Python 3.11 a try that
-    catches nothing costs nothing; on 3.10 each one pays one more pair of
-    opcodes (SETUP_FINALLY, POP_BLOCK), a cost measured on no benchmark so
-    far, all of them taken on 3.11."""
+    ``where``, for :func:`run`'s message; ``check``, a line, runs before
+    the exception is raised again, and may raise an error of its own.
+    From Python 3.11 a try that catches nothing costs nothing; on 3.10
+    each one pays one more pair of opcodes (SETUP_FINALLY, POP_BLOCK), a
+    cost measured on no benchmark so far, all of them taken on 3.11."""
     return ["try:", *_indent(lines), f"except {errors} as exc:",
-            f"    exc.where = {where!r}", "    raise"]
+            f"    exc.where = {where!r}", *([f"    {check}"] if check else []),
+            "    raise"]
 
 
 # how an update kernel stores a right-hand side u (_store), but a literal,
@@ -546,10 +574,28 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
 
 @functools.cache
 def _watch_kernel(watch: tuple):
-    """``(V, L)``: a new dict of the ``watch`` values, ((key, fn), ...), at
-    the current state."""
+    """``(V, L)``: the sampler of the state lists ``V`` and ``L``, bound
+    once per run, which returns a new dict of the ``watch`` values, ((key,
+    fn), ...), at their current state."""
     items = ", ".join(f"{key!r}: {fn.source}" for key, fn in watch)
-    return _kernel("watch", ["def _k(V, L):", f"    return {{{items}}}"])
+    return _kernel("watch", ["def _k(V, L):", "    def sample():",
+                             f"        return {{{items}}}",
+                             "    return sample"])
+
+
+def _divides(source: str) -> bool:
+    """Whether the Python expression ``source`` divides, by ``/`` or
+    ``%``, by anything but a nonzero number literal or its negation."""
+    for node in ast.walk(ast.parse(source, mode="eval")):
+        if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                      (ast.Div, ast.Mod)):
+            divisor = node.right
+            if (isinstance(divisor, ast.UnaryOp)
+                    and isinstance(divisor.op, ast.USub)):
+                divisor = divisor.operand
+            if not (isinstance(divisor, ast.Constant) and divisor.value):
+                return True
+    return False
 
 
 def _window_lines(pred, probe, atoms: tuple, want: bool, found,
@@ -575,16 +621,30 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
     ``c1``, ordered by one comparison, 0.0 standing for no crossing; more
     atoms list their crossings, sort them and probe them in a loop.  An
     atom's value and its probe are floats (compiled through ``float()``
-    where :func:`stamc.expr.is_float` does not say they are)."""
+    where :func:`stamc.expr.is_float` does not say they are).
+
+    An atom whose crossing faults is dropped from the search, where it may
+    divide by zero (:func:`_divides`): a validated atom divides only by a
+    clock-free divisor, which no delay changes, so the atom faults all
+    delay long, and its truth flips nowhere.  The probes decide the window
+    on the others: they evaluate the whole predicate with Python's short
+    circuit, so ``(n > 0 && x / n >= 1) || x >= 3`` at ``n = 0`` opens at
+    ``x = 3``, and they fault wherever the predicate itself does."""
     rated = rated or (lambda source: source)
     test = "" if want else "not "
     within = "1e-9 < t" + ("" if horizon is None else f" <= {horizon}")
     probed = f"{test}({rated(probe.source)})"
 
     def slope(diff, diff_probe):
-        """Lines setting ``g`` to an atom's value and ``s`` to its slope."""
-        return [f"g = {diff.source}", "dt = 1.0",
-                f"s = {rated(diff_probe.source)} - g"]
+        """Lines setting ``g`` to an atom's value and ``s`` to its slope,
+        or ``s`` to 0.0, no crossing, where an atom that may divide by
+        zero faults (:func:`_divides`)."""
+        lines = [f"g = {diff.source}", "dt = 1.0",
+                 f"s = {rated(diff_probe.source)} - g"]
+        if not _divides(diff.source):
+            return lines
+        return ["try:", *_indent(lines), "except ArithmeticError:",
+                "    s = 0.0"]
 
     def at(t):
         """Lines probing 1e-9 past ``t``, running ``found(t)`` if true."""
@@ -713,8 +773,9 @@ _Clocks.__doc__ = """How the clocks of a location configuration advance
 over a delay: ``advanced``, ((slot, key, literal rate or None), ...), the
 clocks that advance by ``rate * dt``, None for a clock-free rate that is
 not a literal; ``integrated``, ((slot, rate fn, key, where), ...), the
-clock-reading rates; the slots that an integration stage sets,
-``stage_const`` and ``stage_y`` (:func:`_advance_lines`); and whether one
+clock-reading rates; the clocks that an integration stage holds in
+locals for the rates to read, ``stage_const`` and ``stage_y``
+(:func:`_advance_lines`); and whether one
 midpoint step integrates them ``exact``ly."""
 
 _RatePlan = collections.namedtuple("_RatePlan", (
@@ -768,67 +829,142 @@ def _rate_lines(rates: tuple) -> list:
             for line in _naming([f"r{slot} = {fn.source}"], where)]
 
 
+def _nonfinite(values: list, keys: list) -> None:
+    """Raise the error of the first of ``values``, the rates of the clocks
+    ``keys`` in order, that is not finite, if one is not."""
+    for value, key in zip(values, keys):
+        if not math.isfinite(value):
+            raise EngineError(f"rate of {key!r} is not finite")
+
+
+def _finite_lines(rates: list, keys: list) -> list:
+    """Lines that raise the error of the first of ``rates``, locals that
+    hold the rates of the clocks ``keys``, that is not finite: one test of
+    their sum, which is finite if they are, and :func:`_nonfinite` only
+    where it is not, for finite rates can sum to inf."""
+    if not rates:
+        return []
+    return [f"if not isfinite({' + '.join(rates)}):",
+            f"    {_nonfinite_call(rates, keys)}"]
+
+
+def _nonfinite_call(rates: list, keys: list) -> str:
+    """The call of :func:`_nonfinite` on ``rates``, the locals that hold
+    the rates of the clocks ``keys``."""
+    return f"_nonfinite([{', '.join(rates)}], {list(keys)!r})"
+
+
+# a slot of V in a rate's source, and a sum, difference or product of two
+# float locals of an integration stage: stage clocks, m{slot} or y{i}, or
+# such a shared subexpression, c{n}
+_SLOT = re.compile(r"V\[(\d+)\]")
+_SHAREABLE = re.compile(r"\([cmy]\d+ [-+*] [cmy]\d+\)")
+
+
+def _shared(sources: list) -> tuple:
+    """``(lines, sources)``: each subexpression of ``sources`` that
+    ``_SHAREABLE`` matches and that occurs more than once, computed once
+    into a local ``c{n}`` by ``lines``, and ``sources`` reading it there.
+    An operation on floats cannot raise, it gives inf or nan instead, so
+    computing it once, before the rates, changes no value and no fault."""
+    lines = []
+    while True:
+        counts = collections.Counter(
+            sub for source in sources for sub in _SHAREABLE.findall(source))
+        shared = [sub for sub, n in counts.items() if n > 1]
+        if not shared:
+            return lines, sources
+        for sub in shared:
+            local = f"c{len(lines)}"
+            lines.append(f"{local} = {sub[1:-1]}")
+            sources = [source.replace(sub, local) for source in sources]
+
+
 def _advance_lines(clocks: _Clocks) -> list:
     """Lines advancing every clock of ``clocks`` by ``dt``, with ``h_max``
     in scope and each clock-free rate that is not a literal in the local
     ``r{slot}``: the ``integrated`` clocks jointly, then the ``advanced``
     ones by ``rate * dt``.  A literal rate, 1 for an unrated clock, is
-    written into the code; any other is checked to be finite.  A stage of
-    the integration moves the ``stage_const`` slots to the stage's time
-    offset at their constant rates and sets the ``stage_y`` slots, the
-    integrated clocks that rates read, to the stage's input, then evaluates
-    every integrated rate, checked to be finite and named on a fault.  An
-    ``exact`` plan takes one midpoint stage at ``dt / 2``; a stepped one
-    takes ``max(1, ceil(dt / h_max))`` RK4 steps of four stages."""
-    def check(var, key):
-        message = f"rate of {key!r} is not finite"
-        return [f"if not isfinite({var}):",
-                f"    raise EngineError({message!r})"]
+    written into the code; any other is checked to be finite.  They write
+    ``V`` only in their final stores, each of which reads its slot there.
 
-    base = {slot: i for i, (slot, _, _) in enumerate(clocks.advanced)}
+    A stage of the integration holds the ``stage_const`` clocks, at the
+    stage's time offset under their constant rates, and the ``stage_y``
+    ones, the integrated clocks that rates read, at the stage's input, in
+    locals ``m{slot}`` (``y{i}`` itself at the start of an RK4 step), which
+    the integrated rates read in place of ``V``; they read each other slot
+    from a local loaded once, and a float subexpression that they share
+    from a local computed once (:func:`_shared`).  Each rate is named on a
+    fault, which names an earlier rate of the stage that is not finite
+    first, and the stage checks its rates to be finite in one test
+    (:func:`_finite_lines`).  An ``exact`` plan takes one midpoint stage at
+    ``dt / 2``, whose test checks the clock-free rates too; a stepped one
+    takes ``max(1, ceil(dt / h_max))`` RK4 steps of four stages, then
+    checks the clock-free rates."""
     literal = {slot: lit for slot, _, lit in clocks.advanced}
     y = {slot: i for i, (slot, *_) in enumerate(clocks.integrated)}
-
-    def moved(slot, by):
-        """The constant-rate clock at ``slot`` after ``by`` time units."""
-        return f"b{base[slot]} + {_times(slot, literal[slot], by)}"
+    keys = [key for _, _, key, _ in clocks.integrated]
+    loads = sorted({int(slot) for _, fn, _, _ in clocks.integrated
+                    for slot in _SLOT.findall(fn.source)}
+                   - set(clocks.stage_const) - set(clocks.stage_y))
 
     def stage(k, offset, step=None):
         """Lines setting ``{k}{i}`` to the rate of integrated clock i at
         time ``offset``, with the clock at ``y{i}``, or at
         ``y{i} + {name}{i} * {width}`` for ``step`` = (name, width)."""
-        lines = [f"V[{slot}] = {moved(slot, offset)}"
-                 for slot in clocks.stage_const]
+        local = {slot: f"v{slot}" for slot in loads}
+        lines = []
+        for slot in clocks.stage_const:
+            local[slot] = f"m{slot}"
+            lines.append(f"m{slot} = V[{slot}] + "
+                         f"{_times(slot, literal[slot], offset)}")
         for slot in clocks.stage_y:
             i = y[slot]
-            lines.append(f"V[{slot}] = y{i}" if step is None else
-                         f"V[{slot}] = y{i} + {step[0]}{i} * {step[1]}")
-        for i, (_, fn, key, where) in enumerate(clocks.integrated):
-            lines += _naming([f"{k}{i} = {fn.source}"], where)
-            lines += check(f"{k}{i}", key)
-        return lines
+            local[slot] = f"y{i}" if step is None else f"m{slot}"
+            if step is not None:
+                lines.append(f"m{slot} = y{i} + {step[0]}{i} * {step[1]}")
+        shared, sources = _shared([
+            _SLOT.sub(lambda m: local[int(m.group(1))], fn.source)
+            for _, fn, _, _ in clocks.integrated])
+        lines += shared
+        rates = []
+        for (_, _, _, where), source in zip(clocks.integrated, sources):
+            check = (_nonfinite_call(rates, keys[:len(rates)]) if rates
+                     else None)
+            rates.append(f"{k}{len(rates)}")
+            lines += _naming([f"{rates[-1]} = {source}"], where, check=check)
+        return lines, rates
 
-    body = [f"b{i} = V[{slot}]" for slot, i in base.items()]
-    body += [f"y{i} = V[{slot}]" for slot, i in y.items()]
+    # the clock-free rates that are not literals, and their clocks
+    fixed = [f"r{slot}" for slot, _, lit in clocks.advanced if lit is None]
+    fixed_keys = [key for _, key, lit in clocks.advanced if lit is None]
+    body = [f"v{slot} = V[{slot}]" for slot in loads]
     if clocks.integrated and clocks.exact:
-        body += ["h = dt / 2", *stage("k", "h")]
-        body += [f"V[{slot}] = y{i} + k{i} * dt" for slot, i in y.items()]
+        lines, rates = stage("k", "h")
+        body += ["h = dt / 2", *lines,
+                 *_finite_lines(rates + fixed, keys + fixed_keys)]
+        body += [f"V[{slot}] = V[{slot}] + k{i} * dt" for slot, i in y.items()]
+        fixed = fixed_keys = []  # checked by the stage's test
     elif clocks.integrated:
+        def checked(*args):
+            lines, rates = stage(*args)
+            return lines + _finite_lines(rates, keys)
+
+        body += [f"y{i} = V[{slot}]" for slot, i in y.items()]
         body += ["n = max(1, ceil(dt / h_max))", "h = dt / n",
                  "h2 = h / 2", "h6 = h / 6", "t = 0.0", "for _ in range(n):"]
         body += _indent([
-            *stage("p", "t"),
-            "o = t + h2", *stage("q", "o", ("p", "h2")),
-            *stage("r", "o", ("q", "h2")),
-            "o = t + h", *stage("s", "o", ("r", "h")),
-            *[f"y{i} = y{i} + (((p{i} + 2 * q{i}) + 2 * r{i}) + s{i}) * h6"
+            *checked("p", "t"),
+            "o = t + h2", *checked("q", "o", ("p", "h2")),
+            *checked("u", "o", ("q", "h2")),
+            "o = t + h", *checked("w", "o", ("u", "h")),
+            *[f"y{i} = y{i} + (((p{i} + 2 * q{i}) + 2 * u{i}) + w{i}) * h6"
               for i in y.values()],
             "t += h"])
         body += [f"V[{slot}] = y{i}" for slot, i in y.items()]
-    for slot, key, lit in clocks.advanced:
-        if lit is None:
-            body += check(f"r{slot}", key)
-        body.append(f"V[{slot}] = {moved(slot, 'dt')}")
+    body += _finite_lines(fixed, fixed_keys)
+    body += [f"V[{slot}] = V[{slot}] + {_times(slot, lit, 'dt')}"
+             for slot, _, lit in clocks.advanced]
     return body
 
 
@@ -1227,6 +1363,11 @@ class CompiledNetwork:
         self.float_slots = frozenset(
             self.slots[key] for key, vtype in self.var_types.items()
             if vtype in ("real", "clock"))
+        # the slots that hold an int or a bool, against which an integral
+        # literal is compared as an int
+        self.int_slots = frozenset(
+            self.slots[key] for key, vtype in self.var_types.items()
+            if vtype in ("int", "bool"))
         self._init = [(self.slots[d.name], d.init, d.type)
                       for d in model.decls]
         # V and L at the start of a run, from the first run on
@@ -1266,7 +1407,8 @@ class CompiledNetwork:
                 rates = {}
                 for clk, rate_expr in loc.rates:
                     rates[self.slots[resolve(clk)[1]]] = (
-                        E.compile_expr(rate_expr, slotted, self.float_slots),
+                        E.compile_expr(rate_expr, slotted, self.float_slots,
+                                       self.int_slots),
                         clock_refs(rate_expr),
                         float(rate_expr.value)
                         if isinstance(rate_expr, E.Num) else None)
@@ -1284,7 +1426,8 @@ class CompiledNetwork:
                 for name, rhs in edge.updates:
                     key = resolve(name)[1]
                     stores.append((self.slots[key],
-                                   E.compile_expr(rhs, slotted),
+                                   E.compile_expr(rhs, slotted,
+                                                  ints=self.int_slots),
                                    _store(rhs, self.var_types[key], type_of,
                                           is_float)))
                 sync = edge.sync
@@ -1333,19 +1476,20 @@ class CompiledNetwork:
         an absent one.  An atom and its probe return floats."""
         if boolean_expr is None:
             return None, None, ()
-        clocks = frozenset(self.clock_slots)
+        clocks, floats, ints = (frozenset(self.clock_slots), self.float_slots,
+                                self.int_slots)
         atoms = []
         for atom in E.comparison_atoms(boolean_expr):
             if clock_refs(atom.left) or clock_refs(atom.right):
                 diff = E.Binary("-", atom.left, atom.right)
                 atoms.append((
-                    E.compile_expr(diff, resolve, self.float_slots),
-                    E.compile_probe(diff, resolve, clocks, self.float_slots)))
-        return (E.compile_expr(boolean_expr, resolve),
-                E.compile_probe(boolean_expr, resolve, clocks), tuple(atoms))
+                    E.compile_expr(diff, resolve, floats, ints),
+                    E.compile_probe(diff, resolve, clocks, floats, ints)))
+        return (E.compile_expr(boolean_expr, resolve, ints=ints),
+                E.compile_probe(boolean_expr, resolve, clocks, ints=ints),
+                tuple(atoms))
 
-    @staticmethod
-    def _compile_gate(guard, resolve, clock_refs):
+    def _compile_gate(self, guard, resolve, clock_refs):
         """What must hold for ``guard``, false at the start of a delay, to
         turn true during it (:func:`_window_lines`): False if it reads no
         clock, for then no delay changes it; else, compiled, the clock-free
@@ -1376,7 +1520,8 @@ class CompiledNetwork:
         if not gate:
             return None
         return E.compile_expr(functools.reduce(
-            lambda a, b: E.Binary("&&", a, b), gate), resolve)
+            lambda a, b: E.Binary("&&", a, b), gate), resolve,
+            ints=self.int_slots)
 
     def step_table(self, L) -> _StepTable:
         """The step table of location configuration ``L``, built once."""
@@ -1422,7 +1567,8 @@ class CompiledNetwork:
         if out is None:
             from .parser import parse_expression
             out = self._watches[key] = tuple(
-                (E.to_text(e), E.compile_expr(e, self.query_resolver))
+                (E.to_text(e), E.compile_expr(e, self.query_resolver,
+                                              ints=self.int_slots))
                 for e in (parse_expression(x) if isinstance(x, str) else x
                           for x in key))
         return out
@@ -1437,7 +1583,7 @@ class CompiledNetwork:
             from .parser import parse_expression
             e = parse_expression(expr) if isinstance(expr, str) else expr
             fn = self._floats[expr] = E.compile_expr(
-                e, self.query_resolver, self.float_slots)
+                e, self.query_resolver, self.float_slots, self.int_slots)
         return fn
 
 
@@ -1447,18 +1593,19 @@ class CompiledNetwork:
 def _sampler(V, L, watch, monitor):
     """The call that takes a sample point of the state lists ``V`` and
     ``L``: it calls ``monitor(V, L)``, if there is a monitor, and returns
-    the ``watch`` kernel's dict, or one shared empty dict when nothing is
-    watched.  A monitor alone is called directly, and what it returns is
-    the sample: it returns that shared dict, ``_UNWATCHED``."""
+    the dict of the sampler that the ``watch`` kernel binds to ``V`` and
+    ``L``, or one shared empty dict when nothing is watched.  A monitor
+    alone is called directly, and what it returns is the sample: it
+    returns that shared dict, ``_UNWATCHED``."""
+    sample = watch(V, L) if watch is not None else None
     if monitor is None:
-        return (functools.partial(watch, V, L) if watch is not None
-                else lambda: _UNWATCHED)
-    if watch is None:
+        return sample or (lambda: _UNWATCHED)
+    if sample is None:
         return functools.partial(monitor, V, L)
 
     def monitored():
         monitor(V, L)
-        return watch(V, L)
+        return sample()
     return monitored
 
 

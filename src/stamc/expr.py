@@ -21,6 +21,13 @@ which :mod:`stamc.engine` builds its kernels.
 :func:`is_float` says when an expression always evaluates to a Python
 float; a compiled form that must return a float wraps its source in
 ``float()`` only where it does not.
+
+Given ``ints``, the keys of the variables that hold ints or bools, a
+comparison of such a variable with an integral number literal, or with an
+integral float constant, writes the literal as an int: ``mode == 5`` reads
+``V[7] == 5``, not ``V[7] == 5.0``.  Python compares an int with a float
+exactly, so every truth value is the same, and the comparison of two ints
+takes CPython's int compare fast path, which an int against a float misses.
 """
 
 from __future__ import annotations
@@ -127,47 +134,78 @@ def bad_calls(e: Expr) -> Iterator[str]:
                        f"{to_text(n)!r}")
 
 
-def _py(e: Expr, resolver: Resolver, clocks=frozenset()) -> str:
+def _int_literal(e: Expr, other: Expr, resolver: Resolver, ints):
+    """The source of ``e`` as an int literal where a comparison holds it
+    against ``other``: if ``e`` is an integral number literal, or its
+    negation, or an integral float constant, and ``other`` is a variable
+    whose key is in ``ints``, which holds an int or a bool; else None.  A
+    Python int compares with a float exactly, so ``V[7] == 5`` has the
+    truth of ``V[7] == 5.0`` for every int and bool, and takes the int
+    compare's fast path."""
+    negated = isinstance(e, Unary) and e.op == "-"
+    literal = e.operand if negated else e
+    if isinstance(literal, Num):
+        value = -literal.value if negated else literal.value
+    elif isinstance(literal, Name) and not negated:
+        kind, *rest = resolver(literal.name)
+        if kind != "const":
+            return None
+        value = rest[0]
+    else:
+        return None
+    if not (isinstance(value, float) and math.isfinite(value)
+            and value.is_integer() and isinstance(other, Name)):
+        return None
+    kind, *rest = resolver(other.name)
+    if kind != "var" or rest[0] not in ints:
+        return None
+    return repr(int(value))
+
+
+def _py(e: Expr, resolver: Resolver, clocks=frozenset(),
+        ints=frozenset()) -> str:
     """Python source of ``e``; a variable whose key is in ``clocks`` reads
-    as ``(V[k] + R[k] * dt)``."""
-    if isinstance(e, Num):
-        if not math.isfinite(e.value):  # no literal in the language
-            raise ExprError(f"no literal for the number {e.value!r}")
-        return repr(e.value)
-    if isinstance(e, BoolLit):
-        return "True" if e.value else "False"
-    if isinstance(e, Name):
-        kind, *rest = resolver(e.name)
-        if kind == "var":
-            key = rest[0]
-            if key in clocks:
-                return f"(V[{key!r}] + R[{key!r}] * dt)"
-            return f"V[{key!r}]"
-        if kind == "loc":
-            comp, loc = rest
-            return f"(L[{comp!r}] == {loc!r})"
-        if kind == "const":
-            return repr(rest[0])
-        raise ExprError(f"unresolvable name {e.name!r}")
-    if isinstance(e, Unary):
-        inner = _py(e.operand, resolver, clocks)
-        return f"(not {inner})" if e.op == "!" else f"(-{inner})"
-    if isinstance(e, Binary):
-        a = _py(e.left, resolver, clocks)
-        b = _py(e.right, resolver, clocks)
-        if e.op == "imply":
-            return f"((not {a}) or {b})"
-        return f"({a} {_PY_OP.get(e.op, e.op)} {b})"
-    if isinstance(e, Cond):
-        return (
-            f"({_py(e.then, resolver, clocks)} if "
-            f"{_py(e.test, resolver, clocks)}"
-            f" else {_py(e.other, resolver, clocks)})"
-        )
-    if isinstance(e, Call):
-        args = ", ".join(_py(a, resolver, clocks) for a in e.args)
-        return f"{e.func}({args})"
-    raise ExprError(f"unknown node {e!r}")
+    as ``(V[k] + R[k] * dt)``, and an integral literal compared with a
+    variable whose key is in ``ints``, which holds an int or a bool, is
+    written as an int (:func:`_int_literal`)."""
+    def src(e: Expr) -> str:
+        if isinstance(e, Num):
+            if not math.isfinite(e.value):  # no literal in the language
+                raise ExprError(f"no literal for the number {e.value!r}")
+            return repr(e.value)
+        if isinstance(e, BoolLit):
+            return "True" if e.value else "False"
+        if isinstance(e, Name):
+            kind, *rest = resolver(e.name)
+            if kind == "var":
+                key = rest[0]
+                if key in clocks:
+                    return f"(V[{key!r}] + R[{key!r}] * dt)"
+                return f"V[{key!r}]"
+            if kind == "loc":
+                comp, loc = rest
+                return f"(L[{comp!r}] == {loc!r})"
+            if kind == "const":
+                return repr(rest[0])
+            raise ExprError(f"unresolvable name {e.name!r}")
+        if isinstance(e, Unary):
+            inner = src(e.operand)
+            return f"(not {inner})" if e.op == "!" else f"(-{inner})"
+        if isinstance(e, Binary):
+            typed = e.op in COMPARISONS and ints
+            a = ((typed and _int_literal(e.left, e.right, resolver, ints))
+                 or src(e.left))
+            b = ((typed and _int_literal(e.right, e.left, resolver, ints))
+                 or src(e.right))
+            if e.op == "imply":
+                return f"((not {a}) or {b})"
+            return f"({a} {_PY_OP.get(e.op, e.op)} {b})"
+        if isinstance(e, Cond):
+            return f"({src(e.then)} if {src(e.test)} else {src(e.other)})"
+        if isinstance(e, Call):
+            return f"{e.func}({', '.join(src(a) for a in e.args)})"
+        raise ExprError(f"unknown node {e!r}")
+    return src(e)
 
 
 def is_float(e: Expr, resolver: Resolver, floats) -> bool:
@@ -218,19 +256,23 @@ def _floated(e: Expr, resolver: Resolver, floats, src: str) -> str:
     return f"float({src})"
 
 
-def compile_expr(e: Expr, resolver: Resolver, floats=None) -> Callable:
+def compile_expr(e: Expr, resolver: Resolver, floats=None,
+                 ints=frozenset()) -> Callable:
     """Compile to ``f(V, L) -> value``; given ``floats``, the keys of the
-    variables that hold floats, to ``f(V, L) -> float``."""
-    return _lambda("V, L", _floated(e, resolver, floats, _py(e, resolver)))
+    variables that hold floats, to ``f(V, L) -> float``.  ``ints`` are the
+    keys of the variables that hold ints or bools, against which an
+    integral literal is compared as an int (:func:`_int_literal`)."""
+    return _lambda("V, L", _floated(e, resolver, floats,
+                                    _py(e, resolver, ints=ints)))
 
 
-def compile_probe(e: Expr, resolver: Resolver, clocks,
-                  floats=None) -> Callable:
+def compile_probe(e: Expr, resolver: Resolver, clocks, floats=None,
+                  ints=frozenset()) -> Callable:
     """Compile to ``f(V, L, R, dt) -> value``: ``e`` after ``dt`` time units
     in which every clock key in ``clocks`` advances at rate ``R[key]``;
-    given ``floats``, to a float, as :func:`compile_expr` does."""
+    given ``floats`` and ``ints``, as :func:`compile_expr` does."""
     return _lambda("V, L, R, dt", _floated(
-        e, resolver, floats, _py(e, resolver, frozenset(clocks))))
+        e, resolver, floats, _py(e, resolver, frozenset(clocks), ints)))
 
 
 def to_text(e: Expr) -> str:

@@ -904,8 +904,17 @@ def _expected_jobs(net, q: Expected, cfg) -> list:
 
 
 def _expected(q: Expected, cfg, streams) -> SmcResult:
+    """The mean of the runs' extrema, its t interval and their histogram.
+    An extremum that is not finite, such as that of a clock that a
+    literal rate drives past the largest float, has no mean: it ends the
+    check, naming the query expression."""
     [outcomes] = streams
     values = list(outcomes)
+    for index, value in enumerate(values):
+        if not math.isfinite(value):
+            raise QueryError(
+                f"the {q.mode} of run {index} is {value!r}, not finite, in "
+                f"the query expression {E.to_text(q.expr)!r}")
     import numpy as np
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())

@@ -753,6 +753,68 @@ def test_a_guard_false_by_its_first_conjunct_searches_no_window(
     assert row["runs"] == 5 and 2.0 <= row["p_hat"] <= 5.0, row
 
 
+# the same division where the short circuit sits under ||: a guard that is
+# true once x reaches 3, and an invariant that holds while n is 0
+SHORT_CIRCUIT_UNDER_OR = {
+    "guard": """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv x <= 5; }
+  a -> a { guard (n > 0 && x / n >= 1) || x >= 3; update x := 0; }
+}
+system T;
+""",
+    "invariant": """
+int n = 0;
+clock x;
+template T() {
+  init loc a { inv n == 0 || x / n <= 5; }
+  a -> a { guard x >= 1; update x := 0; }
+}
+system T;
+"""}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", list(SHORT_CIRCUIT_UNDER_OR))
+def test_a_division_that_a_short_circuit_skips_faults_nowhere(
+        runner, tmp_path, kind, workers):
+    """The window search drops a clock atom that divides by zero, and its
+    probes evaluate the guard or invariant with Python's short circuit, so
+    ``x / n`` at n = 0 faults nowhere and the check exits 0."""
+    m = tmp_path / "short.sta"
+    m.write_text(SHORT_CIRCUIT_UNDER_OR[kind])
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=10; 5](max: x);\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    [row] = json.loads((tmp_path / "o" / "results.json").read_text())[
+        "results"]
+    # the guard fires from x = 3 on; the invariant never closes
+    low, high = (3.0, 5.0) if kind == "guard" else (1.0, 10.0)
+    assert row["runs"] == 5 and low <= row["p_hat"] <= high, row
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_extremum_that_is_not_finite_ends_the_check(runner, tmp_path,
+                                                       workers):
+    """A clock whose literal rate drives it past the largest float has no
+    finite maximum: the check exits 3 with one error line that names the
+    query expression."""
+    m = tmp_path / "inf.sta"
+    m.write_text("clock e; template T() { init loc a { rate e = 1"
+                 + "0" * 308 + "; } } system T;")
+    q = tmp_path / "suite.q"
+    q.write_text("E[<=10; 5](max: e);\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers",
+                               str(workers), "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert res.output.strip() == ("error: the max of run 0 is inf, not "
+                                  "finite, in the query expression 'e'")
+
+
 # a check in a fresh process, which then prints the scipy modules it loaded
 CHECK_THEN_LIST_SCIPY = """
 import sys

@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
-from stamc import engine, monitors
+from stamc import engine, monitors, smc
 from stamc import expr as E
 from stamc.engine import EngineError, RngStream, RunConfig, run
 from stamc.model import instantiate, validate_model
-from stamc.parser import parse_model, parse_queries
+from stamc.parser import parse_expression, parse_model, parse_queries
+from stamc.queries import ConstraintQuery, ObserverDecl
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -2231,6 +2232,131 @@ def test_every_real_and_clock_slot_holds_a_float():
         assert len(seen) > 100
 
 
+# ints and bools that updates set from a literal, a lone int variable and
+# expressions that are coerced, and guards that compare them with literals
+INT_STORES = """
+int n = 3;
+int m = 0;
+bool b = true;
+bool c = false;
+clock x;
+template T() {
+  init loc a { inv x <= 2; }
+  loc d { inv x <= 3; }
+  a -> d { guard x >= 1; update m := 7, n := m, b := n > 2, c := 1, x := 0; }
+  d -> a { guard x >= 2 && b && n != -1; update n := n * 2 - m, m := -4,
+           b := !b, c := n, x := 0; }
+  d -> a { guard x >= 2 && b == 0; update m := max(n, 5) % 3,
+           n := abs(m) + 1, c := 0.5, x := 0; }
+}
+system T;
+"""
+
+
+def test_every_int_and_bool_slot_holds_an_int_or_a_bool():
+    """What lets a comparison write an integral literal as an int: at
+    every sample point of vehicle runs and of runs of INT_STORES, which
+    stores literals, a lone int variable and coerced expressions, every
+    int slot holds a Python int and every bool slot a bool."""
+    vehicle = instantiate(parse_model((MODELS / "av.sta").read_text()))
+    for network, n_runs, bound in ((vehicle, 10, 3000),
+                                   (net(INT_STORES), 10, 30)):
+        compiled = engine.CompiledNetwork(network)
+        typed = {vtype: [compiled.slots[key] for key, t
+                         in compiled.var_types.items() if t == vtype]
+                 for vtype in ("int", "bool")}
+        assert typed["int"]
+        seen = set()
+
+        def monitor(V, L):
+            seen.add(tuple(V[slot] for slot in typed["int"] + typed["bool"]))
+            assert all(type(V[slot]) is int for slot in typed["int"]), V
+            assert all(type(V[slot]) is bool for slot in typed["bool"]), V
+            return engine._UNWATCHED
+
+        for i in range(n_runs):
+            run(compiled, bound, RngStream(42, i), config=RunConfig(
+                h_max=10.0), monitor=monitor)
+        assert len(seen) > 3
+
+
+# a comparison of a slot, or of a slot's local in an advance kernel, with a
+# number literal, either way round
+_LITERAL = r"(\(-[0-9.e+-]+\)|-?[0-9][0-9.e+-]*)"
+_COMPARISON = r"(?:==|!=|<=|>=|<|>)"
+_SLOT_FIRST = re.compile(rf"(?:V\[(\d+)\]|\bv(\d+)) {_COMPARISON} {_LITERAL}")
+_LITERAL_FIRST = re.compile(rf"{_LITERAL} {_COMPARISON} V\[(\d+)\]")
+
+
+def _compared(source: str, slots) -> list:
+    """(literal, is a float) of each comparison in ``source`` of a slot in
+    ``slots`` with a number literal."""
+    found = [(m.group(3), int(m.group(1) or m.group(2)))
+             for m in _SLOT_FIRST.finditer(source)]
+    found += [(m.group(1), int(m.group(2)))
+              for m in _LITERAL_FIRST.finditer(source)]
+    return [(literal, "." in literal or "e" in literal)
+            for literal, slot in found if slot in slots]
+
+
+def test_no_kernel_compares_an_int_or_bool_slot_with_a_float_literal(
+        monkeypatch):
+    """Every kernel that 40 vehicle runs compile, and the monitor kernel of
+    each sampled query of the requirement suite, compares an int or bool
+    slot with an integral literal as an int: the energy rates' ``mode ==
+    0``, the guards of ``Ctrl.dispatch`` and R1's ``prev_mode == 0``."""
+    for generator in (engine._step_kernel, engine._advance_kernel,
+                      engine._fire_kernel, engine._update_kernel,
+                      engine._receive_kernel, engine._watch_kernel,
+                      smc._monitor_kernel):
+        generator.cache_clear()
+    sources = []
+    kernel = engine._kernel
+
+    def recording(title, lines, **names):
+        sources.append((title, "\n".join(lines)))
+        return kernel(title, lines, **names)
+
+    monkeypatch.setattr(engine, "_kernel", recording)
+    monkeypatch.setattr(smc, "_kernel", recording)
+    model = parse_model((MODELS / "av.sta").read_text())
+    queries = [named.query for named in
+               parse_queries((MODELS / "requirements.q").read_text())]
+    # the check's network: the model with its declared observers
+    for query in queries:
+        if isinstance(query, ObserverDecl):
+            model = monitors.attach_observer(model, query.constraint,
+                                             query.name)
+    compiled = engine.CompiledNetwork(instantiate(model))
+    for i in range(40):
+        run(compiled, 3000, RngStream(42, i), config=RunConfig(h_max=10.0))
+    cfg = smc.StatConfig()
+    for query in queries:
+        # a constraint's observer is a network of its own
+        if isinstance(query, (ObserverDecl, ConstraintQuery)):
+            continue
+        jobs, _ = smc._form(query)
+        for job in jobs(compiled, query, cfg):
+            if isinstance(job.judge, smc._Sampled):
+                monitor = smc._Monitor([None])
+                monitor.add(0, job.judge, compiled)
+                monitor.sampler()
+    kinds = {title.split()[0] for title, _ in sources}
+    assert {"step", "advance", "fire", "update", "monitor"} <= kinds
+    compared = {kind: [] for kind in kinds}
+    for title, source in sources:
+        compared[title.split()[0]] += _compared(source, compiled.int_slots)
+    assert not [(kind, literal) for kind, found in compared.items()
+                for literal, floating in found if floating]
+    # no timed location's guard or invariant compares an int
+    for kind in ("advance", "fire", "receive", "update", "monitor"):
+        assert compared[kind], kind
+    # the scan sees what an untyped compile writes
+    untyped = E.compile_expr(parse_expression("mode == 0"),
+                             compiled.query_resolver)
+    assert _compared(untyped.source, compiled.int_slots) == [("0.0", True)]
+
+
 def _fault(template, decls="int n = 0; clock x;", system="system T;"):
     return f"{decls} template T() {{ {template} }} {system}"
 
@@ -2588,6 +2714,83 @@ def test_a_stepped_plan_names_a_rate_that_is_not_finite(decls, rates):
     assert not table.exact
     with pytest.raises(EngineError, match=r"^rate of 'e' is not finite$"):
         sim.advance_time(1.0, table.rates(sim.V, sim.L))
+
+
+# a clock that makes a plan stepped: its rate is not affine in time
+STEPPED = "rate z = t * t;"
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["exact", "stepped"])
+def test_a_fault_after_a_rate_that_is_not_finite_names_that_rate(stepped):
+    """A stage checks its rates to be finite once they are all evaluated,
+    but a rate that faults first names an earlier rate of the stage that
+    is not finite, as a check after each rate would: e is inf where f
+    divides by zero."""
+    compiled = engine.CompiledNetwork(net(f"""
+int n = 0;
+clock t = 0.5;
+clock e;
+clock f;
+clock z;
+template T() {{
+  init loc a {{ rate e = t * {BIG} * {BIG}; rate f = t / n; inv t <= 1;
+               {STEPPED if stepped else ""} }}
+  a -> a {{ guard t >= 1; update t := 0; }}
+}}
+system T;
+"""))
+    assert compiled.step_table(["a"]).exact is not stepped
+    for simulate in (run, _stepwise_run):
+        with pytest.raises(EngineError,
+                           match="^rate of 'e' is not finite$"):
+            simulate(compiled, 10, RngStream(0, 0), config=RunConfig(
+                h_max=0.05))
+
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["exact", "stepped"])
+@pytest.mark.parametrize("rates", [
+    "rate e = big + t * 0; rate f = big + t * 0;",
+    "rate e = big; rate f = big;",
+], ids=["integrated", "clock-free"])
+def test_finite_rates_whose_sum_overflows_pass(rates, stepped):
+    """A stage's one finiteness test of the sum of its rates falls back to
+    testing each rate where the sum is not finite: two rates of 1e308,
+    each finite, pass, and their clocks run past the largest float."""
+    compiled = engine.CompiledNetwork(net(f"""
+real big = 1{"0" * 308};
+clock t;
+clock e;
+clock f;
+clock z;
+template T() {{
+  init loc a {{ {rates} inv t <= 1; {STEPPED if stepped else ""} }}
+  a -> a {{ guard t >= 1; update t := 0; }}
+}}
+system T;
+"""))
+    assert compiled.step_table(["a"]).exact is not stepped
+    trace = run(compiled, 10, RngStream(0, 0), watch=("e", "f"),
+                config=RunConfig(h_max=0.05))
+    assert trace.end_reason == "bound_reached"
+    assert trace.final == {"e": math.inf, "f": math.inf}
+
+
+def test_a_stepped_plan_keeps_each_clock_free_rate():
+    """The RK4 stages' locals never take the name of a clock-free rate: x,
+    at slot 0, keeps its rate n = 2 while e integrates t * t."""
+    compiled = engine.CompiledNetwork(net("""
+clock x;
+clock t;
+clock e;
+int n = 2;
+template T() { init loc a { rate x = n; rate e = t * t; } }
+system T;
+"""))
+    assert compiled.slots["x"] == 0 and not compiled.step_table(["a"]).exact
+    trace = run(compiled, 10, RngStream(0, 0), watch=("x", "e"),
+                config=RunConfig(h_max=0.5))
+    assert trace.final["x"] == 20.0
+    assert trace.final["e"] == pytest.approx(1000 / 3)
 
 
 def test_observers_do_not_perturb_trajectories():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -208,3 +209,59 @@ def test_the_float_rule_holds_on_every_node_kind(text, ints, floating):
                     assert type(value) is float, (V, value)
                 assert type(as_float(V, L)) is float
                 assert repr(as_float(V, L)) == repr(float(value))
+
+
+def _slot_resolver(name):
+    """n and b are the int and bool variables at slots 0 and 1, x the float
+    one at slot 2; N and H are integral and non-integral constants."""
+    return {"n": ("var", 0), "b": ("var", 1), "x": ("var", 2),
+            "N": ("const", 7.0), "H": ("const", 2.5)}[name]
+
+
+# a float literal in a source: a dot or an exponent after a digit
+_FLOAT_LITERAL = re.compile(r"\d(?:\.|e[-+]?\d)")
+
+
+@pytest.mark.parametrize("op", sorted(E.COMPARISONS))
+def test_an_integral_literal_compares_with_an_int_as_its_float(op):
+    """Against an int or a bool variable, an integral literal, its
+    negation, -0 and an integral constant are written as ints, and each
+    comparison has the truth of the float-literal form at values around
+    the literal, at -0, at 2**53 + 1, which no float holds, and at 1e20."""
+    # each literal with its value
+    literals = [(E.Num(0.0), 0), (E.Num(-0.0), 0),
+                (E.Unary("-", E.Num(0.0)), 0), (E.Num(5.0), 5),
+                (E.Unary("-", E.Num(3.0)), -3), (E.Num(2.0 ** 53), 2 ** 53),
+                (E.Num(1e20), 10 ** 20), (E.Name("N"), 7)]
+    tried = 0
+    for literal, whole in literals:
+        values = [whole - 1, whole, whole + 1, 0, -1, 2 ** 53 + 1,
+                  -(2 ** 53 + 1), 10 ** 20, 10 ** 20 + 1, True, False]
+        for name in ("n", "b"):
+            for e in (E.Binary(op, E.Name(name), literal),
+                      E.Binary(op, literal, E.Name(name))):
+                typed = E.compile_expr(e, _slot_resolver, ints={0, 1})
+                plain = E.compile_expr(e, _slot_resolver)
+                assert not _FLOAT_LITERAL.search(typed.source), typed.source
+                assert _FLOAT_LITERAL.search(plain.source), plain.source
+                for v in values:
+                    V = [v, v, 0.0]
+                    assert typed(V, None) is plain(V, None), (e, v)
+                    tried += 1
+    assert tried > 100
+
+
+@pytest.mark.parametrize("text, source", [
+    ("n == 2.5", "(V[0] == 2.5)"),
+    ("n < H", "(V[0] < 2.5)"),
+    ("x == 0", "(V[2] == 0.0)"),
+    ("n + 1 == 2", "((V[0] + 1.0) == 2.0)"),
+    ("n == N", "(V[0] == 7)"),
+    ("b != 1 && 0 <= n", "((V[1] != 1) and (0 <= V[0]))"),
+])
+def test_only_an_integral_literal_against_an_int_variable_is_an_int(text,
+                                                                    source):
+    """A non-integral literal or constant stays a float, as does a literal
+    compared with a float variable or with an expression."""
+    e = parse_expression(text)
+    assert E.compile_expr(e, _slot_resolver, ints={0, 1}).source == source
