@@ -63,6 +63,14 @@ def _read(path: str) -> str:
         raise _IoFailure(f"cannot read {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _IoFailure(f"cannot write {path}: {exc}")
+
+
 def _fail(code: int, message: str) -> int:
     click.echo(f"error: {message}", err=True)
     return code
@@ -178,10 +186,8 @@ def _print_table(rows):
 
 
 def _write_with_manifest(path, manifest, body):
-    with open(path, "w") as fh:
-        fh.write("# manifest: "
-                 + json.dumps(manifest.as_dict(), sort_keys=True) + "\n")
-        fh.write(body)
+    _write(path, "# manifest: "
+           + json.dumps(manifest.as_dict(), sort_keys=True) + "\n" + body)
 
 
 def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
@@ -214,7 +220,10 @@ def _run_suite(model, named, manifest: RunManifest, simulate_only=False):
         queries.append((base, nq, query))
     if simulate_only and not queries:
         raise click.UsageError("no simulate query found")
-    os.makedirs(manifest.out, exist_ok=True)
+    try:
+        os.makedirs(manifest.out, exist_ok=True)
+    except OSError as exc:
+        raise _IoFailure(f"cannot create {manifest.out}: {exc}")
     results = smc.check(model, [(nq.name, query) for _, nq, query in queries],
                         cfg, run_config)
     rows = [_outputs(base, nq, query, result, manifest)
@@ -246,14 +255,13 @@ def _front_end(model_path, query_path, query_text, simulate_only,
     try:
         if query_text is None:
             query_text = _read(query_path)
-    except _IoFailure as exc:
-        sys.exit(_fail(EXIT_IO, str(exc)))
-    try:
         named = parser.parse_queries(query_text, query_path or "<query>")
         rows, mismatch = _run_suite(model, named, manifest, simulate_only)
     except (ParseError, EngineError, ExprError, smc.QueryError,
             monitors.MonitorError) as exc:
         sys.exit(_fail(EXIT_QUERY, str(exc)))
+    except _IoFailure as exc:
+        sys.exit(_fail(EXIT_IO, str(exc)))
     return manifest, rows, mismatch
 
 
@@ -266,9 +274,11 @@ def check(model_path, query_path, **options):
     manifest, rows, mismatch = _front_end(model_path, query_path, None,
                                           False, **options)
     payload = {"manifest": manifest.as_dict(), "results": rows}
-    with open(os.path.join(manifest.out, "results.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        _write(os.path.join(manifest.out, "results.json"),
+               json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except _IoFailure as exc:
+        sys.exit(_fail(EXIT_IO, str(exc)))
     _print_table(rows)
     for r in rows:
         if r["match"] is False:

@@ -106,11 +106,10 @@ receivers from the channel's kernel.  :func:`run` takes its steps in its
 own frame: a timed step calls the table's step kernel and the winner's
 fire kernel directly, and a committed step the fire kernels of its
 committed components, the table's ``fires``.  ``Simulator.step`` takes
-the same steps one call at a time, through ``sample_delay`` and
-``advance_time``, which drive the table's reference kernels, a rate, a
-race and an advance kernel generated from the step kernel's own lines on
-first use: it is the stepwise reference that the tests drive and extend,
-and ``run`` calls none of them.
+the same steps one call at a time, a timed step's delay and its 1e-9
+nudge through the same step kernel, by ``sample_delay`` and
+``advance_time``: it is the stepwise form that the tests drive and
+extend, and ``run`` calls none of it.
 
 A run's sample points are its start, the state before each timed event
 and after each event, and its end; an event's two are taken by the fire
@@ -779,15 +778,15 @@ locals for the rates to read, ``stage_const`` and ``stage_y``
 midpoint step integrates them ``exact``ly."""
 
 _RatePlan = collections.namedtuple("_RatePlan", (
-    "size", "fixed", "probed", "clocks"))
+    "fixed", "probed", "clocks"))
 _RatePlan.__doc__ = """The rates of a location configuration
 (:class:`_StepTable`), in the terms of the kernels that it generates:
-``size`` slots of ``V``; ``fixed``, ((slot, rate fn, where), ...), the
-clock-free rates that are not literals, in ``clocks.advanced`` order;
-``probed``, ((slot, rate fn, where), ...), the clock-reading rates whose
-clock a guard or invariant reads; and ``clocks``, how they advance
-(:data:`_Clocks`).  ``where`` names a rate in error messages, as ``the
-rate of x in T.a``; a rate fn returns a float."""
+``fixed``, ((slot, rate fn, where), ...), the clock-free rates that are
+not literals, in ``clocks.advanced`` order; ``probed``, ((slot, rate fn,
+where), ...), the clock-reading rates whose clock a guard or invariant
+reads; and ``clocks``, how they advance (:data:`_Clocks`).  ``where``
+names a rate in error messages, as ``the rate of x in T.a``; a rate fn
+returns a float."""
 
 # the clock terms of a probe's source, V[k] + R[k] * dt
 _PROBE_TERM = re.compile(r"R\[(\d+)\] \* dt")
@@ -808,12 +807,11 @@ def _rated(plan: _RatePlan):
     probe: each clock's ``V[k] + R[k] * dt`` reads ``V[k] + dt`` at rate 1,
     ``V[k] + 0.5 * dt`` at a literal rate 0.5, and ``V[k] + r{k} * dt``
     where the local ``r{k}`` holds an evaluated rate, each bit-identical to
-    reading the rate from ``R``.  A clock-reading rate that no probe reads
-    reads 1, as the rate kernel's list holds it."""
+    reading the rate from ``R``.  A probe reads only clocks that a guard or
+    invariant of the configuration reads, so a clock-reading rate that it
+    reads is one of ``probed``."""
     rates = {slot: lit for slot, _, lit in plan.clocks.advanced}
-    probed = {slot for slot, _, _ in plan.probed}
-    rates.update((slot, None if slot in probed else 1.0)
-                 for slot, *_ in plan.clocks.integrated)
+    rates.update((slot, None) for slot, _, _ in plan.probed)
 
     def term(match):
         slot = int(match.group(1))
@@ -968,11 +966,11 @@ def _advance_lines(clocks: _Clocks) -> list:
     return body
 
 
-def _fixed(clocks: _Clocks, form: str = "r{}") -> str:
+def _fixed(clocks: _Clocks) -> str:
     """The clock-free rates of ``clocks`` that are not literals, as an
-    advance kernel takes them, after its other arguments: each as ``form``
-    of its slot, the local ``r{slot}`` by default."""
-    return "".join(", " + form.format(slot)
+    advance kernel takes them, after its other arguments: each as the local
+    ``r{slot}``."""
+    return "".join(f", r{slot}"
                    for slot, _, lit in clocks.advanced if lit is None)
 
 
@@ -1029,53 +1027,6 @@ def _step_kernel(actors: tuple, plan: _RatePlan):
     return _kernel(f"step {names}".rstrip(), [
         "def _k(V, L, receivers, rng, time, located, remaining, h_max):",
         *_indent(body + ["return time + dt, winner, end"])], A=advance)
-
-
-# The reference kernels, which the stepwise Simulator drives: the step
-# kernel's rates, race and advance, each a kernel of its own, generated by
-# the same line generators when a step first asks for them.
-
-
-@functools.cache
-def _rates_kernel(plan: _RatePlan):
-    """``(V, L)``: a new list of the rate at each slot of ``plan``, copied
-    from a template that holds each literal rate and 1 elsewhere, with each
-    ``fixed`` and ``probed`` rate set to its current value."""
-    template = [1.0] * plan.size
-    for slot, _, lit in plan.clocks.advanced:
-        if lit is not None:
-            template[slot] = lit
-    evaluated = plan.fixed + plan.probed
-    return _kernel("rates", ["def _k(V, L):", "    R = T[:]",
-                             *_indent(_rate_lines(evaluated)),
-                             *[f"    R[{slot}] = r{slot}"
-                               for slot, _, _ in evaluated],
-                             "    return R"], T=template)
-
-
-@functools.cache
-def _race_kernel(actors: tuple, plan: _RatePlan):
-    """``(V, L, R, receivers, rng, time, located)``: the race of a timed
-    step, ``(delay, winner, cap)``, by :func:`_race_lines`, under the rates
-    ``R`` that the rate kernel of ``plan`` gives."""
-    names = " ".join(sojourn[0] for sojourn, _ in actors)
-    return _kernel(f"race {names}".rstrip(), [
-        "def _k(V, L, R, receivers, rng, time, located):",
-        *_indent([f"r{slot} = R[{slot}]"
-                  for slot, _, _ in plan.fixed + plan.probed]),
-        *_indent(_race_lines(actors, _rated(plan))),
-        "    return best, winner, cap"])
-
-
-@functools.cache
-def _advance_reference(clocks: _Clocks):
-    """``(V, L, R, dt, h_max)`` advancing every clock of ``clocks`` by
-    ``dt`` by its advance kernel, under the rates ``R`` that a rate kernel
-    gives."""
-    advance = _advance_kernel(clocks)
-    return _kernel("advance R", [
-        "def _k(V, L, R, dt, h_max):", "    pass" if advance is None else
-        f"    A(V, L, dt, h_max{_fixed(clocks, 'R[{}]')})"], A=advance)
 
 
 # --- compilation -----------------------------------------------------------
@@ -1172,11 +1123,11 @@ class _StepTable:
     leaves it out.  ``step`` is the step kernel of the actors and the rate
     plan (:func:`_step_kernel`) when no component is committed, for the
     step is timed, and None otherwise: it evaluates the rates, runs the
-    race and advances the clocks in one call.  Components come as
-    (component, location) pairs, in component order.  ``receivers`` maps
-    each channel that an active edge of the configuration emits on to its
-    receive kernel, or to None where no component of the configuration
-    receives on it.
+    race and advances the clocks in one call, for :func:`run` and
+    ``Simulator`` alike.  Components come as (component, location) pairs,
+    in component order.  ``receivers`` maps each channel that an active
+    edge of the configuration emits on to its receive kernel, or to None
+    where no component of the configuration receives on it.
 
     The rate plan (:data:`_RatePlan`) says how clocks advance in the
     configuration: the clocks that advance at a constant rate (a
@@ -1187,17 +1138,10 @@ class _StepTable:
     The step kernel evaluates the clock-free rates that are not literals,
     and the clock-reading rates of the clocks that a guard or invariant of
     the configuration reads, the linear probe basis of window search; the
-    advance integrates any other clock-reading rate by evaluating it.
-
-    ``rates``, ``race`` and ``advance`` are the reference kernels that
-    ``Simulator`` drives, one for each part of the step kernel, generated
-    by the same line generators on first use: ``rates`` gives a new list of
-    the rate at each slot, 1 at each unrated clock, at each slot that is
-    not a clock and at any clock-reading rate that no probe reads, and
-    ``race`` and ``advance`` read the rates from that list."""
+    advance integrates any other clock-reading rate by evaluating it."""
 
     __slots__ = ("committed", "fires", "actors", "step", "receivers",
-                 "exact", "_parts", "_plan", "_race", "_rates", "_advance")
+                 "exact", "_plan")
 
     def __init__(self, net, config):
         located = [(cc, cc.locations[loc_id])
@@ -1251,33 +1195,13 @@ class _StepTable:
         # advance at a constant rate, and integrated clocks
         stage_y = tuple(slot for slot in coupled if slot in read)
         self.exact = not stage_y and all(loc.affine for loc in timed)
-        self._plan = _RatePlan(len(keys), tuple(fixed), tuple(probed), _Clocks(
+        self._plan = _RatePlan(tuple(fixed), tuple(probed), _Clocks(
             tuple(advanced), tuple((slot, fn, keys[slot], where)
                                    for slot, (fn, where) in coupled.items()),
             tuple(slot for slot, _, _ in advanced if slot in read), stage_y,
             self.exact))
-        self._parts = tuple(loc.race for _, loc in self.actors)
-        self.step = (None if self.committed else
-                     _step_kernel(self._parts, self._plan))
-        self._race = self._rates = self._advance = None
-
-    @property
-    def rates(self):
-        if self._rates is None:
-            self._rates = _rates_kernel(self._plan)
-        return self._rates
-
-    @property
-    def race(self):
-        if self._race is None and not self.committed:
-            self._race = _race_kernel(self._parts, self._plan)
-        return self._race
-
-    @property
-    def advance(self):
-        if self._advance is None:
-            self._advance = _advance_reference(self._plan.clocks)
-        return self._advance
+        self.step = (None if self.committed else _step_kernel(
+            tuple(loc.race for _, loc in self.actors), self._plan))
 
 
 _BOOLEAN_OPS = E.COMPARISONS | E.LOGICAL
@@ -1612,9 +1536,9 @@ def _sampler(V, L, watch, monitor):
 class Simulator:
     """One run's state, ``V``, ``L`` and ``time``, and its steps, one call
     each: the stepwise form of :func:`run`'s loop, which the tests drive
-    and extend.  A timed step calls the step table's reference rate, race
-    and advance kernels where ``run`` calls its step kernel.  ``run`` takes
-    its state and sampler from here, and none of the steps."""
+    and extend.  A timed step calls the step table's step kernel, as
+    ``run`` does, through ``sample_delay`` and ``advance_time``.  ``run``
+    takes its state and sampler from here, and none of the steps."""
 
     def __init__(self, net: CompiledNetwork, rng: RngStream,
                  config: Optional[RunConfig] = None, watch=(), monitor=None):
@@ -1635,43 +1559,32 @@ class Simulator:
         # the step table of L at the last step, which advance_time reads
         self._table = net.step_table(self.L)
 
-    def sample_delay(self, table: _StepTable, rates: list) -> tuple:
-        """The race of a timed step in ``table``, the step table of the
-        current state: ``(delay, winner, cap)``.
+    def sample_delay(self, table: _StepTable, bound: float) -> tuple:
+        """The delay of a timed step in ``table``, the step table of the
+        current state, by its step kernel: ``(winner, end)``, with the
+        clocks and ``time`` advanced to the winner's firing, or to where
+        the run ends (:func:`_step_kernel`).
 
-        The table's reference race kernel, which runs the step kernel's
-        race lines, draws each actor's delay, Uniform[L, U] when
-        its invariant bounds the sojourn, otherwise L + Exponential(exit
-        rate, default 1), U being the invariant's deadline under ``rates``,
-        the step table's rates at the current state, and L the earliest
-        time at which an active edge can fire.  ``delay`` is the least
-        delay drawn, by the first actor in component order that drew it,
-        ``winner``; INF and None if no actor can fire.  ``cap`` is the
-        earliest deadline of an actor that cannot fire, or INF.
-        """
-        return table.race(self.V, self.L, rates, table.receivers, self.rng,
-                          self.time, table.actors)
+        Each actor draws its delay, Uniform[L, U] when its invariant bounds
+        the sojourn, otherwise L + Exponential(exit rate, default 1), U
+        being the invariant's deadline and L the earliest time at which an
+        active edge can fire.  The winner is the first actor in component
+        order that drew the least delay.  Time stops at ``min(bound - time,
+        cap)``, ``cap`` being the earliest deadline of an actor that cannot
+        fire, and ``end`` is None unless no winner drew a delay up to it:
+        then "bound_reached", or "deadlock" if ``cap`` is before the
+        bound."""
+        self.time, winner, end = table.step(
+            self.V, self.L, table.receivers, self.rng, self.time,
+            table.actors, bound - self.time, self.config.h_max)
+        return winner, end
 
-    # -- integration --
-
-    def advance_time(self, dt: float, rates: list) -> None:
-        """Advance all clocks by dt under the current location rates, by the
-        step table's reference advance kernel, which calls the advance
-        kernel that the step kernel calls.
-
-        ``rates`` are what the step table's reference rate kernel gave in
-        this location configuration, which a step evaluates once for window
-        search and passes on: a clock-free rate reads no clock, so no delay
-        changes it.
-        """
-        if dt < 0:
-            if dt < -1e-6:
-                raise EngineError("negative dt")
-            dt = 0.0  # rounding residue from a boundary nudge
-        if dt == 0.0:
-            return
-        self._table.advance(self.V, self.L, rates, dt, self.config.h_max)
-        self.time += dt
+    def advance_time(self) -> None:
+        """Advance all clocks and ``time`` by the 1e-9 nudge, by the step
+        kernel of the step table of the last step."""
+        table = self._table
+        self.time = table.step(self.V, self.L, table.receivers, self.rng,
+                               self.time, None, 0.0, self.config.h_max)[0]
 
     # -- firing --
 
@@ -1680,10 +1593,8 @@ class Simulator:
         (:data:`TraceEvent`), or the end of the run, "bound_reached" |
         "deadlock".  The first committed component that can fire does so
         without delay; if none can, the run deadlocks.  Otherwise the
-        actors race, and time stops at ``min(bound - time, cap)``, ``cap``
-        being the earliest invariant deadline of an actor that cannot fire:
-        the winner fires unless its delay is past that stop, where the run
-        ends, deadlocked if ``cap`` is before the bound.
+        actors race by ``sample_delay``, and the winner fires unless the
+        run ends there.
 
         A committed step takes no sample before its firing: no time has
         passed since the last sample point, so the state is that sample's,
@@ -1701,21 +1612,16 @@ class Simulator:
             else:
                 return "deadlock"
         else:
-            rates = table.rates(V, L)
-            delay, winner, cap = self.sample_delay(table, rates)
-            remaining = bound - self.time
-            stop = cap if cap < remaining else remaining
-            ends = delay > stop  # no winner, or it is past the bound or cap
-            self.advance_time(stop if ends else delay, rates)
-            if ends:
-                return "bound_reached" if cap >= remaining else "deadlock"
+            winner, end = self.sample_delay(table, bound)
+            if end is not None:
+                return end
             fire_args = (V, L, table.receivers, self.rng, snapshot, snapshot)
             cc, loc = winner
             fired = loc.fire(*fire_args, self.time)
             if fired is None:
                 # accumulated rounding can leave a boundary guard (window of
                 # width zero) a few ulps short of its crossing; nudge once
-                self.advance_time(1e-9, rates)
+                self.advance_time()
                 fired = loc.fire(*fire_args, self.time)
             if fired is None:
                 raise EngineError(

@@ -346,7 +346,9 @@ def evaluate_path_formula(trace, f: PathFormula, bound: float) -> bool:
 def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
     """Rows (t, v1, ...) at every sample plus a regular grid.
 
-    Grid values between events come from linear interpolation of the
+    The grid's times are ``i * step`` up to ``bound + 1e-9``, each capped
+    at the bound, so no row lies past it and no sum of steps drifts.  Grid
+    values between events come from linear interpolation of the
     surrounding snapshots, which is exact for constant-rate clocks.
     """
     samples = [(t, [float(snap[k]) for k in keys])
@@ -355,8 +357,8 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
     if step:
         n = len(samples)
         j = 0
-        t = 0.0
-        while t <= bound + 1e-9:
+        for i in range(math.floor((bound + 1e-9) / step) + 1):
+            t = min(i * step, bound)
             while j + 1 < n and samples[j + 1][0] <= t:
                 j += 1
             t0, v0 = samples[j]
@@ -367,7 +369,6 @@ def _trajectory(trace, keys, bound: float, step: Optional[float]) -> list:
             else:
                 vals = v0
             rows.append((t, *vals))
-            t += step
         rows.sort(key=lambda r: r[0])
     return rows
 

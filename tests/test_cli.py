@@ -437,6 +437,30 @@ def test_simulate_requires_exactly_one_source(runner, small, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, taken", [
+    ("check", None), ("check", "results.json"), ("check", "q0_hist.csv"),
+    ("simulate", "q0.csv")],
+    ids=["out-is-a-file", "results.json", "q0_hist.csv", "q0.csv"])
+def test_an_output_that_cannot_be_written_exits_2(runner, small, tmp_path,
+                                                  command, taken):
+    """An ``--out`` that is a file, or a directory where an output file
+    goes, ends the command with the I/O exit code and one error line."""
+    out = tmp_path / "out"
+    if taken is None:
+        out.write_text("")
+    else:
+        (out / taken).mkdir(parents=True)
+    q = tmp_path / "e.q"
+    q.write_text("E[<=5; 20](max: heads);\n")
+    source = ([str(q)] if command == "check" else
+              ["--query", "simulate 1 [<=3] {heads}"])
+    res = runner.invoke(main, [command, small, *source, "--out", str(out)])
+    assert res.exit_code == 2
+    [line] = res.output.splitlines()
+    verb = "create" if taken is None else "write"
+    assert line.startswith(f"error: cannot {verb} {out / (taken or '')}")
+
+
 @pytest.mark.parametrize("text", [
     "q1: E[<=5; 3](max: heads);\nE[<=5; 3](max: heads + 1000);\n",
     "R1: Pr[<=5](<> heads == 1);\nR1: Pr[<=5](<> heads == 0);\n",

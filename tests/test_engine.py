@@ -993,17 +993,15 @@ class _Checking(engine.Simulator):
     delay may end that far beyond a boundary."""
 
     def step(self, bound):
-        self._delayed = False
         result = super().step(bound)
         if not isinstance(result, str):
             self._check("after a firing")
         return result
 
-    def advance_time(self, dt, rates):
-        super().advance_time(dt, rates)
-        if not self._delayed:  # the step's delay, not a nudge after it
-            self._delayed = True
-            self._check("at the end of a delay")
+    def sample_delay(self, table, bound):
+        ended = super().sample_delay(table, bound)
+        self._check("at the end of a delay")
+        return ended
 
     def _check(self, when):
         V, L = self.V, self.L
@@ -1011,8 +1009,7 @@ class _Checking(engine.Simulator):
             loc = cc.locations[L[cc.index]]
             if loc.invariant is None or loc.invariant(V, L):
                 continue
-            rates = self.net.step_table(L).rates(V, L)
-            if loc.inv_probe(V, L, rates, -1e-9):
+            if loc.inv_probe(V, L, _rates(self.net, V, L), -1e-9):
                 continue
             tpl = self.net.network.components[cc.index].template
             inv = next(x.invariant for x in tpl.locations if x.id == loc.id)
@@ -1091,12 +1088,34 @@ def _advanced_copy(V, rates, dt):
     return V2
 
 
-def _advance_reference(sim, dt, exact):
-    """Reference advance_time: dict rates and numpy arrays, integrated by
+def _rates(compiled, V, L):
+    """The rate at each slot of ``V`` in configuration ``L``, as a probe
+    reads it: each rate of a location that is not committed evaluated, and
+    1 at every other slot, an unrated clock's rate."""
+    rates = [1.0] * len(V)
+    for cc in compiled.components:
+        loc = cc.locations[L[cc.index]]
+        if not loc.committed:
+            for slot, fn, _, _ in loc.rates:
+                rates[slot] = fn(V, L)
+    return rates
+
+
+def _advance(compiled, V, L, dt, h_max):
+    """Advance every clock of ``V`` by ``dt`` by the advance kernel of
+    configuration ``L``'s rate plan, which the step kernel calls, given the
+    clock-free rates that are not literals, evaluated."""
+    plan = compiled.step_table(L)._plan
+    advance = engine._advance_kernel(plan.clocks)
+    if advance is not None:
+        advance(V, L, dt, h_max, *(fn(V, L) for _, fn, _ in plan.fixed))
+
+
+def _advance_reference(compiled, V, L, dt, h_max, exact):
+    """Reference advance: dict rates and numpy arrays, integrated by
     one midpoint step if ``exact``, otherwise by RK4."""
-    V, L = sim.V, sim.L
     const_rates, var_rates = {}, {}
-    for cc in sim.net.components:
+    for cc in compiled.components:
         loc = cc.locations[L[cc.index]]
         if loc.committed:
             continue
@@ -1105,14 +1124,14 @@ def _advance_reference(sim, dt, exact):
                 var_rates[key] = fn
             else:
                 const_rates[key] = float(fn(V, L))
-    for key in sim.net.clock_slots:
+    for key in compiled.clock_slots:
         if key not in var_rates and key not in const_rates:
             const_rates[key] = 1.0
     base = {key: V[key] for key in const_rates}
     if var_rates:
         ykeys = list(var_rates)
         y = np.array([V[k] for k in ykeys], dtype=float)
-        n_steps = max(1, math.ceil(dt / sim.config.h_max))
+        n_steps = max(1, math.ceil(dt / h_max))
         h = dt / n_steps
 
         def f(t_off, yvals):
@@ -1137,7 +1156,6 @@ def _advance_reference(sim, dt, exact):
             V[k] = float(val)
     for key, r in const_rates.items():
         V[key] = base[key] + r * dt
-    sim.time += dt
 
 
 def _bits(values):
@@ -1190,7 +1208,7 @@ def test_window_probes_match_dict_copy_reference(name):
     for V, L in states:
         sim = _at(compiled, V, L)
         slot_V, slot_L = sim.V, sim.L
-        rates = compiled.step_table(slot_L).rates(slot_V, slot_L)
+        rates = _rates(compiled, slot_V, slot_L)
         clock_rates = {key: r for key, r in
                        _named(compiled, rates, slot_L)[0].items()
                        if compiled.var_types[key] == "clock"}
@@ -1245,7 +1263,7 @@ def _edges(compiled):
 @functools.cache
 def _sojourn_kernel(sojourn):
     """``(V, L, R, receivers, time)``: (start or None, deadline) of an
-    actor, by the lines that a race kernel runs for it
+    actor, by the lines that a step kernel's race runs for it
     (``engine._sojourn_lines``)."""
     deadline = "INF" if sojourn[2] is None else "deadline"
     return engine._kernel("sojourn", [
@@ -1255,8 +1273,8 @@ def _sojourn_kernel(sojourn):
 
 
 def _sojourn(loc, V, L, rates, receivers, time=0.0):
-    """``loc``'s sojourn as a race kernel finds it: (its start or None,
-    its deadline)."""
+    """``loc``'s sojourn as a step kernel's race finds it: (its start or
+    None, its deadline)."""
     return _sojourn_kernel(loc.race[0])(V, L, rates, receivers, time)
 
 
@@ -1272,7 +1290,7 @@ def _deadline(loc, V, L, rates):
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
 def test_window_kernels_match_the_loop_reference(name):
-    """A race kernel's lines for an actor find when its location's
+    """A step kernel's race lines for an actor find when its location's
     invariant closes as the loop over the probe closures does, and say the
     invariant is violated where it is false already; they search its
     guards' windows by the same lines
@@ -1288,7 +1306,7 @@ def test_window_kernels_match_the_loop_reference(name):
         sim = _at(compiled, V, L)
         V, L = sim.V, sim.L
         table = compiled.step_table(L)
-        rates = table.rates(V, L)
+        rates = _rates(compiled, V, L)
         for loc in invariant:
             want = _deadline(loc, V, L, rates)
             if want == 0.0:
@@ -1518,9 +1536,10 @@ class _Recording(engine.Simulator):
     """A simulator that keeps a copy of the state after every delay, where
     a timed actor is about to fire."""
 
-    def advance_time(self, dt, rates):
-        super().advance_time(dt, rates)
+    def sample_delay(self, table, bound):
+        ended = super().sample_delay(table, bound)
         self.states.append((list(self.V), list(self.L)))
+        return ended
 
 
 def _firing_states(compiled, n_runs, bound, every=1):
@@ -1874,16 +1893,16 @@ def _start(V, L, rates, horizon, receiving, cc, loc):
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
                                   "broadcast", "timed-binary"])
 def test_start_kernels_match_the_loop_reference(name):
-    """A race kernel's lines for an actor find when one of its location's
-    active edges can first fire before the invariant's deadline as the
-    loop over the edges' windows does, bit for bit.  A location takes part
-    in races exactly when it is timed and has an active edge or an
-    invariant."""
+    """A step kernel's race lines for an actor find when one of its
+    location's active edges can first fire before the invariant's deadline
+    as the loop over the edges' windows does, bit for bit.  A location
+    takes part in races exactly when it is timed and has an active edge or
+    an invariant."""
     compiled, states = _kernel_states(name)
     found, gated = set(), set()
     for V, L in states:
         table = compiled.step_table(L)
-        rates = table.rates(V, L)
+        rates = _rates(compiled, V, L)
         receiving = _receiving(compiled, L)
         for cc in compiled.components:
             loc = cc.locations[L[cc.index]]
@@ -1943,45 +1962,69 @@ def _race(table, V, L, rates, rng):
     return best, winner, cap
 
 
+def _reference_step(compiled, table, V, L, rng, time, remaining, h_max):
+    """A timed step up to its fire by the loop references, as the step
+    kernel takes it: the per-actor loop's race under the rates of the
+    step's start, time stopped at the bound or at the cap, then ``V``
+    advanced by the delay; (time after the delay, winner, end)."""
+    delay, winner, cap = _race(table, V, L, _rates(compiled, V, L), rng)
+    stop = cap if cap < remaining else remaining
+    ends = delay > stop
+    dt = stop if ends else delay
+    if dt < 0:
+        dt = 0.0
+    if dt != 0.0:
+        _advance(compiled, V, L, dt, h_max)
+    end = ("bound_reached" if cap >= remaining else "deadlock") if ends \
+        else None
+    return time + dt, winner, end
+
+
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta", "binary",
                                   "timed-binary", "capped"])
 def test_race_kernels_match_the_per_actor_loop(name):
-    """A step table's race kernel draws what the loop over its actors
-    draws, in the same order, and keeps the same winner and cap, bit for
-    bit: with draws that tie, the first actor in component order wins.
-    Where an actor's invariant is false already, both raise, after the
-    same draws."""
+    """A step table's step kernel draws what the loop over its actors
+    draws, in the same order, and keeps the same winner, end and time
+    after the delay, bit for bit: with draws that tie, the first actor in
+    component order wins, and an actor that cannot fire stops time at its
+    deadline.  Where an actor's invariant is false already, both raise,
+    after the same draws."""
     compiled, states = _kernel_states(name)
     raced = ties = capped = violated = 0
-    for n, (V, L) in enumerate(states):
-        table = compiled.step_table(L)
-        if table.race is None:  # a committed step races nobody
-            continue
-        rates = table.rates(V, L)
-        want_rng, got_rng = _Draws(), _Draws()
+
+    def both(V, L, table, want_rng, got_rng):
+        """The step from a copy of ``V`` each way, checked to agree: the
+        reference's, or None where both raise the same error."""
+        want_V, got_V = list(V), list(V)
+        step = functools.partial(table.step, got_V, L, table.receivers,
+                                 got_rng, 0.0, table.actors, 100.0, 10.0)
         try:
-            want = _race(table, V, L, rates, want_rng)
+            want = _reference_step(compiled, table, want_V, L, want_rng, 0.0,
+                                   100.0, 10.0)
         except EngineError as exc:
             with pytest.raises(EngineError, match=f"^{re.escape(str(exc))}$"):
-                table.race(V, L, rates, table.receivers, got_rng, 0.0,
-                           table.actors)
-            assert got_rng.calls == want_rng.calls
+                step()
+            return None
+        got = step()
+        assert _bits([got[0], *got_V]) == _bits([want[0], *want_V])
+        assert got[1] is want[1] and got[2] == want[2]
+        return want
+
+    for n, (V, L) in enumerate(states):
+        table = compiled.step_table(L)
+        if table.step is None:  # a committed step races nobody
+            continue
+        want_rng, got_rng = _Draws(), _Draws()
+        want = both(V, L, table, want_rng, got_rng)
+        assert got_rng.calls == want_rng.calls
+        if want is None:
             violated += 1
             continue
-        got = table.race(V, L, rates, table.receivers, got_rng, 0.0,
-                         table.actors)
-        assert got_rng.calls == want_rng.calls
-        assert _bits([got[0], got[2]]) == _bits([want[0], want[2]])
-        assert got[1] is want[1]
         drawn = [call[1] for call in want_rng.calls if call[0] == "uniform"]
-        ties += drawn.count(want[0]) > 1
-        capped += want[2] < math.inf
+        ties += want[2] is None and drawn.count(want[0]) > 1
+        capped += want[2] == "deadlock"
         want_rng, got_rng = RngStream(7, n), RngStream(7, n)
-        want = _race(table, V, L, rates, want_rng)
-        got = table.race(V, L, rates, table.receivers, got_rng, 0.0,
-                         table.actors)
-        assert _bits([got[0], got[2]]) == _bits([want[0], want[2]])
-        assert got[1] is want[1]
+        both(V, L, table, want_rng, got_rng)
         assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
         raced += 1
     assert raced > 20
@@ -2040,36 +2083,17 @@ def _timed_states(compiled, n_runs, bound, config=None):
     return states
 
 
-def _reference_step(table, V, L, rng, time, remaining, h_max):
-    """A timed step up to its fire by the reference kernels, as
-    ``Simulator.step`` takes it: (time after the delay, winner, end), and
-    the rates of the step's start."""
-    rates = table.rates(V, L)
-    delay, winner, cap = table.race(V, L, rates, table.receivers, rng, time,
-                                    table.actors)
-    stop = cap if cap < remaining else remaining
-    ends = delay > stop
-    dt = stop if ends else delay
-    if dt < 0:
-        dt = 0.0
-    if dt != 0.0:
-        table.advance(V, L, rates, dt, h_max)
-    end = ("bound_reached" if cap >= remaining else "deadlock") if ends \
-        else None
-    return (time + dt, winner, end), rates
-
-
 @pytest.mark.parametrize("name", ["av.sta", "timed-ends", "free"])
 def test_step_kernels_match_the_reference_kernels(name):
-    """Each timed table's step kernel takes a step as the reference
-    kernels that ``Simulator`` drives do, bit for bit: the rate kernel,
-    then the race kernel's delay, winner and cap, which give the time after
-    the delay, the winner and the end, with the same draws, then the
-    advance kernel's V.  With ``located`` None it advances 1e-9 under the
-    rates of the step's start, as the reference nudge does.  This covers
-    every timed table that 40 vehicle runs reach, every table of the
-    _TIMED_ENDS models and both edge cases of an unguarded edge, at the
-    bound and at a bound half a time unit ahead, where steps end."""
+    """Each timed table's step kernel takes a step as the loop references
+    do, bit for bit: the per-actor loop's race, whose delay, winner and cap
+    give the time after the delay, the winner and the end, with the same
+    draws, then the advance kernel's V under the rates of the step's
+    start.  With ``located`` None it advances 1e-9, as the reference
+    advance does.  This covers every timed table that 40 vehicle runs
+    reach, every table of the _TIMED_ENDS models and both edge cases of an
+    unguarded edge, at the bound and at a bound half a time unit ahead,
+    where steps end."""
     h_max = 10.0 if name == "av.sta" else 0.05
     if name == "av.sta":
         compiled = engine.CompiledNetwork(
@@ -2096,8 +2120,8 @@ def test_step_kernels_match_the_reference_kernels(name):
             table = compiled.step_table(L)
             for remaining in (bound - time, 0.5):
                 want_V, want_rng = list(V), RngStream(7, n)
-                want, rates = _reference_step(table, want_V, L, want_rng,
-                                              time, remaining, h_max)
+                want = _reference_step(compiled, table, want_V, L, want_rng,
+                                       time, remaining, h_max)
                 got_V, got_rng = list(V), RngStream(7, n)
                 got = table.step(got_V, L, table.receivers, got_rng, time,
                                  table.actors, remaining, h_max)
@@ -2107,7 +2131,7 @@ def test_step_kernels_match_the_reference_kernels(name):
                 assert got_rng.uniform(0, 1) == want_rng.uniform(0, 1)
                 ends.add(got[2])
                 if got[2] is None:  # a nudge after the delay
-                    table.advance(want_V, L, rates, 1e-9, h_max)
+                    _advance(compiled, want_V, L, 1e-9, h_max)
                     after = table.step(got_V, L, table.receivers, None,
                                        got[0], None, 0.0, h_max)
                     assert after == (got[0] + 1e-9, None, None)
@@ -2135,7 +2159,7 @@ def test_an_unguarded_edge_that_is_no_binary_emit_drops_the_search():
         starts = set()
         for seen in _timed_states(compiled, 20, 20).values():
             for V, L, _ in seen:
-                rates = compiled.step_table(L).rates(V, L)
+                rates = _rates(compiled, V, L)
                 deadline = _deadline(loc, V, L, rates)
                 want, _ = _start(V, L, rates, deadline,
                                  _receiving(compiled, L), cc, loc)
@@ -2148,12 +2172,10 @@ def test_an_unguarded_edge_that_is_no_binary_emit_drops_the_search():
 
 def test_a_run_compiles_one_step_kernel_per_timed_table(monkeypatch):
     """``engine.run`` compiles the step kernel of each timed table that it
-    reaches and the advance kernel of each of their clock plans, and none
-    of the rate, race and reference advance kernels that ``Simulator``
-    drives; a stepwise run compiles those on first use."""
-    for generator in (engine._step_kernel, engine._advance_kernel,
-                      engine._rates_kernel, engine._race_kernel,
-                      engine._advance_reference):
+    reaches and the advance kernel of each of their clock plans; a stepwise
+    run of the same seed takes its timed steps by those kernels, and
+    compiles none."""
+    for generator in (engine._step_kernel, engine._advance_kernel):
         generator.cache_clear()
     titles = []
     kernel = engine._kernel
@@ -2173,12 +2195,11 @@ def test_a_run_compiles_one_step_kernel_per_timed_table(monkeypatch):
     assert kinds.count("step") == len({table.step for table in timed})
     assert kinds.count("advance") == len({table._plan.clocks
                                           for table in timed})
-    assert {"rates", "race"}.isdisjoint(kinds) and "advance R" not in titles
+    compiled_by_runs = len(titles)
     sim = engine.Simulator(compiled, RngStream(42, 0), config)
     for _ in range(20):
         sim.step(3000)
-    assert {"rates", "race"} <= set(kinds + [t.split()[0] for t in titles])
-    assert "advance R" in titles
+    assert len(titles) == compiled_by_runs
 
 
 # reals and clocks that updates and rates set from int, bool and float
@@ -2506,13 +2527,9 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     assert a.components[0].locations is not b.components[0].locations
     assert len(a._tables) == len(b._tables) > 1
     for config, table in a._tables.items():
-        for name in ("advance", "rates"):
-            kernels = (getattr(table, name), getattr(b._tables[config], name))
-            assert kernels[0] is kernels[1] is not None
         # a timed step's table holds a step kernel, built with the table
         assert table.step is b._tables[config].step
         assert (table.step is None) == bool(table.committed)
-        assert table.race is b._tables[config].race
         # the same runs use the same channels of each table
         assert table.receivers == b._tables[config].receivers
     assert any(any(t.receivers.values()) for t in a._tables.values())
@@ -2533,92 +2550,31 @@ def test_every_kernel_has_its_own_filename():
         for loc in cc.locations.values():
             kernels.add(loc.fire)
     for table in compiled._tables.values():
-        kernels |= {table.step, table.race, table.rates, table.advance,
-                    *table.receivers.values()}
+        kernels |= {table.step, *table.receivers.values()}
         if table.step is not None:
             kernels.add(table.step.__globals__["A"])  # its advance kernel
     kernels.discard(None)
     names = [k.__code__.co_filename for k in kernels]
     assert len(kernels) > 50 and len(set(names)) == len(names)
-    for kind in ("fire Ctrl.dispatch", "step ", "race ", "receive ", "update",
-                 "rates", "advance R"):
+    for kind in ("fire Ctrl.dispatch", "step ", "receive ", "update",
+                 "advance"):
         assert any(name.startswith(f"<{kind}") for name in names), kind
-    assert any(name.startswith("<advance") and "advance R" not in name
+    # a step kernel is titled by its actors' locations
+    assert any(name.startswith("<step ") and "Camera.wait" in name
                for name in names)
-    # a step and a race kernel are titled by their actors' locations
-    for kind in ("step", "race"):
-        assert any(name.startswith(f"<{kind} ") and "Camera.wait" in name
-                   for name in names)
 
 
 def _compare_advance(compiled, V, L, dt, h_max, exact):
-    ref = _at(compiled, V, L)
+    """The step kernel's advance moves the named state (V, L) by ``dt`` as
+    the reference does, bit for bit."""
+    ref, sim = _at(compiled, V, L), _at(compiled, V, L)
     assert compiled.step_table(ref.L).exact == exact
-    ref.config = RunConfig(h_max=h_max)
-    _advance_reference(ref, dt, exact)
-    sim = _at(compiled, V, L)
-    sim.config = RunConfig(h_max=h_max)
-    sim.advance_time(dt, compiled.step_table(sim.L).rates(sim.V, sim.L))
+    _advance_reference(compiled, ref.V, ref.L, dt, h_max, exact)
+    _advance(compiled, sim.V, sim.L, dt, h_max)
     got = _named(compiled, sim.V, sim.L)[0]
     want = _named(compiled, ref.V, ref.L)[0]
     assert list(got) == list(want)
     assert _bits(got.values()) == _bits(want.values())
-    assert sim.time == ref.time
-
-
-# A guard and an invariant that read a clock whose rate reads a clock, and
-# a clock-reading rate that nothing reads.
-READ_COUPLED = """
-clock t;
-clock e;
-clock z;
-template T() {
-  init loc a { rate e = t; rate z = 2 * t; inv e <= 8; }
-  loc b { rate e = 3; rate z = z - e; }
-  a -> b { guard e >= 8; }
-  b -> a { guard t >= 20; update t := 0, e := 0; }
-}
-system T;
-"""
-
-
-@pytest.mark.parametrize("name", ["av.sta", "read-coupled"])
-def test_rate_kernels_fill_every_slot_that_is_read(name):
-    """Against evaluating every rate of the configuration's locations that
-    are not committed: each slot of a clock-free rate, of an unrated clock
-    and of a clock that a guard or invariant reads holds the same value,
-    bit for bit; the slot of any other clock-reading rate holds 1."""
-    if name == "av.sta":
-        compiled, states = _vehicle_states(name)
-    else:
-        compiled = engine.CompiledNetwork(net(READ_COUPLED))
-        states = [({"t": t, "e": e, "z": z}, {"T": loc})
-                  for t in (0.0, 1.5, 7.25) for e in (0.0, 3.0)
-                  for z in (-1.0, 2.0) for loc in ("a", "b")]
-    unread = 0
-    for V, L in states:
-        sim = _at(compiled, V, L)
-        V, L = sim.V, sim.L
-        table = compiled.step_table(L)
-        want, coupled, reads = [1.0] * len(V), set(), set()
-        for cc in compiled.components:
-            loc = cc.locations[L[cc.index]]
-            reads |= loc.reads
-            if loc.committed:
-                continue
-            for slot, fn, clocks, _ in loc.rates:
-                want[slot] = float(fn(V, L))
-                if clocks:
-                    coupled.add(slot)
-        got = table.rates(V, L)
-        assert got is not table.rates(V, L)  # a new list each time
-        for slot, value in enumerate(want):
-            if slot in coupled and slot not in reads:
-                assert got[slot] == 1.0
-                unread += 1
-            else:
-                assert _bits([got[slot]]) == _bits([value])
-    assert unread > 0
 
 
 @pytest.mark.parametrize("h_max", [10.0, 0.05])
@@ -2693,10 +2649,9 @@ template T() {
 system T;
 """
     compiled = engine.CompiledNetwork(net(text))
-    sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
-    sim.advance_time(8.0, compiled.step_table(sim.L).rates(sim.V, sim.L))
-    V, _ = _named(compiled, sim.V, sim.L)
-    assert V["e"] == pytest.approx(5, abs=0.05)
+    V, L = compiled.initial_state()
+    _advance(compiled, V, L, 8.0, 0.05)
+    assert _named(compiled, V, L)[0]["e"] == pytest.approx(5, abs=0.05)
 
 
 @pytest.mark.parametrize("decls, rates", [
@@ -2709,11 +2664,10 @@ def test_a_stepped_plan_names_a_rate_that_is_not_finite(decls, rates):
     constant rate before it stores the clock."""
     compiled = engine.CompiledNetwork(net(
         f"{decls} template T() {{ init loc a {{ {rates} }} }} system T;"))
-    sim = engine.Simulator(compiled, RngStream(0, 0), RunConfig(h_max=0.05))
-    table = compiled.step_table(sim.L)
-    assert not table.exact
+    V, L = compiled.initial_state()
+    assert not compiled.step_table(L).exact
     with pytest.raises(EngineError, match=r"^rate of 'e' is not finite$"):
-        sim.advance_time(1.0, table.rates(sim.V, sim.L))
+        _advance(compiled, V, L, 1.0, 0.05)
 
 
 # a clock that makes a plan stepped: its rate is not affine in time

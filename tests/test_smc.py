@@ -254,6 +254,19 @@ def test_simulate_grid_and_events():
     assert csv.splitlines()[0] == "run,t,e"
 
 
+def test_simulate_grid_ends_at_the_bound():
+    """The grid's times are ``i * step``, not a running sum of steps: at
+    bound 1000 and step 0.1 it has 10001 rows, the last at 1000.0, and no
+    row lies past the bound."""
+    trace = engine.Trace({"x": 0.0}, [], 1000.0, "bound_reached",
+                         {"x": 1000.0})
+    rows = smc._trajectory(trace, ("x",), 1000.0, 0.1)
+    grid = [i * 0.1 for i in range(10001)]
+    assert [t for t, _ in rows] == sorted([0.0, 1000.0] + grid)
+    assert grid[-1] == 1000.0
+    assert all(x == pytest.approx(t) for t, x in rows)
+
+
 def test_histogram_csv_format():
     text = smc.histogram_to_csv(([0.0, 1.0, 2.0], [3, 4]))
     lines = text.strip().splitlines()
