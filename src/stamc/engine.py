@@ -55,9 +55,8 @@ those closures' sources with every expression inlined:
   finite.  It leaves ``V`` untouched until those stores, which read it
   directly (``V[15] = V[15] + dt``): a stage holds the clocks that the
   rates read in locals (``m13 = V[13] + r13 * h``), loads each other slot
-  they read once, computes a float subexpression that several rates share
-  once, such as ``m13 + m14``, and tests its rates to be finite by one
-  test of their sum;
+  they read once and tests its rates to be finite by one test of their
+  sum;
 - an update kernel per edge evaluates every right-hand side, then stores
   them, converting inline only what may need it: a literal is stored as
   its constant, a real or clock as it is where it is a float already, and
@@ -158,14 +157,13 @@ an int with a float exactly, and those slots hold only ints and bools
 (``_coerce``, :func:`_store`).  Nor, in an advance, does holding a
 stage's clocks in locals and each other slot that its rates read in a
 local loaded once, instead of writing them into ``V`` and reading them
-back, computing a float subexpression that several rates share once (an
-operation on floats cannot raise, so no fault moves either), or testing
-a stage's rates to be finite by one test of their sum that falls back to
-a test of each rate in order only where the sum is not finite, so finite
-rates whose sum overflows pass, and a rate that faults names an earlier
-rate of its stage that is not finite first.  Runs are bit-identical to that
-straightforward form, which ``tests/test_engine.py`` keeps as its
-reference for every kind of kernel, next to a digest of 30 vehicle runs.
+back, or testing a stage's rates to be finite by one test of their sum
+that falls back to a test of each rate in order only where the sum is
+not finite, so finite rates whose sum overflows pass, and a rate that
+faults names an earlier rate of its stage that is not finite first.
+Runs are bit-identical to that straightforward form, which
+``tests/test_engine.py`` keeps as its reference for every kind of kernel
+and for whole runs, next to digests of vehicle and stepped runs.
 ``RngStream`` serves uniforms and weighted choices from the bit generator's
 words, one at a time after an exponential and in blocks otherwise, and
 rewinds a block's unread words by ``PCG64.advance`` before an exponential,
@@ -852,30 +850,8 @@ def _nonfinite_call(rates: list, keys: list) -> str:
     return f"_nonfinite([{', '.join(rates)}], {list(keys)!r})"
 
 
-# a slot of V in a rate's source, and a sum, difference or product of two
-# float locals of an integration stage: stage clocks, m{slot} or y{i}, or
-# such a shared subexpression, c{n}
+# a slot of V in a rate's source
 _SLOT = re.compile(r"V\[(\d+)\]")
-_SHAREABLE = re.compile(r"\([cmy]\d+ [-+*] [cmy]\d+\)")
-
-
-def _shared(sources: list) -> tuple:
-    """``(lines, sources)``: each subexpression of ``sources`` that
-    ``_SHAREABLE`` matches and that occurs more than once, computed once
-    into a local ``c{n}`` by ``lines``, and ``sources`` reading it there.
-    An operation on floats cannot raise, it gives inf or nan instead, so
-    computing it once, before the rates, changes no value and no fault."""
-    lines = []
-    while True:
-        counts = collections.Counter(
-            sub for source in sources for sub in _SHAREABLE.findall(source))
-        shared = [sub for sub, n in counts.items() if n > 1]
-        if not shared:
-            return lines, sources
-        for sub in shared:
-            local = f"c{len(lines)}"
-            lines.append(f"{local} = {sub[1:-1]}")
-            sources = [source.replace(sub, local) for source in sources]
 
 
 def _advance_lines(clocks: _Clocks) -> list:
@@ -891,14 +867,13 @@ def _advance_lines(clocks: _Clocks) -> list:
     ones, the integrated clocks that rates read, at the stage's input, in
     locals ``m{slot}`` (``y{i}`` itself at the start of an RK4 step), which
     the integrated rates read in place of ``V``; they read each other slot
-    from a local loaded once, and a float subexpression that they share
-    from a local computed once (:func:`_shared`).  Each rate is named on a
-    fault, which names an earlier rate of the stage that is not finite
-    first, and the stage checks its rates to be finite in one test
-    (:func:`_finite_lines`).  An ``exact`` plan takes one midpoint stage at
-    ``dt / 2``, whose test checks the clock-free rates too; a stepped one
-    takes ``max(1, ceil(dt / h_max))`` RK4 steps of four stages, then
-    checks the clock-free rates."""
+    from a local loaded once.  Each rate is named on a fault, which names
+    an earlier rate of the stage that is not finite first, and the stage
+    checks its rates to be finite in one test (:func:`_finite_lines`).  An
+    ``exact`` plan takes one midpoint stage at ``dt / 2``, whose test
+    checks the clock-free rates too; a stepped one takes ``max(1,
+    ceil(dt / h_max))`` RK4 steps of four stages, then checks the
+    clock-free rates."""
     literal = {slot: lit for slot, _, lit in clocks.advanced}
     y = {slot: i for i, (slot, *_) in enumerate(clocks.integrated)}
     keys = [key for _, _, key, _ in clocks.integrated]
@@ -921,12 +896,9 @@ def _advance_lines(clocks: _Clocks) -> list:
             local[slot] = f"y{i}" if step is None else f"m{slot}"
             if step is not None:
                 lines.append(f"m{slot} = y{i} + {step[0]}{i} * {step[1]}")
-        shared, sources = _shared([
-            _SLOT.sub(lambda m: local[int(m.group(1))], fn.source)
-            for _, fn, _, _ in clocks.integrated])
-        lines += shared
         rates = []
-        for (_, _, _, where), source in zip(clocks.integrated, sources):
+        for _, fn, _, where in clocks.integrated:
+            source = _SLOT.sub(lambda m: local[int(m.group(1))], fn.source)
             check = (_nonfinite_call(rates, keys[:len(rates)]) if rates
                      else None)
             rates.append(f"{k}{len(rates)}")

@@ -14,6 +14,7 @@ from stamc.engine import EngineError, RngStream, RunConfig, run
 from stamc.model import instantiate, validate_model
 from stamc.parser import parse_expression, parse_model, parse_queries
 from stamc.queries import ConstraintQuery, ObserverDecl
+from test_acceptance import timed
 
 MODELS = pathlib.Path(__file__).resolve().parent.parent / "models"
 
@@ -635,6 +636,68 @@ _NUDGED_EVALUATED = [
         "rate x = 3;", "rate x = 3 + 0 * y;")]
 
 
+# Two actors whose windows are the one point x = y = 1 draw equal delays,
+# which the first in component order wins; B wins the step after.
+_TIED = """
+clock x;
+clock y;
+template A() {
+  init loc a { inv x <= 1; }
+  a -> a { guard x >= 1; update x := 0; }
+}
+template B() {
+  init loc b { inv y <= 1; }
+  b -> b { guard y >= 1; update y := 0; }
+}
+system A, B;
+"""
+
+# A stepped plan, integrated by RK4: x and y rotate, and the rates of p and
+# q repeat the sum x + y; U's resets make a bounded sojourn race T's
+# exponential one.
+REPEATED_SUMS = """
+clock x = 1;
+clock y;
+clock p;
+clock q;
+clock z;
+template T() {
+  init loc a {
+    exitrate 2;
+    rate x = -y; rate y = x; rate p = (x + y) * 0.5;
+    rate q = (x + y) * p - (x + y);
+  }
+  a -> a { update p := 0; }
+}
+template U() {
+  init loc u { inv z <= 2; }
+  u -> u { guard z >= 1; update z := 0, q := q / 2; }
+}
+system T, U;
+"""
+
+
+def _run_error(exc, time):
+    """The error that ``engine.run`` raises for ``exc``, an arithmetic or
+    engine error at ``time``: ``exc`` itself if it is an engine error that
+    names no guard, invariant, rate or update."""
+    where = getattr(exc, "where", None)
+    if isinstance(exc, ArithmeticError):
+        message = (f"arithmetic error at t={time}: "
+                   f"{type(exc).__name__}: {exc}")
+    elif where is not None:
+        message = f"{exc} at t={time}"
+    else:
+        return exc
+    return EngineError(message + ("" if where is None else f", in {where}"))
+
+
+def _zeno(config, time):
+    """The error of a run that takes ``config.max_steps`` steps."""
+    return EngineError("zeno/committed-loop: step ceiling "
+                       f"({config.max_steps}) exceeded at t={time}")
+
+
 def _stepwise_run(net, bound, rng, watch=(), config=None, monitor=None):
     """Reference run of the compiled network ``net``: ``Simulator.step``
     called until the run ends, with the trace, end and error texts that
@@ -652,28 +715,141 @@ def _stepwise_run(net, bound, rng, watch=(), config=None, monitor=None):
                                      in zip(net.components, sim.L)})
             events.append(result)
     except (ArithmeticError, EngineError) as exc:
-        where = getattr(exc, "where", None)
-        if isinstance(exc, ArithmeticError):
-            message = (f"arithmetic error at t={sim.time}: "
-                       f"{type(exc).__name__}: {exc}")
-        elif where is not None:
-            message = f"{exc} at t={sim.time}"
+        raise _run_error(exc, sim.time) from None
+    raise _zeno(sim.config, sim.time)
+
+
+def _exact(compiled, L):
+    """Whether one midpoint step integrates the clock-reading rates of
+    configuration ``L`` exactly: every rate is affine in clocks, and none
+    reads a clock that such a rate integrates."""
+    locs = [loc for loc in (cc.locations[L[cc.index]]
+                            for cc in compiled.components)
+            if not loc.committed]
+    reading = [(slot, reads) for loc in locs
+               for slot, _, reads, _ in loc.rates if reads]
+    integrated = {slot for slot, _ in reading}
+    return (all(loc.affine for loc in locs)
+            and not any(reads & integrated for _, reads in reading))
+
+
+def _looped_sojourn(V, L, rates, receiving, time):
+    """An actor's sojourn as (start or None, deadline) by the loop
+    references, ``_deadline`` and ``_start``, for ``_race``: an invariant
+    false already raises as a step kernel's race does."""
+    def sojourn(cc, loc):
+        deadline = _deadline(loc, V, L, rates)
+        if deadline == 0.0:
+            raise EngineError(
+                f"invariant of {loc.name} violated at entry (t={time})")
+        return _start(V, L, rates, deadline, receiving, cc, loc)[0], deadline
+    return sojourn
+
+
+def _reference_run(compiled, bound, rng, watch=(), config=None,
+                   monitor=None):
+    """Reference run of the compiled network ``compiled`` that runs no
+    kernel of the engine: each step by the loop references over the
+    compiled closures, with the trace, end and error texts that
+    ``engine.run`` gives.
+
+    A committed step fires the first committed component with an enabled
+    edge (``_enabled_edges``, ``_choose``, ``_fire``), and reads the last
+    sample again as the sample before it.  A timed step races every
+    component by ``_race`` with sojourns from ``_deadline`` and ``_start``
+    (one with no active edge and no invariant draws and caps nothing),
+    under the rates of the step's start, stops time at the bound or at the cap,
+    advances the clocks by ``_advance_reference`` (numpy), and fires the
+    winner after a fresh sample; a winner with no enabled edge takes the
+    1e-9 nudge first.  A sample calls ``monitor(V, L)``, if any, and
+    evaluates each watched closure."""
+    config = config or RunConfig()
+    V, L = compiled.initial_state()
+    watched = compiled.compile_watch(watch)
+    time = 0.0
+
+    def snapshot():
+        sample = monitor(V, L) if monitor is not None else engine._UNWATCHED
+        return {key: fn(V, L) for key, fn in watched} if watched else sample
+
+    def fire(cc, loc, enabled, pre):
+        edge = _choose(rng, enabled)
+        _fire(compiled, V, L, receiving, rng, cc, edge)
+        return (time, cc.name, edge.label, edge.channel, pre, snapshot())
+
+    def advance(dt):
+        _advance_reference(compiled, V, L, dt, config.h_max,
+                           _exact(compiled, L))
+        return time + dt
+
+    events = []
+    try:
+        last = initial = snapshot()
+        for _ in range(config.max_steps):
+            located = [(cc, cc.locations[L[cc.index]])
+                       for cc in compiled.components]
+            receiving = _receiving(compiled, L)
+            committed = [(cc, loc) for cc, loc in located if loc.committed]
+            for cc, loc in committed:
+                enabled = _enabled_edges(V, L, receiving, cc, loc)
+                if enabled:
+                    fired = fire(cc, loc, enabled, last)
+                    break
+            else:
+                if committed:
+                    end = "deadlock"
+                    break
+                rates = _rates(compiled, V, L)
+                remaining = bound - time
+                delay, winner, cap = _race(
+                    located, rng,
+                    _looped_sojourn(V, L, rates, receiving, time))
+                stop = cap if cap < remaining else remaining
+                if delay > stop:
+                    dt = stop
+                    end = ("bound_reached" if cap >= remaining
+                           else "deadlock")
+                else:
+                    dt, end = delay, None
+                if dt < 0:
+                    if dt < -1e-6:
+                        raise EngineError("negative dt")
+                    dt = 0.0
+                if dt != 0.0:
+                    time = advance(dt)
+                if end is not None:
+                    break
+                cc, loc = winner
+                enabled = _enabled_edges(V, L, receiving, cc, loc)
+                if not enabled:  # a boundary guard a few ulps short
+                    time = advance(1e-9)
+                    enabled = _enabled_edges(V, L, receiving, cc, loc)
+                if not enabled:
+                    raise EngineError(
+                        f"{cc.name}: no edge enabled at its sampled delay "
+                        "(guard window closed; engine defect or unsupported "
+                        "model)")
+                fired = fire(cc, loc, enabled, snapshot())
+            last = fired[5]
+            events.append(fired)
         else:
-            raise
-        raise EngineError(
-            message + ("" if where is None else f", in {where}")) from None
-    raise EngineError("zeno/committed-loop: step ceiling "
-                      f"({sim.config.max_steps}) exceeded at t={sim.time}")
+            raise _zeno(config, time)
+    except (ArithmeticError, EngineError) as exc:
+        raise _run_error(exc, time) from None
+    return engine.Trace(initial, events, time, end, snapshot(),
+                        {cc.name: loc for cc, loc
+                         in zip(compiled.components, L)})
 
 
-def _both_ways(compiled, bound, rng_args, watch=(), config=None):
-    """One run by ``engine.run`` and by the stepwise reference, each as a
-    list: the repr of each event's time, component, edge, channel and
-    samples, and of the start's sample, the end time and reason, the final
-    sample and the locations, then, without a watch, the state lists that
-    a monitor saw at each sample point; and the run's end reason."""
+def _each_way(compiled, bound, rng_args, watch=(), config=None):
+    """One run by ``engine.run``, by the stepwise reference and by the
+    reference that runs no kernel, each as a list: the repr of each
+    event's time, component, edge, channel and samples, and of the start's
+    sample, the end time and reason, the final sample and the locations,
+    then, without a watch, the state lists that a monitor saw at each
+    sample point; and the run's end reason."""
     out = []
-    for simulate in (run, _stepwise_run):
+    for simulate in (run, _stepwise_run, _reference_run):
         calls = []
 
         def monitor(V, L):
@@ -699,53 +875,59 @@ def _assert_same(got, want):
 
 def test_run_takes_the_steps_of_the_stepwise_reference():
     """``engine.run`` steps in its own frame; ``Simulator.step`` takes the
-    same steps one call at a time.  Both give the same runs, event by
-    event and bit for bit, with a watch and with a monitor, on vehicle
-    runs and on models that end each way a step can end, take the 1e-9
-    nudge, under a literal or an evaluated rate, or end 5e-10 past the
-    bound after one, and both fail with the same text."""
-    vehicle = engine.CompiledNetwork(
-        instantiate(parse_model((MODELS / "av.sta").read_text())))
-    config = RunConfig(h_max=10.0)
-    ends = set()
-    for watch in (["(wvl + wvr) / 2", "energy.Con_en", "mode"], []):
-        for i in range(20):
-            got, want, _ = _both_ways(vehicle, 3000, (42, i), watch,
-                                      config)
-            _assert_same(got, want)
-    models = [(_timed(templates), bound, ["x", "y"])
-              for templates, bound, _, _ in _TIMED_ENDS.values()]
-    models += [(_listened(8), 100, ["heard"]),
-               (_timed(_TIME_LOCK), 10, ["x", "y"]),
-               (COMMITTED, 6, ["n", "x"]), (_NUDGED, 5, ["x"])]
-    nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1][0]
-    models.append((_NUDGED, nudged - 5e-10, ["x"]))
-    times = [e[0] for e in run(net(_NUDGED), 5, RngStream(0, 0)).events]
-    for text in _NUDGED_EVALUATED:
-        evaluated = engine.CompiledNetwork(net(text))
-        plan = evaluated.step_table(["a"])._plan
-        assert len(plan.fixed + plan.probed) == 1
-        assert [e[0] for e in run(evaluated, 5, RngStream(0, 0)).events] \
-            == times
-        models.append((text, 5, ["x"]))
-    for text, bound, watch in models:
-        network = engine.CompiledNetwork(net(text))
-        for i in range(20):
-            for seen in (watch, []):
-                got, want, end = _both_ways(network, bound, (0, i), seen)
-                _assert_same(got, want)
-                ends.add(end)
-    assert ends == {"bound_reached", "deadlock"}
-    for text, cfg in ((_ZENO, RunConfig(max_steps=1000)),
-                      (_FAULTY % "n := x / 0", None)):
-        texts = []
-        for simulate in (run, _stepwise_run):
-            with pytest.raises(EngineError) as exc:
-                simulate(engine.CompiledNetwork(net(text)), 10,
-                         RngStream(0, 0), config=cfg)
-            texts.append(str(exc.value))
-        assert texts[0] == texts[1]
-    assert texts[0].endswith(", in the update of edge a->b#0 of T")
+    same steps one call at a time, through the same kernels, and
+    ``_reference_run`` takes them by the loop references, through none.
+    All three give the same runs, event by event and bit for bit, with a
+    watch and with a monitor, on vehicle runs and on models that end each
+    way a step can end, take the 1e-9 nudge, under a literal or an
+    evaluated rate, or end 5e-10 past the bound after one, draw tied
+    delays or integrate by RK4, and all three fail with the same text."""
+    with timed(60):
+        vehicle = engine.CompiledNetwork(
+            instantiate(parse_model((MODELS / "av.sta").read_text())))
+        config = RunConfig(h_max=10.0)
+        ends = set()
+        for watch in (["(wvl + wvr) / 2", "energy.Con_en", "mode"], []):
+            for i in range(20):
+                got, *wants, _ = _each_way(vehicle, 3000, (42, i), watch,
+                                           config)
+                for want in wants:
+                    _assert_same(got, want)
+        models = [(_timed(templates), bound, ["x", "y"])
+                  for templates, bound, _, _ in _TIMED_ENDS.values()]
+        models += [(_listened(8), 100, ["heard"]),
+                   (_timed(_TIME_LOCK), 10, ["x", "y"]),
+                   (COMMITTED, 6, ["n", "x"]), (_NUDGED, 5, ["x"]),
+                   (_TIED, 10, ["x", "y"]), (REPEATED_SUMS, 20, ["q"])]
+        nudged = run(net(_NUDGED), 1, RngStream(0, 0)).events[1][0]
+        models.append((_NUDGED, nudged - 5e-10, ["x"]))
+        times = [e[0] for e in run(net(_NUDGED), 5, RngStream(0, 0)).events]
+        for text in _NUDGED_EVALUATED:
+            evaluated = engine.CompiledNetwork(net(text))
+            plan = evaluated.step_table(["a"])._plan
+            assert len(plan.fixed + plan.probed) == 1
+            assert [e[0] for e in run(evaluated, 5, RngStream(0, 0)).events] \
+                == times
+            models.append((text, 5, ["x"]))
+        for text, bound, watch in models:
+            network = engine.CompiledNetwork(net(text))
+            for i in range(20):
+                for seen in (watch, []):
+                    got, *wants, end = _each_way(network, bound, (0, i), seen)
+                    for want in wants:
+                        _assert_same(got, want)
+                    ends.add(end)
+        assert ends == {"bound_reached", "deadlock"}
+        for text, cfg in ((_ZENO, RunConfig(max_steps=1000)),
+                          (_FAULTY % "n := x / 0", None)):
+            texts = []
+            for simulate in (run, _stepwise_run, _reference_run):
+                with pytest.raises(EngineError) as exc:
+                    simulate(engine.CompiledNetwork(net(text)), 10,
+                             RngStream(0, 0), config=cfg)
+                texts.append(str(exc.value))
+            assert texts[0] == texts[1] == texts[2]
+        assert texts[0].endswith(", in the update of edge a->b#0 of T")
 
 
 def test_watch_accepts_expressions_and_locations():
@@ -1410,11 +1592,16 @@ def _typed(compiled, edge) -> list:
 
 def _staged(compiled, V, L, edge):
     """Reference updates of ``edge``: every right-hand side evaluated, then
-    each stored through ``_coerce``."""
-    staged = [(slot, fn(V, L), vtype)
-              for slot, fn, vtype in _typed(compiled, edge)]
-    for slot, value, vtype in staged:
-        V[slot] = engine.CompiledNetwork._coerce(value, vtype)
+    each stored through ``_coerce``; a fault names the edge, as the update
+    kernel's does."""
+    try:
+        staged = [(slot, fn(V, L), vtype)
+                  for slot, fn, vtype in _typed(compiled, edge)]
+        for slot, value, vtype in staged:
+            V[slot] = engine.CompiledNetwork._coerce(value, vtype)
+    except (ArithmeticError, EngineError) as exc:
+        exc.where = f"the update of {edge.where}"
+        raise
 
 
 @pytest.mark.parametrize("name", ["av.sta", "av_unrefined.sta"])
@@ -1942,21 +2129,22 @@ class _Draws:
         return 0.0
 
 
-def _race(table, V, L, rates, rng):
-    """Reference race of a timed step: each actor in turn finds its
-    sojourn and draws its delay; the least delay is kept by the first
-    actor that drew it, and ``cap`` is the earliest deadline of an actor
-    that cannot fire."""
+def _race(actors, rng, sojourn):
+    """Reference race of a timed step among ``actors``, (component,
+    location) pairs in component order: each in turn finds its sojourn,
+    ``sojourn(component, location)``, (start or None, deadline), and draws
+    its delay; the least delay is kept by the first actor that drew it,
+    and ``cap`` is the earliest deadline of an actor that cannot fire."""
     best, winner, cap = math.inf, None, math.inf
-    for actor in table.actors:
+    for actor in actors:
         loc = actor[1]
-        start, deadline = _sojourn(loc, V, L, rates, table.receivers)
+        start, deadline = sojourn(*actor)
         if start is None:
             if deadline < cap:
                 cap = deadline
             continue
         delay = (rng.uniform(start, deadline) if deadline < math.inf
-                 else start + rng.exponential(loc.race[1]))
+                 else start + rng.exponential(loc.exit_rate or 1.0))
         if delay < best:
             best, winner = delay, actor
     return best, winner, cap
@@ -1967,7 +2155,10 @@ def _reference_step(compiled, table, V, L, rng, time, remaining, h_max):
     kernel takes it: the per-actor loop's race under the rates of the
     step's start, time stopped at the bound or at the cap, then ``V``
     advanced by the delay; (time after the delay, winner, end)."""
-    delay, winner, cap = _race(table, V, L, _rates(compiled, V, L), rng)
+    rates = _rates(compiled, V, L)
+    delay, winner, cap = _race(
+        table.actors, rng,
+        lambda cc, loc: _sojourn(loc, V, L, rates, table.receivers))
     stop = cap if cap < remaining else remaining
     ends = delay > stop
     dt = stop if ends else delay
@@ -2899,3 +3090,27 @@ def test_trace_readers_match_the_pinned_digest():
                            verdict.first_violating_window,
                            monitors.observer_failed(tr, c))).encode())
     assert h.hexdigest() == READER_DIGEST
+
+
+# Pinned before the advance kernels stopped computing a subexpression that
+# several rates share once; like RUN_DIGEST, never regenerate it to make a
+# change pass.
+STEPPED_DIGEST = ("3ed7e24d2d438b51e6ca9f03a3b093ad"
+                  "4ce5d06015eb6aa4fa4a15fb69c41d7a")
+
+
+def test_stepped_runs_match_the_pinned_digest():
+    """Every delay of ``REPEATED_SUMS`` is integrated by RK4 steps at
+    ``h_max`` 0.05, whose stages evaluate rates that repeat ``x + y``:
+    the events, watched values and ends of 20 runs hash to one
+    constant."""
+    network = instantiate(parse_model(REPEATED_SUMS))
+    compiled = engine.CompiledNetwork(network)
+    assert not compiled.step_table(compiled.initial_state()[1]).exact
+    h = hashlib.sha256()
+    for i in range(20):
+        tr = run(compiled, 100, RngStream(7, i), ["q"], RunConfig(h_max=0.05))
+        for time, component, edge, _, _, watch in tr.events:
+            h.update(repr((time, component, edge, watch)).encode())
+        h.update(repr((tr.end_time, tr.end_reason, tr.final)).encode())
+    assert h.hexdigest() == STEPPED_DIGEST
