@@ -81,7 +81,10 @@ those closures' sources with every expression inlined:
 A guard, invariant, rate or update that faults names itself on the error
 path only: the kernels wrap each in a ``try`` (:func:`_naming`) that sets
 the exception's ``where``, such as ``the guard of edge a->b#0 of T``, and
-:func:`run` ends its message with it.
+:func:`run` ends its message with it.  A watch kernel, and ``smc``'s
+monitor kernel, wrap their body in one ``try`` whose handler names the
+query expression at fault, such as ``the query expression '1 / n'``, from
+the state that raised (:func:`_query_fault`), with no second run.
 
 Each kernel is compiled under its own filename, such as ``<fire
 Ctrl.dispatch>``, ``<step Camera.wait WheelL.idle>`` or ``<receive go>``,
@@ -357,6 +360,7 @@ def _kernel(title: str, lines: list, **names):
              "len": len, "range": range, "ceil": math.ceil,
              "isfinite": math.isfinite, "INF": INF, "EngineError": EngineError,
              "ArithmeticError": ArithmeticError, "_nonfinite": _nonfinite,
+             "_query_fault": _query_fault,
              "_coerce": CompiledNetwork._coerce, **names}
     exec(compile("\n".join(lines), filename, "exec"), scope)
     return scope["_k"]
@@ -569,15 +573,30 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
                       if edge[1] is not None})
 
 
+def _query_fault(pairs, V, L) -> str:
+    """The ``where`` of the query expression that raised: the first of
+    ``pairs``, ((text, fn), ...), the expressions a kernel evaluated in
+    order, whose ``fn`` raises an ``ArithmeticError`` at ``V`` and ``L``."""
+    for text, fn in pairs:
+        try:
+            fn(V, L)
+        except ArithmeticError:
+            return f"the query expression {text!r}"
+
+
 @functools.cache
 def _watch_kernel(watch: tuple):
     """``(V, L)``: the sampler of the state lists ``V`` and ``L``, bound
     once per run, which returns a new dict of the ``watch`` values, ((key,
-    fn), ...), at their current state."""
+    fn), ...), at their current state.  A watched expression's fault names
+    it (:func:`_query_fault`)."""
     items = ", ".join(f"{key!r}: {fn.source}" for key, fn in watch)
-    return _kernel("watch", ["def _k(V, L):", "    def sample():",
-                             f"        return {{{items}}}",
-                             "    return sample"])
+    return _kernel("watch", [
+        "def _k(V, L):", "    def sample():", "        try:",
+        f"            return {{{items}}}",
+        "        except ArithmeticError as exc:",
+        "            exc.where = _query_fault(W, V, L)", "            raise",
+        "    return sample"], W=watch)
 
 
 def _divides(source: str) -> bool:

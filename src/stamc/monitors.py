@@ -78,6 +78,9 @@ class WhConstraint:
                 raise MonitorError(f"event {event!r} not bound")
         if self.kind == "synchronization" and len(bound) < 2:
             raise MonitorError("synchronization needs >= 2 events")
+        channels = [self.channel(event) for event in self.events()]
+        if len(set(channels)) < len(channels):
+            raise MonitorError("two events are bound to one channel")
 
     def events(self) -> tuple:
         """The events this constraint reads, in the order its observer

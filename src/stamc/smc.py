@@ -115,8 +115,8 @@ from typing import Callable, Optional
 
 from . import expr as E
 from . import monitors
-from .engine import (_UNWATCHED, CompiledNetwork, EngineError, RngStream,
-                     RunConfig, _kernel, run)
+from .engine import (_UNWATCHED, CompiledNetwork, RngStream, RunConfig,
+                     _indent, _kernel, run)
 from .model import Model, Network, instantiate
 from .queries import (EXTREMA, Compare, ConstraintQuery, Estimate, Expected,
                       Hypothesis, PathFormula, Simulate)
@@ -404,26 +404,37 @@ class _Traced:
 def _monitor_kernel(always: tuple, eventually: tuple, extrema: tuple):
     """``(out, V, L)``: one sample point of a run's sampled judges, which
     returns the engine's shared empty dict, the sample of a run that
-    watches nothing. ``always``, ((place, predicate), ...), are the ``[]``
-    formulas, each set False in ``out`` at its first false sample;
+    watches nothing. ``always``, ((place, text, predicate), ...), are the
+    ``[]`` formulas, each set False in ``out`` at its first false sample;
     ``eventually`` the ``<>`` formulas, each set True at its first true
-    sample; ``extrema``, ((place, fn, is max), ...), keep the running
+    sample; ``extrema``, ((place, text, fn, is max), ...), keep the running
     maximum or minimum of ``fn``, which returns a float, in ``out``, None
-    until the first sample. A formula that has decided is skipped by a test of its own
-    outcome, so its predicate is evaluated no more."""
-    lines = ["def _k(out, V, L):"]
-    for place, fn in always:
-        lines += [f"    if out[{place}] and not ({fn.source}):",
-                  f"        out[{place}] = False"]
-    for place, fn in eventually:
-        lines += [f"    if not out[{place}] and ({fn.source}):",
-                  f"        out[{place}] = True"]
-    for place, fn, is_max in extrema:
-        lines += [f"    v = {fn.source}", f"    best = out[{place}]",
-                  f"    if best is None or v {'>' if is_max else '<'} best:",
-                  f"        out[{place}] = v"]
-    return _kernel("monitor", lines + ["    return UNWATCHED"],
-                   UNWATCHED=_UNWATCHED)
+    until the first sample. A formula that has decided is skipped by a test
+    of its own outcome, so its predicate is evaluated no more.
+
+    The body is one ``try``, whose handler names the expression at fault
+    (``engine._query_fault``) among those the call evaluated: the ``[]``
+    formulas still true, the ``<>`` formulas still false and the extrema."""
+    body = []
+    for place, _, fn in always:
+        body += [f"if out[{place}] and not ({fn.source}):",
+                 f"    out[{place}] = False"]
+    for place, _, fn in eventually:
+        body += [f"if not out[{place}] and ({fn.source}):",
+                 f"    out[{place}] = True"]
+    for place, _, fn, is_max in extrema:
+        body += [f"v = {fn.source}", f"best = out[{place}]",
+                 f"if best is None or v {'>' if is_max else '<'} best:",
+                 f"    out[{place}] = v"]
+    tried = [f"out[{e[0]}]" for e in always] + [
+        f"not out[{e[0]}]" for e in eventually] + ["True"] * len(extrema)
+    return _kernel("monitor", [
+        "def _k(out, V, L):", "    try:", *_indent(body, 8),
+        "    except ArithmeticError as exc:",
+        "        exc.where = _query_fault([q for q, t in zip(Q, "
+        f"({', '.join(tried)},)) if t], V, L)",
+        "        raise", "    return UNWATCHED"], UNWATCHED=_UNWATCHED,
+        Q=tuple(e[1:3] for e in always + eventually + extrema), zip=zip)
 
 
 class _Monitor:
@@ -441,22 +452,23 @@ class _Monitor:
 
     def __init__(self, out: list):
         self.out = out
-        self.always = ()  # ((place, predicate), ...) of [] still true
-        self.eventually = ()  # ((place, predicate), ...) of <> not yet true
-        self.extrema = ()  # ((place, fn, is max), ...)
+        self.always = ()  # ((place, text, predicate), ...) of []
+        self.eventually = ()  # ((place, text, predicate), ...) of <>
+        self.extrema = ()  # ((place, text, fn, is max), ...)
         self.kernel = None
 
     def add(self, place: int, judge: _Sampled, net: CompiledNetwork):
+        text = judge.expr
         if judge.op in EXTREMA:
-            self.extrema += ((place, net.compile_float(judge.expr),
+            self.extrema += ((place, text, net.compile_float(text),
                               judge.op == "max"),)
             return
-        [(_, fn)] = net.compile_watch((judge.expr,))
+        [(_, fn)] = net.compile_watch((text,))
         if judge.op == "globally":
-            self.always += ((place, fn),)
+            self.always += ((place, text, fn),)
             self.out[place] = True
         else:
-            self.eventually += ((place, fn),)
+            self.eventually += ((place, text, fn),)
             self.out[place] = False
 
     def sampler(self):
@@ -474,8 +486,8 @@ class _Monitor:
         true and no ``<>`` formula false any more. It reads one outcome per
         formula and calls no predicate."""
         out = self.out
-        return (not any(out[place] for place, _ in self.always)
-                and all(out[place] for place, _ in self.eventually))
+        return (not any(out[entry[0]] for entry in self.always)
+                and all(out[entry[0]] for entry in self.eventually))
 
 
 # --- shared run streams ----------------------------------------------------
@@ -529,53 +541,17 @@ def _run_one(runs: _Runs, index: int, live: tuple) -> tuple:
     """One run's outcome per job; None where a job is retired or reads no
     more runs. Sampled judges watch the run as it runs; the trace, with the
     traced judges' expressions, is judged once it ends, and dropped. A run
-    that faults raises its ``EngineError``, naming the query expression at
-    fault, if one is (``_named``)."""
+    that faults raises its ``EngineError``; the monitor or watch kernel
+    that evaluates a query expression at fault names it, so the run is
+    simulated once."""
     monitor, traced, watch = _judges(runs, index, live)
-    try:
-        trace = run(runs.net, runs.bound, RngStream(runs.seed, index),
-                    watch=watch, config=runs.run_config,
-                    monitor=monitor.sampler())
-    except EngineError as exc:
-        raise _named(exc, runs, index, live) from None
+    trace = run(runs.net, runs.bound, RngStream(runs.seed, index),
+                watch=watch, config=runs.run_config,
+                monitor=monitor.sampler())
     out = monitor.out
     for place, judge in traced:
         out[place] = judge.fn(trace, *judge.args)
     return tuple(out)
-
-
-def _named(exc: EngineError, runs: _Runs, index: int, live: tuple):
-    """``exc``, the error that ended run ``index``, naming the query
-    expression that raised it, if one did. Only this error path runs the
-    run again: with no judge, which ends as ``exc`` did if the model
-    itself faults, then with each expression of the ``live`` jobs alone,
-    until one ends as ``exc`` did."""
-    def ends_alike(judge=None, watch=()) -> bool:
-        monitor = _Monitor([None])
-        if judge is not None:
-            monitor.add(0, judge, runs.net)
-        try:
-            run(runs.net, runs.bound, RngStream(runs.seed, index),
-                watch=watch, config=runs.run_config,
-                monitor=monitor.sampler())
-        except EngineError as again:
-            return str(again) == str(exc)
-        return False
-
-    alone = []  # (expression text, sampled judge or None, watch)
-    for place in live:
-        judge, n_runs = runs.jobs[place]
-        if index >= n_runs:
-            continue
-        if isinstance(judge, _Sampled):
-            alone.append((judge.expr, judge, ()))
-        else:
-            alone += [(text, None, (text,)) for text in judge.watch]
-    if alone and not ends_alike():
-        for text, judge, watch in alone:
-            if ends_alike(judge, watch):
-                return EngineError(f"{exc}, in the query expression {text!r}")
-    return exc
 
 
 # In a worker process: the runs of each stream of the pool's check, by

@@ -710,7 +710,15 @@ system T;
     ("Pr[<=10]([] 1 / (n - 2) > -5);\n", "(1 / (n - 2)) > (-5)"),
     ("E[<=10; 5](max: n);\nsimulate 2 [<=5] {n, 1 / (n - 1)}\n",
      "1 / (n - 1)"),
-], ids=["extremum", "path-formula", "simulate"])
+    ("Pr[<=10](<> n >= 1) >= 0.5;\nE[<=10; 5](min: 1 / n);\n", "1 / n"),
+    ("Pr[<=10](<> n >= 3) >= Pr[<=10]([] 1 / (n - 2) > -5);\n",
+     "(1 / (n - 2)) > (-5)"),
+    # the <> formula decides at n = 1, and its predicate is not evaluated
+    # at n = 2, where it would fault
+    ("Pr[<=10](<> 4 / (n - 2) < -3) >= 0.5;\nE[<=10; 5](max: n / (n - 2));\n",
+     "n / (n - 2)"),
+], ids=["extremum", "path-formula", "simulate", "first-sample", "compare",
+        "decided-formula"])
 def test_check_names_the_query_expression_that_faults(runner, tmp_path,
                                                       queries, text,
                                                       workers):
@@ -728,6 +736,48 @@ def test_check_names_the_query_expression_that_faults(runner, tmp_path,
         r"error: arithmetic error at t=[0-9.]+: ZeroDivisionError: float "
         rf"division by zero, in the query expression {re.escape(repr(text))}",
         res.output.strip()), res.output
+
+
+def test_a_faulting_check_simulates_each_run_once(runner, tmp_path,
+                                                  monkeypatch):
+    """The kernel that evaluates a query expression names it from the state
+    that raised: run 0, which faults, is the one run simulated."""
+    runs = []
+    real_run = smc.run
+
+    def counting_run(net, bound, rng, *args, **kwargs):
+        runs.append(rng.run_index)
+        return real_run(net, bound, rng, *args, **kwargs)
+
+    monkeypatch.setattr(smc, "run", counting_run)
+    m = tmp_path / "counting.sta"
+    m.write_text(COUNTING)
+    q = tmp_path / "suite.q"
+    q.write_text("Pr[<=10](<> n >= 3) >= 0.5;\n"
+                 "E[<=10; 5](max: n / (n - 2));\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--workers", "1",
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert res.output.strip().endswith(
+        "in the query expression 'n / (n - 2)'"), res.output
+    assert runs == [0]
+
+
+def test_a_constraint_that_binds_two_events_to_one_channel_exits_3(
+        runner, tmp_path, task_text):
+    """Its two routes would judge different properties: the observer takes
+    the second arrival on the channel as a duplicate, while the oracle
+    measures it. The parser rejects it at the constraint, before any run."""
+    m = tmp_path / "task.sta"
+    m.write_text(task_text)
+    q = tmp_path / "c.q"
+    q.write_text("E[<=50; 5](max: n);\nconstraint endtoend(m=4, k=4, "
+                 "bound=50, lower=1, upper=30) on source=stop, target=stop;\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--out",
+                               str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert re.fullmatch(r"error: \S*c\.q:2:\d+: two events are bound to "
+                        r"one channel", res.output.strip()), res.output
 
 
 def test_a_fault_of_the_model_names_no_query_expression(runner, tmp_path):

@@ -2633,6 +2633,18 @@ def test_a_fault_names_its_guard_invariant_or_rate(text, where):
         f"ZeroDivisionError: float division by zero, in {where}")
 
 
+def test_a_watched_expression_that_faults_names_itself():
+    """A library run's watched expression that divides by zero ends the run
+    with an error that names it, as a check's query expression does."""
+    text = ("int n = 0; clock x; template T() { init loc a { inv x <= 2; } "
+            "a -> a { guard x >= 1; update x := 0, n := n + 1; } } system T;")
+    with pytest.raises(EngineError) as exc:
+        run(net(text), 10, RngStream(0, 0), watch=["n", "1 / (n - 1)"])
+    assert re.fullmatch(r"arithmetic error at t=[0-9.]+: ZeroDivisionError: "
+                        r"float division by zero, in the query expression "
+                        r"'1 / \(n - 1\)'", str(exc.value)), str(exc.value)
+
+
 @pytest.mark.parametrize("inv, fault", [(5, False), (10, True)])
 def test_a_guard_gate_evaluates_nothing_that_the_guard_would_not(inv,
                                                                  fault):

@@ -169,6 +169,13 @@ def test_constraint_validation():
         wh("synchronization", 1, 1, [("e1", "a")])
     with pytest.raises(M.MonitorError, match="bound twice"):
         wh("synchronization", 1, 1, [("e1", "a"), ("e1", "b")])
+    # its observer and its oracle would judge different properties
+    for kind, names in (("endtoend", ("source", "target")),
+                        ("synchronization", ("e1", "e2"))):
+        with pytest.raises(M.MonitorError,
+                           match="two events are bound to one channel"):
+            wh(kind, 4, 4, [(name, "stop") for name in names], lower=1,
+               upper=30)
     # m / k = 0.6 would be tested at p0 = 0.6 on nonsense windows
     for m, k in ((1.5, 2.5), (1, 2.0), (2.0, 3)):
         with pytest.raises(M.MonitorError, match="need integers m and k"):
