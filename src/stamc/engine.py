@@ -88,9 +88,10 @@ the state that raised (:func:`_query_fault`), with no second run.
 
 Each kernel is compiled under its own filename, such as ``<fire
 Ctrl.dispatch>``, ``<step Camera.wait WheelL.idle>`` or ``<receive go>``,
-so a profile tells them apart.  A location's kernels and its edges' are
-generated when the first step table (below) that holds the location is
-built, and a table's step and receive kernels with the table.  Closures
+so a profile tells them apart.  A location's fire kernel is generated
+when the first step table (below) that holds the location is built, a
+table's step and receive kernels with the table, and an edge's update
+kernel with the first fire or receive kernel that calls it.  Closures
 are cached by their source and kernels by their generators' arguments (a
 step kernel by its actors' parts and its rate plan, never by location
 objects), so a second network of the same model, such as the one each
@@ -444,30 +445,31 @@ def _receive_kernel(channel: str, receivers: tuple):
     """``(V, L, emitter)``: the receivers that an emit on ``channel`` by the
     component at index ``emitter`` synchronizes, as [(component index, its
     enabled receive edges)], an edge as (update kernel or None, target,
-    weight, the edge in error messages).  ``receivers`` are ((component
-    index, ((guard, update kernel or None, target, weight, the edge in
-    error messages), ...)), ...), the receive edges of one location
-    configuration in component order; each component but the emitter that
-    has an enabled one is listed, in that order.  A guard's fault names its
-    edge."""
+    weight, the edge in error messages), which :func:`_sync_lines` reads.
+    ``receivers`` are ((component index, (:class:`_CompiledEdge`, ...)),
+    ...), the receive edges of one location configuration in component
+    order; each component but the emitter that has an enabled one is
+    listed, in that order.  A guard's fault names its edge."""
     lines = ["def _k(V, L, emitter):", "    ready = []"]
     edges = {}  # name in the kernel -> (update kernel, target, weight, edge)
     for i, (index, receive) in enumerate(receivers):
         if len(receive) == 1:
-            guard, *edge = receive[0]
-            edges[f"R{i}"] = (index, (tuple(edge),))
+            [edge] = receive
+            edges[f"R{i}"] = (index, ((edge.update, edge.target, edge.weight,
+                                       edge.where),))
             body = [f"ready.append(R{i})"]
-            if guard is not None:
-                body = _naming([f"if {guard.source}:", *_indent(body)],
-                               f"the guard of {edge[-1]}")
+            if edge.guard is not None:
+                body = _naming([f"if {edge.guard.source}:", *_indent(body)],
+                               f"the guard of {edge.where}")
         else:
             body = ["e = []"]
-            for j, (guard, *edge) in enumerate(receive):
-                edges[f"E{i}_{j}"] = tuple(edge)
-                body += ([f"e.append(E{i}_{j})"] if guard is None else
-                         _naming([f"if {guard.source}:",
+            for j, edge in enumerate(receive):
+                edges[f"E{i}_{j}"] = (edge.update, edge.target, edge.weight,
+                                      edge.where)
+                body += ([f"e.append(E{i}_{j})"] if edge.guard is None else
+                         _naming([f"if {edge.guard.source}:",
                                   f"    e.append(E{i}_{j})"],
-                                 f"the guard of {edge[-1]}"))
+                                 f"the guard of {edge.where}"))
             body += ["if e:", f"    ready.append(({index}, e))"]
         lines += [f"    if emitter != {index}:", *_indent(body, 8)]
     return _kernel(f"receive {channel}", lines + ["    return ready"],
@@ -487,9 +489,9 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
     """``(V, L, receivers, rng, presnap, snap, time)`` firing one of the
     active edges of location ``name`` of ``component``, the component at
     index ``index``, at ``time``: it returns the event, or None if no edge
-    is enabled.  ``edges`` are ((guard, update kernel or None, label,
-    target, weight, channel, binary, the edge in error messages), ...);
-    ``receivers`` are the step table's receive kernels by channel.
+    is enabled.  ``edges`` are the location's active edges, each a
+    :class:`_CompiledEdge`; ``receivers`` are the step table's receive
+    kernels by channel.
 
     An edge is enabled when its guard holds and, for a binary emit, exactly
     one receiver is ready; that test keeps the ready receiver as ``r{i}``
@@ -509,68 +511,68 @@ def _fire_kernel(component: str, name: str, index: int, edges: tuple):
     rng.uniform(0.0, total)`` and fires the first edge whose running sum
     exceeds ``u``, the last if none does (:func:`_running_sums`).  Other
     edge sets list the enabled edges and call ``weighted_choice``."""
-    def fire(i, guard, update, label, target, weight, channel, binary,
-             where):
-        lines = [] if channel is None or binary is not None else [
+    def fire(i, edge):
+        channel = edge.channel
+        lines = [] if channel is None or edge.binary is not None else [
             f"r{i} = (k := receivers[{channel!r}]) is not None and "
             f"k(V, L, {index})"]  # read before firing
-        lines += (_naming([f"U{i}(V, L)"], f"the update of {where}",
+        lines += (_naming([f"U{i}(V, L)"], f"the update of {edge.where}",
                           "(ArithmeticError, EngineError)")
-                  if update is not None else [])
-        lines.append(f"L[{index}] = {target!r}")
+                  if edge.stores else [])
+        lines.append(f"L[{index}] = {edge.target!r}")
         if channel is not None:
             lines += [f"if r{i}:", *_indent(_sync_lines(f"r{i}"))]
-        return lines + [f"return (time, {component!r}, {label!r}, "
+        return lines + [f"return (time, {component!r}, {edge.label!r}, "
                         f"{channel!r}, pre, snap())"]
 
     body = []
     if not edges:
         body.append("return None")
     elif len(edges) == 1:
-        guard, binary, where = edges[0][0], edges[0][6], edges[0][7]
-        if guard is not None:
-            body += _naming([f"if not ({guard.source}):", "    return None"],
-                            f"the guard of {where}")
-        if binary is not None:
-            body += [f"if not ({_ready_test(binary, index, 'r0')}):",
+        [edge] = edges
+        if edge.guard is not None:
+            body += _naming([f"if not ({edge.guard.source}):",
+                             "    return None"], f"the guard of {edge.where}")
+        if edge.binary is not None:
+            body += [f"if not ({_ready_test(edge.binary, index, 'r0')}):",
                      "    return None"]
-        body += ["pre = presnap()", *fire(0, *edges[0])]
-    elif all(edge[0] is None and edge[6] is None for edge in edges):
-        total, sums = _running_sums([edge[4] for edge in edges])
+        body += ["pre = presnap()", *fire(0, edge)]
+    elif all(edge.guard is None and edge.binary is None for edge in edges):
+        total, sums = _running_sums([edge.weight for edge in edges])
         body += ["pre = presnap()", f"u = rng.uniform(0.0, {total!r})"]
         for i, (edge, acc) in enumerate(zip(edges[:-1], sums)):
-            body += [f"if u < {acc!r}:", *_indent(fire(i, *edge))]
-        body += fire(len(edges) - 1, *edges[-1])
+            body += [f"if u < {acc!r}:", *_indent(fire(i, edge))]
+        body += fire(len(edges) - 1, edges[-1])
     else:
         body.append("e = []")
         for i, edge in enumerate(edges):
-            guard, binary, where = edge[0], edge[6], edge[7]
             append = [f"e.append({i})"]
-            if binary is not None:
-                ready = _ready_test(binary, index, f"r{i}")
-                if guard is None:
+            if edge.binary is not None:
+                ready = _ready_test(edge.binary, index, f"r{i}")
+                if edge.guard is None:
                     body += [f"if {ready}:", *_indent(append)]
                 else:  # the guard alone is named on a fault
-                    body += [*_naming([f"g = {guard.source}"],
-                                      f"the guard of {where}"),
+                    body += [*_naming([f"g = {edge.guard.source}"],
+                                      f"the guard of {edge.where}"),
                              f"if g and {ready}:", *_indent(append)]
-            elif guard is not None:
-                body += _naming([f"if {guard.source}:", *_indent(append)],
-                                f"the guard of {where}")
+            elif edge.guard is not None:
+                body += _naming([f"if {edge.guard.source}:",
+                                 *_indent(append)],
+                                f"the guard of {edge.where}")
             else:
                 body += append
         body += ["if not e:", "    return None", "pre = presnap()",
                  "i = e[0] if len(e) == 1 else "
                  "e[rng.weighted_choice([W[j] for j in e])]"]
         for i, edge in enumerate(edges[:-1]):
-            body += [f"if i == {i}:", *_indent(fire(i, *edge))]
-        body += fire(len(edges) - 1, *edges[-1])
+            body += [f"if i == {i}:", *_indent(fire(i, edge))]
+        body += fire(len(edges) - 1, edges[-1])
     return _kernel(f"fire {name}",
                    ["def _k(V, L, receivers, rng, presnap, snap, time):",
                     *_indent(body)],
-                   W=tuple(edge[4] for edge in edges),
-                   **{f"U{i}": edge[1] for i, edge in enumerate(edges)
-                      if edge[1] is not None})
+                   W=tuple(edge.weight for edge in edges),
+                   **{f"U{i}": edge.update for i, edge in enumerate(edges)
+                      if edge.stores})
 
 
 def _query_fault(pairs, V, L) -> str:
@@ -698,17 +700,14 @@ def _window_lines(pred, probe, atoms: tuple, want: bool, found,
                     *_indent(search)]
 
 
-def _sojourn_lines(name: str, index: int, invariant, inv_probe,
-                   inv_atoms: tuple, edges: tuple, rated=None) -> list:
-    """Lines that find the sojourn of location ``name`` of the component
-    at index ``index`` under the clock rates (read as
-    :func:`_window_lines` says, by ``rated``): ``start``, the earliest
-    time at which one of its active edges can fire, or None if none can
-    before its invariant closes, and, if it has an invariant, ``deadline``,
-    the earliest time at which ``invariant`` (with its probe and atoms) is
-    false, or ``INF``.  ``edges`` are ((guard, its probe, its atoms, its
-    gate, binary, the edge in error messages), ...); ``receivers`` are the
-    step table's receive kernels by channel.
+def _sojourn_lines(race, rated=None) -> list:
+    """Lines that find the sojourn of an actor, ``race`` (:data:`_Race`),
+    under the clock rates (read as :func:`_window_lines` says, by
+    ``rated``): ``start``, the earliest time at which one of its active
+    edges can fire, or None if none can before its invariant closes, and,
+    if it has an invariant, ``deadline``, the earliest time at which the
+    invariant is false, or ``INF``.  ``receivers`` are the step table's
+    receive kernels by channel.
 
     The deadline is searched by :func:`_window_lines`; an invariant that
     is false already raises, with the time ``time``.  An edge with no guard
@@ -722,39 +721,40 @@ def _sojourn_lines(name: str, index: int, invariant, inv_probe,
     test holds for the whole sojourn.  A fault of the invariant or of a
     guard names it (:func:`_naming`)."""
     lines = []
-    if invariant is not None:
-        message = f"invariant of {name} violated at entry (t={{time}})"
+    if race.invariant is not None:
+        message = f"invariant of {race.name} violated at entry (t={{time}})"
         lines += _naming(["deadline = INF", *_window_lines(
-            invariant, inv_probe, inv_atoms, False,
+            race.invariant, race.inv_probe, race.inv_atoms, False,
             lambda t: ([f"raise EngineError(f{message!r})"] if t == "0.0"
                        else [f"deadline = {t}"]), None, rated)],
-            f"the invariant of {name}")
-    if any(guard is None and binary is None
-           for guard, _, _, _, binary, _ in edges):
+            f"the invariant of {race.name}")
+    if any(edge.guard is None and edge.binary is None
+           for edge in race.edges):
         return lines + ["start = 0.0"]
-    horizon = "deadline" if invariant is not None else None
+    horizon = "deadline" if race.invariant is not None else None
     lines.append("start = None")
-    for i, (guard, probe, atoms, gate, binary, where) in enumerate(edges):
+    for i, edge in enumerate(race.edges):
         def found(t, first=i == 0):
             if t == "0.0" or first:  # no start is earlier
                 return [f"start = {t}"]
             return [f"if start is None or {t} < start:", f"    start = {t}"]
 
-        search = (found("0.0") if guard is None else _naming(
-            _window_lines(guard, probe, atoms, True, found, horizon, rated,
-                          gate), f"the guard of {where}"))
-        if binary is not None:
-            search = [f"if {_ready_test(binary, index, 'r')}:",
+        search = (found("0.0") if edge.guard is None else _naming(
+            _window_lines(edge.guard, edge.guard_probe, edge.guard_atoms,
+                          True, found, horizon, rated, edge.guard_gate),
+            f"the guard of {edge.where}"))
+        if edge.binary is not None:
+            search = [f"if {_ready_test(edge.binary, race.index, 'r')}:",
                       *_indent(search)]
         lines += search
     return lines
 
 
 def _race_lines(actors: tuple, rated) -> list:
-    """Lines that run the race of a timed step among ``actors``, ((the
-    arguments of :func:`_sojourn_lines`, exit rate), ...) of the actors of
-    a step table in component order, whose (component, location) pairs are
-    ``located``: they set ``best``, ``winner`` and ``cap``.
+    """Lines that run the race of a timed step among ``actors``, the
+    :data:`_Race` records of the actors of a step table in component order,
+    whose (component, location) pairs are ``located``: they set ``best``,
+    ``winner`` and ``cap``.
 
     Each actor's lines find its start and deadline, and it draws its delay
     at once, before the next actor's search: ``rng.uniform(start,
@@ -765,11 +765,11 @@ def _race_lines(actors: tuple, rated) -> list:
     is ``winner``; INF and None if no actor can fire.  ``cap`` is the
     earliest deadline of an actor that cannot fire, or INF."""
     lines = ["best = cap = INF", "winner = None"]
-    for j, (sojourn, rate) in enumerate(actors):
+    for j, race in enumerate(actors):
         keep = ["if d < best:", "    best = d", f"    winner = located[{j}]"]
-        exponential = f"d = start + rng.exponential({rate!r})"
-        lines += _sojourn_lines(*sojourn, rated)
-        if sojourn[2] is None:  # no invariant
+        exponential = f"d = start + rng.exponential({race.exit_rate!r})"
+        lines += _sojourn_lines(race, rated)
+        if race.invariant is None:
             lines += ["if start is not None:", f"    {exponential}",
                       *_indent(keep)]
         else:
@@ -981,7 +981,8 @@ def _advance_kernel(clocks: _Clocks):
 def _step_kernel(actors: tuple, plan: _RatePlan):
     """``(V, L, receivers, rng, time, located, remaining, h_max)``: one
     timed step of a step table up to its fire, ``(time after the delay,
-    winner, end)``.  ``actors`` and ``located`` are the table's actors, as
+    winner, end)``.  ``actors`` are the :data:`_Race` records of the
+    table's actors and ``located`` their (component, location) pairs, as
     :func:`_race_lines` takes them, ``plan`` its rate plan, ``receivers``
     its receive kernels by channel, and ``remaining`` the time left to the
     bound.
@@ -1014,7 +1015,7 @@ def _step_kernel(actors: tuple, plan: _RatePlan):
     if advance is not None:
         body += ["if dt != 0.0:",
                  f"    A(V, L, dt, h_max{_fixed(plan.clocks)})"]
-    names = " ".join(sojourn[0] for sojourn, _ in actors)
+    names = " ".join(race.name for race in actors)
     return _kernel(f"step {names}".rstrip(), [
         "def _k(V, L, receivers, rng, time, located, remaining, h_max):",
         *_indent(body + ["return time + dt, winner, end"])], A=advance)
@@ -1023,31 +1024,43 @@ def _step_kernel(actors: tuple, plan: _RatePlan):
 # --- compilation -----------------------------------------------------------
 
 
-class _CompiledEdge:
-    __slots__ = ("label", "where", "target", "guard", "guard_probe",
-                 "guard_atoms", "guard_gate", "channel", "binary", "weight",
-                 "stores", "update")
+class _CompiledEdge(collections.namedtuple("_CompiledEdge", (
+        "label", "where", "target", "guard", "guard_probe", "guard_atoms",
+        "guard_gate", "channel", "binary", "weight", "stores"))):
+    """An edge as every kernel generator reads it, immutable and hashed by
+    its content: its ``label``, ``where`` it is in error messages (``edge
+    a->b#0 of T``), its ``target``, its ``guard`` compiled or None, the
+    guard's probe form (``guard_probe``), its clock atoms (``guard_atoms``,
+    ((lhs - rhs fn, its probe), ...)) and what must hold for a window past
+    0 (``guard_gate``, :meth:`CompiledNetwork._compile_gate`), the
+    ``channel`` it syncs on or None, the channel of a binary emit or None
+    (``binary``), its ``weight``, and its ``stores``, ((slot, fn, how
+    :func:`_update_kernel` stores), ...)."""
+    __slots__ = ()
 
-    def __init__(self, label, component, target, guard, guard_probe,
-                 guard_atoms, guard_gate, channel, binary, weight, stores):
-        self.label = label
-        self.where = f"edge {label} of {component}"  # in error messages
-        self.target = target
-        self.guard = guard  # compiled or None
-        self.guard_probe = guard_probe  # probe form of guard, or None
-        self.guard_atoms = guard_atoms  # ((lhs - rhs fn, its probe), ...)
-        # what must hold for a window past 0 (CompiledNetwork._compile_gate)
-        self.guard_gate = guard_gate
-        self.channel = channel  # channel synced on, or None
-        self.binary = binary  # channel of a binary emit, else None
-        self.weight = weight
-        self.stores = stores  # ((slot, fn, how _update_kernel stores), ...)
-        # the update kernel, from the source location's lower(); None for
-        # no updates
-        self.update = None
+    @property
+    def update(self):
+        """The update kernel of ``stores``, or None for no updates: built
+        when the first kernel that calls it is, and cached by content."""
+        return _update_kernel(self.stores)
+
+
+_Race = collections.namedtuple("_Race", (
+    "name", "index", "invariant", "inv_probe", "inv_atoms", "edges",
+    "exit_rate"))
+_Race.__doc__ = """A location's part in a step kernel's race
+(:func:`_sojourn_lines`): the location's ``name``, its component's
+``index``, its ``invariant`` with its probe and clock atoms, its active
+edges (:class:`_CompiledEdge`) and its exit rate, 1 where none is
+given."""
 
 
 class _CompiledLocation:
+    """A location of a component: ``active``, its outgoing edges that are
+    internal or emit, and ``receive``, its receive edges by channel, each a
+    :class:`_CompiledEdge`.  ``lower()`` sets ``race``, its :data:`_Race`,
+    or None unless the location is timed and has an active edge or an
+    invariant, and ``fire``, the fire kernel of its active edges."""
     __slots__ = ("component", "index", "id", "name", "committed",
                  "invariant", "inv_probe", "inv_atoms", "rates", "affine",
                  "exit_rate", "reads", "active", "receive", "race", "fire",
@@ -1070,38 +1083,27 @@ class _CompiledLocation:
         # clock slots that the invariant reads; CompiledNetwork adds those
         # that the active edges' guards read
         self.reads = reads
-        self.active = []  # outgoing edges that are internal or emit
-        self.receive = {}  # channel -> outgoing receive edges
-        # from lower(): its part in a step kernel's race, (the arguments of
-        # _sojourn_lines, exit rate), or None unless the location is timed
-        # and has an active edge or an invariant, and the fire kernel of the
-        # active edges
+        self.active = []
+        self.receive = {}
         self.race = self.fire = None
         self.lowered = False
 
     def lower(self) -> None:
-        """Generate the kernels of this location and of its outgoing edges,
-        and its part in a step kernel's race, once.  The first step table that
-        holds the location asks for them, as it asks for its rate plan's,
-        so a network generates none for a location it never enters."""
+        """Generate this location's fire kernel, which generates the update
+        kernels it calls, and its race part, once.  The first step table
+        that holds the location asks for them, as it asks for its rate
+        plan's, so a network generates none for a location it never
+        enters."""
         if self.lowered:
             return
         self.lowered = True
-        if not self.committed and (self.active
-                                   or self.invariant is not None):
-            self.race = ((self.name, self.index, self.invariant,
-                          self.inv_probe, self.inv_atoms, tuple(
-                              (e.guard, e.guard_probe, e.guard_atoms,
-                               e.guard_gate, e.binary, e.where)
-                              for e in self.active)),
-                         self.exit_rate or 1.0)
-        for edge in self.active + [e for es in self.receive.values()
-                                   for e in es]:
-            edge.update = _update_kernel(edge.stores)
-        self.fire = _fire_kernel(
-            self.component, self.name, self.index,
-            tuple((e.guard, e.update, e.label, e.target, e.weight, e.channel,
-                   e.binary, e.where) for e in self.active))
+        active = tuple(self.active)
+        if not self.committed and (active or self.invariant is not None):
+            self.race = _Race(self.name, self.index, self.invariant,
+                              self.inv_probe, self.inv_atoms, active,
+                              self.exit_rate or 1.0)
+        self.fire = _fire_kernel(self.component, self.name, self.index,
+                                 active)
 
 
 class _StepTable:
@@ -1146,10 +1148,8 @@ class _StepTable:
         self.receivers = {}
         for channel in dict.fromkeys(e.channel for _, loc in located
                                      for e in loc.active if e.channel):
-            receiving = tuple(
-                (cc.index, tuple((e.guard, e.update, e.target, e.weight,
-                                  e.where) for e in loc.receive[channel]))
-                for cc, loc in located if channel in loc.receive)
+            receiving = tuple((cc.index, tuple(loc.receive[channel]))
+                              for cc, loc in located if channel in loc.receive)
             self.receivers[channel] = (_receive_kernel(channel, receiving)
                                        if receiving else None)
         # clocks that a guard or invariant reads
@@ -1216,16 +1216,6 @@ def _conjuncts(e) -> list:
     return [e]
 
 
-def _literal(rhs):
-    """The value of ``rhs`` if it is a number literal or its negation, else
-    None."""
-    negated = isinstance(rhs, E.Unary) and rhs.op == "-"
-    literal = rhs.operand if negated else rhs
-    if isinstance(literal, E.Num):
-        return -literal.value if negated else literal.value
-    return None
-
-
 def _store(rhs, vtype: str, type_of, is_float) -> str:
     """How an update kernel stores ``rhs`` in a slot of type ``vtype``
     (:func:`_update_kernel`), a key of ``_STORES``: "bool"; for a real or a
@@ -1236,7 +1226,7 @@ def _store(rhs, vtype: str, type_of, is_float) -> str:
     and of an int for an int if it is integral and in the 64-bit range.  A
     lone int variable (``type_of`` its name is "int"), which holds an int
     already, is stored as it is."""
-    value = _literal(rhs)
+    value = E.literal(rhs)
     if vtype == "bool":
         return "bool"
     if vtype != "int":
@@ -1350,9 +1340,9 @@ class CompiledNetwork:
                 binary = (channel if sync is not None
                           and sync.direction == "emit"
                           and not broadcast.get(channel, True) else None)
+                label = f"{edge.source}->{edge.target}#{i}"
                 ce = _CompiledEdge(
-                    f"{edge.source}->{edge.target}#{i}", comp.name,
-                    edge.target,
+                    label, f"edge {label} of {comp.name}", edge.target,
                     *self._compile_window(edge.guard, slotted, clock_refs),
                     self._compile_gate(edge.guard, slotted, clock_refs),
                     channel, binary, edge.weight, tuple(stores))

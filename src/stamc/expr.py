@@ -134,6 +134,14 @@ def bad_calls(e: Expr) -> Iterator[str]:
                        f"{to_text(n)!r}")
 
 
+def literal(e: Expr):
+    """The value of ``e`` if it is a number literal or its negation, else
+    None."""
+    if isinstance(e, Unary) and e.op == "-" and isinstance(e.operand, Num):
+        return -e.operand.value
+    return e.value if isinstance(e, Num) else None
+
+
 def _int_literal(e: Expr, other: Expr, resolver: Resolver, ints):
     """The source of ``e`` as an int literal where a comparison holds it
     against ``other``: if ``e`` is an integral number literal, or its
@@ -142,17 +150,10 @@ def _int_literal(e: Expr, other: Expr, resolver: Resolver, ints):
     Python int compares with a float exactly, so ``V[7] == 5`` has the
     truth of ``V[7] == 5.0`` for every int and bool, and takes the int
     compare's fast path."""
-    negated = isinstance(e, Unary) and e.op == "-"
-    literal = e.operand if negated else e
-    if isinstance(literal, Num):
-        value = -literal.value if negated else literal.value
-    elif isinstance(literal, Name) and not negated:
-        kind, *rest = resolver(literal.name)
-        if kind != "const":
-            return None
-        value = rest[0]
-    else:
-        return None
+    value = literal(e)
+    if value is None and isinstance(e, Name):
+        kind, *rest = resolver(e.name)
+        value = rest[0] if kind == "const" else None
     if not (isinstance(value, float) and math.isfinite(value)
             and value.is_integer() and isinstance(other, Name)):
         return None

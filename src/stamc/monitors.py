@@ -73,12 +73,17 @@ class WhConstraint:
         bound = [name for name, _ in self.bindings]
         if len(set(bound)) < len(bound):
             raise MonitorError("an event is bound twice")
-        for event in self.events():
+        events = self.events()
+        for event in events:
             if event not in bound:
                 raise MonitorError(f"event {event!r} not bound")
+        for event in bound:
+            if event not in events:
+                raise MonitorError(f"event {event!r} is not read by this "
+                                   f"{self.kind} constraint")
         if self.kind == "synchronization" and len(bound) < 2:
             raise MonitorError("synchronization needs >= 2 events")
-        channels = [self.channel(event) for event in self.events()]
+        channels = [self.channel(event) for event in events]
         if len(set(channels)) < len(channels):
             raise MonitorError("two events are bound to one channel")
 
@@ -434,8 +439,9 @@ def compile_observer(c: WhConstraint) -> tuple:
     """The observer of ``c`` compiled for replay: (initial location, initial
     values of its locals by slot, {location: ((clock slot, rate), ...) of
     its moving clocks}, {location: {channel: ((guard or None, update kernel
-    or None, target), ...)}}). Guards and update kernels read the locals as
-    ``V[slot]`` and no location."""
+    or None, target), ...)}}), read from the receive edges of its compiled
+    network, whose update kernels are generated here. Guards and update
+    kernels read the locals as ``V[slot]`` and no location."""
     channels = tuple(ChanDecl(ch, broadcast=True)
                      for ch in dict.fromkeys(map(c.channel, c.events())))
     net = CompiledNetwork(instantiate(
@@ -443,7 +449,6 @@ def compile_observer(c: WhConstraint) -> tuple:
     [component] = net.components
     rates, edges = {}, {}
     for loc in component.locations.values():
-        loc.lower()  # the receive edges' update kernels
         given = {slot: lit for slot, _, _, lit in loc.rates}
         rates[loc.id] = tuple((slot, given.get(slot, 1.0))
                               for slot in net.clock_slots

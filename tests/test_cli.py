@@ -780,6 +780,27 @@ def test_a_constraint_that_binds_two_events_to_one_channel_exits_3(
                         r"one channel", res.output.strip()), res.output
 
 
+@pytest.mark.parametrize("bindings, event, kind", [
+    ("source=start, target=stop, extra=nowhere", "extra", "endtoend"),
+    ("start=start, stop=stop, resume=nowhere", "resume", "execution")])
+def test_a_constraint_that_binds_an_event_its_kind_does_not_read_exits_3(
+        runner, tmp_path, task_text, bindings, event, kind):
+    """The binding would be ignored, its channel unchecked, and the check
+    would judge the constraint without it. The parser rejects it at the
+    constraint, before any run."""
+    m = tmp_path / "task.sta"
+    m.write_text(task_text)
+    q = tmp_path / "c.q"
+    q.write_text(f"E[<=50; 5](max: n);\nconstraint {kind}(m=4, k=4, "
+                 f"bound=50, lower=1, upper=30) on {bindings};\n")
+    res = runner.invoke(main, ["check", str(m), str(q), "--out",
+                               str(tmp_path / "o")])
+    assert res.exit_code == 3, res.output
+    assert re.fullmatch(rf"error: \S*c\.q:2:\d+: event '{event}' is not "
+                        rf"read by this {kind} constraint",
+                        res.output.strip()), res.output
+
+
 def test_a_fault_of_the_model_names_no_query_expression(runner, tmp_path):
     m = tmp_path / "guard.sta"
     m.write_text(COUNTING.replace("guard x >= 1", "guard x / n >= 1"))

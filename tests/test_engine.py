@@ -1443,21 +1443,21 @@ def _edges(compiled):
 
 
 @functools.cache
-def _sojourn_kernel(sojourn):
+def _sojourn_kernel(race):
     """``(V, L, R, receivers, time)``: (start or None, deadline) of an
-    actor, by the lines that a step kernel's race runs for it
-    (``engine._sojourn_lines``)."""
-    deadline = "INF" if sojourn[2] is None else "deadline"
+    actor, its race part ``race``, by the lines that a step kernel's race
+    runs for it (``engine._sojourn_lines``)."""
+    deadline = "INF" if race.invariant is None else "deadline"
     return engine._kernel("sojourn", [
         "def _k(V, L, R, receivers, time):",
-        *engine._indent(engine._sojourn_lines(*sojourn)),
+        *engine._indent(engine._sojourn_lines(race)),
         f"    return start, {deadline}"])
 
 
 def _sojourn(loc, V, L, rates, receivers, time=0.0):
     """``loc``'s sojourn as a step kernel's race finds it: (its start or
     None, its deadline)."""
-    return _sojourn_kernel(loc.race[0])(V, L, rates, receivers, time)
+    return _sojourn_kernel(loc.race)(V, L, rates, receivers, time)
 
 
 def _deadline(loc, V, L, rates):
@@ -2343,7 +2343,7 @@ def test_an_unguarded_edge_that_is_no_binary_emit_drops_the_search():
         [cc, *_] = compiled.components
         loc = cc.locations["a"]
         loc.lower()
-        lines = engine._sojourn_lines(*loc.race[0])
+        lines = engine._sojourn_lines(loc.race)
         assert (lines[-1] == "start = 0.0") is not searched
         assert any("the guard of edge a->a#" in line
                    for line in lines) is searched
@@ -2720,10 +2720,11 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     assert written == [] and E._lambda.cache_info().misses == evaluated
     assert len(pairs) > 30
     for (loc_a, ea), (loc_b, eb) in pairs:
-        assert (ea.guard, ea.guard_probe, ea.update) == \
-            (eb.guard, eb.guard_probe, eb.update)
-        assert (loc_a.invariant, loc_a.rates, loc_a.race, loc_a.fire) == \
-            (loc_b.invariant, loc_b.rates, loc_b.race, loc_b.fire)
+        # whole records: every closure and the update kernel are shared
+        assert ea == eb and ea.update is eb.update
+        assert loc_a.race == loc_b.race
+        assert (loc_a.invariant, loc_a.rates, loc_a.fire) == \
+            (loc_b.invariant, loc_b.rates, loc_b.fire)
         assert loc_a.fire is not None
         assert (loc_a.race is None) == (
             loc_a.committed or not loc_a.active and loc_a.invariant is None)
@@ -2739,6 +2740,44 @@ def test_a_second_compile_execs_nothing(monkeypatch):
     assert a.compile_watch(watch) == b.compile_watch(watch)
     assert engine._watch_kernel(a.compile_watch(watch)) is \
         engine._watch_kernel(b.compile_watch(watch))
+
+
+# a receive edge whose one store is a literal, on "go"; B emits on %s
+LAZY_UPDATE = """
+int n = 0;
+broadcast chan go;
+broadcast chan other;
+template A() {
+  init loc a;
+  a -> a { sync go?; update n := %d; }
+}
+template B() {
+  init loc b;
+  b -> b { sync %s!; }
+}
+system A, B;
+"""
+
+
+def test_an_update_kernel_is_generated_by_the_first_kernel_that_calls_it(
+        monkeypatch):
+    """An edge's update kernel is generated with the first fire or receive
+    kernel that calls it: a receive edge on a channel that no location
+    emits on generates none, however long its network runs, until its
+    ``update`` is read; where B emits on the channel, the receive kernel
+    generates it, and the edge fires."""
+    monkeypatch.setattr(engine, "_update_kernel", functools.cache(
+        engine._update_kernel.__wrapped__))
+    for channel, n, generated in (("other", 7391, 0), ("go", 7392, 1)):
+        before = engine._NAMED["update"]
+        compiled = engine.CompiledNetwork(net(LAZY_UPDATE % (n, channel)))
+        tr = run(compiled, 20, RngStream(0, 0), watch=["n"])
+        assert len(tr.events) > 5
+        assert tr.final["n"] == (n if generated else 0)
+        assert engine._NAMED["update"] - before == generated
+        [edge] = compiled.components[0].locations["a"].receive["go"]
+        assert edge.update is not None
+        assert engine._NAMED["update"] - before == 1
 
 
 def test_every_kernel_has_its_own_filename():

@@ -176,6 +176,16 @@ def test_constraint_validation():
                            match="two events are bound to one channel"):
             wh(kind, 4, 4, [(name, "stop") for name in names], lower=1,
                upper=30)
+    # a binding that the kind does not read would be ignored, its channel
+    # unchecked; "not bound" is still reported first
+    with pytest.raises(M.MonitorError, match="^event 'extra' is not read by "
+                       "this endtoend constraint$"):
+        wh("endtoend", 4, 4, [("source", "start"), ("target", "stop"),
+                              ("extra", "nowhere")], lower=1, upper=30)
+    with pytest.raises(M.MonitorError, match="^event 'resume' is not read by "
+                       "this execution constraint$"):
+        wh("execution", 4, 4, [("start", "start"), ("stop", "stop"),
+                               ("resume", "nowhere")])
     # m / k = 0.6 would be tested at p0 = 0.6 on nonsense windows
     for m, k in ((1.5, 2.5), (1, 2.0), (2.0, 3)):
         with pytest.raises(M.MonitorError, match="need integers m and k"):
